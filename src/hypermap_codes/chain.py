@@ -12,9 +12,10 @@ image of ``iota`` (face codes) or of ``d2`` (edge codes) leaves a
 two-step complex.  Choosing one special dart per edge (resp. per face)
 turns the non-special darts into a basis of the quotient: a special dart
 equals the sum of the other darts of its orbit, so each boundary column
-is expanded by that substitution.  The expansion counts are kept as
-natural numbers because the surface reduction needs them; the code
-matrices are their mod-2 projection.
+is expanded by that substitution.  One walker yields the expansion's
+(qubit, Z-orbit) hits: the surface reduction sums them into
+natural-number counts, and the code matrices XOR them into bitmasks,
+which is the counts' mod-2 projection without the dense table.
 """
 
 from __future__ import annotations
@@ -107,34 +108,44 @@ def _quotient_qubits(h: Hypermap, s: SpecialDarts) -> tuple[int, ...]:
     return tuple(i for i in range(h.n) if i not in s.darts)
 
 
-def expansion_counts(h: Hypermap, s: SpecialDarts) -> tuple[tuple[int, ...], ...]:
-    """Natural-number boundary counts over the non-special-dart basis.
+def _expansion_hits(h: Hypermap, s: SpecialDarts, qubits: tuple[int, ...]):
+    """Yield (qubit row, Z column) once per unit of expansion count.
 
-    Rows are the non-special darts in increasing order; columns are the
-    Z-axis orbits (faces for a per-edge set, edges for a per-face set).
-    A column starts from the orbit's darts and each special dart is
-    replaced by the other darts of its own eliminating orbit (its edge
-    for per-edge, its face for per-face).  Counts are not reduced mod 2:
-    a dart hit twice in one column records 2.  Every row sums to exactly
-    2 across all columns: once from the dart's own Z-orbit, once from the
-    expansion of the unique special dart it shares an eliminating orbit
-    with.
+    Columns are the Z-axis orbits (faces for a per-edge set, edges for a
+    per-face set).  A column starts from the orbit's darts and each
+    special dart is replaced by the other darts of its own eliminating
+    orbit (its edge for per-edge, its face for per-face).
     """
     if s.kind == PER_EDGE:
         z_orbits, eliminating, orbit_of = h.faces, h.edges, h.edge_of
     else:
         z_orbits, eliminating, orbit_of = h.edges, h.faces, h.face_of
-    qubits = _quotient_qubits(h, s)
     row_of = {dart: r for r, dart in enumerate(qubits)}
-    counts = [[0] * len(z_orbits) for _ in qubits]
     for j, orbit in enumerate(z_orbits):
         for dart in orbit:
             if dart not in s.darts:
-                counts[row_of[dart]][j] += 1
+                yield row_of[dart], j
             else:
                 for other in eliminating[orbit_of(dart)]:
                     if other != dart:
-                        counts[row_of[other]][j] += 1
+                        yield row_of[other], j
+
+
+def expansion_counts(h: Hypermap, s: SpecialDarts) -> tuple[tuple[int, ...], ...]:
+    """Natural-number boundary counts over the non-special-dart basis.
+
+    Rows are the non-special darts in increasing order; columns are the
+    Z-axis orbits, expanded as in :func:`_expansion_hits`.  Counts are
+    not reduced mod 2: a dart hit twice in one column records 2.  Every
+    row sums to exactly 2 across all columns: once from the dart's own
+    Z-orbit, once from the expansion of the unique special dart it shares
+    an eliminating orbit with.
+    """
+    qubits = _quotient_qubits(h, s)
+    width = len(h.faces) if s.kind == PER_EDGE else len(h.edges)
+    counts = [[0] * width for _ in qubits]
+    for r, j in _expansion_hits(h, s, qubits):
+        counts[r][j] += 1
     return tuple(tuple(row) for row in counts)
 
 
@@ -152,17 +163,16 @@ def _endpoint_matrix(h: Hypermap, qubits: tuple[int, ...]) -> BitMatrix:
 
 
 def _quotient_code(h: Hypermap, s: SpecialDarts, kind: str) -> QuotientCode:
-    counts = expansion_counts(h, s)
     qubits = _quotient_qubits(h, s)
     z_orbits = h.faces if kind == FACE else h.edges
-    b2_bits = tuple(
-        sum(1 << j for j, c in enumerate(row) if c & 1) for row in counts
-    )
+    b2_bits = [0] * len(qubits)
+    for r, j in _expansion_hits(h, s, qubits):
+        b2_bits[r] ^= 1 << j
     return QuotientCode(
         kind=kind,
         special=s,
         qubit_labels=qubits,
-        boundary2=BitMatrix(len(qubits), len(z_orbits), b2_bits),
+        boundary2=BitMatrix(len(qubits), len(z_orbits), tuple(b2_bits)),
         boundary1=_endpoint_matrix(h, qubits),
         z_labels=tuple(min(o) for o in z_orbits),
         x_labels=tuple(min(o) for o in h.vertices),

@@ -57,8 +57,16 @@ DEFAULT_DISTANCE_BUDGET = 6
 
 
 def load_hypermap(path: str) -> tuple[Hypermap, frozenset[int] | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hypermap(fh.read())
+    """Read and parse a hypermap file; text that is not UTF-8 is a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, exc.start - line_start + 1,
+                         f"not UTF-8 text ({exc.reason})") from exc
+    return parse_hypermap(text)
 
 
 def _resolve_special(h: Hypermap, kind: str, cli_special: list[int] | None,
@@ -161,6 +169,11 @@ def parse_json(text: str):
         n = doc["n"]
         if hx.cols != n or hz.cols != n:
             raise ValueError("check matrices do not match the qubit count")
+        for key, size in (("qubits", n), ("x_checks", hx.rows), ("z_checks", hz.rows)):
+            if len(doc[key]) != size:
+                raise ValueError(f"{key} has {len(doc[key])} labels, expected {size}")
+        if not gf2.is_zero(gf2.multiply(hx, gf2.transpose(hz))):
+            raise ValueError("H_X * H_Z^T != 0: the checks do not commute")
         k = n - gf2.rank(hx) - gf2.rank(hz)
         if k != doc["k"]:
             raise ValueError(f"stored k={doc['k']} but check ranks give k={k}")
@@ -501,6 +514,17 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type=`` that accepts integers >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypermap-codes",
@@ -541,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_file(p)
     p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True)
     add_special(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET,
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_DISTANCE_BUDGET,
                    help="maximum logical-operator weight to search "
                         f"(default {DEFAULT_DISTANCE_BUDGET})")
     p.add_argument("--allow-large", action="store_true",
@@ -549,13 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="run the identity/equivalence suite on random hypermaps")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--max-darts", type=int, default=10)
+    p.add_argument("--trials", type=_int_at_least(1), default=500)
+    p.add_argument("--max-darts", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="emit a random hypermap file")
-    p.add_argument("--darts", type=int, required=True)
+    p.add_argument("--darts", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_random)
 

@@ -67,7 +67,7 @@ def assemble(q: QuotientCode) -> CssCode:
     """
     hx = q.boundary1
     hz = gf2.transpose(q.boundary2)
-    if not gf2.is_zero(gf2.multiply(hx, gf2.transpose(hz))):
+    if not gf2.is_zero(gf2.multiply(hx, q.boundary2)):
         raise CommutationError("H_X * H_Z^T != 0; quotient complex is broken")
     n = len(q.qubit_labels)
     k = n - gf2.rank(hx) - gf2.rank(hz)
@@ -93,13 +93,15 @@ def stabilizer_strings(c: CssCode) -> list[str]:
     if c.n == 0:
         return []
     out = []
-    for i, row in enumerate(c.hx.bits):
-        support = " ".join(f"X{c.qubit_labels[j] + 1}" for j in range(c.n) if (row >> j) & 1)
-        out.append(f"X_v{i + 1} = {support or 'I'}")
-    z_prefix = c.z_axis[0]
-    for i, row in enumerate(c.hz.bits):
-        support = " ".join(f"Z{c.qubit_labels[j] + 1}" for j in range(c.n) if (row >> j) & 1)
-        out.append(f"Z_{z_prefix}{i + 1} = {support or 'I'}")
+    for pauli, prefix, m in (("X", "v", c.hx), ("Z", c.z_axis[0], c.hz)):
+        names = [f"{pauli}{label + 1}" for label in c.qubit_labels]
+        for i, row in enumerate(m.bits):
+            support = []
+            while row:
+                low = row & -row
+                support.append(names[low.bit_length() - 1])
+                row ^= low
+            out.append(f"{pauli}_{prefix}{i + 1} = {' '.join(support) or 'I'}")
     return out
 
 

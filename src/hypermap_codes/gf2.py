@@ -1,9 +1,18 @@
-"""Dense GF(2) linear algebra on bit-packed matrices.
+"""GF(2) linear algebra on bit-packed matrices.
 
 Each matrix row is one Python int; bit ``j`` of a row is the entry in
 column ``j``.  Vectors are plain ints under the same convention.  All
 arithmetic is mod 2 and everything is immutable: row reduction always
 works on an internal copy.
+
+Cost model: the work follows the set bits and runs as C-level big-int
+and str operations, never as a Python loop over every entry.  Rank, row
+reduction and row-space tests insert rows into an XOR basis keyed by
+each row's lowest set bit, so a row costs one big-int XOR per basis row
+it meets; the reduced echelon form back-substitutes over pivot bits
+only.  ``multiply`` XORs the rows of ``b`` picked by the set bits of
+each row of ``a``: O(nnz(a)) big-int XORs.  Rendering formats each row
+with ``format``.
 """
 
 from __future__ import annotations
@@ -59,14 +68,17 @@ def from_strings(rows: Sequence[str], cols: int | None = None) -> BitMatrix:
         cols = len(rows[0]) if rows else 0
     bits = []
     for row in rows:
-        if len(row) != cols or any(c not in "01" for c in row):
+        if not isinstance(row, str) or len(row) != cols or row.strip("01"):
             raise ValueError(f"bad matrix row {row!r}")
-        bits.append(sum(1 << j for j, c in enumerate(row) if c == "1"))
+        bits.append(int(row[::-1], 2) if cols else 0)
     return BitMatrix(len(bits), cols, tuple(bits))
 
 
 def to_strings(m: BitMatrix) -> list[str]:
-    return ["".join("1" if (row >> j) & 1 else "0" for j in range(m.cols)) for row in m.bits]
+    if m.cols == 0:
+        return [""] * m.rows
+    spec = f"0{m.cols}b"
+    return [format(row, spec)[::-1] for row in m.bits]
 
 
 def render(m: BitMatrix) -> str:
@@ -92,13 +104,14 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product mod 2."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    bt = transpose(b)
+    b_rows = b.bits
     bits = []
     for row in a.bits:
         out = 0
-        for j, col in enumerate(bt.bits):
-            if (row & col).bit_count() & 1:
-                out |= 1 << j
+        while row:
+            low = row & -row
+            out ^= b_rows[low.bit_length() - 1]
+            row ^= low
         bits.append(out)
     return BitMatrix(a.rows, b.cols, tuple(bits))
 
@@ -114,24 +127,47 @@ def mat_vec(m: BitMatrix, v: int) -> int:
     return out
 
 
+def _basis(bits: Sequence[int]) -> dict[int, int]:
+    """XOR basis of the row space keyed by each basis row's lowest set bit.
+
+    Keys are distinct one-bit ints; the row stored under a key has that
+    bit as its lowest, so reducing a vector against the basis only ever
+    clears its lowest bit and adds higher ones.
+    """
+    basis: dict[int, int] = {}
+    for row in bits:
+        while row:
+            low = row & -row
+            pivot = basis.get(low)
+            if pivot is None:
+                basis[low] = row
+                break
+            row ^= pivot
+    return basis
+
+
 def _echelon(bits: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    work = list(bits)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    The lowest-bit basis is back-substituted from the highest pivot down,
+    so each pivot row loses its bits in the other pivot columns.  RREF is
+    unique, so this equals column-by-column Gauss-Jordan elimination.
+    """
+    basis = _basis(bits)
+    keys = sorted(basis)
+    pivot_mask = 0
+    for low in reversed(keys):
+        row = basis[low]
+        hits = row & pivot_mask
+        while hits:
+            bit = hits & -hits
+            row ^= basis[bit]
+            hits ^= bit
+        basis[low] = row
+        pivot_mask |= low
+    work = [basis[low] for low in keys]
+    work.extend([0] * (len(bits) - len(work)))
+    return work, [low.bit_length() - 1 for low in keys]
 
 
 def echelon_form(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
@@ -145,7 +181,7 @@ def row_reduce(m: BitMatrix) -> BitMatrix:
 
 
 def rank(m: BitMatrix) -> int:
-    return len(_echelon(m.bits, m.cols)[1])
+    return len(_basis(m.bits))
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
@@ -157,25 +193,26 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
     of t basis vectors has weight at least t.
     """
     work, pivots = _echelon(m.bits, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for r, c in enumerate(pivots):
-            if (work[r] >> f) & 1:
-                v |= 1 << c
-        basis.append(v)
-    return BitMatrix(len(basis), m.cols, tuple(basis))
+    basis = {f: 1 << f for f in range(m.cols)}
+    for c in pivots:
+        del basis[c]
+    for row, c in zip(work, pivots):
+        free = row ^ (1 << c)
+        while free:
+            low = free & -free
+            basis[low.bit_length() - 1] |= 1 << c
+            free ^= low
+    return BitMatrix(len(basis), m.cols, tuple(basis.values()))
 
 
 def in_row_space(m: BitMatrix, v: int) -> bool:
     """True when v is a GF(2) combination of the rows of m."""
     if v >> m.cols:
         raise ValueError(f"vector has bits outside {m.cols} columns")
-    work, pivots = _echelon(m.bits, m.cols)
-    for r, c in enumerate(pivots):
-        if (v >> c) & 1:
-            v ^= work[r]
-    return v == 0
+    basis = _basis(m.bits)
+    while v:
+        pivot = basis.get(v & -v)
+        if pivot is None:
+            return False
+        v ^= pivot
+    return True

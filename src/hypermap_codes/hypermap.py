@@ -276,8 +276,9 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         sigma: (7 1 6 3)(5 2 8 4)
         special: 2 5        # optional
 
-    Labels in the file are 1-based; the returned special darts (if any)
-    are 0-based like everything else in memory.
+    Numbers are ASCII decimal digits.  Labels in the file are 1-based;
+    the returned special darts (if any) are 0-based like everything else
+    in memory.
     """
     fields: list[tuple[int, int, str, str]] = []  # (line, value col, key, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -305,7 +306,7 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         raise ParseError(fields[3][0], 1, f"expected 'special' line, found {fields[3][2]!r}")
 
     lineno, col, _, value = fields[0]
-    if not value.isdigit() or int(value) < 1:
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
         raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
     n = int(value)
 
@@ -324,7 +325,7 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         offset = 0
         for token in value.split():
             offset = value.index(token, offset)
-            if not token.isdigit() or not 1 <= int(token) <= n:
+            if not (token.isascii() and token.isdigit()) or not 1 <= int(token) <= n:
                 raise ParseError(lineno, col + offset,
                                  f"special dart {token!r} outside 1..{n}")
             label = int(token) - 1

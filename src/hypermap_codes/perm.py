@@ -190,7 +190,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             while pos < n_chars and not text[pos].isspace() and text[pos] != ")":
                 pos += 1
             token = text[start:pos]
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise CycleParseError(f"expected a dart label, found {token!r}", start + 1)
             label = int(token)
             if not 1 <= label <= degree:

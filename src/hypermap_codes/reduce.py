@@ -13,9 +13,10 @@ be traversed exactly twice overall.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from . import chain, gf2
-from .chain import _endpoint_matrix, expansion_counts
+from .chain import _endpoint_matrix, _quotient_qubits, expansion_counts
 from .gf2 import BitMatrix
 from .hypermap import (
     PER_EDGE,
@@ -48,8 +49,10 @@ class CellComplex:
         return len(self.zero_cells) - len(self.one_cells) + len(self.two_cells)
 
     def incidence21_mod2(self) -> BitMatrix:
+        # compress(count(), row) visits only the columns with a nonzero count
         bits = tuple(
-            sum(1 << j for j, c in enumerate(row) if c & 1) for row in self.incidence21
+            sum(1 << j for j in compress(count(), row) if row[j] & 1)
+            for row in self.incidence21
         )
         return BitMatrix(len(self.one_cells), len(self.two_cells), bits)
 
@@ -91,7 +94,7 @@ def reduce_to_surface(h: Hypermap, s: SpecialDarts) -> CellComplex:
     if s.kind != PER_EDGE:
         raise SpecialDartError(f"surface reduction needs a {PER_EDGE} special set, got {s.kind}")
     special_darts(h, s.darts, PER_EDGE)
-    qubits = tuple(i for i in range(h.n) if i not in s.darts)
+    qubits = _quotient_qubits(h, s)
     return CellComplex(
         zero_cells=tuple(min(o) for o in h.vertices),
         one_cells=qubits,
@@ -125,7 +128,8 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
             f"{dart + 1} (total {total})" for dart, total in bad_closure),
     ))
 
-    product = gf2.multiply(c.incidence10, c.incidence21_mod2())
+    incidence21_mod2 = c.incidence21_mod2()
+    product = gf2.multiply(c.incidence10, incidence21_mod2)
     checks.append(CheckResult(
         "chain-condition",
         gf2.is_zero(product),
@@ -138,7 +142,7 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
 
     if h is not None and s is not None:
         code = chain.face_code(h, s)
-        z_ok = c.incidence21_mod2() == code.boundary2
+        z_ok = incidence21_mod2 == code.boundary2
         checks.append(CheckResult(
             "face-code-z-match", z_ok,
             "" if z_ok else "incidence21 mod 2 differs from the face-code boundary"))

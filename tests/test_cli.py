@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +18,13 @@ from hypermap_codes import (
     export_json,
     export_walsh_dot,
     face_code,
+    from_strings,
     full_code,
     identity,
     parse_hypermap,
     parse_json,
     random_corpus,
+    rank,
     reduce_to_surface,
     run_verification,
     special_darts,
@@ -291,3 +297,93 @@ def test_run_verification_report(corpus):
     text = report.render()
     assert text == run_verification(trials=30, max_darts=8, seed=7).render()
     assert "face-edge-code-transfer: PASS" in text
+
+
+# ---------------------------------------------------------------------------
+# argument ranges, file decoding and stricter JSON
+
+@pytest.mark.parametrize("argv", [
+    ["distance", "{file}", "--kind", "face", "--budget", "-3"],
+    ["verify", "--trials", "-2"],
+    ["verify", "--trials", "0"],
+    ["verify", "--max-darts", "0"],
+    ["random", "--darts", "0"],
+])
+def test_out_of_range_arguments_are_usage_errors(argv, torus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.replace("{file}", torus_file) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be at least" in err
+
+
+def test_distance_budget_zero_still_works(torus_file, capsys):
+    code, out, _ = run_cli(capsys, "distance", torus_file, "--kind", "face",
+                           "--budget", "0")
+    assert code == 0
+    assert "budget: 0" in out
+    assert "d: >0" in out
+    assert "every logical operator has weight >= 1" in out
+
+
+@pytest.mark.parametrize("text,where", [
+    ("darts: ٣\nalpha: ()\nsigma: ()\n", ":1:8:"),
+    ("darts: ²\nalpha: ()\nsigma: ()\n", ":1:8:"),
+])
+def test_non_ascii_digits_exit_2(tmp_path, capsys, text, where):
+    path = tmp_path / "digits.hm"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "info", str(path))
+    assert code == 2
+    assert where in err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.hm"
+    path.write_bytes(TORUS_TEXT.encode("utf-16"))
+    code, _, err = run_cli(capsys, "info", str(path))
+    assert code == 2
+    assert "utf16.hm:1:1: not UTF-8 text" in err
+
+
+def test_non_utf8_byte_position_is_reported(tmp_path, capsys):
+    path = tmp_path / "latin1.hm"
+    path.write_bytes(b"darts: 2\nalpha: (1 2)\n# caf\xe9\nsigma: ()\n")
+    code, _, err = run_cli(capsys, "info", str(path))
+    assert code == 2
+    assert "latin1.hm:3:6:" in err
+
+
+def _torus_code_doc(torus8):
+    return json.loads(export_json(assemble(face_code(torus8, default_special_darts(torus8, PER_EDGE)))))
+
+
+def test_parse_json_rejects_noncommuting_checks(torus8):
+    doc = _torus_code_doc(torus8)
+    # flipping one H_X entry breaks H_X * H_Z^T = 0 but keeps both ranks
+    row = doc["hx"]["rows"][0]
+    doc["hx"]["rows"][0] = ("0" if row[0] == "1" else "1") + row[1:]
+    doc["k"] = (doc["n"] - rank(from_strings(doc["hx"]["rows"]))
+                - rank(from_strings(doc["hz"]["rows"])))
+    with pytest.raises(ValueError, match="do not commute"):
+        parse_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["qubits", "x_checks", "z_checks"])
+def test_parse_json_rejects_label_count_mismatch(torus8, key):
+    doc = _torus_code_doc(torus8)
+    doc[key] = doc[key][:-1]
+    with pytest.raises(ValueError, match=key):
+        parse_json(json.dumps(doc))
+
+
+def test_python_dash_m_runs_cli_without_warnings(torus_file):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hypermap_codes", "info", torus_file],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "genus: 1" in proc.stdout

@@ -293,3 +293,15 @@ def test_corpus_is_deterministic():
     a = random_corpus(20, 6, seed=3)
     b = random_corpus(20, 6, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("text,line,col", [
+    ("darts: ٣\nalpha: ()\nsigma: ()\n", 1, 8),            # Arabic-Indic three
+    ("darts: ²\nalpha: ()\nsigma: ()\n", 1, 8),            # superscript two
+    ("darts: 2\nalpha: (1 ٢)\nsigma: ()\n", 2, 11),        # cycle token
+    ("darts: 2\nalpha: (1 2)\nsigma: ()\nspecial: ١\n", 4, 10),  # special dart
+])
+def test_parse_hypermap_accepts_ascii_digits_only(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_hypermap(text)
+    assert (err.value.line, err.value.col) == (line, col)

@@ -212,3 +212,10 @@ def test_partition_ignores_cyclic_order(p):
     cycles = cycle_decomposition(p)
     rotated = tuple(c[1:] + c[:1] for c in cycles)
     assert as_partition(cycles) == as_partition(rotated)
+
+
+def test_parse_cycles_rejects_non_ascii_digits():
+    for token in ("٣", "²", "1٠"):
+        with pytest.raises(CycleParseError) as err:
+            parse_cycles(f"(1 {token})", 20)
+        assert err.value.col == 4

@@ -7,6 +7,7 @@ those constructions.
 """
 
 from .perm import (
+    MAX_DARTS,
     Cycles,
     CycleParseError,
     Permutation,

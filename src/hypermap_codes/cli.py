@@ -42,7 +42,7 @@ from .hypermap import (
     special_darts,
     triangle_dual,
 )
-from .perm import as_partition, format_cycles, parse_cycles
+from .perm import MAX_DARTS, as_partition, format_cycles, parse_cycles
 from .reduce import CellComplex, reduce_to_surface, validate_surface
 
 EXIT_OK = 0
@@ -514,12 +514,14 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse ``type=`` that accepts integers >= ``low``."""
+def _int_in_range(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse ``type=`` that accepts integers >= ``low`` and, if given, <= ``high``."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
     return parse
@@ -565,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_file(p)
     p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True)
     add_special(p)
-    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_DISTANCE_BUDGET,
+    p.add_argument("--budget", type=_int_in_range(0), default=DEFAULT_DISTANCE_BUDGET,
                    help="maximum logical-operator weight to search "
                         f"(default {DEFAULT_DISTANCE_BUDGET})")
     p.add_argument("--allow-large", action="store_true",
@@ -573,13 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="run the identity/equivalence suite on random hypermaps")
-    p.add_argument("--trials", type=_int_at_least(1), default=500)
-    p.add_argument("--max-darts", type=_int_at_least(1), default=10)
+    p.add_argument("--trials", type=_int_in_range(1), default=500)
+    p.add_argument("--max-darts", type=_int_in_range(1, MAX_DARTS), default=10)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="emit a random hypermap file")
-    p.add_argument("--darts", type=_int_at_least(1), required=True)
+    p.add_argument("--darts", type=_int_in_range(1, MAX_DARTS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_random)
 

@@ -1,4 +1,14 @@
-"""CSS code assembly, stabilizer rendering, and exact distance search."""
+"""CSS code assembly, stabilizer rendering, and exact distance search.
+
+Every code built from a hypermap is a surface code: each column of
+``H_X`` and of ``H_Z`` has at most two ones.  A minimum-weight logical
+operator is then a shortest homologically non-trivial cycle in the graph
+whose nodes are the check rows and whose edges are the qubits, and
+:func:`distance` finds it with one breadth-first search per node.  A
+check matrix with a column of three or more ones falls back to the
+exhaustive search over combinations of kernel-basis vectors, which is
+exact for any CSS code but exponential in the weight.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +19,8 @@ from . import gf2
 from .chain import EDGE, QuotientCode
 from .gf2 import BitMatrix
 
-# Exhaustive-by-weight search gets expensive past this many qubits.
+# Largest qubit count :func:`distance` accepts without allow_large=True; kept
+# because callers and the CLI document it, though the cycle search is polynomial.
 DISTANCE_QUBIT_CAP = 28
 
 
@@ -142,15 +153,139 @@ def _min_logical_weight(check: BitMatrix, other: BitMatrix, budget: int) -> int 
     return None
 
 
+def _qubit_graph(check: BitMatrix) -> tuple[list[list[tuple[int, int]]], list[int]] | None:
+    """The qubits of ``check`` as edges between its rows, or None.
+
+    Node ``i`` is row ``i`` and node ``check.rows`` is a virtual node.  A
+    column with ones in rows ``a`` and ``b`` is an edge ``a``-``b``, a
+    column with a single one in row ``a`` an edge ``a``-virtual, and an
+    all-zero column a loop.  Then ker(check) is exactly the cycle space:
+    an edge set with even degree at every row has even degree at the
+    virtual node too, since the degrees sum to twice the edge count.
+    Returns ``(adjacency, loops)``: ``adjacency[u]`` lists ``(qubit,
+    neighbour)`` pairs and ``loops`` the all-zero columns.  Returns None
+    when some column has three or more ones, so the matrix is no graph.
+    """
+    first = [-1] * check.cols
+    second = [-1] * check.cols
+    for i, row in enumerate(check.bits):
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            if first[j] < 0:
+                first[j] = i
+            elif second[j] < 0:
+                second[j] = i
+            else:
+                return None
+            row ^= low
+    virtual = check.rows
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(virtual + 1)]
+    loops = []
+    for j, (a, b) in enumerate(zip(first, second)):
+        if a < 0:
+            loops.append(j)
+            continue
+        if b < 0:
+            b = virtual
+        adjacency[a].append((j, b))
+        adjacency[b].append((j, a))
+    return adjacency, loops
+
+
+def _min_cycle_weight(graph: tuple[list[list[tuple[int, int]]], list[int]],
+                      other: BitMatrix, budget: int) -> int | None:
+    """Minimum weight over ker(check) \\ rowspace(other), if <= budget.
+
+    ``graph`` is :func:`_qubit_graph` of ``check``.  Qubit ``j`` carries
+    the label whose bit ``i`` is entry ``j`` of row ``i`` of
+    ``kernel_basis(other)``; since rowspace(other) = ker(other)^perp, a
+    cycle is a logical operator exactly when the XOR of its labels is
+    non-zero.  A labelled loop has weight 1.  Otherwise a breadth-first
+    search from every node pairs each non-tree edge ``u``-``w`` with the
+    tree paths to its ends: when their labels XOR to non-zero, the closed
+    walk has weight ``dist[u] + dist[w] + 1`` and its mod-2 edge set is a
+    logical operator at most that heavy, so no candidate undercuts the
+    minimum.  Conversely the non-zero labels satisfy the 3-path condition
+    (Thomassen 1990): for a shortest non-trivial cycle through the root,
+    every shorter closed walk has label zero, so the tree paths to the
+    ends of one of its middle edges carry the cycle's own labels and the
+    search meets the cycle exactly.  Candidates from depth ``t`` weigh at
+    least ``2t + 1``, so each search stops once that exceeds
+    ``min(budget, best - 1)``.
+    """
+    adjacency, loops = graph
+    if budget < 1:
+        return None
+    labels = gf2.transpose(gf2.kernel_basis(other)).bits
+    if any(labels[j] for j in loops):
+        return 1
+    best = None
+    limit = budget
+    nodes = len(adjacency)
+    dist = [-1] * nodes
+    lab = [0] * nodes
+    via = [-1] * nodes
+    for root in range(nodes):
+        if limit < 2:  # no cycle of the graph is lighter than 2
+            break
+        dist[root] = 0
+        lab[root] = 0
+        via[root] = -1
+        frontier = [root]
+        reached = [root]
+        depth = 0
+        while frontier and 2 * depth + 1 <= limit:
+            nxt = []
+            for u in frontier:
+                lu = lab[u]
+                pu = via[u]
+                for j, w in adjacency[u]:
+                    if j == pu:
+                        continue
+                    lw = lu ^ labels[j]
+                    dw = dist[w]
+                    if dw < 0:
+                        dist[w] = depth + 1
+                        lab[w] = lw
+                        via[w] = j
+                        nxt.append(w)
+                    elif lw != lab[w] and depth + dw + 1 <= limit:
+                        best = depth + dw + 1
+                        limit = best - 1
+            reached += nxt
+            frontier = nxt
+            depth += 1
+        for u in reached:
+            dist[u] = -1
+    return best
+
+
+def _class_minimum(check: BitMatrix, other: BitMatrix, budget: int) -> int | None:
+    """Minimum weight over ker(check) \\ rowspace(other), if <= budget.
+
+    The cycle search when ``check`` is a graph, else the exhaustive one.
+    """
+    graph = _qubit_graph(check)
+    if graph is None:
+        return _min_logical_weight(check, other, budget)
+    return _min_cycle_weight(graph, other, budget)
+
+
 def distance(c: CssCode, budget: int | None = None, allow_large: bool = False) -> DistanceResult:
-    """Exact minimum distance by increasing-weight search.
+    """Exact minimum distance by a shortest non-trivial cycle search.
 
     d_X is the minimum weight over ker(H_Z) outside the row space of H_X,
-    d_Z the mirror image, and d their minimum.  With the default budget
-    (the qubit count) the result is always exact; a smaller budget stops
-    the search early and, when nothing is found, certifies only that
-    every logical operator is heavier than the budget.  The result is a
-    pure function of the inputs.
+    d_Z the mirror image, and d their minimum.  When every column of the
+    check matrix has at most two ones, as in every code built from a
+    hypermap, the class minimum is a shortest cycle with a non-zero
+    logical label in the graph of checks and qubits, found by one
+    breadth-first search per check (see :func:`_min_cycle_weight`);
+    otherwise the exhaustive search over kernel-basis combinations runs.
+    Both are exact.  With the default budget (the qubit count) the result
+    is always exact; a smaller budget stops the search early and, when
+    nothing is found, certifies only that every logical operator is
+    heavier than the budget.  The result is a pure function of the inputs.
     """
     if c.k == 0:
         return DistanceResult(dx=None, dz=None, d=None, exact=True,
@@ -161,8 +296,8 @@ def distance(c: CssCode, budget: int | None = None, allow_large: bool = False) -
             f"{DISTANCE_QUBIT_CAP}; pass allow_large=True to force it")
     if budget is None:
         budget = c.n
-    dx = _min_logical_weight(c.hz, c.hx, budget)
-    dz = _min_logical_weight(c.hx, c.hz, budget)
+    dx = _class_minimum(c.hz, c.hx, budget)
+    dz = _class_minimum(c.hx, c.hz, budget)
     found = [w for w in (dx, dz) if w is not None]
     d = min(found) if found else None
     return DistanceResult(dx=dx, dz=dz, d=d, exact=d is not None,

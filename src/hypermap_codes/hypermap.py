@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 
 from .perm import (
+    MAX_DARTS,
     Cycles,
     Permutation,
     as_partition,
@@ -276,7 +277,8 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         sigma: (7 1 6 3)(5 2 8 4)
         special: 2 5        # optional
 
-    Numbers are ASCII decimal digits.  Labels in the file are 1-based;
+    Numbers are ASCII decimal digits, and the dart count is at most
+    :data:`~hypermap_codes.perm.MAX_DARTS`.  Labels in the file are 1-based;
     the returned special darts (if any) are 0-based like everything else
     in memory.
     """
@@ -306,9 +308,14 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         raise ParseError(fields[3][0], 1, f"expected 'special' line, found {fields[3][2]!r}")
 
     lineno, col, _, value = fields[0]
-    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+    if not (value.isascii() and value.isdigit()):
         raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
+    # the length check runs first: int() refuses more than 4300 digits
+    if len(value.lstrip("0")) > len(str(MAX_DARTS)) or int(value) > MAX_DARTS:
+        raise ParseError(lineno, col, f"dart count exceeds the limit of {MAX_DARTS}")
     n = int(value)
+    if n < 1:
+        raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
 
     perms = []
     for lineno, col, key, value in fields[1:3]:
@@ -325,7 +332,8 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         offset = 0
         for token in value.split():
             offset = value.index(token, offset)
-            if not (token.isascii() and token.isdigit()) or not 1 <= int(token) <= n:
+            if not (token.isascii() and token.isdigit()) \
+                    or len(token.lstrip("0")) > len(str(n)) or not 1 <= int(token) <= n:
                 raise ParseError(lineno, col + offset,
                                  f"special dart {token!r} outside 1..{n}")
             label = int(token) - 1

@@ -19,6 +19,11 @@ from dataclasses import dataclass
 
 Cycles = tuple[tuple[int, ...], ...]
 
+# Largest dart count the parsers and the CLI accept.  Parsing allocates
+# tables of this length, so the cap is checked before anything else; it
+# sits well above the 16,384 darts of the square-lattice torus {4,4}_64.
+MAX_DARTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -160,11 +165,15 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation like ``"(4 3 2 1)(5 7 8 6)"``.
 
     Labels omitted from every cycle are fixed points; the degree cannot be
-    recovered from the cycles alone, so it is passed in.  A label that
-    appears twice (in one cycle or across cycles) is an error.
+    recovered from the cycles alone, so it is passed in and must lie in
+    1..MAX_DARTS.  A label that appears twice (in one cycle or across
+    cycles) is an error.
     """
     if degree < 1:
         raise CycleParseError("degree must be at least 1", 1)
+    if degree > MAX_DARTS:
+        raise CycleParseError(f"degree must be at most {MAX_DARTS}", 1)
+    width = len(str(degree))
     images = list(range(degree))
     used = [False] * degree
     pos = 0
@@ -192,6 +201,11 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             token = text[start:pos]
             if not (token.isascii() and token.isdigit()):
                 raise CycleParseError(f"expected a dart label, found {token!r}", start + 1)
+            # checked before int(), which refuses more than 4300 digits
+            if len(token) > width and len(token.lstrip("0")) > width:
+                raise CycleParseError(
+                    f"dart label of {len(token.lstrip('0'))} digits outside 1..{degree}",
+                    start + 1)
             label = int(token)
             if not 1 <= label <= degree:
                 raise CycleParseError(f"dart label {label} outside 1..{degree}", start + 1)

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermap_codes import Hypermap, parse_cycles, random_corpus
+from hypermap_codes import Hypermap, Permutation, parse_cycles, random_corpus
 
 DATA = Path(__file__).parent / "data"
 TORUS8 = DATA / "torus8.hm"
@@ -24,3 +24,26 @@ def torus8() -> Hypermap:
 @pytest.fixture(scope="session")
 def corpus() -> list[Hypermap]:
     return random_corpus(CORPUS_SIZE, CORPUS_MAX_DARTS, CORPUS_SEED)
+
+
+def square_torus(size: int) -> Hypermap:
+    """The square-lattice torus {4,4}_L with 4L^2 darts.
+
+    Dart ``4 * (x + L * y) + k`` leaves vertex (x, y) eastward, northward,
+    westward or southward for k = 0..3; sigma turns it a quarter to the
+    left and alpha swaps the two halves of each edge.  Its face code is
+    the [[2L^2, 2, L]] toric code.
+    """
+    def dart(x: int, y: int, k: int) -> int:
+        return 4 * (x % size + size * (y % size)) + k
+
+    alpha = [0] * (4 * size * size)
+    sigma = [0] * (4 * size * size)
+    for x in range(size):
+        for y in range(size):
+            for k in range(4):
+                sigma[dart(x, y, k)] = dart(x, y, (k + 1) % 4)
+            for k, far in ((0, dart(x + 1, y, 2)), (1, dart(x, y + 1, 3))):
+                alpha[dart(x, y, k)] = far
+                alpha[far] = dart(x, y, k)
+    return Hypermap(Permutation(tuple(alpha)), Permutation(tuple(sigma)))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hypermap_codes import (
+    MAX_DARTS,
     PER_EDGE,
     CellComplex,
     CssCode,
@@ -21,6 +23,7 @@ from hypermap_codes import (
     from_strings,
     full_code,
     identity,
+    parse_cycles,
     parse_hypermap,
     parse_json,
     random_corpus,
@@ -387,3 +390,67 @@ def test_python_dash_m_runs_cli_without_warnings(torus_file):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "genus: 1" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the dart-count cap
+
+# Address-space limit for a CLI child process: a table sized by an
+# unchecked dart count fails to allocate under it instead of using memory.
+CHILD_MEMORY = 512 << 20
+
+
+def _run_with_memory_cap(*argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    return subprocess.run([sys.executable, "-m", "hypermap_codes", *argv],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap)
+
+
+@pytest.mark.parametrize("count", ["9" * 5000, "1000000000"])
+def test_oversized_dart_count_exits_2(tmp_path, count):
+    path = tmp_path / "huge.hm"
+    path.write_text(f"darts: {count}\nalpha: ()\nsigma: ()\n")
+    proc = _run_with_memory_cap("info", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert f"huge.hm:1:8: dart count exceeds the limit of {MAX_DARTS}" in proc.stderr
+
+
+@pytest.mark.parametrize("text,where", [
+    ("darts: 3\nalpha: (1 " + "2" * 5000 + ")\nsigma: ()\n", ":2:11: bad alpha cycles: "
+                                                           "dart label of 5000 digits"),
+    ("darts: 3\nalpha: ()\nsigma: ()\nspecial: " + "1" * 5000 + "\n", ":4:10: special dart"),
+])
+def test_oversized_labels_exit_2(tmp_path, capsys, text, where):
+    path = tmp_path / "labels.hm"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "info", str(path))
+    assert code == 2
+    assert where in err
+
+
+def test_parse_cycles_rejects_degree_above_cap():
+    with pytest.raises(ValueError, match=f"at most {MAX_DARTS}"):
+        parse_cycles("()", MAX_DARTS + 1)
+    doc = {"format": "hypermap-codes", "version": 1, "type": "hypermap",
+           "darts": MAX_DARTS + 1, "alpha": "()", "sigma": "()"}
+    with pytest.raises(ValueError, match=f"at most {MAX_DARTS}"):
+        parse_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--darts", str(MAX_DARTS + 1)],
+    ["verify", "--max-darts", str(MAX_DARTS + 1)],
+])
+def test_dart_arguments_above_cap_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"must be at most {MAX_DARTS}" in err

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermap_codes import (
     PER_EDGE,
+    PER_FACE,
     BitMatrix,
     CommutationError,
     CssCode,
@@ -10,6 +12,7 @@ from hypermap_codes import (
     assemble,
     default_special_darts,
     distance,
+    edge_code,
     euler_characteristic,
     face_code,
     from_strings,
@@ -18,9 +21,14 @@ from hypermap_codes import (
     identity_matrix,
     in_row_space,
     mat_vec,
+    random_hypermap,
     special_darts,
     stabilizer_strings,
 )
+from hypermap_codes.css import _min_cycle_weight, _min_logical_weight, _qubit_graph
+
+from conftest import square_torus
+from test_exhaustive_small import all_hypermaps
 
 HX_ROWS = ["111111", "111111"]
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
@@ -170,3 +178,117 @@ def test_distance_full_code(torus8):
     dx, dz = brute_force_distance(code)
     result = distance(code)
     assert (result.dx, result.dz, result.d) == (dx, dz, min(dx, dz))
+
+
+# ---------------------------------------------------------------------------
+# shortest non-trivial cycle search against the exhaustive search
+
+# Largest qubit count on which the 2^n brute-force oracle also runs.
+BRUTE_FORCE_QUBITS = 10
+
+
+def _codes(h, face_special=None, edge_special=None):
+    """The face, edge and full codes of ``h`` (orbit minima by default)."""
+    yield assemble(face_code(h, face_special or default_special_darts(h, PER_EDGE)))
+    yield assemble(edge_code(h, edge_special or default_special_darts(h, PER_FACE)))
+    yield assemble(full_code(h))
+
+
+def _assert_search_matches_oracles(code, budgets=None):
+    """Both class minima agree with the exhaustive search at every budget."""
+    if code.k == 0:
+        assert distance(code, allow_large=True).no_logicals
+        return
+    for check, other in ((code.hz, code.hx), (code.hx, code.hz)):
+        graph = _qubit_graph(check)
+        assert graph is not None  # hypermap codes are surface codes
+        for budget in budgets or (0, 1, 2, code.n):
+            assert (_min_cycle_weight(graph, other, budget)
+                    == _min_logical_weight(check, other, budget)), budget
+    if code.n <= BRUTE_FORCE_QUBITS:
+        result = distance(code)
+        assert (result.dx, result.dz) == brute_force_distance(code)
+
+
+def test_cycle_search_on_every_small_hypermap():
+    count = 0
+    for h in all_hypermaps(4):
+        for code in _codes(h):
+            _assert_search_matches_oracles(code)
+        count += 1
+    assert count == 456
+
+
+def test_cycle_search_on_corpus(corpus):
+    for h in corpus:
+        for code in _codes(h):
+            _assert_search_matches_oracles(code)
+
+
+@st.composite
+def maps_with_special_darts(draw):
+    h = random_hypermap(draw(st.integers(1, 14)), draw(st.integers(0, 2**32 - 1)))
+    per_edge = {draw(st.sampled_from(orbit)) for orbit in h.edges}
+    per_face = {draw(st.sampled_from(orbit)) for orbit in h.faces}
+    return h, special_darts(h, per_edge, PER_EDGE), special_darts(h, per_face, PER_FACE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_with_special_darts())
+def test_cycle_search_on_random_maps(case):
+    h, per_edge, per_face = case
+    for code in _codes(h, per_edge, per_face):
+        _assert_search_matches_oracles(code)
+
+
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_cycle_search_on_square_lattice(size):
+    for code in _codes(square_torus(size)):
+        _assert_search_matches_oracles(code, budgets=(size,))
+
+
+@pytest.mark.parametrize("size", [7, 8, 9, 10])
+def test_square_lattice_distance_beyond_exhaustive_reach(size):
+    face, edge, full = _codes(square_torus(size))
+    for code, d in ((face, size), (edge, size), (full, 2)):
+        for budget in (size, None):
+            result = distance(code, budget=budget, allow_large=True)
+            assert result.d == d and result.exact
+
+
+class _CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        _CountingList.iterations += 1
+        return super().__iter__()
+
+
+def test_cycle_search_stops_at_half_the_best_weight():
+    # Once a weight-L cycle is known, each search stops at depth (L-1)/2,
+    # so on the L x L grid it expands at most the diamond of radius L/2
+    # around its root; without that cut-off every search expands all nodes.
+    size = 8
+    code = next(_codes(square_torus(size)))
+    adjacency, loops = _qubit_graph(code.hx)
+    counted = [_CountingList(edges) for edges in adjacency]
+    _CountingList.iterations = 0
+    assert _min_cycle_weight((counted, loops), code.hz, code.n) == size
+    radius = size // 2
+    assert _CountingList.iterations <= len(counted) * (2 * radius * radius + 2 * radius + 1)
+
+
+HAMMING_CHECKS = ["1010101", "0110011", "0001111"]
+
+
+def test_distance_falls_back_for_heavy_columns():
+    checks = from_strings(HAMMING_CHECKS)
+    steane = CssCode(hx=checks, hz=checks, qubit_labels=tuple(range(7)),
+                     x_labels=(0, 1, 2), z_labels=(0, 1, 2), z_axis="face", n=7, k=1)
+    assert _qubit_graph(checks) is None  # the last column has three ones
+    result = distance(steane)
+    assert (result.dx, result.dz, result.d) == (3, 3, 3)
+    assert result.exact
+    assert brute_force_distance(steane) == (3, 3)

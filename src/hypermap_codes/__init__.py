@@ -25,9 +25,7 @@ from .perm import (
 from .gf2 import (
     BitMatrix,
     echelon_form,
-    from_rows,
     from_strings,
-    identity_matrix,
     in_row_space,
     is_zero,
     kernel_basis,
@@ -35,10 +33,8 @@ from .gf2 import (
     multiply,
     rank,
     render,
-    row_reduce,
     to_strings,
     transpose,
-    zeros,
 )
 from .hypermap import (
     PER_EDGE,
@@ -74,27 +70,9 @@ from .chain import (
     full_code,
     raw_complex,
 )
-from .css import (
-    CommutationError,
-    CssCode,
-    DistanceResult,
-    assemble,
-    distance,
-    stabilizer_strings,
-)
-from .reduce import (
-    CellComplex,
-    CheckResult,
-    SurfaceReport,
-    reduce_to_surface,
-    validate_surface,
-)
-from .cli import (
-    VerificationReport,
-    export_json,
-    export_walsh_dot,
-    parse_json,
-    run_verification,
-)
+from .css import CommutationError, CssCode, DistanceResult, assemble, distance, stabilizer_strings
+from .reduce import CellComplex, CheckResult, SurfaceReport, reduce_to_surface, validate_surface
+from .export import export_json, export_walsh_dot, parse_json
+from .verify import VerificationReport, run_verification
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ which is the counts' mod-2 projection without the dense table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .gf2 import BitMatrix
 from .hypermap import (
@@ -75,32 +76,42 @@ class QuotientCode:
     x_labels: tuple[int, ...]
 
 
-def raw_complex(h: Hypermap) -> RawComplex:
-    """The unquotiented complex of ``h``; satisfies d1*d2 = 0 = d1*iota."""
-    d2_bits = [0] * h.n
-    for j, face in enumerate(h.faces):
-        for dart in face:
-            d2_bits[dart] |= 1 << j
-    iota_bits = [0] * h.n
-    for j, edge in enumerate(h.edges):
-        for dart in edge:
-            iota_bits[dart] |= 1 << j
-    d1_bits = [0] * len(h.vertices)
+def _orbit_labels(orbits) -> tuple[int, ...]:
+    return tuple(min(o) for o in orbits)
+
+
+def _dart_incidence(h: Hypermap, orbits) -> BitMatrix:
+    """Darts x orbits: each dart has a 1 in the column of its own orbit."""
+    bits = [0] * h.n
+    for j, orbit in enumerate(orbits):
+        for dart in orbit:
+            bits[dart] |= 1 << j
+    return BitMatrix(h.n, len(orbits), tuple(bits))
+
+
+def _endpoint_matrix(h: Hypermap, qubits: Sequence[int]) -> BitMatrix:
+    """Vertex boundary restricted to the given darts (vertices x qubits)."""
     alpha_inv = inverse(h.alpha)
-    for dart in range(h.n):
+    bits = [0] * len(h.vertices)
+    for col, dart in enumerate(qubits):
         head = h.vertex_of(dart)
         tail = h.vertex_of(alpha_inv(dart))
         if head != tail:
-            d1_bits[head] |= 1 << dart
-            d1_bits[tail] |= 1 << dart
+            bits[head] |= 1 << col
+            bits[tail] |= 1 << col
+    return BitMatrix(len(h.vertices), len(qubits), tuple(bits))
+
+
+def raw_complex(h: Hypermap) -> RawComplex:
+    """The unquotiented complex of ``h``; satisfies d1*d2 = 0 = d1*iota."""
     return RawComplex(
-        d2=BitMatrix(h.n, len(h.faces), tuple(d2_bits)),
-        d1=BitMatrix(len(h.vertices), h.n, tuple(d1_bits)),
-        iota=BitMatrix(h.n, len(h.edges), tuple(iota_bits)),
+        d2=_dart_incidence(h, h.faces),
+        d1=_endpoint_matrix(h, range(h.n)),
+        iota=_dart_incidence(h, h.edges),
         dart_labels=tuple(range(h.n)),
-        vertex_labels=tuple(min(o) for o in h.vertices),
-        edge_labels=tuple(min(o) for o in h.edges),
-        face_labels=tuple(min(o) for o in h.faces),
+        vertex_labels=_orbit_labels(h.vertices),
+        edge_labels=_orbit_labels(h.edges),
+        face_labels=_orbit_labels(h.faces),
     )
 
 
@@ -149,20 +160,12 @@ def expansion_counts(h: Hypermap, s: SpecialDarts) -> tuple[tuple[int, ...], ...
     return tuple(tuple(row) for row in counts)
 
 
-def _endpoint_matrix(h: Hypermap, qubits: tuple[int, ...]) -> BitMatrix:
-    """Vertex boundary restricted to the given darts (vertices x qubits)."""
-    alpha_inv = inverse(h.alpha)
-    bits = [0] * len(h.vertices)
-    for col, dart in enumerate(qubits):
-        head = h.vertex_of(dart)
-        tail = h.vertex_of(alpha_inv(dart))
-        if head != tail:
-            bits[head] |= 1 << col
-            bits[tail] |= 1 << col
-    return BitMatrix(len(h.vertices), len(qubits), tuple(bits))
-
-
 def _quotient_code(h: Hypermap, s: SpecialDarts, kind: str) -> QuotientCode:
+    """The face or edge code; the one place a special set is validated."""
+    per = PER_EDGE if kind == FACE else PER_FACE
+    if s.kind != per:
+        raise SpecialDartError(f"{kind} codes need a {per} special set, got {s.kind}")
+    special_darts(h, s.darts, per)
     qubits = _quotient_qubits(h, s)
     z_orbits = h.faces if kind == FACE else h.edges
     b2_bits = [0] * len(qubits)
@@ -174,8 +177,8 @@ def _quotient_code(h: Hypermap, s: SpecialDarts, kind: str) -> QuotientCode:
         qubit_labels=qubits,
         boundary2=BitMatrix(len(qubits), len(z_orbits), tuple(b2_bits)),
         boundary1=_endpoint_matrix(h, qubits),
-        z_labels=tuple(min(o) for o in z_orbits),
-        x_labels=tuple(min(o) for o in h.vertices),
+        z_labels=_orbit_labels(z_orbits),
+        x_labels=_orbit_labels(h.vertices),
     )
 
 
@@ -185,9 +188,6 @@ def face_code(h: Hypermap, s: SpecialDarts) -> QuotientCode:
     ``s`` must pick one dart per edge orbit of ``h``; the qubits are the
     remaining n - |edges| darts.
     """
-    if s.kind != PER_EDGE:
-        raise SpecialDartError(f"face codes need a {PER_EDGE} special set, got {s.kind}")
-    special_darts(h, s.darts, PER_EDGE)
     return _quotient_code(h, s, FACE)
 
 
@@ -198,9 +198,6 @@ def edge_code(h: Hypermap, s: SpecialDarts) -> QuotientCode:
     ``s`` picks one dart per face orbit and the qubits are the remaining
     n - |faces| darts.
     """
-    if s.kind != PER_FACE:
-        raise SpecialDartError(f"edge codes need a {PER_FACE} special set, got {s.kind}")
-    special_darts(h, s.darts, PER_FACE)
     return _quotient_code(h, s, EDGE)
 
 
@@ -210,13 +207,13 @@ def full_code(h: Hypermap) -> QuotientCode:
     No special darts are needed, and the logical count exceeds the face
     code's by |edges| - 1.
     """
-    raw = raw_complex(h)
+    darts = tuple(range(h.n))
     return QuotientCode(
         kind=FULL,
         special=None,
-        qubit_labels=raw.dart_labels,
-        boundary2=raw.d2,
-        boundary1=raw.d1,
-        z_labels=raw.face_labels,
-        x_labels=raw.vertex_labels,
+        qubit_labels=darts,
+        boundary2=_dart_incidence(h, h.faces),
+        boundary1=_endpoint_matrix(h, darts),
+        z_labels=_orbit_labels(h.faces),
+        x_labels=_orbit_labels(h.vertices),
     )

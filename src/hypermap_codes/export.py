@@ -1,0 +1,157 @@
+"""Serialization: DOT for hypermaps, tagged 1-based JSON for every artifact."""
+
+from __future__ import annotations
+
+import json
+
+from . import gf2
+from .css import CssCode, DistanceResult
+from .gf2 import BitMatrix
+from .hypermap import Hypermap
+from .perm import format_cycles, parse_cycles
+from .reduce import CellComplex
+
+FORMAT_NAME = "hypermap-codes"
+FORMAT_VERSION = 1
+
+
+def export_walsh_dot(h: Hypermap) -> str:
+    """The bipartite incidence graph in DOT: round vertices, square edges.
+
+    One link per dart, labeled with its 1-based number, so the vertex and
+    edge orbits can be read back off the adjacency lists.
+    """
+    lines = ["graph walsh {"]
+    for i in range(len(h.vertices)):
+        lines.append(f"  v{i + 1} [shape=circle];")
+    for i in range(len(h.edges)):
+        lines.append(f"  e{i + 1} [shape=square];")
+    for dart in range(h.n):
+        lines.append(
+            f"  v{h.vertex_of(dart) + 1} -- e{h.edge_of(dart) + 1} [label=\"{dart + 1}\"];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _matrix_json(m: BitMatrix) -> dict:
+    return {"cols": m.cols, "rows": gf2.to_strings(m)}
+
+
+def _field(doc: dict, key: str, *kinds: type):
+    """``doc[key]``, refused unless present and exactly of one of ``kinds``."""
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    value = doc[key]
+    if type(value) not in kinds:  # so a bool is not taken for an int
+        raise ValueError(f"{key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _labels(doc: dict, key: str) -> tuple[int, ...]:
+    """A list of 1-based integer labels, returned 0-based."""
+    labels = _field(doc, key, list)
+    if any(type(i) is not int for i in labels):
+        raise ValueError(f"{key!r} must hold integers only")
+    return tuple(i - 1 for i in labels)
+
+
+def _matrix_from_json(doc: dict, key: str) -> BitMatrix:
+    obj = _field(doc, key, dict)
+    return gf2.from_strings(_field(obj, "rows", list), cols=_field(obj, "cols", int))
+
+
+def export_json(artifact, special: frozenset[int] | None = None) -> str:
+    """Stable JSON rendering of a Hypermap, CssCode, or CellComplex."""
+    doc: dict = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "indexing": "1-based"}
+    if isinstance(artifact, Hypermap):
+        doc["type"] = "hypermap"
+        doc["darts"] = artifact.n
+        doc["alpha"] = format_cycles(artifact.alpha)
+        doc["sigma"] = format_cycles(artifact.sigma)
+        if special is not None:
+            doc["special"] = sorted(i + 1 for i in special)
+    elif isinstance(artifact, CssCode):
+        doc["type"] = "css-code"
+        doc["n"] = artifact.n
+        doc["k"] = artifact.k
+        doc["z_axis"] = artifact.z_axis
+        doc["qubits"] = [i + 1 for i in artifact.qubit_labels]
+        doc["x_checks"] = [i + 1 for i in artifact.x_labels]
+        doc["z_checks"] = [i + 1 for i in artifact.z_labels]
+        doc["hx"] = _matrix_json(artifact.hx)
+        doc["hz"] = _matrix_json(artifact.hz)
+        if artifact.d is not None:
+            doc["distance"] = {
+                "d_x": artifact.d.dx, "d_z": artifact.d.dz, "d": artifact.d.d,
+                "exact": artifact.d.exact, "no_logicals": artifact.d.no_logicals,
+                "budget": artifact.d.budget,
+            }
+    elif isinstance(artifact, CellComplex):
+        doc["type"] = "cell-complex"
+        doc["zero_cells"] = [i + 1 for i in artifact.zero_cells]
+        doc["one_cells"] = [i + 1 for i in artifact.one_cells]
+        doc["two_cells"] = [i + 1 for i in artifact.two_cells]
+        doc["incidence21"] = [list(row) for row in artifact.incidence21]
+        doc["incidence10"] = _matrix_json(artifact.incidence10)
+    else:
+        raise TypeError(f"cannot export {type(artifact).__name__} as JSON")
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def parse_json(text: str):
+    """Inverse of :func:`export_json`; validates shape and consistency.
+
+    Every malformed document raises ``ValueError``: invalid JSON, a
+    non-object document, a missing key, a value of the wrong JSON type,
+    or contents that disagree with each other.
+    """
+    doc = json.loads(text)
+    if (not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME
+            or doc.get("version") != FORMAT_VERSION):
+        raise ValueError("not a recognized artifact document")
+    kind = doc.get("type")
+    if kind == "hypermap":
+        n = _field(doc, "darts", int)
+        return Hypermap(parse_cycles(_field(doc, "alpha", str), n),
+                        parse_cycles(_field(doc, "sigma", str), n))
+    if kind == "css-code":
+        hx = _matrix_from_json(doc, "hx")
+        hz = _matrix_from_json(doc, "hz")
+        n = _field(doc, "n", int)
+        if hx.cols != n or hz.cols != n:
+            raise ValueError("check matrices do not match the qubit count")
+        labels = {key: _labels(doc, key) for key in ("qubits", "x_checks", "z_checks")}
+        for key, size in (("qubits", n), ("x_checks", hx.rows), ("z_checks", hz.rows)):
+            if len(labels[key]) != size:
+                raise ValueError(f"{key} has {len(labels[key])} labels, expected {size}")
+        if not gf2.is_zero(gf2.multiply(hx, gf2.transpose(hz))):
+            raise ValueError("H_X * H_Z^T != 0: the checks do not commute")
+        k = n - gf2.rank(hx) - gf2.rank(hz)
+        if k != _field(doc, "k", int):
+            raise ValueError(f"stored k={doc['k']} but check ranks give k={k}")
+        d = None
+        if "distance" in doc:
+            dd = _field(doc, "distance", dict)
+            weight = (int, type(None))
+            d = DistanceResult(
+                dx=_field(dd, "d_x", *weight), dz=_field(dd, "d_z", *weight),
+                d=_field(dd, "d", *weight), exact=_field(dd, "exact", bool),
+                no_logicals=_field(dd, "no_logicals", bool), budget=_field(dd, "budget", int))
+        return CssCode(
+            hx=hx, hz=hz,
+            qubit_labels=labels["qubits"], x_labels=labels["x_checks"],
+            z_labels=labels["z_checks"],
+            z_axis=_field(doc, "z_axis", str), n=n, k=k, d=d,
+        )
+    if kind == "cell-complex":
+        rows = _field(doc, "incidence21", list)
+        if any(type(row) is not list or any(type(c) is not int for c in row) for row in rows):
+            raise ValueError("'incidence21' must be a list of integer lists")
+        return CellComplex(
+            zero_cells=_labels(doc, "zero_cells"),
+            one_cells=_labels(doc, "one_cells"),
+            two_cells=_labels(doc, "two_cells"),
+            incidence21=tuple(tuple(row) for row in rows),
+            incidence10=_matrix_from_json(doc, "incidence10"),
+        )
+    raise ValueError(f"unknown artifact type {kind!r}")

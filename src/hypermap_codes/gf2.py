@@ -42,26 +42,6 @@ class BitMatrix:
         return (self.bits[i] >> j) & 1
 
 
-def zeros(rows: int, cols: int) -> BitMatrix:
-    return BitMatrix(rows, cols, (0,) * rows)
-
-
-def identity_matrix(n: int) -> BitMatrix:
-    return BitMatrix(n, n, tuple(1 << i for i in range(n)))
-
-
-def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> BitMatrix:
-    """Build from explicit 0/1 entries (row-major)."""
-    if cols is None:
-        cols = len(rows[0]) if rows else 0
-    bits = []
-    for row in rows:
-        if len(row) != cols:
-            raise ValueError("ragged rows")
-        bits.append(sum(1 << j for j, x in enumerate(row) if x & 1))
-    return BitMatrix(len(bits), cols, tuple(bits))
-
-
 def from_strings(rows: Sequence[str], cols: int | None = None) -> BitMatrix:
     """Build from '0'/'1' row strings, e.g. ["110", "011"]."""
     if cols is None:
@@ -174,10 +154,6 @@ def echelon_form(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row echelon form of ``m`` and its pivot columns."""
     work, pivots = _echelon(m.bits, m.cols)
     return BitMatrix(m.rows, m.cols, tuple(work)), tuple(pivots)
-
-
-def row_reduce(m: BitMatrix) -> BitMatrix:
-    return echelon_form(m)[0]
 
 
 def rank(m: BitMatrix) -> int:

@@ -250,8 +250,6 @@ def special_darts(h: Hypermap, darts, kind: str) -> SpecialDarts:
 
 def default_special_darts(h: Hypermap, kind: str) -> SpecialDarts:
     """The canonical choice: the minimum dart label of each orbit."""
-    if kind not in (PER_EDGE, PER_FACE):
-        raise ValueError(f"kind must be {PER_EDGE!r} or {PER_FACE!r}, got {kind!r}")
     orbits = h.edges if kind == PER_EDGE else h.faces
     return SpecialDarts(frozenset(min(orbit) for orbit in orbits), kind)
 

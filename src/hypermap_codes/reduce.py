@@ -15,17 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 
-from . import chain, gf2
-from .chain import _endpoint_matrix, _quotient_qubits, expansion_counts
+from . import gf2
+from .chain import expansion_counts, face_code
 from .gf2 import BitMatrix
-from .hypermap import (
-    PER_EDGE,
-    Hypermap,
-    SpecialDartError,
-    SpecialDarts,
-    euler_characteristic,
-    special_darts,
-)
+from .hypermap import Hypermap, SpecialDarts, euler_characteristic
 
 
 @dataclass(frozen=True)
@@ -91,16 +84,13 @@ def reduce_to_surface(h: Hypermap, s: SpecialDarts) -> CellComplex:
     The mod-2 projection of the result is exactly the face code: same
     boundary matrices, hence the same stabilizer code and homology.
     """
-    if s.kind != PER_EDGE:
-        raise SpecialDartError(f"surface reduction needs a {PER_EDGE} special set, got {s.kind}")
-    special_darts(h, s.darts, PER_EDGE)
-    qubits = _quotient_qubits(h, s)
+    code = face_code(h, s)
     return CellComplex(
-        zero_cells=tuple(min(o) for o in h.vertices),
-        one_cells=qubits,
-        two_cells=tuple(min(o) for o in h.faces),
+        zero_cells=code.x_labels,
+        one_cells=code.qubit_labels,
+        two_cells=code.z_labels,
         incidence21=expansion_counts(h, s),
-        incidence10=_endpoint_matrix(h, qubits),
+        incidence10=code.boundary1,
     )
 
 
@@ -116,43 +106,31 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
     """
     checks = []
 
+    def check(name: str, ok: bool, detail: str) -> None:
+        checks.append(CheckResult(name, ok, "" if ok else detail))
+
     bad_closure = [
         (c.one_cells[i], total)
         for i, row in enumerate(c.incidence21)
         if (total := sum(row)) != 2
     ]
-    checks.append(CheckResult(
-        "one-cell-closure",
-        not bad_closure,
-        "" if not bad_closure else "1-cells with incidence != 2: " + ", ".join(
-            f"{dart + 1} (total {total})" for dart, total in bad_closure),
-    ))
+    check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
+        f"{dart + 1} (total {total})" for dart, total in bad_closure))
 
     incidence21_mod2 = c.incidence21_mod2()
-    product = gf2.multiply(c.incidence10, incidence21_mod2)
-    checks.append(CheckResult(
-        "chain-condition",
-        gf2.is_zero(product),
-        "" if gf2.is_zero(product) else "incidence10 * incidence21 != 0 mod 2",
-    ))
+    check("chain-condition", gf2.is_zero(gf2.multiply(c.incidence10, incidence21_mod2)),
+          "incidence10 * incidence21 != 0 mod 2")
 
     chi = c.euler_characteristic
-    checks.append(CheckResult(
-        "euler-even", chi % 2 == 0, "" if chi % 2 == 0 else f"chi = {chi} is odd"))
+    check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
 
     if h is not None and s is not None:
-        code = chain.face_code(h, s)
-        z_ok = incidence21_mod2 == code.boundary2
-        checks.append(CheckResult(
-            "face-code-z-match", z_ok,
-            "" if z_ok else "incidence21 mod 2 differs from the face-code boundary"))
-        x_ok = c.incidence10 == code.boundary1
-        checks.append(CheckResult(
-            "face-code-x-match", x_ok,
-            "" if x_ok else "incidence10 differs from the face-code vertex boundary"))
-        chi_ok = chi == euler_characteristic(h)
-        checks.append(CheckResult(
-            "euler-match", chi_ok,
-            "" if chi_ok else f"complex chi {chi} != hypermap chi {euler_characteristic(h)}"))
+        code = face_code(h, s)
+        check("face-code-z-match", incidence21_mod2 == code.boundary2,
+              "incidence21 mod 2 differs from the face-code boundary")
+        check("face-code-x-match", c.incidence10 == code.boundary1,
+              "incidence10 differs from the face-code vertex boundary")
+        check("euler-match", chi == euler_characteristic(h),
+              f"complex chi {chi} != hypermap chi {euler_characteristic(h)}")
 
     return SurfaceReport(checks=tuple(checks), euler_characteristic=chi)

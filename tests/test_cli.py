@@ -32,6 +32,7 @@ from hypermap_codes import (
     run_verification,
     special_darts,
 )
+from hypermap_codes import hypermap, verify
 from hypermap_codes.cli import main
 
 from conftest import TORUS8
@@ -276,6 +277,61 @@ def test_parse_json_rejects_tampered_k(torus8):
         parse_json(json.dumps(doc))
 
 
+_HEADER = {"format": "hypermap-codes", "version": 1}
+_HYPERMAP_DOC = {**_HEADER, "type": "hypermap", "darts": 8,
+                 "alpha": "(4 3 2 1)(5 7 8 6)", "sigma": "(7 1 6 3)(5 2 8 4)"}
+_CODE_DOC = {**_HEADER, "type": "css-code", "n": 2, "k": 1, "z_axis": "face",
+             "qubits": [1, 2], "x_checks": [1], "z_checks": [],
+             "hx": {"cols": 2, "rows": ["11"]}, "hz": {"cols": 2, "rows": []},
+             "distance": {"d_x": 2, "d_z": None, "d": 2, "exact": True,
+                          "no_logicals": False, "budget": 2}}
+_COMPLEX_DOC = {**_HEADER, "type": "cell-complex", "zero_cells": [1], "one_cells": [],
+                "two_cells": [1], "incidence21": [], "incidence10": {"cols": 0, "rows": [""]}}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+MALFORMED_DOCUMENTS = {
+    "top-level list": [1],
+    "top-level string": "hypermap",
+    "string dart count": {**_HYPERMAP_DOC, "darts": "8"},
+    "float dart count": {**_HYPERMAP_DOC, "darts": 8.0},
+    "boolean dart count": {**_HYPERMAP_DOC, "darts": True},
+    "missing darts": _without(_HYPERMAP_DOC, "darts"),
+    "non-string cycles": {**_HYPERMAP_DOC, "alpha": [4, 3, 2, 1]},
+    "missing hx": _without(_CODE_DOC, "hx"),
+    "matrix not an object": {**_CODE_DOC, "hx": ["11"]},
+    "string cols": {**_CODE_DOC, "hx": {"cols": "2", "rows": ["11"]}},
+    "rows not a list": {**_CODE_DOC, "hx": {"cols": 2, "rows": "11"}},
+    "missing cols": {**_CODE_DOC, "hx": {"rows": ["11"]}},
+    "string n": {**_CODE_DOC, "n": "2"},
+    "float k": {**_CODE_DOC, "k": 1.0},
+    "labels not a list": {**_CODE_DOC, "qubits": "12"},
+    "non-integer labels": {**_CODE_DOC, "qubits": [1, "2"]},
+    "missing labels": _without(_CODE_DOC, "x_checks"),
+    "missing distance field": {**_CODE_DOC, "distance": {"d_x": 2}},
+    "distance not an object": {**_CODE_DOC, "distance": 2},
+    "incidence rows not lists": {**_COMPLEX_DOC, "incidence21": [1]},
+    "cells not a list": {**_COMPLEX_DOC, "zero_cells": 1},
+    "missing incidence10": _without(_COMPLEX_DOC, "incidence10"),
+}
+
+
+def test_parse_json_reads_hand_written_documents():
+    assert isinstance(parse_json(json.dumps(_HYPERMAP_DOC)), Hypermap)
+    code = parse_json(json.dumps(_CODE_DOC))
+    assert (code.n, code.k, code.d.d, code.d.dz) == (2, 1, 2, None)
+    assert isinstance(parse_json(json.dumps(_COMPLEX_DOC)), CellComplex)
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_DOCUMENTS))
+def test_parse_json_maps_malformed_documents_to_value_error(name):
+    with pytest.raises(ValueError):
+        parse_json(json.dumps(MALFORMED_DOCUMENTS[name]))
+
+
 def test_export_json_cli_round_trip(torus_file, capsys):
     code, out, _ = run_cli(capsys, "export", torus_file, "--format", "json",
                            "--what", "code", "--kind", "face")
@@ -292,6 +348,13 @@ def test_export_json_cli_round_trip(torus_file, capsys):
     code, out, _ = run_cli(capsys, "export", torus_file, "--format", "json")
     assert code == 0
     assert isinstance(parse_json(out), Hypermap)
+
+
+def test_special_dart_transfer_check_fails_without_raising(torus8, monkeypatch):
+    assert verify._check_special_dart_transfer(torus8) is True
+    # the identity is no triangle dual: torus8's 2 edge minima cannot cover its 4 faces
+    monkeypatch.setattr(verify, "triangle_dual", lambda h: h)
+    assert verify._check_special_dart_transfer(torus8) is False
 
 
 def test_run_verification_report(corpus):
@@ -380,16 +443,48 @@ def test_parse_json_rejects_label_count_mismatch(torus8, key):
         parse_json(json.dumps(doc))
 
 
-def test_python_dash_m_runs_cli_without_warnings(torus_file):
+def _src_env() -> dict:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("module", ["hypermap_codes", "hypermap_codes.cli"])
+def test_python_dash_m_runs_cli_without_warnings(torus_file, module):
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "hypermap_codes", "info", torus_file],
-        capture_output=True, text=True, env=env, timeout=60)
+        [sys.executable, "-W", "error", "-m", module, "info", torus_file],
+        capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "genus: 1" in proc.stdout
+
+
+def test_library_import_leaves_cli_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hypermap_codes; "
+                               "print('hypermap_codes.cli' in sys.modules)"],
+        capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_code_command_validates_special_set_once(torus_file, capsys, monkeypatch):
+    original = hypermap.special_darts
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("hypermap_codes") \
+                and getattr(module, "special_darts", None) is original:
+            monkeypatch.setattr(module, "special_darts", counting)
+    code, out, _ = run_cli(capsys, "code", torus_file, "--kind", "face", "--special", "2", "5")
+    assert code == 0
+    assert "special: 2 5" in out
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +496,11 @@ CHILD_MEMORY = 512 << 20
 
 
 def _run_with_memory_cap(*argv):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
 
     return subprocess.run([sys.executable, "-m", "hypermap_codes", *argv],
-                          capture_output=True, text=True, env=env, timeout=60,
+                          capture_output=True, text=True, env=_src_env(), timeout=60,
                           preexec_fn=cap)
 
 

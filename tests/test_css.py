@@ -18,7 +18,6 @@ from hypermap_codes import (
     from_strings,
     full_code,
     identity,
-    identity_matrix,
     in_row_space,
     mat_vec,
     random_hypermap,
@@ -79,7 +78,7 @@ def test_logical_count_is_twice_genus(corpus):
 def test_assemble_rejects_noncommuting():
     bogus = QuotientCode(
         kind="face", special=None, qubit_labels=(0, 1),
-        boundary2=identity_matrix(2), boundary1=identity_matrix(2),
+        boundary2=BitMatrix(2, 2, (1, 2)), boundary1=BitMatrix(2, 2, (1, 2)),
         z_labels=(0, 1), x_labels=(0, 1))
     with pytest.raises(CommutationError):
         assemble(bogus)

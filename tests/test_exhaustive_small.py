@@ -8,7 +8,7 @@ closes that gap for the full identity/equivalence battery.
 import itertools
 
 from hypermap_codes import Hypermap, Permutation, is_transitive
-from hypermap_codes.cli import VERIFY_CHECKS
+from hypermap_codes.verify import VERIFY_CHECKS
 
 
 def all_hypermaps(max_n):

@@ -65,7 +65,6 @@ from .chain import (
     QuotientCode,
     RawComplex,
     edge_code,
-    expansion_counts,
     face_code,
     full_code,
     raw_complex,

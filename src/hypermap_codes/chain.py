@@ -12,10 +12,11 @@ image of ``iota`` (face codes) or of ``d2`` (edge codes) leaves a
 two-step complex.  Choosing one special dart per edge (resp. per face)
 turns the non-special darts into a basis of the quotient: a special dart
 equals the sum of the other darts of its orbit, so each boundary column
-is expanded by that substitution.  One walker yields the expansion's
-(qubit, Z-orbit) hits: the surface reduction sums them into
-natural-number counts, and the code matrices XOR them into bitmasks,
-which is the counts' mod-2 projection without the dense table.
+is expanded by that substitution.  After it every qubit has exactly two
+sides: its own Z-orbit, and the Z-orbit of the special dart of its
+eliminating orbit (its edge for face codes, its face for edge codes).
+Its ``boundary2`` row is the XOR of those two bits, zero when they
+coincide.
 """
 
 from __future__ import annotations
@@ -64,7 +65,10 @@ class QuotientCode:
     X-generators x qubits.  For face codes the Z axis is the faces and a
     qubit is a non-special dart (one special dart per edge); for edge
     codes the Z axis is the edges (one special dart per face); the full
-    kind keeps every dart and needs no special set.
+    kind keeps every dart and needs no special set.  A face or edge
+    qubit's ``boundary2`` row holds its two sides, its own Z-orbit and
+    that of its eliminating orbit's special dart, so it has weight 2, or
+    0 when the two sides coincide.
     """
 
     kind: str
@@ -115,67 +119,25 @@ def raw_complex(h: Hypermap) -> RawComplex:
     )
 
 
-def _quotient_qubits(h: Hypermap, s: SpecialDarts) -> tuple[int, ...]:
-    return tuple(i for i in range(h.n) if i not in s.darts)
-
-
-def _expansion_hits(h: Hypermap, s: SpecialDarts, qubits: tuple[int, ...]):
-    """Yield (qubit row, Z column) once per unit of expansion count.
-
-    Columns are the Z-axis orbits (faces for a per-edge set, edges for a
-    per-face set).  A column starts from the orbit's darts and each
-    special dart is replaced by the other darts of its own eliminating
-    orbit (its edge for per-edge, its face for per-face).
-    """
-    if s.kind == PER_EDGE:
-        z_orbits, eliminating, orbit_of = h.faces, h.edges, h.edge_of
-    else:
-        z_orbits, eliminating, orbit_of = h.edges, h.faces, h.face_of
-    row_of = {dart: r for r, dart in enumerate(qubits)}
-    for j, orbit in enumerate(z_orbits):
-        for dart in orbit:
-            if dart not in s.darts:
-                yield row_of[dart], j
-            else:
-                for other in eliminating[orbit_of(dart)]:
-                    if other != dart:
-                        yield row_of[other], j
-
-
-def expansion_counts(h: Hypermap, s: SpecialDarts) -> tuple[tuple[int, ...], ...]:
-    """Natural-number boundary counts over the non-special-dart basis.
-
-    Rows are the non-special darts in increasing order; columns are the
-    Z-axis orbits, expanded as in :func:`_expansion_hits`.  Counts are
-    not reduced mod 2: a dart hit twice in one column records 2.  Every
-    row sums to exactly 2 across all columns: once from the dart's own
-    Z-orbit, once from the expansion of the unique special dart it shares
-    an eliminating orbit with.
-    """
-    qubits = _quotient_qubits(h, s)
-    width = len(h.faces) if s.kind == PER_EDGE else len(h.edges)
-    counts = [[0] * width for _ in qubits]
-    for r, j in _expansion_hits(h, s, qubits):
-        counts[r][j] += 1
-    return tuple(tuple(row) for row in counts)
-
-
 def _quotient_code(h: Hypermap, s: SpecialDarts, kind: str) -> QuotientCode:
     """The face or edge code; the one place a special set is validated."""
     per = PER_EDGE if kind == FACE else PER_FACE
     if s.kind != per:
         raise SpecialDartError(f"{kind} codes need a {per} special set, got {s.kind}")
     special_darts(h, s.darts, per)
-    qubits = _quotient_qubits(h, s)
-    z_orbits = h.faces if kind == FACE else h.edges
-    b2_bits = [0] * len(qubits)
-    for r, j in _expansion_hits(h, s, qubits):
-        b2_bits[r] ^= 1 << j
+    if kind == FACE:
+        z_orbits, z_of, eliminating_of = h.faces, h.face_of, h.edge_of
+    else:
+        z_orbits, z_of, eliminating_of = h.edges, h.edge_of, h.face_of
+    # the second side of a qubit: the Z-orbit of its eliminating orbit's special dart
+    special_side = {eliminating_of(dart): 1 << z_of(dart) for dart in s.darts}
+    qubits = tuple(i for i in range(h.n) if i not in s.darts)
+    b2_bits = tuple((1 << z_of(q)) ^ special_side[eliminating_of(q)] for q in qubits)
     return QuotientCode(
         kind=kind,
         special=s,
         qubit_labels=qubits,
-        boundary2=BitMatrix(len(qubits), len(z_orbits), tuple(b2_bits)),
+        boundary2=BitMatrix(len(qubits), len(z_orbits), b2_bits),
         boundary1=_endpoint_matrix(h, qubits),
         z_labels=_orbit_labels(z_orbits),
         x_labels=_orbit_labels(h.vertices),

@@ -46,6 +46,7 @@ EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_DISTANCE_BUDGET = 6
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # counts below 10 -> ASCII
 
 
 def load_hypermap(path: str) -> tuple[Hypermap, frozenset[int] | None]:
@@ -143,8 +144,8 @@ def cmd_reduce(args) -> int:
     print("one-cells: " + " ".join(str(i + 1) for i in complex_.one_cells))
     print(f"two-cells: {len(complex_.two_cells)}")
     print("incidence 2->1 counts (rows = 1-cells, cols = 2-cells):")
-    for row in complex_.incidence21:
-        print(" ".join(str(c) for c in row))
+    for row in complex_.incidence21:  # counts are 0, 1 or 2: one byte each
+        print(" ".join(bytes(row).translate(_DIGITS).decode()))
     print("incidence 1->0 (rows = 0-cells, cols = 1-cells):")
     print(gf2.render(complex_.incidence10))
     print(validate_surface(complex_, h, s).render())

@@ -147,11 +147,12 @@ def parse_json(text: str):
         rows = _field(doc, "incidence21", list)
         if any(type(row) is not list or any(type(c) is not int for c in row) for row in rows):
             raise ValueError("'incidence21' must be a list of integer lists")
-        return CellComplex(
-            zero_cells=_labels(doc, "zero_cells"),
-            one_cells=_labels(doc, "one_cells"),
-            two_cells=_labels(doc, "two_cells"),
-            incidence21=tuple(tuple(row) for row in rows),
-            incidence10=_matrix_from_json(doc, "incidence10"),
-        )
+        zero, one, two = (_labels(doc, key) for key in ("zero_cells", "one_cells", "two_cells"))
+        incidence10 = _matrix_from_json(doc, "incidence10")
+        if len(rows) != len(one) or any(len(row) != len(two) for row in rows):
+            raise ValueError(f"incidence21 is not {len(one)} x {len(two)} (1-cells x 2-cells)")
+        if (incidence10.rows, incidence10.cols) != (len(zero), len(one)):
+            raise ValueError(f"incidence10 is not {len(zero)} x {len(one)} (0-cells x 1-cells)")
+        return CellComplex(zero_cells=zero, one_cells=one, two_cells=two,
+                           incidence21=tuple(tuple(row) for row in rows), incidence10=incidence10)
     raise ValueError(f"unknown artifact type {kind!r}")

@@ -1,13 +1,14 @@
 """Reduction of a face code to a surface-code cell complex.
 
 The cell complex keeps the hypermap's vertices as 0-cells, one 1-cell per
-non-special dart, and one 2-cell per face.  The 2-cell/1-cell incidence
-is counted over the natural numbers: a face meets a 1-cell once for the
-dart itself and once more through the expansion of any special dart whose
-edge contains it, and a 1-cell hit twice by the same face records 2.
-Those counts cancel mod 2 down to the face code's boundary matrix, while
-their row totals witness the closed-surface condition: every 1-cell must
-be traversed exactly twice overall.
+non-special dart, and one 2-cell per face.  Each 1-cell has two sides: the
+face of its own dart and the face of the special dart of its edge.  The
+2-cell/1-cell incidence counts those sides over the natural numbers, so it
+is the lift of the face code's boundary matrix: a weight-2 row becomes two
+1s, and a zero row, whose two sides are one face, becomes a 2 at that
+face.  Mod 2 the counts give the face code back, while their row totals
+witness the closed-surface condition: every 1-cell must be traversed
+exactly twice overall.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 
 from . import gf2
-from .chain import expansion_counts, face_code
+from .chain import face_code
 from .gf2 import BitMatrix
 from .hypermap import Hypermap, SpecialDarts, euler_characteristic
 
@@ -81,15 +82,26 @@ class SurfaceReport:
 def reduce_to_surface(h: Hypermap, s: SpecialDarts) -> CellComplex:
     """Build the surface-code cell complex of the face code of (h, s).
 
-    The mod-2 projection of the result is exactly the face code: same
-    boundary matrices, hence the same stabilizer code and homology.
+    The counts lift the face code's ``boundary2``, so their mod-2
+    projection is exactly the face code: same boundary matrices, hence
+    the same stabilizer code and homology.
     """
     code = face_code(h, s)
+    width = len(code.z_labels)
+    counts = []
+    for dart, row in zip(code.qubit_labels, code.boundary2.bits):
+        entries = [0] * width
+        if row:  # exactly two bits, one per side
+            top = row.bit_length() - 1
+            entries[top] = entries[(row ^ (1 << top)).bit_length() - 1] = 1
+        else:  # both sides are the dart's own face
+            entries[h.face_of(dart)] = 2
+        counts.append(tuple(entries))
     return CellComplex(
         zero_cells=code.x_labels,
         one_cells=code.qubit_labels,
         two_cells=code.z_labels,
-        incidence21=expansion_counts(h, s),
+        incidence21=tuple(counts),
         incidence10=code.boundary1,
     )
 

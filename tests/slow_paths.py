@@ -3,11 +3,13 @@
 These are the per-bit bodies that ``gf2``, ``css`` and ``chain`` used
 before their bit-parallel rewrite: column-by-column Gauss-Jordan
 elimination, a popcount per output entry, a string character per matrix
-entry, a shift per qubit, and the mod-2 projection of the dense
-expansion-count table.  The fast paths must return exactly what these do.
+entry, a shift per qubit, and the walk of every Z-orbit that expands each
+special dart into the rest of its eliminating orbit, with the mod-2
+projection of the resulting count table.  The fast paths must return
+exactly what these do.
 """
 
-from hypermap_codes import BitMatrix, transpose
+from hypermap_codes import PER_EDGE, BitMatrix, transpose
 
 
 def echelon(bits, cols):
@@ -100,3 +102,46 @@ def mod2_projection(counts, cols):
     """The qubits x Z-orbits count table reduced mod 2, one bitmask per row."""
     bits = tuple(sum(1 << j for j, c in enumerate(row) if c & 1) for row in counts)
     return BitMatrix(len(bits), cols, bits)
+
+
+def _quotient_qubits(h, s):
+    return tuple(i for i in range(h.n) if i not in s.darts)
+
+
+def _expansion_hits(h, s, qubits):
+    """Yield (qubit row, Z column) once per unit of expansion count.
+
+    Columns are the Z-axis orbits (faces for a per-edge set, edges for a
+    per-face set).  A column starts from the orbit's darts and each
+    special dart is replaced by the other darts of its own eliminating
+    orbit (its edge for per-edge, its face for per-face).
+    """
+    if s.kind == PER_EDGE:
+        z_orbits, eliminating, orbit_of = h.faces, h.edges, h.edge_of
+    else:
+        z_orbits, eliminating, orbit_of = h.edges, h.faces, h.face_of
+    row_of = {dart: r for r, dart in enumerate(qubits)}
+    for j, orbit in enumerate(z_orbits):
+        for dart in orbit:
+            if dart not in s.darts:
+                yield row_of[dart], j
+            else:
+                for other in eliminating[orbit_of(dart)]:
+                    if other != dart:
+                        yield row_of[other], j
+
+
+def expansion_counts(h, s):
+    """Natural-number boundary counts over the non-special-dart basis.
+
+    Rows are the non-special darts in increasing order; columns are the
+    Z-axis orbits, expanded as in :func:`_expansion_hits`.  Counts are
+    not reduced mod 2: a dart hit twice in one column records 2.  The
+    special set must be valid; this walker does not check it.
+    """
+    qubits = _quotient_qubits(h, s)
+    width = len(h.faces) if s.kind == PER_EDGE else len(h.edges)
+    counts = [[0] * width for _ in qubits]
+    for r, j in _expansion_hits(h, s, qubits):
+        counts[r][j] += 1
+    return tuple(tuple(row) for row in counts)

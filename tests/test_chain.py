@@ -11,7 +11,6 @@ from hypermap_codes import (
     default_special_darts,
     dual,
     edge_code,
-    expansion_counts,
     face_code,
     from_strings,
     full_code,
@@ -121,11 +120,11 @@ def test_qubit_labels_are_nonspecial_darts(corpus):
         assert e.qubit_labels == tuple(sorted(set(range(h.n)) - t.darts))
 
 
-def test_expansion_counts_rows_sum_to_two(corpus):
-    for h in corpus[:150]:
-        for kind in (PER_EDGE, PER_FACE):
-            counts = expansion_counts(h, default_special_darts(h, kind))
-            assert all(sum(row) == 2 for row in counts)
+def test_boundary2_rows_have_weight_zero_or_two(torus8, corpus):
+    for h in [torus8] + corpus[:150]:
+        for q in (face_code(h, default_special_darts(h, PER_EDGE)),
+                  edge_code(h, default_special_darts(h, PER_FACE))):
+            assert all(row.bit_count() in (0, 2) for row in q.boundary2.bits)
 
 
 def test_edge_code_of_triangle_dual_equals_face_code(torus8, corpus):

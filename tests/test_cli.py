@@ -20,6 +20,7 @@ from hypermap_codes import (
     export_json,
     export_walsh_dot,
     face_code,
+    format_hypermap,
     from_strings,
     full_code,
     identity,
@@ -35,7 +36,7 @@ from hypermap_codes import (
 from hypermap_codes import hypermap, verify
 from hypermap_codes.cli import main
 
-from conftest import TORUS8
+from conftest import DATA, TORUS8
 
 TORUS_TEXT = TORUS8.read_text()
 
@@ -125,6 +126,38 @@ def test_reduce_command(torus_file, capsys):
     assert code == 0
     assert "zero-cells: 2" in out
     assert "surface-validation: PASS" in out
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["reduce"], "torus8_reduce.txt"),
+    (["reduce", "--special", "1", "6"], "torus8_reduce_special_1_6.txt"),
+    (["export", "--format", "json", "--what", "complex"], "torus8_complex.json"),
+    (["export", "--format", "json", "--what", "complex", "--special", "1", "6"],
+     "torus8_complex_special_1_6.json"),
+], ids=["reduce", "reduce-special", "export-complex", "export-complex-special"])
+def test_cell_complex_output_is_golden(argv, expected, capsys):
+    code, out, err = run_cli(capsys, argv[0], str(TORUS8), *argv[1:])
+    assert (code, err) == (0, "")
+    assert out == (DATA / expected).read_text()
+
+
+def test_reduce_prints_every_count(tmp_path, capsys):
+    """The printed table is the counts joined by spaces, 2s included (torus8 has none)."""
+    twos = 0
+    for i, h in enumerate(random_corpus(20, 8, seed=13)):
+        s = default_special_darts(h, PER_EDGE)
+        path = tmp_path / f"{i}.hm"
+        path.write_text(format_hypermap(h, s.darts))
+        code, out, _ = run_cli(capsys, "reduce", str(path))
+        counts = reduce_to_surface(h, s).incidence21
+        lines = out.splitlines()
+        start = lines.index("incidence 2->1 counts (rows = 1-cells, cols = 2-cells):") + 1
+        assert code == 0
+        assert lines[start:start + len(counts) + 1] == [
+            *(" ".join(str(c) for c in row) for row in counts),
+            "incidence 1->0 (rows = 0-cells, cols = 1-cells):"]
+        twos += sum(row.count(2) for row in counts)
+    assert twos
 
 
 def test_distance_command(torus_file, capsys):
@@ -289,8 +322,17 @@ _COMPLEX_DOC = {**_HEADER, "type": "cell-complex", "zero_cells": [1], "one_cells
                 "two_cells": [1], "incidence21": [], "incidence10": {"cols": 0, "rows": [""]}}
 
 
+_TORUS8_COMPLEX_DOC = json.loads((DATA / "torus8_complex.json").read_text())
+_INCIDENCE21 = _TORUS8_COMPLEX_DOC["incidence21"]
+_INCIDENCE10 = _TORUS8_COMPLEX_DOC["incidence10"]
+
+
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
+
+
+def _complex_with(key, value):
+    return {**_TORUS8_COMPLEX_DOC, key: value}
 
 
 MALFORMED_DOCUMENTS = {
@@ -316,6 +358,15 @@ MALFORMED_DOCUMENTS = {
     "incidence rows not lists": {**_COMPLEX_DOC, "incidence21": [1]},
     "cells not a list": {**_COMPLEX_DOC, "zero_cells": 1},
     "missing incidence10": _without(_COMPLEX_DOC, "incidence10"),
+    "incidence21 row one short": _complex_with(
+        "incidence21", [_INCIDENCE21[0][:-1], *_INCIDENCE21[1:]]),
+    "extra incidence21 row": _complex_with("incidence21", [*_INCIDENCE21, [0, 0, 0, 0]]),
+    "incidence21 rows one long": _complex_with("incidence21", [[*row, 0] for row in _INCIDENCE21]),
+    "dropped one-cell label": _complex_with("one_cells", _TORUS8_COMPLEX_DOC["one_cells"][:-1]),
+    "dropped two-cell label": _complex_with("two_cells", _TORUS8_COMPLEX_DOC["two_cells"][:-1]),
+    "dropped zero-cell label": _complex_with("zero_cells", _TORUS8_COMPLEX_DOC["zero_cells"][:-1]),
+    "extra incidence10 row": _complex_with(
+        "incidence10", {**_INCIDENCE10, "rows": [*_INCIDENCE10["rows"], "000000"]}),
 }
 
 

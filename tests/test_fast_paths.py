@@ -21,7 +21,6 @@ from hypermap_codes import (
     default_special_darts,
     echelon_form,
     edge_code,
-    expansion_counts,
     face_code,
     full_code,
     in_row_space,
@@ -29,6 +28,7 @@ from hypermap_codes import (
     multiply,
     random_hypermap,
     rank,
+    reduce_to_surface,
     render,
     stabilizer_strings,
     to_strings,
@@ -141,9 +141,11 @@ def _every_special_set(orbits, kind):
 
 
 def _assert_boundary_is_counts_mod2(h, s):
+    counts = slow_paths.expansion_counts(h, s)
     q = face_code(h, s) if s.kind == PER_EDGE else edge_code(h, s)
-    expected = slow_paths.mod2_projection(expansion_counts(h, s), q.boundary2.cols)
-    assert q.boundary2 == expected, (h, s)
+    assert q.boundary2 == slow_paths.mod2_projection(counts, q.boundary2.cols), (h, s)
+    if s.kind == PER_EDGE:
+        assert reduce_to_surface(h, s).incidence21 == counts, (h, s)
 
 
 def test_boundary2_is_expansion_counts_mod2_on_small_sweep():

@@ -11,6 +11,7 @@ invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable
 
@@ -291,8 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built by the first main() call, not at import, then reused.  It binds the
+    # cmd_* functions once, so rebinding one later does not reach main().
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     path = getattr(args, "file", None)
     try:
         return args.func(args)

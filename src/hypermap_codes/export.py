@@ -105,7 +105,10 @@ def parse_json(text: str):
     non-object document, a missing key, a value of the wrong JSON type,
     or contents that disagree with each other.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ValueError("document is nested too deeply") from exc
     if (not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME
             or doc.get("version") != FORMAT_VERSION):
         raise ValueError("not a recognized artifact document")

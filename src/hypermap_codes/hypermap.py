@@ -39,12 +39,12 @@ from .perm import (
     as_partition,
     compose,
     connected_components,
-    cycle_decomposition,
     format_cycles,
     inverse,
     is_transitive,
     parse_cycles,
     random_permutation,
+    _orbits,
 )
 
 PER_EDGE = "per-edge"
@@ -67,8 +67,9 @@ class SpecialDartError(ValueError):
 class Hypermap:
     """A validated hypermap with cached orbit decompositions.
 
-    Immutable after construction; the vertex/edge/face decompositions and
-    the dart -> orbit index maps are computed eagerly.
+    Immutable after construction.  One flat search checks transitivity, and
+    one walk per orbit family (``perm._orbits``) computes the vertex, edge
+    and face decompositions together with their dart -> orbit index maps.
     """
 
     __slots__ = ("alpha", "sigma", "vertices", "edges", "faces",
@@ -77,17 +78,20 @@ class Hypermap:
     def __init__(self, alpha: Permutation, sigma: Permutation):
         if alpha.degree != sigma.degree:
             raise ValueError(f"degree mismatch: alpha {alpha.degree}, sigma {sigma.degree}")
-        components = connected_components(alpha, sigma)
-        if len(components) > 1:
-            raise DisconnectedError(components)
+        if not is_transitive(alpha, sigma):
+            raise DisconnectedError(connected_components(alpha, sigma))
+        self._walk_orbits(alpha, sigma)
+
+    def _walk_orbits(self, alpha: Permutation, sigma: Permutation) -> None:
+        """Store the pair and its orbits; the caller has checked transitivity."""
         self.alpha = alpha
         self.sigma = sigma
-        self.vertices: Cycles = cycle_decomposition(sigma)
-        self.edges: Cycles = cycle_decomposition(alpha)
-        self.faces: Cycles = cycle_decomposition(compose(inverse(alpha), sigma))
-        self._vertex_of = _orbit_index(self.vertices, alpha.degree)
-        self._edge_of = _orbit_index(self.edges, alpha.degree)
-        self._face_of = _orbit_index(self.faces, alpha.degree)
+        faces = [0] * alpha.degree  # alpha^-1 sigma: i -> sigma(alpha^-1(i))
+        for dart, i in enumerate(alpha.images):
+            faces[i] = sigma.images[dart]
+        self.vertices, self._vertex_of = _orbits(sigma.images)
+        self.edges, self._edge_of = _orbits(alpha.images)
+        self.faces, self._face_of = _orbits(faces)
 
     @property
     def n(self) -> int:
@@ -115,14 +119,6 @@ class Hypermap:
     def __repr__(self) -> str:
         return (f"Hypermap(alpha={format_cycles(self.alpha)!r}, "
                 f"sigma={format_cycles(self.sigma)!r}, n={self.n})")
-
-
-def _orbit_index(orbits: Cycles, n: int) -> tuple[int, ...]:
-    index = [0] * n
-    for k, orbit in enumerate(orbits):
-        for dart in orbit:
-            index[dart] = k
-    return tuple(index)
 
 
 def euler_characteristic(h: Hypermap) -> int:
@@ -187,7 +183,9 @@ def _random_transitive_pair(n: int, rng: random.Random) -> Hypermap:
         alpha = random_permutation(n, rng)
         sigma = random_permutation(n, rng)
         if is_transitive(alpha, sigma):
-            return Hypermap(alpha, sigma)
+            h = Hypermap.__new__(Hypermap)
+            h._walk_orbits(alpha, sigma)
+            return h
 
 
 def random_hypermap(n: int, seed: int) -> Hypermap:

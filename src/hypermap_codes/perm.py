@@ -7,6 +7,8 @@ Conventions used throughout the package:
 - Composition is left to right: ``compose(p, q)`` applies ``p`` first and
   then ``q``, so ``compose(p, q)(i) == q(p(i))``.  Every caller relies on
   this; do not flip it.
+- ``_orbits`` is the one orbit walker: ``cycle_decomposition`` and the
+  orbit families of ``Hypermap``, with their index maps, come from it.
 - Labels are 0-based internally.  The cycle-notation text format
   (``"(4 3 2 1)(5 7 8 6)"``) is 1-based and is the only place where the
   off-by-one conversion happens.
@@ -93,25 +95,46 @@ def cycle_decomposition(p: Permutation) -> Cycles:
     >>> cycle_decomposition(Permutation((1, 0, 2)))
     ((0, 1), (2,))
     """
-    seen = [False] * p.degree
+    return _orbits(p.images)[0]
+
+
+def _orbits(images) -> tuple[Cycles, tuple[int, ...]]:
+    """The one orbit walker: the canonical cycles of an image table, and
+    for each label the index of its cycle.  The table is not validated."""
+    index = [-1] * len(images)
     cycles = []
-    for start in range(p.degree):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        pos = p.images[start]
-        while pos != start:
-            cycle.append(pos)
-            seen[pos] = True
-            pos = p.images[pos]
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+    for start in range(len(images)):
+        if index[start] < 0:
+            k = len(cycles)
+            cycle = [start]
+            index[start] = k
+            pos = images[start]
+            while pos != start:
+                cycle.append(pos)
+                index[pos] = k
+                pos = images[pos]
+            cycles.append(tuple(cycle))
+    return tuple(cycles), tuple(index)
 
 
 def as_partition(cycles: Cycles) -> frozenset[frozenset[int]]:
     """Forget cyclic order: the orbits as an unordered set partition."""
     return frozenset(frozenset(c) for c in cycles)
+
+
+def _reach(a, b, start: int, seen: list[bool]) -> list[int]:
+    """Labels reached from ``start`` by the images in ``a`` and ``b``, marked in
+    ``seen``; a set closed under a permutation is closed under its inverse."""
+    if len(a) != len(b):
+        raise ValueError(f"degree mismatch: {len(a)} != {len(b)}")
+    seen[start] = True
+    order = [start]
+    for x in order:  # the list grows while it is walked: a flat BFS queue
+        for y in (a[x], b[x]):
+            if not seen[y]:
+                seen[y] = True
+                order.append(y)
+    return order
 
 
 def connected_components(p: Permutation, q: Permutation) -> Cycles:
@@ -120,30 +143,14 @@ def connected_components(p: Permutation, q: Permutation) -> Cycles:
     Two labels are in the same component when some word in p, q (and
     their inverses) maps one to the other.
     """
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    parent = list(range(p.degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(p.degree):
-        for j in (p.images[i], q.images[i]):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(p.degree):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
+    seen = [False] * p.degree
+    return tuple(tuple(sorted(_reach(p.images, q.images, i, seen)))
+                 for i in range(p.degree) if not seen[i])
 
 
 def is_transitive(p: Permutation, q: Permutation) -> bool:
     """True when the group generated by ``p`` and ``q`` has a single orbit."""
-    return len(connected_components(p, q)) == 1
+    return len(_reach(p.images, q.images, 0, [False] * p.degree)) == p.degree
 
 
 def random_permutation(n: int, rng: random.Random) -> Permutation:

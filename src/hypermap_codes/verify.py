@@ -205,16 +205,14 @@ def run_verification(trials: int, max_darts: int, seed: int) -> VerificationRepo
         failures = 0
         first = ""
         for h in corpus:
+            error = ""
             try:
                 ok = predicate(h)
             except Exception as exc:  # a crash is a failure, not a verdict
-                ok = False
-                detail = f"{h!r} raised {type(exc).__name__}: {exc}"
-            else:
-                detail = repr(h)
+                ok, error = False, f" raised {type(exc).__name__}: {exc}"
             if not ok:
                 failures += 1
-                if not first:
-                    first = detail
+                if failures == 1:
+                    first = repr(h) + error
         outcomes.append(CheckOutcome(name, failures, len(corpus), first))
     return VerificationReport(trials, max_darts, seed, tuple(outcomes))

@@ -5,11 +5,14 @@ before their bit-parallel rewrite: column-by-column Gauss-Jordan
 elimination, a popcount per output entry, a string character per matrix
 entry, a shift per qubit, and the walk of every Z-orbit that expands each
 special dart into the rest of its eliminating orbit, with the mod-2
-projection of the resulting count table.  The fast paths must return
-exactly what these do.
+projection of the resulting count table.  The orbit build of a hypermap
+is kept too: a union-find transitivity test, then one cycle walk per
+orbit family, a composed face permutation and a second pass per family
+for the dart -> orbit index.  The fast paths must return exactly what
+these do.
 """
 
-from hypermap_codes import PER_EDGE, BitMatrix, transpose
+from hypermap_codes import PER_EDGE, BitMatrix, compose, inverse, transpose
 
 
 def echelon(bits, cols):
@@ -145,3 +148,62 @@ def expansion_counts(h, s):
     for r, j in _expansion_hits(h, s, qubits):
         counts[r][j] += 1
     return tuple(tuple(row) for row in counts)
+
+
+def cycle_decomposition(p):
+    seen = [False] * p.degree
+    cycles = []
+    for start in range(p.degree):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        pos = p.images[start]
+        while pos != start:
+            cycle.append(pos)
+            seen[pos] = True
+            pos = p.images[pos]
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def orbit_index(orbits, n):
+    index = [0] * n
+    for k, orbit in enumerate(orbits):
+        for dart in orbit:
+            index[dart] = k
+    return tuple(index)
+
+
+def connected_components(p, q):
+    """Orbits of the group generated by p and q by union-find, sorted by minimum."""
+    if p.degree != q.degree:
+        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
+    parent = list(range(p.degree))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(p.degree):
+        for j in (p.images[i], q.images[i]):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(p.degree):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(groups[r]) for r in sorted(groups))
+
+
+def orbit_build(alpha, sigma):
+    """(components, orbits): the vertex, edge and face cycles followed by
+    their index maps, or None for orbits when the pair is not transitive."""
+    components = connected_components(alpha, sigma)
+    if len(components) > 1:
+        return components, None
+    families = (cycle_decomposition(sigma), cycle_decomposition(alpha),
+                cycle_decomposition(compose(inverse(alpha), sigma)))
+    return components, families + tuple(orbit_index(f, alpha.degree) for f in families)

@@ -33,7 +33,7 @@ from hypermap_codes import (
     run_verification,
     special_darts,
 )
-from hypermap_codes import hypermap, verify
+from hypermap_codes import cli, hypermap, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8
@@ -414,6 +414,117 @@ def test_run_verification_report(corpus):
     text = report.render()
     assert text == run_verification(trials=30, max_darts=8, seed=7).render()
     assert "face-edge-code-transfer: PASS" in text
+
+
+FAILING_REPORT = """\
+trials: 8
+max-darts: 6
+seed: 3
+dual-involution: FAIL (2/8 failed; first: Hypermap(alpha='(1 2 5 4)', sigma='(1 2)(3 5 4)', n=5))
+dual-preserves-edges: PASS (8/8)
+dual-swaps-vertices-faces: PASS (8/8)
+triangle-dual-involution: PASS (8/8)
+triangle-dual-preserves-vertices: PASS (8/8)
+triangle-dual-swaps-edges-faces: PASS (8/8)
+contrary-involution: PASS (8/8)
+contrary-swaps-vertices-edges: PASS (8/8)
+nabla-swaps-dual-edges-faces: PASS (8/8)
+nabla-is-triangle-dual-of-dual: PASS (8/8)
+special-dart-transfer: FAIL (3/8 failed; first: Hypermap(alpha='(1 4 2 5 6)', \
+sigma='(1 5)(2 4 6 3)', n=6) raised TypeError: object of type 'Hypermap' has no len())
+face-edge-code-transfer: PASS (8/8)
+dual-face-nabla-edge-transfer: PASS (8/8)
+euler-logical-count: PASS (8/8)
+full-code-logical-gap: PASS (8/8)
+chain-conditions: PASS (8/8)
+closed-surface: PASS (8/8)
+verification: FAIL (17 checks, 8 hypermaps)
+"""
+
+
+def test_failing_verify_report_bytes(capsys, monkeypatch):
+    # one check fails on the odd-dart maps, another raises on the 6-dart maps
+    checks = list(verify.VERIFY_CHECKS)
+    checks[0] = ("dual-involution", lambda h: h.n % 2 == 0)
+    checks[10] = ("special-dart-transfer", lambda h: h.n < 6 or len(h))
+    monkeypatch.setattr(verify, "VERIFY_CHECKS", checks)
+    code, out, err = run_cli(capsys, "verify", "--trials", "8", "--max-darts", "6", "--seed", "3")
+    assert (code, out, err) == (3, FAILING_REPORT, "")
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+
+def _parser_sequence(path):
+    """Every subcommand, --special given then omitted, usage errors and --help."""
+    return [
+        ["info", path], ["dual", path], ["tri-dual", path], ["contrary", path],
+        ["code", path, "--kind", "face", "--special", "2", "5"],
+        ["code", path, "--kind", "face"],
+        ["code", path, "--kind", "edge", "--special", "1"],
+        ["reduce", path, "--special", "1", "6"], ["reduce", path],
+        ["distance", path, "--kind", "edge", "--budget", "3", "--special", "1", "2", "3", "4"],
+        ["distance", path, "--kind", "edge"],
+        ["verify", "--trials", "5", "--seed", "2"], ["verify", "--trials", "3"],
+        ["random", "--darts", "6", "--seed", "1"], ["random", "--darts", "6"],
+        ["export", path, "--format", "json", "--what", "code", "--special", "2", "5"],
+        ["export", path, "--format", "json", "--what", "code"],
+        ["export", path, "--format", "dot"],
+        ["code", path, "--kind", "sideways"], ["verify", "--trials", "0"], ["nope"], [],
+        ["code", path, "--kind", "face"],
+        ["--help"], ["distance", "--help"], ["info", path],
+    ]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_leaks_no_state(torus_file, capsys, monkeypatch):
+    sequence = _parser_sequence(torus_file)
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "_shared_parser", cli.build_parser)  # a new parser per call
+        expected = [_outcome(capsys, argv) for argv in sequence]
+    assert {code for code, _, _ in expected} == {0, 2, 3}
+    original = cli.build_parser
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    for argv, want in zip(sequence, expected):
+        assert _outcome(capsys, argv) == want, argv
+    assert len(builds) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_importing_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import hypermap_codes.cli as cli\n"
+        "print(len(built), cli._shared_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"
 
 
 # ---------------------------------------------------------------------------

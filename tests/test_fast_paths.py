@@ -1,14 +1,16 @@
-"""Differential tests: the bit-parallel paths against the per-bit oracles.
+"""Differential tests: the fast paths against the straightforward oracles.
 
 The hypothesis strategies here draw matrices taller than 64 rows and
 wider than 64 columns, so rows span several machine words, and control
 their rank and density, so the XOR basis meets dependent, sparse and
-dense rows.
+dense rows.  Permutation pairs are drawn with up to 60 darts, split into
+blocks so that many are disconnected, for the orbit build.
 """
 
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_paths
@@ -16,16 +18,22 @@ from hypermap_codes import (
     PER_EDGE,
     PER_FACE,
     BitMatrix,
+    DisconnectedError,
+    Hypermap,
+    Permutation,
     SpecialDarts,
     assemble,
+    connected_components,
     default_special_darts,
     echelon_form,
     edge_code,
     face_code,
     full_code,
     in_row_space,
+    is_transitive,
     kernel_basis,
     multiply,
+    random_corpus,
     random_hypermap,
     rank,
     reduce_to_surface,
@@ -34,6 +42,7 @@ from hypermap_codes import (
     to_strings,
     transpose,
 )
+from conftest import square_torus
 from test_exhaustive_small import all_hypermaps
 
 
@@ -160,3 +169,68 @@ def test_boundary2_is_expansion_counts_mod2_on_corpus(torus8, corpus):
     for h in [torus8] + corpus:
         _assert_boundary_is_counts_mod2(h, default_special_darts(h, PER_EDGE))
         _assert_boundary_is_counts_mod2(h, default_special_darts(h, PER_FACE))
+
+
+# ---------------------------------------------------------------------------
+# the orbit build: one walk per family, transitivity by a flat search
+
+def _orbits_of(h):
+    n = range(h.n)
+    return (h.vertices, h.edges, h.faces, tuple(map(h.vertex_of, n)),
+            tuple(map(h.edge_of, n)), tuple(map(h.face_of, n)))
+
+
+def _assert_orbit_build_matches_oracle(alpha, sigma):
+    components, orbits = slow_paths.orbit_build(alpha, sigma)
+    assert connected_components(alpha, sigma) == components
+    assert is_transitive(alpha, sigma) == (orbits is not None)
+    if orbits is not None:
+        assert _orbits_of(Hypermap(alpha, sigma)) == orbits
+        return
+    with pytest.raises(DisconnectedError) as caught:
+        Hypermap(alpha, sigma)
+    assert caught.value.components == components
+    pretty = ", ".join("{" + " ".join(str(i + 1) for i in c) + "}" for c in components)
+    assert str(caught.value) == f"hypermap is not connected; dart components: {pretty}"
+
+
+@st.composite
+def permutation_pairs(draw, max_darts=60):
+    """A pair on up to ``max_darts`` darts that acts within 1 to 4 blocks."""
+    n = draw(st.integers(1, max_darts))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    darts = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, draw(st.integers(0, 3)))))
+    alpha, sigma = [0] * n, [0] * n
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        block = darts[lo:hi]
+        for images in (alpha, sigma):
+            for dart, image in zip(block, rng.sample(block, len(block))):
+                images[dart] = image
+    return Permutation(tuple(alpha)), Permutation(tuple(sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_pairs())
+def test_orbit_build_matches_oracle_on_drawn_pairs(pair):
+    _assert_orbit_build_matches_oracle(*pair)
+
+
+def test_orbit_build_matches_oracle_on_small_sweep():
+    for n in range(1, 5):
+        perms = [Permutation(p) for p in itertools.permutations(range(n))]
+        for alpha, sigma in itertools.product(perms, perms):
+            _assert_orbit_build_matches_oracle(alpha, sigma)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8])
+def test_orbit_build_matches_oracle_on_square_torus(size):
+    h = square_torus(size)
+    _assert_orbit_build_matches_oracle(h.alpha, h.sigma)
+
+
+def test_random_corpus_orbits_match_oracle():
+    """The corpus draw checks transitivity once and skips the constructor's check."""
+    for h in random_corpus(200, 12, 5):
+        assert type(h) is Hypermap
+        assert _orbits_of(h) == slow_paths.orbit_build(h.alpha, h.sigma)[1]

@@ -80,10 +80,6 @@ class Hypermap:
             raise ValueError(f"degree mismatch: alpha {alpha.degree}, sigma {sigma.degree}")
         if not is_transitive(alpha, sigma):
             raise DisconnectedError(connected_components(alpha, sigma))
-        self._walk_orbits(alpha, sigma)
-
-    def _walk_orbits(self, alpha: Permutation, sigma: Permutation) -> None:
-        """Store the pair and its orbits; the caller has checked transitivity."""
         self.alpha = alpha
         self.sigma = sigma
         faces = [0] * alpha.degree  # alpha^-1 sigma: i -> sigma(alpha^-1(i))
@@ -182,10 +178,10 @@ def _random_transitive_pair(n: int, rng: random.Random) -> Hypermap:
     while True:
         alpha = random_permutation(n, rng)
         sigma = random_permutation(n, rng)
-        if is_transitive(alpha, sigma):
-            h = Hypermap.__new__(Hypermap)
-            h._walk_orbits(alpha, sigma)
-            return h
+        try:
+            return Hypermap(alpha, sigma)
+        except DisconnectedError:
+            pass
 
 
 def random_hypermap(n: int, seed: int) -> Hypermap:

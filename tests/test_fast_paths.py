@@ -230,7 +230,32 @@ def test_orbit_build_matches_oracle_on_square_torus(size):
 
 
 def test_random_corpus_orbits_match_oracle():
-    """The corpus draw checks transitivity once and skips the constructor's check."""
     for h in random_corpus(200, 12, 5):
         assert type(h) is Hypermap
         assert _orbits_of(h) == slow_paths.orbit_build(h.alpha, h.sigma)[1]
+
+
+def test_random_corpus_checks_transitivity_once_per_draw(monkeypatch):
+    """Each draw of two permutations is checked once, by the constructor;
+    components are searched only to report a rejected draw."""
+    from hypermap_codes import hypermap as hm
+
+    calls = {"random_permutation": 0, "is_transitive": 0, "connected_components": 0}
+
+    def counted(name):
+        original = getattr(hm, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(hm, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    corpus = random_corpus(200, 6, 3)
+    monkeypatch.undo()
+    draws = calls["random_permutation"] // 2
+    assert draws > len(corpus)
+    assert calls["is_transitive"] == draws
+    assert calls["connected_components"] == draws - len(corpus)
+    assert corpus == random_corpus(200, 6, 3)

@@ -4,14 +4,15 @@ Subcommands: info, dual, tri-dual, contrary, code, reduce, distance,
 verify, random, export.  All user-facing labels are 1-based; every output
 is deterministic for fixed inputs and seeds.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 internal
-invariant breach.
+Exit codes: 0 success, 1 output not written (stdout closed or failing),
+2 parse error, 3 validation error, 4 internal invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Callable
 
@@ -42,6 +43,7 @@ from .reduce import reduce_to_surface, validate_surface
 from .verify import run_verification
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_INTERNAL = 4
@@ -50,10 +52,17 @@ DEFAULT_DISTANCE_BUDGET = 6
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # counts below 10 -> ASCII
 
 
+class UnreadableInput(Exception):
+    """Opening or reading the input file failed; carries the OSError's text."""
+
+
 def load_hypermap(path: str) -> tuple[Hypermap, frozenset[int] | None]:
-    """Read and parse a hypermap file; text that is not UTF-8 is a ParseError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read and parse a hypermap file: UnreadableInput if unreadable, ParseError if not UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise UnreadableInput(exc) from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -222,6 +231,24 @@ def _int_in_range(low: int, high: int | None = None) -> Callable[[str], int]:
     return parse
 
 
+def _dart_label(text: str) -> int:
+    """``type=`` of --special, whose action is :class:`_DistinctDarts`: like a file's
+    special line, the flag takes ASCII decimal digits only and each dart once."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"special dart {text!r} is not a decimal label")
+    return int(text)
+
+
+class _DistinctDarts(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        seen: set[int] = set()
+        for value in values:
+            if value in seen:
+                raise argparse.ArgumentError(self, f"special dart {value} appears twice")
+            seen.add(value)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypermap-codes",
@@ -233,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", metavar="FILE", help="hypermap text file")
 
     def add_special(p):
-        p.add_argument("--special", nargs="+", type=int, metavar="DART",
+        p.add_argument("--special", nargs="+", type=_dart_label, action=_DistinctDarts,
+                       metavar="DART",
                        help="1-based special darts (overrides the file's choice)")
 
     p = sub.add_parser("info", help="orbits, Euler characteristic, genus")
@@ -303,13 +331,20 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     path = getattr(args, "file", None)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a failing stdout raises here, not at exit
+        return status
     except ParseError as exc:
         print(f"error: {path}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except UnreadableInput as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:  # stdout failed: devnull takes exit's flush (Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed stdout is no error to report
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except (DisconnectedError, SpecialDartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -165,13 +165,15 @@ def nabla(h: Hypermap) -> Hypermap:
     return contrary(triangle_dual(h))
 
 
+def same_orbits(a: Hypermap, b: Hypermap) -> bool:
+    """Whether ``a`` and ``b`` have the same vertex, edge and face partitions."""
+    return all(as_partition(getattr(a, family)) == as_partition(getattr(b, family))
+               for family in ("vertices", "edges", "faces"))
+
+
 def check_nabla_identity(h: Hypermap) -> bool:
     """Verify nabla(h) == triangle_dual(dual(h)) orbit family by orbit family."""
-    a = nabla(h)
-    b = triangle_dual(dual(h))
-    return (as_partition(a.vertices) == as_partition(b.vertices)
-            and as_partition(a.edges) == as_partition(b.edges)
-            and as_partition(a.faces) == as_partition(b.faces))
+    return same_orbits(nabla(h), triangle_dual(dual(h)))
 
 
 def _random_transitive_pair(n: int, rng: random.Random) -> Hypermap:

@@ -1,12 +1,13 @@
 """The verification suite: named identity and equivalence checks.
 
-Each check is a predicate on one hypermap, run over a seeded random
-corpus; a predicate that raises counts as a failure.
+Each check is a predicate on the :class:`Derived` record of one map of a
+seeded random corpus; a predicate that raises counts as a failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from . import gf2
@@ -18,13 +19,13 @@ from .hypermap import (
     Hypermap,
     SpecialDartError,
     SpecialDarts,
-    check_nabla_identity,
     contrary,
     default_special_darts,
     dual,
     euler_characteristic,
     nabla,
     random_corpus,
+    same_orbits,
     special_darts,
     triangle_dual,
 )
@@ -69,55 +70,74 @@ def _same_partitions(a, b) -> bool:
     return as_partition(a) == as_partition(b)
 
 
-def _check_dual_involution(h):
-    return dual(dual(h)) == h
+@dataclass
+class Derived:
+    """A corpus map and what its checks derive from it, each built on first read.
+
+    Each property calls the module-level function of its name, so a check runs
+    the construction it tests; one that raises is not cached, and raises again.
+    """
+
+    h: Hypermap
+    dual = cached_property(lambda x: dual(x.h))
+    triangle_dual = cached_property(lambda x: triangle_dual(x.h))
+    contrary = cached_property(lambda x: contrary(x.h))
+    nabla = cached_property(lambda x: nabla(x.h))
+    per_edge = cached_property(lambda x: default_special_darts(x.h, PER_EDGE))
+    per_face = cached_property(lambda x: default_special_darts(x.h, PER_FACE))
+    face_code = cached_property(lambda x: face_code(x.h, x.per_edge))
+    full_code = cached_property(lambda x: full_code(x.h))
+    face_k = cached_property(lambda x: assemble(x.face_code).k)
 
 
-def _check_dual_preserves_edges(h):
-    return _same_partitions(dual(h).edges, h.edges)
+def _check_dual_involution(x):
+    return dual(x.dual) == x.h
 
 
-def _check_dual_swaps_vertices_faces(h):
-    d = dual(h)
-    return (_same_partitions(d.vertices, h.faces)
-            and _same_partitions(d.faces, h.vertices))
+def _check_dual_preserves_edges(x):
+    return _same_partitions(x.dual.edges, x.h.edges)
 
 
-def _check_triangle_dual_involution(h):
-    return triangle_dual(triangle_dual(h)) == h
+def _check_dual_swaps_vertices_faces(x):
+    return (_same_partitions(x.dual.vertices, x.h.faces)
+            and _same_partitions(x.dual.faces, x.h.vertices))
 
 
-def _check_triangle_dual_preserves_vertices(h):
-    return _same_partitions(triangle_dual(h).vertices, h.vertices)
+def _check_triangle_dual_involution(x):
+    return triangle_dual(x.triangle_dual) == x.h
 
 
-def _check_triangle_dual_swaps_edges_faces(h):
-    t = triangle_dual(h)
-    return (_same_partitions(t.faces, h.edges)
-            and _same_partitions(t.edges, h.faces))
+def _check_triangle_dual_preserves_vertices(x):
+    return _same_partitions(x.triangle_dual.vertices, x.h.vertices)
 
 
-def _check_contrary_involution(h):
-    return contrary(contrary(h)) == h
+def _check_triangle_dual_swaps_edges_faces(x):
+    return (_same_partitions(x.triangle_dual.faces, x.h.edges)
+            and _same_partitions(x.triangle_dual.edges, x.h.faces))
 
 
-def _check_contrary_swaps_vertices_edges(h):
-    c = contrary(h)
-    return (_same_partitions(c.vertices, h.edges)
-            and _same_partitions(c.edges, h.vertices))
+def _check_contrary_involution(x):
+    return contrary(x.contrary) == x.h
 
 
-def _check_nabla_swaps_dual_orbits(h):
-    nb, d = nabla(h), dual(h)
-    return (_same_partitions(nb.edges, d.faces)
-            and _same_partitions(nb.faces, d.edges))
+def _check_contrary_swaps_vertices_edges(x):
+    return (_same_partitions(x.contrary.vertices, x.h.edges)
+            and _same_partitions(x.contrary.edges, x.h.vertices))
 
 
-def _check_special_dart_transfer(h):
-    t = triangle_dual(h)
+def _check_nabla_swaps_dual_orbits(x):
+    return (_same_partitions(x.nabla.edges, x.dual.faces)
+            and _same_partitions(x.nabla.faces, x.dual.edges))
+
+
+def _check_nabla_identity(x):
+    return same_orbits(x.nabla, triangle_dual(x.dual))
+
+
+def _check_special_dart_transfer(x):
     try:
-        special_darts(t, default_special_darts(h, PER_EDGE).darts, PER_FACE)
-        special_darts(t, default_special_darts(h, PER_FACE).darts, PER_EDGE)
+        special_darts(x.triangle_dual, x.per_edge.darts, PER_FACE)
+        special_darts(x.triangle_dual, x.per_face.darts, PER_EDGE)
     except SpecialDartError:
         return False
     return True
@@ -129,54 +149,40 @@ def _codes_equal(a: QuotientCode, b: QuotientCode) -> bool:
             and a.boundary2 == b.boundary2)
 
 
-def _check_face_edge_code_transfer(h):
-    s = default_special_darts(h, PER_EDGE)
-    fc = face_code(h, s)
-    ec = edge_code(triangle_dual(h), SpecialDarts(s.darts, PER_FACE))
-    return _codes_equal(fc, ec)
+def _check_face_edge_code_transfer(x):
+    ec = edge_code(x.triangle_dual, SpecialDarts(x.per_edge.darts, PER_FACE))
+    return _codes_equal(x.face_code, ec)
 
 
-def _check_dual_face_nabla_edge_transfer(h):
-    s = default_special_darts(h, PER_EDGE)
-    fc = face_code(dual(h), SpecialDarts(s.darts, PER_EDGE))
-    ec = edge_code(nabla(h), SpecialDarts(s.darts, PER_FACE))
-    return _codes_equal(fc, ec)
+def _check_dual_face_nabla_edge_transfer(x):
+    return _codes_equal(face_code(x.dual, x.per_edge),
+                        edge_code(x.nabla, SpecialDarts(x.per_edge.darts, PER_FACE)))
 
 
-def _check_euler_logical_count(h):
-    chi = euler_characteristic(h)
-    if chi % 2 != 0:
-        return False
-    code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
-    return code.k == 2 - chi
+def _check_euler_logical_count(x):
+    chi = euler_characteristic(x.h)
+    return chi % 2 == 0 and x.face_k == 2 - chi
 
 
-def _check_full_code_logical_gap(h):
-    k_face = assemble(face_code(h, default_special_darts(h, PER_EDGE))).k
-    k_full = assemble(full_code(h)).k
-    return k_full - k_face == len(h.edges) - 1
+def _check_full_code_logical_gap(x):
+    return assemble(x.full_code).k - x.face_k == len(x.h.edges) - 1
 
 
-def _check_chain_conditions(h):
-    raw = raw_complex(h)
+def _check_chain_conditions(x):
+    raw = raw_complex(x.h)
     if not gf2.is_zero(gf2.multiply(raw.d1, raw.d2)):
         return False
     if not gf2.is_zero(gf2.multiply(raw.d1, raw.iota)):
         return False
-    quotients = [
-        face_code(h, default_special_darts(h, PER_EDGE)),
-        edge_code(h, default_special_darts(h, PER_FACE)),
-        full_code(h),
-    ]
+    quotients = [x.face_code, edge_code(x.h, x.per_face), x.full_code]
     return all(gf2.is_zero(gf2.multiply(q.boundary1, q.boundary2)) for q in quotients)
 
 
-def _check_closed_surface(h):
-    s = default_special_darts(h, PER_EDGE)
-    return validate_surface(reduce_to_surface(h, s), h, s).passed
+def _check_closed_surface(x):
+    return validate_surface(reduce_to_surface(x.h, x.per_edge), x.h, x.per_edge).passed
 
 
-VERIFY_CHECKS: list[tuple[str, Callable[[Hypermap], bool]]] = [
+VERIFY_CHECKS: list[tuple[str, Callable[[Derived], bool]]] = [
     ("dual-involution", _check_dual_involution),
     ("dual-preserves-edges", _check_dual_preserves_edges),
     ("dual-swaps-vertices-faces", _check_dual_swaps_vertices_faces),
@@ -186,7 +192,7 @@ VERIFY_CHECKS: list[tuple[str, Callable[[Hypermap], bool]]] = [
     ("contrary-involution", _check_contrary_involution),
     ("contrary-swaps-vertices-edges", _check_contrary_swaps_vertices_edges),
     ("nabla-swaps-dual-edges-faces", _check_nabla_swaps_dual_orbits),
-    ("nabla-is-triangle-dual-of-dual", check_nabla_identity),
+    ("nabla-is-triangle-dual-of-dual", _check_nabla_identity),
     ("special-dart-transfer", _check_special_dart_transfer),
     ("face-edge-code-transfer", _check_face_edge_code_transfer),
     ("dual-face-nabla-edge-transfer", _check_dual_face_nabla_edge_transfer),
@@ -198,21 +204,18 @@ VERIFY_CHECKS: list[tuple[str, Callable[[Hypermap], bool]]] = [
 
 
 def run_verification(trials: int, max_darts: int, seed: int) -> VerificationReport:
-    """Run every named identity and equivalence check over a random corpus."""
+    """Run every named identity and equivalence check over a random corpus, map by map."""
     corpus = random_corpus(trials, max_darts, seed)
-    outcomes = []
-    for name, predicate in VERIFY_CHECKS:
-        failures = 0
-        first = ""
-        for h in corpus:
-            error = ""
+    failed: list[list] = [[] for _ in VERIFY_CHECKS]  # per check: (map, error) per failure
+    for h in corpus:
+        x = Derived(h)
+        for (_, predicate), fails in zip(VERIFY_CHECKS, failed):
             try:
-                ok = predicate(h)
+                ok, error = predicate(x), ""
             except Exception as exc:  # a crash is a failure, not a verdict
                 ok, error = False, f" raised {type(exc).__name__}: {exc}"
             if not ok:
-                failures += 1
-                if failures == 1:
-                    first = repr(h) + error
-        outcomes.append(CheckOutcome(name, failures, len(corpus), first))
+                fails.append((h, error))
+    outcomes = (CheckOutcome(name, len(f), len(corpus), repr(f[0][0]) + f[0][1] if f else "")
+                for (name, _), f in zip(VERIFY_CHECKS, failed))
     return VerificationReport(trials, max_darts, seed, tuple(outcomes))

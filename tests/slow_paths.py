@@ -8,11 +8,42 @@ special dart into the rest of its eliminating orbit, with the mod-2
 projection of the resulting count table.  The orbit build of a hypermap
 is kept too: a union-find transitivity test, then one cycle walk per
 orbit family, a composed face permutation and a second pass per family
-for the dart -> orbit index.  The fast paths must return exactly what
-these do.
+for the dart -> orbit index.  The verify suite is kept as it ran before
+its checks shared a per-map record: check by check over the corpus, each
+predicate taking the hypermap and building every derived map and code it
+needs itself.  The fast paths must return exactly what these do.
 """
 
-from hypermap_codes import PER_EDGE, BitMatrix, compose, inverse, transpose
+from hypermap_codes import (
+    PER_EDGE,
+    PER_FACE,
+    BitMatrix,
+    SpecialDartError,
+    SpecialDarts,
+    assemble,
+    check_nabla_identity,
+    compose,
+    contrary,
+    default_special_darts,
+    dual,
+    edge_code,
+    euler_characteristic,
+    face_code,
+    full_code,
+    inverse,
+    is_zero,
+    multiply as gf2_multiply,
+    nabla,
+    random_corpus,
+    raw_complex,
+    reduce_to_surface,
+    special_darts,
+    transpose,
+    triangle_dual,
+    validate_surface,
+)
+from hypermap_codes.perm import as_partition
+from hypermap_codes.verify import CheckOutcome, VerificationReport
 
 
 def echelon(bits, cols):
@@ -207,3 +238,159 @@ def orbit_build(alpha, sigma):
     families = (cycle_decomposition(sigma), cycle_decomposition(alpha),
                 cycle_decomposition(compose(inverse(alpha), sigma)))
     return components, families + tuple(orbit_index(f, alpha.degree) for f in families)
+
+
+# ---------------------------------------------------------------------------
+# the verify suite, check-major, each predicate on the hypermap itself
+
+def _same_partitions(a, b):
+    return as_partition(a) == as_partition(b)
+
+
+def _check_dual_involution(h):
+    return dual(dual(h)) == h
+
+
+def _check_dual_preserves_edges(h):
+    return _same_partitions(dual(h).edges, h.edges)
+
+
+def _check_dual_swaps_vertices_faces(h):
+    d = dual(h)
+    return (_same_partitions(d.vertices, h.faces)
+            and _same_partitions(d.faces, h.vertices))
+
+
+def _check_triangle_dual_involution(h):
+    return triangle_dual(triangle_dual(h)) == h
+
+
+def _check_triangle_dual_preserves_vertices(h):
+    return _same_partitions(triangle_dual(h).vertices, h.vertices)
+
+
+def _check_triangle_dual_swaps_edges_faces(h):
+    t = triangle_dual(h)
+    return (_same_partitions(t.faces, h.edges)
+            and _same_partitions(t.edges, h.faces))
+
+
+def _check_contrary_involution(h):
+    return contrary(contrary(h)) == h
+
+
+def _check_contrary_swaps_vertices_edges(h):
+    c = contrary(h)
+    return (_same_partitions(c.vertices, h.edges)
+            and _same_partitions(c.edges, h.vertices))
+
+
+def _check_nabla_swaps_dual_orbits(h):
+    nb, d = nabla(h), dual(h)
+    return (_same_partitions(nb.edges, d.faces)
+            and _same_partitions(nb.faces, d.edges))
+
+
+def _check_special_dart_transfer(h):
+    t = triangle_dual(h)
+    try:
+        special_darts(t, default_special_darts(h, PER_EDGE).darts, PER_FACE)
+        special_darts(t, default_special_darts(h, PER_FACE).darts, PER_EDGE)
+    except SpecialDartError:
+        return False
+    return True
+
+
+def _codes_equal(a, b):
+    return (a.qubit_labels == b.qubit_labels
+            and a.boundary1 == b.boundary1
+            and a.boundary2 == b.boundary2)
+
+
+def _check_face_edge_code_transfer(h):
+    s = default_special_darts(h, PER_EDGE)
+    fc = face_code(h, s)
+    ec = edge_code(triangle_dual(h), SpecialDarts(s.darts, PER_FACE))
+    return _codes_equal(fc, ec)
+
+
+def _check_dual_face_nabla_edge_transfer(h):
+    s = default_special_darts(h, PER_EDGE)
+    fc = face_code(dual(h), SpecialDarts(s.darts, PER_EDGE))
+    ec = edge_code(nabla(h), SpecialDarts(s.darts, PER_FACE))
+    return _codes_equal(fc, ec)
+
+
+def _check_euler_logical_count(h):
+    chi = euler_characteristic(h)
+    if chi % 2 != 0:
+        return False
+    code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+    return code.k == 2 - chi
+
+
+def _check_full_code_logical_gap(h):
+    k_face = assemble(face_code(h, default_special_darts(h, PER_EDGE))).k
+    k_full = assemble(full_code(h)).k
+    return k_full - k_face == len(h.edges) - 1
+
+
+def _check_chain_conditions(h):
+    raw = raw_complex(h)
+    if not is_zero(gf2_multiply(raw.d1, raw.d2)):
+        return False
+    if not is_zero(gf2_multiply(raw.d1, raw.iota)):
+        return False
+    quotients = [
+        face_code(h, default_special_darts(h, PER_EDGE)),
+        edge_code(h, default_special_darts(h, PER_FACE)),
+        full_code(h),
+    ]
+    return all(is_zero(gf2_multiply(q.boundary1, q.boundary2)) for q in quotients)
+
+
+def _check_closed_surface(h):
+    s = default_special_darts(h, PER_EDGE)
+    return validate_surface(reduce_to_surface(h, s), h, s).passed
+
+
+VERIFY_CHECKS = [
+    ("dual-involution", _check_dual_involution),
+    ("dual-preserves-edges", _check_dual_preserves_edges),
+    ("dual-swaps-vertices-faces", _check_dual_swaps_vertices_faces),
+    ("triangle-dual-involution", _check_triangle_dual_involution),
+    ("triangle-dual-preserves-vertices", _check_triangle_dual_preserves_vertices),
+    ("triangle-dual-swaps-edges-faces", _check_triangle_dual_swaps_edges_faces),
+    ("contrary-involution", _check_contrary_involution),
+    ("contrary-swaps-vertices-edges", _check_contrary_swaps_vertices_edges),
+    ("nabla-swaps-dual-edges-faces", _check_nabla_swaps_dual_orbits),
+    ("nabla-is-triangle-dual-of-dual", check_nabla_identity),
+    ("special-dart-transfer", _check_special_dart_transfer),
+    ("face-edge-code-transfer", _check_face_edge_code_transfer),
+    ("dual-face-nabla-edge-transfer", _check_dual_face_nabla_edge_transfer),
+    ("euler-logical-count", _check_euler_logical_count),
+    ("full-code-logical-gap", _check_full_code_logical_gap),
+    ("chain-conditions", _check_chain_conditions),
+    ("closed-surface", _check_closed_surface),
+]
+
+
+def run_verification(trials, max_darts, seed, checks=None):
+    """Every check over the whole corpus, one check after another."""
+    corpus = random_corpus(trials, max_darts, seed)
+    outcomes = []
+    for name, predicate in VERIFY_CHECKS if checks is None else checks:
+        failures = 0
+        first = ""
+        for h in corpus:
+            error = ""
+            try:
+                ok = predicate(h)
+            except Exception as exc:  # a crash is a failure, not a verdict
+                ok, error = False, f" raised {type(exc).__name__}: {exc}"
+            if not ok:
+                failures += 1
+                if failures == 1:
+                    first = repr(h) + error
+        outcomes.append(CheckOutcome(name, failures, len(corpus), first))
+    return VerificationReport(trials, max_darts, seed, tuple(outcomes))

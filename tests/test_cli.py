@@ -402,10 +402,10 @@ def test_export_json_cli_round_trip(torus_file, capsys):
 
 
 def test_special_dart_transfer_check_fails_without_raising(torus8, monkeypatch):
-    assert verify._check_special_dart_transfer(torus8) is True
+    assert verify._check_special_dart_transfer(verify.Derived(torus8)) is True
     # the identity is no triangle dual: torus8's 2 edge minima cannot cover its 4 faces
     monkeypatch.setattr(verify, "triangle_dual", lambda h: h)
-    assert verify._check_special_dart_transfer(torus8) is False
+    assert verify._check_special_dart_transfer(verify.Derived(torus8)) is False
 
 
 def test_run_verification_report(corpus):
@@ -445,8 +445,8 @@ verification: FAIL (17 checks, 8 hypermaps)
 def test_failing_verify_report_bytes(capsys, monkeypatch):
     # one check fails on the odd-dart maps, another raises on the 6-dart maps
     checks = list(verify.VERIFY_CHECKS)
-    checks[0] = ("dual-involution", lambda h: h.n % 2 == 0)
-    checks[10] = ("special-dart-transfer", lambda h: h.n < 6 or len(h))
+    checks[0] = ("dual-involution", lambda x: x.h.n % 2 == 0)
+    checks[10] = ("special-dart-transfer", lambda x: x.h.n < 6 or len(x.h))
     monkeypatch.setattr(verify, "VERIFY_CHECKS", checks)
     code, out, err = run_cli(capsys, "verify", "--trials", "8", "--max-darts", "6", "--seed", "3")
     assert (code, out, err) == (3, FAILING_REPORT, "")
@@ -707,3 +707,88 @@ def test_dart_arguments_above_cap_are_usage_errors(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and f"must be at most {MAX_DARTS}" in err
+
+
+# ---------------------------------------------------------------------------
+# --special follows the rules of a file's special line
+
+@pytest.mark.parametrize("darts,message", [
+    (["2", "2", "5"], "special dart 2 appears twice"),
+    (["2", "5", "02"], "special dart 2 appears twice"),
+    (["1_0"], "special dart '1_0' is not a decimal label"),
+    (["٢"], "special dart '٢' is not a decimal label"),
+    (["+2", "5"], "special dart '+2' is not a decimal label"),
+    (["2", "-5"], "special dart '-5' is not a decimal label"),
+])
+@pytest.mark.parametrize("command", [
+    ["code", "{file}", "--kind", "face"],
+    ["reduce", "{file}"],
+    ["distance", "{file}", "--kind", "face"],
+    ["export", "{file}", "--format", "json", "--what", "complex"],
+])
+def test_special_flag_is_as_strict_as_the_file(command, darts, message, torus_file, capsys):
+    argv = [arg.replace("{file}", torus_file) for arg in command] + ["--special", *darts]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --special: {message}" in err
+
+
+def test_special_file_line_refuses_the_same_repeat(tmp_path, capsys):
+    path = tmp_path / "repeat.hm"
+    path.write_text(TORUS_TEXT.replace("special: 2 5", "special: 2 2 5"))
+    code, out, err = run_cli(capsys, "code", str(path), "--kind", "face")
+    assert (code, out) == (2, "")
+    assert "special dart 2 appears twice" in err
+
+
+@pytest.mark.parametrize("dart", ["0", "9", "0009"])
+def test_special_flag_out_of_range_still_exits_3(dart, torus_file, capsys):
+    code, out, err = run_cli(capsys, "code", torus_file, "--kind", "face",
+                             "--special", dart, "5")
+    assert (code, out) == (3, "")
+    assert f"dart {int(dart)} outside 1..8" in err
+
+
+def test_special_flag_keeps_leading_zeros(torus_file, capsys):
+    assert run_cli(capsys, "code", torus_file, "--kind", "face", "--special", "02", "5") \
+        == run_cli(capsys, "code", torus_file, "--kind", "face", "--special", "2", "5")
+
+
+# ---------------------------------------------------------------------------
+# a closed stdout is not an unreadable input
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "5"],
+    ["random", "--darts", "6"],
+    ["code", "{file}", "--kind", "face"],
+])
+def test_closed_stdout_exits_1_silently(argv, torus_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes anything
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypermap_codes",
+             *[arg.replace("{file}", torus_file) for arg in argv]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_failing_stdout_exits_1_with_a_write_error(torus_file):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "hypermap_codes", "info", torus_file],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(),
+                              timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_unreadable_input_is_still_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "info", str(tmp_path))  # a directory
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {tmp_path}: [Errno 21] Is a directory")

@@ -8,7 +8,7 @@ closes that gap for the full identity/equivalence battery.
 import itertools
 
 from hypermap_codes import Hypermap, Permutation, is_transitive
-from hypermap_codes.verify import VERIFY_CHECKS
+from hypermap_codes.verify import VERIFY_CHECKS, Derived
 
 
 def all_hypermaps(max_n):
@@ -22,7 +22,8 @@ def all_hypermaps(max_n):
 def test_every_check_on_every_small_hypermap():
     count = 0
     for h in all_hypermaps(4):
+        x = Derived(h)
         for name, check in VERIFY_CHECKS:
-            assert check(h), f"{name} failed on {h!r}"
+            assert check(x), f"{name} failed on {h!r}"
         count += 1
     assert count == 456

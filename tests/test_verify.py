@@ -1,0 +1,186 @@
+"""The verify suite against its check-major oracle in ``slow_paths``.
+
+``run_verification`` walks the corpus map by map, and the checks of a map
+share one ``verify.Derived`` record.  The oracle runs every check over the
+whole corpus and builds each derived map and code inside the check.  The
+two must render the same bytes, fail the same checks when a construction
+is replaced by a wrong one, and the record must build each derived object
+once per map.
+"""
+
+import sys
+
+import pytest
+
+import slow_paths
+from hypermap_codes import (
+    PER_EDGE,
+    PER_FACE,
+    Hypermap,
+    SpecialDarts,
+    inverse,
+    random_corpus,
+    run_verification,
+)
+from hypermap_codes import chain, verify
+from hypermap_codes.cli import main
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_report_bytes_match_check_major_oracle(seed):
+    new = run_verification(100, 10, seed)
+    old = slow_paths.run_verification(100, 10, seed)
+    assert new.passed and old.passed
+    assert new.render() == old.render()
+
+
+@pytest.mark.parametrize("seed", [1, 3, 8])
+def test_failing_report_bytes_match_oracle(seed, capsys, monkeypatch):
+    # one check fails on the odd-dart maps, another raises on the 6-dart maps
+    old_checks = list(slow_paths.VERIFY_CHECKS)
+    old_checks[0] = ("dual-involution", lambda h: h.n % 2 == 0)
+    old_checks[10] = ("special-dart-transfer", lambda h: h.n < 6 or len(h))
+    new_checks = list(verify.VERIFY_CHECKS)
+    new_checks[0] = ("dual-involution", lambda x: x.h.n % 2 == 0)
+    new_checks[10] = ("special-dart-transfer", lambda x: x.h.n < 6 or len(x.h))
+    monkeypatch.setattr(verify, "VERIFY_CHECKS", new_checks)
+    expected = slow_paths.run_verification(100, 10, seed, old_checks).render()
+    assert "raised TypeError" in expected
+    assert main(["verify", "--trials", "100", "--max-darts", "10", "--seed", str(seed)]) == 3
+    assert capsys.readouterr() == (expected, "")
+
+
+# ---------------------------------------------------------------------------
+# every check still calls the construction it is named for
+
+def _rotated(h):
+    """A valid hypermap on the same darts that is no involution of ``h``."""
+    return Hypermap(inverse(h.sigma), h.alpha)
+
+
+def _max_special(build, orbits_of):
+    """``build`` with the maximum dart of each orbit in place of the given set."""
+    def wrong(h, s):
+        return build(h, SpecialDarts(frozenset(max(o) for o in orbits_of(h)), s.kind))
+    return wrong
+
+
+def _raising(original):
+    def wrong(*args):
+        raise RuntimeError("no construction here")
+    return wrong
+
+
+WRONG_VARIANTS = [
+    ("dual", lambda original: lambda h: h),
+    ("dual", lambda original: _rotated),
+    ("triangle_dual", lambda original: lambda h: h),
+    ("triangle_dual", lambda original: _rotated),
+    ("contrary", lambda original: lambda h: h),
+    ("contrary", lambda original: _rotated),
+    ("nabla", lambda original: lambda h: h),
+    ("nabla", lambda original: _rotated),
+    ("face_code", lambda original: _max_special(original, lambda h: h.edges)),
+    ("edge_code", lambda original: _max_special(original, lambda h: h.faces)),
+    ("dual", _raising),
+    ("face_code", _raising),
+]
+
+
+def _failing(report):
+    return {c.name for c in report.checks if c.failures}
+
+
+def _patch_everywhere(monkeypatch, name, wrong):
+    """Bind ``name`` to ``wrong`` in every module of the package that binds
+    the original (its functions call each other) and in the oracle."""
+    original = getattr(verify, name)
+    modules = [m for n, m in sys.modules.items() if n.startswith("hypermap_codes")]
+    for module in modules + [slow_paths]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrong)
+
+
+@pytest.mark.parametrize("name,variant", WRONG_VARIANTS,
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(WRONG_VARIANTS)])
+def test_wrong_construction_fails_the_same_checks(name, variant, monkeypatch):
+    _patch_everywhere(monkeypatch, name, variant(getattr(verify, name)))
+    new = run_verification(60, 8, 11)
+    old = slow_paths.run_verification(60, 8, 11)
+    assert _failing(new) == _failing(old)
+    assert _failing(new), f"no check noticed a wrong {name}"
+    assert new.render() == old.render()
+
+
+def test_each_named_construction_is_noticed(monkeypatch):
+    """Patching only the verify module's binding still fails a check named
+    for that construction: the record calls the module-level name."""
+    named = {"dual": "dual-", "triangle_dual": "triangle-dual-", "contrary": "contrary-",
+             "nabla": "nabla-", "face_code": "face-", "edge_code": "face-edge-"}
+    for name, variant in WRONG_VARIANTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, variant(getattr(verify, name)))
+            failing = _failing(run_verification(60, 8, 11))
+        assert any(named[name] in check for check in failing), (name, failing)
+
+
+def test_raising_construction_fails_every_check_that_needs_it(monkeypatch):
+    """A property that raises is not cached: each check that needs it calls
+    the construction again and reports its own error."""
+    calls = []
+
+    def broken(h):
+        calls.append(h)
+        raise RuntimeError("no dual here")
+
+    monkeypatch.setattr(verify, "dual", broken)
+    report = run_verification(5, 6, 2)
+    failed = [c for c in report.checks if c.failures]
+    assert {c.name for c in failed} == {
+        "dual-involution", "dual-preserves-edges", "dual-swaps-vertices-faces",
+        "nabla-swaps-dual-edges-faces", "nabla-is-triangle-dual-of-dual",
+        "dual-face-nabla-edge-transfer"}
+    assert all(c.failures == 5 and c.first_failure.endswith(" raised RuntimeError: no dual here")
+               for c in failed)
+    assert len(calls) == len(failed) * 5
+
+
+# ---------------------------------------------------------------------------
+# each derived object is built once per map
+
+def _count_builds(monkeypatch, run, trials, max_darts, seed):
+    """(Hypermap constructions, quotient-code builds) per verified map."""
+    calls = {"init": 0, "quotient": 0}
+    init, quotient = Hypermap.__init__, chain._quotient_code
+
+    def counted_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+
+    def counted_quotient(*args):
+        calls["quotient"] += 1
+        return quotient(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Hypermap, "__init__", counted_init)
+        patch.setattr(chain, "_quotient_code", counted_quotient)
+        random_corpus(trials, max_darts, seed)
+        corpus_builds = calls["init"]
+        assert calls["quotient"] == 0
+        run(trials, max_darts, seed)
+    checks_builds = calls["init"] - 2 * corpus_builds
+    return checks_builds / trials, calls["quotient"] / trials
+
+
+def test_record_builds_each_derived_object_once_per_map(monkeypatch):
+    assert _count_builds(monkeypatch, run_verification, 50, 10, 4) == (9, 7)
+    # the oracle, as each check built its own
+    assert _count_builds(monkeypatch, slow_paths.run_verification, 50, 10, 4) == (23, 10)
+
+
+def test_record_shares_per_map_objects(torus8):
+    x = verify.Derived(torus8)
+    assert x.dual is x.dual and x.face_code is x.face_code
+    assert x.per_edge.kind == PER_EDGE and x.per_face.kind == PER_FACE
+    assert x.face_code.special is x.per_edge
+    assert x.face_k == 2

@@ -39,7 +39,7 @@ from .hypermap import (
     triangle_dual,
 )
 from .perm import MAX_DARTS, format_cycles
-from .reduce import reduce_to_surface, validate_surface
+from .reduce import CellComplex, reduce_to_surface, validate_surface
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -49,7 +49,6 @@ EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_DISTANCE_BUDGET = 6
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # counts below 10 -> ASCII
 
 
 class UnreadableInput(Exception):
@@ -146,6 +145,18 @@ def cmd_code(args) -> int:
     return EXIT_OK
 
 
+def _count_rows(c: CellComplex) -> list[str]:
+    """One line per 1-cell cut from an all-zero line; single-digit counts put column j at 2j."""
+    zeros, lines = " ".join("0" * len(c.two_cells)), []
+    for pairs in c.counts21:
+        parts, at = [], 0
+        for j, v in pairs:
+            parts += zeros[at:2 * j], str(v)
+            at = 2 * j + 1
+        lines.append("".join(parts) + zeros[at:])
+    return lines
+
+
 def cmd_reduce(args) -> int:
     h, file_special = load_hypermap(args.file)
     s = _resolve_special(h, FACE, args.special, file_special)
@@ -153,9 +164,8 @@ def cmd_reduce(args) -> int:
     print(f"zero-cells: {len(complex_.zero_cells)}")
     print("one-cells: " + " ".join(str(i + 1) for i in complex_.one_cells))
     print(f"two-cells: {len(complex_.two_cells)}")
-    print("incidence 2->1 counts (rows = 1-cells, cols = 2-cells):")
-    for row in complex_.incidence21:  # counts are 0, 1 or 2: one byte each
-        print(" ".join(bytes(row).translate(_DIGITS).decode()))
+    print("\n".join(["incidence 2->1 counts (rows = 1-cells, cols = 2-cells):",
+                     *_count_rows(complex_)]))
     print("incidence 1->0 (rows = 0-cells, cols = 1-cells):")
     print(gf2.render(complex_.incidence10))
     print(validate_surface(complex_, h, s).render())
@@ -218,11 +228,13 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _int_in_range(low: int, high: int | None = None) -> Callable[[str], int]:
-    """An argparse ``type=`` that accepts integers >= ``low`` and, if given, <= ``high``."""
+def _int_in_range(low: int | None = None, high: int | None = None) -> Callable[[str], int]:
+    """An argparse ``type=``: ASCII ``-?[0-9]+``, >= ``low`` and <= ``high`` where given."""
     def parse(text: str) -> int:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError(text)  # argparse: "invalid int value: '+3'"
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
@@ -300,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity/equivalence suite on random hypermaps")
     p.add_argument("--trials", type=_int_in_range(1), default=500)
     p.add_argument("--max-darts", type=_int_in_range(1, MAX_DARTS), default=10)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_int_in_range(), default=7)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="emit a random hypermap file")
     p.add_argument("--darts", type=_int_in_range(1, MAX_DARTS), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in_range(), default=0)
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("export", help="DOT or JSON export")

@@ -156,6 +156,7 @@ def parse_json(text: str):
             raise ValueError(f"incidence21 is not {len(one)} x {len(two)} (1-cells x 2-cells)")
         if (incidence10.rows, incidence10.cols) != (len(zero), len(one)):
             raise ValueError(f"incidence10 is not {len(zero)} x {len(one)} (0-cells x 1-cells)")
+        counts = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
         return CellComplex(zero_cells=zero, one_cells=one, two_cells=two,
-                           incidence21=tuple(tuple(row) for row in rows), incidence10=incidence10)
+                           counts21=counts, incidence10=incidence10)
     raise ValueError(f"unknown artifact type {kind!r}")

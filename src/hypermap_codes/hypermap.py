@@ -322,7 +322,7 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
     special: frozenset[int] | None = None
     if len(fields) == 4:
         lineno, col, _, value = fields[3]
-        labels = []
+        labels: set[int] = set()
         offset = 0
         for token in value.split():
             offset = value.index(token, offset)
@@ -333,7 +333,7 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
             label = int(token) - 1
             if label in labels:
                 raise ParseError(lineno, col + offset, f"special dart {token} appears twice")
-            labels.append(label)
+            labels.add(label)
             offset += len(token)
         special = frozenset(labels)
 

@@ -11,13 +11,16 @@ Conventions used throughout the package:
   orbit families of ``Hypermap``, with their index maps, come from it.
 - Labels are 0-based internally.  The cycle-notation text format
   (``"(4 3 2 1)(5 7 8 6)"``) is 1-based and is the only place where the
-  off-by-one conversion happens.
+  off-by-one conversion happens.  ``parse_cycles`` reads it with one
+  grammar scan and list checks; a character walker only names errors.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 Cycles = tuple[tuple[int, ...], ...]
 
@@ -168,6 +171,11 @@ class CycleParseError(ValueError):
         self.col = col
 
 
+# The cycle grammar (``\s`` is the str.isspace set).  A label run ends at whitespace
+# or ")", so a failed match backtracks over each character a bounded number of times.
+_CYCLE_TEXT = re.compile(r"\s*(?:\(\s*(?:[0-9]+(?:\s+[0-9]+)*\s*)?\)\s*)*")
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation like ``"(4 3 2 1)(5 7 8 6)"``.
 
@@ -175,13 +183,36 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     recovered from the cycles alone, so it is passed in and must lie in
     1..MAX_DARTS.  A label that appears twice (in one cycle or across
     cycles) is an error.
+
+    Text that matches the grammar is split and checked as lists; text that
+    the scan or a check refuses goes to the walker, to name the first error.
     """
     if degree < 1:
         raise CycleParseError("degree must be at least 1", 1)
     if degree > MAX_DARTS:
         raise CycleParseError(f"degree must be at most {MAX_DARTS}", 1)
-    width = len(str(degree))
+    if not _CYCLE_TEXT.fullmatch(text):
+        _raise_first_error(text, degree)
+    try:
+        cycles = [list(map(int, piece.partition("(")[2].split()))
+                  for piece in text.split(")")[:-1]]
+    except ValueError:  # int() refuses labels of over 4300 digits
+        _raise_first_error(text, degree)
+    labels = [label for cycle in cycles for label in cycle]
+    if labels and (min(labels) < 1 or max(labels) > degree) or len(set(labels)) < len(labels):
+        _raise_first_error(text, degree)
     images = list(range(degree))
+    for cycle in filter(None, cycles):  # "()" is an empty cycle
+        b = cycle[0]  # each label maps to the next; the last to the first
+        for a in reversed(cycle):
+            images[a - 1] = b - 1
+            b = a
+    return Permutation(tuple(images))
+
+
+def _raise_first_error(text: str, degree: int) -> NoReturn:
+    """Walk refused cycle text one character at a time and raise its first error."""
+    width = len(str(degree))
     used = [False] * degree
     pos = 0
     n_chars = len(text)
@@ -193,7 +224,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         if ch != "(":
             raise CycleParseError(f"expected '(' but found {ch!r}", pos + 1)
         pos += 1
-        entries: list[int] = []
         while True:
             while pos < n_chars and text[pos].isspace():
                 pos += 1
@@ -219,10 +249,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             if used[label - 1]:
                 raise CycleParseError(f"dart label {label} appears twice", start + 1)
             used[label - 1] = True
-            entries.append(label - 1)
-        for i, a in enumerate(entries):
-            images[a] = entries[(i + 1) % len(entries)]
-    return Permutation(tuple(images))
+    raise AssertionError(f"no error found in refused cycle text {text!r}")
 
 
 def format_cycles(p: Permutation) -> str:

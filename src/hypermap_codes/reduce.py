@@ -9,12 +9,15 @@ is the lift of the face code's boundary matrix: a weight-2 row becomes two
 face.  Mod 2 the counts give the face code back, while their row totals
 witness the closed-surface condition: every 1-cell must be traversed
 exactly twice overall.
+
+The counts are stored sparse, as each 1-cell's nonzero ``(column, count)``
+pairs, so the complex is built, checked and printed in time linear in the
+darts; ``CellComplex.incidence21`` is the derived dense table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
 
 from . import gf2
 from .chain import face_code
@@ -28,26 +31,31 @@ class CellComplex:
 
     ``zero_cells`` are vertex orbit minima, ``one_cells`` non-special
     dart labels, ``two_cells`` face orbit minima (all 0-based).
-    ``incidence21`` has one row per 1-cell and one column per 2-cell;
-    ``incidence10`` is 0-cells x 1-cells over GF(2).
+    ``counts21`` holds each 1-cell's ``(column, count)`` pairs, sorted by
+    2-cell column with zero counts left out; ``incidence21`` is their dense
+    1-cells x 2-cells view.  ``incidence10`` is 0-cells x 1-cells over GF(2).
     """
 
     zero_cells: tuple[int, ...]
     one_cells: tuple[int, ...]
     two_cells: tuple[int, ...]
-    incidence21: tuple[tuple[int, ...], ...]
+    counts21: tuple[tuple[tuple[int, int], ...], ...]
     incidence10: BitMatrix
 
     @property
     def euler_characteristic(self) -> int:
         return len(self.zero_cells) - len(self.one_cells) + len(self.two_cells)
 
+    @property
+    def incidence21(self) -> tuple[tuple[int, ...], ...]:
+        rows = [[0] * len(self.two_cells) for _ in self.counts21]
+        for row, pairs in zip(rows, self.counts21):
+            for j, v in pairs:
+                row[j] = v
+        return tuple(map(tuple, rows))
+
     def incidence21_mod2(self) -> BitMatrix:
-        # compress(count(), row) visits only the columns with a nonzero count
-        bits = tuple(
-            sum(1 << j for j in compress(count(), row) if row[j] & 1)
-            for row in self.incidence21
-        )
+        bits = tuple(sum(1 << j for j, v in pairs if v & 1) for pairs in self.counts21)
         return BitMatrix(len(self.one_cells), len(self.two_cells), bits)
 
 
@@ -87,21 +95,16 @@ def reduce_to_surface(h: Hypermap, s: SpecialDarts) -> CellComplex:
     the same stabilizer code and homology.
     """
     code = face_code(h, s)
-    width = len(code.z_labels)
-    counts = []
-    for dart, row in zip(code.qubit_labels, code.boundary2.bits):
-        entries = [0] * width
-        if row:  # exactly two bits, one per side
-            top = row.bit_length() - 1
-            entries[top] = entries[(row ^ (1 << top)).bit_length() - 1] = 1
-        else:  # both sides are the dart's own face
-            entries[h.face_of(dart)] = 2
-        counts.append(tuple(entries))
+    counts = tuple(
+        # weight 2: a side in each of two faces; weight 0: both in the dart's face
+        (((row & -row).bit_length() - 1, 1), (row.bit_length() - 1, 1)) if row
+        else ((h.face_of(dart), 2),)
+        for dart, row in zip(code.qubit_labels, code.boundary2.bits))
     return CellComplex(
         zero_cells=code.x_labels,
         one_cells=code.qubit_labels,
         two_cells=code.z_labels,
-        incidence21=tuple(counts),
+        counts21=counts,
         incidence10=code.boundary1,
     )
 
@@ -121,11 +124,8 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
     def check(name: str, ok: bool, detail: str) -> None:
         checks.append(CheckResult(name, ok, "" if ok else detail))
 
-    bad_closure = [
-        (c.one_cells[i], total)
-        for i, row in enumerate(c.incidence21)
-        if (total := sum(row)) != 2
-    ]
+    bad_closure = [(dart, total) for dart, pairs in zip(c.one_cells, c.counts21)
+                   if (total := sum(v for _, v in pairs)) != 2]
     check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
         f"{dart + 1} (total {total})" for dart, total in bad_closure))
 

@@ -11,15 +11,26 @@ orbit family, a composed face permutation and a second pass per family
 for the dart -> orbit index.  The verify suite is kept as it ran before
 its checks shared a per-map record: check by check over the corpus, each
 predicate taking the hypermap and building every derived map and code it
-needs itself.  The fast paths must return exactly what these do.
+needs itself.  The cycle-notation parser is kept as the character walker
+it was before the grammar scan, and the surface reduction as the dense
+1-cells x 2-cells count table, with its mod-2 projection, validation and
+``reduce`` row rendering.  The fast paths must return exactly what these
+do.
 """
 
+from dataclasses import dataclass
+
 from hypermap_codes import (
+    MAX_DARTS,
     PER_EDGE,
     PER_FACE,
     BitMatrix,
+    CheckResult,
+    CycleParseError,
+    Permutation,
     SpecialDartError,
     SpecialDarts,
+    SurfaceReport,
     assemble,
     check_nabla_identity,
     compose,
@@ -394,3 +405,124 @@ def run_verification(trials, max_darts, seed, checks=None):
                     first = repr(h) + error
         outcomes.append(CheckOutcome(name, failures, len(corpus), first))
     return VerificationReport(trials, max_darts, seed, tuple(outcomes))
+
+
+# ---------------------------------------------------------------------------
+# the cycle-notation parser, one character at a time
+
+def parse_cycles(text, degree):
+    if degree < 1:
+        raise CycleParseError("degree must be at least 1", 1)
+    if degree > MAX_DARTS:
+        raise CycleParseError(f"degree must be at most {MAX_DARTS}", 1)
+    width = len(str(degree))
+    images = list(range(degree))
+    used = [False] * degree
+    pos = 0
+    n_chars = len(text)
+    while pos < n_chars:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch != "(":
+            raise CycleParseError(f"expected '(' but found {ch!r}", pos + 1)
+        pos += 1
+        entries = []
+        while True:
+            while pos < n_chars and text[pos].isspace():
+                pos += 1
+            if pos >= n_chars:
+                raise CycleParseError("unclosed cycle: missing ')'", n_chars + 1)
+            if text[pos] == ")":
+                pos += 1
+                break
+            start = pos
+            while pos < n_chars and not text[pos].isspace() and text[pos] != ")":
+                pos += 1
+            token = text[start:pos]
+            if not (token.isascii() and token.isdigit()):
+                raise CycleParseError(f"expected a dart label, found {token!r}", start + 1)
+            if len(token) > width and len(token.lstrip("0")) > width:
+                raise CycleParseError(
+                    f"dart label of {len(token.lstrip('0'))} digits outside 1..{degree}",
+                    start + 1)
+            label = int(token)
+            if not 1 <= label <= degree:
+                raise CycleParseError(f"dart label {label} outside 1..{degree}", start + 1)
+            if used[label - 1]:
+                raise CycleParseError(f"dart label {label} appears twice", start + 1)
+            used[label - 1] = True
+            entries.append(label - 1)
+        for i, a in enumerate(entries):
+            images[a] = entries[(i + 1) % len(entries)]
+    return Permutation(tuple(images))
+
+
+# ---------------------------------------------------------------------------
+# the surface reduction as a dense count table
+
+@dataclass(frozen=True)
+class DenseComplex:
+    zero_cells: tuple
+    one_cells: tuple
+    two_cells: tuple
+    incidence21: tuple  # one row of counts per 1-cell, one column per 2-cell
+    incidence10: BitMatrix
+
+    @property
+    def euler_characteristic(self):
+        return len(self.zero_cells) - len(self.one_cells) + len(self.two_cells)
+
+    def incidence21_mod2(self):
+        return mod2_projection(self.incidence21, len(self.two_cells))
+
+
+def dense_reduce_to_surface(h, s):
+    code = face_code(h, s)
+    width = len(code.z_labels)
+    counts = []
+    for dart, row in zip(code.qubit_labels, code.boundary2.bits):
+        entries = [0] * width
+        if row:  # exactly two bits, one per side
+            top = row.bit_length() - 1
+            entries[top] = entries[(row ^ (1 << top)).bit_length() - 1] = 1
+        else:  # both sides are the dart's own face
+            entries[h.face_of(dart)] = 2
+        counts.append(tuple(entries))
+    return DenseComplex(code.x_labels, code.qubit_labels, code.z_labels,
+                        tuple(counts), code.boundary1)
+
+
+def dense_validate_surface(c, h=None, s=None):
+    checks = []
+
+    def check(name, ok, detail):
+        checks.append(CheckResult(name, ok, "" if ok else detail))
+
+    bad_closure = [(c.one_cells[i], sum(row)) for i, row in enumerate(c.incidence21)
+                   if sum(row) != 2]
+    check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
+        f"{dart + 1} (total {total})" for dart, total in bad_closure))
+    mod2 = c.incidence21_mod2()
+    check("chain-condition", is_zero(gf2_multiply(c.incidence10, mod2)),
+          "incidence10 * incidence21 != 0 mod 2")
+    chi = c.euler_characteristic
+    check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
+    if h is not None and s is not None:
+        code = face_code(h, s)
+        check("face-code-z-match", mod2 == code.boundary2,
+              "incidence21 mod 2 differs from the face-code boundary")
+        check("face-code-x-match", c.incidence10 == code.boundary1,
+              "incidence10 differs from the face-code vertex boundary")
+        check("euler-match", chi == euler_characteristic(h),
+              f"complex chi {chi} != hypermap chi {euler_characteristic(h)}")
+    return SurfaceReport(checks=tuple(checks), euler_characteristic=chi)
+
+
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # counts below 10 -> ASCII
+
+
+def render_count_rows(c):
+    """The ``reduce`` table: one line per 1-cell, its counts joined by spaces."""
+    return [" ".join(bytes(row).translate(_DIGITS).decode()) for row in c.incidence21]

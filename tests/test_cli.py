@@ -545,6 +545,19 @@ def test_out_of_range_arguments_are_usage_errors(argv, torus_file, capsys):
     assert "usage:" in err and "must be at least" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "٥"],
+    ["random", "--darts", "+3"],
+    ["random", "--darts", "3", "--seed", "1_0"],
+])
+def test_numeric_flags_take_ascii_decimal_digits_only(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"invalid int value: {argv[-1]!r}" in err
+
+
 def test_distance_budget_zero_still_works(torus_file, capsys):
     code, out, _ = run_cli(capsys, "distance", torus_file, "--kind", "face",
                            "--budget", "0")

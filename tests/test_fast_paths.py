@@ -4,11 +4,20 @@ The hypothesis strategies here draw matrices taller than 64 rows and
 wider than 64 columns, so rows span several machine words, and control
 their rank and density, so the XOR basis meets dependent, sparse and
 dense rows.  Permutation pairs are drawn with up to 60 darts, split into
-blocks so that many are disconnected, for the orbit build.
+blocks so that many are disconnected, for the orbit build.  Cycle text
+is drawn valid, with random whitespace, leading zeros, written-out fixed
+points and empty cycles, and then broken by one mutation, for the cycle
+parser.  The sparse cell complex is compared with the dense count table
+on every small special set, the corpus and square-lattice tori, and on
+corrupted counts.
 """
 
 import itertools
+import json
 import random
+import re
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,24 +33,32 @@ from hypermap_codes import (
     SpecialDarts,
     assemble,
     connected_components,
+    cycle_decomposition,
     default_special_darts,
     echelon_form,
     edge_code,
+    export_json,
     face_code,
     full_code,
     in_row_space,
     is_transitive,
     kernel_basis,
     multiply,
+    parse_cycles,
+    parse_json,
     random_corpus,
     random_hypermap,
     rank,
     reduce_to_surface,
     render,
+    special_darts,
     stabilizer_strings,
     to_strings,
     transpose,
+    validate_surface,
 )
+from hypermap_codes import perm
+from hypermap_codes.cli import _count_rows
 from conftest import square_torus
 from test_exhaustive_small import all_hypermaps
 
@@ -259,3 +276,168 @@ def test_random_corpus_checks_transitivity_once_per_draw(monkeypatch):
     assert calls["is_transitive"] == draws
     assert calls["connected_components"] == draws - len(corpus)
     assert corpus == random_corpus(200, 6, 3)
+
+
+# ---------------------------------------------------------------------------
+# the cycle parser: grammar scan and list checks against the character walker
+
+_GAPS = " \t\n\u00a0\x0b"  # the walker's str.isspace takes every one
+
+
+def _gap(rng, least):
+    return "".join(rng.choice(_GAPS) for _ in range(rng.randint(least, least + 2)))
+
+
+@st.composite
+def cycle_texts(draw, max_degree=30):
+    """(text, degree, permutation): ``text`` spells the permutation in cycle
+    notation with drawn gaps, leading zeros, 1-cycles and empty cycles."""
+    degree = draw(st.integers(1, max_degree))
+    p = Permutation(tuple(draw(st.permutations(range(degree)))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cycles = [c for c in cycle_decomposition(p) if len(c) > 1 or rng.random() < 0.5]
+    cycles += [()] * rng.randint(0, 2)
+    rng.shuffle(cycles)
+    parts = []
+    for cycle in cycles:
+        turn = rng.randrange(len(cycle)) if cycle else 0
+        labels = ["0" * rng.choice((0, 0, 1, 3)) + str(x + 1) for x in cycle[turn:] + cycle[:turn]]
+        inner = "".join(f"{_gap(rng, 1)}{label}" for label in labels)[1:] if labels else ""
+        parts.append(f"{_gap(rng, 0)}({_gap(rng, 0)}{inner}{_gap(rng, 0)})")
+    return "".join(parts) + _gap(rng, 0), degree, p
+
+
+def _outcome(parse, text, degree):
+    """What a parser returns, or its error's type, message and column."""
+    try:
+        return parse(text, degree)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "col", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cycle_texts())
+def test_parse_cycles_matches_oracle_on_valid_text(drawn):
+    text, degree, p = drawn
+    with mock.patch.object(perm, "_raise_first_error", side_effect=AssertionError("walked")):
+        assert parse_cycles(text, degree) == p  # valid text never reaches the walker
+    assert slow_paths.parse_cycles(text, degree) == p
+
+
+def _mutate(text, degree, rng):
+    """``text`` with one mutation that the grammar or a list check refuses."""
+    labels = [m.span() for m in re.finditer(r"[0-9]+", text)]
+    kind = rng.choice(["drop", "paren", "char", "zero", "high", "long", "repeat"] if labels
+                      else ["drop", "paren", "char"])
+    at = rng.randint(0, len(text))
+    if kind == "drop":
+        spots = [i for i, ch in enumerate(text) if ch in "()"]
+        if spots:
+            i = rng.choice(spots)
+            return text[:i] + text[i + 1:]
+        kind = "paren"
+    if kind in ("paren", "char"):
+        insert = rng.choice("()" if kind == "paren" else ["\u0663", "+", "_"])
+        return text[:at] + insert + text[at:]
+    start, end = rng.choice(labels)
+    if kind == "repeat":
+        other = rng.choice(labels)
+        if len(labels) > 1 and other != (start, end):
+            return text[:start] + text[other[0]:other[1]] + text[end:]
+        return text[:start] + text[start:end] + " " + text[start:end] + text[end:]
+    label = {"zero": "0", "high": str(degree + 1),
+             "long": "1" + "0" * (len(str(degree)) + rng.randint(0, 5))}[kind]
+    return text[:start] + label + text[end:]
+
+
+@settings(max_examples=600, deadline=None)
+@given(cycle_texts(), st.integers(0, 2**32 - 1))
+def test_parse_cycles_matches_oracle_on_mutated_text(drawn, seed):
+    text, degree, _ = drawn
+    broken = _mutate(text, degree, random.Random(seed))
+    expected = _outcome(slow_paths.parse_cycles, broken, degree)
+    assert type(expected) is tuple, (broken, expected)  # every mutation is an error
+    assert _outcome(parse_cycles, broken, degree) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "(" + "1 " * 200_000, "(1" + " " * 200_000 + "x",
+    "(" + "1" * 5000 + ")", "(2 " + "0" * 5000 + "1)",  # past int()'s 4300 digits
+])
+def test_parse_cycles_refuses_long_bad_text_in_linear_time(text):
+    start = time.perf_counter()
+    assert _outcome(parse_cycles, text, 10) == _outcome(slow_paths.parse_cycles, text, 10)
+    assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the sparse cell complex against the dense count table
+
+def _assert_same_complex(c, d, h=None, s=None):
+    assert c.incidence21 == d.incidence21
+    assert c.incidence21_mod2() == d.incidence21_mod2()
+    assert validate_surface(c) == slow_paths.dense_validate_surface(d)
+    if h is not None:
+        assert validate_surface(c, h, s) == slow_paths.dense_validate_surface(d, h, s)
+    assert parse_json(export_json(c)) == c
+
+
+def _assert_complex_matches_oracle(h, s):
+    c = reduce_to_surface(h, s)
+    d = slow_paths.dense_reduce_to_surface(h, s)
+    _assert_same_complex(c, d, h, s)
+    assert _count_rows(c) == slow_paths.render_count_rows(d)
+
+
+def test_cell_complex_matches_oracle_on_small_sweep():
+    for h in all_hypermaps(4):
+        for s in _every_special_set(h.edges, PER_EDGE):
+            _assert_complex_matches_oracle(h, s)
+
+
+def test_cell_complex_matches_oracle_on_corpus(torus8, corpus):
+    _assert_complex_matches_oracle(torus8, special_darts(torus8, {1, 4}, PER_EDGE))
+    for h in [torus8] + corpus:
+        _assert_complex_matches_oracle(h, default_special_darts(h, PER_EDGE))
+
+
+@pytest.mark.parametrize("size", range(3, 9))
+def test_cell_complex_matches_oracle_on_square_torus(size):
+    h = square_torus(size)
+    _assert_complex_matches_oracle(h, default_special_darts(h, PER_EDGE))
+
+
+def _corruptions(rows, rng):
+    """Named copies of a dense count table with one count made wrong."""
+    i = rng.randrange(len(rows))
+    j = rng.choice([j for j, v in enumerate(rows[i]) if v])
+    others = [k for k in range(len(rows[i])) if k != j]
+
+    def changed(*edits):
+        out = [list(row) for row in rows]
+        for col, delta in edits:
+            out[i][col] += delta
+        return out
+    named = {"decremented": changed((j, -1)), "three": changed((j, 3 - rows[i][j])),
+             "negative": changed((j, -1 - rows[i][j]))}
+    if others:
+        named["moved"] = changed((j, -1), (rng.choice(others), 1))
+    return named
+
+
+def test_corrupted_counts_read_from_json_match_oracle(torus8, corpus):
+    rng = random.Random(8)
+    for h in [torus8] + corpus[:100]:
+        s = default_special_darts(h, PER_EDGE)
+        d = slow_paths.dense_reduce_to_surface(h, s)
+        if not d.incidence21:
+            continue
+        doc = json.loads(export_json(reduce_to_surface(h, s)))
+        for name, rows in _corruptions(d.incidence21, rng).items():
+            c = parse_json(json.dumps({**doc, "incidence21": rows}))
+            bad = slow_paths.DenseComplex(d.zero_cells, d.one_cells, d.two_cells,
+                                          tuple(map(tuple, rows)), d.incidence10)
+            _assert_same_complex(c, bad, h, s)
+            assert not validate_surface(c, h, s).passed, name
+            if name != "negative":
+                assert _count_rows(c) == slow_paths.render_count_rows(bad)

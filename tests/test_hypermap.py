@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -279,6 +280,24 @@ def test_parse_hypermap_errors(text, line):
         parse_hypermap(text)
     assert err.value.line == line
     assert err.value.col >= 1
+
+
+def test_special_line_of_every_dart_parses_in_linear_time():
+    n = 20_000
+    labels = " ".join(str(i) for i in range(1, n + 1))
+    text = f"darts: {n}\nalpha: ()\nsigma: ({labels})\nspecial: {labels}\n"
+    start = time.perf_counter()
+    _, special = parse_hypermap(text)
+    assert time.perf_counter() - start < 1.0
+    assert special == frozenset(range(n))
+
+
+def test_repeated_special_dart_names_its_line_and_column():
+    text = "darts: 3\nalpha: (1 2 3)\nsigma: ()\nspecial: 3  1 03\n"
+    with pytest.raises(ParseError) as err:
+        parse_hypermap(text)
+    assert (err.value.line, err.value.col, err.value.message) == (
+        4, 15, "special dart 03 appears twice")
 
 
 def test_parse_error_reports_column():

@@ -87,11 +87,12 @@ def test_validation_passes_on_corpus(corpus):
 def test_validation_catches_missing_incidence(torus8):
     s = special_darts(torus8, {1, 4}, PER_EDGE)
     c = reduce_to_surface(torus8, s)
-    rows = [list(r) for r in c.incidence21]
-    target = next(
-        (i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
-    rows[target[0]][target[1]] -= 1
-    broken = replace(c, incidence21=tuple(tuple(r) for r in rows))
+    rows = [list(pairs) for pairs in c.counts21]
+    target = next((i, 0) for i, pairs in enumerate(rows) if pairs)
+    j, v = rows[target[0]].pop(target[1])
+    if v > 1:  # a zero count is left out
+        rows[target[0]].insert(target[1], (j, v - 1))
+    broken = replace(c, counts21=tuple(tuple(pairs) for pairs in rows))
     report = validate_surface(broken)
     closure = next(ch for ch in report.checks if ch.name == "one-cell-closure")
     assert not closure.passed

@@ -38,7 +38,8 @@ def main() -> None:
     print(f"surface: chi={euler_characteristic(h)}, genus={genus(h)}")
 
     s = special_darts(h, {1, 4}, PER_EDGE)  # darts 2 and 5, 1-based
-    code = assemble(face_code(h, s))
+    face = face_code(h, s)  # built once: the code, the reduction and its validation share it
+    code = assemble(face)
     print(f"\nface code: n={code.n}, k={code.k}")
     print("H_X:\n" + render(code.hx))
     print("H_Z:\n" + render(code.hz))
@@ -52,8 +53,8 @@ def main() -> None:
     print(f"edge code of the triangle dual matches: "
           f"{twin.hx == code.hx and twin.hz == code.hz}")
 
-    complex_ = reduce_to_surface(h, s)
-    report = validate_surface(complex_, h, s)
+    complex_ = reduce_to_surface(h, face)
+    report = validate_surface(complex_, h, face)
     print(f"\nsurface reduction: {len(complex_.zero_cells)}/{len(complex_.one_cells)}/"
           f"{len(complex_.two_cells)} cells, chi={complex_.euler_characteristic}")
     print(f"surface validation: {'PASS' if report.passed else 'FAIL'}")

@@ -16,7 +16,7 @@ is expanded by that substitution.  After it every qubit has exactly two
 sides: its own Z-orbit, and the Z-orbit of the special dart of its
 eliminating orbit (its edge for face codes, its face for edge codes).
 Its ``boundary2`` row is the XOR of those two bits, zero when they
-coincide.
+coincide.  Sides and endpoints are read from the orbit index tables.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .hypermap import (
     SpecialDarts,
     special_darts,
 )
-from .perm import inverse
 
 FACE = "face"
 EDGE = "edge"
@@ -95,11 +94,13 @@ def _dart_incidence(h: Hypermap, orbits) -> BitMatrix:
 
 def _endpoint_matrix(h: Hypermap, qubits: Sequence[int]) -> BitMatrix:
     """Vertex boundary restricted to the given darts (vertices x qubits)."""
-    alpha_inv = inverse(h.alpha)
+    head_of = h.vertex_index
+    tail_of = [0] * h.n  # tail_of[d] = v(alpha^-1(d)): alpha sends i to d
+    for i, d in enumerate(h.alpha.images):
+        tail_of[d] = head_of[i]
     bits = [0] * len(h.vertices)
     for col, dart in enumerate(qubits):
-        head = h.vertex_of(dart)
-        tail = h.vertex_of(alpha_inv(dart))
+        head, tail = head_of[dart], tail_of[dart]
         if head != tail:
             bits[head] |= 1 << col
             bits[tail] |= 1 << col
@@ -126,13 +127,15 @@ def _quotient_code(h: Hypermap, s: SpecialDarts, kind: str) -> QuotientCode:
         raise SpecialDartError(f"{kind} codes need a {per} special set, got {s.kind}")
     special_darts(h, s.darts, per)
     if kind == FACE:
-        z_orbits, z_of, eliminating_of = h.faces, h.face_of, h.edge_of
+        z_orbits, z_of, eliminating, eliminating_of = h.faces, h.face_index, h.edges, h.edge_index
     else:
-        z_orbits, z_of, eliminating_of = h.edges, h.edge_of, h.face_of
+        z_orbits, z_of, eliminating, eliminating_of = h.edges, h.edge_index, h.faces, h.face_index
     # the second side of a qubit: the Z-orbit of its eliminating orbit's special dart
-    special_side = {eliminating_of(dart): 1 << z_of(dart) for dart in s.darts}
+    special_side = [0] * len(eliminating)
+    for dart in s.darts:
+        special_side[eliminating_of[dart]] = 1 << z_of[dart]
     qubits = tuple(i for i in range(h.n) if i not in s.darts)
-    b2_bits = tuple((1 << z_of(q)) ^ special_side[eliminating_of(q)] for q in qubits)
+    b2_bits = tuple((1 << z_of[q]) ^ special_side[eliminating_of[q]] for q in qubits)
     return QuotientCode(
         kind=kind,
         special=s,

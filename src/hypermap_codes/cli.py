@@ -38,7 +38,7 @@ from .hypermap import (
     random_hypermap,
     triangle_dual,
 )
-from .perm import MAX_DARTS, format_cycles
+from .perm import MAX_DARTS, decimal_value, format_cycles
 from .reduce import CellComplex, reduce_to_surface, validate_surface
 from .verify import run_verification
 
@@ -146,21 +146,14 @@ def cmd_code(args) -> int:
 
 
 def _count_rows(c: CellComplex) -> list[str]:
-    """One line per 1-cell cut from an all-zero line; single-digit counts put column j at 2j."""
-    zeros, lines = " ".join("0" * len(c.two_cells)), []
-    for pairs in c.counts21:
-        parts, at = [], 0
-        for j, v in pairs:
-            parts += zeros[at:2 * j], str(v)
-            at = 2 * j + 1
-        lines.append("".join(parts) + zeros[at:])
-    return lines
+    """The ``reduce`` table: one line per 1-cell, its counts joined by spaces."""
+    return c.count_lines(" ")
 
 
 def cmd_reduce(args) -> int:
     h, file_special = load_hypermap(args.file)
-    s = _resolve_special(h, FACE, args.special, file_special)
-    complex_ = reduce_to_surface(h, s)
+    code = _build_quotient(h, FACE, args.special, file_special)
+    complex_ = reduce_to_surface(h, code)
     print(f"zero-cells: {len(complex_.zero_cells)}")
     print("one-cells: " + " ".join(str(i + 1) for i in complex_.one_cells))
     print(f"two-cells: {len(complex_.two_cells)}")
@@ -168,7 +161,7 @@ def cmd_reduce(args) -> int:
                      *_count_rows(complex_)]))
     print("incidence 1->0 (rows = 0-cells, cols = 1-cells):")
     print(gf2.render(complex_.incidence10))
-    print(validate_surface(complex_, h, s).render())
+    print(validate_surface(complex_, h, code).render())
     return EXIT_OK
 
 
@@ -223,8 +216,8 @@ def cmd_export(args) -> int:
         code = assemble(_build_quotient(h, args.kind, args.special, file_special))
         sys.stdout.write(export_json(code))
     else:
-        s = _resolve_special(h, FACE, args.special, file_special)
-        sys.stdout.write(export_json(reduce_to_surface(h, s)))
+        code = _build_quotient(h, FACE, args.special, file_special)
+        sys.stdout.write(export_json(reduce_to_surface(h, code)))
     return EXIT_OK
 
 
@@ -248,7 +241,7 @@ def _dart_label(text: str) -> int:
     special line, the flag takes ASCII decimal digits only and each dart once."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"special dart {text!r} is not a decimal label")
-    return int(text)
+    return decimal_value(text)
 
 
 class _DistinctDarts(argparse.Action):

@@ -91,11 +91,20 @@ def export_json(artifact, special: frozenset[int] | None = None) -> str:
         doc["zero_cells"] = [i + 1 for i in artifact.zero_cells]
         doc["one_cells"] = [i + 1 for i in artifact.one_cells]
         doc["two_cells"] = [i + 1 for i in artifact.two_cells]
-        doc["incidence21"] = [list(row) for row in artifact.incidence21]
+        doc["incidence21"] = None  # spliced in below, rendered from the sparse counts
         doc["incidence10"] = _matrix_json(artifact.incidence10)
     else:
         raise TypeError(f"cannot export {type(artifact).__name__} as JSON")
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2)
+    if isinstance(artifact, CellComplex):
+        text = text.replace('"incidence21": null', '"incidence21": ' + _incidence21_json(artifact))
+    return text + "\n"
+
+
+def _incidence21_json(c: CellComplex) -> str:
+    """The dense ``incidence21`` exactly as ``json.dumps(indent=2)`` prints it at depth 1."""
+    rows = [f"[\n      {line}\n    ]" if line else "[]" for line in c.count_lines(",\n      ")]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
 def parse_json(text: str):

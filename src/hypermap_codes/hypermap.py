@@ -39,6 +39,7 @@ from .perm import (
     as_partition,
     compose,
     connected_components,
+    decimal_value,
     format_cycles,
     inverse,
     is_transitive,
@@ -69,11 +70,11 @@ class Hypermap:
 
     Immutable after construction.  One flat search checks transitivity, and
     one walk per orbit family (``perm._orbits``) computes the vertex, edge
-    and face decompositions together with their dart -> orbit index maps.
+    and face decompositions and their dart -> orbit tables (``*_index``).
     """
 
     __slots__ = ("alpha", "sigma", "vertices", "edges", "faces",
-                 "_vertex_of", "_edge_of", "_face_of")
+                 "vertex_index", "edge_index", "face_index")
 
     def __init__(self, alpha: Permutation, sigma: Permutation):
         if alpha.degree != sigma.degree:
@@ -85,9 +86,9 @@ class Hypermap:
         faces = [0] * alpha.degree  # alpha^-1 sigma: i -> sigma(alpha^-1(i))
         for dart, i in enumerate(alpha.images):
             faces[i] = sigma.images[dart]
-        self.vertices, self._vertex_of = _orbits(sigma.images)
-        self.edges, self._edge_of = _orbits(alpha.images)
-        self.faces, self._face_of = _orbits(faces)
+        self.vertices, self.vertex_index = _orbits(sigma.images)
+        self.edges, self.edge_index = _orbits(alpha.images)
+        self.faces, self.face_index = _orbits(faces)
 
     @property
     def n(self) -> int:
@@ -96,13 +97,13 @@ class Hypermap:
 
     def vertex_of(self, dart: int) -> int:
         """Index (into ``vertices``) of the orbit containing ``dart``."""
-        return self._vertex_of[dart]
+        return self.vertex_index[dart]
 
     def edge_of(self, dart: int) -> int:
-        return self._edge_of[dart]
+        return self.edge_index[dart]
 
     def face_of(self, dart: int) -> int:
-        return self._face_of[dart]
+        return self.face_index[dart]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypermap):
@@ -305,9 +306,8 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
     if not (value.isascii() and value.isdigit()):
         raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
     # the length check runs first: int() refuses more than 4300 digits
-    if len(value.lstrip("0")) > len(str(MAX_DARTS)) or int(value) > MAX_DARTS:
+    if len(value.lstrip("0")) > len(str(MAX_DARTS)) or (n := decimal_value(value)) > MAX_DARTS:
         raise ParseError(lineno, col, f"dart count exceeds the limit of {MAX_DARTS}")
-    n = int(value)
     if n < 1:
         raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
 
@@ -327,10 +327,10 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         for token in value.split():
             offset = value.index(token, offset)
             if not (token.isascii() and token.isdigit()) \
-                    or len(token.lstrip("0")) > len(str(n)) or not 1 <= int(token) <= n:
+                    or len(token.lstrip("0")) > len(str(n)) or not 1 <= decimal_value(token) <= n:
                 raise ParseError(lineno, col + offset,
                                  f"special dart {token!r} outside 1..{n}")
-            label = int(token) - 1
+            label = decimal_value(token) - 1
             if label in labels:
                 raise ParseError(lineno, col + offset, f"special dart {token} appears twice")
             labels.add(label)

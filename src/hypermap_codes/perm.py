@@ -163,6 +163,11 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
     return Permutation(tuple(images))
 
 
+def decimal_value(digits: str) -> int:
+    """ASCII decimal digits read past their zero padding, which ``int()`` counts to its limit."""
+    return int(digits.lstrip("0") or "0")
+
+
 class CycleParseError(ValueError):
     """Malformed cycle-notation text; ``col`` is the 1-based offending column."""
 
@@ -193,11 +198,13 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         raise CycleParseError(f"degree must be at most {MAX_DARTS}", 1)
     if not _CYCLE_TEXT.fullmatch(text):
         _raise_first_error(text, degree)
+    pieces = [piece.partition("(")[2].split() for piece in text.split(")")[:-1]]
     try:
-        cycles = [list(map(int, piece.partition("(")[2].split()))
-                  for piece in text.split(")")[:-1]]
-    except ValueError:  # int() refuses labels of over 4300 digits
-        _raise_first_error(text, degree)
+        cycles = [list(map(int, labels)) for labels in pieces]
+    except ValueError:  # int() refuses over 4300 digits, leading zeros included
+        if any(len(label.lstrip("0")) > len(str(degree)) for labels in pieces for label in labels):
+            _raise_first_error(text, degree)
+        cycles = [list(map(decimal_value, labels)) for labels in pieces]
     labels = [label for cycle in cycles for label in cycle]
     if labels and (min(labels) < 1 or max(labels) > degree) or len(set(labels)) < len(labels):
         _raise_first_error(text, degree)
@@ -243,7 +250,7 @@ def _raise_first_error(text: str, degree: int) -> NoReturn:
                 raise CycleParseError(
                     f"dart label of {len(token.lstrip('0'))} digits outside 1..{degree}",
                     start + 1)
-            label = int(token)
+            label = decimal_value(token)
             if not 1 <= label <= degree:
                 raise CycleParseError(f"dart label {label} outside 1..{degree}", start + 1)
             if used[label - 1]:

@@ -12,7 +12,8 @@ exactly twice overall.
 
 The counts are stored sparse, as each 1-cell's nonzero ``(column, count)``
 pairs, so the complex is built, checked and printed in time linear in the
-darts; ``CellComplex.incidence21`` is the derived dense table.
+darts; ``CellComplex.incidence21`` is the derived dense table.  Both
+functions below take the face code that the caller built once.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2
-from .chain import face_code
+from .chain import FACE, QuotientCode
 from .gf2 import BitMatrix
-from .hypermap import Hypermap, SpecialDarts, euler_characteristic
+from .hypermap import Hypermap, euler_characteristic
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,17 @@ class CellComplex:
         bits = tuple(sum(1 << j for j, v in pairs if v & 1) for pairs in self.counts21)
         return BitMatrix(len(self.one_cells), len(self.two_cells), bits)
 
+    def count_lines(self, sep: str) -> list[str]:
+        """Each 1-cell's dense row joined by ``sep``, cut from one all-zero line."""
+        zeros, step, lines = sep.join("0" * len(self.two_cells)), len(sep) + 1, []
+        for pairs in self.counts21:
+            parts, at = [], 0
+            for j, v in pairs:
+                parts += zeros[at:step * j], str(v)
+                at = step * j + 1
+            lines.append("".join(parts) + zeros[at:])
+        return lines
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -87,18 +99,20 @@ class SurfaceReport:
         return "\n".join(lines)
 
 
-def reduce_to_surface(h: Hypermap, s: SpecialDarts) -> CellComplex:
-    """Build the surface-code cell complex of the face code of (h, s).
+def reduce_to_surface(h: Hypermap, code: QuotientCode) -> CellComplex:
+    """Build the surface-code cell complex of ``code``, a face code of ``h``
+    (``ValueError`` for another kind).
 
     The counts lift the face code's ``boundary2``, so their mod-2
     projection is exactly the face code: same boundary matrices, hence
     the same stabilizer code and homology.
     """
-    code = face_code(h, s)
+    if code.kind != FACE:
+        raise ValueError(f"the surface reduction needs a face code, got a {code.kind} code")
     counts = tuple(
         # weight 2: a side in each of two faces; weight 0: both in the dart's face
         (((row & -row).bit_length() - 1, 1), (row.bit_length() - 1, 1)) if row
-        else ((h.face_of(dart), 2),)
+        else ((h.face_index[dart], 2),)
         for dart, row in zip(code.qubit_labels, code.boundary2.bits))
     return CellComplex(
         zero_cells=code.x_labels,
@@ -110,14 +124,14 @@ def reduce_to_surface(h: Hypermap, s: SpecialDarts) -> CellComplex:
 
 
 def validate_surface(c: CellComplex, h: Hypermap | None = None,
-                     s: SpecialDarts | None = None) -> SurfaceReport:
+                     code: QuotientCode | None = None) -> SurfaceReport:
     """Check the cell-complex invariants; failures become report entries.
 
     Standalone checks: every 1-cell is traversed exactly twice in total,
     the two incidence maps compose to zero mod 2, and the Euler
-    characteristic is even.  Given the source hypermap and special set,
-    additionally check that the mod-2 complex reproduces the face code
-    and that the Euler characteristic matches the hypermap's.
+    characteristic is even.  Given the source hypermap and its face code,
+    additionally check that the mod-2 complex reproduces that code and
+    that the Euler characteristic matches the hypermap's.
     """
     checks = []
 
@@ -136,8 +150,7 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
     chi = c.euler_characteristic
     check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
 
-    if h is not None and s is not None:
-        code = face_code(h, s)
+    if h is not None and code is not None:
         check("face-code-z-match", incidence21_mod2 == code.boundary2,
               "incidence21 mod 2 differs from the face-code boundary")
         check("face-code-x-match", c.incidence10 == code.boundary1,

@@ -179,7 +179,7 @@ def _check_chain_conditions(x):
 
 
 def _check_closed_surface(x):
-    return validate_surface(reduce_to_surface(x.h, x.per_edge), x.h, x.per_edge).passed
+    return validate_surface(reduce_to_surface(x.h, x.face_code), x.h, x.face_code).passed
 
 
 VERIFY_CHECKS: list[tuple[str, Callable[[Derived], bool]]] = [

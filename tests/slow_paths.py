@@ -5,7 +5,10 @@ before their bit-parallel rewrite: column-by-column Gauss-Jordan
 elimination, a popcount per output entry, a string character per matrix
 entry, a shift per qubit, and the walk of every Z-orbit that expands each
 special dart into the rest of its eliminating orbit, with the mod-2
-projection of the resulting count table.  The orbit build of a hypermap
+projection of the resulting count table.  The face and edge codes are
+kept as they were built before they read the orbit index tables: each
+tail vertex found through ``inverse(alpha)`` and the special sides held
+in a dict.  The orbit build of a hypermap
 is kept too: a union-find transitivity test, then one cycle walk per
 orbit family, a composed face permutation and a second pass per family
 for the dart -> orbit index.  The verify suite is kept as it ran before
@@ -14,20 +17,25 @@ predicate taking the hypermap and building every derived map and code it
 needs itself.  The cycle-notation parser is kept as the character walker
 it was before the grammar scan, and the surface reduction as the dense
 1-cells x 2-cells count table, with its mod-2 projection, validation and
-``reduce`` row rendering.  The fast paths must return exactly what these
-do.
+``reduce`` row rendering; ``reduce_to_surface(h, s)`` and
+``validate_surface(c, h, s)`` are kept as they were when each built the
+face code of the special set itself.  The fast paths must return exactly
+what these do.
 """
 
 from dataclasses import dataclass
 
 from hypermap_codes import (
+    FACE,
     MAX_DARTS,
     PER_EDGE,
     PER_FACE,
     BitMatrix,
+    CellComplex,
     CheckResult,
     CycleParseError,
     Permutation,
+    QuotientCode,
     SpecialDartError,
     SpecialDarts,
     SurfaceReport,
@@ -47,11 +55,9 @@ from hypermap_codes import (
     nabla,
     random_corpus,
     raw_complex,
-    reduce_to_surface,
     special_darts,
     transpose,
     triangle_dual,
-    validate_surface,
 )
 from hypermap_codes.perm import as_partition
 from hypermap_codes.verify import CheckOutcome, VerificationReport
@@ -190,6 +196,43 @@ def expansion_counts(h, s):
     for r, j in _expansion_hits(h, s, qubits):
         counts[r][j] += 1
     return tuple(tuple(row) for row in counts)
+
+
+def endpoint_matrix(h, qubits):
+    """Vertex boundary of the given darts, each tail found through inverse(alpha)."""
+    alpha_inv = inverse(h.alpha)
+    bits = [0] * len(h.vertices)
+    for col, dart in enumerate(qubits):
+        head = h.vertex_of(dart)
+        tail = h.vertex_of(alpha_inv(dart))
+        if head != tail:
+            bits[head] |= 1 << col
+            bits[tail] |= 1 << col
+    return BitMatrix(len(h.vertices), len(qubits), tuple(bits))
+
+
+def quotient_code(h, s, kind):
+    """The face or edge code, its special sides kept in a dict by orbit."""
+    per = PER_EDGE if kind == FACE else PER_FACE
+    if s.kind != per:
+        raise SpecialDartError(f"{kind} codes need a {per} special set, got {s.kind}")
+    special_darts(h, s.darts, per)
+    if kind == FACE:
+        z_orbits, z_of, eliminating_of = h.faces, h.face_of, h.edge_of
+    else:
+        z_orbits, z_of, eliminating_of = h.edges, h.edge_of, h.face_of
+    special_side = {eliminating_of(dart): 1 << z_of(dart) for dart in s.darts}
+    qubits = tuple(i for i in range(h.n) if i not in s.darts)
+    b2_bits = tuple((1 << z_of(q)) ^ special_side[eliminating_of(q)] for q in qubits)
+    return QuotientCode(
+        kind=kind,
+        special=s,
+        qubit_labels=qubits,
+        boundary2=BitMatrix(len(qubits), len(z_orbits), b2_bits),
+        boundary1=endpoint_matrix(h, qubits),
+        z_labels=tuple(min(o) for o in z_orbits),
+        x_labels=tuple(min(o) for o in h.vertices),
+    )
 
 
 def cycle_decomposition(p):
@@ -447,7 +490,7 @@ def parse_cycles(text, degree):
                 raise CycleParseError(
                     f"dart label of {len(token.lstrip('0'))} digits outside 1..{degree}",
                     start + 1)
-            label = int(token)
+            label = int(token.lstrip("0") or "0")  # int() counts zero padding to its limit
             if not 1 <= label <= degree:
                 raise CycleParseError(f"dart label {label} outside 1..{degree}", start + 1)
             if used[label - 1]:
@@ -512,6 +555,50 @@ def dense_validate_surface(c, h=None, s=None):
     if h is not None and s is not None:
         code = face_code(h, s)
         check("face-code-z-match", mod2 == code.boundary2,
+              "incidence21 mod 2 differs from the face-code boundary")
+        check("face-code-x-match", c.incidence10 == code.boundary1,
+              "incidence10 differs from the face-code vertex boundary")
+        check("euler-match", chi == euler_characteristic(h),
+              f"complex chi {chi} != hypermap chi {euler_characteristic(h)}")
+    return SurfaceReport(checks=tuple(checks), euler_characteristic=chi)
+
+
+# ---------------------------------------------------------------------------
+# the surface reduction and its validation, each building the face code itself
+
+def reduce_to_surface(h, s):
+    code = face_code(h, s)
+    counts = tuple(
+        (((row & -row).bit_length() - 1, 1), (row.bit_length() - 1, 1)) if row
+        else ((h.face_of(dart), 2),)
+        for dart, row in zip(code.qubit_labels, code.boundary2.bits))
+    return CellComplex(
+        zero_cells=code.x_labels,
+        one_cells=code.qubit_labels,
+        two_cells=code.z_labels,
+        counts21=counts,
+        incidence10=code.boundary1,
+    )
+
+
+def validate_surface(c, h=None, s=None):
+    checks = []
+
+    def check(name, ok, detail):
+        checks.append(CheckResult(name, ok, "" if ok else detail))
+
+    bad_closure = [(dart, total) for dart, pairs in zip(c.one_cells, c.counts21)
+                   if (total := sum(v for _, v in pairs)) != 2]
+    check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
+        f"{dart + 1} (total {total})" for dart, total in bad_closure))
+    incidence21_mod2 = c.incidence21_mod2()
+    check("chain-condition", is_zero(gf2_multiply(c.incidence10, incidence21_mod2)),
+          "incidence10 * incidence21 != 0 mod 2")
+    chi = c.euler_characteristic
+    check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
+    if h is not None and s is not None:
+        code = face_code(h, s)
+        check("face-code-z-match", incidence21_mod2 == code.boundary2,
               "incidence21 mod 2 differs from the face-code boundary")
         check("face-code-x-match", c.incidence10 == code.boundary1,
               "incidence10 differs from the face-code vertex boundary")

@@ -146,10 +146,10 @@ def test_criterion_5_topology_consistency(corpus):
             k = assemble(face_code(h, s)).k
             assert k == 2 - chi
             assert assemble(full_code(h)).k == k + len(h.edges) - 1
-            complex_ = reduce_to_surface(h, s)
+            complex_ = reduce_to_surface(h, face_code(h, s))
             assert all(sum(row) == 2 for row in complex_.incidence21)
             assert complex_.euler_characteristic == chi
-            assert validate_surface(complex_, h, s).passed
+            assert validate_surface(complex_, h, face_code(h, s)).passed
 
 
 def test_criterion_6_chain_conditions(corpus):
@@ -210,5 +210,5 @@ def test_criterion_8_cli_determinism_and_round_trip(corpus):
             code = assemble(face_code(h, s))
             assert export_json(code) == export_json(code)
             assert parse_json(export_json(code)) == code
-            complex_ = reduce_to_surface(h, s)
+            complex_ = reduce_to_surface(h, face_code(h, s))
             assert parse_json(export_json(complex_)) == complex_

@@ -33,7 +33,7 @@ from hypermap_codes import (
     run_verification,
     special_darts,
 )
-from hypermap_codes import cli, hypermap, verify
+from hypermap_codes import chain, cli, hypermap, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8
@@ -149,7 +149,7 @@ def test_reduce_prints_every_count(tmp_path, capsys):
         path = tmp_path / f"{i}.hm"
         path.write_text(format_hypermap(h, s.darts))
         code, out, _ = run_cli(capsys, "reduce", str(path))
-        counts = reduce_to_surface(h, s).incidence21
+        counts = reduce_to_surface(h, face_code(h, s)).incidence21
         lines = out.splitlines()
         start = lines.index("incidence 2->1 counts (rows = 1-cells, cols = 2-cells):") + 1
         assert code == 0
@@ -298,7 +298,7 @@ def test_json_round_trip_random_artifacts():
         s = default_special_darts(h, PER_EDGE)
         code = assemble(face_code(h, s)) if i % 2 else assemble(full_code(h))
         assert parse_json(export_json(code)) == code
-        complex_ = reduce_to_surface(h, s)
+        complex_ = reduce_to_surface(h, face_code(h, s))
         assert parse_json(export_json(complex_)) == complex_
 
 
@@ -662,6 +662,24 @@ def test_code_command_validates_special_set_once(torus_file, capsys, monkeypatch
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["reduce", "{file}"],
+    ["export", "{file}", "--format", "json", "--what", "complex"],
+])
+def test_reduction_builds_the_face_code_once(command, torus_file, capsys, monkeypatch):
+    original = chain._quotient_code
+    kinds = []
+
+    def counting(h, s, kind):
+        kinds.append(kind)
+        return original(h, s, kind)
+
+    monkeypatch.setattr(chain, "_quotient_code", counting)
+    code, out, _ = run_cli(capsys, *[arg.replace("{file}", torus_file) for arg in command])
+    assert code == 0 and out
+    assert kinds == ["face"]
+
+
 # ---------------------------------------------------------------------------
 # the dart-count cap
 
@@ -699,6 +717,25 @@ def test_oversized_labels_exit_2(tmp_path, capsys, text, where):
     code, _, err = run_cli(capsys, "info", str(path))
     assert code == 2
     assert where in err
+
+
+# int() refuses more than 4300 digits, leading zeros included
+PADDING = "0" * 4400
+
+
+@pytest.mark.parametrize("field", ["darts", "alpha", "special"])
+def test_zero_padded_file_numbers_are_read_by_value(field, tmp_path, capsys):
+    padded = {"darts": ("darts: 8", f"darts: {PADDING}8"),
+              "alpha": ("alpha: (4 3 2 1)", f"alpha: (4 3 2 {PADDING}1)"),
+              "special": ("special: 2 5", f"special: {PADDING}2 5")}[field]
+    path = tmp_path / "padded.hm"
+    path.write_text(TORUS_TEXT.replace(*padded))
+    assert run_cli(capsys, "info", str(path)) == run_cli(capsys, "info", str(TORUS8))
+
+
+def test_zero_padded_special_flag_is_read_by_value(torus_file, capsys):
+    assert run_cli(capsys, "reduce", torus_file, "--special", PADDING + "2", "5") \
+        == run_cli(capsys, "reduce", torus_file, "--special", "2", "5")
 
 
 def test_parse_cycles_rejects_degree_above_cap():

@@ -9,7 +9,11 @@ is drawn valid, with random whitespace, leading zeros, written-out fixed
 points and empty cycles, and then broken by one mutation, for the cycle
 parser.  The sparse cell complex is compared with the dense count table
 on every small special set, the corpus and square-lattice tori, and on
-corrupted counts.
+corrupted counts; its JSON rendering is compared with ``json.dumps`` of the
+dense table.  The code builders that read the orbit index tables, and the
+reduction and validation that take the caller's face code, are compared
+with the builds through ``inverse(alpha)`` and ``face_code(h, s)`` on every
+special set of every small map, valid or not, and on the same inputs.
 """
 
 import itertools
@@ -24,12 +28,15 @@ from hypothesis import given, settings, strategies as st
 
 import slow_paths
 from hypermap_codes import (
+    EDGE,
+    FACE,
     PER_EDGE,
     PER_FACE,
     BitMatrix,
     DisconnectedError,
     Hypermap,
     Permutation,
+    QuotientCode,
     SpecialDarts,
     assemble,
     connected_components,
@@ -49,6 +56,7 @@ from hypermap_codes import (
     random_corpus,
     random_hypermap,
     rank,
+    raw_complex,
     reduce_to_surface,
     render,
     special_darts,
@@ -57,7 +65,7 @@ from hypermap_codes import (
     transpose,
     validate_surface,
 )
-from hypermap_codes import perm
+from hypermap_codes import chain, perm
 from hypermap_codes.cli import _count_rows
 from conftest import square_torus
 from test_exhaustive_small import all_hypermaps
@@ -171,7 +179,7 @@ def _assert_boundary_is_counts_mod2(h, s):
     q = face_code(h, s) if s.kind == PER_EDGE else edge_code(h, s)
     assert q.boundary2 == slow_paths.mod2_projection(counts, q.boundary2.cols), (h, s)
     if s.kind == PER_EDGE:
-        assert reduce_to_surface(h, s).incidence21 == counts, (h, s)
+        assert reduce_to_surface(h, face_code(h, s)).incidence21 == counts, (h, s)
 
 
 def test_boundary2_is_expansion_counts_mod2_on_small_sweep():
@@ -378,12 +386,13 @@ def _assert_same_complex(c, d, h=None, s=None):
     assert c.incidence21_mod2() == d.incidence21_mod2()
     assert validate_surface(c) == slow_paths.dense_validate_surface(d)
     if h is not None:
-        assert validate_surface(c, h, s) == slow_paths.dense_validate_surface(d, h, s)
+        assert validate_surface(c, h, face_code(h, s)) \
+            == slow_paths.dense_validate_surface(d, h, s)
     assert parse_json(export_json(c)) == c
 
 
 def _assert_complex_matches_oracle(h, s):
-    c = reduce_to_surface(h, s)
+    c = reduce_to_surface(h, face_code(h, s))
     d = slow_paths.dense_reduce_to_surface(h, s)
     _assert_same_complex(c, d, h, s)
     assert _count_rows(c) == slow_paths.render_count_rows(d)
@@ -432,12 +441,106 @@ def test_corrupted_counts_read_from_json_match_oracle(torus8, corpus):
         d = slow_paths.dense_reduce_to_surface(h, s)
         if not d.incidence21:
             continue
-        doc = json.loads(export_json(reduce_to_surface(h, s)))
+        doc = json.loads(export_json(reduce_to_surface(h, face_code(h, s))))
         for name, rows in _corruptions(d.incidence21, rng).items():
             c = parse_json(json.dumps({**doc, "incidence21": rows}))
             bad = slow_paths.DenseComplex(d.zero_cells, d.one_cells, d.two_cells,
                                           tuple(map(tuple, rows)), d.incidence10)
             _assert_same_complex(c, bad, h, s)
-            assert not validate_surface(c, h, s).passed, name
+            assert not validate_surface(c, h, face_code(h, s)).passed, name
             if name != "negative":
                 assert _count_rows(c) == slow_paths.render_count_rows(bad)
+
+
+# ---------------------------------------------------------------------------
+# the dense incidence21 JSON block, rendered from the sparse counts
+
+def _assert_json_is_dense_dumps(c):
+    expected = json.loads(export_json(c))
+    expected["incidence21"] = [list(row) for row in c.incidence21]
+    assert export_json(c) == json.dumps(expected, indent=2) + "\n"
+
+
+def test_complex_json_is_dense_dumps_on_corpus_and_square_tori(torus8, corpus):
+    for h in [torus8] + corpus + [square_torus(size) for size in range(3, 9)]:
+        code = face_code(h, default_special_darts(h, PER_EDGE))
+        _assert_json_is_dense_dumps(reduce_to_surface(h, code))
+
+
+def test_complex_json_is_dense_dumps_on_corrupted_counts(torus8, corpus):
+    rng = random.Random(9)
+    for h in [torus8] + corpus[:100]:
+        c = reduce_to_surface(h, face_code(h, default_special_darts(h, PER_EDGE)))
+        if not c.one_cells:
+            continue
+        doc = json.loads(export_json(c))
+        for value in (3, 10, -1, 0, 123):
+            rows = [list(row) for row in c.incidence21]
+            rows[rng.randrange(len(rows))][rng.randrange(len(c.two_cells))] = value
+            _assert_json_is_dense_dumps(parse_json(json.dumps({**doc, "incidence21": rows})))
+    header = {"format": "hypermap-codes", "version": 1, "indexing": "1-based",
+              "type": "cell-complex", "incidence10": {"cols": 2, "rows": ["00"]}}
+    no_faces = {**header, "zero_cells": [1], "one_cells": [1, 2], "two_cells": [],
+                "incidence21": [[], []]}
+    _assert_json_is_dense_dumps(parse_json(json.dumps(no_faces)))
+
+
+# ---------------------------------------------------------------------------
+# codes read from the orbit index tables; one face code per reduction
+
+def _built(build, *args):
+    """What a builder returns, or its error's type and message."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_codes_match_oracle(h, s):
+    for kind in (FACE, EDGE):
+        assert _built(chain._quotient_code, h, s, kind) \
+            == _built(slow_paths.quotient_code, h, s, kind), (h, s, kind)
+    if s.kind == PER_EDGE and isinstance(code := _built(face_code, h, s), QuotientCode):
+        c = reduce_to_surface(h, code)
+        assert c == slow_paths.reduce_to_surface(h, s)
+        assert validate_surface(c, h, code) == slow_paths.validate_surface(c, h, s)
+
+
+def _assert_endpoints_match_oracle(h):
+    darts = range(h.n)
+    assert full_code(h).boundary1 == slow_paths.endpoint_matrix(h, darts)
+    assert raw_complex(h).d1 == slow_paths.endpoint_matrix(h, darts)
+
+
+def test_codes_match_oracle_on_every_small_special_set():
+    for h in all_hypermaps(4):
+        _assert_endpoints_match_oracle(h)
+        for darts in itertools.chain.from_iterable(
+                itertools.combinations(range(h.n), r) for r in range(h.n + 1)):
+            for kind in (PER_EDGE, PER_FACE):
+                _assert_codes_match_oracle(h, SpecialDarts(frozenset(darts), kind))
+        _assert_codes_match_oracle(h, SpecialDarts(frozenset({h.n}), PER_EDGE))  # out of range
+
+
+def test_codes_match_oracle_on_corpus_and_square_tori(torus8, corpus):
+    _assert_codes_match_oracle(torus8, special_darts(torus8, {1, 4}, PER_EDGE))
+    for h in [torus8] + corpus + [square_torus(size) for size in range(3, 9)]:
+        _assert_endpoints_match_oracle(h)
+        _assert_codes_match_oracle(h, default_special_darts(h, PER_EDGE))
+        _assert_codes_match_oracle(h, default_special_darts(h, PER_FACE))
+
+
+def test_validation_of_corrupted_counts_matches_oracle(torus8, corpus):
+    rng = random.Random(10)
+    for h in [torus8] + corpus[:100]:
+        s = default_special_darts(h, PER_EDGE)
+        code = face_code(h, s)
+        d = slow_paths.dense_reduce_to_surface(h, s)
+        if not d.incidence21:
+            continue
+        doc = json.loads(export_json(reduce_to_surface(h, code)))
+        for name, rows in _corruptions(d.incidence21, rng).items():
+            c = parse_json(json.dumps({**doc, "incidence21": rows}))
+            report = validate_surface(c, h, code)
+            assert report == slow_paths.validate_surface(c, h, s), name
+            assert not report.passed, name

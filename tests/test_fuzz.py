@@ -55,7 +55,7 @@ def _artifact_documents():
     h = random_hypermap(6, 3)
     s = default_special_darts(h, "per-edge")
     return [json.loads(export_json(a)) for a in (
-        h, assemble(face_code(h, s)), reduce_to_surface(h, s))]
+        h, assemble(face_code(h, s)), reduce_to_surface(h, face_code(h, s)))]
 
 
 ARTIFACTS = _artifact_documents()

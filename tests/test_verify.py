@@ -34,6 +34,13 @@ def test_report_bytes_match_check_major_oracle(seed):
     assert new.render() == old.render()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_cli_report_of_500_trials_matches_oracle(seed, capsys):
+    expected = slow_paths.run_verification(500, 10, seed).render()
+    assert main(["verify", "--trials", "500", "--seed", str(seed), "--max-darts", "10"]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
 @pytest.mark.parametrize("seed", [1, 3, 8])
 def test_failing_report_bytes_match_oracle(seed, capsys, monkeypatch):
     # one check fails on the odd-dart maps, another raises on the 6-dart maps
@@ -173,7 +180,7 @@ def _count_builds(monkeypatch, run, trials, max_darts, seed):
 
 
 def test_record_builds_each_derived_object_once_per_map(monkeypatch):
-    assert _count_builds(monkeypatch, run_verification, 50, 10, 4) == (9, 7)
+    assert _count_builds(monkeypatch, run_verification, 50, 10, 4) == (9, 5)
     # the oracle, as each check built its own
     assert _count_builds(monkeypatch, slow_paths.run_verification, 50, 10, 4) == (23, 10)
 

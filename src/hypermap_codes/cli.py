@@ -222,15 +222,25 @@ def cmd_export(args) -> int:
 
 
 def _int_in_range(low: int | None = None, high: int | None = None) -> Callable[[str], int]:
-    """An argparse ``type=``: ASCII ``-?[0-9]+``, >= ``low`` and <= ``high`` where given."""
+    """An argparse ``type=``: ASCII ``-?[0-9]+`` read past its zero padding,
+    >= ``low`` and <= ``high`` where given."""
     def parse(text: str) -> int:
-        if not (text.isascii() and text.removeprefix("-").isdigit()):
+        digits = text.removeprefix("-")
+        if not (text.isascii() and digits.isdigit()):
             raise ValueError(text)  # argparse: "invalid int value: '+3'"
-        value = int(text)
+        sign = text[:len(text) - len(digits)]
+        significant = digits.lstrip("0") or "0"
+        try:
+            value = shown = int(sign + significant)
+        except ValueError:  # int() refuses more than 4300 digits: past any bound on its side
+            value = float(sign + "inf")
+            shown = f"a {'negative ' if sign else ''}number of {len(significant)} digits"
         if low is not None and value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {shown}")
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {shown}")
+        if shown is not value:
+            raise ValueError(text)  # unbounded on its side: "invalid int value"
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
     return parse
@@ -241,6 +251,10 @@ def _dart_label(text: str) -> int:
     special line, the flag takes ASCII decimal digits only and each dart once."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"special dart {text!r} is not a decimal label")
+    significant = len(text.lstrip("0"))
+    if significant > len(str(MAX_DARTS)):  # checked before int(), which refuses 4300 digits
+        raise argparse.ArgumentTypeError(
+            f"special dart of {significant} digits exceeds the limit of {MAX_DARTS} darts")
     return decimal_value(text)
 
 

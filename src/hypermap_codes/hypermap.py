@@ -21,6 +21,23 @@ Three derived hypermaps share the surface:
 The contrary of the triangle dual equals the triangle dual of the dual;
 :func:`check_nabla_identity` verifies this orbit by orbit.
 
+A derived hypermap has the cells of ``h``, relabelled, so ``dual``,
+``triangle_dual`` and ``contrary`` take every orbit family and ``*_index``
+table from ``h`` (``Hypermap._from_orbits``), with no permutation check,
+transitivity search or orbit walk:
+
+    map             vertices             edges                faces
+    dual            faces of h           edges of h reversed  vertices of h
+    triangle dual   vertices of h rev.   faces of h reversed  edges of h reversed
+    contrary        edges of h           vertices of h        faces of h reversed
+
+"Reversed" is the orbit family of the inverse permutation: each canonical
+cycle ``c`` read backwards from its minimum, ``(c[0],) + c[:0:-1]``, with
+the same dart -> orbit index table.  The orbit-partition checks of
+``verify`` thus test these identities as written here; the differential
+tests test them against a validating build of each derived pair, which
+walks its orbits afresh.
+
 Orientation reversal has no carrier in this purely combinatorial model:
 the dual constructions above flip the underlying surface orientation, but
 every orbit-level statement is insensitive to that, so it is recorded
@@ -48,6 +65,9 @@ from .perm import (
     _orbits,
 )
 
+# An orbit family: its canonical cycles and each dart's index into them.
+Family = tuple[Cycles, tuple[int, ...]]
+
 PER_EDGE = "per-edge"
 PER_FACE = "per-face"
 
@@ -71,6 +91,7 @@ class Hypermap:
     Immutable after construction.  One flat search checks transitivity, and
     one walk per orbit family (``perm._orbits``) computes the vertex, edge
     and face decompositions and their dart -> orbit tables (``*_index``).
+    The derived maps come from :meth:`_from_orbits` instead.
     """
 
     __slots__ = ("alpha", "sigma", "vertices", "edges", "faces",
@@ -89,6 +110,19 @@ class Hypermap:
         self.vertices, self.vertex_index = _orbits(sigma.images)
         self.edges, self.edge_index = _orbits(alpha.images)
         self.faces, self.face_index = _orbits(faces)
+
+    @classmethod
+    def _from_orbits(cls, alpha: Permutation, sigma: Permutation,
+                     vertices: Family, edges: Family, faces: Family) -> Hypermap:
+        """The hypermap (alpha, sigma) with its orbit families, each a pair
+        (cycles, index), already known.  Trusted: nothing is checked."""
+        h = cls.__new__(cls)
+        h.alpha = alpha
+        h.sigma = sigma
+        h.vertices, h.vertex_index = vertices
+        h.edges, h.edge_index = edges
+        h.faces, h.face_index = faces
+        return h
 
     @property
     def n(self) -> int:
@@ -132,6 +166,11 @@ def genus(h: Hypermap) -> int:
     return (2 - euler_characteristic(h)) // 2
 
 
+def _reversed(cycles: Cycles, index: tuple[int, ...]) -> Family:
+    """The orbit family of the inverse of the permutation with these canonical cycles."""
+    return tuple([(c[0],) + c[:0:-1] for c in cycles]), index
+
+
 def dual(h: Hypermap) -> Hypermap:
     """The dual hypermap (alpha^-1, alpha^-1 sigma).
 
@@ -139,7 +178,10 @@ def dual(h: Hypermap) -> Hypermap:
     its faces the vertices of ``h``.  An involution: dual(dual(h)) == h.
     """
     alpha_inv = inverse(h.alpha)
-    return Hypermap(alpha_inv, compose(alpha_inv, h.sigma))
+    return Hypermap._from_orbits(alpha_inv, compose(alpha_inv, h.sigma),
+                                 (h.faces, h.face_index),
+                                 _reversed(h.edges, h.edge_index),
+                                 (h.vertices, h.vertex_index))
 
 
 def triangle_dual(h: Hypermap) -> Hypermap:
@@ -149,12 +191,18 @@ def triangle_dual(h: Hypermap) -> Hypermap:
     its edges the faces of ``h``.  Also an involution.
     """
     sigma_inv = inverse(h.sigma)
-    return Hypermap(compose(sigma_inv, h.alpha), sigma_inv)
+    return Hypermap._from_orbits(compose(sigma_inv, h.alpha), sigma_inv,
+                                 _reversed(h.vertices, h.vertex_index),
+                                 _reversed(h.faces, h.face_index),
+                                 _reversed(h.edges, h.edge_index))
 
 
 def contrary(h: Hypermap) -> Hypermap:
     """Interchange vertices and edges: the hypermap (sigma, alpha)."""
-    return Hypermap(h.sigma, h.alpha)
+    return Hypermap._from_orbits(h.sigma, h.alpha,
+                                 (h.edges, h.edge_index),
+                                 (h.vertices, h.vertex_index),
+                                 _reversed(h.faces, h.face_index))
 
 
 def nabla(h: Hypermap) -> Hypermap:

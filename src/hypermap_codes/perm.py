@@ -9,6 +9,10 @@ Conventions used throughout the package:
   this; do not flip it.
 - ``_orbits`` is the one orbit walker: ``cycle_decomposition`` and the
   orbit families of ``Hypermap``, with their index maps, come from it.
+- ``Permutation(images)`` validates its input.  Permutations this module
+  makes itself (``compose``, ``inverse``, ``parse_cycles`` after its own
+  range and repeat checks, ``random_permutation``) are bijections by
+  construction and come from ``_unchecked``, which skips that sort.
 - Labels are 0-based internally.  The cycle-notation text format
   (``"(4 3 2 1)(5 7 8 6)"``) is 1-based and is the only place where the
   off-by-one conversion happens.  ``parse_cycles`` reads it with one
@@ -62,6 +66,13 @@ class Permutation:
         return parse_cycles(text, degree)
 
 
+def _unchecked(images: tuple[int, ...]) -> Permutation:
+    """A permutation of an image tuple already known to be a bijection on 0..n-1, n >= 1."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def identity(n: int) -> Permutation:
     """The identity permutation on {0..n-1}."""
     return Permutation(tuple(range(n)))
@@ -77,7 +88,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    return Permutation(tuple(q.images[x] for x in p.images))
+    return _unchecked(tuple(map(q.images.__getitem__, p.images)))
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -85,7 +96,7 @@ def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.degree
     for i, pi in enumerate(p.images):
         inv[pi] = i
-    return Permutation(tuple(inv))
+    return _unchecked(tuple(inv))
 
 
 def cycle_decomposition(p: Permutation) -> Cycles:
@@ -158,9 +169,11 @@ def is_transitive(p: Permutation, q: Permutation) -> bool:
 
 def random_permutation(n: int, rng: random.Random) -> Permutation:
     """Uniformly random permutation drawn from ``rng``."""
+    if n < 1:
+        raise ValueError("permutation degree must be at least 1")
     images = list(range(n))
     rng.shuffle(images)
-    return Permutation(tuple(images))
+    return _unchecked(tuple(images))
 
 
 def decimal_value(digits: str) -> int:
@@ -214,7 +227,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for a in reversed(cycle):
             images[a - 1] = b - 1
             b = a
-    return Permutation(tuple(images))
+    return _unchecked(tuple(images))
 
 
 def _raise_first_error(text: str, degree: int) -> NoReturn:

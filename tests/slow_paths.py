@@ -11,11 +11,15 @@ tail vertex found through ``inverse(alpha)`` and the special sides held
 in a dict.  The orbit build of a hypermap
 is kept too: a union-find transitivity test, then one cycle walk per
 orbit family, a composed face permutation and a second pass per family
-for the dart -> orbit index.  The verify suite is kept as it ran before
-its checks shared a per-map record: check by check over the corpus, each
-predicate taking the hypermap and building every derived map and code it
-needs itself.  The cycle-notation parser is kept as the character walker
-it was before the grammar scan, and the surface reduction as the dense
+for the dart -> orbit index.  The dual, triangle dual, contrary and nabla
+are kept as they were built before they read the parent's orbit tables:
+new permutations, each validated, through the ``Hypermap`` constructor,
+which searches transitivity and walks every orbit family again.  The
+verify suite is kept as it ran before its checks shared a per-map
+record: check by check over the corpus, each predicate taking the
+hypermap and building every derived map and code it needs itself.  The
+cycle-notation parser is kept as the character walker it was before the
+grammar scan, and the surface reduction as the dense
 1-cells x 2-cells count table, with its mod-2 projection, validation and
 ``reduce`` row rendering; ``reduce_to_surface(h, s)`` and
 ``validate_surface(c, h, s)`` are kept as they were when each built the
@@ -34,6 +38,7 @@ from hypermap_codes import (
     CellComplex,
     CheckResult,
     CycleParseError,
+    Hypermap,
     Permutation,
     QuotientCode,
     SpecialDartError,
@@ -292,6 +297,38 @@ def orbit_build(alpha, sigma):
     families = (cycle_decomposition(sigma), cycle_decomposition(alpha),
                 cycle_decomposition(compose(inverse(alpha), sigma)))
     return components, families + tuple(orbit_index(f, alpha.degree) for f in families)
+
+
+# ---------------------------------------------------------------------------
+# the derived maps, each a validating build of its permutation pair
+
+def _inverse(p):
+    inv = [0] * p.degree
+    for i, pi in enumerate(p.images):
+        inv[pi] = i
+    return Permutation(tuple(inv))
+
+
+def _compose(p, q):
+    return Permutation(tuple(q.images[x] for x in p.images))
+
+
+def validated_dual(h):
+    alpha_inv = _inverse(h.alpha)
+    return Hypermap(alpha_inv, _compose(alpha_inv, h.sigma))
+
+
+def validated_triangle_dual(h):
+    sigma_inv = _inverse(h.sigma)
+    return Hypermap(_compose(sigma_inv, h.alpha), sigma_inv)
+
+
+def validated_contrary(h):
+    return Hypermap(Permutation(h.sigma.images), Permutation(h.alpha.images))
+
+
+def validated_nabla(h):
+    return validated_contrary(validated_triangle_dual(h))
 
 
 # ---------------------------------------------------------------------------

@@ -738,6 +738,53 @@ def test_zero_padded_special_flag_is_read_by_value(torus_file, capsys):
         == run_cli(capsys, "reduce", torus_file, "--special", "2", "5")
 
 
+def test_special_flag_past_the_dart_limit_is_a_usage_error(torus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["code", torus_file, "--kind", "face", "--special", "1" * 4400])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "_dart_label" not in err
+    assert ("argument --special: special dart of 4400 digits exceeds the limit of "
+            f"{MAX_DARTS} darts") in err
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["verify", "--max-darts", "4"], "--trials", "5"),
+    (["verify", "--trials", "3"], "--max-darts", "4"),
+    (["verify", "--trials", "3", "--max-darts", "4"], "--seed", "-2"),
+    (["random", "--seed", "1"], "--darts", "5"),
+    (["random", "--darts", "5"], "--seed", "-4"),
+    (["distance", "{file}", "--kind", "face"], "--budget", "1"),
+])
+def test_zero_padded_numeric_flags_are_read_by_value(argv, flag, value, torus_file, capsys):
+    argv = [arg.replace("{file}", torus_file) for arg in argv] + [flag]
+    padded = value.replace(value.lstrip("-"), PADDING + value.lstrip("-"))
+    expected = run_cli(capsys, *argv, value)
+    assert expected[0] == 0
+    assert run_cli(capsys, *argv, padded) == expected
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--max-darts", "9" * 5000],
+     f"must be at most {MAX_DARTS}, got a number of 5000 digits"),
+    (["random", "--darts", PADDING + "9" * 4400],
+     f"must be at most {MAX_DARTS}, got a number of 4400 digits"),
+    (["verify", "--trials", "-" + "9" * 5000],
+     "must be at least 1, got a negative number of 5000 digits"),
+    (["distance", "{file}", "--kind", "face", "--budget", "-" + "1" * 5000],
+     "must be at least 0, got a negative number of 5000 digits"),
+    (["verify", "--trials", "9" * 5000], "invalid int value: '999"),
+    (["distance", "{file}", "--kind", "face", "--budget", "9" * 4400], "invalid int value: '999"),
+    (["random", "--darts", "3", "--seed", "-" + "9" * 4400], "invalid int value: '-999"),
+])
+def test_numeric_flags_past_int_digit_limit(argv, message, torus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.replace("{file}", torus_file) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[-2]}: {message}" in err
+
+
 def test_parse_cycles_rejects_degree_above_cap():
     with pytest.raises(ValueError, match=f"at most {MAX_DARTS}"):
         parse_cycles("()", MAX_DARTS + 1)

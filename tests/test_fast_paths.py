@@ -13,7 +13,12 @@ corrupted counts; its JSON rendering is compared with ``json.dumps`` of the
 dense table.  The code builders that read the orbit index tables, and the
 reduction and validation that take the caller's face code, are compared
 with the builds through ``inverse(alpha)`` and ``face_code(h, s)`` on every
-special set of every small map, valid or not, and on the same inputs.
+special set of every small map, valid or not, and on the same inputs.  The
+dual, triangle dual, contrary and nabla, which relabel the orbit tables of
+their parent, are compared field by field with a validating build of the
+same pair on every small map, the corpus and square-lattice tori, and the
+permutations that ``perm`` makes without validation are drawn and
+validated.
 """
 
 import itertools
@@ -39,22 +44,29 @@ from hypermap_codes import (
     QuotientCode,
     SpecialDarts,
     assemble,
+    compose,
     connected_components,
+    contrary,
     cycle_decomposition,
     default_special_darts,
+    dual,
     echelon_form,
     edge_code,
     export_json,
     face_code,
     full_code,
+    identity,
     in_row_space,
+    inverse,
     is_transitive,
     kernel_basis,
     multiply,
+    nabla,
     parse_cycles,
     parse_json,
     random_corpus,
     random_hypermap,
+    random_permutation,
     rank,
     raw_complex,
     reduce_to_surface,
@@ -63,6 +75,7 @@ from hypermap_codes import (
     stabilizer_strings,
     to_strings,
     transpose,
+    triangle_dual,
     validate_surface,
 )
 from hypermap_codes import chain, perm
@@ -287,6 +300,45 @@ def test_random_corpus_checks_transitivity_once_per_draw(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the derived maps: the parent's orbit tables relabelled, no new walk
+
+DERIVED = [(dual, slow_paths.validated_dual),
+           (triangle_dual, slow_paths.validated_triangle_dual),
+           (contrary, slow_paths.validated_contrary),
+           (nabla, slow_paths.validated_nabla)]
+
+
+def _fields(h):
+    return (h.alpha, h.sigma, h.vertices, h.edges, h.faces,
+            h.vertex_index, h.edge_index, h.face_index)
+
+
+def _assert_derived_maps_match_oracle(h):
+    for fast, oracle in DERIVED:
+        got, want = fast(h), oracle(h)
+        assert type(got) is Hypermap
+        assert _fields(got) == _fields(want), (fast.__name__, h)
+
+
+def test_derived_maps_match_oracle_on_small_sweep():
+    count = 0
+    for h in all_hypermaps(4):
+        _assert_derived_maps_match_oracle(h)
+        count += 1
+    assert count == 456
+
+
+def test_derived_maps_match_oracle_on_corpus(torus8, corpus):
+    for h in [torus8, *corpus]:
+        _assert_derived_maps_match_oracle(h)
+
+
+@pytest.mark.parametrize("size", range(3, 9))
+def test_derived_maps_match_oracle_on_square_torus(size):
+    _assert_derived_maps_match_oracle(square_torus(size))
+
+
+# ---------------------------------------------------------------------------
 # the cycle parser: grammar scan and list checks against the character walker
 
 _GAPS = " \t\n\u00a0\x0b"  # the walker's str.isspace takes every one
@@ -330,6 +382,23 @@ def test_parse_cycles_matches_oracle_on_valid_text(drawn):
     with mock.patch.object(perm, "_raise_first_error", side_effect=AssertionError("walked")):
         assert parse_cycles(text, degree) == p  # valid text never reaches the walker
     assert slow_paths.parse_cycles(text, degree) == p
+
+
+def _assert_validated(p):
+    assert type(p) is Permutation and type(p.images) is tuple
+    assert Permutation(p.images) == p  # raises unless a bijection on 0..n-1
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycle_texts(), st.data())
+def test_internally_made_permutations_pass_validation(drawn, data):
+    text, degree, p = drawn
+    q = Permutation(tuple(data.draw(st.permutations(range(degree)))))
+    for made in (compose(p, q), compose(q, p), inverse(p), inverse(q),
+                 parse_cycles(text, degree),
+                 random_permutation(degree, random.Random(data.draw(st.integers(0, 2**32 - 1))))):
+        _assert_validated(made)
+    assert compose(p, inverse(p)) == identity(degree)
 
 
 def _mutate(text, degree, rng):

@@ -39,7 +39,7 @@ def main() -> None:
             d_text = "-"
         else:
             # exact at any size: the cycle search is polynomial in n
-            result = distance(code, budget=args.budget, allow_large=True)
+            result = distance(code, budget=args.budget)
             d_text = str(result.d) if result.d is not None else f">{result.budget}"
         print(f"{h.n:>5} {len(h.vertices):>3} {len(h.edges):>3} {len(h.faces):>3} "
               f"{euler_characteristic(h):>4} {genus(h):>2} "

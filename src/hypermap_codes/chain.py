@@ -83,13 +83,9 @@ def _orbit_labels(orbits) -> tuple[int, ...]:
     return tuple(min(o) for o in orbits)
 
 
-def _dart_incidence(h: Hypermap, orbits) -> BitMatrix:
-    """Darts x orbits: each dart has a 1 in the column of its own orbit."""
-    bits = [0] * h.n
-    for j, orbit in enumerate(orbits):
-        for dart in orbit:
-            bits[dart] |= 1 << j
-    return BitMatrix(h.n, len(orbits), tuple(bits))
+def _dart_incidence(index: Sequence[int], orbit_count: int) -> BitMatrix:
+    """Darts x orbits from a dart -> orbit table: row ``dart`` is ``1 << index[dart]``."""
+    return BitMatrix(len(index), orbit_count, tuple(1 << j for j in index))
 
 
 def _endpoint_matrix(h: Hypermap, qubits: Sequence[int]) -> BitMatrix:
@@ -110,9 +106,9 @@ def _endpoint_matrix(h: Hypermap, qubits: Sequence[int]) -> BitMatrix:
 def raw_complex(h: Hypermap) -> RawComplex:
     """The unquotiented complex of ``h``; satisfies d1*d2 = 0 = d1*iota."""
     return RawComplex(
-        d2=_dart_incidence(h, h.faces),
+        d2=_dart_incidence(h.face_index, len(h.faces)),
         d1=_endpoint_matrix(h, range(h.n)),
-        iota=_dart_incidence(h, h.edges),
+        iota=_dart_incidence(h.edge_index, len(h.edges)),
         dart_labels=tuple(range(h.n)),
         vertex_labels=_orbit_labels(h.vertices),
         edge_labels=_orbit_labels(h.edges),
@@ -177,7 +173,7 @@ def full_code(h: Hypermap) -> QuotientCode:
         kind=FULL,
         special=None,
         qubit_labels=darts,
-        boundary2=_dart_incidence(h, h.faces),
+        boundary2=_dart_incidence(h.face_index, len(h.faces)),
         boundary1=_endpoint_matrix(h, darts),
         z_labels=_orbit_labels(h.faces),
         x_labels=_orbit_labels(h.vertices),

@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Callable
 
-from . import css, gf2
+from . import gf2
 from .chain import EDGE, FACE, FULL, QuotientCode, edge_code, face_code, full_code
 from .css import CommutationError, assemble, distance, stabilizer_strings
 from .export import export_json, export_walsh_dot
@@ -49,6 +49,8 @@ EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_DISTANCE_BUDGET = 6
+# Largest qubit count ``distance`` searches without --allow-large.
+DISTANCE_QUBIT_CAP = 28
 
 
 class UnreadableInput(Exception):
@@ -165,15 +167,14 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _render_weight(w: int | None, budget: int) -> str:
-    return str(w) if w is not None else f">{budget}"
-
-
 def cmd_distance(args) -> int:
     h, file_special = load_hypermap(args.file)
     q = _build_quotient(h, args.kind, args.special, file_special)
     code = assemble(q)
-    result = distance(code, budget=args.budget, allow_large=args.allow_large)
+    if code.k and code.n > DISTANCE_QUBIT_CAP and not args.allow_large:
+        raise ValueError(f"distance search on {code.n} qubits exceeds the cap of "
+                         f"{DISTANCE_QUBIT_CAP}; pass --allow-large to force it")
+    result = distance(code, budget=args.budget)
     print(f"kind: {q.kind}")
     print(f"n: {code.n}")
     print(f"k: {code.k}")
@@ -181,9 +182,8 @@ def cmd_distance(args) -> int:
     if result.no_logicals:
         print("status: no-logical-operators")
         return EXIT_OK
-    print(f"d_X: {_render_weight(result.dx, result.budget)}")
-    print(f"d_Z: {_render_weight(result.dz, result.budget)}")
-    print(f"d: {_render_weight(result.d, result.budget)}")
+    for name, weight in (("d_X", result.dx), ("d_Z", result.dz), ("d", result.d)):
+        print(f"{name}: {weight if weight is not None else f'>{result.budget}'}")
     print("status: " + ("exact" if result.exact
                         else f"lower-bound (every logical operator has weight >= {result.budget + 1})"))
     return EXIT_OK
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum logical-operator weight to search "
                         f"(default {DEFAULT_DISTANCE_BUDGET})")
     p.add_argument("--allow-large", action="store_true",
-                   help=f"search even with more than {css.DISTANCE_QUBIT_CAP} qubits")
+                   help=f"search even with more than {DISTANCE_QUBIT_CAP} qubits")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="run the identity/equivalence suite on random hypermaps")

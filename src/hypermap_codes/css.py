@@ -19,10 +19,6 @@ from . import gf2
 from .chain import EDGE, QuotientCode
 from .gf2 import BitMatrix
 
-# Largest qubit count :func:`distance` accepts without allow_large=True; kept
-# because callers and the CLI document it, though the cycle search is polynomial.
-DISTANCE_QUBIT_CAP = 28
-
 
 class CommutationError(RuntimeError):
     """H_X and H_Z fail to commute; impossible for codes built upstream."""
@@ -30,20 +26,26 @@ class CommutationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Outcome of a minimum-weight logical-operator search.
+    """Outcome of a minimum-weight logical-operator search: four stored facts.
 
-    ``dx``/``dz`` are the per-class minima, or None when that class has
-    no logical operator of weight <= budget.  ``d`` is their minimum and
-    is exact unless both classes exceeded the budget, in which case every
-    logical operator has weight at least budget + 1.
+    ``dx``/``dz`` are the per-class minima, or None when that class has no
+    logical operator of weight <= budget; ``no_logicals`` marks k = 0.  The
+    derived ``d`` is their minimum; it is ``exact`` unless both classes exceed
+    the budget, when every logical operator weighs at least budget + 1.
     """
 
     dx: int | None
     dz: int | None
-    d: int | None
-    exact: bool
     no_logicals: bool
     budget: int
+
+    @property
+    def d(self) -> int | None:
+        return min((w for w in (self.dx, self.dz) if w is not None), default=None)
+
+    @property
+    def exact(self) -> bool:
+        return self.no_logicals or self.d is not None
 
 
 @dataclass(frozen=True)
@@ -272,7 +274,7 @@ def _class_minimum(check: BitMatrix, other: BitMatrix, budget: int) -> int | Non
     return _min_cycle_weight(graph, other, budget)
 
 
-def distance(c: CssCode, budget: int | None = None, allow_large: bool = False) -> DistanceResult:
+def distance(c: CssCode, budget: int | None = None) -> DistanceResult:
     """Exact minimum distance by a shortest non-trivial cycle search.
 
     d_X is the minimum weight over ker(H_Z) outside the row space of H_X,
@@ -282,23 +284,15 @@ def distance(c: CssCode, budget: int | None = None, allow_large: bool = False) -
     logical label in the graph of checks and qubits, found by one
     breadth-first search per check (see :func:`_min_cycle_weight`);
     otherwise the exhaustive search over kernel-basis combinations runs.
-    Both are exact.  With the default budget (the qubit count) the result
-    is always exact; a smaller budget stops the search early and, when
-    nothing is found, certifies only that every logical operator is
-    heavier than the budget.  The result is a pure function of the inputs.
+    Both are exact at any qubit count.  The default budget is the qubit
+    count, which makes the result exact; a smaller one stops the search
+    early and, when nothing is found, certifies only that every logical
+    operator is heavier.  A code with k = 0 reports no weights.  The
+    result is a pure function of the inputs.
     """
+    budget = c.n if budget is None else budget
     if c.k == 0:
-        return DistanceResult(dx=None, dz=None, d=None, exact=True,
-                              no_logicals=True, budget=budget or 0)
-    if c.n > DISTANCE_QUBIT_CAP and not allow_large:
-        raise ValueError(
-            f"distance search on {c.n} qubits exceeds the cap of "
-            f"{DISTANCE_QUBIT_CAP}; pass allow_large=True to force it")
-    if budget is None:
-        budget = c.n
-    dx = _class_minimum(c.hz, c.hx, budget)
-    dz = _class_minimum(c.hx, c.hz, budget)
-    found = [w for w in (dx, dz) if w is not None]
-    d = min(found) if found else None
-    return DistanceResult(dx=dx, dz=dz, d=d, exact=d is not None,
+        return DistanceResult(dx=None, dz=None, no_logicals=True, budget=budget)
+    return DistanceResult(dx=_class_minimum(c.hz, c.hx, budget),
+                          dz=_class_minimum(c.hx, c.hz, budget),
                           no_logicals=False, budget=budget)

@@ -107,6 +107,22 @@ def _incidence21_json(c: CellComplex) -> str:
     return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
+def _distance_from_json(dd: dict, k: int) -> DistanceResult:
+    """A distance block, refused unless its no_logicals follows from ``k``, its
+    d and exact from its weights, and each weight lies in 1..budget."""
+    weight = (int, type(None))
+    d = DistanceResult(dx=_field(dd, "d_x", *weight), dz=_field(dd, "d_z", *weight),
+                       no_logicals=_field(dd, "no_logicals", bool), budget=_field(dd, "budget", int))
+    if d.no_logicals != (k == 0):
+        raise ValueError(f"distance has no_logicals={d.no_logicals} but k={k}")
+    top = 0 if d.no_logicals else d.budget  # a code without logical operators has no weight
+    if any(w is not None and not 1 <= w <= top for w in (d.dx, d.dz)):
+        raise ValueError(f"distance weights d_x={d.dx}, d_z={d.dz} are not in 1..{top}")
+    if (_field(dd, "d", *weight), _field(dd, "exact", bool)) != (d.d, d.exact):
+        raise ValueError(f"distance must have d={d.d} and exact={d.exact}")
+    return d
+
+
 def parse_json(text: str):
     """Inverse of :func:`export_json`; validates shape and consistency.
 
@@ -141,14 +157,7 @@ def parse_json(text: str):
         k = n - gf2.rank(hx) - gf2.rank(hz)
         if k != _field(doc, "k", int):
             raise ValueError(f"stored k={doc['k']} but check ranks give k={k}")
-        d = None
-        if "distance" in doc:
-            dd = _field(doc, "distance", dict)
-            weight = (int, type(None))
-            d = DistanceResult(
-                dx=_field(dd, "d_x", *weight), dz=_field(dd, "d_z", *weight),
-                d=_field(dd, "d", *weight), exact=_field(dd, "exact", bool),
-                no_logicals=_field(dd, "no_logicals", bool), budget=_field(dd, "budget", int))
+        d = _distance_from_json(_field(doc, "distance", dict), k) if "distance" in doc else None
         return CssCode(
             hx=hx, hz=hz,
             qubit_labels=labels["qubits"], x_labels=labels["x_checks"],

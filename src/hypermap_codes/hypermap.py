@@ -318,7 +318,8 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         darts: 8
         alpha: (4 3 2 1)(5 7 8 6)
         sigma: (7 1 6 3)(5 2 8 4)
-        special: 2 5        # optional
+        # the special line is optional
+        special: 2 5
 
     Numbers are ASCII decimal digits, and the dart count is at most
     :data:`~hypermap_codes.perm.MAX_DARTS`.  Labels in the file are 1-based;

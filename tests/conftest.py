@@ -47,3 +47,15 @@ def square_torus(size: int) -> Hypermap:
                 alpha[dart(x, y, k)] = far
                 alpha[far] = dart(x, y, k)
     return Hypermap(Permutation(tuple(alpha)), Permutation(tuple(sigma)))
+
+
+def plane_star(edges: int) -> Hypermap:
+    """The star with ``edges`` edges drawn in the plane: 2 * edges darts.
+
+    Dart ``i`` leaves the centre along edge ``i`` and dart ``edges + i``
+    is its leaf end.  It has genus 0 and one face, so its face code has
+    k = 0 on ``edges`` qubits and its full code k = edges - 1.
+    """
+    alpha = tuple((i + edges) % (2 * edges) for i in range(2 * edges))
+    sigma = tuple((i + 1) % edges if i < edges else i for i in range(2 * edges))
+    return Hypermap(Permutation(alpha), Permutation(sigma))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,12 +12,15 @@ import pytest
 from hypermap_codes import (
     MAX_DARTS,
     PER_EDGE,
+    PER_FACE,
     CellComplex,
     CssCode,
     Hypermap,
     as_partition,
     assemble,
     default_special_darts,
+    distance,
+    edge_code,
     export_json,
     export_walsh_dot,
     face_code,
@@ -36,7 +40,7 @@ from hypermap_codes import (
 from hypermap_codes import chain, cli, hypermap, verify
 from hypermap_codes.cli import main
 
-from conftest import DATA, TORUS8
+from conftest import DATA, TORUS8, plane_star, square_torus
 
 TORUS_TEXT = TORUS8.read_text()
 
@@ -273,6 +277,33 @@ def test_export_dot_cli(torus_file, capsys):
 
 
 # ---------------------------------------------------------------------------
+def _write_map(tmp_path, name, h):
+    path = tmp_path / name
+    path.write_text(format_hypermap(h))
+    return str(path)
+
+
+def test_distance_cli_refuses_codes_over_the_qubit_cap(tmp_path, capsys):
+    lattice = _write_map(tmp_path, "square5.hm", square_torus(5))
+    code, out, err = run_cli(capsys, "distance", lattice, "--kind", "face")
+    assert (code, out) == (3, "")
+    assert err == ("error: distance search on 50 qubits exceeds the cap of 28; "
+                   "pass --allow-large to force it\n")
+    code, out, _ = run_cli(capsys, "distance", lattice, "--kind", "face", "--allow-large")
+    assert code == 0
+    assert "d: 5\n" in out
+
+
+def test_distance_cli_cap_exempts_codes_without_logicals(tmp_path, capsys):
+    star = _write_map(tmp_path, "star30.hm", plane_star(30))
+    code, out, _ = run_cli(capsys, "distance", star, "--kind", "face")
+    assert code == 0
+    assert "n: 30\nk: 0\n" in out and "status: no-logical-operators\n" in out
+    code, out, err = run_cli(capsys, "distance", star, "--kind", "full")
+    assert (code, out) == (3, "")
+    assert "distance search on 60 qubits exceeds the cap of 28" in err
+
+
 # JSON export
 
 def test_export_json_code_embeds_matrices(torus8):
@@ -327,6 +358,10 @@ _INCIDENCE21 = _TORUS8_COMPLEX_DOC["incidence21"]
 _INCIDENCE10 = _TORUS8_COMPLEX_DOC["incidence10"]
 
 
+def _code_with_distance(**fields):
+    return {**_CODE_DOC, "distance": {**_CODE_DOC["distance"], **fields}}
+
+
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
@@ -355,6 +390,18 @@ MALFORMED_DOCUMENTS = {
     "missing labels": _without(_CODE_DOC, "x_checks"),
     "missing distance field": {**_CODE_DOC, "distance": {"d_x": 2}},
     "distance not an object": {**_CODE_DOC, "distance": 2},
+    "distance d not the least weight": _code_with_distance(d=7),
+    "distance exact with no weight": _code_with_distance(d_x=None, d=None),
+    "distance not exact with a weight": _code_with_distance(exact=False),
+    "no_logicals with k > 0": _code_with_distance(d_x=None, d=None, no_logicals=True),
+    "weight over the budget": _code_with_distance(d_x=3, d=3),
+    "weight zero": _code_with_distance(d_x=0, d=0),
+    "weight on a code without logicals": {
+        **_CODE_DOC, "k": 0, "hx": {"cols": 2, "rows": ["11", "10"]}, "x_checks": [1, 2],
+        "distance": {"d_x": 1, "d_z": None, "d": 1, "exact": True,
+                     "no_logicals": True, "budget": 2}},
+    "no_logicals false with k = 0": {
+        **_CODE_DOC, "k": 0, "hx": {"cols": 2, "rows": ["11", "10"]}, "x_checks": [1, 2]},
     "incidence rows not lists": {**_COMPLEX_DOC, "incidence21": [1]},
     "cells not a list": {**_COMPLEX_DOC, "zero_cells": 1},
     "missing incidence10": _without(_COMPLEX_DOC, "incidence10"),
@@ -381,6 +428,25 @@ def test_parse_json_reads_hand_written_documents():
 def test_parse_json_maps_malformed_documents_to_value_error(name):
     with pytest.raises(ValueError):
         parse_json(json.dumps(MALFORMED_DOCUMENTS[name]))
+
+
+def test_parse_json_rejects_a_self_contradicting_distance(torus8):
+    doc = _torus_code_doc(torus8)
+    assert doc["k"] == 2
+    doc["distance"] = {"d_x": 2, "d_z": 3, "d": 7, "exact": False,
+                       "no_logicals": True, "budget": -4}
+    with pytest.raises(ValueError):
+        parse_json(json.dumps(doc))
+
+
+def test_parse_json_accepts_every_distance_the_library_finds(corpus):
+    for h in corpus:
+        quotients = (face_code(h, default_special_darts(h, PER_EDGE)),
+                     edge_code(h, default_special_darts(h, PER_FACE)), full_code(h))
+        for code in map(assemble, quotients):
+            for budget in (0, 1, 2, None):
+                measured = dataclasses.replace(code, d=distance(code, budget=budget))
+                assert parse_json(export_json(measured)) == measured
 
 
 def test_export_json_cli_round_trip(torus_file, capsys):

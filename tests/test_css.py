@@ -7,6 +7,7 @@ from hypermap_codes import (
     BitMatrix,
     CommutationError,
     CssCode,
+    DistanceResult,
     Hypermap,
     QuotientCode,
     assemble,
@@ -26,7 +27,7 @@ from hypermap_codes import (
 )
 from hypermap_codes.css import _min_cycle_weight, _min_logical_weight, _qubit_graph
 
-from conftest import square_torus
+from conftest import plane_star, square_torus
 from test_exhaustive_small import all_hypermaps
 
 HX_ROWS = ["111111", "111111"]
@@ -160,15 +161,23 @@ def test_distance_budget_still_exact_when_hit(torus8):
     assert result.exact
 
 
-def test_distance_respects_qubit_cap():
-    hx = BitMatrix(1, 30, (0,))
-    hz = BitMatrix(1, 30, (0,))
-    code = CssCode(hx=hx, hz=hz, qubit_labels=tuple(range(30)),
-                   x_labels=(0,), z_labels=(0,), z_axis="face", n=30, k=30)
-    with pytest.raises(ValueError):
-        distance(code, budget=2)
-    result = distance(code, budget=1, allow_large=True)
-    assert result.d == 1  # weight-1 kernel vectors, empty row spaces
+def test_distance_without_logicals_reports_its_budget():
+    h = plane_star(30)
+    code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+    assert (code.n, code.k) == (30, 0)
+    assert distance(code).budget == code.n
+    assert distance(code, budget=3).budget == 3
+    assert distance(code) == DistanceResult(dx=None, dz=None, no_logicals=True, budget=30)
+    assert distance(code).exact and distance(code).d is None
+
+
+def test_distance_result_derives_d_and_exact():
+    assert DistanceResult(dx=3, dz=None, no_logicals=False, budget=3).d == 3
+    assert DistanceResult(dx=4, dz=2, no_logicals=False, budget=5).d == 2
+    found = DistanceResult(dx=None, dz=2, no_logicals=False, budget=2)
+    assert (found.d, found.exact) == (2, True)
+    bounded = DistanceResult(dx=None, dz=None, no_logicals=False, budget=1)
+    assert (bounded.d, bounded.exact) == (None, False)
 
 
 def test_distance_full_code(torus8):
@@ -196,7 +205,7 @@ def _codes(h, face_special=None, edge_special=None):
 def _assert_search_matches_oracles(code, budgets=None):
     """Both class minima agree with the exhaustive search at every budget."""
     if code.k == 0:
-        assert distance(code, allow_large=True).no_logicals
+        assert distance(code).no_logicals
         return
     for check, other in ((code.hz, code.hx), (code.hx, code.hz)):
         graph = _qubit_graph(check)
@@ -251,7 +260,7 @@ def test_square_lattice_distance_beyond_exhaustive_reach(size):
     face, edge, full = _codes(square_torus(size))
     for code, d in ((face, size), (edge, size), (full, 2)):
         for budget in (size, None):
-            result = distance(code, budget=budget, allow_large=True)
+            result = distance(code, budget=budget)
             assert result.d == d and result.exact
 
 

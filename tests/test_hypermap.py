@@ -246,6 +246,18 @@ def test_parse_hypermap_file():
     assert format_cycles(h.alpha) == "(1 4 3 2)(5 7 8 6)"
 
 
+def test_parse_hypermap_docstring_example_parses(torus8):
+    _, _, block = parse_hypermap.__doc__.partition("::\n")
+    lines = []
+    for line in block.splitlines()[1:]:
+        if not line.startswith("        "):
+            break
+        lines.append(line.strip())
+    h, special = parse_hypermap("\n".join(lines) + "\n")
+    assert h == torus8
+    assert special == frozenset({1, 4})
+
+
 def test_parse_hypermap_without_special():
     h, special = parse_hypermap("darts: 1\nalpha: ()\nsigma: ()\n")
     assert h.n == 1

@@ -24,12 +24,8 @@ from .perm import (
 )
 from .gf2 import (
     BitMatrix,
-    echelon_form,
     from_strings,
-    in_row_space,
     is_zero,
-    kernel_basis,
-    mat_vec,
     multiply,
     rank,
     render,
@@ -44,7 +40,6 @@ from .hypermap import (
     ParseError,
     SpecialDartError,
     SpecialDarts,
-    check_nabla_identity,
     contrary,
     default_special_darts,
     dual,

@@ -39,7 +39,7 @@ from .hypermap import (
     triangle_dual,
 )
 from .perm import MAX_DARTS, decimal_value, format_cycles
-from .reduce import CellComplex, reduce_to_surface, validate_surface
+from .reduce import reduce_to_surface, validate_surface
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -147,11 +147,6 @@ def cmd_code(args) -> int:
     return EXIT_OK
 
 
-def _count_rows(c: CellComplex) -> list[str]:
-    """The ``reduce`` table: one line per 1-cell, its counts joined by spaces."""
-    return c.count_lines(" ")
-
-
 def cmd_reduce(args) -> int:
     h, file_special = load_hypermap(args.file)
     code = _build_quotient(h, FACE, args.special, file_special)
@@ -160,7 +155,7 @@ def cmd_reduce(args) -> int:
     print("one-cells: " + " ".join(str(i + 1) for i in complex_.one_cells))
     print(f"two-cells: {len(complex_.two_cells)}")
     print("\n".join(["incidence 2->1 counts (rows = 1-cells, cols = 2-cells):",
-                     *_count_rows(complex_)]))
+                     *complex_.count_lines(" ")]))
     print("incidence 1->0 (rows = 0-cells, cols = 1-cells):")
     print(gf2.render(complex_.incidence10))
     print(validate_surface(complex_, h, code).render())

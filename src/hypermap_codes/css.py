@@ -3,16 +3,16 @@
 Every code built from a hypermap is a surface code: each column of
 ``H_X`` and of ``H_Z`` has at most two ones.  A minimum-weight logical
 operator is then a shortest homologically non-trivial cycle in the graph
-whose nodes are the check rows and whose edges are the qubits, and
-:func:`distance` finds it with one breadth-first search per node.  A
-check matrix with a column of three or more ones falls back to the
-exhaustive search over combinations of kernel-basis vectors, which is
-exact for any CSS code but exponential in the weight.
+whose nodes are the check rows and whose edges are the qubits.
+:func:`distance` labels the qubits with k bits from a tree-cotree
+decomposition (Eppstein 2003; Erickson & Whittlesey 2005) and finds the
+cycle with one breadth-first search per endpoint of a labelled qubit.  A
+check matrix with a column of three or more ones is no graph, and
+:func:`distance` refuses it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import gf2
@@ -118,55 +118,23 @@ def stabilizer_strings(c: CssCode) -> list[str]:
     return out
 
 
-def _min_logical_weight(check: BitMatrix, other: BitMatrix, budget: int) -> int | None:
-    """Minimum weight over ker(check) \\ rowspace(other), if <= budget.
-
-    The kernel basis is in reduced echelon form, so each basis vector
-    owns a coordinate where the others vanish: a sum of t basis vectors
-    has weight >= t, and a weight-w vector is a sum of at most w of them.
-    Enumerating combinations of size t <= budget therefore visits every
-    logical operator of weight <= budget, and the t >= best cutoff keeps
-    the result exact.
-    """
-    basis = gf2.kernel_basis(check).bits
-    reduced, pivots = gf2.echelon_form(other)
-
-    def is_stabilizer(v: int) -> bool:
-        for r, c in enumerate(pivots):
-            if (v >> c) & 1:
-                v ^= reduced.bits[r]
-        return v == 0
-
-    best: int | None = None
-    for t in range(1, min(len(basis), budget) + 1):
-        if best is not None and t >= best:
-            break
-        for combo in itertools.combinations(basis, t):
-            v = 0
-            for b in combo:
-                v ^= b
-            w = v.bit_count()
-            if best is not None and w >= best:
-                continue
-            if not is_stabilizer(v):
-                best = w
-    if best is not None and best <= budget:
-        return best
-    return None
+_Graph = tuple[list[list[tuple[int, int]]], list[int]]
 
 
-def _qubit_graph(check: BitMatrix) -> tuple[list[list[tuple[int, int]]], list[int]] | None:
-    """The qubits of ``check`` as edges between its rows, or None.
+def _qubit_graph(check: BitMatrix) -> _Graph:
+    """The qubits of ``check`` as edges between its rows.
 
     Node ``i`` is row ``i`` and node ``check.rows`` is a virtual node.  A
     column with ones in rows ``a`` and ``b`` is an edge ``a``-``b``, a
     column with a single one in row ``a`` an edge ``a``-virtual, and an
     all-zero column a loop.  Then ker(check) is exactly the cycle space:
     an edge set with even degree at every row has even degree at the
-    virtual node too, since the degrees sum to twice the edge count.
+    virtual node too, since the degrees sum to twice the edge count, and
+    rowspace(check) is the cut space, spanned by the rows' edge stars.
     Returns ``(adjacency, loops)``: ``adjacency[u]`` lists ``(qubit,
-    neighbour)`` pairs and ``loops`` the all-zero columns.  Returns None
-    when some column has three or more ones, so the matrix is no graph.
+    neighbour)`` pairs and ``loops`` the all-zero columns.  Raises
+    ``ValueError`` when some column has three or more ones, so the matrix
+    is no graph.
     """
     first = [-1] * check.cols
     second = [-1] * check.cols
@@ -179,7 +147,8 @@ def _qubit_graph(check: BitMatrix) -> tuple[list[list[tuple[int, int]]], list[in
             elif second[j] < 0:
                 second[j] = i
             else:
-                return None
+                raise ValueError(f"qubit {j + 1} lies in three or more checks; "
+                                 "distance needs a surface code")
             row ^= low
     virtual = check.rows
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(virtual + 1)]
@@ -195,31 +164,105 @@ def _qubit_graph(check: BitMatrix) -> tuple[list[list[tuple[int, int]]], list[in
     return adjacency, loops
 
 
-def _min_cycle_weight(graph: tuple[list[list[tuple[int, int]]], list[int]],
-                      other: BitMatrix, budget: int) -> int | None:
+def _forest(adjacency: list[list[tuple[int, int]]],
+            skip: bytearray) -> tuple[list[int], list[int], list[int]]:
+    """A breadth-first spanning forest over the qubits ``j`` with ``skip[j] == 0``.
+
+    Returns ``(order, via, up)``: the nodes in visiting order, and per node
+    the qubit and the node it was reached from, both -1 at a root.
+    """
+    nodes = len(adjacency)
+    via = [-1] * nodes
+    up = [-1] * nodes
+    seen = bytearray(nodes)
+    order: list[int] = []
+    for root in range(nodes):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            u = order[i]
+            i += 1
+            for j, w in adjacency[u]:
+                if not seen[w] and not skip[j]:
+                    seen[w] = 1
+                    via[w] = j
+                    up[w] = u
+                    order.append(w)
+    return order, via, up
+
+
+def _cotree_labels(graph: _Graph, other: _Graph, n: int) -> list[int]:
+    """Per-qubit logical labels of k bits for the cycles of ``graph``.
+
+    ``graph`` and ``other`` are :func:`_qubit_graph` of ``check`` and of
+    ``other`` on the same ``n`` qubits.  A spanning forest T of ``graph``
+    is taken first, then a spanning forest C of ``other`` over the qubits
+    outside T; each of the k qubits in neither gets its own bit, which is
+    also XORed onto the qubits of the path in C between its ends, by one
+    pass over C from the leaves up.  Bit ``i`` of the labels then marks
+    the fundamental cycle w_i of C through the ``i``-th left-over qubit,
+    and a cycle of ``graph`` is a logical operator exactly when the XOR
+    of its labels, its pairings with the w_i, is non-zero: see
+    :func:`_min_cycle_weight`.
+    """
+    used = bytearray(n)  # the qubits of T, then of T and C
+    for j in _forest(graph[0], used)[1]:
+        if j >= 0:
+            used[j] = 1
+    order, via, up = _forest(other[0], used)
+    for j in via:
+        if j >= 0:
+            used[j] = 1
+    labels = [0] * n
+    bits = 0
+    for j in range(n):
+        if not used[j]:
+            labels[j] = 1 << bits
+            bits += 1
+    below = [0] * len(other[0])  # XOR of the left-over bits at each node, then its subtree
+    for u, edges in enumerate(other[0]):
+        for j, _ in edges:
+            below[u] ^= labels[j]
+    for x in reversed(order):
+        if via[x] >= 0:
+            labels[via[x]] = below[x]
+            below[up[x]] ^= below[x]
+    return labels
+
+
+def _min_cycle_weight(graph: _Graph, labels: list[int], budget: int) -> int | None:
     """Minimum weight over ker(check) \\ rowspace(other), if <= budget.
 
-    ``graph`` is :func:`_qubit_graph` of ``check``.  Qubit ``j`` carries
-    the label whose bit ``i`` is entry ``j`` of row ``i`` of
-    ``kernel_basis(other)``; since rowspace(other) = ker(other)^perp, a
-    cycle is a logical operator exactly when the XOR of its labels is
-    non-zero.  A labelled loop has weight 1.  Otherwise a breadth-first
-    search from every node pairs each non-tree edge ``u``-``w`` with the
-    tree paths to its ends: when their labels XOR to non-zero, the closed
-    walk has weight ``dist[u] + dist[w] + 1`` and its mod-2 edge set is a
-    logical operator at most that heavy, so no candidate undercuts the
-    minimum.  Conversely the non-zero labels satisfy the 3-path condition
+    ``graph`` is :func:`_qubit_graph` of ``check`` and ``labels`` is
+    :func:`_cotree_labels` of ``graph`` and the graph of ``other``.  The
+    labels are exact: rowspace(check) is the cut space of ``graph``, and
+    each tree qubit of T lies in exactly one fundamental cut, so each
+    coset of ker(other) / rowspace(check) has exactly one member that is
+    zero on T.  Those members are the cycles of ``other``'s graph that
+    avoid T, the cycle space that C's fundamental cycles w_i span.  A
+    cycle v of ``graph`` is orthogonal to rowspace(check), so v lies in
+    rowspace(other) = ker(other)^perp exactly when it is orthogonal to
+    every w_i, that is when the XOR of its labels is zero.  A labelled
+    loop has weight 1.  Otherwise a breadth-first search pairs each
+    non-tree edge ``u``-``w`` with the tree paths to its ends: when their
+    labels XOR to non-zero, the closed walk has weight
+    ``dist[u] + dist[w] + 1`` and its mod-2 edge set is a logical
+    operator at most that heavy, so no candidate undercuts the minimum.
+    Conversely the non-zero labels satisfy the 3-path condition
     (Thomassen 1990): for a shortest non-trivial cycle through the root,
     every shorter closed walk has label zero, so the tree paths to the
     ends of one of its middle edges carry the cycle's own labels and the
-    search meets the cycle exactly.  Candidates from depth ``t`` weigh at
-    least ``2t + 1``, so each search stops once that exceeds
-    ``min(budget, best - 1)``.
+    search meets the cycle exactly.  Every non-trivial cycle contains a
+    labelled qubit, so the searches start only at the ends of labelled
+    qubits.  Candidates from depth ``t`` weigh at least ``2t + 1``, so
+    each search stops once that exceeds ``min(budget, best - 1)``.
     """
     adjacency, loops = graph
     if budget < 1:
         return None
-    labels = gf2.transpose(gf2.kernel_basis(other)).bits
     if any(labels[j] for j in loops):
         return 1
     best = None
@@ -231,6 +274,8 @@ def _min_cycle_weight(graph: tuple[list[list[tuple[int, int]]], list[int]],
     for root in range(nodes):
         if limit < 2:  # no cycle of the graph is lighter than 2
             break
+        if not any(labels[j] for j, _ in adjacency[root]):
+            continue
         dist[root] = 0
         lab[root] = 0
         via[root] = -1
@@ -263,36 +308,28 @@ def _min_cycle_weight(graph: tuple[list[list[tuple[int, int]]], list[int]],
     return best
 
 
-def _class_minimum(check: BitMatrix, other: BitMatrix, budget: int) -> int | None:
-    """Minimum weight over ker(check) \\ rowspace(other), if <= budget.
-
-    The cycle search when ``check`` is a graph, else the exhaustive one.
-    """
-    graph = _qubit_graph(check)
-    if graph is None:
-        return _min_logical_weight(check, other, budget)
-    return _min_cycle_weight(graph, other, budget)
-
-
 def distance(c: CssCode, budget: int | None = None) -> DistanceResult:
     """Exact minimum distance by a shortest non-trivial cycle search.
 
     d_X is the minimum weight over ker(H_Z) outside the row space of H_X,
-    d_Z the mirror image, and d their minimum.  When every column of the
-    check matrix has at most two ones, as in every code built from a
-    hypermap, the class minimum is a shortest cycle with a non-zero
-    logical label in the graph of checks and qubits, found by one
-    breadth-first search per check (see :func:`_min_cycle_weight`);
-    otherwise the exhaustive search over kernel-basis combinations runs.
-    Both are exact at any qubit count.  The default budget is the qubit
-    count, which makes the result exact; a smaller one stops the search
-    early and, when nothing is found, certifies only that every logical
-    operator is heavier.  A code with k = 0 reports no weights.  The
-    result is a pure function of the inputs.
+    d_Z the mirror image, and d their minimum.  Every column of both
+    check matrices must have at most two ones, as in every code built
+    from a hypermap; each class minimum is then a shortest cycle with a
+    non-zero label in the graph of checks and qubits (see
+    :func:`_min_cycle_weight`), exact at any qubit count.  The default
+    budget is the qubit count, which makes the result exact; a smaller
+    one stops the search early and, when nothing is found, certifies only
+    that every logical operator is heavier.  A code with k = 0 reports no
+    weights.  Raises ``ValueError`` for a negative budget or a check
+    matrix with a column of three or more ones.  The result is a pure
+    function of the inputs.
     """
     budget = c.n if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"distance budget must be >= 0, got {budget}")
+    gx, gz = _qubit_graph(c.hx), _qubit_graph(c.hz)
     if c.k == 0:
         return DistanceResult(dx=None, dz=None, no_logicals=True, budget=budget)
-    return DistanceResult(dx=_class_minimum(c.hz, c.hx, budget),
-                          dz=_class_minimum(c.hx, c.hz, budget),
+    return DistanceResult(dx=_min_cycle_weight(gz, _cotree_labels(gz, gx, c.n), budget),
+                          dz=_min_cycle_weight(gx, _cotree_labels(gx, gz, c.n), budget),
                           no_logicals=False, budget=budget)

@@ -108,11 +108,14 @@ def _incidence21_json(c: CellComplex) -> str:
 
 
 def _distance_from_json(dd: dict, k: int) -> DistanceResult:
-    """A distance block, refused unless its no_logicals follows from ``k``, its
-    d and exact from its weights, and each weight lies in 1..budget."""
+    """A distance block, refused unless its budget is >= 0, its no_logicals
+    follows from ``k``, its d and exact from its weights, and each weight
+    lies in 1..budget."""
     weight = (int, type(None))
     d = DistanceResult(dx=_field(dd, "d_x", *weight), dz=_field(dd, "d_z", *weight),
                        no_logicals=_field(dd, "no_logicals", bool), budget=_field(dd, "budget", int))
+    if d.budget < 0:
+        raise ValueError(f"distance budget must be >= 0, got {d.budget}")
     if d.no_logicals != (k == 0):
         raise ValueError(f"distance has no_logicals={d.no_logicals} but k={k}")
     top = 0 if d.no_logicals else d.budget  # a code without logical operators has no weight

@@ -1,18 +1,15 @@
-"""GF(2) linear algebra on bit-packed matrices.
+"""GF(2) linear algebra on bit-packed matrices: rank, product, transpose, render.
 
 Each matrix row is one Python int; bit ``j`` of a row is the entry in
 column ``j``.  Vectors are plain ints under the same convention.  All
-arithmetic is mod 2 and everything is immutable: row reduction always
-works on an internal copy.
+arithmetic is mod 2 and everything is immutable.
 
 Cost model: the work follows the set bits and runs as C-level big-int
-and str operations, never as a Python loop over every entry.  Rank, row
-reduction and row-space tests insert rows into an XOR basis keyed by
-each row's lowest set bit, so a row costs one big-int XOR per basis row
-it meets; the reduced echelon form back-substitutes over pivot bits
-only.  ``multiply`` XORs the rows of ``b`` picked by the set bits of
-each row of ``a``: O(nnz(a)) big-int XORs.  Rendering formats each row
-with ``format``.
+and str operations, never as a Python loop over every entry.  ``rank``
+inserts rows into an XOR basis keyed by each row's lowest set bit, so a
+row costs one big-int XOR per basis row it meets.  ``multiply`` XORs the
+rows of ``b`` picked by the set bits of each row of ``a``: O(nnz(a))
+big-int XORs.  Rendering formats each row with ``format``.
 """
 
 from __future__ import annotations
@@ -96,26 +93,15 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.rows, b.cols, tuple(bits))
 
 
-def mat_vec(m: BitMatrix, v: int) -> int:
-    """Product m*v with v a column vector packed as an int."""
-    if v >> m.cols:
-        raise ValueError(f"vector has bits outside {m.cols} columns")
-    out = 0
-    for i, row in enumerate(m.bits):
-        if (row & v).bit_count() & 1:
-            out |= 1 << i
-    return out
-
-
-def _basis(bits: Sequence[int]) -> dict[int, int]:
-    """XOR basis of the row space keyed by each basis row's lowest set bit.
+def rank(m: BitMatrix) -> int:
+    """Size of an XOR basis of the rows keyed by each basis row's lowest set bit.
 
     Keys are distinct one-bit ints; the row stored under a key has that
-    bit as its lowest, so reducing a vector against the basis only ever
+    bit as its lowest, so reducing a row against the basis only ever
     clears its lowest bit and adds higher ones.
     """
     basis: dict[int, int] = {}
-    for row in bits:
+    for row in m.bits:
         while row:
             low = row & -row
             pivot = basis.get(low)
@@ -123,72 +109,4 @@ def _basis(bits: Sequence[int]) -> dict[int, int]:
                 basis[low] = row
                 break
             row ^= pivot
-    return basis
-
-
-def _echelon(bits: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns).
-
-    The lowest-bit basis is back-substituted from the highest pivot down,
-    so each pivot row loses its bits in the other pivot columns.  RREF is
-    unique, so this equals column-by-column Gauss-Jordan elimination.
-    """
-    basis = _basis(bits)
-    keys = sorted(basis)
-    pivot_mask = 0
-    for low in reversed(keys):
-        row = basis[low]
-        hits = row & pivot_mask
-        while hits:
-            bit = hits & -hits
-            row ^= basis[bit]
-            hits ^= bit
-        basis[low] = row
-        pivot_mask |= low
-    work = [basis[low] for low in keys]
-    work.extend([0] * (len(bits) - len(work)))
-    return work, [low.bit_length() - 1 for low in keys]
-
-
-def echelon_form(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduced row echelon form of ``m`` and its pivot columns."""
-    work, pivots = _echelon(m.bits, m.cols)
-    return BitMatrix(m.rows, m.cols, tuple(work)), tuple(pivots)
-
-
-def rank(m: BitMatrix) -> int:
-    return len(_basis(m.bits))
-
-
-def kernel_basis(m: BitMatrix) -> BitMatrix:
-    """Basis of {v : m*v = 0} as rows of a (cols - rank) x cols matrix.
-
-    Deterministic: one basis vector per free column of the reduced row
-    echelon form, in increasing column order.  Each vector has a 1 at its
-    own free column and nowhere else among the free columns, so any sum
-    of t basis vectors has weight at least t.
-    """
-    work, pivots = _echelon(m.bits, m.cols)
-    basis = {f: 1 << f for f in range(m.cols)}
-    for c in pivots:
-        del basis[c]
-    for row, c in zip(work, pivots):
-        free = row ^ (1 << c)
-        while free:
-            low = free & -free
-            basis[low.bit_length() - 1] |= 1 << c
-            free ^= low
-    return BitMatrix(len(basis), m.cols, tuple(basis.values()))
-
-
-def in_row_space(m: BitMatrix, v: int) -> bool:
-    """True when v is a GF(2) combination of the rows of m."""
-    if v >> m.cols:
-        raise ValueError(f"vector has bits outside {m.cols} columns")
-    basis = _basis(m.bits)
-    while v:
-        pivot = basis.get(v & -v)
-        if pivot is None:
-            return False
-        v ^= pivot
-    return True
+    return len(basis)

@@ -19,7 +19,7 @@ Three derived hypermaps share the surface:
 - contrary:       (sigma, alpha)               -- vertices and edges swapped.
 
 The contrary of the triangle dual equals the triangle dual of the dual;
-:func:`check_nabla_identity` verifies this orbit by orbit.
+``verify`` checks this orbit by orbit with :func:`same_orbits`.
 
 A derived hypermap has the cells of ``h``, relabelled, so ``dual``,
 ``triangle_dual`` and ``contrary`` take every orbit family and ``*_index``
@@ -218,11 +218,6 @@ def same_orbits(a: Hypermap, b: Hypermap) -> bool:
     """Whether ``a`` and ``b`` have the same vertex, edge and face partitions."""
     return all(as_partition(getattr(a, family)) == as_partition(getattr(b, family))
                for family in ("vertices", "edges", "faces"))
-
-
-def check_nabla_identity(h: Hypermap) -> bool:
-    """Verify nabla(h) == triangle_dual(dual(h)) orbit family by orbit family."""
-    return same_orbits(nabla(h), triangle_dual(dual(h)))
 
 
 def _random_transitive_pair(n: int, rng: random.Random) -> Hypermap:

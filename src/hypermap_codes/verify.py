@@ -130,7 +130,7 @@ def _check_nabla_swaps_dual_orbits(x):
             and _same_partitions(x.nabla.faces, x.dual.edges))
 
 
-def _check_nabla_identity(x):
+def _check_nabla_is_triangle_dual_of_dual(x):
     return same_orbits(x.nabla, triangle_dual(x.dual))
 
 
@@ -192,7 +192,7 @@ VERIFY_CHECKS: list[tuple[str, Callable[[Derived], bool]]] = [
     ("contrary-involution", _check_contrary_involution),
     ("contrary-swaps-vertices-edges", _check_contrary_swaps_vertices_edges),
     ("nabla-swaps-dual-edges-faces", _check_nabla_swaps_dual_orbits),
-    ("nabla-is-triangle-dual-of-dual", _check_nabla_identity),
+    ("nabla-is-triangle-dual-of-dual", _check_nabla_is_triangle_dual_of_dual),
     ("special-dart-transfer", _check_special_dart_transfer),
     ("face-edge-code-transfer", _check_face_edge_code_transfer),
     ("dual-face-nabla-edge-transfer", _check_dual_face_nabla_edge_transfer),

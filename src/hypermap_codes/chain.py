@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _unchecked
 from .hypermap import (
     PER_EDGE,
     PER_FACE,
@@ -80,12 +80,13 @@ class QuotientCode:
 
 
 def _orbit_labels(orbits) -> tuple[int, ...]:
-    return tuple(min(o) for o in orbits)
+    """The minimum dart of each orbit: a canonical cycle starts at its minimum."""
+    return tuple([c[0] for c in orbits])
 
 
 def _dart_incidence(index: Sequence[int], orbit_count: int) -> BitMatrix:
     """Darts x orbits from a dart -> orbit table: row ``dart`` is ``1 << index[dart]``."""
-    return BitMatrix(len(index), orbit_count, tuple(1 << j for j in index))
+    return _unchecked(len(index), orbit_count, tuple([1 << j for j in index]))
 
 
 def _endpoint_matrix(h: Hypermap, qubits: Sequence[int]) -> BitMatrix:
@@ -100,7 +101,7 @@ def _endpoint_matrix(h: Hypermap, qubits: Sequence[int]) -> BitMatrix:
         if head != tail:
             bits[head] |= 1 << col
             bits[tail] |= 1 << col
-    return BitMatrix(len(h.vertices), len(qubits), tuple(bits))
+    return _unchecked(len(h.vertices), len(qubits), tuple(bits))
 
 
 def raw_complex(h: Hypermap) -> RawComplex:
@@ -136,7 +137,7 @@ def _quotient_code(h: Hypermap, s: SpecialDarts, kind: str) -> QuotientCode:
         kind=kind,
         special=s,
         qubit_labels=qubits,
-        boundary2=BitMatrix(len(qubits), len(z_orbits), b2_bits),
+        boundary2=_unchecked(len(qubits), len(z_orbits), b2_bits),
         boundary1=_endpoint_matrix(h, qubits),
         z_labels=_orbit_labels(z_orbits),
         x_labels=_orbit_labels(h.vertices),

@@ -87,6 +87,20 @@ def _resolve_special(h: Hypermap, kind: str, cli_special: list[int] | None,
     return default_special_darts(h, per)
 
 
+def _special_without_effect(args) -> str | None:
+    """The option that leaves a given --special unused, or None if it is used."""
+    if getattr(args, "special", None) is None:
+        return None
+    if getattr(args, "format", None) == "dot":
+        return "--format dot"
+    what = getattr(args, "what", "code")  # export's; code and distance build a code
+    if what == "hypermap":
+        return "--what hypermap"
+    if what == "code" and getattr(args, "kind", None) == FULL:
+        return "--kind full"
+    return None
+
+
 def _build_quotient(h: Hypermap, kind: str, cli_special, file_special) -> QuotientCode:
     if kind == FULL:
         return full_code(h)
@@ -342,7 +356,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    parser = _shared_parser()
+    args = parser.parse_args(argv)
+    if (option := _special_without_effect(args)) is not None:
+        parser.error(f"argument --special: has no effect with {option}")
     path = getattr(args, "file", None)
     try:
         status = args.func(args)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from . import gf2
+from .chain import EDGE, FACE
 from .css import CssCode, DistanceResult
 from .gf2 import BitMatrix
 from .hypermap import Hypermap
@@ -48,10 +49,12 @@ def _field(doc: dict, key: str, *kinds: type):
 
 
 def _labels(doc: dict, key: str) -> tuple[int, ...]:
-    """A list of 1-based integer labels, returned 0-based."""
+    """A list of distinct 1-based integer labels, returned 0-based."""
     labels = _field(doc, key, list)
     if any(type(i) is not int for i in labels):
         raise ValueError(f"{key!r} must hold integers only")
+    if any(i < 1 for i in labels) or len(set(labels)) < len(labels):
+        raise ValueError(f"{key!r} must hold distinct labels >= 1")
     return tuple(i - 1 for i in labels)
 
 
@@ -131,7 +134,9 @@ def parse_json(text: str):
 
     Every malformed document raises ``ValueError``: invalid JSON, a
     non-object document, a missing key, a value of the wrong JSON type,
-    or contents that disagree with each other.
+    a label list that repeats a label or holds one below 1, a ``z_axis``
+    other than ``"face"`` or ``"edge"``, or contents that disagree with
+    each other.
     """
     try:
         doc = json.loads(text)
@@ -160,12 +165,15 @@ def parse_json(text: str):
         k = n - gf2.rank(hx) - gf2.rank(hz)
         if k != _field(doc, "k", int):
             raise ValueError(f"stored k={doc['k']} but check ranks give k={k}")
+        z_axis = _field(doc, "z_axis", str)
+        if z_axis not in (FACE, EDGE):  # the cells the Z checks come from
+            raise ValueError(f"'z_axis' must be {FACE!r} or {EDGE!r}, got {z_axis!r}")
         d = _distance_from_json(_field(doc, "distance", dict), k) if "distance" in doc else None
         return CssCode(
             hx=hx, hz=hz,
             qubit_labels=labels["qubits"], x_labels=labels["x_checks"],
             z_labels=labels["z_checks"],
-            z_axis=_field(doc, "z_axis", str), n=n, k=k, d=d,
+            z_axis=z_axis, n=n, k=k, d=d,
         )
     if kind == "cell-complex":
         rows = _field(doc, "incidence21", list)

@@ -10,6 +10,12 @@ inserts rows into an XOR basis keyed by each row's lowest set bit, so a
 row costs one big-int XOR per basis row it meets.  ``multiply`` XORs the
 rows of ``b`` picked by the set bits of each row of ``a``: O(nnz(a))
 big-int XORs.  Rendering formats each row with ``format``.
+
+``BitMatrix(rows, cols, bits)`` validates its rows.  Matrices this package
+builds itself (``multiply``, ``transpose``, and the boundary and incidence
+matrices that ``chain`` and ``reduce`` read off orbit tables) fit their
+shape by construction and come from ``_unchecked``, which skips that
+check, like ``perm._unchecked``.
 """
 
 from __future__ import annotations
@@ -37,6 +43,15 @@ class BitMatrix:
 
     def get(self, i: int, j: int) -> int:
         return (self.bits[i] >> j) & 1
+
+
+def _unchecked(rows: int, cols: int, bits: tuple[int, ...]) -> BitMatrix:
+    """A matrix of ``rows`` row masks already known to lie in 0 .. 2**cols - 1."""
+    m = object.__new__(BitMatrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "bits", bits)
+    return m
 
 
 def from_strings(rows: Sequence[str], cols: int | None = None) -> BitMatrix:
@@ -74,7 +89,7 @@ def transpose(m: BitMatrix) -> BitMatrix:
             j = (row & -row).bit_length() - 1
             bits[j] |= 1 << i
             row &= row - 1
-    return BitMatrix(m.cols, m.rows, tuple(bits))
+    return _unchecked(m.cols, m.rows, tuple(bits))
 
 
 def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -90,7 +105,7 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
             out ^= b_rows[low.bit_length() - 1]
             row ^= low
         bits.append(out)
-    return BitMatrix(a.rows, b.cols, tuple(bits))
+    return _unchecked(a.rows, b.cols, tuple(bits))
 
 
 def rank(m: BitMatrix) -> int:

@@ -19,7 +19,7 @@ Three derived hypermaps share the surface:
 - contrary:       (sigma, alpha)               -- vertices and edges swapped.
 
 The contrary of the triangle dual equals the triangle dual of the dual;
-``verify`` checks this orbit by orbit with :func:`same_orbits`.
+``verify`` checks this orbit family by orbit family.
 
 A derived hypermap has the cells of ``h``, relabelled, so ``dual``,
 ``triangle_dual`` and ``contrary`` take every orbit family and ``*_index``
@@ -33,10 +33,11 @@ transitivity search or orbit walk:
 
 "Reversed" is the orbit family of the inverse permutation: each canonical
 cycle ``c`` read backwards from its minimum, ``(c[0],) + c[:0:-1]``, with
-the same dart -> orbit index table.  The orbit-partition checks of
-``verify`` thus test these identities as written here; the differential
-tests test them against a validating build of each derived pair, which
-walks its orbits afresh.
+the same dart -> orbit index table.  Nothing here checks the table above,
+so the orbit checks of ``verify`` walk each derived map's own permutations
+afresh (``_walk_orbits``, the walk of the constructor) and compare the
+result with both the stored families and the families of ``h`` that the
+table names.
 
 Orientation reversal has no carrier in this purely combinatorial model:
 the dual constructions above flip the underlying surface orientation, but
@@ -53,7 +54,6 @@ from .perm import (
     MAX_DARTS,
     Cycles,
     Permutation,
-    as_partition,
     compose,
     connected_components,
     decimal_value,
@@ -89,9 +89,9 @@ class Hypermap:
     """A validated hypermap with cached orbit decompositions.
 
     Immutable after construction.  One flat search checks transitivity, and
-    one walk per orbit family (``perm._orbits``) computes the vertex, edge
-    and face decompositions and their dart -> orbit tables (``*_index``).
-    The derived maps come from :meth:`_from_orbits` instead.
+    one walk per orbit family (:func:`_walk_orbits`) computes the vertex,
+    edge and face decompositions and their dart -> orbit tables
+    (``*_index``).  The derived maps come from :meth:`_from_orbits` instead.
     """
 
     __slots__ = ("alpha", "sigma", "vertices", "edges", "faces",
@@ -104,12 +104,8 @@ class Hypermap:
             raise DisconnectedError(connected_components(alpha, sigma))
         self.alpha = alpha
         self.sigma = sigma
-        faces = [0] * alpha.degree  # alpha^-1 sigma: i -> sigma(alpha^-1(i))
-        for dart, i in enumerate(alpha.images):
-            faces[i] = sigma.images[dart]
-        self.vertices, self.vertex_index = _orbits(sigma.images)
-        self.edges, self.edge_index = _orbits(alpha.images)
-        self.faces, self.face_index = _orbits(faces)
+        ((self.vertices, self.vertex_index), (self.edges, self.edge_index),
+         (self.faces, self.face_index)) = _walk_orbits(self)
 
     @classmethod
     def _from_orbits(cls, alpha: Permutation, sigma: Permutation,
@@ -150,6 +146,16 @@ class Hypermap:
     def __repr__(self) -> str:
         return (f"Hypermap(alpha={format_cycles(self.alpha)!r}, "
                 f"sigma={format_cycles(self.sigma)!r}, n={self.n})")
+
+
+def _walk_orbits(h: Hypermap) -> tuple[Family, Family, Family]:
+    """The vertex, edge and face families of the permutations of ``h``, one
+    orbit walk each, whatever families ``h`` stores."""
+    alpha, sigma = h.alpha, h.sigma
+    faces = [0] * alpha.degree  # alpha^-1 sigma: i -> sigma(alpha^-1(i))
+    for dart, i in enumerate(alpha.images):
+        faces[i] = sigma.images[dart]
+    return _orbits(sigma.images), _orbits(alpha.images), _orbits(faces)
 
 
 def euler_characteristic(h: Hypermap) -> int:
@@ -214,12 +220,6 @@ def nabla(h: Hypermap) -> Hypermap:
     return contrary(triangle_dual(h))
 
 
-def same_orbits(a: Hypermap, b: Hypermap) -> bool:
-    """Whether ``a`` and ``b`` have the same vertex, edge and face partitions."""
-    return all(as_partition(getattr(a, family)) == as_partition(getattr(b, family))
-               for family in ("vertices", "edges", "faces"))
-
-
 def _random_transitive_pair(n: int, rng: random.Random) -> Hypermap:
     while True:
         alpha = random_permutation(n, rng)
@@ -266,23 +266,22 @@ def special_darts(h: Hypermap, darts, kind: str) -> SpecialDarts:
     """Validate a special-dart choice against the orbits of ``h``.
 
     Raises :class:`SpecialDartError` unless ``darts`` picks exactly one
-    dart from every edge orbit (per-edge) or face orbit (per-face).
+    dart from every edge orbit (per-edge) or face orbit (per-face).  Hits
+    are counted per orbit through the dart -> orbit table.
     """
     chosen = frozenset(darts)
+    orbits, index = (h.edges, h.edge_index) if kind == PER_EDGE else (h.faces, h.face_index)
+    n, hits = h.n, [0] * len(orbits)  # special darts per orbit
     for dart in chosen:
-        if not 0 <= dart < h.n:
-            raise SpecialDartError(f"dart {dart + 1} outside 1..{h.n}")
-    orbits = h.edges if kind == PER_EDGE else h.faces
+        if not 0 <= dart < n:
+            raise SpecialDartError(f"dart {dart + 1} outside 1..{n}")
+        hits[index[dart]] += 1
     name = "edge" if kind == PER_EDGE else "face"
-    bad = []
-    for orbit in orbits:
-        hits = chosen.intersection(orbit)
-        if len(hits) != 1:
-            bad.append((orbit, len(hits)))
+    bad = [(orbit, count) for orbit, count in zip(orbits, hits) if count != 1]
     if bad:
         pretty = "; ".join(
-            f"{name} orbit {{{' '.join(str(i + 1) for i in orbit)}}} has {hits} special darts"
-            for orbit, hits in bad
+            f"{name} orbit {{{' '.join(str(i + 1) for i in orbit)}}} has {count} special darts"
+            for orbit, count in bad
         )
         raise SpecialDartError(f"not a valid {kind} special set: {pretty}")
     return SpecialDarts(chosen, kind)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .chain import FACE, QuotientCode
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _unchecked
 from .hypermap import Hypermap, euler_characteristic
 
 
@@ -57,7 +57,7 @@ class CellComplex:
 
     def incidence21_mod2(self) -> BitMatrix:
         bits = tuple(sum(1 << j for j, v in pairs if v & 1) for pairs in self.counts21)
-        return BitMatrix(len(self.one_cells), len(self.two_cells), bits)
+        return _unchecked(len(self.one_cells), len(self.two_cells), bits)
 
     def count_lines(self, sep: str) -> list[str]:
         """Each 1-cell's dense row joined by ``sep``, cut from one all-zero line."""

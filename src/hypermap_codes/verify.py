@@ -1,7 +1,17 @@
 """The verification suite: named identity and equivalence checks.
 
 Each check is a predicate on the :class:`Derived` record of one map of a
-seeded random corpus; a predicate that raises counts as a failure.
+seeded random corpus; a predicate that raises counts as a failure.  A map
+drawn more than once is checked once, and its verdicts count for every
+draw of it.
+
+The derived maps relabel the orbit tables of ``h`` (``dual``,
+``triangle_dual`` and ``contrary`` in :mod:`~hypermap_codes.hypermap`), so
+reading their stored orbits would test those tables against themselves.
+The orbit checks instead walk each derived map's own permutations afresh
+(``Derived.*_walk``).  A check compares the canonical dart -> orbit table
+of that walk with the table its identity names, and the walked family,
+cycles and table, with the family the map stores.
 """
 
 from __future__ import annotations
@@ -19,17 +29,16 @@ from .hypermap import (
     Hypermap,
     SpecialDartError,
     SpecialDarts,
+    _walk_orbits,
     contrary,
     default_special_darts,
     dual,
     euler_characteristic,
     nabla,
     random_corpus,
-    same_orbits,
     special_darts,
     triangle_dual,
 )
-from .perm import as_partition
 from .reduce import reduce_to_surface, validate_surface
 
 
@@ -66,10 +75,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _same_partitions(a, b) -> bool:
-    return as_partition(a) == as_partition(b)
-
-
 @dataclass
 class Derived:
     """A corpus map and what its checks derive from it, each built on first read.
@@ -83,6 +88,10 @@ class Derived:
     triangle_dual = cached_property(lambda x: triangle_dual(x.h))
     contrary = cached_property(lambda x: contrary(x.h))
     nabla = cached_property(lambda x: nabla(x.h))
+    dual_walk = cached_property(lambda x: _walk_orbits(x.dual))
+    triangle_dual_walk = cached_property(lambda x: _walk_orbits(x.triangle_dual))
+    contrary_walk = cached_property(lambda x: _walk_orbits(x.contrary))
+    nabla_walk = cached_property(lambda x: _walk_orbits(x.nabla))
     per_edge = cached_property(lambda x: default_special_darts(x.h, PER_EDGE))
     per_face = cached_property(lambda x: default_special_darts(x.h, PER_FACE))
     face_code = cached_property(lambda x: face_code(x.h, x.per_edge))
@@ -90,17 +99,34 @@ class Derived:
     face_k = cached_property(lambda x: assemble(x.face_code).k)
 
 
+VERTICES, EDGES, FACES = range(3)  # positions of the families in a walk
+_STORED = (("vertices", "vertex_index"), ("edges", "edge_index"), ("faces", "face_index"))
+
+
+def _family_is(m: Hypermap, walk, family: int, table: tuple[int, ...]) -> bool:
+    """Whether ``family`` of ``walk``, a fresh walk of ``m``, has the dart -> orbit
+    table ``table`` and is the family that ``m`` stores.
+
+    Canonical tables number the orbits by their minimum dart, so two equal
+    tables are one partition of the darts.
+    """
+    cycles, index = walk[family]
+    stored_cycles, stored_index = _STORED[family]
+    return (index == table and index == getattr(m, stored_index)
+            and cycles == getattr(m, stored_cycles))
+
+
 def _check_dual_involution(x):
     return dual(x.dual) == x.h
 
 
 def _check_dual_preserves_edges(x):
-    return _same_partitions(x.dual.edges, x.h.edges)
+    return _family_is(x.dual, x.dual_walk, EDGES, x.h.edge_index)
 
 
 def _check_dual_swaps_vertices_faces(x):
-    return (_same_partitions(x.dual.vertices, x.h.faces)
-            and _same_partitions(x.dual.faces, x.h.vertices))
+    return (_family_is(x.dual, x.dual_walk, VERTICES, x.h.face_index)
+            and _family_is(x.dual, x.dual_walk, FACES, x.h.vertex_index))
 
 
 def _check_triangle_dual_involution(x):
@@ -108,12 +134,12 @@ def _check_triangle_dual_involution(x):
 
 
 def _check_triangle_dual_preserves_vertices(x):
-    return _same_partitions(x.triangle_dual.vertices, x.h.vertices)
+    return _family_is(x.triangle_dual, x.triangle_dual_walk, VERTICES, x.h.vertex_index)
 
 
 def _check_triangle_dual_swaps_edges_faces(x):
-    return (_same_partitions(x.triangle_dual.faces, x.h.edges)
-            and _same_partitions(x.triangle_dual.edges, x.h.faces))
+    return (_family_is(x.triangle_dual, x.triangle_dual_walk, FACES, x.h.edge_index)
+            and _family_is(x.triangle_dual, x.triangle_dual_walk, EDGES, x.h.face_index))
 
 
 def _check_contrary_involution(x):
@@ -121,17 +147,21 @@ def _check_contrary_involution(x):
 
 
 def _check_contrary_swaps_vertices_edges(x):
-    return (_same_partitions(x.contrary.vertices, x.h.edges)
-            and _same_partitions(x.contrary.edges, x.h.vertices))
+    return (_family_is(x.contrary, x.contrary_walk, VERTICES, x.h.edge_index)
+            and _family_is(x.contrary, x.contrary_walk, EDGES, x.h.vertex_index))
 
 
 def _check_nabla_swaps_dual_orbits(x):
-    return (_same_partitions(x.nabla.edges, x.dual.faces)
-            and _same_partitions(x.nabla.faces, x.dual.edges))
+    return (_family_is(x.nabla, x.nabla_walk, EDGES, x.dual_walk[FACES][1])
+            and _family_is(x.nabla, x.nabla_walk, FACES, x.dual_walk[EDGES][1]))
 
 
 def _check_nabla_is_triangle_dual_of_dual(x):
-    return same_orbits(x.nabla, triangle_dual(x.dual))
+    t = triangle_dual(x.dual)
+    t_walk = _walk_orbits(t)
+    return all(_family_is(m, walk, family, other[family][1])
+               for m, walk, other in ((x.nabla, x.nabla_walk, t_walk), (t, t_walk, x.nabla_walk))
+               for family in (VERTICES, EDGES, FACES))
 
 
 def _check_special_dart_transfer(x):
@@ -203,19 +233,39 @@ VERIFY_CHECKS: list[tuple[str, Callable[[Derived], bool]]] = [
 ]
 
 
+def _verdicts(x: Derived) -> tuple[str | None, ...]:
+    """Per check, None if it holds on ``x`` and otherwise the suffix its
+    failure report adds: empty, or the error the predicate raised."""
+    verdicts = []
+    for _, predicate in VERIFY_CHECKS:
+        try:
+            verdicts.append(None if predicate(x) else "")
+        except Exception as exc:  # a crash is a failure, not a verdict
+            verdicts.append(f" raised {type(exc).__name__}: {exc}")
+    return tuple(verdicts)
+
+
 def run_verification(trials: int, max_darts: int, seed: int) -> VerificationReport:
-    """Run every named identity and equivalence check over a random corpus, map by map."""
+    """Run every named identity and equivalence check over a random corpus.
+
+    Each distinct map (its ``alpha`` and ``sigma`` images) is checked once;
+    failures are counted per draw, and a check's first failure is its first
+    failing draw.
+    """
     corpus = random_corpus(trials, max_darts, seed)
-    failed: list[list] = [[] for _ in VERIFY_CHECKS]  # per check: (map, error) per failure
+    failures = [0] * len(VERIFY_CHECKS)
+    first = [""] * len(VERIFY_CHECKS)
+    seen: dict[tuple, tuple[str | None, ...]] = {}
     for h in corpus:
-        x = Derived(h)
-        for (_, predicate), fails in zip(VERIFY_CHECKS, failed):
-            try:
-                ok, error = predicate(x), ""
-            except Exception as exc:  # a crash is a failure, not a verdict
-                ok, error = False, f" raised {type(exc).__name__}: {exc}"
-            if not ok:
-                fails.append((h, error))
-    outcomes = (CheckOutcome(name, len(f), len(corpus), repr(f[0][0]) + f[0][1] if f else "")
-                for (name, _), f in zip(VERIFY_CHECKS, failed))
+        key = (h.alpha.images, h.sigma.images)
+        verdicts = seen.get(key)
+        if verdicts is None:
+            verdicts = seen[key] = _verdicts(Derived(h))
+        for i, error in enumerate(verdicts):
+            if error is not None:
+                if not failures[i]:
+                    first[i] = repr(h) + error
+                failures[i] += 1
+    outcomes = (CheckOutcome(name, fails, len(corpus), text)
+                for (name, _), fails, text in zip(VERIFY_CHECKS, failures, first))
     return VerificationReport(trials, max_darts, seed, tuple(outcomes))

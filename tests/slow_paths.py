@@ -16,8 +16,13 @@ are kept as they were built before they read the parent's orbit tables:
 new permutations, each validated, through the ``Hypermap`` constructor,
 which searches transitivity and walks every orbit family again.  The
 verify suite is kept as it ran before its checks shared a per-map
-record: check by check over the corpus, each predicate taking the
-hypermap and building every derived map and code it needs itself.  The
+record and before it checked each distinct map once: check by check over
+the corpus, each predicate taking the hypermap and building every derived
+map and code it needs itself, and comparing orbit partitions as sets
+(``same_orbits``) where the library walks each derived map afresh and
+compares index tables.  The special-set check is kept as it intersected
+the chosen set with every orbit, before it counted hits through the
+dart -> orbit table.  The
 cycle-notation parser is kept as the character walker it was before the
 grammar scan, and the surface reduction as the dense
 1-cells x 2-cells count table, with its mod-2 projection, validation and
@@ -64,11 +69,9 @@ from hypermap_codes import (
     nabla,
     random_corpus,
     raw_complex,
-    special_darts,
     transpose,
     triangle_dual,
 )
-from hypermap_codes.hypermap import same_orbits
 from hypermap_codes.perm import as_partition
 from hypermap_codes.verify import CheckOutcome, VerificationReport
 
@@ -311,6 +314,37 @@ def orbit_build(alpha, sigma):
     families = (cycle_decomposition(sigma), cycle_decomposition(alpha),
                 cycle_decomposition(compose(inverse(alpha), sigma)))
     return components, families + tuple(orbit_index(f, alpha.degree) for f in families)
+
+
+# ---------------------------------------------------------------------------
+# special darts and orbit partitions, as sets
+
+def special_darts(h, darts, kind):
+    """The special-set check as it intersected the chosen set with every orbit."""
+    chosen = frozenset(darts)
+    for dart in chosen:
+        if not 0 <= dart < h.n:
+            raise SpecialDartError(f"dart {dart + 1} outside 1..{h.n}")
+    orbits = h.edges if kind == PER_EDGE else h.faces
+    name = "edge" if kind == PER_EDGE else "face"
+    bad = []
+    for orbit in orbits:
+        hits = chosen.intersection(orbit)
+        if len(hits) != 1:
+            bad.append((orbit, len(hits)))
+    if bad:
+        pretty = "; ".join(
+            f"{name} orbit {{{' '.join(str(i + 1) for i in orbit)}}} has {hits} special darts"
+            for orbit, hits in bad
+        )
+        raise SpecialDartError(f"not a valid {kind} special set: {pretty}")
+    return SpecialDarts(chosen, kind)
+
+
+def same_orbits(a, b):
+    """Whether ``a`` and ``b`` have the same vertex, edge and face partitions."""
+    return all(as_partition(getattr(a, family)) == as_partition(getattr(b, family))
+               for family in ("vertices", "edges", "faces"))
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,7 @@ from hypermap_codes import (
     triangle_dual,
     validate_surface,
 )
-from hypermap_codes.hypermap import same_orbits
-from slow_paths import in_row_space, kernel_basis, mat_vec
+from slow_paths import in_row_space, kernel_basis, mat_vec, same_orbits
 
 HX_ROWS = ["111111", "111111"]
 HZ_ROWS = ["100001", "111010", "010111", "001100"]

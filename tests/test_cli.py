@@ -333,6 +333,17 @@ def test_json_round_trip_random_artifacts():
         assert parse_json(export_json(complex_)) == complex_
 
 
+def test_every_corpus_document_round_trips(torus8, corpus):
+    for h in [torus8, *corpus]:
+        assert parse_json(export_json(h)) == h
+        face = face_code(h, default_special_darts(h, PER_EDGE))
+        for q in (face, edge_code(h, default_special_darts(h, PER_FACE)), full_code(h)):
+            code = assemble(q)
+            assert parse_json(export_json(code)) == code
+        complex_ = reduce_to_surface(h, face)
+        assert parse_json(export_json(complex_)) == complex_
+
+
 def test_parse_json_rejects_tampered_k(torus8):
     code = assemble(face_code(torus8, default_special_darts(torus8, PER_EDGE)))
     doc = json.loads(export_json(code))
@@ -419,6 +430,20 @@ MALFORMED_DOCUMENTS = {
     "dropped zero-cell label": _complex_with("zero_cells", _TORUS8_COMPLEX_DOC["zero_cells"][:-1]),
     "extra incidence10 row": _complex_with(
         "incidence10", {**_INCIDENCE10, "rows": [*_INCIDENCE10["rows"], "000000"]}),
+    "empty z_axis": {**_CODE_DOC, "z_axis": ""},
+    "unknown z_axis": {**_CODE_DOC, "z_axis": "banana"},
+    "z_axis of the full kind": {**_CODE_DOC, "z_axis": "full"},
+    "qubit label 0": {**_CODE_DOC, "qubits": [0, 2]},
+    "negative qubit label": {**_CODE_DOC, "qubits": [-5, 2]},
+    "repeated qubit label": {**_CODE_DOC, "qubits": [2, 2]},
+    "x_check label 0": {**_CODE_DOC, "x_checks": [0]},
+    "repeated z_check label": {
+        **_CODE_DOC, "hz": {"cols": 2, "rows": ["00", "00"]}, "z_checks": [1, 1], "k": 1},
+    "zero-cell label 0": _complex_with("zero_cells", [0, *_TORUS8_COMPLEX_DOC["zero_cells"][1:]]),
+    "repeated one-cell label": _complex_with(
+        "one_cells", [*_TORUS8_COMPLEX_DOC["one_cells"][:-1], _TORUS8_COMPLEX_DOC["one_cells"][0]]),
+    "negative two-cell label": _complex_with(
+        "two_cells", [-1, *_TORUS8_COMPLEX_DOC["two_cells"][1:]]),
 }
 
 
@@ -817,6 +842,42 @@ def test_special_flag_past_the_dart_limit_is_a_usage_error(torus_file, capsys):
     assert out == "" and "_dart_label" not in err
     assert ("argument --special: special dart of 4400 digits exceeds the limit of "
             f"{MAX_DARTS} darts") in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["code", "{file}", "--kind", "full", "--special", "99"], "--kind full"),
+    (["distance", "{file}", "--kind", "full", "--special", "1"], "--kind full"),
+    (["export", "{file}", "--format", "json", "--what", "code", "--kind", "full",
+      "--special", "2", "5"], "--kind full"),
+    (["export", "{file}", "--format", "dot", "--special", "2", "5"], "--format dot"),
+    (["export", "{file}", "--format", "dot", "--what", "code", "--special", "2"],
+     "--format dot"),
+    (["export", "{file}", "--format", "json", "--special", "2", "5"], "--what hypermap"),
+    (["export", "{file}", "--format", "json", "--what", "hypermap", "--special", "1"],
+     "--what hypermap"),
+])
+def test_special_flag_without_effect_is_a_usage_error(argv, option, torus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.replace("{file}", torus_file) for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and f"argument --special: has no effect with {option}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "{file}"],
+    ["code", "{file}", "--kind", "face"],
+    ["distance", "{file}", "--kind", "face"],
+    ["export", "{file}", "--format", "json", "--what", "code"],
+    ["export", "{file}", "--format", "json", "--what", "complex", "--kind", "full"],
+])
+def test_special_flag_with_effect_is_read(argv, torus_file, capsys):
+    """One special dart is too few for torus8's two edges and four faces."""
+    argv = [arg.replace("{file}", torus_file) for arg in argv]
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--special", "1")
+    assert (code, out) == (3, "") and "special set" in err
 
 
 @pytest.mark.parametrize("argv,flag,value", [

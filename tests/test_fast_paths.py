@@ -18,7 +18,11 @@ dual, triangle dual, contrary and nabla, which relabel the orbit tables of
 their parent, are compared field by field with a validating build of the
 same pair on every small map, the corpus and square-lattice tori, and the
 permutations that ``perm`` makes without validation are drawn and
-validated.
+validated.  The special-set check, which counts hits through the
+dart -> orbit table, must raise the oracle's exact message on every subset
+of every small map, on the corpus and on out-of-range sets, and every
+matrix that ``gf2``, ``chain`` and ``reduce`` build without validation
+must pass it.
 """
 
 import itertools
@@ -42,6 +46,7 @@ from hypermap_codes import (
     Hypermap,
     Permutation,
     QuotientCode,
+    SpecialDartError,
     SpecialDarts,
     assemble,
     compose,
@@ -75,7 +80,7 @@ from hypermap_codes import (
     triangle_dual,
     validate_surface,
 )
-from hypermap_codes import chain, perm
+from hypermap_codes import chain, gf2, perm, reduce
 from conftest import square_torus
 from test_exhaustive_small import all_hypermaps
 
@@ -592,3 +597,79 @@ def test_validation_of_corrupted_counts_matches_oracle(torus8, corpus):
             report = validate_surface(c, h, code)
             assert report == slow_paths.validate_surface(c, h, s), name
             assert not report.passed, name
+
+
+# ---------------------------------------------------------------------------
+# special sets counted through the dart -> orbit tables
+
+def _special_outcome(check, h, darts, kind):
+    """The checked set, or the text of the ``SpecialDartError`` raised."""
+    try:
+        return check(h, darts, kind)
+    except SpecialDartError as exc:
+        return str(exc)
+
+
+def _assert_special_darts_match_oracle(h, darts):
+    for kind in (PER_EDGE, PER_FACE):
+        assert _special_outcome(special_darts, h, darts, kind) \
+            == _special_outcome(slow_paths.special_darts, h, darts, kind), (h, darts, kind)
+
+
+def _out_of_range_sets(h):
+    return [{h.n}, {-1}, {0, h.n}, {h.n + 3, -2, 0}, set(range(-2, h.n + 2))]
+
+
+def test_special_darts_match_oracle_on_every_small_set():
+    for h in all_hypermaps(4):
+        for r in range(h.n + 1):
+            for darts in itertools.combinations(range(h.n), r):
+                _assert_special_darts_match_oracle(h, darts)
+        for darts in _out_of_range_sets(h):
+            _assert_special_darts_match_oracle(h, darts)
+
+
+def test_special_darts_match_oracle_on_corpus(torus8, corpus):
+    rng = random.Random(13)
+    for h in [torus8] + corpus:
+        for orbits in (h.edges, h.faces):  # every valid set of either kind
+            for choice in itertools.product(*orbits):
+                _assert_special_darts_match_oracle(h, choice)
+        for _ in range(20):
+            _assert_special_darts_match_oracle(h, rng.sample(range(h.n), rng.randint(0, h.n)))
+        for darts in _out_of_range_sets(h):
+            _assert_special_darts_match_oracle(h, darts)
+
+
+# ---------------------------------------------------------------------------
+# matrices built without validation
+
+def test_trusted_matrices_pass_validation(torus8, corpus, monkeypatch):
+    built = []
+
+    def recording(rows, cols, bits):
+        m = trusted(rows, cols, bits)
+        built.append(m)
+        return m
+
+    trusted = gf2._unchecked
+    for module in (gf2, chain, reduce):
+        monkeypatch.setattr(module, "_unchecked", recording)
+    rng = random.Random(14)
+    for h in [*all_hypermaps(3), torus8, *corpus, square_torus(3), square_torus(6)]:
+        raw = raw_complex(h)
+        multiply(raw.d1, raw.d2)
+        multiply(raw.d1, raw.iota)
+        for q in _quotients(h):
+            assemble(q)  # a transpose and a product
+        code = face_code(h, default_special_darts(h, PER_EDGE))
+        c = reduce_to_surface(h, code)
+        validate_surface(c, h, code)
+        doc = json.loads(export_json(c))
+        rows = slow_paths.dense_reduce_to_surface(h, code.special).incidence21
+        for corrupted in _corruptions(rows, rng).values() if rows else ():
+            validate_surface(parse_json(json.dumps({**doc, "incidence21": corrupted})))
+    assert len(built) > 10_000
+    for m in built:
+        assert type(m.bits) is tuple
+        assert BitMatrix(m.rows, m.cols, m.bits) == m

@@ -31,7 +31,7 @@ from hypermap_codes import (
     special_darts,
     triangle_dual,
 )
-from hypermap_codes.hypermap import same_orbits
+from slow_paths import same_orbits
 
 
 def identity_hypermap(n: int = 1) -> Hypermap:

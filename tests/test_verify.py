@@ -1,11 +1,13 @@
 """The verify suite against its check-major oracle in ``slow_paths``.
 
-``run_verification`` walks the corpus map by map, and the checks of a map
-share one ``verify.Derived`` record.  The oracle runs every check over the
-whole corpus and builds each derived map and code inside the check.  The
+``run_verification`` walks the corpus map by map, checks each distinct map
+once, and the checks of a map share one ``verify.Derived`` record.  The
+oracle runs every check over every draw of the corpus, builds each derived
+map and code inside the check and compares orbit partitions as sets.  The
 two must render the same bytes, fail the same checks when a construction
 is replaced by a wrong one, and the record must build each derived object
-once per map.
+once per distinct map.  Two wrong constructions that the oracle's
+partition checks miss must fail a check of the suite.
 """
 
 import sys
@@ -18,11 +20,12 @@ from hypermap_codes import (
     PER_FACE,
     Hypermap,
     SpecialDarts,
+    compose,
     inverse,
     random_corpus,
     run_verification,
 )
-from hypermap_codes import chain, verify
+from hypermap_codes import chain, hypermap, verify
 from hypermap_codes.cli import main
 
 
@@ -149,15 +152,20 @@ def test_raising_construction_fails_every_check_that_needs_it(monkeypatch):
         "dual-face-nabla-edge-transfer"}
     assert all(c.failures == 5 and c.first_failure.endswith(" raised RuntimeError: no dual here")
                for c in failed)
-    assert len(calls) == len(failed) * 5
+    assert len(calls) == len(failed) * _distinct(5, 6, 2)
 
 
 # ---------------------------------------------------------------------------
-# each derived object is built once per map
+# each distinct map is checked once, and its derived objects built once
+
+def _distinct(trials, max_darts, seed):
+    return len({(h.alpha.images, h.sigma.images)
+                for h in random_corpus(trials, max_darts, seed)})
+
 
 def _count_builds(monkeypatch, run, trials, max_darts, seed):
     """(Hypermap builds, of them through the validating constructor,
-    quotient-code builds) per verified map."""
+    quotient-code builds) of one run, past those of its corpus."""
     calls = {"init": 0, "derived": 0, "quotient": 0}
     init, from_orbits, quotient = Hypermap.__init__, Hypermap._from_orbits, chain._quotient_code
 
@@ -182,15 +190,74 @@ def _count_builds(monkeypatch, run, trials, max_darts, seed):
         assert calls["derived"] == calls["quotient"] == 0
         run(trials, max_darts, seed)
     validated = calls["init"] - 2 * corpus_builds
-    return ((validated + calls["derived"]) / trials, validated / trials,
-            calls["quotient"] / trials)
+    return validated + calls["derived"], validated, calls["quotient"]
 
 
 def test_record_builds_each_derived_object_once_per_map(monkeypatch):
     # every derived map relabels its parent's orbit tables: none is validated
-    assert _count_builds(monkeypatch, run_verification, 50, 10, 4) == (9, 0, 5)
-    # the oracle, as each check built its own
-    assert _count_builds(monkeypatch, slow_paths.run_verification, 50, 10, 4) == (23, 0, 10)
+    distinct = _distinct(50, 10, 4)
+    assert distinct < 50
+    builds = _count_builds(monkeypatch, run_verification, 50, 10, 4)
+    assert tuple(b / distinct for b in builds) == (9, 0, 5)
+    # the oracle, as each check built its own for every draw
+    builds = _count_builds(monkeypatch, slow_paths.run_verification, 50, 10, 4)
+    assert tuple(b / 50 for b in builds) == (23, 0, 10)
+
+
+def test_each_distinct_map_is_checked_once(monkeypatch):
+    checked = []
+    checks = list(verify.VERIFY_CHECKS)
+    checks[0] = ("dual-involution", lambda x: checked.append(x.h) or True)
+    monkeypatch.setattr(verify, "VERIFY_CHECKS", checks)
+    assert run_verification(500, 10, 1).passed
+    assert len(checked) == len(set(checked)) == _distinct(500, 10, 1) < 500
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_failures_of_repeated_draws_count_per_draw(seed, monkeypatch):
+    """Every draw of the one 1-dart map fails; each counts, as in the oracle."""
+    ones = sum(h.n == 1 for h in random_corpus(500, 10, seed))
+    assert ones > 1
+    old_checks = list(slow_paths.VERIFY_CHECKS)
+    old_checks[3] = ("triangle-dual-involution", lambda h: h.n > 1)
+    new_checks = list(verify.VERIFY_CHECKS)
+    new_checks[3] = ("triangle-dual-involution", lambda x: x.h.n > 1)
+    monkeypatch.setattr(verify, "VERIFY_CHECKS", new_checks)
+    new = run_verification(500, 10, seed)
+    assert [c.failures for c in new.checks] == [0, 0, 0, ones] + [0] * 13
+    assert new.render() == slow_paths.run_verification(500, 10, seed, old_checks).render()
+
+
+# ---------------------------------------------------------------------------
+# derived maps whose stored orbit tables are wrong
+
+def _unreversed(cycles, index):
+    return cycles, index
+
+
+def _dual_keeping_alpha(h):
+    """(alpha, alpha sigma) with the orbit tables of the true dual."""
+    return Hypermap._from_orbits(h.alpha, compose(h.alpha, h.sigma),
+                                 (h.faces, h.face_index),
+                                 hypermap._reversed(h.edges, h.edge_index),
+                                 (h.vertices, h.vertex_index))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_reversal_left_out_of_the_derived_tables_fails_a_check(seed, monkeypatch):
+    monkeypatch.setattr(hypermap, "_reversed", _unreversed)
+    failing = _failing(run_verification(500, 10, seed))
+    assert {"dual-preserves-edges", "triangle-dual-swaps-edges-faces"} <= failing
+    # the partition checks of the oracle cannot see it: reversal keeps each orbit's darts
+    assert slow_paths.run_verification(500, 10, seed).passed
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_dual_keeping_alpha_fails_an_orbit_check(seed, monkeypatch):
+    _patch_everywhere(monkeypatch, "dual", _dual_keeping_alpha)
+    failing = _failing(run_verification(500, 10, seed))
+    assert {"dual-preserves-edges", "dual-swaps-vertices-faces"} <= failing
+    assert "dual-preserves-edges" not in _failing(slow_paths.run_verification(500, 10, seed))
 
 
 def test_record_shares_per_map_objects(torus8):

@@ -7,10 +7,7 @@ distance.
 """
 
 from hypermap_codes import (
-    PER_EDGE,
-    PER_FACE,
     Hypermap,
-    SpecialDarts,
     assemble,
     distance,
     edge_code,
@@ -21,7 +18,6 @@ from hypermap_codes import (
     parse_cycles,
     reduce_to_surface,
     render,
-    special_darts,
     stabilizer_strings,
     triangle_dual,
     validate_surface,
@@ -37,7 +33,7 @@ def main() -> None:
     print(f"orbits: {len(h.vertices)} vertices, {len(h.edges)} edges, {len(h.faces)} faces")
     print(f"surface: chi={euler_characteristic(h)}, genus={genus(h)}")
 
-    s = special_darts(h, {1, 4}, PER_EDGE)  # darts 2 and 5, 1-based
+    s = {1, 4}  # one special dart per edge: darts 2 and 5, 1-based
     face = face_code(h, s)  # built once: the code, the reduction and its validation share it
     code = assemble(face)
     print(f"\nface code: n={code.n}, k={code.k}")
@@ -49,7 +45,8 @@ def main() -> None:
     result = distance(code)
     print(f"\ndistance: d_X={result.dx}, d_Z={result.dz}, d={result.d}")
 
-    twin = assemble(edge_code(triangle_dual(h), SpecialDarts(s.darts, PER_FACE)))
+    # the same set picks one dart per face of the triangle dual
+    twin = assemble(edge_code(triangle_dual(h), s))
     print(f"edge code of the triangle dual matches: "
           f"{twin.hx == code.hx and twin.hz == code.hz}")
 

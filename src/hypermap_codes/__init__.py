@@ -33,15 +33,10 @@ from .gf2 import (
     transpose,
 )
 from .hypermap import (
-    PER_EDGE,
-    PER_FACE,
     DisconnectedError,
     Hypermap,
     ParseError,
-    SpecialDartError,
-    SpecialDarts,
     contrary,
-    default_special_darts,
     dual,
     euler_characteristic,
     format_hypermap,
@@ -50,7 +45,6 @@ from .hypermap import (
     parse_hypermap,
     random_corpus,
     random_hypermap,
-    special_darts,
     triangle_dual,
 )
 from .chain import (
@@ -58,11 +52,10 @@ from .chain import (
     FACE,
     FULL,
     QuotientCode,
-    RawComplex,
+    SpecialDartError,
     edge_code,
     face_code,
     full_code,
-    raw_complex,
 )
 from .css import CommutationError, CssCode, DistanceResult, assemble, distance, stabilizer_strings
 from .reduce import CellComplex, CheckResult, SurfaceReport, reduce_to_surface, validate_surface

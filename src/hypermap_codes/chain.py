@@ -7,10 +7,14 @@ The raw complex has one basis element per face, dart, and vertex:
 - ``d1`` sends dart i to the two endpoints v(i) and
   v(alpha^-1(i)), which cancel when they coincide        (vertices x darts).
 
-Both d1*d2 = 0 and d1*iota = 0 hold, so quotienting the dart space by the
-image of ``iota`` (face codes) or of ``d2`` (edge codes) leaves a
-two-step complex.  Choosing one special dart per edge (resp. per face)
-turns the non-special darts into a basis of the quotient: a special dart
+Both d1*d2 = 0 and d1*iota = 0 hold; :func:`full_code` is this complex
+as a code, ``boundary2`` = d2 and ``boundary1`` = d1.  Quotienting the
+dart space by the image of ``iota`` (face codes) or of ``d2`` (edge
+codes) leaves a two-step complex.  A special set is a plain set of darts:
+one per edge for a face code, one per face for an edge code, by default
+the minimum of each orbit.  (One dart per edge of ``h`` is one per face
+of ``triangle_dual(h)``, so a set is not tied to a code kind.)  It turns
+the non-special darts into a basis of the quotient: a special dart
 equals the sum of the other darts of its orbit, so each boundary column
 is expanded by that substitution.  After it every qubit has exactly two
 sides: its own Z-orbit, and the Z-orbit of the special dart of its
@@ -21,39 +25,20 @@ coincide.  Sides and endpoints are read from the orbit index tables.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
 from .gf2 import BitMatrix, _unchecked
-from .hypermap import (
-    PER_EDGE,
-    PER_FACE,
-    Hypermap,
-    SpecialDartError,
-    SpecialDarts,
-    special_darts,
-)
+from .hypermap import Hypermap
 
 FACE = "face"
 EDGE = "edge"
 FULL = "full"
 
 
-@dataclass(frozen=True)
-class RawComplex:
-    """Unquotiented boundary and inclusion matrices with axis labels.
-
-    Axis labels are the minimum dart of each orbit (0-based); the dart
-    axis is simply 0..n-1.  Orbits are ordered by minimum label.
-    """
-
-    d2: BitMatrix        # darts x faces
-    d1: BitMatrix        # vertices x darts
-    iota: BitMatrix      # darts x edges
-    dart_labels: tuple[int, ...]
-    vertex_labels: tuple[int, ...]
-    edge_labels: tuple[int, ...]
-    face_labels: tuple[int, ...]
+class SpecialDartError(ValueError):
+    """A special-dart set that does not pick exactly one dart per orbit."""
 
 
 @dataclass(frozen=True)
@@ -64,14 +49,14 @@ class QuotientCode:
     X-generators x qubits.  For face codes the Z axis is the faces and a
     qubit is a non-special dart (one special dart per edge); for edge
     codes the Z axis is the edges (one special dart per face); the full
-    kind keeps every dart and needs no special set.  A face or edge
+    kind keeps every dart and has no special set.  A face or edge
     qubit's ``boundary2`` row holds its two sides, its own Z-orbit and
     that of its eliminating orbit's special dart, so it has weight 2, or
     0 when the two sides coincide.
     """
 
     kind: str
-    special: SpecialDarts | None
+    special: frozenset[int] | None
     qubit_labels: tuple[int, ...]
     boundary2: BitMatrix
     boundary1: BitMatrix
@@ -104,38 +89,50 @@ def _endpoint_matrix(h: Hypermap, qubits: Sequence[int]) -> BitMatrix:
     return _unchecked(len(h.vertices), len(qubits), tuple(bits))
 
 
-def raw_complex(h: Hypermap) -> RawComplex:
-    """The unquotiented complex of ``h``; satisfies d1*d2 = 0 = d1*iota."""
-    return RawComplex(
-        d2=_dart_incidence(h.face_index, len(h.faces)),
-        d1=_endpoint_matrix(h, range(h.n)),
-        iota=_dart_incidence(h.edge_index, len(h.edges)),
-        dart_labels=tuple(range(h.n)),
-        vertex_labels=_orbit_labels(h.vertices),
-        edge_labels=_orbit_labels(h.edges),
-        face_labels=_orbit_labels(h.faces),
-    )
+def _special_set(h: Hypermap, darts: Iterable[int] | None, kind: str) -> frozenset[int]:
+    """The special set of the ``kind`` code of ``h``: one dart per edge for a
+    face code, per face for an edge code; the orbit minima when ``darts`` is None.
+
+    Raises :class:`SpecialDartError` unless ``darts`` picks exactly one dart
+    of every such orbit.  Hits are counted per orbit through the dart ->
+    orbit table.
+    """
+    name, orbits, index = ("edge", h.edges, h.edge_index) if kind == FACE \
+        else ("face", h.faces, h.face_index)
+    if darts is None:
+        return frozenset(_orbit_labels(orbits))
+    chosen = frozenset(darts)
+    n, hits = h.n, [0] * len(orbits)  # special darts per orbit
+    for dart in chosen:
+        if not 0 <= dart < n:
+            raise SpecialDartError(f"dart {dart + 1} outside 1..{n}")
+        hits[index[dart]] += 1
+    bad = [(orbit, count) for orbit, count in zip(orbits, hits) if count != 1]
+    if bad:
+        pretty = "; ".join(
+            f"{name} orbit {{{' '.join(str(i + 1) for i in orbit)}}} has {count} special darts"
+            for orbit, count in bad
+        )
+        raise SpecialDartError(f"not a valid per-{name} special set: {pretty}")
+    return chosen
 
 
-def _quotient_code(h: Hypermap, s: SpecialDarts, kind: str) -> QuotientCode:
-    """The face or edge code; the one place a special set is validated."""
-    per = PER_EDGE if kind == FACE else PER_FACE
-    if s.kind != per:
-        raise SpecialDartError(f"{kind} codes need a {per} special set, got {s.kind}")
-    special_darts(h, s.darts, per)
+def _quotient_code(h: Hypermap, darts: Iterable[int] | None, kind: str) -> QuotientCode:
+    """The face or edge code of the special set ``darts`` (see :func:`_special_set`)."""
+    special = _special_set(h, darts, kind)
     if kind == FACE:
         z_orbits, z_of, eliminating, eliminating_of = h.faces, h.face_index, h.edges, h.edge_index
     else:
         z_orbits, z_of, eliminating, eliminating_of = h.edges, h.edge_index, h.faces, h.face_index
     # the second side of a qubit: the Z-orbit of its eliminating orbit's special dart
     special_side = [0] * len(eliminating)
-    for dart in s.darts:
+    for dart in special:
         special_side[eliminating_of[dart]] = 1 << z_of[dart]
-    qubits = tuple(i for i in range(h.n) if i not in s.darts)
+    qubits = tuple(i for i in range(h.n) if i not in special)
     b2_bits = tuple((1 << z_of[q]) ^ special_side[eliminating_of[q]] for q in qubits)
     return QuotientCode(
         kind=kind,
-        special=s,
+        special=special,
         qubit_labels=qubits,
         boundary2=_unchecked(len(qubits), len(z_orbits), b2_bits),
         boundary1=_endpoint_matrix(h, qubits),
@@ -144,23 +141,24 @@ def _quotient_code(h: Hypermap, s: SpecialDarts, kind: str) -> QuotientCode:
     )
 
 
-def face_code(h: Hypermap, s: SpecialDarts) -> QuotientCode:
+def face_code(h: Hypermap, special: Iterable[int] | None = None) -> QuotientCode:
     """Quotient complex faces -> darts/edges -> vertices.
 
-    ``s`` must pick one dart per edge orbit of ``h``; the qubits are the
-    remaining n - |edges| darts.
+    ``special`` (0-based darts) must pick one dart per edge orbit of ``h``,
+    and defaults to the minimum of each; the qubits are the remaining
+    n - |edges| darts.
     """
-    return _quotient_code(h, s, FACE)
+    return _quotient_code(h, special, FACE)
 
 
-def edge_code(h: Hypermap, s: SpecialDarts) -> QuotientCode:
+def edge_code(h: Hypermap, special: Iterable[int] | None = None) -> QuotientCode:
     """Quotient complex edges -> darts/faces -> vertices.
 
     The mirror of :func:`face_code` with edges and faces interchanged:
-    ``s`` picks one dart per face orbit and the qubits are the remaining
-    n - |faces| darts.
+    ``special`` picks one dart per face orbit (by default the minimum of
+    each) and the qubits are the remaining n - |faces| darts.
     """
-    return _quotient_code(h, s, EDGE)
+    return _quotient_code(h, special, EDGE)
 
 
 def full_code(h: Hypermap) -> QuotientCode:

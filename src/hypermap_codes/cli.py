@@ -17,19 +17,23 @@ import sys
 from typing import Callable
 
 from . import gf2
-from .chain import EDGE, FACE, FULL, QuotientCode, edge_code, face_code, full_code
+from .chain import (
+    EDGE,
+    FACE,
+    FULL,
+    QuotientCode,
+    SpecialDartError,
+    edge_code,
+    face_code,
+    full_code,
+)
 from .css import CommutationError, assemble, distance, stabilizer_strings
 from .export import export_json, export_walsh_dot
 from .hypermap import (
-    PER_EDGE,
-    PER_FACE,
     DisconnectedError,
     Hypermap,
     ParseError,
-    SpecialDartError,
-    SpecialDarts,
     contrary,
-    default_special_darts,
     dual,
     euler_characteristic,
     format_hypermap,
@@ -73,39 +77,37 @@ def load_hypermap(path: str) -> tuple[Hypermap, frozenset[int] | None]:
     return parse_hypermap(text)
 
 
-def _resolve_special(h: Hypermap, kind: str, cli_special: list[int] | None,
-                     file_special: frozenset[int] | None) -> SpecialDarts:
-    """Pick special darts: explicit flag > file's special line > orbit minima.
-
-    The choice is not validated here: the code builders validate it.
-    """
-    per = PER_EDGE if kind == FACE else PER_FACE
-    if cli_special is not None:
-        return SpecialDarts(frozenset(x - 1 for x in cli_special), per)
-    if file_special is not None:
-        return SpecialDarts(file_special, per)
-    return default_special_darts(h, per)
-
-
-def _special_without_effect(args) -> str | None:
-    """The option that leaves a given --special unused, or None if it is used."""
-    if getattr(args, "special", None) is None:
-        return None
+def _flag_without_effect(args) -> str | None:
+    """The usage error for a --special or --kind given where another option
+    leaves it unused, or None."""
+    what = getattr(args, "what", "code")  # export's; code, distance and reduce build a code
     if getattr(args, "format", None) == "dot":
-        return "--format dot"
-    what = getattr(args, "what", "code")  # export's; code and distance build a code
-    if what == "hypermap":
-        return "--what hypermap"
-    if what == "code" and getattr(args, "kind", None) == FULL:
-        return "--kind full"
+        used, option = (), "--format dot"
+    elif what == "hypermap":
+        used, option = (), "--what hypermap"
+    elif what == "complex":  # the face code's special set, no kind
+        used, option = ("special",), "--what complex"
+    elif getattr(args, "kind", None) == FULL:
+        used, option = ("kind",), "--kind full"
+    else:
+        return None
+    for flag in ("special", "kind"):
+        if getattr(args, flag, None) is not None and flag not in used:
+            return f"argument --{flag}: has no effect with {option}"
     return None
 
 
 def _build_quotient(h: Hypermap, kind: str, cli_special, file_special) -> QuotientCode:
+    """The code of ``kind``.  Its special darts: the --special flag, else, for a
+    face code, the file's special line (one dart per edge), else the orbit
+    minima.  The code builder validates them."""
     if kind == FULL:
         return full_code(h)
-    s = _resolve_special(h, kind, cli_special, file_special)
-    return face_code(h, s) if kind == FACE else edge_code(h, s)
+    if cli_special is not None:
+        special = [x - 1 for x in cli_special]
+    else:
+        special = file_special if kind == FACE else None
+    return face_code(h, special) if kind == FACE else edge_code(h, special)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,7 @@ def cmd_code(args) -> int:
     print(f"kind: {q.kind}")
     print(f"darts: {h.n}")
     if q.special is not None:
-        print("special: " + " ".join(str(i + 1) for i in sorted(q.special.darts)))
+        print("special: " + " ".join(str(i + 1) for i in sorted(q.special)))
     print("qubits: " + " ".join(str(i + 1) for i in code.qubit_labels))
     print(f"n: {code.n}")
     print(f"k: {code.k}")
@@ -222,7 +224,7 @@ def cmd_export(args) -> int:
     if args.what == "hypermap":
         sys.stdout.write(export_json(h, special=file_special))
     elif args.what == "code":
-        code = assemble(_build_quotient(h, args.kind, args.special, file_special))
+        code = assemble(_build_quotient(h, args.kind or FACE, args.special, file_special))
         sys.stdout.write(export_json(code))
     else:
         code = _build_quotient(h, FACE, args.special, file_special)
@@ -340,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_file(p)
     p.add_argument("--format", choices=["dot", "json"], required=True)
     p.add_argument("--what", choices=["hypermap", "code", "complex"], default="hypermap")
-    p.add_argument("--kind", choices=[FACE, EDGE, FULL], default=FACE,
-                   help="code kind when --what code")
+    p.add_argument("--kind", choices=[FACE, EDGE, FULL],
+                   help="code kind when --what code (default face)")
     add_special(p)
     p.set_defaults(func=cmd_export)
 
@@ -358,8 +360,8 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _shared_parser()
     args = parser.parse_args(argv)
-    if (option := _special_without_effect(args)) is not None:
-        parser.error(f"argument --special: has no effect with {option}")
+    if (message := _flag_without_effect(args)) is not None:
+        parser.error(message)
     path = getattr(args, "file", None)
     try:
         status = args.func(args)

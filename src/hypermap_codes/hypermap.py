@@ -43,12 +43,15 @@ Orientation reversal has no carrier in this purely combinatorial model:
 the dual constructions above flip the underlying surface orientation, but
 every orbit-level statement is insensitive to that, so it is recorded
 here in prose only.
+
+A special set is not part of a hypermap: it is a plain set of darts, which
+the file format may carry and which the face and edge codes of
+:mod:`~hypermap_codes.chain` check against the map they are built on.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .perm import (
     MAX_DARTS,
@@ -68,9 +71,6 @@ from .perm import (
 # An orbit family: its canonical cycles and each dart's index into them.
 Family = tuple[Cycles, tuple[int, ...]]
 
-PER_EDGE = "per-edge"
-PER_FACE = "per-face"
-
 
 class DisconnectedError(ValueError):
     """The pair (alpha, sigma) is not transitive; carries the components."""
@@ -79,10 +79,6 @@ class DisconnectedError(ValueError):
         pretty = ", ".join("{" + " ".join(str(i + 1) for i in c) + "}" for c in components)
         super().__init__(f"hypermap is not connected; dart components: {pretty}")
         self.components = components
-
-
-class SpecialDartError(ValueError):
-    """A special-dart set that does not pick exactly one dart per orbit."""
 
 
 class Hypermap:
@@ -249,50 +245,6 @@ def random_corpus(count: int, max_darts: int, seed: int) -> list[Hypermap]:
     return [_random_transitive_pair(rng.randint(1, max_darts), rng) for _ in range(count)]
 
 
-@dataclass(frozen=True)
-class SpecialDarts:
-    """One chosen dart per edge orbit (per-edge) or per face orbit (per-face)."""
-
-    darts: frozenset[int]
-    kind: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "darts", frozenset(self.darts))
-        if self.kind not in (PER_EDGE, PER_FACE):
-            raise ValueError(f"kind must be {PER_EDGE!r} or {PER_FACE!r}, got {self.kind!r}")
-
-
-def special_darts(h: Hypermap, darts, kind: str) -> SpecialDarts:
-    """Validate a special-dart choice against the orbits of ``h``.
-
-    Raises :class:`SpecialDartError` unless ``darts`` picks exactly one
-    dart from every edge orbit (per-edge) or face orbit (per-face).  Hits
-    are counted per orbit through the dart -> orbit table.
-    """
-    chosen = frozenset(darts)
-    orbits, index = (h.edges, h.edge_index) if kind == PER_EDGE else (h.faces, h.face_index)
-    n, hits = h.n, [0] * len(orbits)  # special darts per orbit
-    for dart in chosen:
-        if not 0 <= dart < n:
-            raise SpecialDartError(f"dart {dart + 1} outside 1..{n}")
-        hits[index[dart]] += 1
-    name = "edge" if kind == PER_EDGE else "face"
-    bad = [(orbit, count) for orbit, count in zip(orbits, hits) if count != 1]
-    if bad:
-        pretty = "; ".join(
-            f"{name} orbit {{{' '.join(str(i + 1) for i in orbit)}}} has {count} special darts"
-            for orbit, count in bad
-        )
-        raise SpecialDartError(f"not a valid {kind} special set: {pretty}")
-    return SpecialDarts(chosen, kind)
-
-
-def default_special_darts(h: Hypermap, kind: str) -> SpecialDarts:
-    """The canonical choice: the minimum dart label of each orbit."""
-    orbits = h.edges if kind == PER_EDGE else h.faces
-    return SpecialDarts(frozenset(min(orbit) for orbit in orbits), kind)
-
-
 class ParseError(ValueError):
     """Hypermap file syntax error with 1-based line and column."""
 
@@ -317,8 +269,9 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
 
     Numbers are ASCII decimal digits, and the dart count is at most
     :data:`~hypermap_codes.perm.MAX_DARTS`.  Labels in the file are 1-based;
-    the returned special darts (if any) are 0-based like everything else
-    in memory.
+    the returned special darts (if any) are a plain set of 0-based darts,
+    like everything else in memory.  The line picks one dart per edge: it
+    is the special set of the face code, which checks it.
     """
     fields: list[tuple[int, int, str, str]] = []  # (line, value col, key, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -21,22 +21,26 @@ from functools import cached_property
 from typing import Callable
 
 from . import gf2
-from .chain import QuotientCode, edge_code, face_code, full_code, raw_complex
+from .chain import (
+    EDGE,
+    FACE,
+    QuotientCode,
+    SpecialDartError,
+    _dart_incidence,
+    _special_set,
+    edge_code,
+    face_code,
+    full_code,
+)
 from .css import assemble
 from .hypermap import (
-    PER_EDGE,
-    PER_FACE,
     Hypermap,
-    SpecialDartError,
-    SpecialDarts,
     _walk_orbits,
     contrary,
-    default_special_darts,
     dual,
     euler_characteristic,
     nabla,
     random_corpus,
-    special_darts,
     triangle_dual,
 )
 from .reduce import reduce_to_surface, validate_surface
@@ -92,9 +96,8 @@ class Derived:
     triangle_dual_walk = cached_property(lambda x: _walk_orbits(x.triangle_dual))
     contrary_walk = cached_property(lambda x: _walk_orbits(x.contrary))
     nabla_walk = cached_property(lambda x: _walk_orbits(x.nabla))
-    per_edge = cached_property(lambda x: default_special_darts(x.h, PER_EDGE))
-    per_face = cached_property(lambda x: default_special_darts(x.h, PER_FACE))
-    face_code = cached_property(lambda x: face_code(x.h, x.per_edge))
+    face_code = cached_property(lambda x: face_code(x.h))
+    edge_code = cached_property(lambda x: edge_code(x.h))
     full_code = cached_property(lambda x: full_code(x.h))
     face_k = cached_property(lambda x: assemble(x.face_code).k)
 
@@ -166,8 +169,8 @@ def _check_nabla_is_triangle_dual_of_dual(x):
 
 def _check_special_dart_transfer(x):
     try:
-        special_darts(x.triangle_dual, x.per_edge.darts, PER_FACE)
-        special_darts(x.triangle_dual, x.per_face.darts, PER_EDGE)
+        _special_set(x.triangle_dual, x.face_code.special, EDGE)
+        _special_set(x.triangle_dual, x.edge_code.special, FACE)
     except SpecialDartError:
         return False
     return True
@@ -180,13 +183,13 @@ def _codes_equal(a: QuotientCode, b: QuotientCode) -> bool:
 
 
 def _check_face_edge_code_transfer(x):
-    ec = edge_code(x.triangle_dual, SpecialDarts(x.per_edge.darts, PER_FACE))
+    ec = edge_code(x.triangle_dual, x.face_code.special)
     return _codes_equal(x.face_code, ec)
 
 
 def _check_dual_face_nabla_edge_transfer(x):
-    return _codes_equal(face_code(x.dual, x.per_edge),
-                        edge_code(x.nabla, SpecialDarts(x.per_edge.darts, PER_FACE)))
+    return _codes_equal(face_code(x.dual, x.face_code.special),
+                        edge_code(x.nabla, x.face_code.special))
 
 
 def _check_euler_logical_count(x):
@@ -199,12 +202,11 @@ def _check_full_code_logical_gap(x):
 
 
 def _check_chain_conditions(x):
-    raw = raw_complex(x.h)
-    if not gf2.is_zero(gf2.multiply(raw.d1, raw.d2)):
+    # the full code's boundaries are d1 and d2 of the raw complex; iota is darts x edges
+    iota = _dart_incidence(x.h.edge_index, len(x.h.edges))
+    if not gf2.is_zero(gf2.multiply(x.full_code.boundary1, iota)):
         return False
-    if not gf2.is_zero(gf2.multiply(raw.d1, raw.iota)):
-        return False
-    quotients = [x.face_code, edge_code(x.h, x.per_face), x.full_code]
+    quotients = [x.face_code, x.edge_code, x.full_code]
     return all(gf2.is_zero(gf2.multiply(q.boundary1, q.boundary2)) for q in quotients)
 
 

@@ -22,7 +22,9 @@ map and code it needs itself, and comparing orbit partitions as sets
 (``same_orbits``) where the library walks each derived map afresh and
 compares index tables.  The special-set check is kept as it intersected
 the chosen set with every orbit, before it counted hits through the
-dart -> orbit table.  The
+dart -> orbit table, and the unquotiented complex (d2, d1, iota) as three
+matrices built from the orbit cycles.  Special sets are plain sets of
+darts, as in the library.  The
 cycle-notation parser is kept as the character walker it was before the
 grammar scan, and the surface reduction as the dense
 1-cells x 2-cells count table, with its mod-2 projection, validation and
@@ -40,10 +42,9 @@ import itertools
 from dataclasses import dataclass
 
 from hypermap_codes import (
+    EDGE,
     FACE,
     MAX_DARTS,
-    PER_EDGE,
-    PER_FACE,
     BitMatrix,
     CellComplex,
     CheckResult,
@@ -52,12 +53,10 @@ from hypermap_codes import (
     Permutation,
     QuotientCode,
     SpecialDartError,
-    SpecialDarts,
     SurfaceReport,
     assemble,
     compose,
     contrary,
-    default_special_darts,
     dual,
     edge_code,
     euler_characteristic,
@@ -68,7 +67,6 @@ from hypermap_codes import (
     multiply as gf2_multiply,
     nabla,
     random_corpus,
-    raw_complex,
     transpose,
     triangle_dual,
 )
@@ -178,25 +176,25 @@ def mod2_projection(counts, cols):
 
 
 def _quotient_qubits(h, s):
-    return tuple(i for i in range(h.n) if i not in s.darts)
+    return tuple(i for i in range(h.n) if i not in s)
 
 
-def _expansion_hits(h, s, qubits):
+def _expansion_hits(h, s, kind, qubits):
     """Yield (qubit row, Z column) once per unit of expansion count.
 
-    Columns are the Z-axis orbits (faces for a per-edge set, edges for a
-    per-face set).  A column starts from the orbit's darts and each
+    Columns are the Z-axis orbits (faces for a face code, edges for an
+    edge code).  A column starts from the orbit's darts and each
     special dart is replaced by the other darts of its own eliminating
-    orbit (its edge for per-edge, its face for per-face).
+    orbit (its edge for a face code, its face for an edge code).
     """
-    if s.kind == PER_EDGE:
+    if kind == FACE:
         z_orbits, eliminating, orbit_of = h.faces, h.edges, h.edge_of
     else:
         z_orbits, eliminating, orbit_of = h.edges, h.faces, h.face_of
     row_of = {dart: r for r, dart in enumerate(qubits)}
     for j, orbit in enumerate(z_orbits):
         for dart in orbit:
-            if dart not in s.darts:
+            if dart not in s:
                 yield row_of[dart], j
             else:
                 for other in eliminating[orbit_of(dart)]:
@@ -204,8 +202,9 @@ def _expansion_hits(h, s, qubits):
                         yield row_of[other], j
 
 
-def expansion_counts(h, s):
-    """Natural-number boundary counts over the non-special-dart basis.
+def expansion_counts(h, s, kind):
+    """Natural-number boundary counts of the ``kind`` code over the
+    non-special-dart basis.
 
     Rows are the non-special darts in increasing order; columns are the
     Z-axis orbits, expanded as in :func:`_expansion_hits`.  Counts are
@@ -213,9 +212,9 @@ def expansion_counts(h, s):
     special set must be valid; this walker does not check it.
     """
     qubits = _quotient_qubits(h, s)
-    width = len(h.faces) if s.kind == PER_EDGE else len(h.edges)
+    width = len(h.faces) if kind == FACE else len(h.edges)
     counts = [[0] * width for _ in qubits]
-    for r, j in _expansion_hits(h, s, qubits):
+    for r, j in _expansion_hits(h, s, kind, qubits):
         counts[r][j] += 1
     return tuple(tuple(row) for row in counts)
 
@@ -234,17 +233,15 @@ def endpoint_matrix(h, qubits):
 
 
 def quotient_code(h, s, kind):
-    """The face or edge code, its special sides kept in a dict by orbit."""
-    per = PER_EDGE if kind == FACE else PER_FACE
-    if s.kind != per:
-        raise SpecialDartError(f"{kind} codes need a {per} special set, got {s.kind}")
-    special_darts(h, s.darts, per)
+    """The face or edge code of the special set ``s``, its special sides kept
+    in a dict by orbit."""
+    s = special_darts(h, s, kind)
     if kind == FACE:
         z_orbits, z_of, eliminating_of = h.faces, h.face_of, h.edge_of
     else:
         z_orbits, z_of, eliminating_of = h.edges, h.edge_of, h.face_of
-    special_side = {eliminating_of(dart): 1 << z_of(dart) for dart in s.darts}
-    qubits = tuple(i for i in range(h.n) if i not in s.darts)
+    special_side = {eliminating_of(dart): 1 << z_of(dart) for dart in s}
+    qubits = tuple(i for i in range(h.n) if i not in s)
     b2_bits = tuple((1 << z_of(q)) ^ special_side[eliminating_of(q)] for q in qubits)
     return QuotientCode(
         kind=kind,
@@ -320,13 +317,15 @@ def orbit_build(alpha, sigma):
 # special darts and orbit partitions, as sets
 
 def special_darts(h, darts, kind):
-    """The special-set check as it intersected the chosen set with every orbit."""
+    """The special-set check of a ``kind`` code, one dart per edge for a face
+    code and per face for an edge code, as it intersected the chosen set
+    with every orbit."""
     chosen = frozenset(darts)
     for dart in chosen:
         if not 0 <= dart < h.n:
             raise SpecialDartError(f"dart {dart + 1} outside 1..{h.n}")
-    orbits = h.edges if kind == PER_EDGE else h.faces
-    name = "edge" if kind == PER_EDGE else "face"
+    orbits = h.edges if kind == FACE else h.faces
+    name = "edge" if kind == FACE else "face"
     bad = []
     for orbit in orbits:
         hits = chosen.intersection(orbit)
@@ -337,8 +336,20 @@ def special_darts(h, darts, kind):
             f"{name} orbit {{{' '.join(str(i + 1) for i in orbit)}}} has {hits} special darts"
             for orbit, hits in bad
         )
-        raise SpecialDartError(f"not a valid {kind} special set: {pretty}")
-    return SpecialDarts(chosen, kind)
+        raise SpecialDartError(f"not a valid per-{name} special set: {pretty}")
+    return chosen
+
+
+def raw_complex(h):
+    """The unquotiented boundary and inclusion matrices (d2, d1, iota), each
+    built from the orbit cycles and validated."""
+    def incidence(orbits):  # darts x orbits
+        bits = [0] * h.n
+        for j, orbit in enumerate(orbits):
+            for dart in orbit:
+                bits[dart] |= 1 << j
+        return BitMatrix(h.n, len(orbits), tuple(bits))
+    return incidence(h.faces), endpoint_matrix(h, range(h.n)), incidence(h.edges)
 
 
 def same_orbits(a, b):
@@ -437,8 +448,8 @@ def _check_nabla_is_triangle_dual_of_dual(h):
 def _check_special_dart_transfer(h):
     t = triangle_dual(h)
     try:
-        special_darts(t, default_special_darts(h, PER_EDGE).darts, PER_FACE)
-        special_darts(t, default_special_darts(h, PER_FACE).darts, PER_EDGE)
+        special_darts(t, face_code(h).special, EDGE)
+        special_darts(t, edge_code(h).special, FACE)
     except SpecialDartError:
         return False
     return True
@@ -450,17 +461,20 @@ def _codes_equal(a, b):
             and a.boundary2 == b.boundary2)
 
 
+def _edge_minima(h):
+    return frozenset(min(orbit) for orbit in h.edges)
+
+
 def _check_face_edge_code_transfer(h):
-    s = default_special_darts(h, PER_EDGE)
-    fc = face_code(h, s)
-    ec = edge_code(triangle_dual(h), SpecialDarts(s.darts, PER_FACE))
+    fc = face_code(h, _edge_minima(h))
+    ec = edge_code(triangle_dual(h), fc.special)
     return _codes_equal(fc, ec)
 
 
 def _check_dual_face_nabla_edge_transfer(h):
-    s = default_special_darts(h, PER_EDGE)
-    fc = face_code(dual(h), SpecialDarts(s.darts, PER_EDGE))
-    ec = edge_code(nabla(h), SpecialDarts(s.darts, PER_FACE))
+    s = _edge_minima(h)
+    fc = face_code(dual(h), s)
+    ec = edge_code(nabla(h), s)
     return _codes_equal(fc, ec)
 
 
@@ -468,32 +482,32 @@ def _check_euler_logical_count(h):
     chi = euler_characteristic(h)
     if chi % 2 != 0:
         return False
-    code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+    code = assemble(face_code(h, _edge_minima(h)))
     return code.k == 2 - chi
 
 
 def _check_full_code_logical_gap(h):
-    k_face = assemble(face_code(h, default_special_darts(h, PER_EDGE))).k
+    k_face = assemble(face_code(h, _edge_minima(h))).k
     k_full = assemble(full_code(h)).k
     return k_full - k_face == len(h.edges) - 1
 
 
 def _check_chain_conditions(h):
-    raw = raw_complex(h)
-    if not is_zero(gf2_multiply(raw.d1, raw.d2)):
+    d2, d1, iota = raw_complex(h)
+    if not is_zero(gf2_multiply(d1, d2)):
         return False
-    if not is_zero(gf2_multiply(raw.d1, raw.iota)):
+    if not is_zero(gf2_multiply(d1, iota)):
         return False
     quotients = [
-        face_code(h, default_special_darts(h, PER_EDGE)),
-        edge_code(h, default_special_darts(h, PER_FACE)),
+        face_code(h, _edge_minima(h)),
+        edge_code(h, frozenset(min(orbit) for orbit in h.faces)),
         full_code(h),
     ]
     return all(is_zero(gf2_multiply(q.boundary1, q.boundary2)) for q in quotients)
 
 
 def _check_closed_surface(h):
-    s = default_special_darts(h, PER_EDGE)
+    s = _edge_minima(h)
     return validate_surface(reduce_to_surface(h, s), h, s).passed
 
 

@@ -10,15 +10,11 @@ import time
 from contextlib import contextmanager
 
 from hypermap_codes import (
-    PER_EDGE,
-    PER_FACE,
     BitMatrix,
-    SpecialDarts,
     as_partition,
     assemble,
     compose,
     contrary,
-    default_special_darts,
     distance,
     dual,
     edge_code,
@@ -35,14 +31,13 @@ from hypermap_codes import (
     nabla,
     parse_json,
     rank,
-    raw_complex,
     reduce_to_surface,
     run_verification,
-    special_darts,
     stabilizer_strings,
     triangle_dual,
     validate_surface,
 )
+from hypermap_codes import chain
 from slow_paths import in_row_space, kernel_basis, mat_vec, same_orbits
 
 HX_ROWS = ["111111", "111111"]
@@ -73,7 +68,7 @@ def test_criterion_1_worked_example_reproduction(torus8):
         faces = compose(inverse(torus8.alpha), torus8.sigma)
         assert format_cycles(faces) == "(1 8)(2 7)(3 5)(4 6)"
         assert as_partition(torus8.faces) == as_partition(((0, 7), (1, 6), (2, 4), (3, 5)))
-        code = assemble(face_code(torus8, special_darts(torus8, {1, 4}, PER_EDGE)))
+        code = assemble(face_code(torus8, {1, 4}))
         assert code.hx == from_strings(HX_ROWS)
         assert code.hz == from_strings(HZ_ROWS)
         assert stabilizer_strings(code) == GENERATORS
@@ -84,7 +79,7 @@ def test_criterion_1_worked_example_reproduction(torus8):
 def test_criterion_2_worked_example_distance(torus8):
     with criterion("2 worked-example distance"):
         start = time.perf_counter()
-        code = assemble(face_code(torus8, special_darts(torus8, {1, 4}, PER_EDGE)))
+        code = assemble(face_code(torus8, {1, 4}))
 
         def oracle(check, other):
             best = None
@@ -123,13 +118,13 @@ def test_criterion_3_involution_and_identity_suite(corpus):
 def test_criterion_4_code_equality(corpus):
     with criterion("4 face/edge code equality across duals"):
         for h in corpus:
-            s = default_special_darts(h, PER_EDGE)
-            fc = face_code(h, s)
-            ec = edge_code(triangle_dual(h), SpecialDarts(s.darts, PER_FACE))
+            fc = face_code(h)
+            s = fc.special
+            ec = edge_code(triangle_dual(h), s)
             assert fc.boundary1 == ec.boundary1
             assert fc.boundary2 == ec.boundary2
-            fc2 = face_code(dual(h), SpecialDarts(s.darts, PER_EDGE))
-            ec2 = edge_code(contrary(triangle_dual(h)), SpecialDarts(s.darts, PER_FACE))
+            fc2 = face_code(dual(h), s)
+            ec2 = edge_code(contrary(triangle_dual(h)), s)
             assert fc2.boundary1 == ec2.boundary1
             assert fc2.boundary2 == ec2.boundary2
 
@@ -139,24 +134,23 @@ def test_criterion_5_topology_consistency(corpus):
         for h in corpus:
             chi = euler_characteristic(h)
             assert chi % 2 == 0
-            s = default_special_darts(h, PER_EDGE)
-            k = assemble(face_code(h, s)).k
+            k = assemble(face_code(h)).k
             assert k == 2 - chi
             assert assemble(full_code(h)).k == k + len(h.edges) - 1
-            complex_ = reduce_to_surface(h, face_code(h, s))
+            complex_ = reduce_to_surface(h, face_code(h))
             assert all(sum(row) == 2 for row in complex_.incidence21)
             assert complex_.euler_characteristic == chi
-            assert validate_surface(complex_, h, face_code(h, s)).passed
+            assert validate_surface(complex_, h, face_code(h)).passed
 
 
 def test_criterion_6_chain_conditions(corpus):
     with criterion("6 chain conditions"):
         for h in corpus:
-            raw = raw_complex(h)
-            assert is_zero(multiply(raw.d1, raw.d2))
-            assert is_zero(multiply(raw.d1, raw.iota))
-            for q in (face_code(h, default_special_darts(h, PER_EDGE)),
-                      edge_code(h, default_special_darts(h, PER_FACE)),
+            # the full code is the raw complex: boundary1 is d1, boundary2 is d2
+            iota = chain._dart_incidence(h.edge_index, len(h.edges))
+            assert is_zero(multiply(full_code(h).boundary1, iota))
+            for q in (face_code(h),
+                      edge_code(h),
                       full_code(h)):
                 assert is_zero(multiply(q.boundary1, q.boundary2))
 
@@ -203,9 +197,8 @@ def test_criterion_8_cli_determinism_and_round_trip(corpus):
         for h in corpus[:40]:
             assert export_walsh_dot(h) == export_walsh_dot(h)
             assert parse_json(export_json(h)) == h
-            s = default_special_darts(h, PER_EDGE)
-            code = assemble(face_code(h, s))
+            code = assemble(face_code(h))
             assert export_json(code) == export_json(code)
             assert parse_json(export_json(code)) == code
-            complex_ = reduce_to_surface(h, face_code(h, s))
+            complex_ = reduce_to_surface(h, face_code(h))
             assert parse_json(export_json(complex_)) == complex_

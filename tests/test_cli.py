@@ -11,14 +11,11 @@ import pytest
 
 from hypermap_codes import (
     MAX_DARTS,
-    PER_EDGE,
-    PER_FACE,
     CellComplex,
     CssCode,
     Hypermap,
     as_partition,
     assemble,
-    default_special_darts,
     distance,
     edge_code,
     export_json,
@@ -35,9 +32,8 @@ from hypermap_codes import (
     rank,
     reduce_to_surface,
     run_verification,
-    special_darts,
 )
-from hypermap_codes import chain, cli, hypermap, verify
+from hypermap_codes import chain, cli, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
@@ -102,11 +98,17 @@ def test_code_special_override(torus_file, capsys):
     assert "qubits: 2 3 4 6 7 8" in out
 
 
-def test_code_edge_kind_rejects_bad_file_special(torus_file, capsys):
-    # the file's special darts {2, 5} are per-edge, not per-face
-    code, _, err = run_cli(capsys, "code", torus_file, "--kind", "edge")
-    assert code == 3
-    assert "special" in err
+def test_edge_codes_leave_the_file_special_line_to_face_codes(torus_file, capsys):
+    # the file's special darts {2, 5} pick one dart per edge: a face code's set
+    code, out, err = run_cli(capsys, "code", torus_file, "--kind", "edge")
+    assert (code, err) == (0, "")
+    assert "special: 1 2 3 4" in out.splitlines()  # the minimum of each face
+    assert "k: 2" in out.splitlines()
+    assert out == run_cli(capsys, "code", torus_file, "--kind", "edge",
+                          "--special", "1", "2", "3", "4")[1]
+    code, out, err = run_cli(capsys, "distance", torus_file, "--kind", "edge")
+    assert (code, err) == (0, "") and "d: 2" in out.splitlines()
+    assert "special: 2 5" in run_cli(capsys, "code", torus_file, "--kind", "face")[1]
 
 
 def test_dual_round_trips(torus_file, capsys):
@@ -149,9 +151,9 @@ def test_reduce_prints_every_count(tmp_path, capsys):
     """The printed table is the counts joined by spaces, 2s included (torus8 has none)."""
     twos = 0
     for i, h in enumerate(random_corpus(20, 8, seed=13)):
-        s = default_special_darts(h, PER_EDGE)
+        s = face_code(h).special
         path = tmp_path / f"{i}.hm"
-        path.write_text(format_hypermap(h, s.darts))
+        path.write_text(format_hypermap(h, s))
         code, out, _ = run_cli(capsys, "reduce", str(path))
         counts = reduce_to_surface(h, face_code(h, s)).incidence21
         lines = out.splitlines()
@@ -307,7 +309,7 @@ def test_distance_cli_cap_exempts_codes_without_logicals(tmp_path, capsys):
 # JSON export
 
 def test_export_json_code_embeds_matrices(torus8):
-    code = assemble(face_code(torus8, special_darts(torus8, {1, 4}, PER_EDGE)))
+    code = assemble(face_code(torus8, {1, 4}))
     doc = json.loads(export_json(code))
     assert doc["indexing"] == "1-based"
     assert doc["hx"]["rows"] == ["111111", "111111"]
@@ -317,7 +319,7 @@ def test_export_json_code_embeds_matrices(torus8):
 
 def test_export_json_empty_code():
     h = Hypermap(identity(1), identity(1))
-    doc = json.loads(export_json(assemble(face_code(h, default_special_darts(h, PER_EDGE)))))
+    doc = json.loads(export_json(assemble(face_code(h))))
     assert doc["n"] == 0
     assert doc["k"] == 0
     assert doc["qubits"] == []
@@ -326,7 +328,7 @@ def test_export_json_empty_code():
 def test_json_round_trip_random_artifacts():
     for i, h in enumerate(random_corpus(30, 8, seed=13)):
         assert parse_json(export_json(h)) == h
-        s = default_special_darts(h, PER_EDGE)
+        s = face_code(h).special
         code = assemble(face_code(h, s)) if i % 2 else assemble(full_code(h))
         assert parse_json(export_json(code)) == code
         complex_ = reduce_to_surface(h, face_code(h, s))
@@ -336,8 +338,8 @@ def test_json_round_trip_random_artifacts():
 def test_every_corpus_document_round_trips(torus8, corpus):
     for h in [torus8, *corpus]:
         assert parse_json(export_json(h)) == h
-        face = face_code(h, default_special_darts(h, PER_EDGE))
-        for q in (face, edge_code(h, default_special_darts(h, PER_FACE)), full_code(h)):
+        face = face_code(h)
+        for q in (face, edge_code(h), full_code(h)):
             code = assemble(q)
             assert parse_json(export_json(code)) == code
         complex_ = reduce_to_surface(h, face)
@@ -345,7 +347,7 @@ def test_every_corpus_document_round_trips(torus8, corpus):
 
 
 def test_parse_json_rejects_tampered_k(torus8):
-    code = assemble(face_code(torus8, default_special_darts(torus8, PER_EDGE)))
+    code = assemble(face_code(torus8))
     doc = json.loads(export_json(code))
     doc["k"] += 1
     with pytest.raises(ValueError):
@@ -471,8 +473,7 @@ def test_parse_json_rejects_a_self_contradicting_distance(torus8):
 
 def test_parse_json_accepts_every_distance_the_library_finds(corpus):
     for h in corpus:
-        quotients = (face_code(h, default_special_darts(h, PER_EDGE)),
-                     edge_code(h, default_special_darts(h, PER_FACE)), full_code(h))
+        quotients = (face_code(h), edge_code(h), full_code(h))
         for code in map(assemble, quotients):
             for budget in (0, 1, 2, None):
                 measured = dataclasses.replace(code, d=distance(code, budget=budget))
@@ -692,7 +693,7 @@ def test_non_utf8_byte_position_is_reported(tmp_path, capsys):
 
 
 def _torus_code_doc(torus8):
-    return json.loads(export_json(assemble(face_code(torus8, default_special_darts(torus8, PER_EDGE)))))
+    return json.loads(export_json(assemble(face_code(torus8))))
 
 
 def test_parse_json_rejects_noncommuting_checks(torus8):
@@ -741,7 +742,7 @@ def test_library_import_leaves_cli_unloaded():
 
 
 def test_code_command_validates_special_set_once(torus_file, capsys, monkeypatch):
-    original = hypermap.special_darts
+    original = chain._special_set
     calls = []
 
     def counting(*args):
@@ -750,8 +751,8 @@ def test_code_command_validates_special_set_once(torus_file, capsys, monkeypatch
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("hypermap_codes") \
-                and getattr(module, "special_darts", None) is original:
-            monkeypatch.setattr(module, "special_darts", counting)
+                and getattr(module, "_special_set", None) is original:
+            monkeypatch.setattr(module, "_special_set", counting)
     code, out, _ = run_cli(capsys, "code", torus_file, "--kind", "face", "--special", "2", "5")
     assert code == 0
     assert "special: 2 5" in out
@@ -865,12 +866,41 @@ def test_special_flag_without_effect_is_a_usage_error(argv, option, torus_file, 
     assert "usage:" in err and f"argument --special: has no effect with {option}" in err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["export", "{file}", "--format", "json", "--what", "complex", "--kind", "edge"],
+     "--what complex"),
+    (["export", "{file}", "--format", "json", "--what", "complex", "--kind", "full"],
+     "--what complex"),
+    (["export", "{file}", "--format", "json", "--kind", "face"], "--what hypermap"),
+    (["export", "{file}", "--format", "json", "--what", "hypermap", "--kind", "edge"],
+     "--what hypermap"),
+    (["export", "{file}", "--format", "dot", "--kind", "full"], "--format dot"),
+    (["export", "{file}", "--format", "dot", "--what", "code", "--kind", "face"],
+     "--format dot"),
+])
+def test_kind_flag_without_effect_is_a_usage_error(argv, option, torus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.replace("{file}", torus_file) for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and f"argument --kind: has no effect with {option}" in err
+
+
+def test_export_code_kind_defaults_to_face(torus_file, capsys):
+    argv = ["export", torus_file, "--format", "json", "--what", "code"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, "--kind", "face") == (0, out, "")
+    assert run_cli(capsys, *argv, "--kind", "edge")[1] != out
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "{file}"],
     ["code", "{file}", "--kind", "face"],
     ["distance", "{file}", "--kind", "face"],
     ["export", "{file}", "--format", "json", "--what", "code"],
-    ["export", "{file}", "--format", "json", "--what", "complex", "--kind", "full"],
+    ["export", "{file}", "--format", "json", "--what", "complex"],
 ])
 def test_special_flag_with_effect_is_read(argv, torus_file, capsys):
     """One special dart is too few for torus8's two edges and four faces."""

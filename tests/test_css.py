@@ -2,8 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermap_codes import (
-    PER_EDGE,
-    PER_FACE,
     BitMatrix,
     CommutationError,
     CssCode,
@@ -11,7 +9,6 @@ from hypermap_codes import (
     Hypermap,
     QuotientCode,
     assemble,
-    default_special_darts,
     distance,
     edge_code,
     euler_characteristic,
@@ -20,7 +17,6 @@ from hypermap_codes import (
     full_code,
     identity,
     random_hypermap,
-    special_darts,
     stabilizer_strings,
 )
 from hypermap_codes.css import _cotree_labels, _min_cycle_weight, _qubit_graph
@@ -50,7 +46,7 @@ def brute_force_distance(c: CssCode):
 
 
 def torus_code(torus8):
-    return assemble(face_code(torus8, special_darts(torus8, {1, 4}, PER_EDGE)))
+    return assemble(face_code(torus8, {1, 4}))
 
 
 def test_assemble_torus_code(torus8):
@@ -64,14 +60,14 @@ def test_assemble_torus_code(torus8):
 
 def test_assemble_empty_code():
     h = Hypermap(identity(1), identity(1))
-    code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+    code = assemble(face_code(h))
     assert code.n == 0
     assert code.k == 0
 
 
 def test_logical_count_is_twice_genus(corpus):
     for h in corpus:
-        code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+        code = assemble(face_code(h))
         assert code.k == 2 - euler_characteristic(h)
 
 
@@ -97,13 +93,13 @@ def test_stabilizer_strings_of_torus(torus8):
 
 def test_stabilizer_strings_empty_code():
     h = Hypermap(identity(1), identity(1))
-    code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+    code = assemble(face_code(h))
     assert stabilizer_strings(code) == []
 
 
 def test_stabilizer_strings_support_matches_rows(corpus):
     for h in corpus[:50]:
-        code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+        code = assemble(face_code(h))
         strings = stabilizer_strings(code)
         if code.n == 0:
             assert strings == []
@@ -125,7 +121,7 @@ def test_distance_of_torus_code(torus8):
 
 def test_distance_no_logicals():
     h = Hypermap(identity(1), identity(1))
-    code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+    code = assemble(face_code(h))
     result = distance(code)
     assert result.no_logicals
     assert result.d is None
@@ -133,7 +129,7 @@ def test_distance_no_logicals():
 
 def test_distance_matches_enumeration_oracle(corpus):
     for h in corpus[:120]:
-        code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+        code = assemble(face_code(h))
         if code.k == 0:
             assert distance(code).no_logicals
             continue
@@ -158,7 +154,7 @@ def test_distance_refuses_a_negative_budget(torus8):
         distance(torus_code(torus8), budget=-3)
     h = plane_star(3)
     with pytest.raises(ValueError, match="budget"):
-        distance(assemble(face_code(h, default_special_darts(h, PER_EDGE))), budget=-1)
+        distance(assemble(face_code(h)), budget=-1)
 
 
 def test_distance_budget_still_exact_when_hit(torus8):
@@ -170,7 +166,7 @@ def test_distance_budget_still_exact_when_hit(torus8):
 
 def test_distance_without_logicals_reports_its_budget():
     h = plane_star(30)
-    code = assemble(face_code(h, default_special_darts(h, PER_EDGE)))
+    code = assemble(face_code(h))
     assert (code.n, code.k) == (30, 0)
     assert distance(code).budget == code.n
     assert distance(code, budget=3).budget == 3
@@ -204,8 +200,8 @@ BRUTE_FORCE_QUBITS = 10
 
 def _codes(h, face_special=None, edge_special=None):
     """The face, edge and full codes of ``h`` (orbit minima by default)."""
-    yield assemble(face_code(h, face_special or default_special_darts(h, PER_EDGE)))
-    yield assemble(edge_code(h, edge_special or default_special_darts(h, PER_FACE)))
+    yield assemble(face_code(h, face_special))
+    yield assemble(edge_code(h, edge_special))
     yield assemble(full_code(h))
 
 
@@ -255,7 +251,7 @@ def maps_with_special_darts(draw):
     h = random_hypermap(draw(st.integers(1, 14)), draw(st.integers(0, 2**32 - 1)))
     per_edge = {draw(st.sampled_from(orbit)) for orbit in h.edges}
     per_face = {draw(st.sampled_from(orbit)) for orbit in h.faces}
-    return h, special_darts(h, per_edge, PER_EDGE), special_darts(h, per_face, PER_FACE)
+    return h, per_edge, per_face
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,8 +18,9 @@ dual, triangle dual, contrary and nabla, which relabel the orbit tables of
 their parent, are compared field by field with a validating build of the
 same pair on every small map, the corpus and square-lattice tori, and the
 permutations that ``perm`` makes without validation are drawn and
-validated.  The special-set check, which counts hits through the
-dart -> orbit table, must raise the oracle's exact message on every subset
+validated.  The special-set check of ``face_code`` and ``edge_code``,
+which counts hits through the dart -> orbit table, must raise the
+oracle's exact message on every subset
 of every small map, on the corpus and on out-of-range sets, and every
 matrix that ``gf2``, ``chain`` and ``reduce`` build without validation
 must pass it.
@@ -39,21 +40,17 @@ import slow_paths
 from hypermap_codes import (
     EDGE,
     FACE,
-    PER_EDGE,
-    PER_FACE,
     BitMatrix,
     DisconnectedError,
     Hypermap,
     Permutation,
     QuotientCode,
     SpecialDartError,
-    SpecialDarts,
     assemble,
     compose,
     connected_components,
     contrary,
     cycle_decomposition,
-    default_special_darts,
     dual,
     edge_code,
     export_json,
@@ -70,10 +67,8 @@ from hypermap_codes import (
     random_hypermap,
     random_permutation,
     rank,
-    raw_complex,
     reduce_to_surface,
     render,
-    special_darts,
     stabilizer_strings,
     to_strings,
     transpose,
@@ -143,9 +138,7 @@ def test_render_of_empty_shapes():
 
 
 def _quotients(h):
-    return [face_code(h, default_special_darts(h, PER_EDGE)),
-            edge_code(h, default_special_darts(h, PER_FACE)),
-            full_code(h)]
+    return [face_code(h), edge_code(h), full_code(h)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -166,31 +159,31 @@ def test_stabilizer_strings_match_oracle_on_corpus(torus8, corpus):
             assert stabilizer_strings(code) == slow_paths.stabilizer_strings(code)
 
 
-def _every_special_set(orbits, kind):
+def _every_special_set(orbits):
     for choice in itertools.product(*orbits):
-        yield SpecialDarts(frozenset(choice), kind)
+        yield frozenset(choice)
 
 
-def _assert_boundary_is_counts_mod2(h, s):
-    counts = slow_paths.expansion_counts(h, s)
-    q = face_code(h, s) if s.kind == PER_EDGE else edge_code(h, s)
+def _assert_boundary_is_counts_mod2(h, s, kind):
+    counts = slow_paths.expansion_counts(h, s, kind)
+    q = face_code(h, s) if kind == FACE else edge_code(h, s)
     assert q.boundary2 == slow_paths.mod2_projection(counts, q.boundary2.cols), (h, s)
-    if s.kind == PER_EDGE:
-        assert reduce_to_surface(h, face_code(h, s)).incidence21 == counts, (h, s)
+    if kind == FACE:
+        assert reduce_to_surface(h, q).incidence21 == counts, (h, s)
 
 
 def test_boundary2_is_expansion_counts_mod2_on_small_sweep():
     for h in all_hypermaps(4):
-        for s in _every_special_set(h.edges, PER_EDGE):
-            _assert_boundary_is_counts_mod2(h, s)
-        for s in _every_special_set(h.faces, PER_FACE):
-            _assert_boundary_is_counts_mod2(h, s)
+        for s in _every_special_set(h.edges):
+            _assert_boundary_is_counts_mod2(h, s, FACE)
+        for s in _every_special_set(h.faces):
+            _assert_boundary_is_counts_mod2(h, s, EDGE)
 
 
 def test_boundary2_is_expansion_counts_mod2_on_corpus(torus8, corpus):
     for h in [torus8] + corpus:
-        _assert_boundary_is_counts_mod2(h, default_special_darts(h, PER_EDGE))
-        _assert_boundary_is_counts_mod2(h, default_special_darts(h, PER_FACE))
+        _assert_boundary_is_counts_mod2(h, face_code(h).special, FACE)
+        _assert_boundary_is_counts_mod2(h, edge_code(h).special, EDGE)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +446,20 @@ def _assert_complex_matches_oracle(h, s):
 
 def test_cell_complex_matches_oracle_on_small_sweep():
     for h in all_hypermaps(4):
-        for s in _every_special_set(h.edges, PER_EDGE):
+        for s in _every_special_set(h.edges):
             _assert_complex_matches_oracle(h, s)
 
 
 def test_cell_complex_matches_oracle_on_corpus(torus8, corpus):
-    _assert_complex_matches_oracle(torus8, special_darts(torus8, {1, 4}, PER_EDGE))
+    _assert_complex_matches_oracle(torus8, {1, 4})
     for h in [torus8] + corpus:
-        _assert_complex_matches_oracle(h, default_special_darts(h, PER_EDGE))
+        _assert_complex_matches_oracle(h, face_code(h).special)
 
 
 @pytest.mark.parametrize("size", range(3, 9))
 def test_cell_complex_matches_oracle_on_square_torus(size):
     h = square_torus(size)
-    _assert_complex_matches_oracle(h, default_special_darts(h, PER_EDGE))
+    _assert_complex_matches_oracle(h, face_code(h).special)
 
 
 def _corruptions(rows, rng):
@@ -490,7 +483,7 @@ def _corruptions(rows, rng):
 def test_corrupted_counts_read_from_json_match_oracle(torus8, corpus):
     rng = random.Random(8)
     for h in [torus8] + corpus[:100]:
-        s = default_special_darts(h, PER_EDGE)
+        s = face_code(h).special
         d = slow_paths.dense_reduce_to_surface(h, s)
         if not d.incidence21:
             continue
@@ -516,14 +509,13 @@ def _assert_json_is_dense_dumps(c):
 
 def test_complex_json_is_dense_dumps_on_corpus_and_square_tori(torus8, corpus):
     for h in [torus8] + corpus + [square_torus(size) for size in range(3, 9)]:
-        code = face_code(h, default_special_darts(h, PER_EDGE))
-        _assert_json_is_dense_dumps(reduce_to_surface(h, code))
+        _assert_json_is_dense_dumps(reduce_to_surface(h, face_code(h)))
 
 
 def test_complex_json_is_dense_dumps_on_corrupted_counts(torus8, corpus):
     rng = random.Random(9)
     for h in [torus8] + corpus[:100]:
-        c = reduce_to_surface(h, face_code(h, default_special_darts(h, PER_EDGE)))
+        c = reduce_to_surface(h, face_code(h))
         if not c.one_cells:
             continue
         doc = json.loads(export_json(c))
@@ -553,7 +545,7 @@ def _assert_codes_match_oracle(h, s):
     for kind in (FACE, EDGE):
         assert _built(chain._quotient_code, h, s, kind) \
             == _built(slow_paths.quotient_code, h, s, kind), (h, s, kind)
-    if s.kind == PER_EDGE and isinstance(code := _built(face_code, h, s), QuotientCode):
+    if isinstance(code := _built(face_code, h, s), QuotientCode):
         c = reduce_to_surface(h, code)
         assert c == slow_paths.reduce_to_surface(h, s)
         assert validate_surface(c, h, code) == slow_paths.validate_surface(c, h, s)
@@ -562,7 +554,6 @@ def _assert_codes_match_oracle(h, s):
 def _assert_endpoints_match_oracle(h):
     darts = range(h.n)
     assert full_code(h).boundary1 == slow_paths.endpoint_matrix(h, darts)
-    assert raw_complex(h).d1 == slow_paths.endpoint_matrix(h, darts)
 
 
 def test_codes_match_oracle_on_every_small_special_set():
@@ -570,24 +561,23 @@ def test_codes_match_oracle_on_every_small_special_set():
         _assert_endpoints_match_oracle(h)
         for darts in itertools.chain.from_iterable(
                 itertools.combinations(range(h.n), r) for r in range(h.n + 1)):
-            for kind in (PER_EDGE, PER_FACE):
-                _assert_codes_match_oracle(h, SpecialDarts(frozenset(darts), kind))
-        _assert_codes_match_oracle(h, SpecialDarts(frozenset({h.n}), PER_EDGE))  # out of range
+            _assert_codes_match_oracle(h, frozenset(darts))
+        _assert_codes_match_oracle(h, frozenset({h.n}))  # out of range
 
 
 def test_codes_match_oracle_on_corpus_and_square_tori(torus8, corpus):
-    _assert_codes_match_oracle(torus8, special_darts(torus8, {1, 4}, PER_EDGE))
+    _assert_codes_match_oracle(torus8, frozenset({1, 4}))
     for h in [torus8] + corpus + [square_torus(size) for size in range(3, 9)]:
         _assert_endpoints_match_oracle(h)
-        _assert_codes_match_oracle(h, default_special_darts(h, PER_EDGE))
-        _assert_codes_match_oracle(h, default_special_darts(h, PER_FACE))
+        _assert_codes_match_oracle(h, face_code(h).special)
+        _assert_codes_match_oracle(h, edge_code(h).special)
 
 
 def test_validation_of_corrupted_counts_matches_oracle(torus8, corpus):
     rng = random.Random(10)
     for h in [torus8] + corpus[:100]:
-        s = default_special_darts(h, PER_EDGE)
-        code = face_code(h, s)
+        code = face_code(h)
+        s = code.special
         d = slow_paths.dense_reduce_to_surface(h, s)
         if not d.incidence21:
             continue
@@ -610,9 +600,13 @@ def _special_outcome(check, h, darts, kind):
         return str(exc)
 
 
+def _code_special(h, darts, kind):
+    return (face_code if kind == FACE else edge_code)(h, darts).special
+
+
 def _assert_special_darts_match_oracle(h, darts):
-    for kind in (PER_EDGE, PER_FACE):
-        assert _special_outcome(special_darts, h, darts, kind) \
+    for kind in (FACE, EDGE):
+        assert _special_outcome(_code_special, h, darts, kind) \
             == _special_outcome(slow_paths.special_darts, h, darts, kind), (h, darts, kind)
 
 
@@ -657,12 +651,10 @@ def test_trusted_matrices_pass_validation(torus8, corpus, monkeypatch):
         monkeypatch.setattr(module, "_unchecked", recording)
     rng = random.Random(14)
     for h in [*all_hypermaps(3), torus8, *corpus, square_torus(3), square_torus(6)]:
-        raw = raw_complex(h)
-        multiply(raw.d1, raw.d2)
-        multiply(raw.d1, raw.iota)
+        multiply(full_code(h).boundary1, chain._dart_incidence(h.edge_index, len(h.edges)))
         for q in _quotients(h):
             assemble(q)  # a transpose and a product
-        code = face_code(h, default_special_darts(h, PER_EDGE))
+        code = face_code(h)
         c = reduce_to_surface(h, code)
         validate_surface(c, h, code)
         doc = json.loads(export_json(c))

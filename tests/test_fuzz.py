@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from hypermap_codes import (
     assemble,
-    default_special_darts,
     export_json,
     face_code,
     format_hypermap,
@@ -53,9 +52,8 @@ def test_parse_hypermap_raises_only_value_errors(text):
 
 def _artifact_documents():
     h = random_hypermap(6, 3)
-    s = default_special_darts(h, "per-edge")
     return [json.loads(export_json(a)) for a in (
-        h, assemble(face_code(h, s)), reduce_to_surface(h, face_code(h, s)))]
+        h, assemble(face_code(h)), reduce_to_surface(h, face_code(h)))]
 
 
 ARTIFACTS = _artifact_documents()

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from hypermap_codes import (
-    PER_EDGE,
-    PER_FACE,
     DisconnectedError,
     Hypermap,
     ParseError,
@@ -14,9 +12,10 @@ from hypermap_codes import (
     SpecialDartError,
     as_partition,
     contrary,
-    default_special_darts,
     dual,
+    edge_code,
     euler_characteristic,
+    face_code,
     format_cycles,
     format_hypermap,
     genus,
@@ -28,7 +27,6 @@ from hypermap_codes import (
     random_corpus,
     random_hypermap,
     random_permutation,
-    special_darts,
     triangle_dual,
 )
 from slow_paths import same_orbits
@@ -205,34 +203,31 @@ def test_random_pairs_usually_transitive():
 
 
 def test_default_special_darts(torus8):
-    s = default_special_darts(torus8, PER_EDGE)
-    assert s.darts == frozenset({0, 4})
-    assert default_special_darts(identity_hypermap(1), PER_EDGE).darts == frozenset({0})
+    assert face_code(torus8).special == frozenset({0, 4})
+    assert face_code(identity_hypermap(1)).special == frozenset({0})
 
 
 def test_default_special_darts_cover_each_orbit(corpus):
     for h in corpus[:100]:
-        for kind, orbits in ((PER_EDGE, h.edges), (PER_FACE, h.faces)):
-            s = default_special_darts(h, kind)
-            assert all(len(s.darts.intersection(o)) == 1 for o in orbits)
+        for build, orbits in ((face_code, h.edges), (edge_code, h.faces)):
+            s = build(h).special
+            assert all(len(s.intersection(o)) == 1 for o in orbits)
 
 
 def test_explicit_special_darts(torus8):
-    s = special_darts(torus8, {1, 4}, PER_EDGE)
-    assert s.darts == frozenset({1, 4})
+    assert face_code(torus8, [1, 4]).special == frozenset({1, 4})
     with pytest.raises(SpecialDartError):
-        special_darts(torus8, {1, 2}, PER_EDGE)  # both on the same edge
+        face_code(torus8, {1, 2})  # both on the same edge
     with pytest.raises(SpecialDartError):
-        special_darts(torus8, {1}, PER_EDGE)  # second edge uncovered
+        face_code(torus8, {1})  # second edge uncovered
     with pytest.raises(SpecialDartError):
-        special_darts(torus8, {1, 99}, PER_EDGE)  # out of range
+        face_code(torus8, {1, 99})  # out of range
 
 
 def test_per_edge_set_transfers_to_triangle_dual(corpus):
     for h in corpus[:100]:
-        s = default_special_darts(h, PER_EDGE)
-        t = special_darts(triangle_dual(h), s.darts, PER_FACE)
-        assert t.darts == s.darts
+        s = face_code(h).special
+        assert edge_code(triangle_dual(h), s).special == s
 
 
 def test_parse_hypermap_file():

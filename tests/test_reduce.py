@@ -3,12 +3,9 @@ from dataclasses import replace
 import pytest
 
 from hypermap_codes import (
-    PER_EDGE,
-    PER_FACE,
     Hypermap,
     SpecialDartError,
     assemble,
-    default_special_darts,
     dual,
     edge_code,
     euler_characteristic,
@@ -18,7 +15,6 @@ from hypermap_codes import (
     identity,
     rank,
     reduce_to_surface,
-    special_darts,
     transpose,
     validate_surface,
 )
@@ -27,7 +23,7 @@ HZ_ROWS = ["100001", "111010", "010111", "001100"]
 
 
 def test_reduce_torus(torus8):
-    s = special_darts(torus8, {1, 4}, PER_EDGE)
+    s = {1, 4}
     c = reduce_to_surface(torus8, face_code(torus8, s))
     assert len(c.zero_cells) == 2
     assert len(c.one_cells) == 6
@@ -39,61 +35,59 @@ def test_reduce_torus(torus8):
 
 def test_reduce_single_dart():
     h = Hypermap(identity(1), identity(1))
-    c = reduce_to_surface(h, face_code(h, default_special_darts(h, PER_EDGE)))
+    c = reduce_to_surface(h, face_code(h))
     assert (len(c.zero_cells), len(c.one_cells), len(c.two_cells)) == (1, 0, 1)
     assert c.euler_characteristic == 2
-    assert validate_surface(c, h, face_code(h, default_special_darts(h, PER_EDGE))).passed
+    assert validate_surface(c, h, face_code(h)).passed
 
 
 def test_reduce_rejects_per_face_set(torus8):
     with pytest.raises(SpecialDartError):
-        reduce_to_surface(torus8, face_code(torus8, default_special_darts(torus8, PER_FACE)))
+        reduce_to_surface(torus8, face_code(torus8, edge_code(torus8).special))
 
 
 def test_reduce_rejects_edge_and_full_codes(torus8):
-    for code in (edge_code(torus8, default_special_darts(torus8, PER_FACE)), full_code(torus8)):
+    for code in (edge_code(torus8), full_code(torus8)):
         with pytest.raises(ValueError, match=f"needs a face code, got a {code.kind} code"):
             reduce_to_surface(torus8, code)
 
 
 def test_every_one_cell_has_incidence_two(corpus):
     for h in corpus:
-        c = reduce_to_surface(h, face_code(h, default_special_darts(h, PER_EDGE)))
+        c = reduce_to_surface(h, face_code(h))
         assert all(sum(row) == 2 for row in c.incidence21)
 
 
 def test_reduction_matches_face_code(corpus):
     for h in corpus[:150]:
-        s = default_special_darts(h, PER_EDGE)
-        c = reduce_to_surface(h, face_code(h, s))
-        q = face_code(h, s)
+        q = face_code(h)
+        c = reduce_to_surface(h, q)
         assert c.incidence21_mod2() == q.boundary2
         assert c.incidence10 == q.boundary1
 
 
 def test_homology_dimension_equals_logical_count(corpus):
     for h in corpus[:150]:
-        s = default_special_darts(h, PER_EDGE)
-        c = reduce_to_surface(h, face_code(h, s))
+        q = face_code(h)
+        c = reduce_to_surface(h, q)
         hom = len(c.one_cells) - rank(c.incidence10) - rank(c.incidence21_mod2())
-        assert hom == assemble(face_code(h, s)).k
+        assert hom == assemble(q).k
 
 
 def test_euler_characteristic_matches_hypermap(corpus):
     for h in corpus:
-        c = reduce_to_surface(h, face_code(h, default_special_darts(h, PER_EDGE)))
+        c = reduce_to_surface(h, face_code(h))
         assert c.euler_characteristic == euler_characteristic(h)
 
 
 def test_validation_passes_on_corpus(corpus):
     for h in corpus:
-        s = default_special_darts(h, PER_EDGE)
-        report = validate_surface(reduce_to_surface(h, face_code(h, s)), h, face_code(h, s))
+        report = validate_surface(reduce_to_surface(h, face_code(h)), h, face_code(h))
         assert report.passed, report.render()
 
 
 def test_validation_catches_missing_incidence(torus8):
-    s = special_darts(torus8, {1, 4}, PER_EDGE)
+    s = {1, 4}
     c = reduce_to_surface(torus8, face_code(torus8, s))
     rows = [list(pairs) for pairs in c.counts21]
     target = next((i, 0) for i, pairs in enumerate(rows) if pairs)
@@ -108,7 +102,7 @@ def test_validation_catches_missing_incidence(torus8):
 
 
 def test_validation_report_renders(torus8):
-    s = special_darts(torus8, {1, 4}, PER_EDGE)
+    s = {1, 4}
     report = validate_surface(reduce_to_surface(torus8, face_code(torus8, s)), torus8,
                               face_code(torus8, s))
     text = report.render()
@@ -120,8 +114,7 @@ def test_reduction_of_dual_with_shared_special_set(corpus):
     # edges of the dual are the edges of the original, so the same
     # per-edge set works for both reductions
     for h in corpus[:100]:
-        s = default_special_darts(h, PER_EDGE)
+        sd = face_code(h).special
         d = dual(h)
-        sd = special_darts(d, s.darts, PER_EDGE)
         report = validate_surface(reduce_to_surface(d, face_code(d, sd)), d, face_code(d, sd))
         assert report.passed

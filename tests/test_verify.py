@@ -10,16 +10,14 @@ once per distinct map.  Two wrong constructions that the oracle's
 partition checks miss must fail a check of the suite.
 """
 
+import dataclasses
 import sys
 
 import pytest
 
 import slow_paths
 from hypermap_codes import (
-    PER_EDGE,
-    PER_FACE,
     Hypermap,
-    SpecialDarts,
     compose,
     inverse,
     random_corpus,
@@ -69,9 +67,13 @@ def _rotated(h):
 
 
 def _max_special(build, orbits_of):
-    """``build`` with the maximum dart of each orbit in place of the given set."""
-    def wrong(h, s):
-        return build(h, SpecialDarts(frozenset(max(o) for o in orbits_of(h)), s.kind))
+    """``build`` with the maximum dart of each orbit in place of the given set
+    (by default the orbit minima), which the code still reports as its own."""
+    def wrong(h, special=None):
+        if special is None:
+            special = [min(o) for o in orbits_of(h)]
+        code = build(h, [max(o) for o in orbits_of(h)])
+        return dataclasses.replace(code, special=frozenset(special))
     return wrong
 
 
@@ -201,7 +203,7 @@ def test_record_builds_each_derived_object_once_per_map(monkeypatch):
     assert tuple(b / distinct for b in builds) == (9, 0, 5)
     # the oracle, as each check built its own for every draw
     builds = _count_builds(monkeypatch, slow_paths.run_verification, 50, 10, 4)
-    assert tuple(b / 50 for b in builds) == (23, 0, 10)
+    assert tuple(b / 50 for b in builds) == (23, 0, 12)
 
 
 def test_each_distinct_map_is_checked_once(monkeypatch):
@@ -262,7 +264,7 @@ def test_dual_keeping_alpha_fails_an_orbit_check(seed, monkeypatch):
 
 def test_record_shares_per_map_objects(torus8):
     x = verify.Derived(torus8)
-    assert x.dual is x.dual and x.face_code is x.face_code
-    assert x.per_edge.kind == PER_EDGE and x.per_face.kind == PER_FACE
-    assert x.face_code.special is x.per_edge
+    assert x.dual is x.dual and x.face_code is x.face_code and x.edge_code is x.edge_code
+    assert x.face_code.special == frozenset({0, 4})  # the minimum of each edge
+    assert x.edge_code.special == frozenset({0, 1, 2, 3})  # and of each face
     assert x.face_k == 2

@@ -26,11 +26,11 @@ coincide.  Sides and endpoints are read from the orbit index tables.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import Sequence
 
 from .gf2 import BitMatrix, _unchecked
 from .hypermap import Hypermap
+from .perm import _Record
 
 FACE = "face"
 EDGE = "edge"
@@ -41,8 +41,7 @@ class SpecialDartError(ValueError):
     """A special-dart set that does not pick exactly one dart per orbit."""
 
 
-@dataclass(frozen=True)
-class QuotientCode:
+class QuotientCode(_Record):
     """A two-step quotient complex ready for CSS assembly.
 
     ``boundary2`` is qubits x Z-generators, ``boundary1`` is
@@ -55,13 +54,19 @@ class QuotientCode:
     0 when the two sides coincide.
     """
 
-    kind: str
-    special: frozenset[int] | None
-    qubit_labels: tuple[int, ...]
-    boundary2: BitMatrix
-    boundary1: BitMatrix
-    z_labels: tuple[int, ...]
-    x_labels: tuple[int, ...]
+    __slots__ = ("kind", "special", "qubit_labels", "boundary2", "boundary1",
+                 "z_labels", "x_labels")
+
+    def __init__(self, kind: str, special: frozenset[int] | None,
+                 qubit_labels: tuple[int, ...], boundary2: BitMatrix, boundary1: BitMatrix,
+                 z_labels: tuple[int, ...], x_labels: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "special", special)
+        object.__setattr__(self, "qubit_labels", qubit_labels)
+        object.__setattr__(self, "boundary2", boundary2)
+        object.__setattr__(self, "boundary1", boundary1)
+        object.__setattr__(self, "z_labels", z_labels)
+        object.__setattr__(self, "x_labels", x_labels)
 
 
 def _orbit_labels(orbits) -> tuple[int, ...]:

@@ -77,11 +77,13 @@ def load_hypermap(path: str) -> tuple[Hypermap, frozenset[int] | None]:
     return parse_hypermap(text)
 
 
-def _flag_without_effect(args) -> str | None:
-    """The usage error for a --special or --kind given where another option
-    leaves it unused, or None."""
+def _usage_error(args) -> str | None:
+    """The usage error for options that do not go together, or None: a --special
+    or --kind given where another option leaves it unused, or DOT export of
+    anything but the hypermap."""
     what = getattr(args, "what", "code")  # export's; code, distance and reduce build a code
-    if getattr(args, "format", None) == "dot":
+    dot = getattr(args, "format", None) == "dot"
+    if dot:
         used, option = (), "--format dot"
     elif what == "hypermap":
         used, option = (), "--what hypermap"
@@ -94,6 +96,8 @@ def _flag_without_effect(args) -> str | None:
     for flag in ("special", "kind"):
         if getattr(args, flag, None) is not None and flag not in used:
             return f"argument --{flag}: has no effect with {option}"
+    if dot and what != "hypermap":
+        return "argument --what: DOT export is only available for the hypermap itself"
     return None
 
 
@@ -215,10 +219,6 @@ def cmd_random(args) -> int:
 def cmd_export(args) -> int:
     h, file_special = load_hypermap(args.file)
     if args.format == "dot":
-        if args.what != "hypermap":
-            print("error: DOT export is only available for the hypermap itself",
-                  file=sys.stderr)
-            return EXIT_INVALID
         sys.stdout.write(export_walsh_dot(h))
         return EXIT_OK
     if args.what == "hypermap":
@@ -360,7 +360,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _shared_parser()
     args = parser.parse_args(argv)
-    if (message := _flag_without_effect(args)) is not None:
+    if (message := _usage_error(args)) is not None:
         parser.error(message)
     path = getattr(args, "file", None)
     try:

@@ -13,19 +13,17 @@ check matrix with a column of three or more ones is no graph, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import gf2
 from .chain import EDGE, QuotientCode
 from .gf2 import BitMatrix
+from .perm import _Record
 
 
 class CommutationError(RuntimeError):
     """H_X and H_Z fail to commute; impossible for codes built upstream."""
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(_Record):
     """Outcome of a minimum-weight logical-operator search: four stored facts.
 
     ``dx``/``dz`` are the per-class minima, or None when that class has no
@@ -34,10 +32,13 @@ class DistanceResult:
     the budget, when every logical operator weighs at least budget + 1.
     """
 
-    dx: int | None
-    dz: int | None
-    no_logicals: bool
-    budget: int
+    __slots__ = ("dx", "dz", "no_logicals", "budget")
+
+    def __init__(self, dx: int | None, dz: int | None, no_logicals: bool, budget: int):
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dz", dz)
+        object.__setattr__(self, "no_logicals", no_logicals)
+        object.__setattr__(self, "budget", budget)
 
     @property
     def d(self) -> int | None:
@@ -48,8 +49,7 @@ class DistanceResult:
         return self.no_logicals or self.d is not None
 
 
-@dataclass(frozen=True)
-class CssCode:
+class CssCode(_Record):
     """A CSS stabilizer code with its hypermap bookkeeping.
 
     ``hx`` is X-checks x qubits, ``hz`` is Z-checks x qubits, and
@@ -59,15 +59,20 @@ class CssCode:
     faces or edges.
     """
 
-    hx: BitMatrix
-    hz: BitMatrix
-    qubit_labels: tuple[int, ...]
-    x_labels: tuple[int, ...]
-    z_labels: tuple[int, ...]
-    z_axis: str
-    n: int
-    k: int
-    d: DistanceResult | None = None
+    __slots__ = ("hx", "hz", "qubit_labels", "x_labels", "z_labels", "z_axis", "n", "k", "d")
+
+    def __init__(self, hx: BitMatrix, hz: BitMatrix, qubit_labels: tuple[int, ...],
+                 x_labels: tuple[int, ...], z_labels: tuple[int, ...], z_axis: str,
+                 n: int, k: int, d: DistanceResult | None = None):
+        object.__setattr__(self, "hx", hx)
+        object.__setattr__(self, "hz", hz)
+        object.__setattr__(self, "qubit_labels", qubit_labels)
+        object.__setattr__(self, "x_labels", x_labels)
+        object.__setattr__(self, "z_labels", z_labels)
+        object.__setattr__(self, "z_axis", z_axis)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
 
 
 def assemble(q: QuotientCode) -> CssCode:

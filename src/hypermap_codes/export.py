@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from . import gf2
 from .chain import EDGE, FACE
 from .css import CssCode, DistanceResult
@@ -65,6 +63,7 @@ def _matrix_from_json(doc: dict, key: str) -> BitMatrix:
 
 def export_json(artifact, special: frozenset[int] | None = None) -> str:
     """Stable JSON rendering of a Hypermap, CssCode, or CellComplex."""
+    import json  # on first use, so that importing the CLI does not load it
     doc: dict = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "indexing": "1-based"}
     if isinstance(artifact, Hypermap):
         doc["type"] = "hypermap"
@@ -138,6 +137,8 @@ def parse_json(text: str):
     other than ``"face"`` or ``"edge"``, or contents that disagree with
     each other.
     """
+    import json
+
     try:
         doc = json.loads(text)
     except RecursionError as exc:  # the decoder recurses once per nesting level

@@ -11,35 +11,40 @@ row costs one big-int XOR per basis row it meets.  ``multiply`` XORs the
 rows of ``b`` picked by the set bits of each row of ``a``: O(nnz(a))
 big-int XORs.  Rendering formats each row with ``format``.
 
-``BitMatrix(rows, cols, bits)`` validates its rows.  Matrices this package
-builds itself (``multiply``, ``transpose``, and the boundary and incidence
-matrices that ``chain`` and ``reduce`` read off orbit tables) fit their
-shape by construction and come from ``_unchecked``, which skips that
-check, like ``perm._unchecked``.
+``BitMatrix(rows, cols, bits)`` validates its shape and rows.  Matrices
+this package builds itself (``multiply``, ``transpose``, and the boundary
+and incidence matrices that ``chain`` and ``reduce`` read off orbit
+tables) fit their shape by construction and come from ``_unchecked``,
+which skips that check, like ``perm._unchecked``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from .perm import _Record
 
-@dataclass(frozen=True)
-class BitMatrix:
+
+class BitMatrix(_Record):
     """A rows x cols matrix over GF(2), one int bitmask per row."""
 
-    rows: int
-    cols: int
-    bits: tuple[int, ...]
+    __slots__ = ("rows", "cols", "bits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(self.bits))
-        if len(self.bits) != self.rows:
-            raise ValueError(f"expected {self.rows} row masks, got {len(self.bits)}")
-        mask = (1 << self.cols) - 1
-        for i, row in enumerate(self.bits):
+    def __init__(self, rows: int, cols: int, bits: Sequence[int]):
+        bits = tuple(bits)
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise ValueError(f"matrix shape {rows!r} x {cols!r} is not two integers >= 0")
+        if len(bits) != rows:
+            raise ValueError(f"expected {rows} row masks, got {len(bits)}")
+        mask = (1 << cols) - 1
+        for i, row in enumerate(bits):
+            if type(row) is not int:
+                raise ValueError(f"row {i} mask {row!r} is not an integer")
             if row < 0 or row & ~mask:
-                raise ValueError(f"row {i} has bits outside {self.cols} columns")
+                raise ValueError(f"row {i} has bits outside {cols} columns")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "bits", bits)
 
     def get(self, i: int, j: int) -> int:
         return (self.bits[i] >> j) & 1

@@ -341,6 +341,6 @@ def format_hypermap(h: Hypermap, special=None) -> str:
     lines = [f"darts: {h.n}",
              f"alpha: {format_cycles(h.alpha)}",
              f"sigma: {format_cycles(h.sigma)}"]
-    if special:
+    if special is not None:
         lines.append("special: " + " ".join(str(i + 1) for i in sorted(special)))
     return "\n".join(lines) + "\n"

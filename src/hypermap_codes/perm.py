@@ -13,6 +13,9 @@ Conventions used throughout the package:
   makes itself (``compose``, ``inverse``, ``parse_cycles`` after its own
   range and repeat checks, ``random_permutation``) are bijections by
   construction and come from ``_unchecked``, which skips that sort.
+- ``_Record`` is the base of the package's immutable records, here and in
+  the layers above: equality, hashing, repr, pickling and refused
+  assignment over the fields a subclass names in ``__slots__``.
 - Labels are 0-based internally.  The cycle-notation text format
   (``"(4 3 2 1)(5 7 8 6)"``) is 1-based and is the only place where the
   off-by-one conversion happens.  ``parse_cycles`` reads it with one
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import NoReturn
 
 Cycles = tuple[tuple[int, ...], ...]
@@ -34,19 +37,58 @@ Cycles = tuple[tuple[int, ...], ...]
 MAX_DARTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """Base of an immutable record whose ``__slots__`` name its fields in constructor order.
+
+    The subclass ``__init__`` stores each field with ``object.__setattr__``.
+    Records are equal when they are of one class with equal fields, hash over
+    their fields, print as ``Name(field=value, ...)``, pickle through their
+    constructor, and refuse assignment and deletion with ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls.__slots__)  # the fields' tuple; a lone field's bare value
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Record):
     """A bijection on {0..n-1}, stored as the tuple of images."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
+    def __init__(self, images):
+        images = tuple(images)
+        n = len(images)
         if n < 1:
             raise ValueError("permutation degree must be at least 1")
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"images {self.images!r} are not a bijection on 0..{n - 1}")
+        if set(map(type, images)) != {int}:  # so 1.0 and True are refused
+            raise ValueError(f"images {images!r} are not all integers")
+        if sorted(images) != list(range(n)):
+            raise ValueError(f"images {images!r} are not a bijection on 0..{n - 1}")
+        object.__setattr__(self, "images", images)
 
     @property
     def degree(self) -> int:

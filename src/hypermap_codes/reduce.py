@@ -18,16 +18,14 @@ functions below take the face code that the caller built once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import gf2
 from .chain import FACE, QuotientCode
 from .gf2 import BitMatrix, _unchecked
 from .hypermap import Hypermap, euler_characteristic
+from .perm import _Record
 
 
-@dataclass(frozen=True)
-class CellComplex:
+class CellComplex(_Record):
     """A 2-dimensional cell complex with natural-number 2->1 incidence.
 
     ``zero_cells`` are vertex orbit minima, ``one_cells`` non-special
@@ -37,11 +35,16 @@ class CellComplex:
     1-cells x 2-cells view.  ``incidence10`` is 0-cells x 1-cells over GF(2).
     """
 
-    zero_cells: tuple[int, ...]
-    one_cells: tuple[int, ...]
-    two_cells: tuple[int, ...]
-    counts21: tuple[tuple[tuple[int, int], ...], ...]
-    incidence10: BitMatrix
+    __slots__ = ("zero_cells", "one_cells", "two_cells", "counts21", "incidence10")
+
+    def __init__(self, zero_cells: tuple[int, ...], one_cells: tuple[int, ...],
+                 two_cells: tuple[int, ...], counts21: tuple[tuple[tuple[int, int], ...], ...],
+                 incidence10: BitMatrix):
+        object.__setattr__(self, "zero_cells", zero_cells)
+        object.__setattr__(self, "one_cells", one_cells)
+        object.__setattr__(self, "two_cells", two_cells)
+        object.__setattr__(self, "counts21", counts21)
+        object.__setattr__(self, "incidence10", incidence10)
 
     @property
     def euler_characteristic(self) -> int:
@@ -71,19 +74,23 @@ class CellComplex:
         return lines
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(_Record):
     """Per-invariant validation outcome for a cell complex."""
 
-    checks: tuple[CheckResult, ...]
-    euler_characteristic: int
+    __slots__ = ("checks", "euler_characteristic")
+
+    def __init__(self, checks: tuple[CheckResult, ...], euler_characteristic: int):
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "euler_characteristic", euler_characteristic)
 
     @property
     def passed(self) -> bool:

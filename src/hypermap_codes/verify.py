@@ -16,7 +16,6 @@ cycles and table, with the family the map stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -43,23 +42,29 @@ from .hypermap import (
     random_corpus,
     triangle_dual,
 )
+from .perm import _Record
 from .reduce import reduce_to_surface, validate_surface
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    failures: int
-    total: int
-    first_failure: str = ""
+class CheckOutcome(_Record):
+    __slots__ = ("name", "failures", "total", "first_failure")
+
+    def __init__(self, name: str, failures: int, total: int, first_failure: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "first_failure", first_failure)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    trials: int
-    max_darts: int
-    seed: int
-    checks: tuple[CheckOutcome, ...]
+class VerificationReport(_Record):
+    __slots__ = ("trials", "max_darts", "seed", "checks")
+
+    def __init__(self, trials: int, max_darts: int, seed: int,
+                 checks: tuple[CheckOutcome, ...]):
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "max_darts", max_darts)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -79,15 +84,28 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
 class Derived:
     """A corpus map and what its checks derive from it, each built on first read.
 
     Each property calls the module-level function of its name, so a check runs
     the construction it tests; one that raises is not cached, and raises again.
+    Two records are equal when their maps are; a record is mutable, as its
+    cache fills, so it has no hash.
     """
 
-    h: Hypermap
+    def __init__(self, h: Hypermap):
+        self.h = h
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.h == other.h
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Derived(h={self.h!r})"
+
     dual = cached_property(lambda x: dual(x.h))
     triangle_dual = cached_property(lambda x: triangle_dual(x.h))
     contrary = cached_property(lambda x: contrary(x.h))

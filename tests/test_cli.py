@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -125,6 +124,16 @@ def test_tri_dual_and_contrary_run(torus_file, capsys):
         code, out, _ = run_cli(capsys, cmd, torus_file)
         assert code == 0
         parse_hypermap(out)
+
+
+@pytest.mark.parametrize("command", ["dual", "tri-dual", "contrary"])
+def test_transforms_keep_an_empty_special_line(command, tmp_path, capsys):
+    path = tmp_path / "empty_special.hm"
+    path.write_text(TORUS_TEXT.replace("special: 2 5", "special:"))
+    code, out, _ = run_cli(capsys, command, str(path))
+    assert code == 0
+    assert out.endswith("\nspecial: \n")
+    assert parse_hypermap(out)[1] == frozenset()
 
 
 def test_reduce_command(torus_file, capsys):
@@ -476,7 +485,9 @@ def test_parse_json_accepts_every_distance_the_library_finds(corpus):
         quotients = (face_code(h), edge_code(h), full_code(h))
         for code in map(assemble, quotients):
             for budget in (0, 1, 2, None):
-                measured = dataclasses.replace(code, d=distance(code, budget=budget))
+                measured = CssCode(code.hx, code.hz, code.qubit_labels, code.x_labels,
+                                   code.z_labels, code.z_axis, code.n, code.k,
+                                   distance(code, budget=budget))
                 assert parse_json(export_json(measured)) == measured
 
 
@@ -885,6 +896,17 @@ def test_kind_flag_without_effect_is_a_usage_error(argv, option, torus_file, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert "usage:" in err and f"argument --kind: has no effect with {option}" in err
+
+
+@pytest.mark.parametrize("what", ["code", "complex"])
+def test_dot_export_of_a_code_or_complex_is_a_usage_error(what, torus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", torus_file, "--format", "dot", "--what", what])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err
+    assert "argument --what: DOT export is only available for the hypermap itself" in err
 
 
 def test_export_code_kind_defaults_to_face(torus_file, capsys):

@@ -163,6 +163,21 @@ def test_render_round_trip():
     assert from_strings(["10", "01"]) == identity(2)
 
 
+@pytest.mark.parametrize("rows,cols,bits", [
+    (0, -3, ()),       # negative column count
+    (1, -3, (0,)),     # negative column count, once a shift error
+    (-1, 2, ()),       # negative row count
+    (1.0, 2, (1,)),    # float row count
+    (1, 2.0, (1,)),    # float column count
+    (1, True, (1,)),   # bool column count
+    (1, 2, (1.0,)),    # float row mask, once a TypeError
+    (1, 2, (True,)),   # bool row mask
+])
+def test_bitmatrix_refuses_bad_shapes_and_masks(rows, cols, bits):
+    with pytest.raises(ValueError):
+        BitMatrix(rows, cols, bits)
+
+
 def test_bitmatrix_validation():
     with pytest.raises(ValueError):
         BitMatrix(2, 3, (0,))  # wrong row count

@@ -276,6 +276,12 @@ def test_format_hypermap_with_special(torus8):
     assert special == frozenset({1, 4})
 
 
+def test_format_hypermap_keeps_an_empty_special_line(torus8):
+    text = format_hypermap(torus8, special=frozenset())
+    assert text.endswith("\nspecial: \n")
+    assert parse_hypermap(text) == (torus8, frozenset())
+
+
 @pytest.mark.parametrize("text,line", [
     ("alpha: ()\nsigma: ()\n", 1),                      # missing darts
     ("darts: 0\nalpha: ()\nsigma: ()\n", 1),            # bad count

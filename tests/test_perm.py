@@ -171,6 +171,12 @@ def test_permutation_rejects_non_bijection():
         Permutation(())
 
 
+@pytest.mark.parametrize("images", [(1.0, 0.0), (True, False), (0, 2.0, 1), ("b", "a")])
+def test_permutation_refuses_images_that_are_not_ints(images):
+    with pytest.raises(ValueError, match="not all integers"):
+        Permutation(images)
+
+
 def test_parse_cycles_round_trip():
     assert format_cycles(ALPHA) == "(1 4 3 2)(5 7 8 6)"
     assert parse_cycles(format_cycles(ALPHA), 8) == ALPHA

@@ -1,0 +1,160 @@
+"""The package's records: constructors, equality, hashing, immutability,
+pickling and repr, the same for every record type.
+
+Each record is immutable and compares by its fields.  A fresh interpreter
+that imports the CLI loads none of ``dataclasses``, ``inspect`` and
+``json``.
+"""
+
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hypermap_codes import (
+    BitMatrix,
+    CellComplex,
+    CheckResult,
+    CssCode,
+    DistanceResult,
+    Permutation,
+    QuotientCode,
+    SurfaceReport,
+    VerificationReport,
+    assemble,
+    face_code,
+    reduce_to_surface,
+)
+from hypermap_codes.verify import CheckOutcome, Derived
+
+
+RECORD_TYPES = [Permutation, BitMatrix, QuotientCode, DistanceResult, CssCode, CellComplex,
+                CheckResult, SurfaceReport, CheckOutcome, VerificationReport]
+
+
+@pytest.fixture(scope="module")
+def records(torus8):
+    """Per record type: its fields in constructor order with sample values, and
+    the defaults of the trailing fields a constructor may leave out."""
+    q = face_code(torus8)
+    code = assemble(q)
+    cells = reduce_to_surface(torus8, q)
+    outcome = ("dual-involution", 1, 5, "Hypermap(...)")
+    return {
+        Permutation: ({"images": (1, 2, 0)}, {}),
+        BitMatrix: ({"rows": 2, "cols": 3, "bits": (1, 6)}, {}),
+        QuotientCode: ({name: getattr(q, name) for name in (
+            "kind", "special", "qubit_labels", "boundary2", "boundary1",
+            "z_labels", "x_labels")}, {}),
+        DistanceResult: ({"dx": 2, "dz": None, "no_logicals": False, "budget": 6}, {}),
+        CssCode: ({**{name: getattr(code, name) for name in (
+            "hx", "hz", "qubit_labels", "x_labels", "z_labels", "z_axis", "n", "k")},
+            "d": DistanceResult(2, 2, False, 6)}, {"d": None}),
+        CellComplex: ({name: getattr(cells, name) for name in (
+            "zero_cells", "one_cells", "two_cells", "counts21", "incidence10")}, {}),
+        CheckResult: ({"name": "euler-even", "passed": False, "detail": "chi = 1 is odd"},
+                      {"detail": ""}),
+        SurfaceReport: ({"checks": (CheckResult("euler-even", True),),
+                         "euler_characteristic": 0}, {}),
+        CheckOutcome: (dict(zip(("name", "failures", "total", "first_failure"), outcome)),
+                       {"first_failure": ""}),
+        VerificationReport: ({"trials": 5, "max_darts": 10, "seed": 7,
+                              "checks": (CheckOutcome(*outcome),)}, {}),
+    }
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+def test_construction_by_position_and_keyword(records, cls):
+    fields, defaults = records[cls]
+    by_position = cls(*fields.values())
+    by_keyword = cls(**fields)
+    for name, value in fields.items():
+        assert getattr(by_position, name) == value
+        assert getattr(by_keyword, name) == value
+    required = {name: value for name, value in fields.items() if name not in defaults}
+    for made in (cls(*required.values()), cls(**required)):
+        for name, value in defaults.items():
+            assert getattr(made, name) == value
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+def test_equality_and_hash_go_over_the_fields(records, cls):
+    fields, _ = records[cls]
+    a, b = cls(**fields), cls(*fields.values())
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != tuple(fields.values())  # only records of one class compare equal
+    other = next(c for c in RECORD_TYPES if c is not cls)
+    assert a != other(**records[other][0])
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (Permutation, "images", (2, 0, 1)),
+    (BitMatrix, "bits", (1, 5)),
+    (DistanceResult, "dz", 3),
+    (CheckResult, "passed", True),
+    (CheckOutcome, "failures", 2),
+    (VerificationReport, "seed", 8),
+])
+def test_records_that_differ_in_one_field_are_unequal(records, cls, field, value):
+    fields, _ = records[cls]
+    assert cls(**fields) != cls(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+def test_assignment_and_deletion_raise(records, cls):
+    fields, _ = records[cls]
+    record = cls(**fields)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+def test_pickle_round_trip(records, cls):
+    fields, _ = records[cls]
+    record = cls(**fields)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(record, protocol))
+        assert type(copy) is cls and copy == record and hash(copy) == hash(record)
+
+
+def test_repr_names_the_fields():
+    assert repr(BitMatrix(2, 3, (1, 6))) == "BitMatrix(rows=2, cols=3, bits=(1, 6))"
+    assert (repr(DistanceResult(2, None, False, 6))
+            == "DistanceResult(dx=2, dz=None, no_logicals=False, budget=6)")
+    assert (repr(CheckResult("euler-even", True))
+            == "CheckResult(name='euler-even', passed=True, detail='')")
+    assert repr(Permutation((1, 2, 0))) == "Permutation.parse('(1 2 3)', 3)"
+
+
+def test_derived_record(torus8):
+    x = Derived(torus8)
+    assert x == Derived(h=torus8) and x.h is torus8
+    assert x != Derived(x.dual)
+    with pytest.raises(TypeError):
+        hash(x)
+    assert repr(x) == f"Derived(h={torus8!r})"
+    assert x.face_k == 2
+    copy = pickle.loads(pickle.dumps(x))
+    assert copy == x and copy.face_k == 2
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (f"import sys; sys.path.insert(0, {str(src)!r}); import hypermap_codes.cli; "
+              "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,8 +1,7 @@
-from dataclasses import replace
-
 import pytest
 
 from hypermap_codes import (
+    CellComplex,
     Hypermap,
     SpecialDartError,
     assemble,
@@ -94,7 +93,8 @@ def test_validation_catches_missing_incidence(torus8):
     j, v = rows[target[0]].pop(target[1])
     if v > 1:  # a zero count is left out
         rows[target[0]].insert(target[1], (j, v - 1))
-    broken = replace(c, counts21=tuple(tuple(pairs) for pairs in rows))
+    broken = CellComplex(c.zero_cells, c.one_cells, c.two_cells,
+                         tuple(tuple(pairs) for pairs in rows), c.incidence10)
     report = validate_surface(broken)
     closure = next(ch for ch in report.checks if ch.name == "one-cell-closure")
     assert not closure.passed

@@ -10,7 +10,6 @@ once per distinct map.  Two wrong constructions that the oracle's
 partition checks miss must fail a check of the suite.
 """
 
-import dataclasses
 import sys
 
 import pytest
@@ -18,6 +17,7 @@ import pytest
 import slow_paths
 from hypermap_codes import (
     Hypermap,
+    QuotientCode,
     compose,
     inverse,
     random_corpus,
@@ -73,7 +73,8 @@ def _max_special(build, orbits_of):
         if special is None:
             special = [min(o) for o in orbits_of(h)]
         code = build(h, [max(o) for o in orbits_of(h)])
-        return dataclasses.replace(code, special=frozenset(special))
+        return QuotientCode(code.kind, frozenset(special), code.qubit_labels, code.boundary2,
+                            code.boundary1, code.z_labels, code.x_labels)
     return wrong
 
 

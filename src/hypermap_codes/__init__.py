@@ -11,7 +11,6 @@ from .perm import (
     Cycles,
     CycleParseError,
     Permutation,
-    as_partition,
     compose,
     connected_components,
     cycle_decomposition,
@@ -27,10 +26,8 @@ from .gf2 import (
     from_strings,
     is_zero,
     multiply,
-    rank,
     render,
     to_strings,
-    transpose,
 )
 from .hypermap import (
     DisconnectedError,

@@ -1,4 +1,4 @@
-"""Chain complexes of a hypermap and their quotient codes.
+"""Chain complexes of a hypermap and their quotient codes, stored as check pairs.
 
 The raw complex has one basis element per face, dart, and vertex:
 
@@ -8,8 +8,8 @@ The raw complex has one basis element per face, dart, and vertex:
   v(alpha^-1(i)), which cancel when they coincide        (vertices x darts).
 
 Both d1*d2 = 0 and d1*iota = 0 hold; :func:`full_code` is this complex
-as a code, ``boundary2`` = d2 and ``boundary1`` = d1.  Quotienting the
-dart space by the image of ``iota`` (face codes) or of ``d2`` (edge
+as a code, with d1 as its X checks and d2 as its Z checks.  Quotienting
+the dart space by the image of ``iota`` (face codes) or of ``d2`` (edge
 codes) leaves a two-step complex.  A special set is a plain set of darts:
 one per edge for a face code, one per face for an edge code, by default
 the minimum of each orbit.  (One dart per edge of ``h`` is one per face
@@ -19,8 +19,14 @@ equals the sum of the other darts of its orbit, so each boundary column
 is expanded by that substitution.  After it every qubit has exactly two
 sides: its own Z-orbit, and the Z-orbit of the special dart of its
 eliminating orbit (its edge for face codes, its face for edge codes).
-Its ``boundary2`` row is the XOR of those two bits, zero when they
-coincide.  Sides and endpoints are read from the orbit index tables.
+
+So every code is a graph code, stored per qubit as the pair of its X
+checks (``ends``) and of its Z checks (``sides``), read from the orbit
+index tables: the sorted rows of its check column padded with ``none``,
+the number of checks, so ``(a, b)`` with a < b, ``(a, none)``, or
+``(none, none)`` when the two coincide and cancel.  Pairs and columns of
+weight <= 2 correspond one to one; :func:`check_major` is the one
+function that turns pairs into a matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ FACE = "face"
 EDGE = "edge"
 FULL = "full"
 
+Pairs = tuple[tuple[int, int], ...]  # per qubit, see the module docstring
+
 
 class SpecialDartError(ValueError):
     """A special-dart set that does not pick exactly one dart per orbit."""
@@ -44,29 +52,34 @@ class SpecialDartError(ValueError):
 class QuotientCode(_Record):
     """A two-step quotient complex ready for CSS assembly.
 
-    ``boundary2`` is qubits x Z-generators, ``boundary1`` is
-    X-generators x qubits.  For face codes the Z axis is the faces and a
-    qubit is a non-special dart (one special dart per edge); for edge
-    codes the Z axis is the edges (one special dart per face); the full
-    kind keeps every dart and has no special set.  A face or edge
-    qubit's ``boundary2`` row holds its two sides, its own Z-orbit and
-    that of its eliminating orbit's special dart, so it has weight 2, or
-    0 when the two sides coincide.
+    ``ends`` holds each qubit's X checks (vertices) and ``sides`` its Z
+    checks, as pairs.  For face codes the Z axis is the faces and a qubit
+    is a non-special dart (one special dart per edge); for edge codes the
+    Z axis is the edges (one special dart per face); the full kind keeps
+    every dart, has no special set, and gives each its face as ``(f, none)``.
     """
 
-    __slots__ = ("kind", "special", "qubit_labels", "boundary2", "boundary1",
-                 "z_labels", "x_labels")
+    __slots__ = ("kind", "special", "qubit_labels", "ends", "sides", "z_labels", "x_labels")
 
     def __init__(self, kind: str, special: frozenset[int] | None,
-                 qubit_labels: tuple[int, ...], boundary2: BitMatrix, boundary1: BitMatrix,
+                 qubit_labels: tuple[int, ...], ends: Pairs, sides: Pairs,
                  z_labels: tuple[int, ...], x_labels: tuple[int, ...]):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "special", special)
         object.__setattr__(self, "qubit_labels", qubit_labels)
-        object.__setattr__(self, "boundary2", boundary2)
-        object.__setattr__(self, "boundary1", boundary1)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "sides", sides)
         object.__setattr__(self, "z_labels", z_labels)
         object.__setattr__(self, "x_labels", x_labels)
+
+
+def check_major(pairs: Pairs, checks: int) -> BitMatrix:
+    """The checks x qubits matrix of ``pairs``; entries at ``none`` are dropped."""
+    bits = [0] * (checks + 1)  # the last row collects the padding
+    for j, (a, b) in enumerate(pairs):
+        bits[a] |= 1 << j
+        bits[b] |= 1 << j
+    return _unchecked(checks, len(pairs), tuple(bits[:checks]))
 
 
 def _orbit_labels(orbits) -> tuple[int, ...]:
@@ -74,24 +87,31 @@ def _orbit_labels(orbits) -> tuple[int, ...]:
     return tuple([c[0] for c in orbits])
 
 
-def _dart_incidence(index: Sequence[int], orbit_count: int) -> BitMatrix:
-    """Darts x orbits from a dart -> orbit table: row ``dart`` is ``1 << index[dart]``."""
-    return _unchecked(len(index), orbit_count, tuple([1 << j for j in index]))
+def _pairs(qubits: Sequence[int], a_of: Sequence[int], b_of: Sequence[int], none: int) -> Pairs:
+    """Each qubit's checks ``a_of[q]`` and ``b_of[q]``, ``(none, none)`` when they cancel."""
+    pairs = []
+    for q in qubits:
+        a, b = a_of[q], b_of[q]
+        pairs.append((a, b) if a < b else (b, a) if b < a else (none, none))
+    return tuple(pairs)
 
 
-def _endpoint_matrix(h: Hypermap, qubits: Sequence[int]) -> BitMatrix:
-    """Vertex boundary restricted to the given darts (vertices x qubits)."""
+def _code(h: Hypermap, kind: str, special: frozenset[int] | None, qubits: tuple[int, ...],
+          sides: Pairs, z_orbits) -> QuotientCode:
+    """The ``kind`` code on the darts ``qubits``; dart d's ends are v(d) and v(alpha^-1(d))."""
     head_of = h.vertex_index
     tail_of = [0] * h.n  # tail_of[d] = v(alpha^-1(d)): alpha sends i to d
     for i, d in enumerate(h.alpha.images):
         tail_of[d] = head_of[i]
-    bits = [0] * len(h.vertices)
-    for col, dart in enumerate(qubits):
-        head, tail = head_of[dart], tail_of[dart]
-        if head != tail:
-            bits[head] |= 1 << col
-            bits[tail] |= 1 << col
-    return _unchecked(len(h.vertices), len(qubits), tuple(bits))
+    return QuotientCode(
+        kind=kind,
+        special=special,
+        qubit_labels=qubits,
+        ends=_pairs(qubits, head_of, tail_of, len(h.vertices)),
+        sides=sides,
+        z_labels=_orbit_labels(z_orbits),
+        x_labels=_orbit_labels(h.vertices),
+    )
 
 
 def _special_set(h: Hypermap, darts: Iterable[int] | None, kind: str) -> frozenset[int]:
@@ -132,18 +152,10 @@ def _quotient_code(h: Hypermap, darts: Iterable[int] | None, kind: str) -> Quoti
     # the second side of a qubit: the Z-orbit of its eliminating orbit's special dart
     special_side = [0] * len(eliminating)
     for dart in special:
-        special_side[eliminating_of[dart]] = 1 << z_of[dart]
+        special_side[eliminating_of[dart]] = z_of[dart]
     qubits = tuple(i for i in range(h.n) if i not in special)
-    b2_bits = tuple((1 << z_of[q]) ^ special_side[eliminating_of[q]] for q in qubits)
-    return QuotientCode(
-        kind=kind,
-        special=special,
-        qubit_labels=qubits,
-        boundary2=_unchecked(len(qubits), len(z_orbits), b2_bits),
-        boundary1=_endpoint_matrix(h, qubits),
-        z_labels=_orbit_labels(z_orbits),
-        x_labels=_orbit_labels(h.vertices),
-    )
+    sides = _pairs(qubits, z_of, [special_side[e] for e in eliminating_of], len(z_orbits))
+    return _code(h, kind, special, qubits, sides, z_orbits)
 
 
 def face_code(h: Hypermap, special: Iterable[int] | None = None) -> QuotientCode:
@@ -172,13 +184,5 @@ def full_code(h: Hypermap) -> QuotientCode:
     No special darts are needed, and the logical count exceeds the face
     code's by |edges| - 1.
     """
-    darts = tuple(range(h.n))
-    return QuotientCode(
-        kind=FULL,
-        special=None,
-        qubit_labels=darts,
-        boundary2=_dart_incidence(h.face_index, len(h.faces)),
-        boundary1=_endpoint_matrix(h, darts),
-        z_labels=_orbit_labels(h.faces),
-        x_labels=_orbit_labels(h.vertices),
-    )
+    sides = tuple([(f, len(h.faces)) for f in h.face_index])
+    return _code(h, FULL, None, tuple(range(h.n)), sides, h.faces)

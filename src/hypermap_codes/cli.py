@@ -157,9 +157,9 @@ def cmd_code(args) -> int:
     print(f"n: {code.n}")
     print(f"k: {code.k}")
     z_prefix = code.z_axis[0]
-    print(f"H_X (rows X_v1..X_v{code.hx.rows}):")
+    print(f"H_X (rows X_v1..X_v{len(code.x_labels)}):")
     print(gf2.render(code.hx))
-    print(f"H_Z (rows Z_{z_prefix}1..Z_{z_prefix}{code.hz.rows}):")
+    print(f"H_Z (rows Z_{z_prefix}1..Z_{z_prefix}{len(code.z_labels)}):")
     print(gf2.render(code.hz))
     print("generators:")
     for line in stabilizer_strings(code):

@@ -1,21 +1,19 @@
 """CSS code assembly, stabilizer rendering, and exact distance search.
 
-Every code built from a hypermap is a surface code: each column of
-``H_X`` and of ``H_Z`` has at most two ones.  A minimum-weight logical
-operator is then a shortest homologically non-trivial cycle in the graph
-whose nodes are the check rows and whose edges are the qubits.
-:func:`distance` labels the qubits with k bits from a tree-cotree
-decomposition (Eppstein 2003; Erickson & Whittlesey 2005) and finds the
-cycle with one breadth-first search per endpoint of a labelled qubit.  A
-check matrix with a column of three or more ones is no graph, and
-:func:`distance` refuses it.
+Every code built from a hypermap is a surface code, stored as the
+per-qubit check pairs of :mod:`~hypermap_codes.chain`: a graph whose
+nodes are the checks plus one virtual node and whose edges are the
+qubits.  A check matrix's rank is the size of a spanning forest of its
+graph, and a minimum-weight logical operator is a shortest homologically
+non-trivial cycle in it.  :func:`distance` labels the qubits with k bits
+from a tree-cotree decomposition (Eppstein 2003; Erickson & Whittlesey
+2005) and finds the cycle with one breadth-first search per endpoint of
+a labelled qubit.
 """
 
 from __future__ import annotations
 
-from . import gf2
-from .chain import EDGE, QuotientCode
-from .gf2 import BitMatrix
+from .chain import EDGE, Pairs, QuotientCode, check_major
 from .perm import _Record
 
 
@@ -52,20 +50,21 @@ class DistanceResult(_Record):
 class CssCode(_Record):
     """A CSS stabilizer code with its hypermap bookkeeping.
 
-    ``hx`` is X-checks x qubits, ``hz`` is Z-checks x qubits, and
-    hx * hz^T = 0.  ``qubit_labels`` are the dart labels carrying the
-    qubits; ``x_labels``/``z_labels`` are the orbit minima naming the
-    check rows, with ``z_axis`` recording whether the Z checks come from
-    faces or edges.
+    ``ends`` and ``sides`` hold each qubit's X and Z checks as pairs, padded
+    with the check counts; ``hx`` and ``hz`` (checks x qubits) are views
+    built on each read, with hx * hz^T = 0.  ``qubit_labels`` are the dart
+    labels carrying the qubits; ``x_labels``/``z_labels`` are the orbit
+    minima naming the check rows, with ``z_axis`` recording whether the Z
+    checks come from faces or edges.
     """
 
-    __slots__ = ("hx", "hz", "qubit_labels", "x_labels", "z_labels", "z_axis", "n", "k", "d")
+    __slots__ = ("ends", "sides", "qubit_labels", "x_labels", "z_labels", "z_axis", "n", "k", "d")
 
-    def __init__(self, hx: BitMatrix, hz: BitMatrix, qubit_labels: tuple[int, ...],
+    def __init__(self, ends: Pairs, sides: Pairs, qubit_labels: tuple[int, ...],
                  x_labels: tuple[int, ...], z_labels: tuple[int, ...], z_axis: str,
                  n: int, k: int, d: DistanceResult | None = None):
-        object.__setattr__(self, "hx", hx)
-        object.__setattr__(self, "hz", hz)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "sides", sides)
         object.__setattr__(self, "qubit_labels", qubit_labels)
         object.__setattr__(self, "x_labels", x_labels)
         object.__setattr__(self, "z_labels", z_labels)
@@ -74,30 +73,58 @@ class CssCode(_Record):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "d", d)
 
+    hx = property(lambda c: check_major(c.ends, len(c.x_labels)))
+    hz = property(lambda c: check_major(c.sides, len(c.z_labels)))
+
+
+def _commutes(ends: Pairs, x_checks: int, sides: Pairs, z_checks: int) -> bool:
+    """Whether H_X * H_Z^T = 0: no X check meets a Z check an odd number of times."""
+    odd = [0] * (x_checks + 1)  # the last collects the padding
+    for (a, b), (c, d) in zip(ends, sides):
+        meets = 1 << c ^ 1 << d
+        odd[a] ^= meets
+        odd[b] ^= meets
+    mask = (1 << z_checks) - 1  # each X check's odd meetings, less the padding bit
+    return not any(meets & mask for meets in odd[:x_checks])
+
+
+def _rank(pairs: Pairs, checks: int) -> int:
+    """The rank of the check matrix of ``pairs``: by union-find, the edge count of
+    a spanning forest of its graph; each other column sums those on its cycle."""
+    parent = list(range(checks + 1))
+    forest = 0
+    for a, b in pairs:
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            forest += 1
+    return forest
+
 
 def assemble(q: QuotientCode) -> CssCode:
     """Assemble the CSS code of a quotient complex.
 
-    H_X is the vertex boundary and H_Z the transpose of the Z-axis
-    boundary; the logical count is n minus the two check ranks.  The
-    commutation check is a guard against upstream bugs: it cannot fire
+    H_X is the vertex boundary and H_Z the Z-axis boundary, both kept as
+    the pairs of ``q``; the logical count is n minus the two check ranks.
+    The commutation check is a guard against upstream bugs: it cannot fire
     for a well-formed quotient complex.
     """
-    hx = q.boundary1
-    hz = gf2.transpose(q.boundary2)
-    if not gf2.is_zero(gf2.multiply(hx, q.boundary2)):
+    x_checks, z_checks = len(q.x_labels), len(q.z_labels)
+    if not _commutes(q.ends, x_checks, q.sides, z_checks):
         raise CommutationError("H_X * H_Z^T != 0; quotient complex is broken")
     n = len(q.qubit_labels)
-    k = n - gf2.rank(hx) - gf2.rank(hz)
     return CssCode(
-        hx=hx,
-        hz=hz,
+        ends=q.ends,
+        sides=q.sides,
         qubit_labels=q.qubit_labels,
         x_labels=q.x_labels,
         z_labels=q.z_labels,
         z_axis="edge" if q.kind == EDGE else "face",
         n=n,
-        k=k,
+        k=n - _rank(q.ends, x_checks) - _rank(q.sides, z_checks),
     )
 
 
@@ -111,59 +138,39 @@ def stabilizer_strings(c: CssCode) -> list[str]:
     if c.n == 0:
         return []
     out = []
-    for pauli, prefix, m in (("X", "v", c.hx), ("Z", c.z_axis[0], c.hz)):
-        names = [f"{pauli}{label + 1}" for label in c.qubit_labels]
-        for i, row in enumerate(m.bits):
-            support = []
-            while row:
-                low = row & -row
-                support.append(names[low.bit_length() - 1])
-                row ^= low
-            out.append(f"{pauli}_{prefix}{i + 1} = {' '.join(support) or 'I'}")
+    for pauli, prefix, pairs, checks in (("X", "v", c.ends, len(c.x_labels)),
+                                         ("Z", c.z_axis[0], c.sides, len(c.z_labels))):
+        support: list[list[str]] = [[] for _ in range(checks + 1)]  # the last: the padding
+        for label, (a, b) in zip(c.qubit_labels, pairs):
+            name = f"{pauli}{label + 1}"
+            support[a].append(name)
+            support[b].append(name)
+        out += [f"{pauli}_{prefix}{i + 1} = {' '.join(row) or 'I'}"
+                for i, row in enumerate(support[:checks])]
     return out
 
 
 _Graph = tuple[list[list[tuple[int, int]]], list[int]]
 
 
-def _qubit_graph(check: BitMatrix) -> _Graph:
-    """The qubits of ``check`` as edges between its rows.
+def _qubit_graph(pairs: Pairs, checks: int) -> _Graph:
+    """The qubits of ``pairs`` as edges between their checks.
 
-    Node ``i`` is row ``i`` and node ``check.rows`` is a virtual node.  A
-    column with ones in rows ``a`` and ``b`` is an edge ``a``-``b``, a
-    column with a single one in row ``a`` an edge ``a``-virtual, and an
-    all-zero column a loop.  Then ker(check) is exactly the cycle space:
-    an edge set with even degree at every row has even degree at the
-    virtual node too, since the degrees sum to twice the edge count, and
-    rowspace(check) is the cut space, spanned by the rows' edge stars.
-    Returns ``(adjacency, loops)``: ``adjacency[u]`` lists ``(qubit,
-    neighbour)`` pairs and ``loops`` the all-zero columns.  Raises
-    ``ValueError`` when some column has three or more ones, so the matrix
-    is no graph.
+    Node ``i`` is check ``i`` and node ``checks`` is a virtual node, so a
+    qubit ``(a, b)`` is an edge ``a``-``b``, one ``(a, none)`` an edge
+    ``a``-virtual, and one ``(none, none)`` a loop.  Then ker(check) is
+    exactly the cycle space: an edge set with even degree at every check
+    has even degree at the virtual node too, since the degrees sum to twice
+    the edge count, and rowspace(check) is the cut space, spanned by the
+    checks' edge stars.  Returns ``(adjacency, loops)``: ``adjacency[u]``
+    lists ``(qubit, neighbour)`` pairs and ``loops`` the loop qubits.
     """
-    first = [-1] * check.cols
-    second = [-1] * check.cols
-    for i, row in enumerate(check.bits):
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            if first[j] < 0:
-                first[j] = i
-            elif second[j] < 0:
-                second[j] = i
-            else:
-                raise ValueError(f"qubit {j + 1} lies in three or more checks; "
-                                 "distance needs a surface code")
-            row ^= low
-    virtual = check.rows
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(virtual + 1)]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(checks + 1)]
     loops = []
-    for j, (a, b) in enumerate(zip(first, second)):
-        if a < 0:
+    for j, (a, b) in enumerate(pairs):
+        if a == checks:
             loops.append(j)
             continue
-        if b < 0:
-            b = virtual
         adjacency[a].append((j, b))
         adjacency[b].append((j, a))
     return adjacency, loops
@@ -317,24 +324,21 @@ def distance(c: CssCode, budget: int | None = None) -> DistanceResult:
     """Exact minimum distance by a shortest non-trivial cycle search.
 
     d_X is the minimum weight over ker(H_Z) outside the row space of H_X,
-    d_Z the mirror image, and d their minimum.  Every column of both
-    check matrices must have at most two ones, as in every code built
-    from a hypermap; each class minimum is then a shortest cycle with a
-    non-zero label in the graph of checks and qubits (see
-    :func:`_min_cycle_weight`), exact at any qubit count.  The default
-    budget is the qubit count, which makes the result exact; a smaller
-    one stops the search early and, when nothing is found, certifies only
-    that every logical operator is heavier.  A code with k = 0 reports no
-    weights.  Raises ``ValueError`` for a negative budget or a check
-    matrix with a column of three or more ones.  The result is a pure
-    function of the inputs.
+    d_Z the mirror image, and d their minimum.  Each class minimum is a
+    shortest cycle with a non-zero label in the graph of checks and
+    qubits (see :func:`_min_cycle_weight`), exact at any qubit count.  The
+    default budget is the qubit count, which makes the result exact; a
+    smaller one stops the search early and, when nothing is found,
+    certifies only that every logical operator is heavier.  A code with
+    k = 0 reports no weights.  Raises ``ValueError`` for a negative budget.
+    The result is a pure function of the inputs.
     """
     budget = c.n if budget is None else budget
     if budget < 0:
         raise ValueError(f"distance budget must be >= 0, got {budget}")
-    gx, gz = _qubit_graph(c.hx), _qubit_graph(c.hz)
     if c.k == 0:
         return DistanceResult(dx=None, dz=None, no_logicals=True, budget=budget)
+    gx, gz = _qubit_graph(c.ends, len(c.x_labels)), _qubit_graph(c.sides, len(c.z_labels))
     return DistanceResult(dx=_min_cycle_weight(gz, _cotree_labels(gz, gx, c.n), budget),
                           dz=_min_cycle_weight(gx, _cotree_labels(gx, gz, c.n), budget),
                           no_logicals=False, budget=budget)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from . import gf2
-from .chain import EDGE, FACE
-from .css import CssCode, DistanceResult
+from .chain import EDGE, FACE, Pairs
+from .css import CssCode, DistanceResult, _commutes, _rank
 from .gf2 import BitMatrix
 from .hypermap import Hypermap
 from .perm import format_cycles, parse_cycles
@@ -59,6 +59,20 @@ def _labels(doc: dict, key: str) -> tuple[int, ...]:
 def _matrix_from_json(doc: dict, key: str) -> BitMatrix:
     obj = _field(doc, key, dict)
     return gf2.from_strings(_field(obj, "rows", list), cols=_field(obj, "cols", int))
+
+
+def _pairs(m: BitMatrix, key: str) -> Pairs:
+    """The check pairs of the columns of ``m``, refused for three ones or more in one."""
+    columns: list[list[int]] = [[] for _ in range(m.cols)]
+    for i, row in enumerate(m.bits):
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1].append(i)
+            row ^= low
+    for j, rows in enumerate(columns):
+        if len(rows) > 2:
+            raise ValueError(f"qubit {j + 1} lies in three or more checks of {key!r}")
+    return tuple([(*rows, m.rows, m.rows)[:2] for rows in columns])
 
 
 def export_json(artifact, special: frozenset[int] | None = None) -> str:
@@ -134,8 +148,9 @@ def parse_json(text: str):
     Every malformed document raises ``ValueError``: invalid JSON, a
     non-object document, a missing key, a value of the wrong JSON type,
     a label list that repeats a label or holds one below 1, a ``z_axis``
-    other than ``"face"`` or ``"edge"``, or contents that disagree with
-    each other.
+    other than ``"face"`` or ``"edge"``, contents that disagree with each
+    other, or a check column of three or more ones, which no code stored
+    as check pairs has.
     """
     import json
 
@@ -161,9 +176,10 @@ def parse_json(text: str):
         for key, size in (("qubits", n), ("x_checks", hx.rows), ("z_checks", hz.rows)):
             if len(labels[key]) != size:
                 raise ValueError(f"{key} has {len(labels[key])} labels, expected {size}")
-        if not gf2.is_zero(gf2.multiply(hx, gf2.transpose(hz))):
+        ends, sides = _pairs(hx, "hx"), _pairs(hz, "hz")
+        if not _commutes(ends, hx.rows, sides, hz.rows):
             raise ValueError("H_X * H_Z^T != 0: the checks do not commute")
-        k = n - gf2.rank(hx) - gf2.rank(hz)
+        k = n - _rank(ends, hx.rows) - _rank(sides, hz.rows)
         if k != _field(doc, "k", int):
             raise ValueError(f"stored k={doc['k']} but check ranks give k={k}")
         z_axis = _field(doc, "z_axis", str)
@@ -171,7 +187,7 @@ def parse_json(text: str):
             raise ValueError(f"'z_axis' must be {FACE!r} or {EDGE!r}, got {z_axis!r}")
         d = _distance_from_json(_field(doc, "distance", dict), k) if "distance" in doc else None
         return CssCode(
-            hx=hx, hz=hz,
+            ends=ends, sides=sides,
             qubit_labels=labels["qubits"], x_labels=labels["x_checks"],
             z_labels=labels["z_checks"],
             z_axis=z_axis, n=n, k=k, d=d,

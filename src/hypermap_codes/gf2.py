@@ -1,21 +1,20 @@
-"""GF(2) linear algebra on bit-packed matrices: rank, product, transpose, render.
+"""GF(2) linear algebra on bit-packed matrices: product, render.
 
 Each matrix row is one Python int; bit ``j`` of a row is the entry in
 column ``j``.  Vectors are plain ints under the same convention.  All
 arithmetic is mod 2 and everything is immutable.
 
 Cost model: the work follows the set bits and runs as C-level big-int
-and str operations, never as a Python loop over every entry.  ``rank``
-inserts rows into an XOR basis keyed by each row's lowest set bit, so a
-row costs one big-int XOR per basis row it meets.  ``multiply`` XORs the
-rows of ``b`` picked by the set bits of each row of ``a``: O(nnz(a))
-big-int XORs.  Rendering formats each row with ``format``.
+and str operations, never as a Python loop over every entry.
+``multiply`` XORs the rows of ``b`` picked by the set bits of each row
+of ``a``: O(nnz(a)) big-int XORs.  Rendering formats each row with
+``format``.
 
 ``BitMatrix(rows, cols, bits)`` validates its shape and rows.  Matrices
-this package builds itself (``multiply``, ``transpose``, and the boundary
-and incidence matrices that ``chain`` and ``reduce`` read off orbit
-tables) fit their shape by construction and come from ``_unchecked``,
-which skips that check, like ``perm._unchecked``.
+this package builds itself (``multiply``, and the check and incidence
+matrices that ``chain`` and ``reduce`` build from pairs and counts) fit
+their shape by construction and come from ``_unchecked``, which skips
+that check, like ``perm._unchecked``.
 """
 
 from __future__ import annotations
@@ -87,16 +86,6 @@ def is_zero(m: BitMatrix) -> bool:
     return all(row == 0 for row in m.bits)
 
 
-def transpose(m: BitMatrix) -> BitMatrix:
-    bits = [0] * m.cols
-    for i, row in enumerate(m.bits):
-        while row:
-            j = (row & -row).bit_length() - 1
-            bits[j] |= 1 << i
-            row &= row - 1
-    return _unchecked(m.cols, m.rows, tuple(bits))
-
-
 def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product mod 2."""
     if a.cols != b.rows:
@@ -111,22 +100,3 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
             row ^= low
         bits.append(out)
     return _unchecked(a.rows, b.cols, tuple(bits))
-
-
-def rank(m: BitMatrix) -> int:
-    """Size of an XOR basis of the rows keyed by each basis row's lowest set bit.
-
-    Keys are distinct one-bit ints; the row stored under a key has that
-    bit as its lowest, so reducing a row against the basis only ever
-    clears its lowest bit and adds higher ones.
-    """
-    basis: dict[int, int] = {}
-    for row in m.bits:
-        while row:
-            low = row & -row
-            pivot = basis.get(low)
-            if pivot is None:
-                basis[low] = row
-                break
-            row ^= pivot
-    return len(basis)

@@ -66,6 +66,7 @@ from .perm import (
     parse_cycles,
     random_permutation,
     _orbits,
+    _Record,
 )
 
 # An orbit family: its canonical cycles and each dart's index into them.
@@ -81,13 +82,14 @@ class DisconnectedError(ValueError):
         self.components = components
 
 
-class Hypermap:
+class Hypermap(_Record):
     """A validated hypermap with cached orbit decompositions.
 
-    Immutable after construction.  One flat search checks transitivity, and
-    one walk per orbit family (:func:`_walk_orbits`) computes the vertex,
-    edge and face decompositions and their dart -> orbit tables
-    (``*_index``).  The derived maps come from :meth:`_from_orbits` instead.
+    Immutable like a record, and equal, hashed and pickled by ``alpha`` and
+    ``sigma``.  One flat search checks transitivity, and one walk per orbit
+    family (:func:`_walk_orbits`) computes the vertex, edge and face
+    decompositions and their dart -> orbit tables (``*_index``).  The
+    derived maps come from :meth:`_from_orbits` instead.
     """
 
     __slots__ = ("alpha", "sigma", "vertices", "edges", "faces",
@@ -98,10 +100,9 @@ class Hypermap:
             raise ValueError(f"degree mismatch: alpha {alpha.degree}, sigma {sigma.degree}")
         if not is_transitive(alpha, sigma):
             raise DisconnectedError(connected_components(alpha, sigma))
-        self.alpha = alpha
-        self.sigma = sigma
-        ((self.vertices, self.vertex_index), (self.edges, self.edge_index),
-         (self.faces, self.face_index)) = _walk_orbits(self)
+        _set_alpha(self, alpha)  # the walk reads them
+        _set_sigma(self, sigma)
+        self._store(alpha, sigma, *_walk_orbits(self))
 
     @classmethod
     def _from_orbits(cls, alpha: Permutation, sigma: Permutation,
@@ -109,12 +110,24 @@ class Hypermap:
         """The hypermap (alpha, sigma) with its orbit families, each a pair
         (cycles, index), already known.  Trusted: nothing is checked."""
         h = cls.__new__(cls)
-        h.alpha = alpha
-        h.sigma = sigma
-        h.vertices, h.vertex_index = vertices
-        h.edges, h.edge_index = edges
-        h.faces, h.face_index = faces
+        h._store(alpha, sigma, vertices, edges, faces)
         return h
+
+    def _store(self, alpha: Permutation, sigma: Permutation,
+               vertices: Family, edges: Family, faces: Family) -> None:
+        # each slot's own setter, which the refusing __setattr__ does not reach: half
+        # the cost of object.__setattr__, and verify builds ~10 maps per corpus map
+        _set_alpha(self, alpha)
+        _set_sigma(self, sigma)
+        _set_vertices(self, vertices[0])
+        _set_vertex_index(self, vertices[1])
+        _set_edges(self, edges[0])
+        _set_edge_index(self, edges[1])
+        _set_faces(self, faces[0])
+        _set_face_index(self, faces[1])
+
+    def __reduce__(self):  # pickles and copies go through the constructor
+        return Hypermap, (self.alpha, self.sigma)
 
     @property
     def n(self) -> int:
@@ -128,9 +141,6 @@ class Hypermap:
     def edge_of(self, dart: int) -> int:
         return self.edge_index[dart]
 
-    def face_of(self, dart: int) -> int:
-        return self.face_index[dart]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypermap):
             return NotImplemented
@@ -142,6 +152,10 @@ class Hypermap:
     def __repr__(self) -> str:
         return (f"Hypermap(alpha={format_cycles(self.alpha)!r}, "
                 f"sigma={format_cycles(self.sigma)!r}, n={self.n})")
+
+
+(_set_alpha, _set_sigma, _set_vertices, _set_edges, _set_faces, _set_vertex_index,
+ _set_edge_index, _set_face_index) = (vars(Hypermap)[name].__set__ for name in Hypermap.__slots__)
 
 
 def _walk_orbits(h: Hypermap) -> tuple[Family, Family, Family]:

@@ -173,11 +173,6 @@ def _orbits(images) -> tuple[Cycles, tuple[int, ...]]:
     return tuple(cycles), tuple(index)
 
 
-def as_partition(cycles: Cycles) -> frozenset[frozenset[int]]:
-    """Forget cyclic order: the orbits as an unordered set partition."""
-    return frozenset(frozenset(c) for c in cycles)
-
-
 def _reach(a, b, start: int, seen: list[bool]) -> list[int]:
     """Labels reached from ``start`` by the images in ``a`` and ``b``, marked in
     ``seen``; a set closed under a permutation is closed under its inverse."""

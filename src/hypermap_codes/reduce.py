@@ -4,8 +4,8 @@ The cell complex keeps the hypermap's vertices as 0-cells, one 1-cell per
 non-special dart, and one 2-cell per face.  Each 1-cell has two sides: the
 face of its own dart and the face of the special dart of its edge.  The
 2-cell/1-cell incidence counts those sides over the natural numbers, so it
-is the lift of the face code's boundary matrix: a weight-2 row becomes two
-1s, and a zero row, whose two sides are one face, becomes a 2 at that
+is the lift of the face code's side pairs: two sides become two 1s, and a
+pair ``(none, none)``, whose two sides are one face, becomes a 2 at that
 face.  Mod 2 the counts give the face code back, while their row totals
 witness the closed-surface condition: every 1-cell must be traversed
 exactly twice overall.
@@ -19,7 +19,7 @@ functions below take the face code that the caller built once.
 from __future__ import annotations
 
 from . import gf2
-from .chain import FACE, QuotientCode
+from .chain import FACE, QuotientCode, check_major
 from .gf2 import BitMatrix, _unchecked
 from .hypermap import Hypermap, euler_characteristic
 from .perm import _Record
@@ -110,23 +110,23 @@ def reduce_to_surface(h: Hypermap, code: QuotientCode) -> CellComplex:
     """Build the surface-code cell complex of ``code``, a face code of ``h``
     (``ValueError`` for another kind).
 
-    The counts lift the face code's ``boundary2``, so their mod-2
-    projection is exactly the face code: same boundary matrices, hence
-    the same stabilizer code and homology.
+    The counts lift the face code's sides, so their mod-2 projection is
+    exactly the face code: same boundary matrices, hence the same
+    stabilizer code and homology.
     """
     if code.kind != FACE:
         raise ValueError(f"the surface reduction needs a face code, got a {code.kind} code")
+    none = len(code.z_labels)
     counts = tuple(
-        # weight 2: a side in each of two faces; weight 0: both in the dart's face
-        (((row & -row).bit_length() - 1, 1), (row.bit_length() - 1, 1)) if row
-        else ((h.face_index[dart], 2),)
-        for dart, row in zip(code.qubit_labels, code.boundary2.bits))
+        # two sides: one in each of two faces; none: both in the dart's face
+        ((a, 1), (b, 1)) if a != none else ((h.face_index[dart], 2),)
+        for dart, (a, b) in zip(code.qubit_labels, code.sides))
     return CellComplex(
         zero_cells=code.x_labels,
         one_cells=code.qubit_labels,
         two_cells=code.z_labels,
         counts21=counts,
-        incidence10=code.boundary1,
+        incidence10=check_major(code.ends, len(code.x_labels)),
     )
 
 
@@ -158,9 +158,11 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
     check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
 
     if h is not None and code is not None:
-        check("face-code-z-match", incidence21_mod2 == code.boundary2,
+        none = len(code.z_labels)  # the padding bit is dropped
+        sides = tuple([(1 << a | 1 << b) & ((1 << none) - 1) for a, b in code.sides])
+        check("face-code-z-match", (incidence21_mod2.cols, incidence21_mod2.bits) == (none, sides),
               "incidence21 mod 2 differs from the face-code boundary")
-        check("face-code-x-match", c.incidence10 == code.boundary1,
+        check("face-code-x-match", c.incidence10 == check_major(code.ends, len(code.x_labels)),
               "incidence10 differs from the face-code vertex boundary")
         check("euler-match", chi == euler_characteristic(h),
               f"complex chi {chi} != hypermap chi {euler_characteristic(h)}")

@@ -19,19 +19,17 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable
 
-from . import gf2
 from .chain import (
     EDGE,
     FACE,
     QuotientCode,
     SpecialDartError,
-    _dart_incidence,
     _special_set,
     edge_code,
     face_code,
     full_code,
 )
-from .css import assemble
+from .css import _commutes, assemble
 from .hypermap import (
     Hypermap,
     _walk_orbits,
@@ -195,9 +193,9 @@ def _check_special_dart_transfer(x):
 
 
 def _codes_equal(a: QuotientCode, b: QuotientCode) -> bool:
-    return (a.qubit_labels == b.qubit_labels
-            and a.boundary1 == b.boundary1
-            and a.boundary2 == b.boundary2)
+    """Same qubits and same check matrices: equal pairs over equal check counts."""
+    return (a.qubit_labels == b.qubit_labels and a.ends == b.ends and a.sides == b.sides
+            and len(a.x_labels) == len(b.x_labels) and len(a.z_labels) == len(b.z_labels))
 
 
 def _check_face_edge_code_transfer(x):
@@ -220,12 +218,12 @@ def _check_full_code_logical_gap(x):
 
 
 def _check_chain_conditions(x):
-    # the full code's boundaries are d1 and d2 of the raw complex; iota is darts x edges
-    iota = _dart_incidence(x.h.edge_index, len(x.h.edges))
-    if not gf2.is_zero(gf2.multiply(x.full_code.boundary1, iota)):
-        return False
-    quotients = [x.face_code, x.edge_code, x.full_code]
-    return all(gf2.is_zero(gf2.multiply(q.boundary1, q.boundary2)) for q in quotients)
+    # the full code's pairs are d1 and d2; iota puts dart d in its edge: (e(d), none)
+    full, edges = x.full_code, len(x.h.edges)
+    iota = tuple([(e, edges) for e in x.h.edge_index])
+    return (_commutes(full.ends, len(full.x_labels), iota, edges)
+            and all(_commutes(q.ends, len(q.x_labels), q.sides, len(q.z_labels))
+                    for q in (x.face_code, x.edge_code, full)))
 
 
 def _check_closed_surface(x):

@@ -24,7 +24,11 @@ compares index tables.  The special-set check is kept as it intersected
 the chosen set with every orbit, before it counted hits through the
 dart -> orbit table, and the unquotiented complex (d2, d1, iota) as three
 matrices built from the orbit cycles.  Special sets are plain sets of
-darts, as in the library.  The
+darts, as in the library.  The codes store per-qubit check pairs; the
+boundary matrices are rebuilt from them one entry at a time
+(``pair_matrix``, ``boundary1``, ``boundary2``), the pairs read back off
+a matrix column by column (``matrix_pairs``), and ranks come from the
+Gauss-Jordan elimination, never from a spanning forest.  The
 cycle-notation parser is kept as the character walker it was before the
 grammar scan, and the surface reduction as the dense
 1-cells x 2-cells count table, with its mod-2 projection, validation and
@@ -67,10 +71,8 @@ from hypermap_codes import (
     multiply as gf2_multiply,
     nabla,
     random_corpus,
-    transpose,
     triangle_dual,
 )
-from hypermap_codes.perm import as_partition
 from hypermap_codes.verify import CheckOutcome, VerificationReport
 
 
@@ -101,6 +103,48 @@ def echelon_form(m):
 
 def rank(m):
     return len(echelon(m.bits, m.cols)[1])
+
+
+def transpose(m):
+    return BitMatrix(m.cols, m.rows, tuple(
+        sum(((row >> j) & 1) << i for i, row in enumerate(m.bits)) for j in range(m.cols)))
+
+
+def as_partition(cycles):
+    """Forget cyclic order: the orbits as an unordered set partition."""
+    return frozenset(frozenset(c) for c in cycles)
+
+
+def pair_matrix(pairs, checks):
+    """The checks x qubits matrix of per-qubit check pairs padded with
+    ``checks``, one entry at a time."""
+    bits = [0] * checks
+    for j, pair in enumerate(pairs):
+        for i in pair:
+            if i != checks:
+                bits[i] ^= 1 << j
+    return BitMatrix(checks, len(pairs), tuple(bits))
+
+
+def matrix_pairs(m):
+    """The per-qubit check pairs of a checks x qubits matrix whose columns
+    have at most two ones, column by column."""
+    pairs = []
+    for j in range(m.cols):
+        rows = [i for i in range(m.rows) if (m.bits[i] >> j) & 1]
+        assert len(rows) <= 2, rows
+        pairs.append(tuple(rows + [m.rows] * (2 - len(rows))))
+    return tuple(pairs)
+
+
+def boundary1(q):
+    """X checks x qubits: the vertex boundary of a quotient code or CSS code."""
+    return pair_matrix(q.ends, len(q.x_labels))
+
+
+def boundary2(q):
+    """Qubits x Z checks: the qubit-major view of the sides."""
+    return transpose(pair_matrix(q.sides, len(q.z_labels)))
 
 
 def kernel_basis(m):
@@ -159,11 +203,11 @@ def stabilizer_strings(c):
     if c.n == 0:
         return []
     out = []
-    for i, row in enumerate(c.hx.bits):
+    for i, row in enumerate(boundary1(c).bits):
         support = " ".join(f"X{c.qubit_labels[j] + 1}" for j in range(c.n) if (row >> j) & 1)
         out.append(f"X_v{i + 1} = {support or 'I'}")
     z_prefix = c.z_axis[0]
-    for i, row in enumerate(c.hz.bits):
+    for i, row in enumerate(pair_matrix(c.sides, len(c.z_labels)).bits):
         support = " ".join(f"Z{c.qubit_labels[j] + 1}" for j in range(c.n) if (row >> j) & 1)
         out.append(f"Z_{z_prefix}{i + 1} = {support or 'I'}")
     return out
@@ -190,7 +234,7 @@ def _expansion_hits(h, s, kind, qubits):
     if kind == FACE:
         z_orbits, eliminating, orbit_of = h.faces, h.edges, h.edge_of
     else:
-        z_orbits, eliminating, orbit_of = h.edges, h.faces, h.face_of
+        z_orbits, eliminating, orbit_of = h.edges, h.faces, h.face_index.__getitem__
     row_of = {dart: r for r, dart in enumerate(qubits)}
     for j, orbit in enumerate(z_orbits):
         for dart in orbit:
@@ -237,18 +281,19 @@ def quotient_code(h, s, kind):
     in a dict by orbit."""
     s = special_darts(h, s, kind)
     if kind == FACE:
-        z_orbits, z_of, eliminating_of = h.faces, h.face_of, h.edge_of
+        z_orbits, z_of, eliminating_of = h.faces, h.face_index, h.edge_index
     else:
-        z_orbits, z_of, eliminating_of = h.edges, h.edge_of, h.face_of
-    special_side = {eliminating_of(dart): 1 << z_of(dart) for dart in s}
+        z_orbits, z_of, eliminating_of = h.edges, h.edge_index, h.face_index
+    special_side = {eliminating_of[dart]: 1 << z_of[dart] for dart in s}
     qubits = tuple(i for i in range(h.n) if i not in s)
-    b2_bits = tuple((1 << z_of(q)) ^ special_side[eliminating_of(q)] for q in qubits)
+    b2_bits = tuple((1 << z_of[q]) ^ special_side[eliminating_of[q]] for q in qubits)
+    boundary2 = BitMatrix(len(qubits), len(z_orbits), b2_bits)
     return QuotientCode(
         kind=kind,
         special=s,
         qubit_labels=qubits,
-        boundary2=BitMatrix(len(qubits), len(z_orbits), b2_bits),
-        boundary1=endpoint_matrix(h, qubits),
+        ends=matrix_pairs(endpoint_matrix(h, qubits)),
+        sides=matrix_pairs(transpose(boundary2)),
         z_labels=tuple(min(o) for o in z_orbits),
         x_labels=tuple(min(o) for o in h.vertices),
     )
@@ -457,8 +502,8 @@ def _check_special_dart_transfer(h):
 
 def _codes_equal(a, b):
     return (a.qubit_labels == b.qubit_labels
-            and a.boundary1 == b.boundary1
-            and a.boundary2 == b.boundary2)
+            and boundary1(a) == boundary1(b)
+            and boundary2(a) == boundary2(b))
 
 
 def _edge_minima(h):
@@ -503,7 +548,7 @@ def _check_chain_conditions(h):
         edge_code(h, frozenset(min(orbit) for orbit in h.faces)),
         full_code(h),
     ]
-    return all(is_zero(gf2_multiply(q.boundary1, q.boundary2)) for q in quotients)
+    return all(is_zero(gf2_multiply(boundary1(q), boundary2(q))) for q in quotients)
 
 
 def _check_closed_surface(h):
@@ -628,16 +673,16 @@ def dense_reduce_to_surface(h, s):
     code = face_code(h, s)
     width = len(code.z_labels)
     counts = []
-    for dart, row in zip(code.qubit_labels, code.boundary2.bits):
+    for dart, row in zip(code.qubit_labels, boundary2(code).bits):
         entries = [0] * width
         if row:  # exactly two bits, one per side
             top = row.bit_length() - 1
             entries[top] = entries[(row ^ (1 << top)).bit_length() - 1] = 1
         else:  # both sides are the dart's own face
-            entries[h.face_of(dart)] = 2
+            entries[h.face_index[dart]] = 2
         counts.append(tuple(entries))
     return DenseComplex(code.x_labels, code.qubit_labels, code.z_labels,
-                        tuple(counts), code.boundary1)
+                        tuple(counts), boundary1(code))
 
 
 def dense_validate_surface(c, h=None, s=None):
@@ -657,9 +702,9 @@ def dense_validate_surface(c, h=None, s=None):
     check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
     if h is not None and s is not None:
         code = face_code(h, s)
-        check("face-code-z-match", mod2 == code.boundary2,
+        check("face-code-z-match", mod2 == boundary2(code),
               "incidence21 mod 2 differs from the face-code boundary")
-        check("face-code-x-match", c.incidence10 == code.boundary1,
+        check("face-code-x-match", c.incidence10 == boundary1(code),
               "incidence10 differs from the face-code vertex boundary")
         check("euler-match", chi == euler_characteristic(h),
               f"complex chi {chi} != hypermap chi {euler_characteristic(h)}")
@@ -673,14 +718,14 @@ def reduce_to_surface(h, s):
     code = face_code(h, s)
     counts = tuple(
         (((row & -row).bit_length() - 1, 1), (row.bit_length() - 1, 1)) if row
-        else ((h.face_of(dart), 2),)
-        for dart, row in zip(code.qubit_labels, code.boundary2.bits))
+        else ((h.face_index[dart], 2),)
+        for dart, row in zip(code.qubit_labels, boundary2(code).bits))
     return CellComplex(
         zero_cells=code.x_labels,
         one_cells=code.qubit_labels,
         two_cells=code.z_labels,
         counts21=counts,
-        incidence10=code.boundary1,
+        incidence10=boundary1(code),
     )
 
 
@@ -701,9 +746,9 @@ def validate_surface(c, h=None, s=None):
     check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
     if h is not None and s is not None:
         code = face_code(h, s)
-        check("face-code-z-match", incidence21_mod2 == code.boundary2,
+        check("face-code-z-match", incidence21_mod2 == boundary2(code),
               "incidence21 mod 2 differs from the face-code boundary")
-        check("face-code-x-match", c.incidence10 == code.boundary1,
+        check("face-code-x-match", c.incidence10 == boundary1(code),
               "incidence10 differs from the face-code vertex boundary")
         check("euler-match", chi == euler_characteristic(h),
               f"complex chi {chi} != hypermap chi {euler_characteristic(h)}")

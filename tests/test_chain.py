@@ -15,10 +15,10 @@ from hypermap_codes import (
     is_zero,
     multiply,
     nabla,
-    transpose,
     triangle_dual,
 )
-from hypermap_codes import chain
+from hypermap_codes.chain import check_major
+from slow_paths import boundary1, boundary2, transpose
 
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
 
@@ -48,14 +48,14 @@ def quotient_oracle(h: Hypermap, s: frozenset[int]) -> BitMatrix:
 
 
 def _iota(h: Hypermap) -> BitMatrix:
-    """The inclusion of the edges, darts x edges."""
-    return chain._dart_incidence(h.edge_index, len(h.edges))
+    """The inclusion of the edges, darts x edges: each dart's pair (e(d), none)."""
+    return transpose(check_major(tuple((e, len(h.edges)) for e in h.edge_index), len(h.edges)))
 
 
 def test_raw_complex_of_torus(torus8):
-    # the full code is the raw complex: boundary2 is d2, boundary1 is d1
+    # the full code is the raw complex: its sides are d2, its ends d1
     full = full_code(torus8)
-    d2, d1, iota = full.boundary2, full.boundary1, _iota(torus8)
+    d2, d1, iota = boundary2(full), boundary1(full), _iota(torus8)
     assert d2.rows == 8 and d2.cols == 4
     assert d1.rows == 2 and d1.cols == 8
     assert iota.rows == 8 and iota.cols == 2
@@ -68,18 +68,19 @@ def test_raw_complex_of_torus(torus8):
 def test_raw_complex_chain_conditions(torus8, corpus):
     for h in [torus8] + corpus[:100]:
         full = full_code(h)
-        assert is_zero(multiply(full.boundary1, full.boundary2))
-        assert is_zero(multiply(full.boundary1, _iota(h)))
+        assert is_zero(multiply(boundary1(full), boundary2(full)))
+        assert is_zero(multiply(boundary1(full), _iota(h)))
 
 
 def test_raw_complex_single_dart():
     h = Hypermap(identity(1), identity(1))
-    assert full_code(h).boundary1 == BitMatrix(1, 1, (0,))  # both endpoints coincide
+    assert full_code(h).ends == ((1, 1),)  # both endpoints coincide: (none, none)
+    assert boundary1(full_code(h)) == BitMatrix(1, 1, (0,))
 
 
 def test_d2_column_sums_are_face_sizes(corpus):
     for h in corpus[:100]:
-        cols = transpose(full_code(h).boundary2).bits
+        cols = transpose(boundary2(full_code(h))).bits
         assert [c.bit_count() for c in cols] == [len(f) for f in h.faces]
 
 
@@ -87,22 +88,26 @@ def test_face_code_of_torus(torus8):
     q = face_code(torus8, {1, 4})
     assert q.special == frozenset({1, 4})
     assert q.qubit_labels == (0, 2, 3, 5, 6, 7)
-    assert q.boundary1 == from_strings(["111111", "111111"])
-    assert transpose(q.boundary2) == from_strings(HZ_ROWS)
+    assert q.ends == ((0, 1),) * 6
+    assert q.sides == ((0, 1), (1, 2), (1, 3), (2, 3), (1, 2), (0, 2))
+    assert check_major(q.ends, 2) == from_strings(["111111", "111111"])
+    assert check_major(q.sides, 4) == from_strings(HZ_ROWS)
 
 
 def test_face_code_single_dart():
     h = Hypermap(identity(1), identity(1))
     q = face_code(h)
     assert q.qubit_labels == ()
-    assert q.boundary2.rows == 0 and q.boundary2.cols == 1
-    assert q.boundary1.rows == 1 and q.boundary1.cols == 0
+    assert q.ends == q.sides == ()
+    assert (len(q.x_labels), len(q.z_labels)) == (1, 1)
+    assert boundary2(q).rows == 0 and boundary2(q).cols == 1
+    assert boundary1(q).rows == 1 and boundary1(q).cols == 0
 
 
 def test_face_code_matches_quotient_oracle(corpus):
     for h in corpus[:150]:
         q = face_code(h)
-        assert q.boundary2 == quotient_oracle(h, q.special)
+        assert boundary2(q) == quotient_oracle(h, q.special)
 
 
 def test_face_code_rejects_bad_special(torus8):
@@ -123,7 +128,9 @@ def test_qubit_labels_are_nonspecial_darts(corpus):
 def test_boundary2_rows_have_weight_zero_or_two(torus8, corpus):
     for h in [torus8] + corpus[:150]:
         for q in (face_code(h), edge_code(h)):
-            assert all(row.bit_count() in (0, 2) for row in q.boundary2.bits)
+            none = len(q.z_labels)
+            assert all(a < b < none or a == b == none for a, b in q.sides)
+            assert all(row.bit_count() in (0, 2) for row in boundary2(q).bits)
 
 
 def test_edge_code_of_triangle_dual_equals_face_code(torus8, corpus):
@@ -131,8 +138,9 @@ def test_edge_code_of_triangle_dual_equals_face_code(torus8, corpus):
         fc = face_code(h, {1, 4} if h is torus8 else None)
         ec = edge_code(triangle_dual(h), fc.special)
         assert fc.qubit_labels == ec.qubit_labels
-        assert fc.boundary1 == ec.boundary1
-        assert fc.boundary2 == ec.boundary2
+        assert (fc.ends, fc.sides) == (ec.ends, ec.sides)
+        assert boundary1(fc) == boundary1(ec)
+        assert boundary2(fc) == boundary2(ec)
 
 
 def test_dual_face_code_equals_nabla_edge_code(corpus):
@@ -140,8 +148,9 @@ def test_dual_face_code_equals_nabla_edge_code(corpus):
         s = face_code(h).special
         fc = face_code(dual(h), s)
         ec = edge_code(nabla(h), s)
-        assert fc.boundary1 == ec.boundary1
-        assert fc.boundary2 == ec.boundary2
+        assert (fc.ends, fc.sides) == (ec.ends, ec.sides)
+        assert boundary1(fc) == boundary1(ec)
+        assert boundary2(fc) == boundary2(ec)
 
 
 def test_edge_code_single_dart():
@@ -153,13 +162,13 @@ def test_edge_code_single_dart():
 def test_edge_code_chain_condition(corpus):
     for h in corpus[:150]:
         q = edge_code(h)
-        assert is_zero(multiply(q.boundary1, q.boundary2))
+        assert is_zero(multiply(boundary1(q), boundary2(q)))
 
 
 def test_face_code_chain_condition(corpus):
     for h in corpus[:150]:
         q = face_code(h)
-        assert is_zero(multiply(q.boundary1, q.boundary2))
+        assert is_zero(multiply(boundary1(q), boundary2(q)))
 
 
 def test_full_code_logical_gap(torus8):

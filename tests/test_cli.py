@@ -13,7 +13,6 @@ from hypermap_codes import (
     CellComplex,
     CssCode,
     Hypermap,
-    as_partition,
     assemble,
     distance,
     edge_code,
@@ -28,7 +27,6 @@ from hypermap_codes import (
     parse_hypermap,
     parse_json,
     random_corpus,
-    rank,
     reduce_to_surface,
     run_verification,
 )
@@ -36,6 +34,7 @@ from hypermap_codes import chain, cli, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
+from slow_paths import as_partition, rank
 
 TORUS_TEXT = TORUS8.read_text()
 
@@ -485,7 +484,7 @@ def test_parse_json_accepts_every_distance_the_library_finds(corpus):
         quotients = (face_code(h), edge_code(h), full_code(h))
         for code in map(assemble, quotients):
             for budget in (0, 1, 2, None):
-                measured = CssCode(code.hx, code.hz, code.qubit_labels, code.x_labels,
+                measured = CssCode(code.ends, code.sides, code.qubit_labels, code.x_labels,
                                    code.z_labels, code.z_axis, code.n, code.k,
                                    distance(code, budget=budget))
                 assert parse_json(export_json(measured)) == measured

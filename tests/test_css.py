@@ -1,8 +1,10 @@
+import json
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermap_codes import (
-    BitMatrix,
     CommutationError,
     CssCode,
     DistanceResult,
@@ -16,6 +18,7 @@ from hypermap_codes import (
     from_strings,
     full_code,
     identity,
+    parse_json,
     random_hypermap,
     stabilizer_strings,
 )
@@ -71,10 +74,35 @@ def test_logical_count_is_twice_genus(corpus):
         assert code.k == 2 - euler_characteristic(h)
 
 
+def _assert_logical_count_is_n_minus_slow_ranks(h):
+    for q in (face_code(h), edge_code(h), full_code(h)):
+        code = assemble(q)
+        hx = slow_paths.pair_matrix(q.ends, len(q.x_labels))
+        hz = slow_paths.pair_matrix(q.sides, len(q.z_labels))
+        assert (code.hx, code.hz) == (hx, hz)
+        assert code.k == code.n - slow_paths.rank(hx) - slow_paths.rank(hz), (h, q.kind)
+
+
+def test_logical_count_is_n_minus_slow_ranks_on_every_small_hypermap():
+    for h in all_hypermaps(4):
+        _assert_logical_count_is_n_minus_slow_ranks(h)
+
+
+def test_logical_count_is_n_minus_slow_ranks_on_corpus(torus8, corpus):
+    for h in [torus8] + corpus:
+        _assert_logical_count_is_n_minus_slow_ranks(h)
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
+def test_logical_count_is_n_minus_slow_ranks_on_square_lattice(size):
+    _assert_logical_count_is_n_minus_slow_ranks(square_torus(size))
+
+
 def test_assemble_rejects_noncommuting():
+    # H_X = H_Z = the 2 x 2 identity: each qubit in one X and one Z check
     bogus = QuotientCode(
         kind="face", special=None, qubit_labels=(0, 1),
-        boundary2=BitMatrix(2, 2, (1, 2)), boundary1=BitMatrix(2, 2, (1, 2)),
+        ends=((0, 2), (1, 2)), sides=((0, 2), (1, 2)),
         z_labels=(0, 1), x_labels=(0, 1))
     with pytest.raises(CommutationError):
         assemble(bogus)
@@ -205,11 +233,15 @@ def _codes(h, face_special=None, edge_special=None):
     yield assemble(full_code(h))
 
 
+def _graphs(code):
+    return _qubit_graph(code.ends, len(code.x_labels)), _qubit_graph(code.sides, len(code.z_labels))
+
+
 def _assert_search_matches_oracles(code, budgets=(0, 1, 2), exhaustive_cap=None):
     """``distance`` agrees with the kernel-label search of every node at
     ``budgets`` and n, and with the exhaustive search at those up to
     ``exhaustive_cap`` (all by default); each class has k label bits."""
-    gx, gz = _qubit_graph(code.hx), _qubit_graph(code.hz)
+    gx, gz = _graphs(code)
     if code.k == 0:
         assert distance(code).no_logicals
         return
@@ -295,8 +327,8 @@ def test_cycle_search_stops_at_half_the_best_weight():
     # around its root; without that cut-off every search expands all nodes.
     size = 8
     code = next(_codes(square_torus(size)))
-    graph = _qubit_graph(code.hx)
-    labels = _cotree_labels(graph, _qubit_graph(code.hz), code.n)
+    graph, other = _graphs(code)
+    labels = _cotree_labels(graph, other, code.n)
     adjacency, loops = graph
     counted = [_CountingList(edges) for edges in adjacency]
     _CountingList.iterations = 0
@@ -309,10 +341,14 @@ HAMMING_CHECKS = ["1010101", "0110011", "0001111"]
 
 
 def test_distance_refuses_heavy_columns():
-    checks = from_strings(HAMMING_CHECKS)
-    steane = CssCode(hx=checks, hz=checks, qubit_labels=tuple(range(7)),
-                     x_labels=(0, 1, 2), z_labels=(0, 1, 2), z_axis="face", n=7, k=1)
+    # the Steane code: no graph, so no document of it is read as a code
+    doc = {"format": "hypermap-codes", "version": 1, "type": "css-code", "n": 7, "k": 1,
+           "z_axis": "face", "qubits": list(range(1, 8)), "x_checks": [1, 2, 3],
+           "z_checks": [1, 2, 3], "hx": {"cols": 7, "rows": HAMMING_CHECKS},
+           "hz": {"cols": 7, "rows": HAMMING_CHECKS}}
     with pytest.raises(ValueError, match="three or more checks"):  # the last column
-        distance(steane)
+        parse_json(json.dumps(doc))
+    checks = from_strings(HAMMING_CHECKS)
+    steane = SimpleNamespace(hx=checks, hz=checks, n=7)
     assert slow_paths.min_logical_weight(checks, checks, steane.n) == 3
     assert brute_force_distance(steane) == (3, 3)

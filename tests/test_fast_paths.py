@@ -2,9 +2,12 @@
 
 The hypothesis strategies here draw matrices taller than 64 rows and
 wider than 64 columns, so rows span several machine words, and control
-their rank and density, so the XOR basis meets dependent, sparse and
-dense rows.  Permutation pairs are drawn with up to 60 darts, split into
-blocks so that many are disconnected, for the orbit build.  Cycle text
+their rank and density, so products and renders meet dependent, sparse
+and dense rows.  Check-pair tables of the same widths, with two, one or
+no checks per qubit, give the spanning-forest rank sparse and dense
+graphs, and small ones give the commutation test both verdicts.
+Permutation pairs are drawn with up to 60 darts, split into blocks so
+that many are disconnected, for the orbit build.  Cycle text
 is drawn valid, with random whitespace, leading zeros, written-out fixed
 points and empty cycles, and then broken by one mutation, for the cycle
 parser.  The sparse cell complex is compared with the dense count table
@@ -66,16 +69,16 @@ from hypermap_codes import (
     random_corpus,
     random_hypermap,
     random_permutation,
-    rank,
     reduce_to_surface,
     render,
     stabilizer_strings,
     to_strings,
-    transpose,
     triangle_dual,
     validate_surface,
 )
 from hypermap_codes import chain, gf2, perm, reduce
+from hypermap_codes.chain import check_major
+from hypermap_codes.css import _commutes, _rank
 from conftest import square_torus
 from test_exhaustive_small import all_hypermaps
 
@@ -108,10 +111,36 @@ def large_matrices(draw, min_side=65, max_rows=100, max_cols=160):
     return BitMatrix(rows, cols, tuple(bits))
 
 
+def _random_pairs(rng, checks, qubits):
+    """Per-qubit check pairs padded with ``checks``: two checks, one, or none."""
+    pairs = []
+    for _ in range(qubits):
+        a, b = rng.randrange(checks + 1), rng.randrange(checks + 1)
+        pairs.append((a, b) if a < b else (b, a) if b < a else (checks, checks))
+    return tuple(pairs)
+
+
 @settings(max_examples=60, deadline=None)
-@given(large_matrices())
-def test_rank_matches_oracle(m):
-    assert rank(m) == slow_paths.rank(m)
+@given(st.integers(1, 100), st.integers(65, 160), st.integers(0, 2**32 - 1))
+def test_rank_matches_oracle(checks, qubits, seed):
+    # the spanning-forest rank of a graph's check matrix, sparse to dense
+    pairs = _random_pairs(random.Random(seed), checks, qubits)
+    assert _rank(pairs, checks) == slow_paths.rank(slow_paths.pair_matrix(pairs, checks))
+
+
+def test_commutation_matches_oracle():
+    rng = random.Random(16)
+    outcomes = set()
+    for _ in range(3000):
+        x_checks, z_checks, qubits = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 8)
+        ends = _random_pairs(rng, x_checks, qubits)
+        sides = _random_pairs(rng, z_checks, qubits)
+        product = slow_paths.multiply(slow_paths.pair_matrix(ends, x_checks),
+                                      slow_paths.transpose(slow_paths.pair_matrix(sides, z_checks)))
+        commutes = _commutes(ends, x_checks, sides, z_checks)
+        assert commutes == all(row == 0 for row in product.bits), (ends, sides)
+        outcomes.add(commutes)
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,7 +149,7 @@ def test_multiply_matches_oracle(a, cols, seed):
     rng = random.Random(seed)
     b = BitMatrix(a.cols, cols, tuple(rng.getrandbits(cols) for _ in range(a.cols)))
     assert multiply(a, b) == slow_paths.multiply(a, b)
-    at = transpose(a)
+    at = slow_paths.transpose(a)
     assert multiply(a, at) == slow_paths.multiply(a, at)
 
 
@@ -167,7 +196,7 @@ def _every_special_set(orbits):
 def _assert_boundary_is_counts_mod2(h, s, kind):
     counts = slow_paths.expansion_counts(h, s, kind)
     q = face_code(h, s) if kind == FACE else edge_code(h, s)
-    assert q.boundary2 == slow_paths.mod2_projection(counts, q.boundary2.cols), (h, s)
+    assert slow_paths.boundary2(q) == slow_paths.mod2_projection(counts, len(q.z_labels)), (h, s)
     if kind == FACE:
         assert reduce_to_surface(h, q).incidence21 == counts, (h, s)
 
@@ -192,7 +221,7 @@ def test_boundary2_is_expansion_counts_mod2_on_corpus(torus8, corpus):
 def _orbits_of(h):
     n = range(h.n)
     return (h.vertices, h.edges, h.faces, tuple(map(h.vertex_of, n)),
-            tuple(map(h.edge_of, n)), tuple(map(h.face_of, n)))
+            tuple(map(h.edge_of, n)), h.face_index)
 
 
 def _assert_orbit_build_matches_oracle(alpha, sigma):
@@ -552,8 +581,9 @@ def _assert_codes_match_oracle(h, s):
 
 
 def _assert_endpoints_match_oracle(h):
-    darts = range(h.n)
-    assert full_code(h).boundary1 == slow_paths.endpoint_matrix(h, darts)
+    for q in _quotients(h):
+        assert check_major(q.ends, len(h.vertices)) \
+            == slow_paths.endpoint_matrix(h, q.qubit_labels), (h, q.kind)
 
 
 def test_codes_match_oracle_on_every_small_special_set():
@@ -651,9 +681,9 @@ def test_trusted_matrices_pass_validation(torus8, corpus, monkeypatch):
         monkeypatch.setattr(module, "_unchecked", recording)
     rng = random.Random(14)
     for h in [*all_hypermaps(3), torus8, *corpus, square_torus(3), square_torus(6)]:
-        multiply(full_code(h).boundary1, chain._dart_incidence(h.edge_index, len(h.edges)))
         for q in _quotients(h):
-            assemble(q)  # a transpose and a product
+            code = assemble(q)
+            multiply(code.hx, slow_paths.transpose(code.hz))  # two views and a product
         code = face_code(h)
         c = reduce_to_surface(h, code)
         validate_surface(c, h, code)

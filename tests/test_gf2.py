@@ -8,12 +8,10 @@ from hypermap_codes import (
     from_strings,
     is_zero,
     multiply,
-    rank,
     render,
     to_strings,
-    transpose,
 )
-from slow_paths import echelon_form, in_row_space, kernel_basis, mat_vec
+from slow_paths import echelon_form, in_row_space, kernel_basis, mat_vec, rank, transpose
 
 # Check matrices of the 8-dart torus face code, used as fixed fixtures.
 HX = from_strings(["111111", "111111"])

@@ -10,7 +10,6 @@ from hypermap_codes import (
     ParseError,
     Permutation,
     SpecialDartError,
-    as_partition,
     contrary,
     dual,
     edge_code,
@@ -29,7 +28,7 @@ from hypermap_codes import (
     random_permutation,
     triangle_dual,
 )
-from slow_paths import same_orbits
+from slow_paths import as_partition, same_orbits
 
 
 def identity_hypermap(n: int = 1) -> Hypermap:
@@ -104,7 +103,7 @@ def test_orbit_membership_maps(torus8):
     for dart in range(torus8.n):
         assert dart in torus8.vertices[torus8.vertex_of(dart)]
         assert dart in torus8.edges[torus8.edge_of(dart)]
-        assert dart in torus8.faces[torus8.face_of(dart)]
+        assert dart in torus8.faces[torus8.face_index[dart]]
 
 
 def test_euler_characteristic_of_torus(torus8):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from hypermap_codes import (
     CycleParseError,
     Permutation,
-    as_partition,
     compose,
     connected_components,
     cycle_decomposition,
@@ -17,6 +16,7 @@ from hypermap_codes import (
     parse_cycles,
     random_permutation,
 )
+from slow_paths import as_partition
 
 
 @st.composite

@@ -6,6 +6,7 @@ that imports the CLI loads none of ``dataclasses``, ``inspect`` and
 ``json``.
 """
 
+import copy
 import pickle
 import subprocess
 import sys
@@ -19,11 +20,14 @@ from hypermap_codes import (
     CheckResult,
     CssCode,
     DistanceResult,
+    Hypermap,
     Permutation,
     QuotientCode,
     SurfaceReport,
     VerificationReport,
     assemble,
+    dual,
+    euler_characteristic,
     face_code,
     reduce_to_surface,
 )
@@ -46,11 +50,10 @@ def records(torus8):
         Permutation: ({"images": (1, 2, 0)}, {}),
         BitMatrix: ({"rows": 2, "cols": 3, "bits": (1, 6)}, {}),
         QuotientCode: ({name: getattr(q, name) for name in (
-            "kind", "special", "qubit_labels", "boundary2", "boundary1",
-            "z_labels", "x_labels")}, {}),
+            "kind", "special", "qubit_labels", "ends", "sides", "z_labels", "x_labels")}, {}),
         DistanceResult: ({"dx": 2, "dz": None, "no_logicals": False, "budget": 6}, {}),
         CssCode: ({**{name: getattr(code, name) for name in (
-            "hx", "hz", "qubit_labels", "x_labels", "z_labels", "z_axis", "n", "k")},
+            "ends", "sides", "qubit_labels", "x_labels", "z_labels", "z_axis", "n", "k")},
             "d": DistanceResult(2, 2, False, 6)}, {"d": None}),
         CellComplex: ({name: getattr(cells, name) for name in (
             "zero_cells", "one_cells", "two_cells", "counts21", "incidence10")}, {}),
@@ -136,6 +139,36 @@ def test_repr_names_the_fields():
     assert (repr(CheckResult("euler-even", True))
             == "CheckResult(name='euler-even', passed=True, detail='')")
     assert repr(Permutation((1, 2, 0))) == "Permutation.parse('(1 2 3)', 3)"
+
+
+HYPERMAP_FIELDS = ("alpha", "sigma", "vertices", "edges", "faces",
+                   "vertex_index", "edge_index", "face_index")
+
+
+@pytest.mark.parametrize("build", [lambda h: h, dual], ids=["constructed", "derived"])
+def test_hypermap_refuses_assignment_and_deletion(torus8, build):
+    h = build(torus8)
+    chi = euler_characteristic(h)
+    for name in HYPERMAP_FIELDS:
+        value = getattr(h, name)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(h, name, h.sigma)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(h, name)
+        assert getattr(h, name) is value
+    with pytest.raises(AttributeError):
+        h.extra = 1
+    assert euler_characteristic(h) == chi
+
+
+@pytest.mark.parametrize("build", [lambda h: h, dual], ids=["constructed", "derived"])
+def test_hypermap_pickles_and_deep_copies_through_its_constructor(torus8, build):
+    h = build(torus8)
+    copies = [pickle.loads(pickle.dumps(h, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for made in (*copies, copy.deepcopy(h), copy.copy(h)):
+        assert type(made) is Hypermap and made == h and hash(made) == hash(h)
+        assert all(getattr(made, name) == getattr(h, name) for name in HYPERMAP_FIELDS)
 
 
 def test_derived_record(torus8):

@@ -12,11 +12,10 @@ from hypermap_codes import (
     from_strings,
     full_code,
     identity,
-    rank,
     reduce_to_surface,
-    transpose,
     validate_surface,
 )
+from slow_paths import boundary1, boundary2, rank, transpose
 
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
 
@@ -61,8 +60,8 @@ def test_reduction_matches_face_code(corpus):
     for h in corpus[:150]:
         q = face_code(h)
         c = reduce_to_surface(h, q)
-        assert c.incidence21_mod2() == q.boundary2
-        assert c.incidence10 == q.boundary1
+        assert c.incidence21_mod2() == boundary2(q)
+        assert c.incidence10 == boundary1(q)
 
 
 def test_homology_dimension_equals_logical_count(corpus):

@@ -73,8 +73,8 @@ def _max_special(build, orbits_of):
         if special is None:
             special = [min(o) for o in orbits_of(h)]
         code = build(h, [max(o) for o in orbits_of(h)])
-        return QuotientCode(code.kind, frozenset(special), code.qubit_labels, code.boundary2,
-                            code.boundary1, code.z_labels, code.x_labels)
+        return QuotientCode(code.kind, frozenset(special), code.qubit_labels, code.ends,
+                            code.sides, code.z_labels, code.x_labels)
     return wrong
 
 

@@ -24,8 +24,6 @@ from .perm import (
 from .gf2 import (
     BitMatrix,
     from_strings,
-    is_zero,
-    multiply,
     render,
     to_strings,
 )

@@ -77,15 +77,20 @@ class CssCode(_Record):
     hz = property(lambda c: check_major(c.sides, len(c.z_labels)))
 
 
-def _commutes(ends: Pairs, x_checks: int, sides: Pairs, z_checks: int) -> bool:
-    """Whether H_X * H_Z^T = 0: no X check meets a Z check an odd number of times."""
+def _masks(pairs: Pairs, checks: int) -> list[int]:
+    """Each qubit's checks in ``pairs`` as one bitmask, the padding bit left out."""
+    mask = (1 << checks) - 1
+    return [(1 << a ^ 1 << b) & mask for a, b in pairs]
+
+
+def _commutes(ends: Pairs, x_checks: int, z_masks: list[int]) -> bool:
+    """Whether H_X * H_Z^T = 0, given each qubit's Z checks as a bitmask:
+    no X check meets a Z check an odd number of times."""
     odd = [0] * (x_checks + 1)  # the last collects the padding
-    for (a, b), (c, d) in zip(ends, sides):
-        meets = 1 << c ^ 1 << d
+    for (a, b), meets in zip(ends, z_masks):
         odd[a] ^= meets
         odd[b] ^= meets
-    mask = (1 << z_checks) - 1  # each X check's odd meetings, less the padding bit
-    return not any(meets & mask for meets in odd[:x_checks])
+    return not any(odd[:x_checks])
 
 
 def _rank(pairs: Pairs, checks: int) -> int:
@@ -113,7 +118,7 @@ def assemble(q: QuotientCode) -> CssCode:
     for a well-formed quotient complex.
     """
     x_checks, z_checks = len(q.x_labels), len(q.z_labels)
-    if not _commutes(q.ends, x_checks, q.sides, z_checks):
+    if not _commutes(q.ends, x_checks, _masks(q.sides, z_checks)):
         raise CommutationError("H_X * H_Z^T != 0; quotient complex is broken")
     n = len(q.qubit_labels)
     return CssCode(

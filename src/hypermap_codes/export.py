@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from . import gf2
 from .chain import EDGE, FACE, Pairs
-from .css import CssCode, DistanceResult, _commutes, _rank
+from .css import CssCode, DistanceResult, _commutes, _masks, _rank
 from .gf2 import BitMatrix
 from .hypermap import Hypermap
 from .perm import format_cycles, parse_cycles
@@ -25,9 +25,8 @@ def export_walsh_dot(h: Hypermap) -> str:
         lines.append(f"  v{i + 1} [shape=circle];")
     for i in range(len(h.edges)):
         lines.append(f"  e{i + 1} [shape=square];")
-    for dart in range(h.n):
-        lines.append(
-            f"  v{h.vertex_of(dart) + 1} -- e{h.edge_of(dart) + 1} [label=\"{dart + 1}\"];")
+    for dart, (v, e) in enumerate(zip(h.vertex_index, h.edge_index)):
+        lines.append(f"  v{v + 1} -- e{e + 1} [label=\"{dart + 1}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -149,8 +148,8 @@ def parse_json(text: str):
     non-object document, a missing key, a value of the wrong JSON type,
     a label list that repeats a label or holds one below 1, a ``z_axis``
     other than ``"face"`` or ``"edge"``, contents that disagree with each
-    other, or a check column of three or more ones, which no code stored
-    as check pairs has.
+    other, or a check column of three or more ones in ``hx``, ``hz`` or
+    ``incidence10``, which no code or complex stored as check pairs has.
     """
     import json
 
@@ -177,7 +176,7 @@ def parse_json(text: str):
             if len(labels[key]) != size:
                 raise ValueError(f"{key} has {len(labels[key])} labels, expected {size}")
         ends, sides = _pairs(hx, "hx"), _pairs(hz, "hz")
-        if not _commutes(ends, hx.rows, sides, hz.rows):
+        if not _commutes(ends, hx.rows, _masks(sides, hz.rows)):
             raise ValueError("H_X * H_Z^T != 0: the checks do not commute")
         k = n - _rank(ends, hx.rows) - _rank(sides, hz.rows)
         if k != _field(doc, "k", int):
@@ -204,5 +203,5 @@ def parse_json(text: str):
             raise ValueError(f"incidence10 is not {len(zero)} x {len(one)} (0-cells x 1-cells)")
         counts = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
         return CellComplex(zero_cells=zero, one_cells=one, two_cells=two,
-                           counts21=counts, incidence10=incidence10)
+                           counts21=counts, ends=_pairs(incidence10, "incidence10"))
     raise ValueError(f"unknown artifact type {kind!r}")

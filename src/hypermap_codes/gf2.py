@@ -1,20 +1,19 @@
-"""GF(2) linear algebra on bit-packed matrices: product, render.
+"""Bit-packed GF(2) matrices: validate, parse, render.
 
 Each matrix row is one Python int; bit ``j`` of a row is the entry in
-column ``j``.  Vectors are plain ints under the same convention.  All
-arithmetic is mod 2 and everything is immutable.
+column ``j``.  Everything is immutable.
 
-Cost model: the work follows the set bits and runs as C-level big-int
-and str operations, never as a Python loop over every entry.
-``multiply`` XORs the rows of ``b`` picked by the set bits of each row
-of ``a``: O(nnz(a)) big-int XORs.  Rendering formats each row with
-``format``.
+Cost model: rendering formats each row with ``format``, one C-level
+call per row, never a Python loop over every entry.  No arithmetic
+lives here: every code and cell complex is stored as per-qubit check
+pairs, and ranks and chain conditions are computed on those pairs
+(:mod:`~hypermap_codes.css`).
 
-``BitMatrix(rows, cols, bits)`` validates its shape and rows.  Matrices
-this package builds itself (``multiply``, and the check and incidence
-matrices that ``chain`` and ``reduce`` build from pairs and counts) fit
-their shape by construction and come from ``_unchecked``, which skips
-that check, like ``perm._unchecked``.
+``BitMatrix(rows, cols, bits)`` validates its shape and rows.  The
+matrices this package builds itself, the views that
+``chain.check_major`` makes from pairs, fit their shape by construction
+and come from ``_unchecked``, which skips that check, like
+``perm._unchecked``.
 """
 
 from __future__ import annotations
@@ -80,23 +79,3 @@ def to_strings(m: BitMatrix) -> list[str]:
 def render(m: BitMatrix) -> str:
     """Newline-separated '0'/'1' rows; the text format used by the CLI."""
     return "\n".join(to_strings(m))
-
-
-def is_zero(m: BitMatrix) -> bool:
-    return all(row == 0 for row in m.bits)
-
-
-def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product mod 2."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    b_rows = b.bits
-    bits = []
-    for row in a.bits:
-        out = 0
-        while row:
-            low = row & -row
-            out ^= b_rows[low.bit_length() - 1]
-            row ^= low
-        bits.append(out)
-    return _unchecked(a.rows, b.cols, tuple(bits))

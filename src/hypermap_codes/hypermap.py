@@ -134,13 +134,6 @@ class Hypermap(_Record):
         """Number of darts."""
         return self.alpha.degree
 
-    def vertex_of(self, dart: int) -> int:
-        """Index (into ``vertices``) of the orbit containing ``dart``."""
-        return self.vertex_index[dart]
-
-    def edge_of(self, dart: int) -> int:
-        return self.edge_index[dart]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypermap):
             return NotImplemented

@@ -11,16 +11,19 @@ witness the closed-surface condition: every 1-cell must be traversed
 exactly twice overall.
 
 The counts are stored sparse, as each 1-cell's nonzero ``(column, count)``
+pairs, and the 1-cell/0-cell incidence as the face code's own ``ends``
 pairs, so the complex is built, checked and printed in time linear in the
-darts; ``CellComplex.incidence21`` is the derived dense table.  Both
-functions below take the face code that the caller built once.
+darts; ``CellComplex.incidence21`` and ``incidence10`` are derived dense
+views.  Validation works on the pairs alone: the chain condition is the
+face code's commutation test fed with each 1-cell's odd counts, and the
+match with the face code compares pairs and masks.  Both functions below
+take the face code that the caller built once.
 """
 
 from __future__ import annotations
 
-from . import gf2
-from .chain import FACE, QuotientCode, check_major
-from .gf2 import BitMatrix, _unchecked
+from .chain import FACE, Pairs, QuotientCode, check_major
+from .css import _commutes, _masks
 from .hypermap import Hypermap, euler_characteristic
 from .perm import _Record
 
@@ -32,19 +35,24 @@ class CellComplex(_Record):
     dart labels, ``two_cells`` face orbit minima (all 0-based).
     ``counts21`` holds each 1-cell's ``(column, count)`` pairs, sorted by
     2-cell column with zero counts left out; ``incidence21`` is their dense
-    1-cells x 2-cells view.  ``incidence10`` is 0-cells x 1-cells over GF(2).
+    1-cells x 2-cells view.  ``ends`` holds each 1-cell's two 0-cells as a
+    pair padded with the 0-cell count, like a code's X-check pairs, and
+    ``incidence10`` is their 0-cells x 1-cells view over GF(2), built on
+    each read.
     """
 
-    __slots__ = ("zero_cells", "one_cells", "two_cells", "counts21", "incidence10")
+    __slots__ = ("zero_cells", "one_cells", "two_cells", "counts21", "ends")
 
     def __init__(self, zero_cells: tuple[int, ...], one_cells: tuple[int, ...],
                  two_cells: tuple[int, ...], counts21: tuple[tuple[tuple[int, int], ...], ...],
-                 incidence10: BitMatrix):
+                 ends: Pairs):
         object.__setattr__(self, "zero_cells", zero_cells)
         object.__setattr__(self, "one_cells", one_cells)
         object.__setattr__(self, "two_cells", two_cells)
         object.__setattr__(self, "counts21", counts21)
-        object.__setattr__(self, "incidence10", incidence10)
+        object.__setattr__(self, "ends", ends)
+
+    incidence10 = property(lambda c: check_major(c.ends, len(c.zero_cells)))
 
     @property
     def euler_characteristic(self) -> int:
@@ -57,10 +65,6 @@ class CellComplex(_Record):
             for j, v in pairs:
                 row[j] = v
         return tuple(map(tuple, rows))
-
-    def incidence21_mod2(self) -> BitMatrix:
-        bits = tuple(sum(1 << j for j, v in pairs if v & 1) for pairs in self.counts21)
-        return _unchecked(len(self.one_cells), len(self.two_cells), bits)
 
     def count_lines(self, sep: str) -> list[str]:
         """Each 1-cell's dense row joined by ``sep``, cut from one all-zero line."""
@@ -111,8 +115,9 @@ def reduce_to_surface(h: Hypermap, code: QuotientCode) -> CellComplex:
     (``ValueError`` for another kind).
 
     The counts lift the face code's sides, so their mod-2 projection is
-    exactly the face code: same boundary matrices, hence the same
-    stabilizer code and homology.
+    exactly the face code, and the complex keeps the code's ``ends`` as
+    they are: same boundary matrices, hence the same stabilizer code and
+    homology.
     """
     if code.kind != FACE:
         raise ValueError(f"the surface reduction needs a face code, got a {code.kind} code")
@@ -126,7 +131,7 @@ def reduce_to_surface(h: Hypermap, code: QuotientCode) -> CellComplex:
         one_cells=code.qubit_labels,
         two_cells=code.z_labels,
         counts21=counts,
-        incidence10=check_major(code.ends, len(code.x_labels)),
+        ends=code.ends,
     )
 
 
@@ -150,19 +155,18 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
     check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
         f"{dart + 1} (total {total})" for dart, total in bad_closure))
 
-    incidence21_mod2 = c.incidence21_mod2()
-    check("chain-condition", gf2.is_zero(gf2.multiply(c.incidence10, incidence21_mod2)),
+    odd = [sum(1 << j for j, v in pairs if v & 1) for pairs in c.counts21]  # mod 2, per 1-cell
+    check("chain-condition", _commutes(c.ends, len(c.zero_cells), odd),
           "incidence10 * incidence21 != 0 mod 2")
 
     chi = c.euler_characteristic
     check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
 
     if h is not None and code is not None:
-        none = len(code.z_labels)  # the padding bit is dropped
-        sides = tuple([(1 << a | 1 << b) & ((1 << none) - 1) for a, b in code.sides])
-        check("face-code-z-match", (incidence21_mod2.cols, incidence21_mod2.bits) == (none, sides),
+        faces = len(code.z_labels)
+        check("face-code-z-match", len(c.two_cells) == faces and odd == _masks(code.sides, faces),
               "incidence21 mod 2 differs from the face-code boundary")
-        check("face-code-x-match", c.incidence10 == check_major(code.ends, len(code.x_labels)),
+        check("face-code-x-match", len(c.zero_cells) == len(code.x_labels) and c.ends == code.ends,
               "incidence10 differs from the face-code vertex boundary")
         check("euler-match", chi == euler_characteristic(h),
               f"complex chi {chi} != hypermap chi {euler_characteristic(h)}")

@@ -29,7 +29,7 @@ from .chain import (
     face_code,
     full_code,
 )
-from .css import _commutes, assemble
+from .css import _commutes, _masks, assemble
 from .hypermap import (
     Hypermap,
     _walk_orbits,
@@ -218,11 +218,10 @@ def _check_full_code_logical_gap(x):
 
 
 def _check_chain_conditions(x):
-    # the full code's pairs are d1 and d2; iota puts dart d in its edge: (e(d), none)
-    full, edges = x.full_code, len(x.h.edges)
-    iota = tuple([(e, edges) for e in x.h.edge_index])
-    return (_commutes(full.ends, len(full.x_labels), iota, edges)
-            and all(_commutes(q.ends, len(q.x_labels), q.sides, len(q.z_labels))
+    # the full code's pairs are d1 and d2; iota puts dart d in its edge alone
+    full = x.full_code
+    return (_commutes(full.ends, len(full.x_labels), [1 << e for e in x.h.edge_index])
+            and all(_commutes(q.ends, len(q.x_labels), _masks(q.sides, len(q.z_labels)))
                     for q in (x.face_code, x.edge_code, full)))
 
 

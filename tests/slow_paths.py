@@ -38,8 +38,11 @@ face code of the special set itself.  The distance search is kept twice:
 as the exhaustive search over combinations of kernel-basis vectors,
 exact for any CSS code, and as the cycle search that labelled each qubit
 by its pairing with a kernel basis of the other check matrix and started
-a breadth-first search at every node.  The fast paths must return
-exactly what these do.
+a breadth-first search at every node.  The matrix product
+(``multiply``, a popcount per output entry) and ``is_zero`` live only
+here: the library tests every chain condition on check pairs
+(``css._commutes``) and multiplies no matrices.  The fast paths must
+return exactly what these do.
 """
 
 import itertools
@@ -67,8 +70,6 @@ from hypermap_codes import (
     face_code,
     full_code,
     inverse,
-    is_zero,
-    multiply as gf2_multiply,
     nabla,
     random_corpus,
     triangle_dual,
@@ -179,6 +180,10 @@ def mat_vec(m, v):
     return out
 
 
+def is_zero(m):
+    return not any(m.bits)
+
+
 def multiply(a, b):
     bt = transpose(b)
     bits = []
@@ -232,7 +237,7 @@ def _expansion_hits(h, s, kind, qubits):
     orbit (its edge for a face code, its face for an edge code).
     """
     if kind == FACE:
-        z_orbits, eliminating, orbit_of = h.faces, h.edges, h.edge_of
+        z_orbits, eliminating, orbit_of = h.faces, h.edges, h.edge_index.__getitem__
     else:
         z_orbits, eliminating, orbit_of = h.edges, h.faces, h.face_index.__getitem__
     row_of = {dart: r for r, dart in enumerate(qubits)}
@@ -268,8 +273,8 @@ def endpoint_matrix(h, qubits):
     alpha_inv = inverse(h.alpha)
     bits = [0] * len(h.vertices)
     for col, dart in enumerate(qubits):
-        head = h.vertex_of(dart)
-        tail = h.vertex_of(alpha_inv(dart))
+        head = h.vertex_index[dart]
+        tail = h.vertex_index[alpha_inv(dart)]
         if head != tail:
             bits[head] |= 1 << col
             bits[tail] |= 1 << col
@@ -539,16 +544,16 @@ def _check_full_code_logical_gap(h):
 
 def _check_chain_conditions(h):
     d2, d1, iota = raw_complex(h)
-    if not is_zero(gf2_multiply(d1, d2)):
+    if not is_zero(multiply(d1, d2)):
         return False
-    if not is_zero(gf2_multiply(d1, iota)):
+    if not is_zero(multiply(d1, iota)):
         return False
     quotients = [
         face_code(h, _edge_minima(h)),
         edge_code(h, frozenset(min(orbit) for orbit in h.faces)),
         full_code(h),
     ]
-    return all(is_zero(gf2_multiply(boundary1(q), boundary2(q))) for q in quotients)
+    return all(is_zero(multiply(boundary1(q), boundary2(q))) for q in quotients)
 
 
 def _check_closed_surface(h):
@@ -696,7 +701,7 @@ def dense_validate_surface(c, h=None, s=None):
     check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
         f"{dart + 1} (total {total})" for dart, total in bad_closure))
     mod2 = c.incidence21_mod2()
-    check("chain-condition", is_zero(gf2_multiply(c.incidence10, mod2)),
+    check("chain-condition", is_zero(multiply(c.incidence10, mod2)),
           "incidence10 * incidence21 != 0 mod 2")
     chi = c.euler_characteristic
     check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
@@ -725,7 +730,7 @@ def reduce_to_surface(h, s):
         one_cells=code.qubit_labels,
         two_cells=code.z_labels,
         counts21=counts,
-        incidence10=boundary1(code),
+        ends=matrix_pairs(boundary1(code)),
     )
 
 
@@ -739,8 +744,8 @@ def validate_surface(c, h=None, s=None):
                    if (total := sum(v for _, v in pairs)) != 2]
     check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
         f"{dart + 1} (total {total})" for dart, total in bad_closure))
-    incidence21_mod2 = c.incidence21_mod2()
-    check("chain-condition", is_zero(gf2_multiply(c.incidence10, incidence21_mod2)),
+    incidence21_mod2 = mod2_projection(c.incidence21, len(c.two_cells))
+    check("chain-condition", is_zero(multiply(c.incidence10, incidence21_mod2)),
           "incidence10 * incidence21 != 0 mod 2")
     chi = c.euler_characteristic
     check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")

@@ -25,8 +25,6 @@ from hypermap_codes import (
     from_strings,
     full_code,
     inverse,
-    is_zero,
-    multiply,
     nabla,
     parse_json,
     reduce_to_surface,
@@ -36,7 +34,8 @@ from hypermap_codes import (
     validate_surface,
 )
 from slow_paths import (
-    as_partition, boundary1, boundary2, in_row_space, kernel_basis, mat_vec, rank, same_orbits)
+    as_partition, boundary1, boundary2, in_row_space, is_zero, kernel_basis, mat_vec, multiply,
+    rank, same_orbits)
 
 HX_ROWS = ["111111", "111111"]
 HZ_ROWS = ["100001", "111010", "010111", "001100"]

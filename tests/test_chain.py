@@ -12,13 +12,11 @@ from hypermap_codes import (
     from_strings,
     full_code,
     identity,
-    is_zero,
-    multiply,
     nabla,
     triangle_dual,
 )
 from hypermap_codes.chain import check_major
-from slow_paths import boundary1, boundary2, transpose
+from slow_paths import boundary1, boundary2, is_zero, multiply, transpose
 
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
 

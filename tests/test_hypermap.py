@@ -101,8 +101,8 @@ def test_construction_matches_transitivity_oracle():
 
 def test_orbit_membership_maps(torus8):
     for dart in range(torus8.n):
-        assert dart in torus8.vertices[torus8.vertex_of(dart)]
-        assert dart in torus8.edges[torus8.edge_of(dart)]
+        assert dart in torus8.vertices[torus8.vertex_index[dart]]
+        assert dart in torus8.edges[torus8.edge_index[dart]]
         assert dart in torus8.faces[torus8.face_index[dart]]
 
 

@@ -56,7 +56,7 @@ def records(torus8):
             "ends", "sides", "qubit_labels", "x_labels", "z_labels", "z_axis", "n", "k")},
             "d": DistanceResult(2, 2, False, 6)}, {"d": None}),
         CellComplex: ({name: getattr(cells, name) for name in (
-            "zero_cells", "one_cells", "two_cells", "counts21", "incidence10")}, {}),
+            "zero_cells", "one_cells", "two_cells", "counts21", "ends")}, {}),
         CheckResult: ({"name": "euler-even", "passed": False, "detail": "chi = 1 is odd"},
                       {"detail": ""}),
         SurfaceReport: ({"checks": (CheckResult("euler-even", True),),

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from conftest import square_torus
 from hypermap_codes import (
     CellComplex,
     Hypermap,
@@ -8,16 +11,23 @@ from hypermap_codes import (
     dual,
     edge_code,
     euler_characteristic,
+    export_json,
     face_code,
     from_strings,
     full_code,
     identity,
+    parse_json,
     reduce_to_surface,
     validate_surface,
 )
-from slow_paths import boundary1, boundary2, rank, transpose
+from slow_paths import boundary1, boundary2, mod2_projection, rank, transpose
 
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
+
+
+def _mod2(c):
+    """The 1-cells x 2-cells incidence of ``c`` mod 2."""
+    return mod2_projection(c.incidence21, len(c.two_cells))
 
 
 def test_reduce_torus(torus8):
@@ -27,7 +37,7 @@ def test_reduce_torus(torus8):
     assert len(c.one_cells) == 6
     assert len(c.two_cells) == 4
     assert c.euler_characteristic == 0
-    assert c.incidence21_mod2() == transpose(from_strings(HZ_ROWS))
+    assert _mod2(c) == transpose(from_strings(HZ_ROWS))
     assert validate_surface(c, torus8, face_code(torus8, s)).passed
 
 
@@ -60,7 +70,7 @@ def test_reduction_matches_face_code(corpus):
     for h in corpus[:150]:
         q = face_code(h)
         c = reduce_to_surface(h, q)
-        assert c.incidence21_mod2() == boundary2(q)
+        assert _mod2(c) == boundary2(q)
         assert c.incidence10 == boundary1(q)
 
 
@@ -68,7 +78,7 @@ def test_homology_dimension_equals_logical_count(corpus):
     for h in corpus[:150]:
         q = face_code(h)
         c = reduce_to_surface(h, q)
-        hom = len(c.one_cells) - rank(c.incidence10) - rank(c.incidence21_mod2())
+        hom = len(c.one_cells) - rank(c.incidence10) - rank(_mod2(c))
         assert hom == assemble(q).k
 
 
@@ -93,7 +103,7 @@ def test_validation_catches_missing_incidence(torus8):
     if v > 1:  # a zero count is left out
         rows[target[0]].insert(target[1], (j, v - 1))
     broken = CellComplex(c.zero_cells, c.one_cells, c.two_cells,
-                         tuple(tuple(pairs) for pairs in rows), c.incidence10)
+                         tuple(tuple(pairs) for pairs in rows), c.ends)
     report = validate_surface(broken)
     closure = next(ch for ch in report.checks if ch.name == "one-cell-closure")
     assert not closure.passed
@@ -117,3 +127,30 @@ def test_reduction_of_dual_with_shared_special_set(corpus):
         d = dual(h)
         report = validate_surface(reduce_to_surface(d, face_code(d, sd)), d, face_code(d, sd))
         assert report.passed
+
+
+def test_complex_keeps_the_face_code_ends(torus8, corpus):
+    for h in [torus8, *corpus[:100]]:
+        q = face_code(h)
+        assert reduce_to_surface(h, q).ends is q.ends
+
+
+def test_complex_json_round_trip(torus8, corpus):
+    maps = [torus8, *corpus, *(square_torus(size) for size in range(3, 9))]
+    for h in maps:
+        c = reduce_to_surface(h, face_code(h))
+        assert parse_json(export_json(c)) == c
+    c = reduce_to_surface(torus8, face_code(torus8, {1, 4}))
+    assert parse_json(export_json(c)) == c
+
+
+def test_parse_json_refuses_a_one_cell_with_three_zero_cells():
+    doc = {"format": "hypermap-codes", "version": 1, "indexing": "1-based",
+           "type": "cell-complex", "zero_cells": [1, 2, 3], "one_cells": [1, 2],
+           "two_cells": [1], "incidence21": [[2], [2]],
+           "incidence10": {"cols": 2, "rows": ["01", "01", "01"]}}
+    with pytest.raises(ValueError) as caught:
+        parse_json(json.dumps(doc))
+    assert str(caught.value) == "qubit 2 lies in three or more checks of 'incidence10'"
+    doc["incidence10"]["rows"][2] = "00"  # 1-cell 2 joins 0-cells 1 and 2; 1-cell 1 is a loop
+    assert parse_json(json.dumps(doc)).ends == ((3, 3), (0, 1))

@@ -7,8 +7,8 @@ qubits.  A check matrix's rank is the size of a spanning forest of its
 graph, and a minimum-weight logical operator is a shortest homologically
 non-trivial cycle in it.  :func:`distance` labels the qubits with k bits
 from a tree-cotree decomposition (Eppstein 2003; Erickson & Whittlesey
-2005) and finds the cycle with one breadth-first search per endpoint of
-a labelled qubit.
+2005) and finds the cycle with one breadth-first search from one end of
+each labelled qubit, a vertex cover, deleting each root after its search.
 """
 
 from __future__ import annotations
@@ -273,9 +273,15 @@ def _min_cycle_weight(graph: _Graph, labels: list[int], budget: int) -> int | No
     every shorter closed walk has label zero, so the tree paths to the
     ends of one of its middle edges carry the cycle's own labels and the
     search meets the cycle exactly.  Every non-trivial cycle contains a
-    labelled qubit, so the searches start only at the ends of labelled
-    qubits.  Candidates from depth ``t`` weigh at least ``2t + 1``, so
-    each search stops once that exceeds ``min(budget, best - 1)``.
+    labelled qubit, so the searches start only at the roots of
+    :func:`_roots`, which cover every labelled qubit, and each root is
+    deleted after its search: no later search enters it.  This stays
+    exact.  A shortest non-trivial cycle meets a root; at the first root
+    it meets, it avoids every root deleted before, so it lies in the graph
+    that is left, where it is still shortest and its labels still XOR to
+    non-zero, and that root's search meets it.  Candidates from depth
+    ``t`` weigh at least ``2t + 1``, so each search stops once that
+    exceeds ``min(budget, best - 1)``.
     """
     adjacency, loops = graph
     if budget < 1:
@@ -288,11 +294,10 @@ def _min_cycle_weight(graph: _Graph, labels: list[int], budget: int) -> int | No
     dist = [-1] * nodes
     lab = [0] * nodes
     via = [-1] * nodes
-    for root in range(nodes):
+    deleted = budget + 1  # a distance past every limit: no search enters or closes there
+    for root in _roots(adjacency, labels, dist):
         if limit < 2:  # no cycle of the graph is lighter than 2
             break
-        if not any(labels[j] for j, _ in adjacency[root]):
-            continue
         dist[root] = 0
         lab[root] = 0
         via[root] = -1
@@ -322,7 +327,18 @@ def _min_cycle_weight(graph: _Graph, labels: list[int], budget: int) -> int | No
             depth += 1
         for u in reached:
             dist[u] = -1
+        dist[root] = deleted
     return best
+
+
+def _roots(adjacency: list[list[tuple[int, int]]], labels: list[int], dist: list[int]):
+    """The roots of :func:`_min_cycle_weight`, a greedy vertex cover of the
+    labelled qubits taken lazily: each node, in order, that has a labelled
+    qubit whose other end is not yet deleted (``dist`` -1 there; the caller
+    deletes each root after its search)."""
+    for u, edges in enumerate(adjacency):
+        if any(labels[j] for j, w in edges if dist[w] < 0):
+            yield u
 
 
 def distance(c: CssCode, budget: int | None = None) -> DistanceResult:

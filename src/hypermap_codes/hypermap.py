@@ -155,9 +155,8 @@ def _walk_orbits(h: Hypermap) -> tuple[Family, Family, Family]:
     """The vertex, edge and face families of the permutations of ``h``, one
     orbit walk each, whatever families ``h`` stores."""
     alpha, sigma = h.alpha, h.sigma
-    faces = [0] * alpha.degree  # alpha^-1 sigma: i -> sigma(alpha^-1(i))
-    for dart, i in enumerate(alpha.images):
-        faces[i] = sigma.images[dart]
+    faces = [0] * alpha.degree  # alpha^-1 sigma: alpha(dart) -> sigma(dart)
+    any(map(faces.__setitem__, alpha.images, sigma.images))  # each call returns None
     return _orbits(sigma.images), _orbits(alpha.images), _orbits(faces)
 
 

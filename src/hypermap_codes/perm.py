@@ -19,7 +19,9 @@ Conventions used throughout the package:
 - Labels are 0-based internally.  The cycle-notation text format
   (``"(4 3 2 1)(5 7 8 6)"``) is 1-based and is the only place where the
   off-by-one conversion happens.  ``parse_cycles`` reads it with one
-  grammar scan and list checks; a character walker only names errors.
+  grammar scan, then tokenizes the whole text once, with each ``)`` as
+  the sentinel label 0, and checks the one label list; a character
+  walker only names errors.
 """
 
 from __future__ import annotations
@@ -181,10 +183,14 @@ def _reach(a, b, start: int, seen: list[bool]) -> list[int]:
     seen[start] = True
     order = [start]
     for x in order:  # the list grows while it is walked: a flat BFS queue
-        for y in (a[x], b[x]):
-            if not seen[y]:
-                seen[y] = True
-                order.append(y)
+        y = a[x]
+        if not seen[y]:
+            seen[y] = True
+            order.append(y)
+        y = b[x]
+        if not seen[y]:
+            seen[y] = True
+            order.append(y)
     return order
 
 
@@ -239,8 +245,11 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     1..MAX_DARTS.  A label that appears twice (in one cycle or across
     cycles) is an error.
 
-    Text that matches the grammar is split and checked as lists; text that
-    the scan or a check refuses goes to the walker, to name the first error.
+    Text that matches the grammar is split once into labels, each ``)``
+    read as the sentinel 0 that closes a cycle; one range check and one
+    repeat check on that list, which also catches a label 0, accept it.
+    Text that the scan or a check refuses goes to the walker, to name
+    the first error.
     """
     if degree < 1:
         raise CycleParseError("degree must be at least 1", 1)
@@ -248,22 +257,27 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         raise CycleParseError(f"degree must be at most {MAX_DARTS}", 1)
     if not _CYCLE_TEXT.fullmatch(text):
         _raise_first_error(text, degree)
-    pieces = [piece.partition("(")[2].split() for piece in text.split(")")[:-1]]
+    closes = text.count(")")
+    tokens = text.replace("(", " ").replace(")", " 0 ").split()  # each ")" as the label 0
     try:
-        cycles = [list(map(int, labels)) for labels in pieces]
+        labels = list(map(int, tokens))
     except ValueError:  # int() refuses over 4300 digits, leading zeros included
-        if any(len(label.lstrip("0")) > len(str(degree)) for labels in pieces for label in labels):
+        if any(len(token.lstrip("0")) > len(str(degree)) for token in tokens):
             _raise_first_error(text, degree)
-        cycles = [list(map(decimal_value, labels)) for labels in pieces]
-    labels = [label for cycle in cycles for label in cycle]
-    if labels and (min(labels) < 1 or max(labels) > degree) or len(set(labels)) < len(labels):
+        labels = list(map(decimal_value, tokens))
+    # the closing zeros and the real labels are distinct only when no label is 0 or repeated
+    if labels and (max(labels) > degree or len(set(labels)) != len(labels) - closes + 1):
         _raise_first_error(text, degree)
-    images = list(range(degree))
-    for cycle in filter(None, cycles):  # "()" is an empty cycle
-        b = cycle[0]  # each label maps to the next; the last to the first
-        for a in reversed(cycle):
-            images[a - 1] = b - 1
-            b = a
+    images = list(range(-1, degree))  # by 1-based label; slot 0 keeps an open cycle's first image
+    last = 0
+    for label in labels:
+        if label:  # the previous label maps to this one
+            images[last] = label - 1
+            last = label
+        else:  # ")": the cycle's last label maps to its first
+            images[last] = images[0]
+            last = 0
+    del images[0]
     return _unchecked(tuple(images))
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,7 @@ from hypermap_codes import (
     random_hypermap,
     stabilizer_strings,
 )
+from hypermap_codes import css
 from hypermap_codes.css import _cotree_labels, _min_cycle_weight, _qubit_graph
 
 import slow_paths
@@ -300,6 +302,62 @@ def test_cycle_search_on_square_lattice(size):
     for code in _codes(square_torus(size)):
         _assert_search_matches_oracles(code, budgets=(0, 1, 2, size),
                                        exhaustive_cap=size if size <= 5 else 2)
+
+
+def _recorded_roots(monkeypatch) -> list[list[int]]:
+    """Record the roots of each ``_min_cycle_weight`` call, one list per call."""
+    searches: list[list[int]] = []
+    roots = css._roots
+
+    def recording(adjacency, labels, dist):
+        searches.append([])
+        for root in roots(adjacency, labels, dist):
+            searches[-1].append(root)
+            yield root
+
+    monkeypatch.setattr(css, "_roots", recording)
+    return searches
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
+def test_cycle_search_roots_cover_the_labelled_qubits(size, monkeypatch):
+    # one end of each labelled qubit: on the toric code the 2L labelled
+    # qubits of a class have 4L-4 ends, all roots when both ends were, and
+    # the cover takes 2L-1.  The edge code reaches 2L+2 at even L >= 8, where
+    # a path of two labelled qubits has its middle node last: both outer
+    # nodes become roots, and the middle one is left with no qubit to cover.
+    searches = _recorded_roots(monkeypatch)
+    face, edge, _ = _codes(square_torus(size))
+    for code in (face, edge):
+        gx, gz = _graphs(code)
+        weights = []
+        for graph, other in ((gz, gx), (gx, gz)):
+            labels = _cotree_labels(graph, other, code.n)
+            searches.clear()
+            weights.append(_min_cycle_weight(graph, labels, code.n))
+            [roots] = searches
+            assert roots == sorted(set(roots))
+            if code is face:
+                assert len(roots) == 2 * size - 1
+            else:
+                assert len(roots) <= 2 * size + 2
+            labelled = [(u, w) for u, edges in enumerate(graph[0]) for j, w in edges if labels[j]]
+            assert labelled and all(u in roots or w in roots for u, w in labelled)
+        assert min(weights) == size
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
+def test_cycle_search_with_deleted_roots_on_random_special_darts(size):
+    # random special darts move the labelled qubits, and so the roots and
+    # the order in which they are deleted, away from the orbit minima
+    h = square_torus(size)
+    for seed in range(2):
+        rng = random.Random(1000 * size + seed)
+        per_edge = {rng.choice(orbit) for orbit in h.edges}
+        per_face = {rng.choice(orbit) for orbit in h.faces}
+        for code in _codes(h, per_edge, per_face):
+            _assert_search_matches_oracles(code, budgets=(1, 2, size - 1, size),
+                                           exhaustive_cap=size if size <= 5 else 2)
 
 
 @pytest.mark.parametrize("size", [7, 8, 9, 10])

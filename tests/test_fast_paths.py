@@ -261,6 +261,24 @@ def test_orbit_build_matches_oracle_on_square_torus(size):
     _assert_orbit_build_matches_oracle(h.alpha, h.sigma)
 
 
+@pytest.mark.parametrize("alpha, sigma, degree", [
+    ("", "", 1), ("", "()", 4), ("(1 2)", "(3 4)", 4), ("(1 3)(2 4)", "(3 1)", 4),
+    ("(1 2 3)", "(4 5)", 6), ("(1 5)(2 6)", "(5 1)(3 4)", 6), ("(2 3)", "(3 4)", 5),
+])
+def test_components_match_oracle_on_disconnected_pairs(alpha, sigma, degree):
+    p, q = parse_cycles(alpha, degree), parse_cycles(sigma, degree)
+    components = slow_paths.connected_components(p, q)
+    assert connected_components(p, q) == components
+    assert is_transitive(p, q) == (len(components) == 1) == (degree == 1)
+
+
+def test_components_refuse_a_degree_mismatch():
+    for find in (connected_components, is_transitive, slow_paths.connected_components):
+        for p, q in ((identity(3), identity(4)), (identity(4), identity(3))):
+            with pytest.raises(ValueError, match=f"^degree mismatch: {p.degree} != {q.degree}$"):
+                find(p, q)
+
+
 def test_random_corpus_orbits_match_oracle():
     for h in random_corpus(200, 12, 5):
         assert type(h) is Hypermap
@@ -439,6 +457,31 @@ def test_parse_cycles_refuses_long_bad_text_in_linear_time(text):
     start = time.perf_counter()
     assert _outcome(parse_cycles, text, 10) == _outcome(slow_paths.parse_cycles, text, 10)
     assert time.perf_counter() - start < 1.0
+
+
+_PADDING = "0" * 4400  # past int()'s 4300 digits on its own
+
+
+@pytest.mark.parametrize("text, degree", [
+    # labels 0, which the parser's closing sentinel 0 must not hide
+    ("(0)", 3), ("(00)", 1), ("(0000)", 3), ("(1 00)", 3), ("(0000 2)", 3), ("(1 2)(0)", 3),
+    # empty cycles
+    ("()()", 3), ("( )", 3), ("(1)(0)", 3), ("()", 1), ("(2 3)()(1)", 3),
+    # zero padding and long labels
+    (f"(1 {_PADDING}2)", 3), (f"({_PADDING}3 1)", 3), (f"(1 {_PADDING})", 3),
+    (f"(1 {_PADDING}4)", 3), (f"(3 {_PADDING}3)", 3),
+    ("(1 " + "1" * 4301 + ")", 3), ("(" + "1" * 4301 + " 2)", 9),
+    # separators: a space, the file separator \x1c (str.isspace) and a tab
+    ("(1 2) (3 4)", 4), ("(1\x1c2)\x1c(3\x1c4)", 4), ("(1\t2)\t(3 4)", 4),
+    ("\x1c(1\t2\x1c)", 2), ("(1\x1c1)", 2),
+    # degree 1
+    ("(1)", 1), ("", 1), (" ", 1), ("(1 1)", 1), ("(2)", 1), ("(1)(1)", 1), ("(01)", 1),
+])
+def test_parse_cycles_matches_oracle_on_edge_cases(text, degree):
+    expected = _outcome(slow_paths.parse_cycles, text, degree)
+    with mock.patch.object(perm, "_raise_first_error", wraps=perm._raise_first_error) as walker:
+        assert _outcome(parse_cycles, text, degree) == expected
+    assert walker.called == (type(expected) is tuple)  # the walker runs only on refused text
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import Sequence
 
-from .gf2 import BitMatrix, _unchecked
+from .gf2 import BitMatrix
 from .hypermap import Hypermap
 from .perm import _Record
 
@@ -64,13 +64,7 @@ class QuotientCode(_Record):
     def __init__(self, kind: str, special: frozenset[int] | None,
                  qubit_labels: tuple[int, ...], ends: Pairs, sides: Pairs,
                  z_labels: tuple[int, ...], x_labels: tuple[int, ...]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "special", special)
-        object.__setattr__(self, "qubit_labels", qubit_labels)
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "z_labels", z_labels)
-        object.__setattr__(self, "x_labels", x_labels)
+        self._fill(kind, special, qubit_labels, ends, sides, z_labels, x_labels)
 
 
 def check_major(pairs: Pairs, checks: int) -> BitMatrix:
@@ -79,7 +73,7 @@ def check_major(pairs: Pairs, checks: int) -> BitMatrix:
     for j, (a, b) in enumerate(pairs):
         bits[a] |= 1 << j
         bits[b] |= 1 << j
-    return _unchecked(checks, len(pairs), tuple(bits[:checks]))
+    return BitMatrix._trusted(checks, len(pairs), tuple(bits[:checks]))
 
 
 def _orbit_labels(orbits) -> tuple[int, ...]:

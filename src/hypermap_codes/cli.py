@@ -42,7 +42,7 @@ from .hypermap import (
     random_hypermap,
     triangle_dual,
 )
-from .perm import MAX_DARTS, decimal_value, format_cycles
+from .perm import MAX_DARTS, decimal_value
 from .reduce import reduce_to_surface, validate_surface
 from .verify import run_verification
 
@@ -126,11 +126,7 @@ def _print_orbits(title: str, prefix: str, orbits) -> None:
 
 def cmd_info(args) -> int:
     h, special = load_hypermap(args.file)
-    print(f"darts: {h.n}")
-    print(f"alpha: {format_cycles(h.alpha)}")
-    print(f"sigma: {format_cycles(h.sigma)}")
-    if special is not None:
-        print("special: " + " ".join(str(i + 1) for i in sorted(special)))
+    sys.stdout.write(format_hypermap(h, special))
     _print_orbits("vertices", "v", h.vertices)
     _print_orbits("edges", "e", h.edges)
     _print_orbits("faces", "f", h.faces)

@@ -33,10 +33,7 @@ class DistanceResult(_Record):
     __slots__ = ("dx", "dz", "no_logicals", "budget")
 
     def __init__(self, dx: int | None, dz: int | None, no_logicals: bool, budget: int):
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dz", dz)
-        object.__setattr__(self, "no_logicals", no_logicals)
-        object.__setattr__(self, "budget", budget)
+        self._fill(dx, dz, no_logicals, budget)
 
     @property
     def d(self) -> int | None:
@@ -63,15 +60,7 @@ class CssCode(_Record):
     def __init__(self, ends: Pairs, sides: Pairs, qubit_labels: tuple[int, ...],
                  x_labels: tuple[int, ...], z_labels: tuple[int, ...], z_axis: str,
                  n: int, k: int, d: DistanceResult | None = None):
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "qubit_labels", qubit_labels)
-        object.__setattr__(self, "x_labels", x_labels)
-        object.__setattr__(self, "z_labels", z_labels)
-        object.__setattr__(self, "z_axis", z_axis)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
+        self._fill(ends, sides, qubit_labels, x_labels, z_labels, z_axis, n, k, d)
 
     hx = property(lambda c: check_major(c.ends, len(c.x_labels)))
     hz = property(lambda c: check_major(c.sides, len(c.z_labels)))

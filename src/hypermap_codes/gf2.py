@@ -12,8 +12,7 @@ pairs, and ranks and chain conditions are computed on those pairs
 ``BitMatrix(rows, cols, bits)`` validates its shape and rows.  The
 matrices this package builds itself, the views that
 ``chain.check_major`` makes from pairs, fit their shape by construction
-and come from ``_unchecked``, which skips that check, like
-``perm._unchecked``.
+and come from ``BitMatrix._trusted``, which skips that check.
 """
 
 from __future__ import annotations
@@ -40,21 +39,10 @@ class BitMatrix(_Record):
                 raise ValueError(f"row {i} mask {row!r} is not an integer")
             if row < 0 or row & ~mask:
                 raise ValueError(f"row {i} has bits outside {cols} columns")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "bits", bits)
+        self._fill(rows, cols, bits)
 
     def get(self, i: int, j: int) -> int:
         return (self.bits[i] >> j) & 1
-
-
-def _unchecked(rows: int, cols: int, bits: tuple[int, ...]) -> BitMatrix:
-    """A matrix of ``rows`` row masks already known to lie in 0 .. 2**cols - 1."""
-    m = object.__new__(BitMatrix)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "bits", bits)
-    return m
 
 
 def from_strings(rows: Sequence[str], cols: int | None = None) -> BitMatrix:

@@ -15,7 +15,8 @@ Conventions used throughout the package:
   construction and come from ``_unchecked``, which skips that sort.
 - ``_Record`` is the base of the package's immutable records, here and in
   the layers above: equality, hashing, repr, pickling and refused
-  assignment over the fields a subclass names in ``__slots__``.
+  assignment over the fields a subclass names in ``__slots__``, and the
+  one way to write those fields (``_stores``, ``_fill``, ``_trusted``).
 - Labels are 0-based internally.  The cycle-notation text format
   (``"(4 3 2 1)(5 7 8 6)"``) is 1-based and is the only place where the
   off-by-one conversion happens.  ``parse_cycles`` reads it with one
@@ -42,7 +43,10 @@ MAX_DARTS = 1_000_000
 class _Record:
     """Base of an immutable record whose ``__slots__`` name its fields in constructor order.
 
-    The subclass ``__init__`` stores each field with ``object.__setattr__``.
+    ``_stores`` holds each slot's own setter, in ``__slots__`` order, which the
+    refusing ``__setattr__`` does not reach.  The subclass ``__init__`` checks
+    its arguments and ends in ``self._fill(...)``; ``_trusted(...)`` builds a
+    record from values already known to be valid, without running ``__init__``.
     Records are equal when they are of one class with equal fields, hash over
     their fields, print as ``Name(field=value, ...)``, pickle through their
     constructor, and refuse assignment and deletion with ``AttributeError``.
@@ -53,6 +57,20 @@ class _Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls.__slots__)  # the fields' tuple; a lone field's bare value
+        cls._stores = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _fill(self, *values) -> None:
+        """Store ``values``, one per field, in ``__slots__`` order."""
+        for store, value in zip(self._stores, values):  # each __init__ fixes the count
+            store(self, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The record of ``values``, one per field, built without ``__init__``'s checks."""
+        record = cls.__new__(cls)
+        for store, value in zip(cls._stores, values, strict=True):
+            store(record, value)
+        return record
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -90,7 +108,7 @@ class Permutation(_Record):
             raise ValueError(f"images {images!r} are not all integers")
         if sorted(images) != list(range(n)):
             raise ValueError(f"images {images!r} are not a bijection on 0..{n - 1}")
-        object.__setattr__(self, "images", images)
+        self._fill(images)
 
     @property
     def degree(self) -> int:
@@ -110,10 +128,13 @@ class Permutation(_Record):
         return parse_cycles(text, degree)
 
 
+_set_images, = Permutation._stores  # inlined below: ~7,000 calls per corpus pass
+
+
 def _unchecked(images: tuple[int, ...]) -> Permutation:
     """A permutation of an image tuple already known to be a bijection on 0..n-1, n >= 1."""
     p = object.__new__(Permutation)
-    object.__setattr__(p, "images", images)
+    _set_images(p, images)
     return p
 
 

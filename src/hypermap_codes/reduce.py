@@ -46,11 +46,7 @@ class CellComplex(_Record):
     def __init__(self, zero_cells: tuple[int, ...], one_cells: tuple[int, ...],
                  two_cells: tuple[int, ...], counts21: tuple[tuple[tuple[int, int], ...], ...],
                  ends: Pairs):
-        object.__setattr__(self, "zero_cells", zero_cells)
-        object.__setattr__(self, "one_cells", one_cells)
-        object.__setattr__(self, "two_cells", two_cells)
-        object.__setattr__(self, "counts21", counts21)
-        object.__setattr__(self, "ends", ends)
+        self._fill(zero_cells, one_cells, two_cells, counts21, ends)
 
     incidence10 = property(lambda c: check_major(c.ends, len(c.zero_cells)))
 
@@ -82,9 +78,7 @@ class CheckResult(_Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        self._fill(name, passed, detail)
 
 
 class SurfaceReport(_Record):
@@ -93,8 +87,7 @@ class SurfaceReport(_Record):
     __slots__ = ("checks", "euler_characteristic")
 
     def __init__(self, checks: tuple[CheckResult, ...], euler_characteristic: int):
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "euler_characteristic", euler_characteristic)
+        self._fill(checks, euler_characteristic)
 
     @property
     def passed(self) -> bool:
@@ -143,8 +136,11 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
     the two incidence maps compose to zero mod 2, and the Euler
     characteristic is even.  Given the source hypermap and its face code,
     additionally check that the mod-2 complex reproduces that code and
-    that the Euler characteristic matches the hypermap's.
+    that the Euler characteristic matches the hypermap's; ``TypeError``
+    when only one of the two is given.
     """
+    if (h is None) != (code is None):
+        raise TypeError("validate_surface needs both the hypermap and its face code, or neither")
     checks = []
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -162,7 +158,7 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
     chi = c.euler_characteristic
     check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
 
-    if h is not None and code is not None:
+    if code is not None:
         faces = len(code.z_labels)
         check("face-code-z-match", len(c.two_cells) == faces and odd == _masks(code.sides, faces),
               "incidence21 mod 2 differs from the face-code boundary")

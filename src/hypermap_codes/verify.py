@@ -48,10 +48,7 @@ class CheckOutcome(_Record):
     __slots__ = ("name", "failures", "total", "first_failure")
 
     def __init__(self, name: str, failures: int, total: int, first_failure: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "first_failure", first_failure)
+        self._fill(name, failures, total, first_failure)
 
 
 class VerificationReport(_Record):
@@ -59,10 +56,7 @@ class VerificationReport(_Record):
 
     def __init__(self, trials: int, max_darts: int, seed: int,
                  checks: tuple[CheckOutcome, ...]):
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "max_darts", max_darts)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "checks", checks)
+        self._fill(trials, max_darts, seed, checks)
 
     @property
     def passed(self) -> bool:

@@ -13,6 +13,7 @@ from hypermap_codes import (
     CellComplex,
     CssCode,
     Hypermap,
+    QuotientCode,
     assemble,
     distance,
     edge_code,
@@ -245,6 +246,22 @@ def test_invalid_special_exit_code(torus_file, capsys):
     assert "special" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("code", "--kind", "face"),
+    ("distance", "--kind", "face"),
+    ("export", "--format", "json", "--what", "code"),
+])
+def test_noncommuting_quotient_exits_4(argv, torus_file, capsys, monkeypatch):
+    # H_X = H_Z = the 2 x 2 identity: each qubit in one X and one Z check
+    bogus = QuotientCode(kind="face", special=None, qubit_labels=(0, 1),
+                         ends=((0, 2), (1, 2)), sides=((0, 2), (1, 2)),
+                         z_labels=(0, 1), x_labels=(0, 1))
+    monkeypatch.setattr(cli, "_build_quotient", lambda *args: bogus)
+    code, out, err = run_cli(capsys, argv[0], torus_file, *argv[1:])
+    assert (code, out) == (4, "")
+    assert err == "internal error: H_X * H_Z^T != 0; quotient complex is broken\n"
+
+
 # ---------------------------------------------------------------------------
 # DOT export
 
@@ -323,6 +340,12 @@ def test_export_json_code_embeds_matrices(torus8):
     assert doc["hx"]["rows"] == ["111111", "111111"]
     assert doc["hz"]["rows"] == ["100001", "111010", "010111", "001100"]
     assert doc["qubits"] == [1, 3, 4, 6, 7, 8]
+
+
+def test_export_json_refuses_an_unsupported_object(torus8):
+    for artifact in (torus8.alpha, face_code(torus8), None):
+        with pytest.raises(TypeError, match=f"cannot export {type(artifact).__name__} as JSON"):
+            export_json(artifact)
 
 
 def test_export_json_empty_code():
@@ -468,6 +491,12 @@ def test_parse_json_reads_hand_written_documents():
 def test_parse_json_maps_malformed_documents_to_value_error(name):
     with pytest.raises(ValueError):
         parse_json(json.dumps(MALFORMED_DOCUMENTS[name]))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_parse_json_refuses_a_qubit_count_other_than_the_column_count(n):
+    with pytest.raises(ValueError, match="check matrices do not match the qubit count"):
+        parse_json(json.dumps({**_CODE_DOC, "n": n}))
 
 
 def test_parse_json_rejects_a_self_contradicting_distance(torus8):

@@ -76,7 +76,7 @@ from hypermap_codes import (
     triangle_dual,
     validate_surface,
 )
-from hypermap_codes import chain, gf2, perm
+from hypermap_codes import chain, perm
 from hypermap_codes.chain import check_major
 from hypermap_codes.css import _commutes, _masks, _rank
 from conftest import square_torus
@@ -745,9 +745,8 @@ def test_trusted_matrices_pass_validation(torus8, corpus, monkeypatch):
         built.append(m)
         return m
 
-    trusted = gf2._unchecked
-    for module in (gf2, chain):
-        monkeypatch.setattr(module, "_unchecked", recording)
+    trusted = BitMatrix._trusted
+    monkeypatch.setattr(BitMatrix, "_trusted", recording)
     rng = random.Random(14)
     for h in [*all_hypermaps(3), torus8, *corpus, square_torus(3), square_torus(6)]:
         quotients = _quotients(h)

@@ -192,6 +192,14 @@ def test_random_hypermap_single_dart():
     assert h.sigma == identity(1)
 
 
+@pytest.mark.parametrize("build", [lambda: random_hypermap(0, seed=1),
+                                   lambda: random_hypermap(-2, seed=1),
+                                   lambda: random_corpus(5, 0, seed=1)])
+def test_random_maps_need_at_least_one_dart(build):
+    with pytest.raises(ValueError, match="^need at least one dart$"):
+        build()
+
+
 def test_random_pairs_usually_transitive():
     rng = random.Random(5)
     hits = sum(

@@ -1,9 +1,9 @@
 """The package's records: constructors, equality, hashing, immutability,
 pickling and repr, the same for every record type.
 
-Each record is immutable and compares by its fields.  A fresh interpreter
-that imports the CLI loads none of ``dataclasses``, ``inspect`` and
-``json``.
+Each record is immutable and compares by its fields, which it writes
+through the setters in its ``_stores``.  A fresh interpreter that imports
+the CLI loads none of ``dataclasses``, ``inspect`` and ``json``.
 """
 
 import copy
@@ -130,6 +130,51 @@ def test_pickle_round_trip(records, cls):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(record, protocol))
         assert type(copy) is cls and copy == record and hash(copy) == hash(record)
+
+
+@pytest.mark.parametrize("cls", [*RECORD_TYPES, Hypermap], ids=lambda cls: cls.__name__)
+def test_stores_hold_one_setter_per_slot_in_slot_order(cls):
+    assert len(cls._stores) == len(cls.__slots__)
+    record = cls.__new__(cls)
+    for i, (name, store) in enumerate(zip(cls.__slots__, cls._stores)):
+        marker = object()
+        store(record, marker)
+        assert getattr(record, name) is marker
+        assert all(not hasattr(record, later) for later in cls.__slots__[i + 1:])
+
+
+def _refusing_init(self, *args, **kwargs):
+    raise AssertionError("the constructor ran")
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+def test_trusted_builds_the_constructors_record_without_its_checks(records, cls, monkeypatch):
+    fields, _ = records[cls]
+    made = cls(**fields)
+    monkeypatch.setattr(cls, "__init__", _refusing_init)
+    trusted = cls._trusted(*fields.values())
+    assert type(trusted) is cls and trusted == made and hash(trusted) == hash(made)
+    assert all(getattr(trusted, name) is value for name, value in fields.items())
+    with pytest.raises(ValueError):  # one value per field, no more and no fewer
+        cls._trusted(*fields.values(), None)
+    with pytest.raises(ValueError):
+        cls._trusted(*list(fields.values())[:-1])
+
+
+def test_trusted_hypermap_equals_the_constructed_one(torus8, monkeypatch):
+    values = [getattr(torus8, name) for name in HYPERMAP_FIELDS]
+    monkeypatch.setattr(Hypermap, "__init__", _refusing_init)
+    h = Hypermap._trusted(*values)
+    assert h == torus8 and hash(h) == hash(torus8)
+    assert all(getattr(h, name) is value for name, value in zip(HYPERMAP_FIELDS, values))
+
+
+def test_only_perm_may_call_object_setattr():
+    package = Path(__file__).resolve().parents[1] / "src" / "hypermap_codes"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    assert [m.name for m in modules
+            if m.name != "perm.py" and "object.__setattr__" in m.read_text()] == []
 
 
 def test_repr_names_the_fields():

@@ -110,6 +110,16 @@ def test_validation_catches_missing_incidence(torus8):
     assert str(c.one_cells[target[0]] + 1) in closure.detail
 
 
+def test_validation_refuses_half_of_its_optional_pair(torus8):
+    code = face_code(torus8)
+    c = reduce_to_surface(torus8, code)
+    for half in ({"h": torus8}, {"code": code}):
+        with pytest.raises(TypeError, match="both the hypermap and its face code"):
+            validate_surface(c, **half)
+    assert len(validate_surface(c).checks) == 3
+    assert len(validate_surface(c, torus8, code).checks) == 6
+
+
 def test_validation_report_renders(torus8):
     s = {1, 4}
     report = validate_surface(reduce_to_surface(torus8, face_code(torus8, s)), torus8,

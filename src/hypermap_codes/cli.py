@@ -33,6 +33,7 @@ from .hypermap import (
     DisconnectedError,
     Hypermap,
     ParseError,
+    _special_line,
     contrary,
     dual,
     euler_characteristic,
@@ -148,7 +149,7 @@ def cmd_code(args) -> int:
     print(f"kind: {q.kind}")
     print(f"darts: {h.n}")
     if q.special is not None:
-        print("special: " + " ".join(str(i + 1) for i in sorted(q.special)))
+        print(_special_line(q.special))
     print("qubits: " + " ".join(str(i + 1) for i in code.qubit_labels))
     print(f"n: {code.n}")
     print(f"k: {code.k}")

@@ -19,25 +19,12 @@ Three derived hypermaps share the surface:
 - contrary:       (sigma, alpha)               -- vertices and edges swapped.
 
 The contrary of the triangle dual equals the triangle dual of the dual;
-``verify`` checks this orbit family by orbit family.
+``verify`` checks these identities on the canonical dart -> orbit tables.
 
-A derived hypermap has the cells of ``h``, relabelled, so ``dual``,
-``triangle_dual`` and ``contrary`` take every orbit family and ``*_index``
-table from ``h`` (``Hypermap._from_orbits``), with no permutation check,
-transitivity search or orbit walk:
-
-    map             vertices             edges                faces
-    dual            faces of h           edges of h reversed  vertices of h
-    triangle dual   vertices of h rev.   faces of h reversed  edges of h reversed
-    contrary        edges of h           vertices of h        faces of h reversed
-
-"Reversed" is the orbit family of the inverse permutation: each canonical
-cycle ``c`` read backwards from its minimum, ``(c[0],) + c[:0:-1]``, with
-the same dart -> orbit index table.  Nothing here checks the table above,
-so the orbit checks of ``verify`` walk each derived map's own permutations
-afresh (``_walk_orbits``, the walk of the constructor) and compare the
-result with both the stored families and the families of ``h`` that the
-table names.
+A derived map is built from its two permutations alone (``_derived``):
+they generate the group of ``h``, so no transitivity search runs, and the
+map walks its own orbit families (:func:`_walk_orbits`) on the first read
+of an orbit field.  A map whose orbits are never read is never walked.
 
 Orientation reversal has no carrier in this purely combinatorial model:
 the dual constructions above flip the underlying surface orientation, but
@@ -69,9 +56,6 @@ from .perm import (
     _Record,
 )
 
-# An orbit family: its canonical cycles and each dart's index into them.
-Family = tuple[Cycles, tuple[int, ...]]
-
 
 class DisconnectedError(ValueError):
     """The pair (alpha, sigma) is not transitive; carries the components."""
@@ -82,18 +66,23 @@ class DisconnectedError(ValueError):
         self.components = components
 
 
+def _orbit_field(i: int, doc: str) -> property:
+    """Field ``i`` of the walked families, walking them on the first read."""
+    return property(lambda h: (h._families or _walk_orbits(h))[i], doc=doc)
+
+
 class Hypermap(_Record):
     """A validated hypermap with cached orbit decompositions.
 
     Immutable like a record, and equal, hashed and pickled by ``alpha`` and
     ``sigma``.  One flat search checks transitivity, and one walk per orbit
     family (:func:`_walk_orbits`) computes the vertex, edge and face
-    decompositions and their dart -> orbit tables (``*_index``).  The
-    derived maps come from :meth:`_from_orbits` instead.
+    decompositions and their dart -> orbit tables (``*_index``), all kept in
+    ``_families``.  A derived map (:func:`_derived`) holds None there until
+    the first read of an orbit field walks it.
     """
 
-    __slots__ = ("alpha", "sigma", "vertices", "edges", "faces",
-                 "vertex_index", "edge_index", "face_index")
+    __slots__ = ("alpha", "sigma", "_families")
 
     def __init__(self, alpha: Permutation, sigma: Permutation):
         if alpha.degree != sigma.degree:
@@ -102,29 +91,14 @@ class Hypermap(_Record):
             raise DisconnectedError(connected_components(alpha, sigma))
         _set_alpha(self, alpha)  # the walk reads them
         _set_sigma(self, sigma)
-        self._store(alpha, sigma, *_walk_orbits(self))
+        _walk_orbits(self)
 
-    @classmethod
-    def _from_orbits(cls, alpha: Permutation, sigma: Permutation,
-                     vertices: Family, edges: Family, faces: Family) -> Hypermap:
-        """The hypermap (alpha, sigma) with its orbit families, each a pair
-        (cycles, index), already known.  Trusted: nothing is checked."""
-        h = cls.__new__(cls)
-        h._store(alpha, sigma, vertices, edges, faces)
-        return h
-
-    def _store(self, alpha: Permutation, sigma: Permutation,
-               vertices: Family, edges: Family, faces: Family) -> None:
-        # one direct store per field, the setters from _stores: cheaper than the
-        # _fill loop, and verify builds ~10 maps per corpus map
-        _set_alpha(self, alpha)
-        _set_sigma(self, sigma)
-        _set_vertices(self, vertices[0])
-        _set_vertex_index(self, vertices[1])
-        _set_edges(self, edges[0])
-        _set_edge_index(self, edges[1])
-        _set_faces(self, faces[0])
-        _set_face_index(self, faces[1])
+    vertices = _orbit_field(0, "The orbits of sigma, as canonical cycles.")
+    vertex_index = _orbit_field(1, "Each dart's index into ``vertices``.")
+    edges = _orbit_field(2, "The orbits of alpha, as canonical cycles.")
+    edge_index = _orbit_field(3, "Each dart's index into ``edges``.")
+    faces = _orbit_field(4, "The orbits of alpha^-1 sigma, as canonical cycles.")
+    face_index = _orbit_field(5, "Each dart's index into ``faces``.")
 
     def __reduce__(self):  # pickles and copies go through the constructor
         return Hypermap, (self.alpha, self.sigma)
@@ -147,17 +121,34 @@ class Hypermap(_Record):
                 f"sigma={format_cycles(self.sigma)!r}, n={self.n})")
 
 
-(_set_alpha, _set_sigma, _set_vertices, _set_edges, _set_faces, _set_vertex_index,
- _set_edge_index, _set_face_index) = Hypermap._stores
+_set_alpha, _set_sigma, _set_families = Hypermap._stores
 
 
-def _walk_orbits(h: Hypermap) -> tuple[Family, Family, Family]:
-    """The vertex, edge and face families of the permutations of ``h``, one
-    orbit walk each, whatever families ``h`` stores."""
+def _walk_orbits(h: Hypermap) -> tuple:
+    """Walk the vertex, edge and face families of the permutations of ``h``,
+    one orbit walk each, and store them in ``h``: (vertices, vertex_index,
+    edges, edge_index, faces, face_index).
+
+    The only producer of orbit families.  Two threads that read a derived
+    map's orbits first at once both walk it and store equal values.
+    """
     alpha, sigma = h.alpha, h.sigma
     faces = [0] * alpha.degree  # alpha^-1 sigma: alpha(dart) -> sigma(dart)
     any(map(faces.__setitem__, alpha.images, sigma.images))  # each call returns None
-    return _orbits(sigma.images), _orbits(alpha.images), _orbits(faces)
+    families = (*_orbits(sigma.images), *_orbits(alpha.images), *_orbits(faces))
+    _set_families(h, families)
+    return families
+
+
+def _derived(alpha: Permutation, sigma: Permutation) -> Hypermap:
+    """The hypermap (alpha, sigma) of two permutations that generate the group
+    of a hypermap, so act transitively.  Trusted: nothing is checked, and the
+    orbits are walked on first read."""
+    h = Hypermap.__new__(Hypermap)
+    _set_alpha(h, alpha)
+    _set_sigma(h, sigma)
+    _set_families(h, None)
+    return h
 
 
 def euler_characteristic(h: Hypermap) -> int:
@@ -174,11 +165,6 @@ def genus(h: Hypermap) -> int:
     return (2 - euler_characteristic(h)) // 2
 
 
-def _reversed(cycles: Cycles, index: tuple[int, ...]) -> Family:
-    """The orbit family of the inverse of the permutation with these canonical cycles."""
-    return tuple([(c[0],) + c[:0:-1] for c in cycles]), index
-
-
 def dual(h: Hypermap) -> Hypermap:
     """The dual hypermap (alpha^-1, alpha^-1 sigma).
 
@@ -186,10 +172,7 @@ def dual(h: Hypermap) -> Hypermap:
     its faces the vertices of ``h``.  An involution: dual(dual(h)) == h.
     """
     alpha_inv = inverse(h.alpha)
-    return Hypermap._from_orbits(alpha_inv, compose(alpha_inv, h.sigma),
-                                 (h.faces, h.face_index),
-                                 _reversed(h.edges, h.edge_index),
-                                 (h.vertices, h.vertex_index))
+    return _derived(alpha_inv, compose(alpha_inv, h.sigma))
 
 
 def triangle_dual(h: Hypermap) -> Hypermap:
@@ -199,18 +182,12 @@ def triangle_dual(h: Hypermap) -> Hypermap:
     its edges the faces of ``h``.  Also an involution.
     """
     sigma_inv = inverse(h.sigma)
-    return Hypermap._from_orbits(compose(sigma_inv, h.alpha), sigma_inv,
-                                 _reversed(h.vertices, h.vertex_index),
-                                 _reversed(h.faces, h.face_index),
-                                 _reversed(h.edges, h.edge_index))
+    return _derived(compose(sigma_inv, h.alpha), sigma_inv)
 
 
 def contrary(h: Hypermap) -> Hypermap:
     """Interchange vertices and edges: the hypermap (sigma, alpha)."""
-    return Hypermap._from_orbits(h.sigma, h.alpha,
-                                 (h.edges, h.edge_index),
-                                 (h.vertices, h.vertex_index),
-                                 _reversed(h.faces, h.face_index))
+    return _derived(h.sigma, h.alpha)
 
 
 def nabla(h: Hypermap) -> Hypermap:
@@ -348,5 +325,10 @@ def format_hypermap(h: Hypermap, special=None) -> str:
              f"alpha: {format_cycles(h.alpha)}",
              f"sigma: {format_cycles(h.sigma)}"]
     if special is not None:
-        lines.append("special: " + " ".join(str(i + 1) for i in sorted(special)))
+        lines.append(_special_line(special))
     return "\n".join(lines) + "\n"
+
+
+def _special_line(special) -> str:
+    """The ``special:`` line of a set of darts (1-based, ascending)."""
+    return "special: " + " ".join(str(i + 1) for i in sorted(special))

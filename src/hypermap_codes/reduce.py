@@ -114,10 +114,10 @@ def reduce_to_surface(h: Hypermap, code: QuotientCode) -> CellComplex:
     """
     if code.kind != FACE:
         raise ValueError(f"the surface reduction needs a face code, got a {code.kind} code")
-    none = len(code.z_labels)
+    none, face_of = len(code.z_labels), h.face_index
     counts = tuple(
         # two sides: one in each of two faces; none: both in the dart's face
-        ((a, 1), (b, 1)) if a != none else ((h.face_index[dart], 2),)
+        ((a, 1), (b, 1)) if a != none else ((face_of[dart], 2),)
         for dart, (a, b) in zip(code.qubit_labels, code.sides))
     return CellComplex(
         zero_cells=code.x_labels,

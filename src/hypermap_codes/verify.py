@@ -5,13 +5,11 @@ seeded random corpus; a predicate that raises counts as a failure.  A map
 drawn more than once is checked once, and its verdicts count for every
 draw of it.
 
-The derived maps relabel the orbit tables of ``h`` (``dual``,
-``triangle_dual`` and ``contrary`` in :mod:`~hypermap_codes.hypermap`), so
-reading their stored orbits would test those tables against themselves.
-The orbit checks instead walk each derived map's own permutations afresh
-(``Derived.*_walk``).  A check compares the canonical dart -> orbit table
-of that walk with the table its identity names, and the walked family,
-cycles and table, with the family the map stores.
+Each derived map walks its own permutations on the first read of an
+orbit field, so an orbit check states its identity on canonical
+dart -> orbit tables, such as ``x.dual.edge_index == x.h.edge_index``.
+Canonical tables number the orbits by their minimum dart, so two equal
+tables are one partition of the darts.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .chain import (
 from .css import _commutes, _masks, assemble
 from .hypermap import (
     Hypermap,
-    _walk_orbits,
     contrary,
     dual,
     euler_characteristic,
@@ -102,31 +99,10 @@ class Derived:
     triangle_dual = cached_property(lambda x: triangle_dual(x.h))
     contrary = cached_property(lambda x: contrary(x.h))
     nabla = cached_property(lambda x: nabla(x.h))
-    dual_walk = cached_property(lambda x: _walk_orbits(x.dual))
-    triangle_dual_walk = cached_property(lambda x: _walk_orbits(x.triangle_dual))
-    contrary_walk = cached_property(lambda x: _walk_orbits(x.contrary))
-    nabla_walk = cached_property(lambda x: _walk_orbits(x.nabla))
     face_code = cached_property(lambda x: face_code(x.h))
     edge_code = cached_property(lambda x: edge_code(x.h))
     full_code = cached_property(lambda x: full_code(x.h))
     face_k = cached_property(lambda x: assemble(x.face_code).k)
-
-
-VERTICES, EDGES, FACES = range(3)  # positions of the families in a walk
-_STORED = (("vertices", "vertex_index"), ("edges", "edge_index"), ("faces", "face_index"))
-
-
-def _family_is(m: Hypermap, walk, family: int, table: tuple[int, ...]) -> bool:
-    """Whether ``family`` of ``walk``, a fresh walk of ``m``, has the dart -> orbit
-    table ``table`` and is the family that ``m`` stores.
-
-    Canonical tables number the orbits by their minimum dart, so two equal
-    tables are one partition of the darts.
-    """
-    cycles, index = walk[family]
-    stored_cycles, stored_index = _STORED[family]
-    return (index == table and index == getattr(m, stored_index)
-            and cycles == getattr(m, stored_cycles))
 
 
 def _check_dual_involution(x):
@@ -134,12 +110,12 @@ def _check_dual_involution(x):
 
 
 def _check_dual_preserves_edges(x):
-    return _family_is(x.dual, x.dual_walk, EDGES, x.h.edge_index)
+    return x.dual.edge_index == x.h.edge_index
 
 
 def _check_dual_swaps_vertices_faces(x):
-    return (_family_is(x.dual, x.dual_walk, VERTICES, x.h.face_index)
-            and _family_is(x.dual, x.dual_walk, FACES, x.h.vertex_index))
+    d, h = x.dual, x.h
+    return d.vertex_index == h.face_index and d.face_index == h.vertex_index
 
 
 def _check_triangle_dual_involution(x):
@@ -147,12 +123,12 @@ def _check_triangle_dual_involution(x):
 
 
 def _check_triangle_dual_preserves_vertices(x):
-    return _family_is(x.triangle_dual, x.triangle_dual_walk, VERTICES, x.h.vertex_index)
+    return x.triangle_dual.vertex_index == x.h.vertex_index
 
 
 def _check_triangle_dual_swaps_edges_faces(x):
-    return (_family_is(x.triangle_dual, x.triangle_dual_walk, FACES, x.h.edge_index)
-            and _family_is(x.triangle_dual, x.triangle_dual_walk, EDGES, x.h.face_index))
+    t, h = x.triangle_dual, x.h
+    return t.face_index == h.edge_index and t.edge_index == h.face_index
 
 
 def _check_contrary_involution(x):
@@ -160,21 +136,19 @@ def _check_contrary_involution(x):
 
 
 def _check_contrary_swaps_vertices_edges(x):
-    return (_family_is(x.contrary, x.contrary_walk, VERTICES, x.h.edge_index)
-            and _family_is(x.contrary, x.contrary_walk, EDGES, x.h.vertex_index))
+    c, h = x.contrary, x.h
+    return c.vertex_index == h.edge_index and c.edge_index == h.vertex_index
 
 
 def _check_nabla_swaps_dual_orbits(x):
-    return (_family_is(x.nabla, x.nabla_walk, EDGES, x.dual_walk[FACES][1])
-            and _family_is(x.nabla, x.nabla_walk, FACES, x.dual_walk[EDGES][1]))
+    nb, d = x.nabla, x.dual
+    return nb.edge_index == d.face_index and nb.face_index == d.edge_index
 
 
 def _check_nabla_is_triangle_dual_of_dual(x):
-    t = triangle_dual(x.dual)
-    t_walk = _walk_orbits(t)
-    return all(_family_is(m, walk, family, other[family][1])
-               for m, walk, other in ((x.nabla, x.nabla_walk, t_walk), (t, t_walk, x.nabla_walk))
-               for family in (VERTICES, EDGES, FACES))
+    t, nb = triangle_dual(x.dual), x.nabla
+    return (t.vertex_index == nb.vertex_index and t.edge_index == nb.edge_index
+            and t.face_index == nb.face_index)
 
 
 def _check_special_dart_transfer(x):

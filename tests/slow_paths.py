@@ -12,15 +12,14 @@ in a dict.  The orbit build of a hypermap
 is kept too: a union-find transitivity test, then one cycle walk per
 orbit family, a composed face permutation and a second pass per family
 for the dart -> orbit index.  The dual, triangle dual, contrary and nabla
-are kept as they were built before they read the parent's orbit tables:
-new permutations, each validated, through the ``Hypermap`` constructor,
-which searches transitivity and walks every orbit family again.  The
+are kept as they were built before they skipped validation: new
+permutations, each validated, through the ``Hypermap`` constructor,
+which searches transitivity and walks every orbit family.  The
 verify suite is kept as it ran before its checks shared a per-map
 record and before it checked each distinct map once: check by check over
 the corpus, each predicate taking the hypermap and building every derived
 map and code it needs itself, and comparing orbit partitions as sets
-(``same_orbits``) where the library walks each derived map afresh and
-compares index tables.  The special-set check is kept as it intersected
+(``same_orbits``) where the library compares canonical index tables.  The special-set check is kept as it intersected
 the chosen set with every orbit, before it counted hits through the
 dart -> orbit table, and the unquotiented complex (d2, d1, iota) as three
 matrices built from the orbit cycles.  Special sets are plain sets of

@@ -17,11 +17,11 @@ rendering is compared with ``json.dumps`` of the dense table.  The code
 builders that read the orbit index tables, and the reduction and
 validation that take the caller's face code, are compared with the builds through ``inverse(alpha)`` and ``face_code(h, s)`` on every
 special set of every small map, valid or not, and on the same inputs.  The
-dual, triangle dual, contrary and nabla, which relabel the orbit tables of
-their parent, are compared field by field with a validating build of the
-same pair on every small map, the corpus and square-lattice tori, and the
-permutations that ``perm`` makes without validation are drawn and
-validated.  The special-set check of ``face_code`` and ``edge_code``,
+dual, triangle dual, contrary and nabla, which skip the transitivity search
+and walk their orbits on first read, are compared field by field with a
+validating build of the same pair on every small map, the corpus and
+square-lattice tori, and the permutations that ``perm`` makes without
+validation are drawn and validated.  The special-set check of ``face_code`` and ``edge_code``,
 which counts hits through the dart -> orbit table, must raise the
 oracle's exact message on every subset
 of every small map, on the corpus and on out-of-range sets, and every
@@ -312,7 +312,7 @@ def test_random_corpus_checks_transitivity_once_per_draw(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the derived maps: the parent's orbit tables relabelled, no new walk
+# the derived maps: no transitivity search, orbits walked on first read
 
 DERIVED = [(dual, slow_paths.validated_dual),
            (triangle_dual, slow_paths.validated_triangle_dual),

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -28,7 +32,9 @@ from hypermap_codes import (
     random_permutation,
     triangle_dual,
 )
-from slow_paths import as_partition, same_orbits
+from hypermap_codes import cli, hypermap
+from conftest import TORUS8, square_torus
+from slow_paths import as_partition, same_orbits, validated_dual
 
 
 def identity_hypermap(n: int = 1) -> Hypermap:
@@ -177,6 +183,91 @@ def test_duals_preserve_euler_characteristic(corpus):
         chi = euler_characteristic(h)
         assert euler_characteristic(dual(h)) == chi
         assert euler_characteristic(triangle_dual(h)) == chi
+
+
+# ---------------------------------------------------------------------------
+# derived maps walk their own orbits, once, on the first read of an orbit field
+
+ORBIT_FIELDS = ("vertices", "vertex_index", "edges", "edge_index", "faces", "face_index")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The maps walked since the fixture was set up, in walk order."""
+    walked = []
+    walk = hypermap._walk_orbits
+
+    def counted(h):
+        walked.append(h)
+        return walk(h)
+
+    monkeypatch.setattr(hypermap, "_walk_orbits", counted)
+    return walked
+
+
+def test_unread_derived_maps_are_never_walked(torus8, walks):
+    for op in (dual, triangle_dual, contrary):
+        assert op(op(torus8)) == torus8
+    assert nabla(torus8) == contrary(triangle_dual(torus8))
+    assert walks == []
+
+
+def test_dual_command_walks_only_the_input(walks, capsys):
+    assert cli.main(["dual", str(TORUS8)]) == 0
+    assert capsys.readouterr().out.startswith("darts: 8\n")
+    assert len(walks) == 1 and walks[0] == hypermap.parse_hypermap(TORUS8.read_text())[0]
+
+
+@pytest.mark.parametrize("field", ORBIT_FIELDS)
+def test_reading_any_orbit_field_walks_once(torus8, walks, field):
+    want = validated_dual(torus8)
+    walks.clear()
+    d = dual(torus8)
+    assert getattr(d, field) == getattr(want, field)
+    assert len(walks) == 1 and walks[0] is d
+    assert [getattr(d, name) for name in ORBIT_FIELDS] == [
+        getattr(want, name) for name in ORBIT_FIELDS]
+    assert len(walks) == 1
+
+
+def test_concurrent_first_reads_see_the_validated_orbits():
+    h = square_torus(8)
+    want = [getattr(validated_dual(h), name) for name in ORBIT_FIELDS]
+    threads, seen = 8, []
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            d = dual(h)
+            barrier = threading.Barrier(threads)
+
+            def read():
+                barrier.wait(timeout=30)
+                seen.append([getattr(d, name) for name in ORBIT_FIELDS])
+
+            workers = [threading.Thread(target=read) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert list(d._families) == want
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(seen) == 5 * threads and all(values == want for values in seen)
+
+
+def test_unread_derived_map_equals_hashes_and_copies_as_a_validated_build(torus8, corpus):
+    for h in (torus8, *corpus[:50]):
+        d, want = dual(h), validated_dual(h)
+        assert d == want and want == d and hash(d) == hash(want)
+        copies = [copy.copy(d), copy.deepcopy(d),
+                  *(pickle.loads(pickle.dumps(d, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+        assert d._families is None  # none of it read an orbit
+        for made in copies:
+            assert type(made) is Hypermap and made == want and hash(made) == hash(want)
+            assert made._families == want._families
 
 
 def test_random_hypermap_deterministic():

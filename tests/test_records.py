@@ -162,11 +162,14 @@ def test_trusted_builds_the_constructors_record_without_its_checks(records, cls,
 
 
 def test_trusted_hypermap_equals_the_constructed_one(torus8, monkeypatch):
-    values = [getattr(torus8, name) for name in HYPERMAP_FIELDS]
+    # the slots: the two permutations and the walked families, or None until first read
+    assert Hypermap.__slots__ == ("alpha", "sigma", "_families")
     monkeypatch.setattr(Hypermap, "__init__", _refusing_init)
-    h = Hypermap._trusted(*values)
-    assert h == torus8 and hash(h) == hash(torus8)
-    assert all(getattr(h, name) is value for name, value in zip(HYPERMAP_FIELDS, values))
+    for families in (torus8._families, None):
+        h = Hypermap._trusted(torus8.alpha, torus8.sigma, families)
+        assert h == torus8 and hash(h) == hash(torus8)
+        assert all(getattr(h, name) == getattr(torus8, name) for name in HYPERMAP_FIELDS)
+        assert h._families == torus8._families
 
 
 def test_only_perm_may_call_object_setattr():
@@ -186,6 +189,7 @@ def test_repr_names_the_fields():
     assert repr(Permutation((1, 2, 0))) == "Permutation.parse('(1 2 3)', 3)"
 
 
+# the permutations and the six orbit fields read from the walked families
 HYPERMAP_FIELDS = ("alpha", "sigma", "vertices", "edges", "faces",
                    "vertex_index", "edge_index", "face_index")
 

@@ -25,13 +25,15 @@ checks (``ends``) and of its Z checks (``sides``), read from the orbit
 index tables: the sorted rows of its check column padded with ``none``,
 the number of checks, so ``(a, b)`` with a < b, ``(a, none)``, or
 ``(none, none)`` when the two coincide and cancel.  Pairs and columns of
-weight <= 2 correspond one to one; :func:`check_major` is the one
-function that turns pairs into a matrix.
+weight <= 2 correspond one to one.  :func:`dense_rows` writes the
+checks x qubits matrix of pairs as text, one '0'/'1' row at a time, for
+the CLI and JSON export; :func:`check_major` builds it as a ``BitMatrix``
+for the public views ``hx``, ``hz`` and ``incidence10``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from typing import Sequence
 
 from .gf2 import BitMatrix
@@ -74,6 +76,23 @@ def check_major(pairs: Pairs, checks: int) -> BitMatrix:
         bits[a] |= 1 << j
         bits[b] |= 1 << j
     return BitMatrix._trusted(checks, len(pairs), tuple(bits[:checks]))
+
+
+def dense_rows(pairs: Pairs, checks: int) -> Iterator[str]:
+    """Each row of the checks x qubits matrix of ``pairs`` as a '0'/'1' string,
+    one at a time: the qubits are grouped by check once, and each row is
+    a copy of one all-zero line with a 1 set at each of its qubits."""
+    by_check: list[list[int]] = [[] for _ in range(checks + 1)]  # the last: the padding
+    for j, (a, b) in enumerate(pairs):
+        by_check[a].append(j)
+        by_check[b].append(j)
+    del by_check[checks]
+    zeros = b"0" * len(pairs)
+    for qubits in by_check:
+        line = bytearray(zeros)
+        for j in qubits:
+            line[j] = 49  # ord("1")
+        yield line.decode()
 
 
 def _orbit_labels(orbits) -> tuple[int, ...]:

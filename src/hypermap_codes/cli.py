@@ -14,15 +14,16 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterable
 from typing import Callable
 
-from . import gf2
 from .chain import (
     EDGE,
     FACE,
     FULL,
     QuotientCode,
     SpecialDartError,
+    dense_rows,
     edge_code,
     face_code,
     full_code,
@@ -118,6 +119,14 @@ def _build_quotient(h: Hypermap, kind: str, cli_special, file_special) -> Quotie
 # ---------------------------------------------------------------------------
 # commands
 
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line as it is produced, so a dense block is never held whole."""
+    write = sys.stdout.write
+    for line in lines:
+        write(line)
+        write("\n")
+
+
 def _print_orbits(title: str, prefix: str, orbits) -> None:
     print(f"{title}: {len(orbits)}")
     for i, orbit in enumerate(orbits):
@@ -155,12 +164,10 @@ def cmd_code(args) -> int:
     print(f"k: {code.k}")
     z_prefix = code.z_axis[0]
     print(f"H_X (rows X_v1..X_v{len(code.x_labels)}):")
-    print(gf2.render(code.hx))
+    _write_lines(dense_rows(code.ends, len(code.x_labels)))
     print(f"H_Z (rows Z_{z_prefix}1..Z_{z_prefix}{len(code.z_labels)}):")
-    print(gf2.render(code.hz))
-    print("generators:")
-    for line in stabilizer_strings(code):
-        print(line)
+    _write_lines(dense_rows(code.sides, len(code.z_labels)))
+    sys.stdout.write("\n".join(["generators:", *stabilizer_strings(code), ""]))
     return EXIT_OK
 
 
@@ -171,10 +178,10 @@ def cmd_reduce(args) -> int:
     print(f"zero-cells: {len(complex_.zero_cells)}")
     print("one-cells: " + " ".join(str(i + 1) for i in complex_.one_cells))
     print(f"two-cells: {len(complex_.two_cells)}")
-    print("\n".join(["incidence 2->1 counts (rows = 1-cells, cols = 2-cells):",
-                     *complex_.count_lines(" ")]))
+    print("incidence 2->1 counts (rows = 1-cells, cols = 2-cells):")
+    _write_lines(complex_.count_lines(" "))
     print("incidence 1->0 (rows = 0-cells, cols = 1-cells):")
-    print(gf2.render(complex_.incidence10))
+    _write_lines(dense_rows(complex_.ends, len(complex_.zero_cells)))
     print(validate_surface(complex_, h, code).render())
     return EXIT_OK
 

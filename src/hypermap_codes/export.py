@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import gf2
-from .chain import EDGE, FACE, Pairs
+from .chain import EDGE, FACE, Pairs, dense_rows
 from .css import CssCode, DistanceResult, _commutes, _masks, _rank
 from .gf2 import BitMatrix
 from .hypermap import Hypermap
@@ -31,8 +31,9 @@ def export_walsh_dot(h: Hypermap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matrix_json(m: BitMatrix) -> dict:
-    return {"cols": m.cols, "rows": gf2.to_strings(m)}
+def _matrix_json(pairs: Pairs, checks: int) -> dict:
+    """The checks x qubits matrix of ``pairs`` as its column count and '0'/'1' rows."""
+    return {"cols": len(pairs), "rows": list(dense_rows(pairs, checks))}
 
 
 def _field(doc: dict, key: str, *kinds: type):
@@ -93,8 +94,8 @@ def export_json(artifact, special: frozenset[int] | None = None) -> str:
         doc["qubits"] = [i + 1 for i in artifact.qubit_labels]
         doc["x_checks"] = [i + 1 for i in artifact.x_labels]
         doc["z_checks"] = [i + 1 for i in artifact.z_labels]
-        doc["hx"] = _matrix_json(artifact.hx)
-        doc["hz"] = _matrix_json(artifact.hz)
+        doc["hx"] = _matrix_json(artifact.ends, len(artifact.x_labels))
+        doc["hz"] = _matrix_json(artifact.sides, len(artifact.z_labels))
         if artifact.d is not None:
             doc["distance"] = {
                 "d_x": artifact.d.dx, "d_z": artifact.d.dz, "d": artifact.d.d,
@@ -107,7 +108,7 @@ def export_json(artifact, special: frozenset[int] | None = None) -> str:
         doc["one_cells"] = [i + 1 for i in artifact.one_cells]
         doc["two_cells"] = [i + 1 for i in artifact.two_cells]
         doc["incidence21"] = None  # spliced in below, rendered from the sparse counts
-        doc["incidence10"] = _matrix_json(artifact.incidence10)
+        doc["incidence10"] = _matrix_json(artifact.ends, len(artifact.zero_cells))
     else:
         raise TypeError(f"cannot export {type(artifact).__name__} as JSON")
     text = json.dumps(doc, indent=2)

@@ -3,10 +3,13 @@
 Each matrix row is one Python int; bit ``j`` of a row is the entry in
 column ``j``.  Everything is immutable.
 
-Cost model: rendering formats each row with ``format``, one C-level
-call per row, never a Python loop over every entry.  No arithmetic
-lives here: every code and cell complex is stored as per-qubit check
-pairs, and ranks and chain conditions are computed on those pairs
+Cost model: ``render`` and ``to_strings`` format each row with
+``format``, one C-level call per row, never a Python loop over every
+entry.  They serve the public matrix views only: the CLI and JSON export
+write their dense blocks straight from check pairs, one row at a time
+(``chain.dense_rows``), and build no matrix.  No arithmetic lives here:
+every code and cell complex is stored as per-qubit check pairs, and
+ranks and chain conditions are computed on those pairs
 (:mod:`~hypermap_codes.css`).
 
 ``BitMatrix(rows, cols, bits)`` validates its shape and rows.  The

@@ -12,15 +12,19 @@ exactly twice overall.
 
 The counts are stored sparse, as each 1-cell's nonzero ``(column, count)``
 pairs, and the 1-cell/0-cell incidence as the face code's own ``ends``
-pairs, so the complex is built, checked and printed in time linear in the
-darts; ``CellComplex.incidence21`` and ``incidence10`` are derived dense
-views.  Validation works on the pairs alone: the chain condition is the
-face code's commutation test fed with each 1-cell's odd counts, and the
-match with the face code compares pairs and masks.  Both functions below
+pairs, so the complex is built and checked in time linear in the darts;
+``CellComplex.incidence21`` and ``incidence10`` are derived dense views.
+``CellComplex.count_lines`` yields the dense count rows one at a time,
+so the ``reduce`` command writes them without holding the whole table.
+Validation works on the pairs alone: the chain condition is the face
+code's commutation test fed with each 1-cell's odd counts, and the match
+with the face code compares pairs and masks.  Both functions below
 take the face code that the caller built once.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .chain import FACE, Pairs, QuotientCode, check_major
 from .css import _commutes, _masks
@@ -62,16 +66,20 @@ class CellComplex(_Record):
                 row[j] = v
         return tuple(map(tuple, rows))
 
-    def count_lines(self, sep: str) -> list[str]:
-        """Each 1-cell's dense row joined by ``sep``, cut from one all-zero line."""
-        zeros, step, lines = sep.join("0" * len(self.two_cells)), len(sep) + 1, []
+    def count_lines(self, sep: str) -> Iterator[str]:
+        """Each 1-cell's dense row joined by ``sep``, one at a time: its counts
+        are scattered into a copy of one all-zero line, right to left, so that
+        a wider count such as ``10`` or ``-1`` shifts only the bytes after it."""
+        zeros, step = sep.join("0" * len(self.two_cells)).encode(), len(sep.encode()) + 1
         for pairs in self.counts21:
-            parts, at = [], 0
-            for j, v in pairs:
-                parts += zeros[at:step * j], str(v)
-                at = step * j + 1
-            lines.append("".join(parts) + zeros[at:])
-        return lines
+            line = bytearray(zeros)
+            for j, v in reversed(pairs):
+                at = step * j
+                if 0 <= v <= 9:
+                    line[at] = 48 + v  # ord("0") + v
+                else:
+                    line[at:at + 1] = str(v).encode()
+            yield line.decode()
 
 
 class CheckResult(_Record):

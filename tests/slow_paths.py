@@ -31,7 +31,9 @@ Gauss-Jordan elimination, never from a spanning forest.  The
 cycle-notation parser is kept as the character walker it was before the
 grammar scan, and the surface reduction as the dense
 1-cells x 2-cells count table, with its mod-2 projection, validation and
-``reduce`` row rendering; ``reduce_to_surface(h, s)`` and
+``reduce`` row rendering, and the sparse count rows as they were rendered
+before they were streamed: each cut from one all-zero line by string
+slices (``splice_count_lines``); ``reduce_to_surface(h, s)`` and
 ``validate_surface(c, h, s)`` are kept as they were when each built the
 face code of the special set itself.  The distance search is kept twice:
 as the exhaustive search over combinations of kernel-basis vectors,
@@ -765,6 +767,19 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # counts below 10 ->
 def render_count_rows(c):
     """The ``reduce`` table: one line per 1-cell, its counts joined by spaces."""
     return [" ".join(bytes(row).translate(_DIGITS).decode()) for row in c.incidence21]
+
+
+def splice_count_lines(c, sep):
+    """Each 1-cell's dense row of ``c.counts21`` joined by ``sep``, spliced
+    together from slices of one all-zero line and the counts between them."""
+    zeros, step, lines = sep.join("0" * len(c.two_cells)), len(sep) + 1, []
+    for pairs in c.counts21:
+        parts, at = [], 0
+        for j, v in pairs:
+            parts += zeros[at:step * j], str(v)
+            at = step * j + 1
+        lines.append("".join(parts) + zeros[at:])
+    return lines
 
 
 # ---------------------------------------------------------------------------

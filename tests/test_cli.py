@@ -1097,6 +1097,43 @@ def test_failing_stdout_exits_1_with_a_write_error(torus_file):
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
+# dense blocks are written row by row: a stdout that fails mid-stream, after
+# more than a pipe buffer ({4,4}_16 prints over 0.5 MB), exits the same way
+STREAMED = [["code", "--kind", "edge"], ["reduce"]]
+
+
+@pytest.fixture(scope="module")
+def lattice16_file(tmp_path_factory):
+    return _write_map(tmp_path_factory.mktemp("lattice"), "square16.hm", square_torus(16))
+
+
+@pytest.mark.parametrize("argv", STREAMED, ids=["code-edge", "reduce"])
+def test_stdout_closed_mid_stream_exits_1_silently(argv, lattice16_file):
+    proc = subprocess.Popen([sys.executable, "-m", "hypermap_codes", argv[0], lattice16_file,
+                             *argv[1:]], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_src_env())
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()  # the reader leaves after the first line
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("argv", STREAMED, ids=["code-edge", "reduce"])
+def test_failing_stdout_mid_stream_exits_1_with_a_write_error(argv, lattice16_file):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "hypermap_codes", argv[0], lattice16_file,
+                               *argv[1:]], stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=_src_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_unreadable_input_is_still_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "info", str(tmp_path))  # a directory
     assert (code, out) == (2, "")

@@ -13,7 +13,12 @@ points and empty cycles, and then broken by one mutation, for the cycle
 parser.  The sparse cell complex is compared with the dense count table
 on every small special set, the corpus and square-lattice tori, on
 corrupted counts and on a 1-cell end moved to another 0-cell; its JSON
-rendering is compared with ``json.dumps`` of the dense table.  The code
+rendering is compared with ``json.dumps`` of the dense table, and its
+streamed count rows with the string splice they replaced, on counts read
+from JSON that are wider than one character.  The dense '0'/'1' rows
+written straight from check pairs are compared with the matrix of the
+pairs rendered entry by entry, on random pair tables (no qubits, and
+two, one or no checks per qubit) and on the codes of square-lattice tori.  The code
 builders that read the orbit index tables, and the reduction and
 validation that take the caller's face code, are compared with the builds through ``inverse(alpha)`` and ``face_code(h, s)`` on every
 special set of every small map, valid or not, and on the same inputs.  The
@@ -77,7 +82,7 @@ from hypermap_codes import (
     validate_surface,
 )
 from hypermap_codes import chain, perm
-from hypermap_codes.chain import check_major
+from hypermap_codes.chain import check_major, dense_rows
 from hypermap_codes.css import _commutes, _masks, _rank
 from conftest import square_torus
 from test_exhaustive_small import all_hypermaps
@@ -158,6 +163,39 @@ def test_render_of_empty_shapes():
 
 def _quotients(h):
     return [face_code(h), edge_code(h), full_code(h)]
+
+
+def _assert_rows_match_oracle(pairs, checks):
+    rows = list(dense_rows(pairs, checks))
+    assert len(rows) == checks
+    assert "\n".join(rows) == slow_paths.render(slow_paths.pair_matrix(pairs, checks))
+
+
+def test_dense_rows_match_oracle_on_small_pairs():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(3000):
+        checks, qubits = rng.randint(0, 4), rng.randint(0, 8)
+        pairs = _random_pairs(rng, checks, qubits)
+        _assert_rows_match_oracle(pairs, checks)
+        if not pairs:
+            seen.add("no qubits")
+        # a qubit in two checks (a, b), in one (a, none), or in none (none, none)
+        seen.update(("two", "one", "none")[(a == checks) + (b == checks)] for a, b in pairs)
+    assert seen == {"no qubits", "two", "one", "none"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 100), st.integers(65, 160), st.integers(0, 2**32 - 1))
+def test_dense_rows_match_oracle(checks, qubits, seed):
+    _assert_rows_match_oracle(_random_pairs(random.Random(seed), checks, qubits), checks)
+
+
+def test_dense_rows_match_oracle_on_codes(torus8):
+    for h in [torus8] + [square_torus(size) for size in range(3, 9)]:
+        for q in _quotients(h):
+            _assert_rows_match_oracle(q.ends, len(q.x_labels))
+            _assert_rows_match_oracle(q.sides, len(q.z_labels))
 
 
 @settings(max_examples=25, deadline=None)
@@ -501,7 +539,7 @@ def _assert_complex_matches_oracle(h, s):
     c = reduce_to_surface(h, face_code(h, s))
     d = slow_paths.dense_reduce_to_surface(h, s)
     _assert_same_complex(c, d, h, s)
-    assert c.count_lines(" ") == slow_paths.render_count_rows(d)
+    assert list(c.count_lines(" ")) == slow_paths.render_count_rows(d)
 
 
 def test_cell_complex_matches_oracle_on_small_sweep():
@@ -555,7 +593,25 @@ def test_corrupted_counts_read_from_json_match_oracle(torus8, corpus):
             _assert_same_complex(c, bad, h, s)
             assert not validate_surface(c, h, face_code(h, s)).passed, name
             if name != "negative":
-                assert c.count_lines(" ") == slow_paths.render_count_rows(bad)
+                assert list(c.count_lines(" ")) == slow_paths.render_count_rows(bad)
+
+
+def test_count_lines_match_splice_oracle_on_wide_counts(torus8, corpus):
+    # counts of two characters or more, several in one row, shift the bytes after them
+    rng = random.Random(22)
+    for h in [torus8] + corpus[:100]:
+        c = reduce_to_surface(h, face_code(h))
+        if not c.one_cells:
+            continue
+        doc = json.loads(export_json(c))
+        for _ in range(3):
+            rows = [list(row) for row in c.incidence21]
+            row = rows[rng.randrange(len(rows))]
+            for j in rng.sample(range(len(row)), min(3, len(row))):
+                row[j] = rng.choice((10, -1, 123, -10, 2, 0))
+            wide = parse_json(json.dumps({**doc, "incidence21": rows}))
+            for sep in (" ", ",\n      ", " \u00b7 "):
+                assert list(wide.count_lines(sep)) == slow_paths.splice_count_lines(wide, sep)
 
 
 def _moved_end(matrix, rng):

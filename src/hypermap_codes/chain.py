@@ -132,14 +132,24 @@ def _special_set(h: Hypermap, darts: Iterable[int] | None, kind: str) -> frozens
     face code, per face for an edge code; the orbit minima when ``darts`` is None.
 
     Raises :class:`SpecialDartError` unless ``darts`` picks exactly one dart
-    of every such orbit.  Hits are counted per orbit through the dart ->
-    orbit table.
+    of every such orbit, each once.  Hits are counted per orbit through the
+    dart -> orbit table.
     """
     name, orbits, index = ("edge", h.edges, h.edge_index) if kind == FACE \
         else ("face", h.faces, h.face_index)
     if darts is None:
         return frozenset(_orbit_labels(orbits))
-    chosen = frozenset(darts)
+    if isinstance(darts, (set, frozenset)):  # no repeats to look for
+        chosen = frozenset(darts)
+    else:
+        darts = list(darts)  # an iterator is read once
+        chosen = frozenset(darts)
+        if len(chosen) < len(darts):
+            seen: set[int] = set()
+            for dart in darts:
+                if dart in seen:
+                    raise SpecialDartError(f"special dart {dart + 1} appears twice")
+                seen.add(dart)
     n, hits = h.n, [0] * len(orbits)  # special darts per orbit
     for dart in chosen:
         if not 0 <= dart < n:

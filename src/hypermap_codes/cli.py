@@ -4,6 +4,11 @@ Subcommands: info, dual, tri-dual, contrary, code, reduce, distance,
 verify, random, export.  All user-facing labels are 1-based; every output
 is deterministic for fixed inputs and seeds.
 
+A known command is parsed once, by its own subparser, which reports its own
+option errors; the top-level parser handles only help, a missing or unknown
+command, and the error messages for leftover arguments and for options that
+do not go together.
+
 Exit codes: 0 success, 1 output not written (stdout closed or failing),
 2 parse error, 3 validation error, 4 internal invariant breach.
 """
@@ -351,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_special(p)
     p.set_defaults(func=cmd_export)
 
+    parser.commands = sub.choices  # command name -> its subparser, read by _parse_args
     return parser
 
 
@@ -361,9 +367,23 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)`` in one argparse pass when ``argv[0]`` names a
+    command: its subparser reads the rest, and ``parser`` reports what is left
+    over.  Anything else (no argv, help, an unknown command, a leading ``--``)
+    goes through ``parser`` itself."""
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     parser = _shared_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     if (message := _usage_error(args)) is not None:
         parser.error(message)
     path = getattr(args, "file", None)

@@ -147,7 +147,8 @@ def parse_json(text: str):
 
     Every malformed document raises ``ValueError``: invalid JSON, a
     non-object document, a missing key, a value of the wrong JSON type,
-    a label list that repeats a label or holds one below 1, a ``z_axis``
+    a label list that repeats a label or holds one below 1, a hypermap's
+    ``special`` list with a label above its dart count, a ``z_axis``
     other than ``"face"`` or ``"edge"``, contents that disagree with each
     other, or a check column of three or more ones in ``hx``, ``hz`` or
     ``incidence10``, which no code or complex stored as check pairs has.
@@ -164,6 +165,8 @@ def parse_json(text: str):
     kind = doc.get("type")
     if kind == "hypermap":
         n = _field(doc, "darts", int)
+        if "special" in doc and any(i >= n for i in _labels(doc, "special")):
+            raise ValueError(f"'special' must hold labels in 1..{n}")
         return Hypermap(parse_cycles(_field(doc, "alpha", str), n),
                         parse_cycles(_field(doc, "sigma", str), n))
     if kind == "css-code":

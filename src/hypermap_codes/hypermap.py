@@ -39,6 +39,7 @@ the file format may carry and which the face and edge codes of
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from .perm import (
     MAX_DARTS,
@@ -220,12 +221,17 @@ def random_hypermap(n: int, seed: int) -> Hypermap:
     return _random_transitive_pair(n, random.Random(seed))
 
 
-def random_corpus(count: int, max_darts: int, seed: int) -> list[Hypermap]:
-    """A reproducible sample of hypermaps with 1 <= n <= max_darts."""
+def _random_draws(count: int, max_darts: int, seed: int) -> Iterator[Hypermap]:
+    """The maps of :func:`random_corpus`, drawn one at a time as they are read."""
     if max_darts < 1:
         raise ValueError("need at least one dart")
     rng = random.Random(seed)
-    return [_random_transitive_pair(rng.randint(1, max_darts), rng) for _ in range(count)]
+    return (_random_transitive_pair(rng.randint(1, max_darts), rng) for _ in range(count))
+
+
+def random_corpus(count: int, max_darts: int, seed: int) -> list[Hypermap]:
+    """A reproducible sample of hypermaps with 1 <= n <= max_darts."""
+    return list(_random_draws(count, max_darts, seed))
 
 
 class ParseError(ValueError):

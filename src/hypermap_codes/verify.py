@@ -30,11 +30,11 @@ from .chain import (
 from .css import _commutes, _masks, assemble
 from .hypermap import (
     Hypermap,
+    _random_draws,
     contrary,
     dual,
     euler_characteristic,
     nabla,
-    random_corpus,
     triangle_dual,
 )
 from .perm import _Record
@@ -233,15 +233,16 @@ def _verdicts(x: Derived) -> tuple[str | None, ...]:
 def run_verification(trials: int, max_darts: int, seed: int) -> VerificationReport:
     """Run every named identity and equivalence check over a random corpus.
 
-    Each distinct map (its ``alpha`` and ``sigma`` images) is checked once;
+    The maps are those of ``random_corpus(trials, max_darts, seed)``, each
+    drawn as it is checked, so the corpus is never held whole.  Each
+    distinct map (its ``alpha`` and ``sigma`` images) is checked once;
     failures are counted per draw, and a check's first failure is its first
     failing draw.
     """
-    corpus = random_corpus(trials, max_darts, seed)
     failures = [0] * len(VERIFY_CHECKS)
     first = [""] * len(VERIFY_CHECKS)
     seen: dict[tuple, tuple[str | None, ...]] = {}
-    for h in corpus:
+    for h in _random_draws(trials, max_darts, seed):
         key = (h.alpha.images, h.sigma.images)
         verdicts = seen.get(key)
         if verdicts is None:
@@ -251,6 +252,7 @@ def run_verification(trials: int, max_darts: int, seed: int) -> VerificationRepo
                 if not failures[i]:
                     first[i] = repr(h) + error
                 failures[i] += 1
-    outcomes = (CheckOutcome(name, fails, len(corpus), text)
+    draws = max(trials, 0)
+    outcomes = (CheckOutcome(name, fails, draws, text)
                 for (name, _), fails, text in zip(VERIFY_CHECKS, failures, first))
     return VerificationReport(trials, max_darts, seed, tuple(outcomes))

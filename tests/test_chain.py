@@ -115,6 +115,23 @@ def test_face_code_rejects_bad_special(torus8):
         face_code(torus8, edge_code(torus8).special)  # one dart per face, four in all
 
 
+@pytest.mark.parametrize("build, darts, twice", [(face_code, [1, 4, 1], 2),
+                                                  (edge_code, [0, 1, 2, 3, 2], 3)],
+                         ids=["face", "edge"])
+@pytest.mark.parametrize("wrap", [list, lambda darts: (d for d in darts)],
+                         ids=["list", "generator"])
+def test_quotient_codes_refuse_a_repeated_special_dart(torus8, build, darts, twice, wrap):
+    with pytest.raises(SpecialDartError, match=f"^special dart {twice} appears twice$"):
+        build(torus8, wrap(darts))
+    valid = darts[:-1]
+    assert build(torus8, wrap(valid)) == build(torus8, frozenset(valid))
+
+
+def test_a_frozen_special_set_is_kept_as_given(torus8):
+    special = frozenset({1, 4})
+    assert face_code(torus8, special).special is special
+
+
 def test_qubit_labels_are_nonspecial_darts(corpus):
     for h in corpus[:100]:
         q = face_code(h)

@@ -377,6 +377,11 @@ def test_every_corpus_document_round_trips(torus8, corpus):
         assert parse_json(export_json(complex_)) == complex_
 
 
+def test_parse_json_accepts_the_special_lists_export_writes(torus8):
+    for special in (frozenset(), frozenset({1, 4}), frozenset(range(8))):
+        assert parse_json(export_json(torus8, special=special)) == torus8
+
+
 def test_parse_json_rejects_tampered_k(torus8):
     code = assemble(face_code(torus8))
     doc = json.loads(export_json(code))
@@ -422,6 +427,11 @@ MALFORMED_DOCUMENTS = {
     "boolean dart count": {**_HYPERMAP_DOC, "darts": True},
     "missing darts": _without(_HYPERMAP_DOC, "darts"),
     "non-string cycles": {**_HYPERMAP_DOC, "alpha": [4, 3, 2, 1]},
+    "special not a list": {**_HYPERMAP_DOC, "special": "2 5"},
+    "string special label": {**_HYPERMAP_DOC, "special": [2, "5"]},
+    "special label 0": {**_HYPERMAP_DOC, "special": [0, 5]},
+    "repeated special label": {**_HYPERMAP_DOC, "special": [5, 5]},
+    "special label above darts": {**_HYPERMAP_DOC, "special": [2, 9]},
     "missing hx": _without(_CODE_DOC, "hx"),
     "matrix not an object": {**_CODE_DOC, "hx": ["11"]},
     "string cols": {**_CODE_DOC, "hx": {"cols": "2", "rows": ["11"]}},
@@ -661,6 +671,86 @@ def test_importing_cli_builds_no_parser():
                           capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 0\n"
+
+
+# ---------------------------------------------------------------------------
+# one argparse pass per known command
+
+_F = "{file}"
+# argvs whose parse must not depend on the route: "{file}" stands for torus8's path
+ROUTE_ARGVS = [
+    [], ["-h"], ["--help"], ["-v"], ["nope"], ["nope", _F], ["Info", _F], [_F],
+    ["--", "info", _F], ["info", "--", _F], ["code", _F, "--kind", "face", "--", "x"],
+    ["info", _F, "--bogus"], ["info", _F, "extra"], ["verify", "extra"],
+    ["code", _F, "--kind", "face", "--bogus", "x"], ["code", _F, "--kin", "face"],
+    ["code", _F, "--kind=full"], ["code", _F, "--kind=full", "--special", "1"],
+    ["code", _F, "--kind", "face", "--special", "2", "5", "--special", "1", "6"],
+    ["random", "--darts", "4", "--seed", "1", "--seed", "2"],
+    ["code", _F, "--kind", "face", "--special"],
+    ["code", _F, "--kind", "face", "--special", "2", "2"],
+    ["code", _F, "--kind", "face", "--special", "x"],
+    ["code", _F, "--kind", "face", "--special", "-1"],
+    ["code", _F, "--kind", "face", "--special", "1", "2"],
+    ["distance", _F, "--kind", "face", "--budget", "-1"],
+    ["distance", _F, "--kind", "face", "--budget", "x"],
+    ["verify", "--trials", "0"], ["verify", "--trials", "1", "--max-darts", "0"],
+    ["export", _F, "--format", "dot", "--what", "code"],
+    ["export", _F, "--format", "json", "--what", "hypermap", "--kind", "edge"],
+    ["info", _F, "-h"], ["code", _F, "--kind", "face", "-h"], ["info", "-h", "--bogus"],
+    ["code", _F], ["code"], ["info"], ["info", _F, _F], ["code", _F, "--kind", "sideways"],
+    ["random", "--darts", "0"], ["random", "--seed", "3"], ["info", "-x"],
+    *([name, "-h"] for name in ("info", "dual", "tri-dual", "contrary", "code", "reduce",
+                                "distance", "verify", "random", "export")),
+    # the command forms of the benchmark's workloads
+    ["code", _F, "--kind", "face", "--special", "2", "5"],
+    ["code", _F, "--kind", "edge", "--special", "1", "2", "3", "4"],
+    ["code", _F, "--kind", "full"], ["reduce", _F, "--special", "2", "5"],
+    ["verify", "--trials", "100", "--max-darts", "10", "--seed", "3"],
+    ["info", _F], ["dual", _F], ["tri-dual", _F], ["contrary", _F],
+    ["code", _F, "--kind", "face"], ["reduce", _F],
+    ["distance", _F, "--kind", "face"], ["distance", _F, "--kind", "full"],
+    ["export", _F, "--format", "dot"], ["export", _F, "--format", "json", "--what", "complex"],
+    ["distance", _F, "--kind", "edge", "--allow-large", "--budget", "3"],
+]
+
+
+def _parsed(capsys, parse, argv):
+    """The namespace ``parse(argv)`` returns as a dict (None if it exits), the
+    exit code (None if it returns), and what it printed."""
+    try:
+        result, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        result, code = None, exc.code
+    captured = capsys.readouterr()
+    return result, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=lambda argv: " ".join(argv) or "no argv")
+def test_one_pass_parse_matches_the_top_level_parser(argv, torus_file, capsys, monkeypatch):
+    argv = [arg.replace(_F, torus_file) for arg in argv]
+    parser = cli._shared_parser()
+    one_pass = _parsed(capsys, lambda a: cli._parse_args(parser, a), argv)
+    assert one_pass == _parsed(capsys, parser.parse_args, argv)
+    outcome = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    assert outcome == _outcome(capsys, argv)
+
+
+def test_a_known_command_never_reaches_the_top_level_parse(torus_file, capsys, monkeypatch):
+    parser = cli._shared_parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a known command")
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    known = [[arg.replace(_F, torus_file) for arg in argv] for argv in ROUTE_ARGVS
+             if argv and argv[0] in parser.commands]
+    assert len(known) > 40
+    for argv in known:
+        assert _outcome(capsys, argv)[0] in (0, 2, 3), argv
+    with pytest.raises(AssertionError, match="top-level parser"):
+        main(["nope"])
 
 
 # ---------------------------------------------------------------------------

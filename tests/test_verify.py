@@ -254,3 +254,19 @@ def test_record_shares_per_map_objects(torus8):
     assert x.face_code.special == frozenset({0, 4})  # the minimum of each edge
     assert x.edge_code.special == frozenset({0, 1, 2, 3})  # and of each face
     assert x.face_k == 2
+
+
+def test_the_corpus_is_drawn_map_by_map():
+    """At most 2 darts there are four distinct maps, so the memory a run
+    holds must not grow with its draws: 3000 of them held at once would take
+    about 2 MiB."""
+    import tracemalloc
+
+    run_verification(50, 2, 1)  # the first run's one-time allocations
+    tracemalloc.start()
+    try:
+        assert run_verification(3000, 2, 1).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024

@@ -21,12 +21,7 @@ from .perm import (
     parse_cycles,
     random_permutation,
 )
-from .gf2 import (
-    BitMatrix,
-    from_strings,
-    render,
-    to_strings,
-)
+from .gf2 import dense_rows
 from .hypermap import (
     DisconnectedError,
     Hypermap,

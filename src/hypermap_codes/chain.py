@@ -22,29 +22,20 @@ eliminating orbit (its edge for face codes, its face for edge codes).
 
 So every code is a graph code, stored per qubit as the pair of its X
 checks (``ends``) and of its Z checks (``sides``), read from the orbit
-index tables: the sorted rows of its check column padded with ``none``,
-the number of checks, so ``(a, b)`` with a < b, ``(a, none)``, or
-``(none, none)`` when the two coincide and cancel.  Pairs and columns of
-weight <= 2 correspond one to one.  :func:`dense_rows` writes the
-checks x qubits matrix of pairs as text, one '0'/'1' row at a time, for
-the CLI and JSON export; :func:`check_major` builds it as a ``BitMatrix``
-for the public views ``hx``, ``hz`` and ``incidence10``.
+index tables in the check-pair format of :mod:`~hypermap_codes.gf2`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from typing import Sequence
+from collections.abc import Iterable
 
-from .gf2 import BitMatrix
+from .gf2 import Pairs, check_pairs
 from .hypermap import Hypermap
 from .perm import _Record
 
 FACE = "face"
 EDGE = "edge"
 FULL = "full"
-
-Pairs = tuple[tuple[int, int], ...]  # per qubit, see the module docstring
 
 
 class SpecialDartError(ValueError):
@@ -69,44 +60,9 @@ class QuotientCode(_Record):
         self._fill(kind, special, qubit_labels, ends, sides, z_labels, x_labels)
 
 
-def check_major(pairs: Pairs, checks: int) -> BitMatrix:
-    """The checks x qubits matrix of ``pairs``; entries at ``none`` are dropped."""
-    bits = [0] * (checks + 1)  # the last row collects the padding
-    for j, (a, b) in enumerate(pairs):
-        bits[a] |= 1 << j
-        bits[b] |= 1 << j
-    return BitMatrix._trusted(checks, len(pairs), tuple(bits[:checks]))
-
-
-def dense_rows(pairs: Pairs, checks: int) -> Iterator[str]:
-    """Each row of the checks x qubits matrix of ``pairs`` as a '0'/'1' string,
-    one at a time: the qubits are grouped by check once, and each row is
-    a copy of one all-zero line with a 1 set at each of its qubits."""
-    by_check: list[list[int]] = [[] for _ in range(checks + 1)]  # the last: the padding
-    for j, (a, b) in enumerate(pairs):
-        by_check[a].append(j)
-        by_check[b].append(j)
-    del by_check[checks]
-    zeros = b"0" * len(pairs)
-    for qubits in by_check:
-        line = bytearray(zeros)
-        for j in qubits:
-            line[j] = 49  # ord("1")
-        yield line.decode()
-
-
 def _orbit_labels(orbits) -> tuple[int, ...]:
     """The minimum dart of each orbit: a canonical cycle starts at its minimum."""
     return tuple([c[0] for c in orbits])
-
-
-def _pairs(qubits: Sequence[int], a_of: Sequence[int], b_of: Sequence[int], none: int) -> Pairs:
-    """Each qubit's checks ``a_of[q]`` and ``b_of[q]``, ``(none, none)`` when they cancel."""
-    pairs = []
-    for q in qubits:
-        a, b = a_of[q], b_of[q]
-        pairs.append((a, b) if a < b else (b, a) if b < a else (none, none))
-    return tuple(pairs)
 
 
 def _code(h: Hypermap, kind: str, special: frozenset[int] | None, qubits: tuple[int, ...],
@@ -120,7 +76,7 @@ def _code(h: Hypermap, kind: str, special: frozenset[int] | None, qubits: tuple[
         kind=kind,
         special=special,
         qubit_labels=qubits,
-        ends=_pairs(qubits, head_of, tail_of, len(h.vertices)),
+        ends=check_pairs(qubits, head_of, tail_of, len(h.vertices)),
         sides=sides,
         z_labels=_orbit_labels(z_orbits),
         x_labels=_orbit_labels(h.vertices),
@@ -177,7 +133,7 @@ def _quotient_code(h: Hypermap, darts: Iterable[int] | None, kind: str) -> Quoti
     for dart in special:
         special_side[eliminating_of[dart]] = z_of[dart]
     qubits = tuple(i for i in range(h.n) if i not in special)
-    sides = _pairs(qubits, z_of, [special_side[e] for e in eliminating_of], len(z_orbits))
+    sides = check_pairs(qubits, z_of, [special_side[e] for e in eliminating_of], len(z_orbits))
     return _code(h, kind, special, qubits, sides, z_orbits)
 
 

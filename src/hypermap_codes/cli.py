@@ -28,13 +28,13 @@ from .chain import (
     FULL,
     QuotientCode,
     SpecialDartError,
-    dense_rows,
     edge_code,
     face_code,
     full_code,
 )
 from .css import CommutationError, assemble, distance, stabilizer_strings
 from .export import export_json, export_walsh_dot
+from .gf2 import dense_rows
 from .hypermap import (
     DisconnectedError,
     Hypermap,

@@ -1,11 +1,11 @@
 """CSS code assembly, stabilizer rendering, and exact distance search.
 
 Every code built from a hypermap is a surface code, stored as the
-per-qubit check pairs of :mod:`~hypermap_codes.chain`: a graph whose
+per-qubit check pairs of :mod:`~hypermap_codes.gf2`: a graph whose
 nodes are the checks plus one virtual node and whose edges are the
-qubits.  A check matrix's rank is the size of a spanning forest of its
-graph, and a minimum-weight logical operator is a shortest homologically
-non-trivial cycle in it.  :func:`distance` labels the qubits with k bits
+qubits.  :func:`assemble` takes its commutation test and check ranks
+from :mod:`~hypermap_codes.gf2`, and a minimum-weight logical operator
+is a shortest homologically non-trivial cycle of the graph.  :func:`distance` labels the qubits with k bits
 from a tree-cotree decomposition (Eppstein 2003; Erickson & Whittlesey
 2005) and finds the cycle with one breadth-first search from one end of
 each labelled qubit, a vertex cover, deleting each root after its search.
@@ -13,7 +13,8 @@ each labelled qubit, a vertex cover, deleting each root after its search.
 
 from __future__ import annotations
 
-from .chain import EDGE, Pairs, QuotientCode, check_major
+from .chain import EDGE, QuotientCode
+from .gf2 import Pairs, commutes, masks, rank
 from .perm import _Record
 
 
@@ -48,8 +49,8 @@ class CssCode(_Record):
     """A CSS stabilizer code with its hypermap bookkeeping.
 
     ``ends`` and ``sides`` hold each qubit's X and Z checks as pairs, padded
-    with the check counts; ``hx`` and ``hz`` (checks x qubits) are views
-    built on each read, with hx * hz^T = 0.  ``qubit_labels`` are the dart
+    with the check counts, whose check matrices H_X and H_Z (checks x
+    qubits) satisfy H_X * H_Z^T = 0.  ``qubit_labels`` are the dart
     labels carrying the qubits; ``x_labels``/``z_labels`` are the orbit
     minima naming the check rows, with ``z_axis`` recording whether the Z
     checks come from faces or edges.
@@ -62,41 +63,6 @@ class CssCode(_Record):
                  n: int, k: int, d: DistanceResult | None = None):
         self._fill(ends, sides, qubit_labels, x_labels, z_labels, z_axis, n, k, d)
 
-    hx = property(lambda c: check_major(c.ends, len(c.x_labels)))
-    hz = property(lambda c: check_major(c.sides, len(c.z_labels)))
-
-
-def _masks(pairs: Pairs, checks: int) -> list[int]:
-    """Each qubit's checks in ``pairs`` as one bitmask, the padding bit left out."""
-    mask = (1 << checks) - 1
-    return [(1 << a ^ 1 << b) & mask for a, b in pairs]
-
-
-def _commutes(ends: Pairs, x_checks: int, z_masks: list[int]) -> bool:
-    """Whether H_X * H_Z^T = 0, given each qubit's Z checks as a bitmask:
-    no X check meets a Z check an odd number of times."""
-    odd = [0] * (x_checks + 1)  # the last collects the padding
-    for (a, b), meets in zip(ends, z_masks):
-        odd[a] ^= meets
-        odd[b] ^= meets
-    return not any(odd[:x_checks])
-
-
-def _rank(pairs: Pairs, checks: int) -> int:
-    """The rank of the check matrix of ``pairs``: by union-find, the edge count of
-    a spanning forest of its graph; each other column sums those on its cycle."""
-    parent = list(range(checks + 1))
-    forest = 0
-    for a, b in pairs:
-        while parent[a] != a:  # path halving
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            forest += 1
-    return forest
-
 
 def assemble(q: QuotientCode) -> CssCode:
     """Assemble the CSS code of a quotient complex.
@@ -107,7 +73,7 @@ def assemble(q: QuotientCode) -> CssCode:
     for a well-formed quotient complex.
     """
     x_checks, z_checks = len(q.x_labels), len(q.z_labels)
-    if not _commutes(q.ends, x_checks, _masks(q.sides, z_checks)):
+    if not commutes(q.ends, x_checks, masks(q.sides, z_checks)):
         raise CommutationError("H_X * H_Z^T != 0; quotient complex is broken")
     n = len(q.qubit_labels)
     return CssCode(
@@ -118,7 +84,7 @@ def assemble(q: QuotientCode) -> CssCode:
         z_labels=q.z_labels,
         z_axis="edge" if q.kind == EDGE else "face",
         n=n,
-        k=n - _rank(q.ends, x_checks) - _rank(q.sides, z_checks),
+        k=n - rank(q.ends, x_checks) - rank(q.sides, z_checks),
     )
 
 

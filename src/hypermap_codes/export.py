@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from . import gf2
-from .chain import EDGE, FACE, Pairs, dense_rows
-from .css import CssCode, DistanceResult, _commutes, _masks, _rank
-from .gf2 import BitMatrix
+from .chain import EDGE, FACE
+from .css import CssCode, DistanceResult
+from .gf2 import Pairs, commutes, dense_rows, masks, rank, read_rows
 from .hypermap import Hypermap
 from .perm import format_cycles, parse_cycles
 from .reduce import CellComplex
@@ -56,23 +55,16 @@ def _labels(doc: dict, key: str) -> tuple[int, ...]:
     return tuple(i - 1 for i in labels)
 
 
-def _matrix_from_json(doc: dict, key: str) -> BitMatrix:
+def _rows_from_json(doc: dict, key: str) -> tuple[list[str], int]:
+    """The '0'/'1' rows and the column count of the matrix ``doc[key]``."""
     obj = _field(doc, key, dict)
-    return gf2.from_strings(_field(obj, "rows", list), cols=_field(obj, "cols", int))
-
-
-def _pairs(m: BitMatrix, key: str) -> Pairs:
-    """The check pairs of the columns of ``m``, refused for three ones or more in one."""
-    columns: list[list[int]] = [[] for _ in range(m.cols)]
-    for i, row in enumerate(m.bits):
-        while row:
-            low = row & -row
-            columns[low.bit_length() - 1].append(i)
-            row ^= low
-    for j, rows in enumerate(columns):
-        if len(rows) > 2:
-            raise ValueError(f"qubit {j + 1} lies in three or more checks of {key!r}")
-    return tuple([(*rows, m.rows, m.rows)[:2] for rows in columns])
+    rows, cols = _field(obj, "rows", list), _field(obj, "cols", int)
+    for row in rows:
+        if not isinstance(row, str) or len(row) != cols or row.strip("01"):
+            raise ValueError(f"bad matrix row {row!r}")
+    if cols < 0:  # with no rows to refuse
+        raise ValueError(f"matrix shape 0 x {cols} is not two integers >= 0")
+    return rows, cols
 
 
 def export_json(artifact, special: frozenset[int] | None = None) -> str:
@@ -170,19 +162,20 @@ def parse_json(text: str):
         return Hypermap(parse_cycles(_field(doc, "alpha", str), n),
                         parse_cycles(_field(doc, "sigma", str), n))
     if kind == "css-code":
-        hx = _matrix_from_json(doc, "hx")
-        hz = _matrix_from_json(doc, "hz")
+        hx, x_cols = _rows_from_json(doc, "hx")
+        hz, z_cols = _rows_from_json(doc, "hz")
         n = _field(doc, "n", int)
-        if hx.cols != n or hz.cols != n:
+        if x_cols != n or z_cols != n:
             raise ValueError("check matrices do not match the qubit count")
         labels = {key: _labels(doc, key) for key in ("qubits", "x_checks", "z_checks")}
-        for key, size in (("qubits", n), ("x_checks", hx.rows), ("z_checks", hz.rows)):
+        x_checks, z_checks = len(hx), len(hz)
+        for key, size in (("qubits", n), ("x_checks", x_checks), ("z_checks", z_checks)):
             if len(labels[key]) != size:
                 raise ValueError(f"{key} has {len(labels[key])} labels, expected {size}")
-        ends, sides = _pairs(hx, "hx"), _pairs(hz, "hz")
-        if not _commutes(ends, hx.rows, _masks(sides, hz.rows)):
+        ends, sides = read_rows(hx, n, "hx"), read_rows(hz, n, "hz")
+        if not commutes(ends, x_checks, masks(sides, z_checks)):
             raise ValueError("H_X * H_Z^T != 0: the checks do not commute")
-        k = n - _rank(ends, hx.rows) - _rank(sides, hz.rows)
+        k = n - rank(ends, x_checks) - rank(sides, z_checks)
         if k != _field(doc, "k", int):
             raise ValueError(f"stored k={doc['k']} but check ranks give k={k}")
         z_axis = _field(doc, "z_axis", str)
@@ -200,12 +193,12 @@ def parse_json(text: str):
         if any(type(row) is not list or any(type(c) is not int for c in row) for row in rows):
             raise ValueError("'incidence21' must be a list of integer lists")
         zero, one, two = (_labels(doc, key) for key in ("zero_cells", "one_cells", "two_cells"))
-        incidence10 = _matrix_from_json(doc, "incidence10")
+        incidence10, cols10 = _rows_from_json(doc, "incidence10")
         if len(rows) != len(one) or any(len(row) != len(two) for row in rows):
             raise ValueError(f"incidence21 is not {len(one)} x {len(two)} (1-cells x 2-cells)")
-        if (incidence10.rows, incidence10.cols) != (len(zero), len(one)):
+        if (len(incidence10), cols10) != (len(zero), len(one)):
             raise ValueError(f"incidence10 is not {len(zero)} x {len(one)} (0-cells x 1-cells)")
         counts = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
         return CellComplex(zero_cells=zero, one_cells=one, two_cells=two,
-                           counts21=counts, ends=_pairs(incidence10, "incidence10"))
+                           counts21=counts, ends=read_rows(incidence10, cols10, "incidence10"))
     raise ValueError(f"unknown artifact type {kind!r}")

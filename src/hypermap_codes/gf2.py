@@ -1,72 +1,100 @@
-"""Bit-packed GF(2) matrices: validate, parse, render.
+"""GF(2) boundary maps stored as per-qubit check pairs.
 
-Each matrix row is one Python int; bit ``j`` of a row is the entry in
-column ``j``.  Everything is immutable.
+Every code and cell complex of a hypermap is a surface code, so each
+column of a boundary map has at most two ones and the checks it meets
+describe it whole.  A map is stored as the pair of those checks per
+qubit: the sorted rows of its column padded with ``none``, the number of
+checks, so ``(a, b)`` with a < b, ``(a, none)``, or ``(none, none)``
+when the two coincide and cancel.  Pairs and columns of weight <= 2
+correspond one to one, and the pairs read as a graph whose nodes are the
+checks plus one virtual node and whose edges are the qubits.
 
-Cost model: ``render`` and ``to_strings`` format each row with
-``format``, one C-level call per row, never a Python loop over every
-entry.  They serve the public matrix views only: the CLI and JSON export
-write their dense blocks straight from check pairs, one row at a time
-(``chain.dense_rows``), and build no matrix.  No arithmetic lives here:
-every code and cell complex is stored as per-qubit check pairs, and
-ranks and chain conditions are computed on those pairs
-(:mod:`~hypermap_codes.css`).
-
-``BitMatrix(rows, cols, bits)`` validates its shape and rows.  The
-matrices this package builds itself, the views that
-``chain.check_major`` makes from pairs, fit their shape by construction
-and come from ``BitMatrix._trusted``, which skips that check.
+This module is the one place that treats pairs as a matrix: it builds
+them (:func:`check_pairs`), takes ranks and commutation tests on them
+(:func:`rank`, :func:`commutes`), writes their dense '0'/'1' rows one at
+a time for the CLI and JSON export (:func:`dense_rows`), and reads such
+rows back (:func:`read_rows`).  No dense matrix is ever built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import Sequence
 
-from .perm import _Record
+Pairs = tuple[tuple[int, int], ...]  # per qubit, see the module docstring
 
 
-class BitMatrix(_Record):
-    """A rows x cols matrix over GF(2), one int bitmask per row."""
-
-    __slots__ = ("rows", "cols", "bits")
-
-    def __init__(self, rows: int, cols: int, bits: Sequence[int]):
-        bits = tuple(bits)
-        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
-            raise ValueError(f"matrix shape {rows!r} x {cols!r} is not two integers >= 0")
-        if len(bits) != rows:
-            raise ValueError(f"expected {rows} row masks, got {len(bits)}")
-        mask = (1 << cols) - 1
-        for i, row in enumerate(bits):
-            if type(row) is not int:
-                raise ValueError(f"row {i} mask {row!r} is not an integer")
-            if row < 0 or row & ~mask:
-                raise ValueError(f"row {i} has bits outside {cols} columns")
-        self._fill(rows, cols, bits)
-
-    def get(self, i: int, j: int) -> int:
-        return (self.bits[i] >> j) & 1
+def check_pairs(qubits: Sequence[int], a_of: Sequence[int], b_of: Sequence[int],
+                none: int) -> Pairs:
+    """Each qubit's checks ``a_of[q]`` and ``b_of[q]``, ``(none, none)`` when they cancel."""
+    pairs = []
+    for q in qubits:
+        a, b = a_of[q], b_of[q]
+        pairs.append((a, b) if a < b else (b, a) if b < a else (none, none))
+    return tuple(pairs)
 
 
-def from_strings(rows: Sequence[str], cols: int | None = None) -> BitMatrix:
-    """Build from '0'/'1' row strings, e.g. ["110", "011"]."""
-    if cols is None:
-        cols = len(rows[0]) if rows else 0
-    bits = []
-    for row in rows:
-        if not isinstance(row, str) or len(row) != cols or row.strip("01"):
-            raise ValueError(f"bad matrix row {row!r}")
-        bits.append(int(row[::-1], 2) if cols else 0)
-    return BitMatrix(len(bits), cols, tuple(bits))
+def masks(pairs: Pairs, checks: int) -> list[int]:
+    """Each qubit's checks in ``pairs`` as one bitmask, the padding bit left out."""
+    mask = (1 << checks) - 1
+    return [(1 << a ^ 1 << b) & mask for a, b in pairs]
 
 
-def to_strings(m: BitMatrix) -> list[str]:
-    if m.cols == 0:
-        return [""] * m.rows
-    spec = f"0{m.cols}b"
-    return [format(row, spec)[::-1] for row in m.bits]
+def commutes(ends: Pairs, x_checks: int, z_masks: list[int]) -> bool:
+    """Whether H_X * H_Z^T = 0, given each qubit's Z checks as a bitmask:
+    no X check meets a Z check an odd number of times."""
+    odd = [0] * (x_checks + 1)  # the last collects the padding
+    for (a, b), meets in zip(ends, z_masks):
+        odd[a] ^= meets
+        odd[b] ^= meets
+    return not any(odd[:x_checks])
 
 
-def render(m: BitMatrix) -> str:
-    """Newline-separated '0'/'1' rows; the text format used by the CLI."""
-    return "\n".join(to_strings(m))
+def rank(pairs: Pairs, checks: int) -> int:
+    """The rank of the check matrix of ``pairs``: by union-find, the edge count of
+    a spanning forest of its graph; each other column sums those on its cycle."""
+    parent = list(range(checks + 1))
+    forest = 0
+    for a, b in pairs:
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            forest += 1
+    return forest
+
+
+def dense_rows(pairs: Pairs, checks: int) -> Iterator[str]:
+    """Each row of the checks x qubits matrix of ``pairs`` as a '0'/'1' string,
+    one at a time: the qubits are grouped by check once, and each row is
+    a copy of one all-zero line with a 1 set at each of its qubits."""
+    by_check: list[list[int]] = [[] for _ in range(checks + 1)]  # the last: the padding
+    for j, (a, b) in enumerate(pairs):
+        by_check[a].append(j)
+        by_check[b].append(j)
+    del by_check[checks]
+    zeros = b"0" * len(pairs)
+    for qubits in by_check:
+        line = bytearray(zeros)
+        for j in qubits:
+            line[j] = 49  # ord("1")
+        yield line.decode()
+
+
+def read_rows(rows: Sequence[str], cols: int, name: str) -> Pairs:
+    """The check pairs of the '0'/'1' rows ``rows``, each ``cols`` long: the
+    inverse of :func:`dense_rows`.  ``ValueError`` names ``name`` for a
+    column of three or more ones, which no pairs describe."""
+    columns: list[list[int]] = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        j = row.find("1")
+        while j >= 0:
+            columns[j].append(i)
+            j = row.find("1", j + 1)
+    for j, checks in enumerate(columns):
+        if len(checks) > 2:
+            raise ValueError(f"qubit {j + 1} lies in three or more checks of {name!r}")
+    none = len(rows)
+    return tuple([(*checks, none, none)[:2] for checks in columns])

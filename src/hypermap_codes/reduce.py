@@ -13,21 +13,21 @@ exactly twice overall.
 The counts are stored sparse, as each 1-cell's nonzero ``(column, count)``
 pairs, and the 1-cell/0-cell incidence as the face code's own ``ends``
 pairs, so the complex is built and checked in time linear in the darts;
-``CellComplex.incidence21`` and ``incidence10`` are derived dense views.
+``CellComplex.incidence21`` is a derived dense view.
 ``CellComplex.count_lines`` yields the dense count rows one at a time,
 so the ``reduce`` command writes them without holding the whole table.
-Validation works on the pairs alone: the chain condition is the face
-code's commutation test fed with each 1-cell's odd counts, and the match
-with the face code compares pairs and masks.  Both functions below
-take the face code that the caller built once.
+Validation works on the pairs alone: the chain condition is the
+commutation test of :mod:`~hypermap_codes.gf2` fed with each 1-cell's
+odd counts, and the match with the face code compares pairs and masks.
+Both functions below take the face code that the caller built once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .chain import FACE, Pairs, QuotientCode, check_major
-from .css import _commutes, _masks
+from .chain import FACE, QuotientCode
+from .gf2 import Pairs, commutes, masks
 from .hypermap import Hypermap, euler_characteristic
 from .perm import _Record
 
@@ -40,9 +40,8 @@ class CellComplex(_Record):
     ``counts21`` holds each 1-cell's ``(column, count)`` pairs, sorted by
     2-cell column with zero counts left out; ``incidence21`` is their dense
     1-cells x 2-cells view.  ``ends`` holds each 1-cell's two 0-cells as a
-    pair padded with the 0-cell count, like a code's X-check pairs, and
-    ``incidence10`` is their 0-cells x 1-cells view over GF(2), built on
-    each read.
+    pair padded with the 0-cell count, like a code's X-check pairs: the
+    0-cells x 1-cells incidence over GF(2).
     """
 
     __slots__ = ("zero_cells", "one_cells", "two_cells", "counts21", "ends")
@@ -51,8 +50,6 @@ class CellComplex(_Record):
                  two_cells: tuple[int, ...], counts21: tuple[tuple[tuple[int, int], ...], ...],
                  ends: Pairs):
         self._fill(zero_cells, one_cells, two_cells, counts21, ends)
-
-    incidence10 = property(lambda c: check_major(c.ends, len(c.zero_cells)))
 
     @property
     def euler_characteristic(self) -> int:
@@ -160,7 +157,7 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
         f"{dart + 1} (total {total})" for dart, total in bad_closure))
 
     odd = [sum(1 << j for j, v in pairs if v & 1) for pairs in c.counts21]  # mod 2, per 1-cell
-    check("chain-condition", _commutes(c.ends, len(c.zero_cells), odd),
+    check("chain-condition", commutes(c.ends, len(c.zero_cells), odd),
           "incidence10 * incidence21 != 0 mod 2")
 
     chi = c.euler_characteristic
@@ -168,7 +165,7 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
 
     if code is not None:
         faces = len(code.z_labels)
-        check("face-code-z-match", len(c.two_cells) == faces and odd == _masks(code.sides, faces),
+        check("face-code-z-match", len(c.two_cells) == faces and odd == masks(code.sides, faces),
               "incidence21 mod 2 differs from the face-code boundary")
         check("face-code-x-match", len(c.zero_cells) == len(code.x_labels) and c.ends == code.ends,
               "incidence10 differs from the face-code vertex boundary")

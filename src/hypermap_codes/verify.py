@@ -27,7 +27,8 @@ from .chain import (
     face_code,
     full_code,
 )
-from .css import _commutes, _masks, assemble
+from .css import assemble
+from .gf2 import commutes, masks
 from .hypermap import (
     Hypermap,
     _random_draws,
@@ -188,8 +189,8 @@ def _check_full_code_logical_gap(x):
 def _check_chain_conditions(x):
     # the full code's pairs are d1 and d2; iota puts dart d in its edge alone
     full = x.full_code
-    return (_commutes(full.ends, len(full.x_labels), [1 << e for e in x.h.edge_index])
-            and all(_commutes(q.ends, len(q.x_labels), _masks(q.sides, len(q.z_labels)))
+    return (commutes(full.ends, len(full.x_labels), [1 << e for e in x.h.edge_index])
+            and all(commutes(q.ends, len(q.x_labels), masks(q.sides, len(q.z_labels)))
                     for q in (x.face_code, x.edge_code, full)))
 
 
@@ -218,16 +219,21 @@ VERIFY_CHECKS: list[tuple[str, Callable[[Derived], bool]]] = [
 ]
 
 
+_PASSED = (None,) * len(VERIFY_CHECKS)  # the verdicts of a map that passes every check
+
+
 def _verdicts(x: Derived) -> tuple[str | None, ...]:
     """Per check, None if it holds on ``x`` and otherwise the suffix its
-    failure report adds: empty, or the error the predicate raised."""
+    failure report adds: empty, or the error the predicate raised.  Every
+    map that passes all checks shares the one tuple ``_PASSED``."""
     verdicts = []
     for _, predicate in VERIFY_CHECKS:
         try:
             verdicts.append(None if predicate(x) else "")
         except Exception as exc:  # a crash is a failure, not a verdict
             verdicts.append(f" raised {type(exc).__name__}: {exc}")
-    return tuple(verdicts)
+    out = tuple(verdicts)
+    return _PASSED if out == _PASSED else out
 
 
 def run_verification(trials: int, max_darts: int, seed: int) -> VerificationReport:

@@ -42,8 +42,11 @@ by its pairing with a kernel basis of the other check matrix and started
 a breadth-first search at every node.  The matrix product
 (``multiply``, a popcount per output entry) and ``is_zero`` live only
 here: the library tests every chain condition on check pairs
-(``css._commutes``) and multiplies no matrices.  The fast paths must
-return exactly what these do.
+(``gf2.commutes``) and multiplies no matrices.  The library keeps no
+matrix type either: ``BitMatrix`` and ``from_strings`` below are the
+bit-packed matrix and its row parser as ``gf2`` held them, and ``hx``,
+``hz`` and ``incidence10`` the dense views that codes and complexes
+once had.  The fast paths must return exactly what these do.
 """
 
 import itertools
@@ -53,7 +56,6 @@ from hypermap_codes import (
     EDGE,
     FACE,
     MAX_DARTS,
-    BitMatrix,
     CellComplex,
     CheckResult,
     CycleParseError,
@@ -75,7 +77,43 @@ from hypermap_codes import (
     random_corpus,
     triangle_dual,
 )
+from hypermap_codes.perm import _Record
 from hypermap_codes.verify import CheckOutcome, VerificationReport
+
+
+class BitMatrix(_Record):
+    """A rows x cols matrix over GF(2), one int bitmask per row."""
+
+    __slots__ = ("rows", "cols", "bits")
+
+    def __init__(self, rows, cols, bits):
+        bits = tuple(bits)
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise ValueError(f"matrix shape {rows!r} x {cols!r} is not two integers >= 0")
+        if len(bits) != rows:
+            raise ValueError(f"expected {rows} row masks, got {len(bits)}")
+        mask = (1 << cols) - 1
+        for i, row in enumerate(bits):
+            if type(row) is not int:
+                raise ValueError(f"row {i} mask {row!r} is not an integer")
+            if row < 0 or row & ~mask:
+                raise ValueError(f"row {i} has bits outside {cols} columns")
+        self._fill(rows, cols, bits)
+
+    def get(self, i, j):
+        return (self.bits[i] >> j) & 1
+
+
+def from_strings(rows, cols=None):
+    """Build from '0'/'1' row strings, e.g. ["110", "011"]."""
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    bits = []
+    for row in rows:
+        if not isinstance(row, str) or len(row) != cols or row.strip("01"):
+            raise ValueError(f"bad matrix row {row!r}")
+        bits.append(int(row[::-1], 2) if cols else 0)
+    return BitMatrix(len(bits), cols, tuple(bits))
 
 
 def echelon(bits, cols):
@@ -146,7 +184,22 @@ def boundary1(q):
 
 def boundary2(q):
     """Qubits x Z checks: the qubit-major view of the sides."""
-    return transpose(pair_matrix(q.sides, len(q.z_labels)))
+    return transpose(hz(q))
+
+
+def hx(c):
+    """X checks x qubits of a code: its ``ends`` as a matrix, as ``boundary1``."""
+    return boundary1(c)
+
+
+def hz(c):
+    """Z checks x qubits of a code: its ``sides`` as a matrix."""
+    return pair_matrix(c.sides, len(c.z_labels))
+
+
+def incidence10(c):
+    """0-cells x 1-cells of a cell complex: its ``ends`` as a matrix."""
+    return pair_matrix(c.ends, len(c.zero_cells))
 
 
 def kernel_basis(m):
@@ -746,7 +799,7 @@ def validate_surface(c, h=None, s=None):
     check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
         f"{dart + 1} (total {total})" for dart, total in bad_closure))
     incidence21_mod2 = mod2_projection(c.incidence21, len(c.two_cells))
-    check("chain-condition", is_zero(multiply(c.incidence10, incidence21_mod2)),
+    check("chain-condition", is_zero(multiply(incidence10(c), incidence21_mod2)),
           "incidence10 * incidence21 != 0 mod 2")
     chi = c.euler_characteristic
     check("euler-even", chi % 2 == 0, f"chi = {chi} is odd")
@@ -754,7 +807,7 @@ def validate_surface(c, h=None, s=None):
         code = face_code(h, s)
         check("face-code-z-match", incidence21_mod2 == boundary2(code),
               "incidence21 mod 2 differs from the face-code boundary")
-        check("face-code-x-match", c.incidence10 == boundary1(code),
+        check("face-code-x-match", incidence10(c) == boundary1(code),
               "incidence10 differs from the face-code vertex boundary")
         check("euler-match", chi == euler_characteristic(h),
               f"complex chi {chi} != hypermap chi {euler_characteristic(h)}")

@@ -2,21 +2,19 @@ import pytest
 
 import slow_paths
 from hypermap_codes import (
-    BitMatrix,
     Hypermap,
     SpecialDartError,
     assemble,
     dual,
     edge_code,
     face_code,
-    from_strings,
     full_code,
     identity,
     nabla,
     triangle_dual,
 )
-from hypermap_codes.chain import check_major
-from slow_paths import boundary1, boundary2, is_zero, multiply, transpose
+from slow_paths import (
+    BitMatrix, boundary1, boundary2, from_strings, is_zero, multiply, pair_matrix, transpose)
 
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
 
@@ -47,7 +45,7 @@ def quotient_oracle(h: Hypermap, s: frozenset[int]) -> BitMatrix:
 
 def _iota(h: Hypermap) -> BitMatrix:
     """The inclusion of the edges, darts x edges: each dart's pair (e(d), none)."""
-    return transpose(check_major(tuple((e, len(h.edges)) for e in h.edge_index), len(h.edges)))
+    return transpose(pair_matrix(tuple((e, len(h.edges)) for e in h.edge_index), len(h.edges)))
 
 
 def test_raw_complex_of_torus(torus8):
@@ -88,8 +86,8 @@ def test_face_code_of_torus(torus8):
     assert q.qubit_labels == (0, 2, 3, 5, 6, 7)
     assert q.ends == ((0, 1),) * 6
     assert q.sides == ((0, 1), (1, 2), (1, 3), (2, 3), (1, 2), (0, 2))
-    assert check_major(q.ends, 2) == from_strings(["111111", "111111"])
-    assert check_major(q.sides, 4) == from_strings(HZ_ROWS)
+    assert pair_matrix(q.ends, 2) == from_strings(["111111", "111111"])
+    assert pair_matrix(q.sides, 4) == from_strings(HZ_ROWS)
 
 
 def test_face_code_single_dart():

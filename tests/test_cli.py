@@ -21,7 +21,6 @@ from hypermap_codes import (
     export_walsh_dot,
     face_code,
     format_hypermap,
-    from_strings,
     full_code,
     identity,
     parse_cycles,
@@ -35,7 +34,7 @@ from hypermap_codes import chain, cli, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
-from slow_paths import as_partition, rank
+from slow_paths import as_partition, from_strings, rank
 
 TORUS_TEXT = TORUS8.read_text()
 

@@ -1,6 +1,5 @@
 import json
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,6 @@ from hypermap_codes import (
     edge_code,
     euler_characteristic,
     face_code,
-    from_strings,
     full_code,
     identity,
     parse_json,
@@ -27,6 +25,7 @@ from hypermap_codes import css
 from hypermap_codes.css import _cotree_labels, _min_cycle_weight, _qubit_graph
 
 import slow_paths
+from slow_paths import from_strings
 from conftest import plane_star, square_torus
 from test_exhaustive_small import all_hypermaps
 
@@ -34,20 +33,25 @@ HX_ROWS = ["111111", "111111"]
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
 
 
-def brute_force_distance(c: CssCode):
-    """Oracle: scan all 2^n vectors for the lightest logical operators."""
+def brute_force_distance(hx, hz, n):
+    """Oracle: scan all 2^n vectors for the lightest logical operators of
+    the CSS code with check matrices ``hx`` and ``hz``."""
     def class_min(check, other):
         best = None
-        for v in range(1, 1 << c.n):
+        for v in range(1, 1 << n):
             if slow_paths.mat_vec(check, v) == 0 and not slow_paths.in_row_space(other, v):
                 w = v.bit_count()
                 if best is None or w < best:
                     best = w
         return best
 
-    dx = class_min(c.hz, c.hx)
-    dz = class_min(c.hx, c.hz)
+    dx = class_min(hz, hx)
+    dz = class_min(hx, hz)
     return dx, dz
+
+
+def brute_force_code_distance(c: CssCode):
+    return brute_force_distance(slow_paths.hx(c), slow_paths.hz(c), c.n)
 
 
 def torus_code(torus8):
@@ -58,8 +62,8 @@ def test_assemble_torus_code(torus8):
     code = torus_code(torus8)
     assert code.n == 6
     assert code.k == 2
-    assert code.hx == from_strings(HX_ROWS)
-    assert code.hz == from_strings(HZ_ROWS)
+    assert slow_paths.hx(code) == from_strings(HX_ROWS)
+    assert slow_paths.hz(code) == from_strings(HZ_ROWS)
     assert code.qubit_labels == (0, 2, 3, 5, 6, 7)
 
 
@@ -81,7 +85,7 @@ def _assert_logical_count_is_n_minus_slow_ranks(h):
         code = assemble(q)
         hx = slow_paths.pair_matrix(q.ends, len(q.x_labels))
         hz = slow_paths.pair_matrix(q.sides, len(q.z_labels))
-        assert (code.hx, code.hz) == (hx, hz)
+        assert (slow_paths.hx(code), slow_paths.hz(code)) == (hx, hz)
         assert code.k == code.n - slow_paths.rank(hx) - slow_paths.rank(hz), (h, q.kind)
 
 
@@ -134,7 +138,7 @@ def test_stabilizer_strings_support_matches_rows(corpus):
         if code.n == 0:
             assert strings == []
             continue
-        for i, row in enumerate(list(code.hx.bits) + list(code.hz.bits)):
+        for i, row in enumerate(slow_paths.hx(code).bits + slow_paths.hz(code).bits):
             expect = {code.qubit_labels[j] + 1 for j in range(code.n) if (row >> j) & 1}
             body = strings[i].split(" = ")[1]
             got = set() if body == "I" else {int(tok[1:]) for tok in body.split()}
@@ -143,7 +147,7 @@ def test_stabilizer_strings_support_matches_rows(corpus):
 
 def test_distance_of_torus_code(torus8):
     code = torus_code(torus8)
-    assert brute_force_distance(code) == (2, 2)
+    assert brute_force_code_distance(code) == (2, 2)
     result = distance(code)
     assert (result.dx, result.dz, result.d) == (2, 2, 2)
     assert result.exact and not result.no_logicals
@@ -163,7 +167,7 @@ def test_distance_matches_enumeration_oracle(corpus):
         if code.k == 0:
             assert distance(code).no_logicals
             continue
-        dx, dz = brute_force_distance(code)
+        dx, dz = brute_force_code_distance(code)
         result = distance(code)
         assert (result.dx, result.dz) == (dx, dz)
         assert result.d == min(dx, dz)
@@ -216,7 +220,7 @@ def test_distance_result_derives_d_and_exact():
 def test_distance_full_code(torus8):
     code = assemble(full_code(torus8))
     assert code.k == 3
-    dx, dz = brute_force_distance(code)
+    dx, dz = brute_force_code_distance(code)
     result = distance(code)
     assert (result.dx, result.dz, result.d) == (dx, dz, min(dx, dz))
 
@@ -247,7 +251,8 @@ def _assert_search_matches_oracles(code, budgets=(0, 1, 2), exhaustive_cap=None)
     if code.k == 0:
         assert distance(code).no_logicals
         return
-    classes = ((code.hz, code.hx, gz, gx), (code.hx, code.hz, gx, gz))
+    hx, hz = slow_paths.hx(code), slow_paths.hz(code)
+    classes = ((hz, hx, gz, gx), (hx, hz, gx, gz))
     for _, _, graph, other_graph in classes:
         union = 0
         for label in _cotree_labels(graph, other_graph, code.n):
@@ -262,7 +267,7 @@ def _assert_search_matches_oracles(code, budgets=(0, 1, 2), exhaustive_cap=None)
             assert found == tuple(slow_paths.min_logical_weight(check, other, budget)
                                   for check, other, _, _ in classes), budget
     if code.n <= BRUTE_FORCE_QUBITS:
-        assert found == brute_force_distance(code)
+        assert found == brute_force_code_distance(code)
 
 
 def test_cycle_search_on_every_small_hypermap():
@@ -407,6 +412,5 @@ def test_distance_refuses_heavy_columns():
     with pytest.raises(ValueError, match="three or more checks"):  # the last column
         parse_json(json.dumps(doc))
     checks = from_strings(HAMMING_CHECKS)
-    steane = SimpleNamespace(hx=checks, hz=checks, n=7)
-    assert slow_paths.min_logical_weight(checks, checks, steane.n) == 3
-    assert brute_force_distance(steane) == (3, 3)
+    assert slow_paths.min_logical_weight(checks, checks, 7) == 3
+    assert brute_force_distance(checks, checks, 7) == (3, 3)

@@ -1,11 +1,9 @@
 """Differential tests: the fast paths against the straightforward oracles.
 
-The hypothesis strategies here draw matrices taller than 64 rows and
-wider than 64 columns, so rows span several machine words, and control
-their rank and density, so renders meet dependent, sparse and dense
-rows.  Check-pair tables of the same widths, with two, one or
-no checks per qubit, give the spanning-forest rank sparse and dense
-graphs, and small ones give the commutation test both verdicts.
+The hypothesis strategies here draw check-pair tables of more than 64
+qubits, so rows span several machine words, with two, one or no checks
+per qubit: they give the spanning-forest rank sparse and dense graphs,
+and small ones give the commutation test both verdicts.
 Permutation pairs are drawn with up to 60 darts, split into blocks so
 that many are disconnected, for the orbit build.  Cycle text
 is drawn valid, with random whitespace, leading zeros, written-out fixed
@@ -29,9 +27,7 @@ square-lattice tori, and the permutations that ``perm`` makes without
 validation are drawn and validated.  The special-set check of ``face_code`` and ``edge_code``,
 which counts hits through the dart -> orbit table, must raise the
 oracle's exact message on every subset
-of every small map, on the corpus and on out-of-range sets, and every
-matrix view that ``chain`` builds from pairs without validation must
-pass it.
+of every small map, on the corpus and on out-of-range sets.
 """
 
 import itertools
@@ -48,7 +44,6 @@ import slow_paths
 from hypermap_codes import (
     EDGE,
     FACE,
-    BitMatrix,
     DisconnectedError,
     Hypermap,
     Permutation,
@@ -63,7 +58,6 @@ from hypermap_codes import (
     edge_code,
     export_json,
     face_code,
-    from_strings,
     full_code,
     identity,
     inverse,
@@ -75,45 +69,14 @@ from hypermap_codes import (
     random_hypermap,
     random_permutation,
     reduce_to_surface,
-    render,
     stabilizer_strings,
-    to_strings,
     triangle_dual,
     validate_surface,
 )
-from hypermap_codes import chain, perm
-from hypermap_codes.chain import check_major, dense_rows
-from hypermap_codes.css import _commutes, _masks, _rank
+from hypermap_codes import chain, gf2, perm
+from slow_paths import from_strings
 from conftest import square_torus
 from test_exhaustive_small import all_hypermaps
-
-
-def _random_row(rng, cols, sparse):
-    if not sparse:
-        return rng.getrandbits(cols)
-    row = 0
-    for j in rng.sample(range(cols), rng.randint(1, min(4, cols))):
-        row |= 1 << j
-    return row
-
-
-@st.composite
-def large_matrices(draw, min_side=65, max_rows=100, max_cols=160):
-    """A rows x cols matrix of rank <= a drawn bound, from a drawn seed."""
-    rows = draw(st.integers(min_side, max_rows))
-    cols = draw(st.integers(min_side, max_cols))
-    bound = draw(st.integers(0, min(rows, cols)))
-    sparse = draw(st.booleans())
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    gens = [_random_row(rng, cols, sparse) for _ in range(bound)]
-    bits = []
-    for _ in range(rows):
-        row = 0
-        for g in gens:
-            if rng.random() < (0.1 if sparse else 0.5):
-                row ^= g
-        bits.append(row)
-    return BitMatrix(rows, cols, tuple(bits))
 
 
 def _random_pairs(rng, checks, qubits):
@@ -130,7 +93,7 @@ def _random_pairs(rng, checks, qubits):
 def test_rank_matches_oracle(checks, qubits, seed):
     # the spanning-forest rank of a graph's check matrix, sparse to dense
     pairs = _random_pairs(random.Random(seed), checks, qubits)
-    assert _rank(pairs, checks) == slow_paths.rank(slow_paths.pair_matrix(pairs, checks))
+    assert gf2.rank(pairs, checks) == slow_paths.rank(slow_paths.pair_matrix(pairs, checks))
 
 
 def test_commutation_matches_oracle():
@@ -142,23 +105,10 @@ def test_commutation_matches_oracle():
         sides = _random_pairs(rng, z_checks, qubits)
         product = slow_paths.multiply(slow_paths.pair_matrix(ends, x_checks),
                                       slow_paths.transpose(slow_paths.pair_matrix(sides, z_checks)))
-        commutes = _commutes(ends, x_checks, _masks(sides, z_checks))
+        commutes = gf2.commutes(ends, x_checks, gf2.masks(sides, z_checks))
         assert commutes == all(row == 0 for row in product.bits), (ends, sides)
         outcomes.add(commutes)
     assert outcomes == {True, False}
-
-
-@settings(max_examples=60, deadline=None)
-@given(large_matrices())
-def test_render_matches_oracle(m):
-    assert to_strings(m) == slow_paths.to_strings(m)
-    assert render(m) == slow_paths.render(m)
-
-
-def test_render_of_empty_shapes():
-    for m in (BitMatrix(3, 0, (0, 0, 0)), BitMatrix(0, 5, ()), BitMatrix(0, 0, ())):
-        assert to_strings(m) == slow_paths.to_strings(m)
-        assert render(m) == slow_paths.render(m)
 
 
 def _quotients(h):
@@ -166,7 +116,7 @@ def _quotients(h):
 
 
 def _assert_rows_match_oracle(pairs, checks):
-    rows = list(dense_rows(pairs, checks))
+    rows = list(gf2.dense_rows(pairs, checks))
     assert len(rows) == checks
     assert "\n".join(rows) == slow_paths.render(slow_paths.pair_matrix(pairs, checks))
 
@@ -205,8 +155,10 @@ def test_stabilizer_strings_match_oracle_past_64_qubits(darts, seed):
     for q in _quotients(h):
         code = assemble(q)
         assert stabilizer_strings(code) == slow_paths.stabilizer_strings(code)
-        assert render(code.hx) == slow_paths.render(code.hx)
-        assert render(code.hz) == slow_paths.render(code.hz)
+        assert "\n".join(gf2.dense_rows(code.ends, len(code.x_labels))) \
+            == slow_paths.render(slow_paths.hx(code))
+        assert "\n".join(gf2.dense_rows(code.sides, len(code.z_labels))) \
+            == slow_paths.render(slow_paths.hz(code))
 
 
 def test_stabilizer_strings_match_oracle_on_corpus(torus8, corpus):
@@ -527,7 +479,7 @@ def test_parse_cycles_matches_oracle_on_edge_cases(text, degree):
 
 def _assert_same_complex(c, d, h=None, s=None):
     assert c.incidence21 == d.incidence21
-    assert c.incidence10 == d.incidence10
+    assert slow_paths.incidence10(c) == d.incidence10
     assert validate_surface(c) == slow_paths.dense_validate_surface(d)
     if h is not None:
         assert validate_surface(c, h, face_code(h, s)) \
@@ -707,7 +659,7 @@ def _assert_codes_match_oracle(h, s):
 
 def _assert_endpoints_match_oracle(h):
     for q in _quotients(h):
-        assert check_major(q.ends, len(h.vertices)) \
+        assert slow_paths.pair_matrix(q.ends, len(h.vertices)) \
             == slow_paths.endpoint_matrix(h, q.qubit_labels), (h, q.kind)
 
 
@@ -788,40 +740,3 @@ def test_special_darts_match_oracle_on_corpus(torus8, corpus):
             _assert_special_darts_match_oracle(h, rng.sample(range(h.n), rng.randint(0, h.n)))
         for darts in _out_of_range_sets(h):
             _assert_special_darts_match_oracle(h, darts)
-
-
-# ---------------------------------------------------------------------------
-# matrices built without validation
-
-def test_trusted_matrices_pass_validation(torus8, corpus, monkeypatch):
-    built = []
-
-    def recording(rows, cols, bits):
-        m = trusted(rows, cols, bits)
-        built.append(m)
-        return m
-
-    trusted = BitMatrix._trusted
-    monkeypatch.setattr(BitMatrix, "_trusted", recording)
-    rng = random.Random(14)
-    for h in [*all_hypermaps(3), torus8, *corpus, square_torus(3), square_torus(6)]:
-        quotients = _quotients(h)
-        for build, orbits in ((face_code, h.edges), (edge_code, h.faces)):
-            quotients += [build(h, s) for s in itertools.islice(  # past the orbit minima
-                _every_special_set(orbits), 1, 5)]
-        for q in quotients:
-            code = assemble(q)
-            code.hx, code.hz  # the two views
-        code = face_code(h)
-        c = reduce_to_surface(h, code)
-        c.incidence10
-        validate_surface(c, h, code)
-        doc = json.loads(export_json(c))
-        parse_json(json.dumps(doc)).incidence10
-        rows = slow_paths.dense_reduce_to_surface(h, code.special).incidence21
-        for corrupted in _corruptions(rows, rng).values() if rows else ():
-            parse_json(json.dumps({**doc, "incidence21": corrupted})).incidence10
-    assert len(built) > 10_000
-    for m in built:
-        assert type(m.bits) is tuple
-        assert BitMatrix(m.rows, m.cols, m.bits) == m

@@ -1,16 +1,16 @@
+"""The check-pair functions of ``gf2`` against the dense GF(2) oracles of
+``slow_paths``, and those oracles against plain enumeration."""
+
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermap_codes import (
-    BitMatrix,
-    from_strings,
-    render,
-    to_strings,
-)
+from hypermap_codes import gf2
 from slow_paths import (
-    echelon_form, in_row_space, is_zero, kernel_basis, mat_vec, multiply, rank, transpose)
+    BitMatrix, echelon_form, from_strings, in_row_space, is_zero, kernel_basis, mat_vec, multiply,
+    pair_matrix, rank, render, to_strings, transpose)
+from test_fast_paths import _random_pairs
 
 # Check matrices of the 8-dart torus face code, used as fixed fixtures.
 HX = from_strings(["111111", "111111"])
@@ -178,3 +178,23 @@ def test_bitmatrix_validation():
         BitMatrix(1, 2, (4,))  # bit outside columns
     with pytest.raises(ValueError):
         from_strings(["012"])
+
+
+def test_read_rows_inverts_dense_rows():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(3000):
+        checks, qubits = rng.randint(0, 5), rng.randint(0, 9)
+        pairs = _random_pairs(rng, checks, qubits)
+        assert gf2.read_rows(list(gf2.dense_rows(pairs, checks)), qubits, "m") == pairs
+        # a qubit in two checks (a, b), in one (a, none), or in none (none, none)
+        seen.update(("two", "one", "none")[(a == checks) + (b == checks)] for a, b in pairs)
+    assert seen == {"two", "one", "none"}
+
+
+def test_rank_matches_gauss_jordan_rank():
+    rng = random.Random(24)
+    for _ in range(3000):
+        checks, qubits = rng.randint(0, 6), rng.randint(0, 12)
+        pairs = _random_pairs(rng, checks, qubits)
+        assert gf2.rank(pairs, checks) == rank(pair_matrix(pairs, checks)), pairs

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from hypermap_codes import (
-    BitMatrix,
     CellComplex,
     CheckResult,
     CssCode,
@@ -32,6 +31,7 @@ from hypermap_codes import (
     reduce_to_surface,
 )
 from hypermap_codes.verify import CheckOutcome, Derived
+from slow_paths import BitMatrix  # the test oracles' matrix, a record like the package's
 
 
 RECORD_TYPES = [Permutation, BitMatrix, QuotientCode, DistanceResult, CssCode, CellComplex,

@@ -13,14 +13,14 @@ from hypermap_codes import (
     euler_characteristic,
     export_json,
     face_code,
-    from_strings,
     full_code,
     identity,
     parse_json,
     reduce_to_surface,
     validate_surface,
 )
-from slow_paths import boundary1, boundary2, mod2_projection, rank, transpose
+from slow_paths import (
+    boundary1, boundary2, from_strings, incidence10, mod2_projection, rank, transpose)
 
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
 
@@ -71,14 +71,14 @@ def test_reduction_matches_face_code(corpus):
         q = face_code(h)
         c = reduce_to_surface(h, q)
         assert _mod2(c) == boundary2(q)
-        assert c.incidence10 == boundary1(q)
+        assert incidence10(c) == boundary1(q)
 
 
 def test_homology_dimension_equals_logical_count(corpus):
     for h in corpus[:150]:
         q = face_code(h)
         c = reduce_to_surface(h, q)
-        hom = len(c.one_cells) - rank(c.incidence10) - rank(_mod2(c))
+        hom = len(c.one_cells) - rank(incidence10(c)) - rank(_mod2(c))
         assert hom == assemble(q).k
 
 

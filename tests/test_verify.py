@@ -256,6 +256,20 @@ def test_record_shares_per_map_objects(torus8):
     assert x.face_k == 2
 
 
+def test_passing_maps_share_one_verdict_tuple(torus8, monkeypatch):
+    other = random_corpus(1, 10, 2)[0]
+    assert other != torus8
+    first, second = verify._verdicts(verify.Derived(torus8)), verify._verdicts(verify.Derived(other))
+    assert first == (None,) * len(verify.VERIFY_CHECKS)
+    assert second is first
+    # and every distinct map of a passing run keeps that one tuple
+    kept = []
+    verdicts = verify._verdicts
+    monkeypatch.setattr(verify, "_verdicts", lambda x: kept.append(verdicts(x)) or kept[-1])
+    assert run_verification(200, 10, 3).passed
+    assert len(kept) > 1 and all(v is first for v in kept)
+
+
 def test_the_corpus_is_drawn_map_by_map():
     """At most 2 darts there are four distinct maps, so the memory a run
     holds must not grow with its draws: 3000 of them held at once would take

@@ -51,7 +51,7 @@ def main() -> None:
           f"{(twin.ends, twin.sides) == (code.ends, code.sides)}")
 
     complex_ = reduce_to_surface(h, face)
-    report = validate_surface(complex_, h, face)
+    report = validate_surface(complex_, face)
     print(f"\nsurface reduction: {len(complex_.zero_cells)}/{len(complex_.one_cells)}/"
           f"{len(complex_.two_cells)} cells, chi={complex_.euler_characteristic}")
     print(f"surface validation: {'PASS' if report.passed else 'FAIL'}")

@@ -27,7 +27,6 @@ from .chain import (
     FACE,
     FULL,
     QuotientCode,
-    SpecialDartError,
     edge_code,
     face_code,
     full_code,
@@ -36,7 +35,6 @@ from .css import CommutationError, assemble, distance, stabilizer_strings
 from .export import export_json, export_walsh_dot
 from .gf2 import dense_rows
 from .hypermap import (
-    DisconnectedError,
     Hypermap,
     ParseError,
     _special_line,
@@ -187,7 +185,7 @@ def cmd_reduce(args) -> int:
     _write_lines(complex_.count_lines(" "))
     print("incidence 1->0 (rows = 0-cells, cols = 1-cells):")
     _write_lines(dense_rows(complex_.ends, len(complex_.zero_cells)))
-    print(validate_surface(complex_, h, code).render())
+    print(validate_surface(complex_, code).render())
     return EXIT_OK
 
 
@@ -402,9 +400,6 @@ def main(argv=None) -> int:
         if not isinstance(exc, BrokenPipeError):  # a closed stdout is no error to report
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    except (DisconnectedError, SpecialDartError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except CommutationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

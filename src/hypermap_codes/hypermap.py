@@ -21,10 +21,11 @@ Three derived hypermaps share the surface:
 The contrary of the triangle dual equals the triangle dual of the dual;
 ``verify`` checks these identities on the canonical dart -> orbit tables.
 
-A derived map is built from its two permutations alone (``_derived``):
-they generate the group of ``h``, so no transitivity search runs, and the
-map walks its own orbit families (:func:`_walk_orbits`) on the first read
-of an orbit field.  A map whose orbits are never read is never walked.
+Every map walks its own orbit families (:func:`_walk_orbits`) on the
+first read of an orbit field, so a map whose orbits are never read is
+never walked.  A derived map is built from its two permutations alone
+(``_derived``): they generate the group of ``h``, so no transitivity
+search runs either.
 
 Orientation reversal has no carrier in this purely combinatorial model:
 the dual constructions above flip the underlying surface orientation, but
@@ -76,11 +77,11 @@ class Hypermap(_Record):
     """A validated hypermap with cached orbit decompositions.
 
     Immutable like a record, and equal, hashed and pickled by ``alpha`` and
-    ``sigma``.  One flat search checks transitivity, and one walk per orbit
-    family (:func:`_walk_orbits`) computes the vertex, edge and face
-    decompositions and their dart -> orbit tables (``*_index``), all kept in
-    ``_families``.  A derived map (:func:`_derived`) holds None there until
-    the first read of an orbit field walks it.
+    ``sigma``.  The constructor checks the degrees and, by one flat search,
+    transitivity.  ``_families`` holds None until the first read of an
+    orbit field, which walks each orbit family once (:func:`_walk_orbits`)
+    for the vertex, edge and face decompositions and their dart -> orbit
+    tables (``*_index``).
     """
 
     __slots__ = ("alpha", "sigma", "_families")
@@ -90,9 +91,9 @@ class Hypermap(_Record):
             raise ValueError(f"degree mismatch: alpha {alpha.degree}, sigma {sigma.degree}")
         if not is_transitive(alpha, sigma):
             raise DisconnectedError(connected_components(alpha, sigma))
-        _set_alpha(self, alpha)  # the walk reads them
+        _set_alpha(self, alpha)
         _set_sigma(self, sigma)
-        _walk_orbits(self)
+        _set_families(self, None)
 
     vertices = _orbit_field(0, "The orbits of sigma, as canonical cycles.")
     vertex_index = _orbit_field(1, "Each dart's index into ``vertices``.")
@@ -130,8 +131,8 @@ def _walk_orbits(h: Hypermap) -> tuple:
     one orbit walk each, and store them in ``h``: (vertices, vertex_index,
     edges, edge_index, faces, face_index).
 
-    The only producer of orbit families.  Two threads that read a derived
-    map's orbits first at once both walk it and store equal values.
+    The only producer of orbit families.  Two threads that read a map's
+    orbits first at once both walk it and store equal values.
     """
     alpha, sigma = h.alpha, h.sigma
     faces = [0] * alpha.degree  # alpha^-1 sigma: alpha(dart) -> sigma(dart)

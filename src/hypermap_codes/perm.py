@@ -16,7 +16,7 @@ Conventions used throughout the package:
 - ``_Record`` is the base of the package's immutable records, here and in
   the layers above: equality, hashing, repr, pickling and refused
   assignment over the fields a subclass names in ``__slots__``, and the
-  one way to write those fields (``_stores``, ``_fill``, ``_trusted``).
+  one way to write those fields (``_stores``, ``_fill``).
 - Labels are 0-based internally.  The cycle-notation text format
   (``"(4 3 2 1)(5 7 8 6)"``) is 1-based and is the only place where the
   off-by-one conversion happens.  ``parse_cycles`` reads it with one
@@ -45,11 +45,10 @@ class _Record:
 
     ``_stores`` holds each slot's own setter, in ``__slots__`` order, which the
     refusing ``__setattr__`` does not reach.  The subclass ``__init__`` checks
-    its arguments and ends in ``self._fill(...)``; ``_trusted(...)`` builds a
-    record from values already known to be valid, without running ``__init__``.
-    Records are equal when they are of one class with equal fields, hash over
-    their fields, print as ``Name(field=value, ...)``, pickle through their
-    constructor, and refuse assignment and deletion with ``AttributeError``.
+    its arguments and ends in ``self._fill(...)``.  Records are equal when
+    they are of one class with equal fields, hash over their fields, print
+    as ``Name(field=value, ...)``, pickle through their constructor, and
+    refuse assignment and deletion with ``AttributeError``.
     """
 
     __slots__ = ()
@@ -63,14 +62,6 @@ class _Record:
         """Store ``values``, one per field, in ``__slots__`` order."""
         for store, value in zip(self._stores, values):  # each __init__ fixes the count
             store(self, value)
-
-    @classmethod
-    def _trusted(cls, *values):
-        """The record of ``values``, one per field, built without ``__init__``'s checks."""
-        record = cls.__new__(cls)
-        for store, value in zip(cls._stores, values, strict=True):
-            store(record, value)
-        return record
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -12,14 +12,16 @@ exactly twice overall.
 
 The counts are stored sparse, as each 1-cell's nonzero ``(column, count)``
 pairs, and the 1-cell/0-cell incidence as the face code's own ``ends``
-pairs, so the complex is built and checked in time linear in the darts;
-``CellComplex.incidence21`` is a derived dense view.
-``CellComplex.count_lines`` yields the dense count rows one at a time,
-so the ``reduce`` command writes them without holding the whole table.
+pairs, so the complex is built and checked in time linear in the darts.
+The sparse counts are the complex's one form: ``CellComplex.count_lines``
+yields their dense rows one at a time, so the ``reduce`` command writes
+them without holding the whole table.
 Validation works on the pairs alone: the chain condition is the
 commutation test of :mod:`~hypermap_codes.gf2` fed with each 1-cell's
 odd counts, and the match with the face code compares pairs and masks.
-Both functions below take the face code that the caller built once.
+Both functions below take the face code that the caller built once; the
+face code also fixes the hypermap's Euler characteristic, since its
+qubits are the darts less one special dart per edge.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections.abc import Iterator
 
 from .chain import FACE, QuotientCode
 from .gf2 import Pairs, commutes, masks
-from .hypermap import Hypermap, euler_characteristic
+from .hypermap import Hypermap
 from .perm import _Record
 
 
@@ -38,10 +40,10 @@ class CellComplex(_Record):
     ``zero_cells`` are vertex orbit minima, ``one_cells`` non-special
     dart labels, ``two_cells`` face orbit minima (all 0-based).
     ``counts21`` holds each 1-cell's ``(column, count)`` pairs, sorted by
-    2-cell column with zero counts left out; ``incidence21`` is their dense
-    1-cells x 2-cells view.  ``ends`` holds each 1-cell's two 0-cells as a
-    pair padded with the 0-cell count, like a code's X-check pairs: the
-    0-cells x 1-cells incidence over GF(2).
+    2-cell column with zero counts left out, which ``count_lines`` writes as
+    dense 1-cells x 2-cells rows.  ``ends`` holds each 1-cell's two 0-cells
+    as a pair padded with the 0-cell count, like a code's X-check pairs:
+    the 0-cells x 1-cells incidence over GF(2).
     """
 
     __slots__ = ("zero_cells", "one_cells", "two_cells", "counts21", "ends")
@@ -54,14 +56,6 @@ class CellComplex(_Record):
     @property
     def euler_characteristic(self) -> int:
         return len(self.zero_cells) - len(self.one_cells) + len(self.two_cells)
-
-    @property
-    def incidence21(self) -> tuple[tuple[int, ...], ...]:
-        rows = [[0] * len(self.two_cells) for _ in self.counts21]
-        for row, pairs in zip(rows, self.counts21):
-            for j, v in pairs:
-                row[j] = v
-        return tuple(map(tuple, rows))
 
     def count_lines(self, sep: str) -> Iterator[str]:
         """Each 1-cell's dense row joined by ``sep``, one at a time: its counts
@@ -133,19 +127,19 @@ def reduce_to_surface(h: Hypermap, code: QuotientCode) -> CellComplex:
     )
 
 
-def validate_surface(c: CellComplex, h: Hypermap | None = None,
-                     code: QuotientCode | None = None) -> SurfaceReport:
+def validate_surface(c: CellComplex, code: QuotientCode | None = None) -> SurfaceReport:
     """Check the cell-complex invariants; failures become report entries.
 
     Standalone checks: every 1-cell is traversed exactly twice in total,
     the two incidence maps compose to zero mod 2, and the Euler
-    characteristic is even.  Given the source hypermap and its face code,
-    additionally check that the mod-2 complex reproduces that code and
-    that the Euler characteristic matches the hypermap's; ``TypeError``
-    when only one of the two is given.
+    characteristic is even.  Given the face code of the source hypermap
+    (``ValueError`` for another kind), additionally check that the mod-2
+    complex reproduces that code and that the Euler characteristic matches
+    the hypermap's, which the code's check and qubit counts fix:
+    V - (n - E) + F.
     """
-    if (h is None) != (code is None):
-        raise TypeError("validate_surface needs both the hypermap and its face code, or neither")
+    if code is not None and code.kind != FACE:
+        raise ValueError(f"surface validation needs a face code, got a {code.kind} code")
     checks = []
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -169,7 +163,7 @@ def validate_surface(c: CellComplex, h: Hypermap | None = None,
               "incidence21 mod 2 differs from the face-code boundary")
         check("face-code-x-match", len(c.zero_cells) == len(code.x_labels) and c.ends == code.ends,
               "incidence10 differs from the face-code vertex boundary")
-        check("euler-match", chi == euler_characteristic(h),
-              f"complex chi {chi} != hypermap chi {euler_characteristic(h)}")
+        chi_h = len(code.x_labels) - len(code.qubit_labels) + faces
+        check("euler-match", chi == chi_h, f"complex chi {chi} != hypermap chi {chi_h}")
 
     return SurfaceReport(checks=tuple(checks), euler_characteristic=chi)

@@ -5,8 +5,8 @@ seeded random corpus; a predicate that raises counts as a failure.  A map
 drawn more than once is checked once, and its verdicts count for every
 draw of it.
 
-Each derived map walks its own permutations on the first read of an
-orbit field, so an orbit check states its identity on canonical
+Each map, drawn or derived, walks its own permutations on the first read
+of an orbit field, so an orbit check states its identity on canonical
 dart -> orbit tables, such as ``x.dual.edge_index == x.h.edge_index``.
 Canonical tables number the orbits by their minimum dart, so two equal
 tables are one partition of the darts.
@@ -195,7 +195,7 @@ def _check_chain_conditions(x):
 
 
 def _check_closed_surface(x):
-    return validate_surface(reduce_to_surface(x.h, x.face_code), x.h, x.face_code).passed
+    return validate_surface(reduce_to_surface(x.h, x.face_code), x.face_code).passed
 
 
 VERIFY_CHECKS: list[tuple[str, Callable[[Derived], bool]]] = [

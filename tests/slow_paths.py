@@ -14,7 +14,7 @@ orbit family, a composed face permutation and a second pass per family
 for the dart -> orbit index.  The dual, triangle dual, contrary and nabla
 are kept as they were built before they skipped validation: new
 permutations, each validated, through the ``Hypermap`` constructor,
-which searches transitivity and walks every orbit family.  The
+which searches transitivity.  The
 verify suite is kept as it ran before its checks shared a per-map
 record and before it checked each distinct map once: check by check over
 the corpus, each predicate taking the hypermap and building every derived
@@ -45,8 +45,8 @@ here: the library tests every chain condition on check pairs
 (``gf2.commutes``) and multiplies no matrices.  The library keeps no
 matrix type either: ``BitMatrix`` and ``from_strings`` below are the
 bit-packed matrix and its row parser as ``gf2`` held them, and ``hx``,
-``hz`` and ``incidence10`` the dense views that codes and complexes
-once had.  The fast paths must return exactly what these do.
+``hz``, ``incidence10`` and ``incidence21`` the dense views that codes
+and complexes once had.  The fast paths must return exactly what these do.
 """
 
 import itertools
@@ -200,6 +200,15 @@ def hz(c):
 def incidence10(c):
     """0-cells x 1-cells of a cell complex: its ``ends`` as a matrix."""
     return pair_matrix(c.ends, len(c.zero_cells))
+
+
+def incidence21(c):
+    """1-cells x 2-cells of a cell complex: its sparse ``counts21`` as dense rows."""
+    rows = [[0] * len(c.two_cells) for _ in c.counts21]
+    for row, pairs in zip(rows, c.counts21):
+        for j, v in pairs:
+            row[j] = v
+    return tuple(map(tuple, rows))
 
 
 def kernel_basis(m):
@@ -798,7 +807,7 @@ def validate_surface(c, h=None, s=None):
                    if (total := sum(v for _, v in pairs)) != 2]
     check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
         f"{dart + 1} (total {total})" for dart, total in bad_closure))
-    incidence21_mod2 = mod2_projection(c.incidence21, len(c.two_cells))
+    incidence21_mod2 = mod2_projection(incidence21(c), len(c.two_cells))
     check("chain-condition", is_zero(multiply(incidence10(c), incidence21_mod2)),
           "incidence10 * incidence21 != 0 mod 2")
     chi = c.euler_characteristic

@@ -34,7 +34,7 @@ from hypermap_codes import chain, cli, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
-from slow_paths import as_partition, from_strings, rank
+from slow_paths import as_partition, from_strings, incidence21, rank
 
 TORUS_TEXT = TORUS8.read_text()
 
@@ -163,7 +163,7 @@ def test_reduce_prints_every_count(tmp_path, capsys):
         path = tmp_path / f"{i}.hm"
         path.write_text(format_hypermap(h, s))
         code, out, _ = run_cli(capsys, "reduce", str(path))
-        counts = reduce_to_surface(h, face_code(h, s)).incidence21
+        counts = incidence21(reduce_to_surface(h, face_code(h, s)))
         lines = out.splitlines()
         start = lines.index("incidence 2->1 counts (rows = 1-cells, cols = 2-cells):") + 1
         assert code == 0

@@ -178,7 +178,7 @@ def _assert_boundary_is_counts_mod2(h, s, kind):
     q = face_code(h, s) if kind == FACE else edge_code(h, s)
     assert slow_paths.boundary2(q) == slow_paths.mod2_projection(counts, len(q.z_labels)), (h, s)
     if kind == FACE:
-        assert reduce_to_surface(h, q).incidence21 == counts, (h, s)
+        assert slow_paths.incidence21(reduce_to_surface(h, q)) == counts, (h, s)
 
 
 def test_boundary2_is_expansion_counts_mod2_on_small_sweep():
@@ -478,11 +478,11 @@ def test_parse_cycles_matches_oracle_on_edge_cases(text, degree):
 # the sparse cell complex against the dense count table
 
 def _assert_same_complex(c, d, h=None, s=None):
-    assert c.incidence21 == d.incidence21
+    assert slow_paths.incidence21(c) == d.incidence21
     assert slow_paths.incidence10(c) == d.incidence10
     assert validate_surface(c) == slow_paths.dense_validate_surface(d)
     if h is not None:
-        assert validate_surface(c, h, face_code(h, s)) \
+        assert validate_surface(c, face_code(h, s)) \
             == slow_paths.dense_validate_surface(d, h, s)
     assert parse_json(export_json(c)) == c
 
@@ -543,7 +543,7 @@ def test_corrupted_counts_read_from_json_match_oracle(torus8, corpus):
             bad = slow_paths.DenseComplex(d.zero_cells, d.one_cells, d.two_cells,
                                           tuple(map(tuple, rows)), d.incidence10)
             _assert_same_complex(c, bad, h, s)
-            assert not validate_surface(c, h, face_code(h, s)).passed, name
+            assert not validate_surface(c, face_code(h, s)).passed, name
             if name != "negative":
                 assert list(c.count_lines(" ")) == slow_paths.render_count_rows(bad)
 
@@ -557,7 +557,7 @@ def test_count_lines_match_splice_oracle_on_wide_counts(torus8, corpus):
             continue
         doc = json.loads(export_json(c))
         for _ in range(3):
-            rows = [list(row) for row in c.incidence21]
+            rows = [list(row) for row in slow_paths.incidence21(c)]
             row = rows[rng.randrange(len(rows))]
             for j in rng.sample(range(len(row)), min(3, len(row))):
                 row[j] = rng.choice((10, -1, 123, -10, 2, 0))
@@ -595,7 +595,7 @@ def test_corrupted_incidence10_read_from_json_matches_oracle(torus8, corpus):
         bad = slow_paths.DenseComplex(d.zero_cells, d.one_cells, d.two_cells, d.incidence21,
                                       from_strings(rows, doc["incidence10"]["cols"]))
         _assert_same_complex(c, bad, h, s)
-        report = validate_surface(c, h, code)
+        report = validate_surface(c, code)
         assert report == slow_paths.validate_surface(c, h, s)
         assert not report.passed
         chain_verdicts += [ch.passed for ch in report.checks if ch.name == "chain-condition"]
@@ -609,7 +609,7 @@ def test_corrupted_incidence10_read_from_json_matches_oracle(torus8, corpus):
 
 def _assert_json_is_dense_dumps(c):
     expected = json.loads(export_json(c))
-    expected["incidence21"] = [list(row) for row in c.incidence21]
+    expected["incidence21"] = [list(row) for row in slow_paths.incidence21(c)]
     assert export_json(c) == json.dumps(expected, indent=2) + "\n"
 
 
@@ -626,7 +626,7 @@ def test_complex_json_is_dense_dumps_on_corrupted_counts(torus8, corpus):
             continue
         doc = json.loads(export_json(c))
         for value in (3, 10, -1, 0, 123):
-            rows = [list(row) for row in c.incidence21]
+            rows = [list(row) for row in slow_paths.incidence21(c)]
             rows[rng.randrange(len(rows))][rng.randrange(len(c.two_cells))] = value
             _assert_json_is_dense_dumps(parse_json(json.dumps({**doc, "incidence21": rows})))
     header = {"format": "hypermap-codes", "version": 1, "indexing": "1-based",
@@ -654,7 +654,7 @@ def _assert_codes_match_oracle(h, s):
     if isinstance(code := _built(face_code, h, s), QuotientCode):
         c = reduce_to_surface(h, code)
         assert c == slow_paths.reduce_to_surface(h, s)
-        assert validate_surface(c, h, code) == slow_paths.validate_surface(c, h, s)
+        assert validate_surface(c, code) == slow_paths.validate_surface(c, h, s)
 
 
 def _assert_endpoints_match_oracle(h):
@@ -691,10 +691,41 @@ def test_validation_of_corrupted_counts_matches_oracle(torus8, corpus):
         doc = json.loads(export_json(reduce_to_surface(h, code)))
         for name, rows in _corruptions(d.incidence21, rng).items():
             c = parse_json(json.dumps({**doc, "incidence21": rows}))
-            report = validate_surface(c, h, code)
+            report = validate_surface(c, code)
             assert report == slow_paths.validate_surface(c, h, s), name
             assert not report.passed, name
 
+
+
+def _with_extra_zero_cell(doc):
+    """A cell-complex JSON document with one more 0-cell, on no 1-cell."""
+    block = doc["incidence10"]
+    return {**doc, "zero_cells": [*doc["zero_cells"], max(doc["zero_cells"], default=0) + 1],
+            "incidence10": {**block, "rows": [*block["rows"], "0" * block["cols"]]}}
+
+
+def test_validation_by_the_face_code_alone_matches_oracle(torus8, corpus):
+    """The face code fixes the hypermap's chi that ``euler-match`` compares
+    with, so the report equals that of the oracle, which reads the map."""
+    cases = [(h, s) for h in all_hypermaps(4) for s in _every_special_set(h.edges)]
+    cases += [(h, face_code(h).special)
+              for h in [torus8, *corpus, *(square_torus(size) for size in range(3, 9))]]
+    for h, s in cases:
+        c = reduce_to_surface(h, face_code(h, s))
+        assert validate_surface(c, face_code(h, s)) == slow_paths.validate_surface(c, h, s)
+    rng = random.Random(24)
+    for h in [torus8] + corpus[:100]:
+        code = face_code(h)
+        c = reduce_to_surface(h, code)
+        doc = json.loads(export_json(c))
+        copies = [_with_extra_zero_cell(doc)]
+        if c.one_cells:
+            copies += [{**doc, "incidence21": rows}
+                       for rows in _corruptions(slow_paths.incidence21(c), rng).values()]
+        for bad in map(parse_json, map(json.dumps, copies)):
+            report = validate_surface(bad, code)
+            assert report == slow_paths.validate_surface(bad, h, code.special)
+            assert not report.passed
 
 # ---------------------------------------------------------------------------
 # special sets counted through the dart -> orbit tables

@@ -186,7 +186,7 @@ def test_duals_preserve_euler_characteristic(corpus):
 
 
 # ---------------------------------------------------------------------------
-# derived maps walk their own orbits, once, on the first read of an orbit field
+# every map walks its own orbits, once, on the first read of an orbit field
 
 ORBIT_FIELDS = ("vertices", "vertex_index", "edges", "edge_index", "faces", "face_index")
 
@@ -215,30 +215,60 @@ def test_unread_derived_maps_are_never_walked(torus8, walks):
 def test_dual_command_walks_only_the_input(walks, capsys):
     assert cli.main(["dual", str(TORUS8)]) == 0
     assert capsys.readouterr().out.startswith("darts: 8\n")
-    assert len(walks) == 1 and walks[0] == hypermap.parse_hypermap(TORUS8.read_text())[0]
+    assert walks == []  # neither the parsed input nor its dual reads an orbit
 
 
 @pytest.mark.parametrize("field", ORBIT_FIELDS)
 def test_reading_any_orbit_field_walks_once(torus8, walks, field):
     want = validated_dual(torus8)
+    want_fields = [getattr(want, name) for name in ORBIT_FIELDS]
     walks.clear()
     d = dual(torus8)
     assert getattr(d, field) == getattr(want, field)
     assert len(walks) == 1 and walks[0] is d
-    assert [getattr(d, name) for name in ORBIT_FIELDS] == [
-        getattr(want, name) for name in ORBIT_FIELDS]
+    assert [getattr(d, name) for name in ORBIT_FIELDS] == want_fields
     assert len(walks) == 1
+
+
+def test_validated_map_is_unwalked_until_its_first_orbit_read(torus8, walks):
+    want = {name: getattr(torus8, name) for name in ORBIT_FIELDS}
+    walks.clear()
+    parsed, _ = parse_hypermap(TORUS8.read_text())
+    drawn = random_hypermap(8, seed=3)
+    assert parsed._families is None and drawn._families is None
+    for field in ORBIT_FIELDS:
+        h = Hypermap(torus8.alpha, torus8.sigma)
+        assert h == torus8 and hash(h) == hash(torus8) and repr(h) == repr(torus8) and h.n == 8
+        assert walks == [] and h._families is None
+        assert getattr(h, field) == want[field]
+        assert walks == [h] and walks[0] is h
+        assert {name: getattr(h, name) for name in ORBIT_FIELDS} == want
+        assert len(walks) == 1
+        walks.clear()
+
+
+def test_constructor_still_checks_degrees_and_transitivity(walks):
+    with pytest.raises(ValueError, match="^degree mismatch: alpha 3, sigma 4$"):
+        Hypermap(identity(3), identity(4))
+    with pytest.raises(DisconnectedError) as caught:
+        Hypermap(parse_cycles("(1 2)", 4), parse_cycles("(3 4)", 4))
+    assert caught.value.components == ((0, 1), (2, 3))
+    assert str(caught.value) == "hypermap is not connected; dart components: {1 2}, {3 4}"
+    assert walks == []
 
 
 def test_concurrent_first_reads_see_the_validated_orbits():
     h = square_torus(8)
-    want = [getattr(validated_dual(h), name) for name in ORBIT_FIELDS]
+    derived = [getattr(validated_dual(h), name) for name in ORBIT_FIELDS]
+    constructed = [getattr(h, name) for name in ORBIT_FIELDS]
+    builds = [(lambda: dual(h), derived), (lambda: Hypermap(h.alpha, h.sigma), constructed)]
     threads, seen = 8, []
     switch = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        for _ in range(5):
-            d = dual(h)
+        for build, want in builds * 5:
+            d = build()
+            assert d._families is None
             barrier = threading.Barrier(threads)
 
             def read():
@@ -252,9 +282,10 @@ def test_concurrent_first_reads_see_the_validated_orbits():
                 worker.join(timeout=30)
             assert not any(worker.is_alive() for worker in workers)
             assert list(d._families) == want
+            assert all(values == want for values in seen[-threads:])
     finally:
         sys.setswitchinterval(switch)
-    assert len(seen) == 5 * threads and all(values == want for values in seen)
+    assert len(seen) == 2 * 5 * threads
 
 
 def test_unread_derived_map_equals_hashes_and_copies_as_a_validated_build(torus8, corpus):
@@ -265,8 +296,11 @@ def test_unread_derived_map_equals_hashes_and_copies_as_a_validated_build(torus8
                   *(pickle.loads(pickle.dumps(d, protocol))
                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
         assert d._families is None  # none of it read an orbit
+        want_fields = [getattr(want, name) for name in ORBIT_FIELDS]
         for made in copies:
             assert type(made) is Hypermap and made == want and hash(made) == hash(want)
+            assert made._families is None
+            assert [getattr(made, name) for name in ORBIT_FIELDS] == want_fields
             assert made._families == want._families
 
 

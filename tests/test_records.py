@@ -143,35 +143,6 @@ def test_stores_hold_one_setter_per_slot_in_slot_order(cls):
         assert all(not hasattr(record, later) for later in cls.__slots__[i + 1:])
 
 
-def _refusing_init(self, *args, **kwargs):
-    raise AssertionError("the constructor ran")
-
-
-@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
-def test_trusted_builds_the_constructors_record_without_its_checks(records, cls, monkeypatch):
-    fields, _ = records[cls]
-    made = cls(**fields)
-    monkeypatch.setattr(cls, "__init__", _refusing_init)
-    trusted = cls._trusted(*fields.values())
-    assert type(trusted) is cls and trusted == made and hash(trusted) == hash(made)
-    assert all(getattr(trusted, name) is value for name, value in fields.items())
-    with pytest.raises(ValueError):  # one value per field, no more and no fewer
-        cls._trusted(*fields.values(), None)
-    with pytest.raises(ValueError):
-        cls._trusted(*list(fields.values())[:-1])
-
-
-def test_trusted_hypermap_equals_the_constructed_one(torus8, monkeypatch):
-    # the slots: the two permutations and the walked families, or None until first read
-    assert Hypermap.__slots__ == ("alpha", "sigma", "_families")
-    monkeypatch.setattr(Hypermap, "__init__", _refusing_init)
-    for families in (torus8._families, None):
-        h = Hypermap._trusted(torus8.alpha, torus8.sigma, families)
-        assert h == torus8 and hash(h) == hash(torus8)
-        assert all(getattr(h, name) == getattr(torus8, name) for name in HYPERMAP_FIELDS)
-        assert h._families == torus8._families
-
-
 def test_only_perm_may_call_object_setattr():
     package = Path(__file__).resolve().parents[1] / "src" / "hypermap_codes"
     modules = sorted(package.glob("*.py"))

@@ -20,14 +20,15 @@ from hypermap_codes import (
     validate_surface,
 )
 from slow_paths import (
-    boundary1, boundary2, from_strings, incidence10, mod2_projection, rank, transpose)
+    boundary1, boundary2, from_strings, incidence10, incidence21, mod2_projection, rank,
+    transpose)
 
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
 
 
 def _mod2(c):
     """The 1-cells x 2-cells incidence of ``c`` mod 2."""
-    return mod2_projection(c.incidence21, len(c.two_cells))
+    return mod2_projection(incidence21(c), len(c.two_cells))
 
 
 def test_reduce_torus(torus8):
@@ -38,7 +39,7 @@ def test_reduce_torus(torus8):
     assert len(c.two_cells) == 4
     assert c.euler_characteristic == 0
     assert _mod2(c) == transpose(from_strings(HZ_ROWS))
-    assert validate_surface(c, torus8, face_code(torus8, s)).passed
+    assert validate_surface(c, face_code(torus8, s)).passed
 
 
 def test_reduce_single_dart():
@@ -46,7 +47,7 @@ def test_reduce_single_dart():
     c = reduce_to_surface(h, face_code(h))
     assert (len(c.zero_cells), len(c.one_cells), len(c.two_cells)) == (1, 0, 1)
     assert c.euler_characteristic == 2
-    assert validate_surface(c, h, face_code(h)).passed
+    assert validate_surface(c, face_code(h)).passed
 
 
 def test_reduce_rejects_per_face_set(torus8):
@@ -63,7 +64,7 @@ def test_reduce_rejects_edge_and_full_codes(torus8):
 def test_every_one_cell_has_incidence_two(corpus):
     for h in corpus:
         c = reduce_to_surface(h, face_code(h))
-        assert all(sum(row) == 2 for row in c.incidence21)
+        assert all(sum(row) == 2 for row in incidence21(c))
 
 
 def test_reduction_matches_face_code(corpus):
@@ -90,7 +91,7 @@ def test_euler_characteristic_matches_hypermap(corpus):
 
 def test_validation_passes_on_corpus(corpus):
     for h in corpus:
-        report = validate_surface(reduce_to_surface(h, face_code(h)), h, face_code(h))
+        report = validate_surface(reduce_to_surface(h, face_code(h)), face_code(h))
         assert report.passed, report.render()
 
 
@@ -110,19 +111,19 @@ def test_validation_catches_missing_incidence(torus8):
     assert str(c.one_cells[target[0]] + 1) in closure.detail
 
 
-def test_validation_refuses_half_of_its_optional_pair(torus8):
+def test_validation_refuses_edge_and_full_codes(torus8):
     code = face_code(torus8)
     c = reduce_to_surface(torus8, code)
-    for half in ({"h": torus8}, {"code": code}):
-        with pytest.raises(TypeError, match="both the hypermap and its face code"):
-            validate_surface(c, **half)
+    for other in (edge_code(torus8), full_code(torus8)):
+        with pytest.raises(ValueError, match=f"needs a face code, got a {other.kind} code"):
+            validate_surface(c, other)
     assert len(validate_surface(c).checks) == 3
-    assert len(validate_surface(c, torus8, code).checks) == 6
+    assert len(validate_surface(c, code).checks) == 6
 
 
 def test_validation_report_renders(torus8):
     s = {1, 4}
-    report = validate_surface(reduce_to_surface(torus8, face_code(torus8, s)), torus8,
+    report = validate_surface(reduce_to_surface(torus8, face_code(torus8, s)),
                               face_code(torus8, s))
     text = report.render()
     assert "euler-characteristic: 0" in text
@@ -135,7 +136,7 @@ def test_reduction_of_dual_with_shared_special_set(corpus):
     for h in corpus[:100]:
         sd = face_code(h).special
         d = dual(h)
-        report = validate_surface(reduce_to_surface(d, face_code(d, sd)), d, face_code(d, sd))
+        report = validate_surface(reduce_to_surface(d, face_code(d, sd)), face_code(d, sd))
         assert report.passed
 
 

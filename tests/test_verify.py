@@ -168,8 +168,10 @@ def _distinct(trials, max_darts, seed):
 
 def _count_builds(monkeypatch, run, trials, max_darts, seed):
     """(Hypermap builds, of them through the validating constructor, orbit
-    walks, quotient-code builds) of one run, past those of its corpus."""
-    calls = {"init": 0, "derived": 0, "walk": 0, "quotient": 0}
+    walks of drawn maps, orbit walks of derived maps, quotient-code builds)
+    of one run, past those of its corpus."""
+    calls = {"init": 0, "derived": 0, "quotient": 0}
+    walked, made = [], []  # the maps themselves, so no id is reused
     init, derived, walk = Hypermap.__init__, hypermap._derived, hypermap._walk_orbits
     quotient = chain._quotient_code
 
@@ -179,31 +181,39 @@ def _count_builds(monkeypatch, run, trials, max_darts, seed):
             return fn(*args)
         return wrapper
 
+    def derived_map(*args):
+        d = derived(*args)
+        made.append(d)
+        return d
+
     with monkeypatch.context() as patch:
         patch.setattr(Hypermap, "__init__", counted("init", init))
-        patch.setattr(hypermap, "_derived", counted("derived", derived))
-        patch.setattr(hypermap, "_walk_orbits", counted("walk", walk))
+        patch.setattr(hypermap, "_derived", counted("derived", derived_map))
+        patch.setattr(hypermap, "_walk_orbits", lambda h: walked.append(h) or walk(h))
         patch.setattr(chain, "_quotient_code", counted("quotient", quotient))
         random_corpus(trials, max_darts, seed)
-        corpus_builds, corpus_walks = calls["init"], calls["walk"]
-        assert calls["derived"] == calls["quotient"] == 0
+        corpus_builds = calls["init"]
+        assert calls["derived"] == calls["quotient"] == len(walked) == 0
         run(trials, max_darts, seed)
     validated = calls["init"] - 2 * corpus_builds
-    return (validated + calls["derived"], validated, calls["walk"] - 2 * corpus_walks,
-            calls["quotient"])
+    made_ids = set(map(id, made))
+    derived_walks = sum(id(h) in made_ids for h in walked)
+    return (validated + calls["derived"], validated, len(walked) - derived_walks,
+            derived_walks, calls["quotient"])
 
 
 def test_record_builds_each_derived_object_once_per_map(monkeypatch):
-    # no derived map is validated, and each of the five whose orbits a check
-    # reads (dual, triangle dual, contrary, nabla, triangle dual of the dual)
-    # is walked once
+    # no derived map is validated; each distinct draw is walked once and a
+    # repeated draw never, and each of the five derived maps whose orbits a
+    # check reads (dual, triangle dual, contrary, nabla, triangle dual of the
+    # dual) is walked once
     distinct = _distinct(50, 10, 4)
     assert distinct < 50
     builds = _count_builds(monkeypatch, run_verification, 50, 10, 4)
-    assert tuple(b / distinct for b in builds) == (9, 0, 5, 5)
+    assert tuple(b / distinct for b in builds) == (9, 0, 1, 5, 5)
     # the oracle, as each check built its own for every draw
     builds = _count_builds(monkeypatch, slow_paths.run_verification, 50, 10, 4)
-    assert tuple(b / 50 for b in builds[:2] + builds[3:]) == (23, 0, 12)
+    assert tuple(b / 50 for b in builds[:2] + builds[4:]) == (23, 0, 12)
 
 
 def test_each_distinct_map_is_checked_once(monkeypatch):

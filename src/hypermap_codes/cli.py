@@ -265,8 +265,8 @@ def _int_in_range(low: int | None = None, high: int | None = None) -> Callable[[
 
 
 def _dart_label(text: str) -> int:
-    """``type=`` of --special, whose action is :class:`_DistinctDarts`: like a file's
-    special line, the flag takes ASCII decimal digits only and each dart once."""
+    """One --special label, read by :class:`_DistinctDarts` when its list is not plain:
+    like a file's special line, the flag takes ASCII decimal digits only."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"special dart {text!r} is not a decimal label")
     significant = len(text.lstrip("0"))
@@ -277,13 +277,29 @@ def _dart_label(text: str) -> int:
 
 
 class _DistinctDarts(argparse.Action):
+    """The --special action: reads its raw labels as one list, each dart once.
+
+    A list of non-empty ASCII digit runs, none longer than ``MAX_DARTS``
+    written out, is converted by ``int`` in one C-level pass; any other list
+    goes label by label through :func:`_dart_label`, which names the first
+    label it refuses.  The first repeat is named only when there is one."""
+
     def __call__(self, parser, namespace, values, option_string=None):
-        seen: set[int] = set()
-        for value in values:
-            if value in seen:
-                raise argparse.ArgumentError(self, f"special dart {value} appears twice")
-            seen.add(value)
-        setattr(namespace, self.dest, values)
+        if ("".join(values).isascii() and all(map(str.isdigit, values))
+                and max(map(len, values)) <= len(str(MAX_DARTS))):
+            darts = list(map(int, values))
+        else:
+            try:
+                darts = [_dart_label(text) for text in values]
+            except argparse.ArgumentTypeError as exc:
+                raise argparse.ArgumentError(self, str(exc)) from None
+        if len(set(darts)) < len(darts):
+            seen: set[int] = set()
+            for dart in darts:
+                if dart in seen:
+                    raise argparse.ArgumentError(self, f"special dart {dart} appears twice")
+                seen.add(dart)
+        setattr(namespace, self.dest, darts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", metavar="FILE", help="hypermap text file")
 
     def add_special(p):
-        p.add_argument("--special", nargs="+", type=_dart_label, action=_DistinctDarts,
+        p.add_argument("--special", nargs="+", action=_DistinctDarts,
                        metavar="DART",
                        help="1-based special darts (overrides the file's choice)")
 

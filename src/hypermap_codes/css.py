@@ -93,20 +93,23 @@ def stabilizer_strings(c: CssCode) -> list[str]:
 
     Qubit labels are rendered 1-based; X generators are named after
     vertices, Z generators after the faces or edges indexing them.  A
-    code with no qubits has no operators to describe.
+    code with no qubits has no operators to describe.  Each label's text
+    is made once for both Paulis, and a row is joined with its Pauli
+    letter in the separator.
     """
     if c.n == 0:
         return []
+    names = [str(label + 1) for label in c.qubit_labels]
     out = []
     for pauli, prefix, pairs, checks in (("X", "v", c.ends, len(c.x_labels)),
                                          ("Z", c.z_axis[0], c.sides, len(c.z_labels))):
         support: list[list[str]] = [[] for _ in range(checks + 1)]  # the last: the padding
-        for label, (a, b) in zip(c.qubit_labels, pairs):
-            name = f"{pauli}{label + 1}"
+        for name, (a, b) in zip(names, pairs):
             support[a].append(name)
             support[b].append(name)
-        out += [f"{pauli}_{prefix}{i + 1} = {' '.join(row) or 'I'}"
-                for i, row in enumerate(support[:checks])]
+        sep = " " + pauli
+        out += [f"{pauli}_{prefix}{i} = {pauli + sep.join(row) if row else 'I'}"
+                for i, row in enumerate(support[:checks], 1)]
     return out
 
 

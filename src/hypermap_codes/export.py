@@ -144,6 +144,9 @@ def parse_json(text: str):
     other than ``"face"`` or ``"edge"``, contents that disagree with each
     other, or a check column of three or more ones in ``hx``, ``hz`` or
     ``incidence10``, which no code or complex stored as check pairs has.
+    A hypermap document's ``special`` list is checked like a file's
+    ``special:`` line, but only the ``Hypermap`` is returned, so a round
+    trip through :func:`export_json` drops the set.
     """
     import json
 

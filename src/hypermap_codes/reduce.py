@@ -145,12 +145,18 @@ def validate_surface(c: CellComplex, code: QuotientCode | None = None) -> Surfac
     def check(name: str, ok: bool, detail: str) -> None:
         checks.append(CheckResult(name, ok, "" if ok else detail))
 
-    bad_closure = [(dart, total) for dart, pairs in zip(c.one_cells, c.counts21)
-                   if (total := sum(v for _, v in pairs)) != 2]
+    bad_closure, odd = [], []  # odd: each 1-cell's counts mod 2, as a mask
+    for dart, pairs in zip(c.one_cells, c.counts21):
+        total = mask = 0
+        for j, v in pairs:
+            total += v
+            mask += (v & 1) << j
+        if total != 2:
+            bad_closure.append((dart, total))
+        odd.append(mask)
     check("one-cell-closure", not bad_closure, "1-cells with incidence != 2: " + ", ".join(
         f"{dart + 1} (total {total})" for dart, total in bad_closure))
 
-    odd = [sum(1 << j for j, v in pairs if v & 1) for pairs in c.counts21]  # mod 2, per 1-cell
     check("chain-condition", commutes(c.ends, len(c.zero_cells), odd),
           "incidence10 * incidence21 != 0 mod 2")
 

@@ -46,9 +46,14 @@ here: the library tests every chain condition on check pairs
 matrix type either: ``BitMatrix`` and ``from_strings`` below are the
 bit-packed matrix and its row parser as ``gf2`` held them, and ``hx``,
 ``hz``, ``incidence10`` and ``incidence21`` the dense views that codes
-and complexes once had.  The fast paths must return exactly what these do.
+and complexes once had.  The CLI's ``--special`` parse is kept as it was
+before the flag read its labels as one list: argparse converting each
+label through ``dart_label``, then ``DistinctDarts`` naming the first
+repeat (``per_label_parser``).  The fast paths must return exactly what
+these do.
 """
 
+import argparse
 import itertools
 from dataclasses import dataclass
 
@@ -77,7 +82,8 @@ from hypermap_codes import (
     random_corpus,
     triangle_dual,
 )
-from hypermap_codes.perm import _Record
+from hypermap_codes import cli
+from hypermap_codes.perm import _Record, decimal_value
 from hypermap_codes.verify import CheckOutcome, VerificationReport
 
 
@@ -930,3 +936,38 @@ def kernel_label_min_cycle_weight(graph, other, budget):
         for u in reached:
             dist[u] = -1
     return best
+
+
+def dart_label(text):
+    """``type=`` of --special: ASCII decimal digits, with no more significant
+    digits than ``MAX_DARTS``."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"special dart {text!r} is not a decimal label")
+    significant = len(text.lstrip("0"))
+    if significant > len(str(MAX_DARTS)):
+        raise argparse.ArgumentTypeError(
+            f"special dart of {significant} digits exceeds the limit of {MAX_DARTS} darts")
+    return decimal_value(text)
+
+
+class DistinctDarts(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise argparse.ArgumentError(self, f"special dart {value} appears twice")
+            seen.add(value)
+        setattr(namespace, self.dest, values)
+
+
+def per_label_parser():
+    """The CLI's parser with every --special option read label by label:
+    ``type=dart_label`` and the ``DistinctDarts`` action."""
+    parser = cli.build_parser()
+    specials = [action for subparser in parser.commands.values()
+                for action in subparser._actions if action.dest == "special"]
+    assert specials, "no --special option to read label by label"
+    for action in specials:
+        action.type = dart_label
+        action.__class__ = DistinctDarts
+    return parser

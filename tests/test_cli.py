@@ -34,7 +34,7 @@ from hypermap_codes import chain, cli, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
-from slow_paths import as_partition, from_strings, incidence21, rank
+from slow_paths import as_partition, from_strings, incidence21, per_label_parser, rank
 
 TORUS_TEXT = TORUS8.read_text()
 
@@ -1110,6 +1110,14 @@ def test_dart_arguments_above_cap_are_usage_errors(argv, capsys):
 # ---------------------------------------------------------------------------
 # --special follows the rules of a file's special line
 
+SPECIAL_COMMANDS = [
+    ["code", "{file}", "--kind", "face"],
+    ["reduce", "{file}"],
+    ["distance", "{file}", "--kind", "face"],
+    ["export", "{file}", "--format", "json", "--what", "complex"],
+]
+
+
 @pytest.mark.parametrize("darts,message", [
     (["2", "2", "5"], "special dart 2 appears twice"),
     (["2", "5", "02"], "special dart 2 appears twice"),
@@ -1118,12 +1126,7 @@ def test_dart_arguments_above_cap_are_usage_errors(argv, capsys):
     (["+2", "5"], "special dart '+2' is not a decimal label"),
     (["2", "-5"], "special dart '-5' is not a decimal label"),
 ])
-@pytest.mark.parametrize("command", [
-    ["code", "{file}", "--kind", "face"],
-    ["reduce", "{file}"],
-    ["distance", "{file}", "--kind", "face"],
-    ["export", "{file}", "--format", "json", "--what", "complex"],
-])
+@pytest.mark.parametrize("command", SPECIAL_COMMANDS)
 def test_special_flag_is_as_strict_as_the_file(command, darts, message, torus_file, capsys):
     argv = [arg.replace("{file}", torus_file) for arg in command] + ["--special", *darts]
     with pytest.raises(SystemExit) as exc:
@@ -1132,6 +1135,63 @@ def test_special_flag_is_as_strict_as_the_file(command, darts, message, torus_fi
     out, err = capsys.readouterr()
     assert out == ""
     assert f"argument --special: {message}" in err
+
+
+# token lists for --special, each read as one list and label by label
+SPECIAL_TOKENS = {
+    "empty": [""], "empty between labels": ["2", "", "5"], "inner space": ["1 2"],
+    "arabic-indic digit": ["٢"], "superscript two": ["²"], "plus sign": ["+2"],
+    "minus sign": ["-5"], "underscore": ["1_0"], "repeat by value": ["2", "00000002"],
+    "past the digit limit": ["10000000"], "above MAX_DARTS": ["1000001"],
+    "4400 digits": ["1" * 4400], "valid": ["2", "5"], "valid padded": ["0001", "6"],
+    "repeat": ["2", "5", "2"], "outside the map": ["9", "5"], "one short": ["2"],
+}
+
+
+@pytest.mark.parametrize("darts", SPECIAL_TOKENS.values(), ids=SPECIAL_TOKENS.keys())
+@pytest.mark.parametrize("command", SPECIAL_COMMANDS)
+def test_special_list_matches_the_per_label_parser(command, darts, torus_file, capsys,
+                                                   monkeypatch):
+    argv = [arg.replace("{file}", torus_file) for arg in command] + ["--special", *darts]
+    outcome = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_shared_parser", per_label_parser)
+    assert _outcome(capsys, argv) == outcome
+    assert outcome[0] in (0, 2, 3)
+
+
+def test_special_list_of_every_orbit_minimum_prints_what_no_flag_prints(tmp_path, capsys):
+    h = square_torus(20)
+    path = _write_map(tmp_path, "square20.hm", h)
+    edge_minima = [str(min(edge) + 1) for edge in h.edges]
+    face_minima = [str(min(face) + 1) for face in h.faces]
+    assert (len(edge_minima), len(face_minima)) == (800, 400)
+    for command, minima in ((["code", path, "--kind", "face"], edge_minima),
+                            (["reduce", path], edge_minima),
+                            (["code", path, "--kind", "edge"], face_minima)):
+        plain = run_cli(capsys, *command)
+        assert plain[0] == 0
+        assert run_cli(capsys, *command, "--special", *minima) == plain
+
+
+def test_special_list_calls_the_label_reader_only_when_it_refuses(torus_file, capsys,
+                                                                  monkeypatch):
+    original = cli._dart_label
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(cli, "_dart_label", counting)
+    code, out, _ = run_cli(capsys, "code", torus_file, "--kind", "face", "--special", "2", "5")
+    assert code == 0 and "special: 2 5" in out
+    with pytest.raises(SystemExit):
+        main(["code", torus_file, "--kind", "face", "--special", "2", "02"])
+    assert calls == []
+    with pytest.raises(SystemExit):
+        main(["code", torus_file, "--kind", "face", "--special", "2", "x", "5", "y"])
+    assert calls == ["2", "x"]
+    assert "special dart 'x' is not a decimal label" in capsys.readouterr().err
 
 
 def test_special_file_line_refuses_the_same_repeat(tmp_path, capsys):

@@ -162,7 +162,10 @@ def test_stabilizer_strings_match_oracle_past_64_qubits(darts, seed):
 
 
 def test_stabilizer_strings_match_oracle_on_corpus(torus8, corpus):
-    for h in [torus8] + corpus[:150]:
+    one_dart = Hypermap(identity(1), identity(1))  # its one qubit cancels in its one X check
+    assert "X_v1 = I" in stabilizer_strings(assemble(full_code(one_dart)))
+    lattices = [square_torus(size) for size in (3, 5, 10)]
+    for h in [torus8, one_dart] + lattices + corpus[:150]:
         for q in _quotients(h):
             code = assemble(q)
             assert stabilizer_strings(code) == slow_paths.stabilizer_strings(code)

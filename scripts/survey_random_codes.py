@@ -9,7 +9,6 @@ import argparse
 from collections import Counter
 
 from hypermap_codes import (
-    assemble,
     distance,
     euler_characteristic,
     face_code,
@@ -31,7 +30,7 @@ def main() -> None:
           f"{'n':>3} {'k':>3} {'d':>4}")
     params = Counter()
     for h in random_corpus(args.trials, args.max_darts, args.seed):
-        code = assemble(face_code(h))  # the minimum dart of each edge is special
+        code = face_code(h)  # the minimum dart of each edge is special
         if code.k == 0:
             d_text = "-"
         else:

@@ -8,7 +8,6 @@ distance.
 
 from hypermap_codes import (
     Hypermap,
-    assemble,
     dense_rows,
     distance,
     edge_code,
@@ -35,20 +34,19 @@ def main() -> None:
 
     s = {1, 4}  # one special dart per edge: darts 2 and 5, 1-based
     face = face_code(h, s)  # built once: the code, the reduction and its validation share it
-    code = assemble(face)
-    print(f"\nface code: n={code.n}, k={code.k}")
-    print("H_X:\n" + "\n".join(dense_rows(code.ends, len(code.x_labels))))
-    print("H_Z:\n" + "\n".join(dense_rows(code.sides, len(code.z_labels))))
-    for line in stabilizer_strings(code):
+    print(f"\nface code: n={face.n}, k={face.k}")
+    print("H_X:\n" + "\n".join(dense_rows(face.ends, len(face.x_labels))))
+    print("H_Z:\n" + "\n".join(dense_rows(face.sides, len(face.z_labels))))
+    for line in stabilizer_strings(face):
         print(line)
 
-    result = distance(code)
+    result = distance(face)
     print(f"\ndistance: d_X={result.dx}, d_Z={result.dz}, d={result.d}")
 
     # the same set picks one dart per face of the triangle dual
-    twin = assemble(edge_code(triangle_dual(h), s))
+    twin = edge_code(triangle_dual(h), s)
     print(f"edge code of the triangle dual matches: "
-          f"{(twin.ends, twin.sides) == (code.ends, code.sides)}")
+          f"{(twin.ends, twin.sides) == (face.ends, face.sides)}")
 
     complex_ = reduce_to_surface(h, face)
     report = validate_surface(complex_, face)

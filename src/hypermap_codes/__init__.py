@@ -41,13 +41,14 @@ from .chain import (
     EDGE,
     FACE,
     FULL,
+    CommutationError,
     QuotientCode,
     SpecialDartError,
     edge_code,
     face_code,
     full_code,
 )
-from .css import CommutationError, CssCode, DistanceResult, assemble, distance, stabilizer_strings
+from .css import DistanceResult, distance, stabilizer_strings
 from .reduce import CellComplex, CheckResult, SurfaceReport, reduce_to_surface, validate_surface
 from .export import export_json, export_walsh_dot, parse_json
 from .verify import VerificationReport, run_verification

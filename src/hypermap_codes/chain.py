@@ -23,13 +23,17 @@ eliminating orbit (its edge for face codes, its face for edge codes).
 So every code is a graph code, stored per qubit as the pair of its X
 checks (``ends``) and of its Z checks (``sides``), read from the orbit
 index tables in the check-pair format of :mod:`~hypermap_codes.gf2`.
+:class:`QuotientCode` is the one code record: the quotient complex is
+also the CSS code, with H_X the vertex boundary and H_Z the Z-axis
+boundary, and its logical count ``k`` is taken from the pairs on first
+read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .gf2 import Pairs, check_pairs
+from .gf2 import Pairs, check_pairs, commutes, masks, rank
 from .hypermap import Hypermap
 from .perm import _Record
 
@@ -42,22 +46,47 @@ class SpecialDartError(ValueError):
     """A special-dart set that does not pick exactly one dart per orbit."""
 
 
+class CommutationError(RuntimeError):
+    """H_X and H_Z fail to commute; impossible for codes built upstream."""
+
+
 class QuotientCode(_Record):
-    """A two-step quotient complex ready for CSS assembly.
+    """A two-step quotient complex and its CSS code.
 
     ``ends`` holds each qubit's X checks (vertices) and ``sides`` its Z
     checks, as pairs.  For face codes the Z axis is the faces and a qubit
     is a non-special dart (one special dart per edge); for edge codes the
     Z axis is the edges (one special dart per face); the full kind keeps
     every dart, has no special set, and gives each its face as ``(f, none)``.
+    ``n`` is the qubit count and ``k`` the logical count, n minus the two
+    check ranks, which the first read of ``k`` computes and keeps in the
+    cache ``_k``.  That read first runs the commutation test, a guard
+    against upstream bugs that raises :class:`CommutationError`: it cannot
+    fire for a well-formed quotient complex.
     """
 
-    __slots__ = ("kind", "special", "qubit_labels", "ends", "sides", "z_labels", "x_labels")
+    __slots__ = ("kind", "special", "qubit_labels", "ends", "sides", "z_labels", "x_labels", "_k")
 
     def __init__(self, kind: str, special: frozenset[int] | None,
                  qubit_labels: tuple[int, ...], ends: Pairs, sides: Pairs,
                  z_labels: tuple[int, ...], x_labels: tuple[int, ...]):
         self._fill(kind, special, qubit_labels, ends, sides, z_labels, x_labels)
+
+    @property
+    def n(self) -> int:
+        return len(self.qubit_labels)
+
+    @property
+    def k(self) -> int:
+        if self._k is None:
+            x_checks, z_checks = len(self.x_labels), len(self.z_labels)
+            if not commutes(self.ends, x_checks, masks(self.sides, z_checks)):
+                raise CommutationError("H_X * H_Z^T != 0; quotient complex is broken")
+            _set_k(self, self.n - rank(self.ends, x_checks) - rank(self.sides, z_checks))
+        return self._k
+
+
+_set_k = QuotientCode._stores[-1]
 
 
 def _orbit_labels(orbits) -> tuple[int, ...]:

@@ -26,12 +26,13 @@ from .chain import (
     EDGE,
     FACE,
     FULL,
+    CommutationError,
     QuotientCode,
     edge_code,
     face_code,
     full_code,
 )
-from .css import CommutationError, assemble, distance, stabilizer_strings
+from .css import distance, stabilizer_strings
 from .export import export_json, export_walsh_dot
 from .gf2 import dense_rows
 from .hypermap import (
@@ -156,16 +157,16 @@ def _cmd_transform(args, op) -> int:
 
 def cmd_code(args) -> int:
     h, file_special = load_hypermap(args.file)
-    q = _build_quotient(h, args.kind, args.special, file_special)
-    code = assemble(q)
-    print(f"kind: {q.kind}")
+    code = _build_quotient(h, args.kind, args.special, file_special)
+    k = code.k  # the commutation guard runs before any output
+    print(f"kind: {code.kind}")
     print(f"darts: {h.n}")
-    if q.special is not None:
-        print(_special_line(q.special))
+    if code.special is not None:
+        print(_special_line(code.special))
     print("qubits: " + " ".join(str(i + 1) for i in code.qubit_labels))
     print(f"n: {code.n}")
-    print(f"k: {code.k}")
-    z_prefix = code.z_axis[0]
+    print(f"k: {k}")
+    z_prefix = "e" if code.kind == EDGE else "f"
     print(f"H_X (rows X_v1..X_v{len(code.x_labels)}):")
     _write_lines(dense_rows(code.ends, len(code.x_labels)))
     print(f"H_Z (rows Z_{z_prefix}1..Z_{z_prefix}{len(code.z_labels)}):")
@@ -191,13 +192,13 @@ def cmd_reduce(args) -> int:
 
 def cmd_distance(args) -> int:
     h, file_special = load_hypermap(args.file)
-    q = _build_quotient(h, args.kind, args.special, file_special)
-    code = assemble(q)
+    code = _build_quotient(h, args.kind, args.special, file_special)
+    # reading k runs the commutation guard, before any output
     if code.k and code.n > DISTANCE_QUBIT_CAP and not args.allow_large:
         raise ValueError(f"distance search on {code.n} qubits exceeds the cap of "
                          f"{DISTANCE_QUBIT_CAP}; pass --allow-large to force it")
     result = distance(code, budget=args.budget)
-    print(f"kind: {q.kind}")
+    print(f"kind: {code.kind}")
     print(f"n: {code.n}")
     print(f"k: {code.k}")
     print(f"budget: {result.budget}")
@@ -231,8 +232,8 @@ def cmd_export(args) -> int:
     if args.what == "hypermap":
         sys.stdout.write(export_json(h, special=file_special))
     elif args.what == "code":
-        code = assemble(_build_quotient(h, args.kind or FACE, args.special, file_special))
-        sys.stdout.write(export_json(code))
+        code = _build_quotient(h, args.kind or FACE, args.special, file_special)
+        sys.stdout.write(export_json(code))  # export_json reads k before anything is written
     else:
         code = _build_quotient(h, FACE, args.special, file_special)
         sys.stdout.write(export_json(reduce_to_surface(h, code)))

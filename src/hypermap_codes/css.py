@@ -1,11 +1,10 @@
-"""CSS code assembly, stabilizer rendering, and exact distance search.
+"""Stabilizer rendering and exact distance search for the codes of :mod:`.chain`.
 
 Every code built from a hypermap is a surface code, stored as the
 per-qubit check pairs of :mod:`~hypermap_codes.gf2`: a graph whose
 nodes are the checks plus one virtual node and whose edges are the
-qubits.  :func:`assemble` takes its commutation test and check ranks
-from :mod:`~hypermap_codes.gf2`, and a minimum-weight logical operator
-is a shortest homologically non-trivial cycle of the graph.  :func:`distance` labels the qubits with k bits
+qubits.  A minimum-weight logical operator is a shortest homologically
+non-trivial cycle of the graph.  :func:`distance` labels the qubits with k bits
 from a tree-cotree decomposition (Eppstein 2003; Erickson & Whittlesey
 2005) and finds the cycle with one breadth-first search from one end of
 each labelled qubit, a vertex cover, deleting each root after its search.
@@ -14,12 +13,8 @@ each labelled qubit, a vertex cover, deleting each root after its search.
 from __future__ import annotations
 
 from .chain import EDGE, QuotientCode
-from .gf2 import Pairs, commutes, masks, rank
+from .gf2 import Pairs
 from .perm import _Record
-
-
-class CommutationError(RuntimeError):
-    """H_X and H_Z fail to commute; impossible for codes built upstream."""
 
 
 class DistanceResult(_Record):
@@ -45,50 +40,7 @@ class DistanceResult(_Record):
         return self.no_logicals or self.d is not None
 
 
-class CssCode(_Record):
-    """A CSS stabilizer code with its hypermap bookkeeping.
-
-    ``ends`` and ``sides`` hold each qubit's X and Z checks as pairs, padded
-    with the check counts, whose check matrices H_X and H_Z (checks x
-    qubits) satisfy H_X * H_Z^T = 0.  ``qubit_labels`` are the dart
-    labels carrying the qubits; ``x_labels``/``z_labels`` are the orbit
-    minima naming the check rows, with ``z_axis`` recording whether the Z
-    checks come from faces or edges.
-    """
-
-    __slots__ = ("ends", "sides", "qubit_labels", "x_labels", "z_labels", "z_axis", "n", "k", "d")
-
-    def __init__(self, ends: Pairs, sides: Pairs, qubit_labels: tuple[int, ...],
-                 x_labels: tuple[int, ...], z_labels: tuple[int, ...], z_axis: str,
-                 n: int, k: int, d: DistanceResult | None = None):
-        self._fill(ends, sides, qubit_labels, x_labels, z_labels, z_axis, n, k, d)
-
-
-def assemble(q: QuotientCode) -> CssCode:
-    """Assemble the CSS code of a quotient complex.
-
-    H_X is the vertex boundary and H_Z the Z-axis boundary, both kept as
-    the pairs of ``q``; the logical count is n minus the two check ranks.
-    The commutation check is a guard against upstream bugs: it cannot fire
-    for a well-formed quotient complex.
-    """
-    x_checks, z_checks = len(q.x_labels), len(q.z_labels)
-    if not commutes(q.ends, x_checks, masks(q.sides, z_checks)):
-        raise CommutationError("H_X * H_Z^T != 0; quotient complex is broken")
-    n = len(q.qubit_labels)
-    return CssCode(
-        ends=q.ends,
-        sides=q.sides,
-        qubit_labels=q.qubit_labels,
-        x_labels=q.x_labels,
-        z_labels=q.z_labels,
-        z_axis="edge" if q.kind == EDGE else "face",
-        n=n,
-        k=n - rank(q.ends, x_checks) - rank(q.sides, z_checks),
-    )
-
-
-def stabilizer_strings(c: CssCode) -> list[str]:
+def stabilizer_strings(c: QuotientCode) -> list[str]:
     """One generator description per check row, e.g. ``X_v1 = X1 X3``.
 
     Qubit labels are rendered 1-based; X generators are named after
@@ -101,8 +53,9 @@ def stabilizer_strings(c: CssCode) -> list[str]:
         return []
     names = [str(label + 1) for label in c.qubit_labels]
     out = []
+    z_prefix = "e" if c.kind == EDGE else "f"
     for pauli, prefix, pairs, checks in (("X", "v", c.ends, len(c.x_labels)),
-                                         ("Z", c.z_axis[0], c.sides, len(c.z_labels))):
+                                         ("Z", z_prefix, c.sides, len(c.z_labels))):
         support: list[list[str]] = [[] for _ in range(checks + 1)]  # the last: the padding
         for name, (a, b) in zip(names, pairs):
             support[a].append(name)
@@ -299,7 +252,7 @@ def _roots(adjacency: list[list[tuple[int, int]]], labels: list[int], dist: list
             yield u
 
 
-def distance(c: CssCode, budget: int | None = None) -> DistanceResult:
+def distance(c: QuotientCode, budget: int | None = None) -> DistanceResult:
     """Exact minimum distance by a shortest non-trivial cycle search.
 
     d_X is the minimum weight over ker(H_Z) outside the row space of H_X,

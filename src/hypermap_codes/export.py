@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from .chain import EDGE, FACE
-from .css import CssCode, DistanceResult
-from .gf2 import Pairs, commutes, dense_rows, masks, rank, read_rows
+from .chain import EDGE, FACE, FULL, CommutationError, QuotientCode
+from .gf2 import Pairs, dense_rows, read_rows
 from .hypermap import Hypermap
 from .perm import format_cycles, parse_cycles
 from .reduce import CellComplex
@@ -68,7 +67,7 @@ def _rows_from_json(doc: dict, key: str) -> tuple[list[str], int]:
 
 
 def export_json(artifact, special: frozenset[int] | None = None) -> str:
-    """Stable JSON rendering of a Hypermap, CssCode, or CellComplex."""
+    """Stable JSON rendering of a Hypermap, QuotientCode, or CellComplex."""
     import json  # on first use, so that importing the CLI does not load it
     doc: dict = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "indexing": "1-based"}
     if isinstance(artifact, Hypermap):
@@ -78,22 +77,19 @@ def export_json(artifact, special: frozenset[int] | None = None) -> str:
         doc["sigma"] = format_cycles(artifact.sigma)
         if special is not None:
             doc["special"] = sorted(i + 1 for i in special)
-    elif isinstance(artifact, CssCode):
+    elif isinstance(artifact, QuotientCode):
         doc["type"] = "css-code"
+        doc["kind"] = artifact.kind
         doc["n"] = artifact.n
         doc["k"] = artifact.k
-        doc["z_axis"] = artifact.z_axis
+        doc["z_axis"] = EDGE if artifact.kind == EDGE else FACE  # the cells of the Z checks
+        if artifact.special is not None:
+            doc["special"] = sorted(i + 1 for i in artifact.special)
         doc["qubits"] = [i + 1 for i in artifact.qubit_labels]
         doc["x_checks"] = [i + 1 for i in artifact.x_labels]
         doc["z_checks"] = [i + 1 for i in artifact.z_labels]
         doc["hx"] = _matrix_json(artifact.ends, len(artifact.x_labels))
         doc["hz"] = _matrix_json(artifact.sides, len(artifact.z_labels))
-        if artifact.d is not None:
-            doc["distance"] = {
-                "d_x": artifact.d.dx, "d_z": artifact.d.dz, "d": artifact.d.d,
-                "exact": artifact.d.exact, "no_logicals": artifact.d.no_logicals,
-                "budget": artifact.d.budget,
-            }
     elif isinstance(artifact, CellComplex):
         doc["type"] = "cell-complex"
         doc["zero_cells"] = [i + 1 for i in artifact.zero_cells]
@@ -115,25 +111,6 @@ def _incidence21_json(c: CellComplex) -> str:
     return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
-def _distance_from_json(dd: dict, k: int) -> DistanceResult:
-    """A distance block, refused unless its budget is >= 0, its no_logicals
-    follows from ``k``, its d and exact from its weights, and each weight
-    lies in 1..budget."""
-    weight = (int, type(None))
-    d = DistanceResult(dx=_field(dd, "d_x", *weight), dz=_field(dd, "d_z", *weight),
-                       no_logicals=_field(dd, "no_logicals", bool), budget=_field(dd, "budget", int))
-    if d.budget < 0:
-        raise ValueError(f"distance budget must be >= 0, got {d.budget}")
-    if d.no_logicals != (k == 0):
-        raise ValueError(f"distance has no_logicals={d.no_logicals} but k={k}")
-    top = 0 if d.no_logicals else d.budget  # a code without logical operators has no weight
-    if any(w is not None and not 1 <= w <= top for w in (d.dx, d.dz)):
-        raise ValueError(f"distance weights d_x={d.dx}, d_z={d.dz} are not in 1..{top}")
-    if (_field(dd, "d", *weight), _field(dd, "exact", bool)) != (d.d, d.exact):
-        raise ValueError(f"distance must have d={d.d} and exact={d.exact}")
-    return d
-
-
 def parse_json(text: str):
     """Inverse of :func:`export_json`; validates shape and consistency.
 
@@ -142,11 +119,19 @@ def parse_json(text: str):
     a label list that repeats a label or holds one below 1, a hypermap's
     ``special`` list with a label above its dart count, a ``z_axis``
     other than ``"face"`` or ``"edge"``, contents that disagree with each
-    other, or a check column of three or more ones in ``hx``, ``hz`` or
-    ``incidence10``, which no code or complex stored as check pairs has.
-    A hypermap document's ``special`` list is checked like a file's
-    ``special:`` line, but only the ``Hypermap`` is returned, so a round
-    trip through :func:`export_json` drops the set.
+    other, checks that do not commute, or a check column of three or more
+    ones in ``hx``, ``hz`` or ``incidence10``, which no code or complex
+    stored as check pairs has.  A hypermap document's ``special`` list is
+    checked like a file's ``special:`` line, but only the ``Hypermap`` is
+    returned, so a round trip through :func:`export_json` drops the set.
+
+    A code document is read as the :class:`~hypermap_codes.chain.QuotientCode`
+    it was written from.  Its ``kind`` must be the one that ``z_axis`` and
+    ``hz`` show: ``"edge"`` for edge Z checks, else ``"full"`` when some
+    qubit lies in exactly one Z check, else ``"face"``; a document without
+    ``kind`` is read as that kind.  Its optional ``special`` darts, refused
+    on a full code, and its ``qubits`` must hold each dart 1..N once
+    between them.
     """
     import json
 
@@ -176,21 +161,29 @@ def parse_json(text: str):
             if len(labels[key]) != size:
                 raise ValueError(f"{key} has {len(labels[key])} labels, expected {size}")
         ends, sides = read_rows(hx, n, "hx"), read_rows(hz, n, "hz")
-        if not commutes(ends, x_checks, masks(sides, z_checks)):
-            raise ValueError("H_X * H_Z^T != 0: the checks do not commute")
-        k = n - rank(ends, x_checks) - rank(sides, z_checks)
+        axis = _field(doc, "z_axis", str)
+        if axis not in (FACE, EDGE):  # the cells the Z checks come from
+            raise ValueError(f"'z_axis' must be {FACE!r} or {EDGE!r}, got {axis!r}")
+        one_z_check = any(a < z_checks == b for a, b in sides)  # as each qubit of a full code
+        shown = EDGE if axis == EDGE else FULL if one_z_check else FACE
+        code_kind = _field(doc, "kind", str) if "kind" in doc else shown
+        if code_kind != shown:
+            raise ValueError(f"'kind' is {code_kind!r}, but z_axis and hz give a {shown} code")
+        special = frozenset(_labels(doc, "special")) if "special" in doc else None
+        if special is not None and code_kind == FULL:
+            raise ValueError("a full code has no 'special' darts")
+        if special is not None and special.union(labels["qubits"]) != set(range(len(special) + n)):
+            raise ValueError("'special' and 'qubits' must hold each dart 1..N once between them")
+        code = QuotientCode(
+            kind=code_kind, special=special, qubit_labels=labels["qubits"],
+            ends=ends, sides=sides, z_labels=labels["z_checks"], x_labels=labels["x_checks"])
+        try:
+            k = code.k
+        except CommutationError:
+            raise ValueError("H_X * H_Z^T != 0: the checks do not commute") from None
         if k != _field(doc, "k", int):
             raise ValueError(f"stored k={doc['k']} but check ranks give k={k}")
-        z_axis = _field(doc, "z_axis", str)
-        if z_axis not in (FACE, EDGE):  # the cells the Z checks come from
-            raise ValueError(f"'z_axis' must be {FACE!r} or {EDGE!r}, got {z_axis!r}")
-        d = _distance_from_json(_field(doc, "distance", dict), k) if "distance" in doc else None
-        return CssCode(
-            ends=ends, sides=sides,
-            qubit_labels=labels["qubits"], x_labels=labels["x_checks"],
-            z_labels=labels["z_checks"],
-            z_axis=z_axis, n=n, k=k, d=d,
-        )
+        return code
     if kind == "cell-complex":
         rows = _field(doc, "incidence21", list)
         if any(type(row) is not list or any(type(c) is not int for c in row) for row in rows):

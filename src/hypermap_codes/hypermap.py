@@ -76,10 +76,10 @@ def _orbit_field(i: int, doc: str) -> property:
 class Hypermap(_Record):
     """A validated hypermap with cached orbit decompositions.
 
-    Immutable like a record, and equal, hashed and pickled by ``alpha`` and
-    ``sigma``.  The constructor checks the degrees and, by one flat search,
-    transitivity.  ``_families`` holds None until the first read of an
-    orbit field, which walks each orbit family once (:func:`_walk_orbits`)
+    A record of ``alpha`` and ``sigma``, so equal, hashed and pickled by
+    them alone.  The constructor checks the degrees and, by one flat search,
+    transitivity.  The cache ``_families`` holds None until the first read of
+    an orbit field, which walks each orbit family once (:func:`_walk_orbits`)
     for the vertex, edge and face decompositions and their dart -> orbit
     tables (``*_index``).
     """
@@ -102,21 +102,10 @@ class Hypermap(_Record):
     faces = _orbit_field(4, "The orbits of alpha^-1 sigma, as canonical cycles.")
     face_index = _orbit_field(5, "Each dart's index into ``faces``.")
 
-    def __reduce__(self):  # pickles and copies go through the constructor
-        return Hypermap, (self.alpha, self.sigma)
-
     @property
     def n(self) -> int:
         """Number of darts."""
         return self.alpha.degree
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Hypermap):
-            return NotImplemented
-        return self.alpha == other.alpha and self.sigma == other.sigma
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.sigma))
 
     def __repr__(self) -> str:
         return (f"Hypermap(alpha={format_cycles(self.alpha)!r}, "

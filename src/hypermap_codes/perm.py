@@ -16,7 +16,8 @@ Conventions used throughout the package:
 - ``_Record`` is the base of the package's immutable records, here and in
   the layers above: equality, hashing, repr, pickling and refused
   assignment over the fields a subclass names in ``__slots__``, and the
-  one way to write those fields (``_stores``, ``_fill``).
+  one way to write those fields (``_stores``, ``_fill``).  A slot whose
+  name starts with ``_`` is a cache, not a field.
 - Labels are 0-based internally.  The cycle-notation text format
   (``"(4 3 2 1)(5 7 8 6)"``) is 1-based and is the only place where the
   off-by-one conversion happens.  ``parse_cycles`` reads it with one
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import zip_longest
 from operator import attrgetter
 from typing import NoReturn
 
@@ -43,24 +45,29 @@ MAX_DARTS = 1_000_000
 class _Record:
     """Base of an immutable record whose ``__slots__`` name its fields in constructor order.
 
-    ``_stores`` holds each slot's own setter, in ``__slots__`` order, which the
-    refusing ``__setattr__`` does not reach.  The subclass ``__init__`` checks
-    its arguments and ends in ``self._fill(...)``.  Records are equal when
-    they are of one class with equal fields, hash over their fields, print
-    as ``Name(field=value, ...)``, pickle through their constructor, and
-    refuse assignment and deletion with ``AttributeError``.
+    A slot whose name starts with ``_`` is a cache, not a field: the caches
+    follow the fields in ``__slots__``, hold None until a record fills them,
+    and take no part in equality, hashing, repr or pickling.  ``_fields``
+    names the fields, and ``_stores`` holds each slot's own setter, in
+    ``__slots__`` order, which the refusing ``__setattr__`` does not reach.
+    The subclass ``__init__`` checks its arguments and ends in
+    ``self._fill(...)``.  Records are equal when they are of one class with
+    equal fields, hash over their fields, print as ``Name(field=value, ...)``,
+    pickle through their constructor, and refuse assignment and deletion
+    with ``AttributeError``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = attrgetter(*cls.__slots__)  # the fields' tuple; a lone field's bare value
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = attrgetter(*cls._fields)  # the fields' tuple; a lone field's bare value
         cls._stores = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _fill(self, *values) -> None:
-        """Store ``values``, one per field, in ``__slots__`` order."""
-        for store, value in zip(self._stores, values):  # each __init__ fixes the count
+        """Store ``values``, one per field, in ``__slots__`` order, and None in each cache."""
+        for store, value in zip_longest(self._stores, values):  # each __init__ fixes the count
             store(self, value)
 
     def __eq__(self, other):
@@ -72,11 +79,11 @@ class _Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -69,7 +69,6 @@ from hypermap_codes import (
     QuotientCode,
     SpecialDartError,
     SurfaceReport,
-    assemble,
     compose,
     contrary,
     dual,
@@ -280,7 +279,7 @@ def stabilizer_strings(c):
     for i, row in enumerate(boundary1(c).bits):
         support = " ".join(f"X{c.qubit_labels[j] + 1}" for j in range(c.n) if (row >> j) & 1)
         out.append(f"X_v{i + 1} = {support or 'I'}")
-    z_prefix = c.z_axis[0]
+    z_prefix = "e" if c.kind == EDGE else "f"  # the JSON z_axis: edges, else faces
     for i, row in enumerate(pair_matrix(c.sides, len(c.z_labels)).bits):
         support = " ".join(f"Z{c.qubit_labels[j] + 1}" for j in range(c.n) if (row >> j) & 1)
         out.append(f"Z_{z_prefix}{i + 1} = {support or 'I'}")
@@ -601,13 +600,13 @@ def _check_euler_logical_count(h):
     chi = euler_characteristic(h)
     if chi % 2 != 0:
         return False
-    code = assemble(face_code(h, _edge_minima(h)))
+    code = face_code(h, _edge_minima(h))
     return code.k == 2 - chi
 
 
 def _check_full_code_logical_gap(h):
-    k_face = assemble(face_code(h, _edge_minima(h))).k
-    k_full = assemble(full_code(h)).k
+    k_face = face_code(h, _edge_minima(h)).k
+    k_full = full_code(h).k
     return k_full - k_face == len(h.edges) - 1
 
 

@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 from hypermap_codes import (
-    assemble,
     compose,
     contrary,
     distance,
@@ -63,7 +62,7 @@ def test_criterion_1_worked_example_reproduction(torus8):
         faces = compose(inverse(torus8.alpha), torus8.sigma)
         assert format_cycles(faces) == "(1 8)(2 7)(3 5)(4 6)"
         assert as_partition(torus8.faces) == as_partition(((0, 7), (1, 6), (2, 4), (3, 5)))
-        code = assemble(face_code(torus8, {1, 4}))
+        code = face_code(torus8, {1, 4})
         assert hx(code) == from_strings(HX_ROWS)
         assert hz(code) == from_strings(HZ_ROWS)
         assert stabilizer_strings(code) == GENERATORS
@@ -74,7 +73,7 @@ def test_criterion_1_worked_example_reproduction(torus8):
 def test_criterion_2_worked_example_distance(torus8):
     with criterion("2 worked-example distance"):
         start = time.perf_counter()
-        code = assemble(face_code(torus8, {1, 4}))
+        code = face_code(torus8, {1, 4})
 
         def oracle(check, other):
             best = None
@@ -131,9 +130,9 @@ def test_criterion_5_topology_consistency(corpus):
         for h in corpus:
             chi = euler_characteristic(h)
             assert chi % 2 == 0
-            k = assemble(face_code(h)).k
+            k = face_code(h).k
             assert k == 2 - chi
-            assert assemble(full_code(h)).k == k + len(h.edges) - 1
+            assert full_code(h).k == k + len(h.edges) - 1
             complex_ = reduce_to_surface(h, face_code(h))
             assert all(sum(row) == 2 for row in incidence21(complex_))
             assert complex_.euler_characteristic == chi
@@ -194,7 +193,7 @@ def test_criterion_8_cli_determinism_and_round_trip(corpus):
         for h in corpus[:40]:
             assert export_walsh_dot(h) == export_walsh_dot(h)
             assert parse_json(export_json(h)) == h
-            code = assemble(face_code(h))
+            code = face_code(h)
             assert export_json(code) == export_json(code)
             assert parse_json(export_json(code)) == code
             complex_ = reduce_to_surface(h, face_code(h))

@@ -4,7 +4,6 @@ import slow_paths
 from hypermap_codes import (
     Hypermap,
     SpecialDartError,
-    assemble,
     dual,
     edge_code,
     face_code,
@@ -185,8 +184,8 @@ def test_face_code_chain_condition(corpus):
 
 
 def test_full_code_logical_gap(torus8):
-    k_face = assemble(face_code(torus8, {1, 4})).k
-    k_full = assemble(full_code(torus8)).k
+    k_face = face_code(torus8, {1, 4}).k
+    k_full = full_code(torus8).k
     assert k_face == 2
     assert k_full == 3
     assert k_full == k_face + len(torus8.edges) - 1
@@ -194,13 +193,13 @@ def test_full_code_logical_gap(torus8):
 
 def test_full_code_single_dart():
     h = Hypermap(identity(1), identity(1))
-    assert assemble(full_code(h)).k == 0
+    assert full_code(h).k == 0
 
 
 def test_full_code_gap_on_corpus(corpus):
     for h in corpus[:150]:
-        k_face = assemble(face_code(h)).k
-        k_full = assemble(full_code(h)).k
+        k_face = face_code(h).k
+        k_full = full_code(h).k
         assert k_full - k_face == len(h.edges) - 1
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -11,10 +12,8 @@ import pytest
 from hypermap_codes import (
     MAX_DARTS,
     CellComplex,
-    CssCode,
     Hypermap,
     QuotientCode,
-    assemble,
     distance,
     edge_code,
     export_json,
@@ -30,7 +29,7 @@ from hypermap_codes import (
     reduce_to_surface,
     run_verification,
 )
-from hypermap_codes import chain, cli, verify
+from hypermap_codes import chain, cli, gf2, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
@@ -333,7 +332,7 @@ def test_distance_cli_cap_exempts_codes_without_logicals(tmp_path, capsys):
 # JSON export
 
 def test_export_json_code_embeds_matrices(torus8):
-    code = assemble(face_code(torus8, {1, 4}))
+    code = face_code(torus8, {1, 4})
     doc = json.loads(export_json(code))
     assert doc["indexing"] == "1-based"
     assert doc["hx"]["rows"] == ["111111", "111111"]
@@ -342,14 +341,14 @@ def test_export_json_code_embeds_matrices(torus8):
 
 
 def test_export_json_refuses_an_unsupported_object(torus8):
-    for artifact in (torus8.alpha, face_code(torus8), None):
+    for artifact in (torus8.alpha, distance(face_code(torus8)), None):
         with pytest.raises(TypeError, match=f"cannot export {type(artifact).__name__} as JSON"):
             export_json(artifact)
 
 
 def test_export_json_empty_code():
     h = Hypermap(identity(1), identity(1))
-    doc = json.loads(export_json(assemble(face_code(h))))
+    doc = json.loads(export_json(face_code(h)))
     assert doc["n"] == 0
     assert doc["k"] == 0
     assert doc["qubits"] == []
@@ -359,7 +358,7 @@ def test_json_round_trip_random_artifacts():
     for i, h in enumerate(random_corpus(30, 8, seed=13)):
         assert parse_json(export_json(h)) == h
         s = face_code(h).special
-        code = assemble(face_code(h, s)) if i % 2 else assemble(full_code(h))
+        code = face_code(h, s) if i % 2 else full_code(h)
         assert parse_json(export_json(code)) == code
         complex_ = reduce_to_surface(h, face_code(h, s))
         assert parse_json(export_json(complex_)) == complex_
@@ -370,8 +369,7 @@ def test_every_corpus_document_round_trips(torus8, corpus):
         assert parse_json(export_json(h)) == h
         face = face_code(h)
         for q in (face, edge_code(h), full_code(h)):
-            code = assemble(q)
-            assert parse_json(export_json(code)) == code
+            assert parse_json(export_json(q)) == q
         complex_ = reduce_to_surface(h, face)
         assert parse_json(export_json(complex_)) == complex_
 
@@ -382,7 +380,7 @@ def test_parse_json_accepts_the_special_lists_export_writes(torus8):
 
 
 def test_parse_json_rejects_tampered_k(torus8):
-    code = assemble(face_code(torus8))
+    code = face_code(torus8)
     doc = json.loads(export_json(code))
     doc["k"] += 1
     with pytest.raises(ValueError):
@@ -394,9 +392,9 @@ _HYPERMAP_DOC = {**_HEADER, "type": "hypermap", "darts": 8,
                  "alpha": "(4 3 2 1)(5 7 8 6)", "sigma": "(7 1 6 3)(5 2 8 4)"}
 _CODE_DOC = {**_HEADER, "type": "css-code", "n": 2, "k": 1, "z_axis": "face",
              "qubits": [1, 2], "x_checks": [1], "z_checks": [],
-             "hx": {"cols": 2, "rows": ["11"]}, "hz": {"cols": 2, "rows": []},
-             "distance": {"d_x": 2, "d_z": None, "d": 2, "exact": True,
-                          "no_logicals": False, "budget": 2}}
+             "hx": {"cols": 2, "rows": ["11"]}, "hz": {"cols": 2, "rows": []}}
+_FULL_CODE_DOC = {**_CODE_DOC, "kind": "full", "k": 0, "z_checks": [1],
+                  "hz": {"cols": 2, "rows": ["11"]}}
 _COMPLEX_DOC = {**_HEADER, "type": "cell-complex", "zero_cells": [1], "one_cells": [],
                 "two_cells": [1], "incidence21": [], "incidence10": {"cols": 0, "rows": [""]}}
 
@@ -404,10 +402,6 @@ _COMPLEX_DOC = {**_HEADER, "type": "cell-complex", "zero_cells": [1], "one_cells
 _TORUS8_COMPLEX_DOC = json.loads((DATA / "torus8_complex.json").read_text())
 _INCIDENCE21 = _TORUS8_COMPLEX_DOC["incidence21"]
 _INCIDENCE10 = _TORUS8_COMPLEX_DOC["incidence10"]
-
-
-def _code_with_distance(**fields):
-    return {**_CODE_DOC, "distance": {**_CODE_DOC["distance"], **fields}}
 
 
 def _without(doc, key):
@@ -441,25 +435,6 @@ MALFORMED_DOCUMENTS = {
     "labels not a list": {**_CODE_DOC, "qubits": "12"},
     "non-integer labels": {**_CODE_DOC, "qubits": [1, "2"]},
     "missing labels": _without(_CODE_DOC, "x_checks"),
-    "missing distance field": {**_CODE_DOC, "distance": {"d_x": 2}},
-    "distance not an object": {**_CODE_DOC, "distance": 2},
-    "distance d not the least weight": _code_with_distance(d=7),
-    "distance exact with no weight": _code_with_distance(d_x=None, d=None),
-    "distance not exact with a weight": _code_with_distance(exact=False),
-    "no_logicals with k > 0": _code_with_distance(d_x=None, d=None, no_logicals=True),
-    "weight over the budget": _code_with_distance(d_x=3, d=3),
-    "weight zero": _code_with_distance(d_x=0, d=0),
-    "negative budget": _code_with_distance(d_x=None, d=None, exact=False, budget=-3),
-    "negative budget without logicals": {
-        **_CODE_DOC, "k": 0, "hx": {"cols": 2, "rows": ["11", "10"]}, "x_checks": [1, 2],
-        "distance": {"d_x": None, "d_z": None, "d": None, "exact": True,
-                     "no_logicals": True, "budget": -1}},
-    "weight on a code without logicals": {
-        **_CODE_DOC, "k": 0, "hx": {"cols": 2, "rows": ["11", "10"]}, "x_checks": [1, 2],
-        "distance": {"d_x": 1, "d_z": None, "d": 1, "exact": True,
-                     "no_logicals": True, "budget": 2}},
-    "no_logicals false with k = 0": {
-        **_CODE_DOC, "k": 0, "hx": {"cols": 2, "rows": ["11", "10"]}, "x_checks": [1, 2]},
     "incidence rows not lists": {**_COMPLEX_DOC, "incidence21": [1]},
     "cells not a list": {**_COMPLEX_DOC, "zero_cells": 1},
     "missing incidence10": _without(_COMPLEX_DOC, "incidence10"),
@@ -475,6 +450,15 @@ MALFORMED_DOCUMENTS = {
     "empty z_axis": {**_CODE_DOC, "z_axis": ""},
     "unknown z_axis": {**_CODE_DOC, "z_axis": "banana"},
     "z_axis of the full kind": {**_CODE_DOC, "z_axis": "full"},
+    "unknown kind": {**_CODE_DOC, "kind": "banana"},
+    "kind not a string": {**_CODE_DOC, "kind": 1},
+    "kind that disagrees with z_axis": {**_CODE_DOC, "kind": "edge"},
+    "face kind of a full code": {**_FULL_CODE_DOC, "kind": "face"},
+    "special on a full code": {**_FULL_CODE_DOC, "special": [3]},
+    "special that overlaps the qubits": {**_CODE_DOC, "special": [2, 3]},
+    "special that leaves a dart out": {**_CODE_DOC, "special": [4]},
+    "repeated code special label": {**_CODE_DOC, "special": [3, 3]},
+    "code special label 0": {**_CODE_DOC, "special": [0, 3]},
     "qubit label 0": {**_CODE_DOC, "qubits": [0, 2]},
     "negative qubit label": {**_CODE_DOC, "qubits": [-5, 2]},
     "repeated qubit label": {**_CODE_DOC, "qubits": [2, 2]},
@@ -492,8 +476,18 @@ MALFORMED_DOCUMENTS = {
 def test_parse_json_reads_hand_written_documents():
     assert isinstance(parse_json(json.dumps(_HYPERMAP_DOC)), Hypermap)
     code = parse_json(json.dumps(_CODE_DOC))
-    assert (code.n, code.k, code.d.d, code.d.dz) == (2, 1, 2, None)
+    assert (code.n, code.k) == (2, 1)
     assert isinstance(parse_json(json.dumps(_COMPLEX_DOC)), CellComplex)
+
+
+def test_parse_json_reads_hand_written_kinds_and_special_sets():
+    assert parse_json(json.dumps(_CODE_DOC)).kind == "face"
+    full = parse_json(json.dumps(_FULL_CODE_DOC))
+    assert (full.kind, full.special, full.k) == ("full", None, 0)
+    for kind, axis in (("face", "face"), ("edge", "edge")):
+        code = parse_json(json.dumps({**_CODE_DOC, "kind": kind, "z_axis": axis,
+                                      "qubits": [4, 2], "special": [3, 1]}))
+        assert (code.kind, code.special) == (kind, frozenset({0, 2}))
 
 
 @pytest.mark.parametrize("name", list(MALFORMED_DOCUMENTS))
@@ -508,32 +502,12 @@ def test_parse_json_refuses_a_qubit_count_other_than_the_column_count(n):
         parse_json(json.dumps({**_CODE_DOC, "n": n}))
 
 
-def test_parse_json_rejects_a_self_contradicting_distance(torus8):
-    doc = _torus_code_doc(torus8)
-    assert doc["k"] == 2
-    doc["distance"] = {"d_x": 2, "d_z": 3, "d": 7, "exact": False,
-                       "no_logicals": True, "budget": -4}
-    with pytest.raises(ValueError):
-        parse_json(json.dumps(doc))
-
-
-def test_parse_json_accepts_every_distance_the_library_finds(corpus):
-    for h in corpus:
-        quotients = (face_code(h), edge_code(h), full_code(h))
-        for code in map(assemble, quotients):
-            for budget in (0, 1, 2, None):
-                measured = CssCode(code.ends, code.sides, code.qubit_labels, code.x_labels,
-                                   code.z_labels, code.z_axis, code.n, code.k,
-                                   distance(code, budget=budget))
-                assert parse_json(export_json(measured)) == measured
-
-
 def test_export_json_cli_round_trip(torus_file, capsys):
     code, out, _ = run_cli(capsys, "export", torus_file, "--format", "json",
                            "--what", "code", "--kind", "face")
     assert code == 0
     artifact = parse_json(out)
-    assert isinstance(artifact, CssCode)
+    assert isinstance(artifact, QuotientCode)
     assert artifact.n == 6 and artifact.k == 2
 
     code, out, _ = run_cli(capsys, "export", torus_file, "--format", "json",
@@ -821,7 +795,7 @@ def test_non_utf8_byte_position_is_reported(tmp_path, capsys):
 
 
 def _torus_code_doc(torus8):
-    return json.loads(export_json(assemble(face_code(torus8))))
+    return json.loads(export_json(face_code(torus8)))
 
 
 def test_parse_json_rejects_noncommuting_checks(torus8):
@@ -841,6 +815,96 @@ def test_parse_json_rejects_label_count_mismatch(torus8, key):
     doc[key] = doc[key][:-1]
     with pytest.raises(ValueError, match=key):
         parse_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["face", "edge", "full"])
+def test_code_document_is_golden(kind, capsys):
+    code, out, err = run_cli(capsys, "export", str(TORUS8), "--format", "json",
+                             "--what", "code", "--kind", kind)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"torus8_code_{kind}.json").read_text()
+
+
+def test_code_documents_round_trip_with_random_special_sets(corpus):
+    rng = random.Random(26)
+    for h in corpus:
+        for q in (face_code(h, [rng.choice(e) for e in h.edges]),
+                  edge_code(h, [rng.choice(f) for f in h.faces])):
+            assert parse_json(export_json(q)) == q
+
+
+def _v1_document(q) -> dict:
+    """The document of ``q`` as written before code documents stored a kind."""
+    doc = json.loads(export_json(q))
+    return {key: value for key, value in doc.items() if key not in ("kind", "special")}
+
+
+def test_v1_code_documents_read_their_kind_from_z_axis_and_hz(torus8, corpus):
+    for h in [torus8, *corpus]:
+        for q in (face_code(h), edge_code(h), full_code(h)):
+            read = parse_json(json.dumps(_v1_document(q)))
+            assert read == QuotientCode(q.kind, None, q.qubit_labels, q.ends, q.sides,
+                                        q.z_labels, q.x_labels)
+            assert read.k == q.k
+
+
+def test_a_v1_full_code_document_is_no_face_code(torus8):
+    read = parse_json(json.dumps(_v1_document(full_code(torus8))))
+    assert read.kind == "full"
+    with pytest.raises(ValueError, match="needs a face code, got a full code"):
+        reduce_to_surface(torus8, read)
+
+
+def test_parse_json_refuses_noncommuting_checks_as_a_value_error():
+    # H_X = H_Z = the 2 x 2 identity: each qubit in one X and one Z check
+    doc = {**_CODE_DOC, "k": -2, "x_checks": [1, 2], "z_checks": [1, 2],
+           "hx": {"cols": 2, "rows": ["10", "01"]}, "hz": {"cols": 2, "rows": ["10", "01"]}}
+    with pytest.raises(ValueError) as caught:
+        parse_json(json.dumps(doc))
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "H_X * H_Z^T != 0: the checks do not commute"
+
+
+RANK_CALLS = {
+    "code face": (["code", "--kind", "face"], 2),
+    "code edge": (["code", "--kind", "edge"], 2),
+    "code full": (["code", "--kind", "full"], 2),
+    "distance": (["distance", "--kind", "face"], 2),
+    "export code": (["export", "--format", "json", "--what", "code"], 2),
+    "reduce": (["reduce"], 0),
+    "export complex": (["export", "--format", "json", "--what", "complex"], 0),
+}
+
+
+def _count_ranks(monkeypatch) -> list:
+    calls = []
+    real = chain.rank
+    monkeypatch.setattr(chain, "rank", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", list(RANK_CALLS))
+def test_each_command_takes_the_check_ranks_at_most_once(name, capsys, monkeypatch):
+    argv, expected = RANK_CALLS[name]
+    calls = _count_ranks(monkeypatch)
+    code, _, err = run_cli(capsys, argv[0], str(TORUS8), *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(calls) == expected
+
+
+def test_verify_takes_four_ranks_per_distinct_map(monkeypatch):
+    maps = {(h.alpha.images, h.sigma.images) for h in random_corpus(60, 10, 3)}
+    calls = _count_ranks(monkeypatch)
+    assert run_verification(60, 10, 3).passed
+    assert len(calls) == 4 * len(maps) < 4 * 60  # a face and a full code per map
+
+
+def test_only_the_code_record_takes_ranks():
+    import hypermap_codes
+    modules = [m for name, m in vars(hypermap_codes).items() if type(m) is type(hypermap_codes)]
+    assert len(modules) > 5
+    assert [m.__name__ for m in modules
+            if m is not gf2 and getattr(m, "rank", None) is gf2.rank] == ["hypermap_codes.chain"]
 
 
 def _src_env() -> dict:

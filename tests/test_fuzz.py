@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermap_codes import (
-    assemble,
     export_json,
     face_code,
     format_hypermap,
@@ -53,7 +52,7 @@ def test_parse_hypermap_raises_only_value_errors(text):
 def _artifact_documents():
     h = random_hypermap(6, 3)
     return [json.loads(export_json(a)) for a in (
-        h, assemble(face_code(h)), reduce_to_surface(h, face_code(h)))]
+        h, face_code(h), reduce_to_surface(h, face_code(h)))]
 
 
 ARTIFACTS = _artifact_documents()

@@ -17,14 +17,12 @@ import pytest
 from hypermap_codes import (
     CellComplex,
     CheckResult,
-    CssCode,
     DistanceResult,
     Hypermap,
     Permutation,
     QuotientCode,
     SurfaceReport,
     VerificationReport,
-    assemble,
     dual,
     euler_characteristic,
     face_code,
@@ -34,7 +32,7 @@ from hypermap_codes.verify import CheckOutcome, Derived
 from slow_paths import BitMatrix  # the test oracles' matrix, a record like the package's
 
 
-RECORD_TYPES = [Permutation, BitMatrix, QuotientCode, DistanceResult, CssCode, CellComplex,
+RECORD_TYPES = [Permutation, BitMatrix, QuotientCode, DistanceResult, CellComplex,
                 CheckResult, SurfaceReport, CheckOutcome, VerificationReport]
 
 
@@ -43,7 +41,6 @@ def records(torus8):
     """Per record type: its fields in constructor order with sample values, and
     the defaults of the trailing fields a constructor may leave out."""
     q = face_code(torus8)
-    code = assemble(q)
     cells = reduce_to_surface(torus8, q)
     outcome = ("dual-involution", 1, 5, "Hypermap(...)")
     return {
@@ -52,9 +49,6 @@ def records(torus8):
         QuotientCode: ({name: getattr(q, name) for name in (
             "kind", "special", "qubit_labels", "ends", "sides", "z_labels", "x_labels")}, {}),
         DistanceResult: ({"dx": 2, "dz": None, "no_logicals": False, "budget": 6}, {}),
-        CssCode: ({**{name: getattr(code, name) for name in (
-            "ends", "sides", "qubit_labels", "x_labels", "z_labels", "z_axis", "n", "k")},
-            "d": DistanceResult(2, 2, False, 6)}, {"d": None}),
         CellComplex: ({name: getattr(cells, name) for name in (
             "zero_cells", "one_cells", "two_cells", "counts21", "ends")}, {}),
         CheckResult: ({"name": "euler-even", "passed": False, "detail": "chi = 1 is odd"},
@@ -198,9 +192,9 @@ def test_derived_record(torus8):
     with pytest.raises(TypeError):
         hash(x)
     assert repr(x) == f"Derived(h={torus8!r})"
-    assert x.face_k == 2
+    assert x.face_code.k == 2
     copy = pickle.loads(pickle.dumps(x))
-    assert copy == x and copy.face_k == 2
+    assert copy == x and copy.face_code.k == 2
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
@@ -211,3 +205,42 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _filled_and_empty(torus8, name):
+    """Two equal records, the first with its cache filled and the second empty."""
+    if name == "QuotientCode":
+        filled, empty = face_code(torus8), face_code(torus8)
+        assert filled.k == 2 and (filled._k, empty._k) == (2, None)
+    else:
+        filled, empty = (Hypermap(torus8.alpha, torus8.sigma) for _ in range(2))
+        assert len(filled.faces) == 4
+        assert filled._families is not None and empty._families is None
+    return filled, empty
+
+
+@pytest.mark.parametrize("name", ["QuotientCode", "Hypermap"])
+def test_a_filled_cache_is_not_a_field(torus8, name):
+    filled, empty = _filled_and_empty(torus8, name)
+    assert filled == empty and empty == filled and len({filled, empty}) == 1
+    assert hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)
+    copies = [pickle.loads(pickle.dumps(filled, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for made in (*copies, copy.copy(filled), copy.deepcopy(filled)):
+        assert type(made) is type(filled) and made == filled and made == empty
+        assert hash(made) == hash(filled) and repr(made) == repr(filled)
+
+
+def test_a_cache_is_not_a_constructor_argument(records):
+    fields, _ = records[QuotientCode]
+    assert QuotientCode._fields == tuple(fields) == QuotientCode.__slots__[:-1]
+    assert Hypermap._fields == ("alpha", "sigma")
+    code = QuotientCode(**fields)
+    assert code._k is None and "_k" not in repr(code)
+    with pytest.raises(TypeError):
+        QuotientCode(**fields, _k=2)
+    with pytest.raises(TypeError):
+        QuotientCode(*fields.values(), 2)
+    with pytest.raises(AttributeError):
+        code._k = 2

@@ -7,7 +7,6 @@ from hypermap_codes import (
     CellComplex,
     Hypermap,
     SpecialDartError,
-    assemble,
     dual,
     edge_code,
     euler_characteristic,
@@ -80,7 +79,7 @@ def test_homology_dimension_equals_logical_count(corpus):
         q = face_code(h)
         c = reduce_to_surface(h, q)
         hom = len(c.one_cells) - rank(incidence10(c)) - rank(_mod2(c))
-        assert hom == assemble(q).k
+        assert hom == q.k
 
 
 def test_euler_characteristic_matches_hypermap(corpus):

@@ -47,6 +47,13 @@ def _run(argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+# one line each script prints for the arguments below
+KNOWN_LINES = {
+    "survey_random_codes.py": "  [[28,22,1]] x2",
+    "torus_code_demo.py": "face code: n=6, k=2",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["survey_random_codes.py", "--trials", "20", "--max-darts", "40"],
     ["torus_code_demo.py"],
@@ -54,7 +61,7 @@ def _run(argv):
 def test_script_exits_0(argv):
     proc = _run(argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert KNOWN_LINES[argv[0]] in proc.stdout.splitlines()
 
 
 def test_torus_demo_prints_its_walkthrough():

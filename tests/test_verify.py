@@ -263,7 +263,7 @@ def test_record_shares_per_map_objects(torus8):
     assert x.dual is x.dual and x.face_code is x.face_code and x.edge_code is x.edge_code
     assert x.face_code.special == frozenset({0, 4})  # the minimum of each edge
     assert x.edge_code.special == frozenset({0, 1, 2, 3})  # and of each face
-    assert x.face_k == 2
+    assert x.face_code.k == 2
 
 
 def test_passing_maps_share_one_verdict_tuple(torus8, monkeypatch):

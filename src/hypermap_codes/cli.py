@@ -4,10 +4,14 @@ Subcommands: info, dual, tri-dual, contrary, code, reduce, distance,
 verify, random, export.  All user-facing labels are 1-based; every output
 is deterministic for fixed inputs and seeds.
 
-A known command is parsed once, by its own subparser, which reports its own
-option errors; the top-level parser handles only help, a missing or unknown
-command, and the error messages for leftover arguments and for options that
-do not go together.
+A known command is parsed once.  Its plain argv (FILE first where the
+command takes one, then exact long options, each at most once, with their
+values) is read by :func:`_read_plain` from the command's own Action
+objects; any other argv, or a value that an option's type, choices or
+action refuses, goes to the command's subparser, which reports its own
+option errors.  The top-level parser handles only help, a missing or
+unknown command, and the error messages for leftover arguments and for
+options that do not go together.
 
 Exit codes: 0 success, 1 output not written (stdout closed or failing),
 2 parse error, 3 validation error, 4 internal invariant breach.
@@ -19,8 +23,7 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Iterable
-from typing import Callable
+from collections.abc import Callable, Iterable
 
 from .chain import (
     EDGE,
@@ -70,8 +73,8 @@ class UnreadableInput(Exception):
 def load_hypermap(path: str) -> tuple[Hypermap, frozenset[int] | None]:
     """Read and parse a hypermap file: UnreadableInput if unreadable, ParseError if not UTF-8."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.readall()
     except OSError as exc:
         raise UnreadableInput(exc) from exc
     try:
@@ -311,64 +314,66 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_file(p):
-        p.add_argument("file", metavar="FILE", help="hypermap text file")
+        return p.add_argument("file", metavar="FILE", help="hypermap text file")
 
     def add_special(p):
-        p.add_argument("--special", nargs="+", action=_DistinctDarts,
-                       metavar="DART",
-                       help="1-based special darts (overrides the file's choice)")
+        return p.add_argument("--special", nargs="+", action=_DistinctDarts,
+                              metavar="DART",
+                              help="1-based special darts (overrides the file's choice)")
 
     p = sub.add_parser("info", help="orbits, Euler characteristic, genus")
-    add_file(p)
+    _plain_arguments(p, add_file(p))
     p.set_defaults(func=cmd_info)
 
     for name, op, blurb in [("dual", dual, "the dual hypermap"),
                             ("tri-dual", triangle_dual, "the triangle dual"),
                             ("contrary", contrary, "the contrary map")]:
         p = sub.add_parser(name, help=f"print {blurb}")
-        add_file(p)
+        _plain_arguments(p, add_file(p))
         p.set_defaults(func=lambda a, op=op: _cmd_transform(a, op))
 
     p = sub.add_parser("code", help="build a CSS code")
-    add_file(p)
-    p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True)
-    add_special(p)
+    _plain_arguments(p, add_file(p),
+                     p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True),
+                     add_special(p))
     p.set_defaults(func=cmd_code)
 
     p = sub.add_parser("reduce", help="surface-code cell complex of the face code")
-    add_file(p)
-    add_special(p)
+    _plain_arguments(p, add_file(p), add_special(p))
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("distance", help="minimum-distance search")
-    add_file(p)
-    p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True)
-    add_special(p)
-    p.add_argument("--budget", type=_int_in_range(0), default=DEFAULT_DISTANCE_BUDGET,
-                   help="maximum logical-operator weight to search "
-                        f"(default {DEFAULT_DISTANCE_BUDGET})")
-    p.add_argument("--allow-large", action="store_true",
-                   help=f"search even with more than {DISTANCE_QUBIT_CAP} qubits")
+    _plain_arguments(
+        p, add_file(p),
+        p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True),
+        add_special(p),
+        p.add_argument("--budget", type=_int_in_range(0), default=DEFAULT_DISTANCE_BUDGET,
+                       help="maximum logical-operator weight to search "
+                            f"(default {DEFAULT_DISTANCE_BUDGET})"),
+        p.add_argument("--allow-large", action="store_true",
+                       help=f"search even with more than {DISTANCE_QUBIT_CAP} qubits"))
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="run the identity/equivalence suite on random hypermaps")
-    p.add_argument("--trials", type=_int_in_range(1), default=500)
-    p.add_argument("--max-darts", type=_int_in_range(1, MAX_DARTS), default=10)
-    p.add_argument("--seed", type=_int_in_range(), default=7)
+    _plain_arguments(p, p.add_argument("--trials", type=_int_in_range(1), default=500),
+                     p.add_argument("--max-darts", type=_int_in_range(1, MAX_DARTS), default=10),
+                     p.add_argument("--seed", type=_int_in_range(), default=7))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="emit a random hypermap file")
-    p.add_argument("--darts", type=_int_in_range(1, MAX_DARTS), required=True)
-    p.add_argument("--seed", type=_int_in_range(), default=0)
+    _plain_arguments(p,
+                     p.add_argument("--darts", type=_int_in_range(1, MAX_DARTS), required=True),
+                     p.add_argument("--seed", type=_int_in_range(), default=0))
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("export", help="DOT or JSON export")
-    add_file(p)
-    p.add_argument("--format", choices=["dot", "json"], required=True)
-    p.add_argument("--what", choices=["hypermap", "code", "complex"], default="hypermap")
-    p.add_argument("--kind", choices=[FACE, EDGE, FULL],
-                   help="code kind when --what code (default face)")
-    add_special(p)
+    _plain_arguments(
+        p, add_file(p),
+        p.add_argument("--format", choices=["dot", "json"], required=True),
+        p.add_argument("--what", choices=["hypermap", "code", "complex"], default="hypermap"),
+        p.add_argument("--kind", choices=[FACE, EDGE, FULL],
+                       help="code kind when --what code (default face)"),
+        add_special(p))
     p.set_defaults(func=cmd_export)
 
     parser.commands = sub.choices  # command name -> its subparser, read by _parse_args
@@ -382,14 +387,74 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _plain_arguments(p: argparse.ArgumentParser, *actions: argparse.Action) -> None:
+    """Keep on ``p`` the Action objects of its arguments that :func:`_read_plain`
+    reads: its FILE action (None for a command without one) and its options
+    by option string."""
+    positional = [action for action in actions if not action.option_strings]
+    p.plain = (positional[0] if positional else None,
+               {option: action for action in actions for option in action.option_strings})
+
+
+# the value tokens each nargs of a plain option takes
+_VALUE_COUNTS = {None: range(1, 2), 0: range(1), "+": range(1, sys.maxsize)}
+
+
+def _read_plain(subparser: argparse.ArgumentParser, argv: list[str],
+                namespace: argparse.Namespace) -> argparse.Namespace | None:
+    """``subparser.parse_known_args(argv, namespace)[0]`` for a plain ``argv``, or None.
+
+    Plain: FILE first where the command takes one, then exact long options
+    of the command, each at most once, each followed by its values up to
+    the next token that starts with ``-``: one for an option that takes a
+    value, one or more for ``--special``, none for a flag; and every
+    required option given.  Each value goes through its action's ``type``
+    and ``choices`` and then the action object, as argparse's
+    ``_get_values`` sends it.  Any other argv, or a value that a type, a
+    choice or an action refuses, returns None, so that the subparser reads
+    it and reports the error.
+    """
+    file_action, options = subparser.plain
+    start = 0 if file_action is None else 1  # FILE's tokens
+    bounds = [i for i, token in enumerate(argv) if token.startswith("-")]
+    if (bounds[0] if bounds else len(argv)) != start:
+        return None
+    given = {file_action: (None, argv[:1])} if start else {}  # action -> (option, values)
+    for i, stop in zip(bounds, [*bounds[1:], len(argv)]):
+        action = options.get(argv[i])
+        if (action is None or action in given
+                or stop - i - 1 not in _VALUE_COUNTS.get(action.nargs, ())):
+            return None
+        given[action] = (argv[i], argv[i + 1:stop])
+    if any(action.required and action not in given for action in options.values()):
+        return None
+    for action in options.values():  # FILE, always given, stores its own value
+        setattr(namespace, action.dest, action.default)
+    namespace.func = subparser.get_default("func")
+    try:
+        for action, (option, values) in given.items():
+            if action.type is not None:
+                values = list(map(action.type, values))
+            if action.choices is not None and not all(v in action.choices for v in values):
+                return None
+            action(subparser, namespace, values[0] if action.nargs is None else values, option)
+    except (argparse.ArgumentError, argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return namespace
+
+
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)`` in one argparse pass when ``argv[0]`` names a
-    command: its subparser reads the rest, and ``parser`` reports what is left
-    over.  Anything else (no argv, help, an unknown command, a leading ``--``)
-    goes through ``parser`` itself."""
+    """``parser.parse_args(argv)`` in one pass when ``argv[0]`` names a command:
+    :func:`_read_plain` reads a plain rest, else the command's subparser reads
+    it and ``parser`` reports what is left over.  Anything else (no argv,
+    help, an unknown command, a leading ``--``) goes through ``parser``
+    itself."""
     subparser = parser.commands.get(argv[0]) if argv else None
     if subparser is None:
         return parser.parse_args(argv)
+    args = _read_plain(subparser, argv[1:], argparse.Namespace(command=argv[0]))
+    if args is not None:
+        return args
     args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -131,7 +131,10 @@ def parse_json(text: str):
     qubit lies in exactly one Z check, else ``"face"``; a document without
     ``kind`` is read as that kind.  Its optional ``special`` darts, refused
     on a full code, and its ``qubits`` must hold each dart 1..N once
-    between them.
+    between them; a full code's ``qubits`` are the darts 1..n in order.
+    Wherever the dart count N is known (n for a full code, n plus the
+    special darts when ``special`` is given), every ``x_checks`` and
+    ``z_checks`` label lies in 1..N.
     """
     import json
 
@@ -174,6 +177,12 @@ def parse_json(text: str):
             raise ValueError("a full code has no 'special' darts")
         if special is not None and special.union(labels["qubits"]) != set(range(len(special) + n)):
             raise ValueError("'special' and 'qubits' must hold each dart 1..N once between them")
+        if code_kind == FULL and labels["qubits"] != tuple(range(n)):
+            raise ValueError("a full code's 'qubits' must be the darts 1..n in order")
+        darts = n if code_kind == FULL else None if special is None else len(special) + n
+        if darts is not None and any(max(labels[key], default=-1) >= darts
+                                     for key in ("x_checks", "z_checks")):
+            raise ValueError(f"'x_checks' and 'z_checks' must hold labels in 1..{darts}")
         code = QuotientCode(
             kind=code_kind, special=special, qubit_labels=labels["qubits"],
             ends=ends, sides=sides, z_labels=labels["z_checks"], x_labels=labels["x_checks"])

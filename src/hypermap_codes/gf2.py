@@ -18,8 +18,7 @@ rows back (:func:`read_rows`).  No dense matrix is ever built.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from typing import Sequence
+from collections.abc import Iterator, Sequence
 
 Pairs = tuple[tuple[int, int], ...]  # per qubit, see the module docstring
 

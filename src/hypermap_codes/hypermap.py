@@ -251,7 +251,58 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
     the returned special darts (if any) are a plain set of 0-based darts,
     like everything else in memory.  The line picks one dart per edge: it
     is the special set of the face code, which checks it.
+
+    A text in the layout :func:`format_hypermap` writes, as the example
+    above, is read in one pass (:func:`_read_layout`): its lines, as
+    ``str.splitlines`` splits them, are whole-line ``#`` comments and then
+    ``darts: ``, ``alpha: ``, ``sigma: `` and an optional ``special: ``,
+    each key followed by one space.  Any other text (blank lines, spaces
+    around a key or a number, another key order), and any text whose
+    values that pass refuses, goes to the line parser, which reads every
+    text the format allows and is the only producer of :class:`ParseError`.
     """
+    layout = _read_layout(text)
+    if layout is None:
+        return _parse_lines(text)
+    alpha, sigma, special = layout
+    return Hypermap(alpha, sigma), special
+
+
+_LAYOUT_KEYS = ("darts: ", "alpha: ", "sigma: ", "special: ")
+
+
+def _read_layout(text: str) -> tuple[Permutation, Permutation, frozenset[int] | None] | None:
+    """The permutations and special darts of a text in :func:`format_hypermap`'s
+    layout, or None when the text is not in it or a value fails a check: the
+    cycles through :func:`~hypermap_codes.perm.parse_cycles`, the special
+    labels by one ``int`` pass with the range and repeat checks."""
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    if not 3 <= len(lines) <= 4 or not all(map(str.startswith, lines, _LAYOUT_KEYS)):
+        return None
+    values = [line[len(key):] for line, key in zip(lines, _LAYOUT_KEYS)]
+    count = values[0]
+    if not (count.isascii() and count.isdigit() and len(count) <= len(str(MAX_DARTS))
+            and 1 <= (n := int(count)) <= MAX_DARTS):
+        return None
+    special = None
+    try:
+        alpha, sigma = parse_cycles(values[1], n), parse_cycles(values[2], n)
+        if len(values) == 4:
+            tokens = values[3].split()
+            if not (values[3].isascii() and all(map(str.isdigit, tokens))):
+                return None
+            labels = set(map(int, tokens))  # int() refuses more than 4300 digits
+            if len(labels) < len(tokens) or labels and not 1 <= min(labels) <= max(labels) <= n:
+                return None
+            special = frozenset(label - 1 for label in labels)
+    except ValueError:
+        return None
+    return alpha, sigma, special
+
+
+def _parse_lines(text: str) -> tuple[Hypermap, frozenset[int] | None]:
+    """The line parser of :func:`parse_hypermap`: reads any text of the format
+    line by line and raises :class:`ParseError` at the first fault."""
     fields: list[tuple[int, int, str, str]] = []  # (line, value col, key, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()

@@ -32,7 +32,6 @@ import random
 import re
 from itertools import zip_longest
 from operator import attrgetter
-from typing import NoReturn
 
 Cycles = tuple[tuple[int, ...], ...]
 
@@ -300,7 +299,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return _unchecked(tuple(images))
 
 
-def _raise_first_error(text: str, degree: int) -> NoReturn:
+def _raise_first_error(text: str, degree: int) -> "NoReturn":
     """Walk refused cycle text one character at a time and raise its first error."""
     width = len(str(degree))
     used = [False] * degree

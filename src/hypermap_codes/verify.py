@@ -14,8 +14,8 @@ tables are one partition of the darts.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from .chain import (
     EDGE,

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import random
@@ -5,9 +7,11 @@ import re
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermap_codes import (
     MAX_DARTS,
@@ -29,7 +33,7 @@ from hypermap_codes import (
     reduce_to_surface,
     run_verification,
 )
-from hypermap_codes import chain, cli, gf2, verify
+from hypermap_codes import chain, cli, gf2, hypermap, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
@@ -459,6 +463,14 @@ MALFORMED_DOCUMENTS = {
     "special that leaves a dart out": {**_CODE_DOC, "special": [4]},
     "repeated code special label": {**_CODE_DOC, "special": [3, 3]},
     "code special label 0": {**_CODE_DOC, "special": [0, 3]},
+    "full code qubits other than 1..n": {**_FULL_CODE_DOC, "qubits": [5, 9]},
+    "full code qubits out of order": {**_FULL_CODE_DOC, "qubits": [2, 1]},
+    "full code x_check label above n": {**_FULL_CODE_DOC, "x_checks": [40]},
+    "full code z_check label above n": {**_FULL_CODE_DOC, "z_checks": [77]},
+    "x_check label above the darts of qubits and special": {
+        **_CODE_DOC, "special": [3], "x_checks": [4]},
+    "z_check label above the darts of qubits and special": {
+        **_CODE_DOC, "special": [3], "hz": {"cols": 2, "rows": ["00"]}, "z_checks": [9]},
     "qubit label 0": {**_CODE_DOC, "qubits": [0, 2]},
     "negative qubit label": {**_CODE_DOC, "qubits": [-5, 2]},
     "repeated qubit label": {**_CODE_DOC, "qubits": [2, 2]},
@@ -684,6 +696,19 @@ ROUTE_ARGVS = [
     ["distance", _F, "--kind", "face"], ["distance", _F, "--kind", "full"],
     ["export", _F, "--format", "dot"], ["export", _F, "--format", "json", "--what", "complex"],
     ["distance", _F, "--kind", "edge", "--allow-large", "--budget", "3"],
+    # forms only the subparser reads, next to the plain forms they spell differently
+    ["code", "--kind", "face", _F], ["reduce", "--special", "1", "6", _F],
+    ["code", _F, "--kind=face"], ["code", _F, "--kin", "face", "--special", "1", "6"],
+    ["distance", _F, "--kind", "face", "--allow-large", "x"],
+    ["distance", _F, "--allow-large", "--kind", "full", "--budget", "2"],
+    ["code", _F, "--kind", "face", "face"], ["code", _F, "--kind", ""], ["info", ""],
+    ["code", _F, "--kind", "face", "--special", "1", "6", "-h"],
+    ["code", _F, "--kind", "face", "--special", "1", "--", "6"],
+    ["code", _F, "--special", "1", "6", "--kind", "face"],
+    ["verify", "--seed", "5", "--trials", "2"],
+    ["random", "--darts", "4"], ["random", "--seed", "1", "--darts", "04"],
+    ["export", _F, "--what", "code", "--format", "json", "--special", "1", "2", "3", "4",
+     "--kind", "edge"],
 ]
 
 
@@ -698,15 +723,143 @@ def _parsed(capsys, parse, argv):
     return result, code, captured.out, captured.err
 
 
+def _plain_or_none(parser, argv):
+    """The plain reader's namespace for ``argv`` as a dict, or None when it leaves
+    ``argv`` to the subparser; it never prints."""
+    subparser = parser.commands[argv[0]]
+    namespace = cli._read_plain(subparser, argv[1:], argparse.Namespace(command=argv[0]))
+    return None if namespace is None else vars(namespace)
+
+
+def _subparser_reads(parser, argv):
+    """The namespace and leftovers of the subparser of ``argv[0]``, or its exit code."""
+    try:
+        namespace, extras = parser.commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    except SystemExit as exc:
+        return exc.code
+    return vars(namespace), extras
+
+
 @pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=lambda argv: " ".join(argv) or "no argv")
 def test_one_pass_parse_matches_the_top_level_parser(argv, torus_file, capsys, monkeypatch):
     argv = [arg.replace(_F, torus_file) for arg in argv]
     parser = cli._shared_parser()
     one_pass = _parsed(capsys, lambda a: cli._parse_args(parser, a), argv)
     assert one_pass == _parsed(capsys, parser.parse_args, argv)
+    if argv and argv[0] in parser.commands:
+        plain = _plain_or_none(parser, argv)
+        assert capsys.readouterr() == ("", "")
+        if plain is not None:
+            assert _subparser_reads(parser, argv) == (plain, [])
     outcome = _outcome(capsys, argv)
     monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
     assert outcome == _outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", _F], ["code", _F, "--kind", "face", "--special", "2", "5"],
+    ["distance", _F, "--kind", "edge", "--allow-large", "--budget", "3"],
+    ["verify"], ["export", _F, "--what", "complex", "--format", "json"],
+])
+def test_plain_reader_reads_plain_argv(argv, torus_file):
+    argv = [arg.replace(_F, torus_file) for arg in argv]
+    assert _plain_or_none(cli._shared_parser(), argv) is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", _F, "--kind", "face", "--special", "2", "x"],  # the action refuses
+    ["code", _F, "--kind", "sideways"], ["verify", "--trials", "0"],
+    ["code", "--kind", "face", _F], ["code", _F, "--kind=face"], ["code", _F, "--kin", "face"],
+    ["code", _F, "--kind", "face", "--kind", "full"], ["code", _F, "--kind", "face", "--special"],
+    ["info", _F, "--", "x"], ["info", _F, "-h"],
+    ["distance", _F, "--kind", "face", "--budget", "-1"], ["code", _F], ["info"],
+    ["info", _F, _F], ["verify", "--trials", "2", "x"], ["random", "--seed", "1"],
+])
+def test_plain_reader_leaves_other_argv_to_the_subparser(argv, torus_file):
+    argv = [arg.replace(_F, torus_file) for arg in argv]
+    assert _plain_or_none(cli._shared_parser(), argv) is None
+
+
+# drawn argv: each command's options, abbreviations, '=' forms, repeats, '--', help,
+# negative and empty values, FILE first, later or missing; option -> (values each
+# reader accepts, values a type, choice or action refuses)
+_DRAWN_VALUES = {
+    "--kind": (["face", "edge", "full"], ["sideways", "", "-1"]),
+    "--special": (["1", "2", "5", "6", "0", "9", "0003"], ["x", "-1", "", " 1", "٢", "1" * 4400]),
+    "--budget": (["0", "3", "007"], ["-1", "x", "", "+3"]),
+    "--trials": (["1", "2"], ["0", "-2"]), "--max-darts": (["4", "06"], ["0", "1000001"]),
+    "--seed": (["0", "12", "-3"], ["+1", "1.5"]), "--darts": (["4"], ["0", "-4", "٣"]),
+    "--format": (["dot", "json"], ["xml"]), "--what": (["hypermap", "code", "complex"], ["all"]),
+    "--allow-large": ([], ["x"]),
+}
+_COMMAND_OPTIONS = {
+    "code": ["--kind", "--special"], "reduce": ["--special"],
+    "distance": ["--kind", "--special", "--budget", "--allow-large"],
+    "verify": ["--trials", "--max-darts", "--seed"], "random": ["--darts", "--seed"],
+    "export": ["--format", "--what", "--kind", "--special"],
+}
+_DRAWN_NOISE = ["--kin", "--spec", "--b", "--allow", "--w", "--kind=face", "--budget=3",
+                "--special=1", "--what=code", "--", "-", "-h", "--help", "-x", "--bogus", "x",
+                "map.hm"]
+
+
+@st.composite
+def _drawn_argv(draw):
+    command = draw(st.sampled_from(sorted(cli._shared_parser().commands)))
+    own = _COMMAND_OPTIONS.get(command, [])
+    options = sorted(_DRAWN_VALUES) if not own or draw(st.integers(0, 3)) == 0 else own
+    argv = []
+    for option in draw(st.lists(st.sampled_from(options), max_size=4,
+                                unique=draw(st.integers(0, 3)) > 0)):
+        accepted, refused = _DRAWN_VALUES[option]
+        count = draw(st.sampled_from([1, 1, 1, 0, 2, 3] if accepted else [0, 0, 0, 1]))
+        argv.append(option)
+        for _ in range(count):  # one value in ten refused
+            argv.append(draw(st.sampled_from(accepted if accepted and draw(st.integers(0, 9))
+                                             else refused)))
+    if command not in ("verify", "random") or draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.sampled_from([0, 0, 0, 0, len(argv)])), "map.hm")
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_DRAWN_NOISE)))
+    return [command, *argv]
+
+
+@st.composite
+def _plain_drawn_argv(draw):
+    """FILE, where the command takes it, then the command's own options in a drawn
+    order, each once, with values from those each reader accepts."""
+    command = draw(st.sampled_from(sorted(cli._shared_parser().commands)))
+    argv = [] if command in ("verify", "random") else ["map.hm"]
+    for option in draw(st.permutations(_COMMAND_OPTIONS.get(command, []))):
+        if option in ("--kind", "--darts", "--format") or draw(st.booleans()):
+            accepted = _DRAWN_VALUES[option][0]
+            argv.append(option)
+            if accepted:  # a flag takes none
+                argv += draw(st.lists(st.sampled_from(accepted), min_size=1,
+                                      max_size=3 if option == "--special" else 1))
+    return [command, *argv]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_plain_drawn_argv() | _drawn_argv())
+def test_plain_reader_matches_the_subparser_on_drawn_argv(argv):
+    parser = cli._shared_parser()
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        plain = _plain_or_none(parser, argv)
+        assert (out.getvalue(), err.getvalue()) == ("", "")
+        subparser_reads = _subparser_reads(parser, argv)
+    if plain is not None:
+        assert subparser_reads == (plain, [])
+    routes = []
+    for parse in (lambda a: cli._parse_args(parser, a), parser.parse_args):
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            try:
+                result, code = vars(parse(argv)), None
+            except SystemExit as exc:
+                result, code = None, exc.code
+        routes.append((result, code, out.getvalue(), err.getvalue()))
+    assert routes[0] == routes[1]
 
 
 def test_a_known_command_never_reaches_the_top_level_parse(torus_file, capsys, monkeypatch):
@@ -724,6 +877,54 @@ def test_a_known_command_never_reaches_the_top_level_parse(torus_file, capsys, m
         assert _outcome(capsys, argv)[0] in (0, 2, 3), argv
     with pytest.raises(AssertionError, match="top-level parser"):
         main(["nope"])
+
+
+def _one_per(orbits, rng):
+    return sorted(rng.choice(orbit) for orbit in orbits)
+
+
+def test_workload_commands_take_the_one_pass_readers(torus8, tmp_path, capsys, monkeypatch):
+    """Every command form of the benchmark's workloads, on torus8, a map written
+    with a special line and a lattice written without one, runs with argparse's
+    parsing and the line parser of the hypermap format refused."""
+    rng = random.Random(27)
+    drawn = random_corpus(1, 12, 27)[0]
+    drawn_file = tmp_path / "drawn.hm"
+    drawn_file.write_text(format_hypermap(drawn, _one_per(drawn.edges, rng)))
+    lattice = square_torus(3)
+    lattice_file = _write_map(tmp_path, "lattice3.hm", lattice)
+
+    def special(darts):
+        return ["--special", *(str(d + 1) for d in darts)]
+
+    argvs = [["verify", "--trials", "4", "--max-darts", "6", "--seed", "3"]]
+    for path, h in ((str(TORUS8), torus8), (str(drawn_file), drawn)):
+        argvs += [[name, path] for name in ("info", "dual", "tri-dual", "contrary")]
+        argvs += [["code", path, "--kind", "face"],
+                  ["code", path, "--kind", "edge", *special(_one_per(h.faces, rng))],
+                  ["code", path, "--kind", "full"], ["reduce", path],
+                  ["distance", path, "--kind", "face"], ["distance", path, "--kind", "full"],
+                  ["export", path, "--format", "dot"],
+                  ["export", path, "--format", "json", "--what", "complex"]]
+    argvs += [["code", lattice_file, "--kind", "face", *special(_one_per(lattice.edges, rng))],
+              ["code", lattice_file, "--kind", "edge", *special(_one_per(lattice.faces, rng))],
+              ["code", lattice_file, "--kind", "full"],
+              ["reduce", lattice_file, *special(_one_per(lattice.edges, rng))]]
+    argvs += [["distance", lattice_file, "--kind", kind, "--allow-large", "--budget", "3"]
+              for kind in ("face", "edge", "full")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse or the line parser read a plain input")
+
+    parser = cli._shared_parser()
+    for p in (parser, *parser.commands.values()):
+        monkeypatch.setattr(p, "parse_known_args", refuse)
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(hypermap, "_parse_lines", refuse)
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
 
 
 # ---------------------------------------------------------------------------
@@ -1254,7 +1455,7 @@ def test_special_list_calls_the_label_reader_only_when_it_refuses(torus_file, ca
     assert calls == []
     with pytest.raises(SystemExit):
         main(["code", torus_file, "--kind", "face", "--special", "2", "x", "5", "y"])
-    assert calls == ["2", "x"]
+    assert calls == ["2", "x"] * 2  # the plain reader, then the subparser, each to the refusal
     assert "special dart 'x' is not a decimal label" in capsys.readouterr().err
 
 

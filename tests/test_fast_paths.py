@@ -24,7 +24,11 @@ dual, triangle dual, contrary and nabla, which skip the transitivity search
 and walk their orbits on first read, are compared field by field with a
 validating build of the same pair on every small map, the corpus and
 square-lattice tori, and the permutations that ``perm`` makes without
-validation are drawn and validated.  The special-set check of ``face_code`` and ``edge_code``,
+validation are drawn and validated.  The one-pass reader of the hypermap
+text format must return what the line parser returns, without calling it,
+on the texts ``format_hypermap`` writes of every small map, the corpus and
+square-lattice tori, and return it or raise its exact error on drawn
+perturbations of them.  The special-set check of ``face_code`` and ``edge_code``,
 which counts hits through the dart -> orbit table, must raise the
 oracle's exact message on every subset
 of every small map, on the corpus and on out-of-range sets.
@@ -57,12 +61,14 @@ from hypermap_codes import (
     edge_code,
     export_json,
     face_code,
+    format_hypermap,
     full_code,
     identity,
     inverse,
     is_transitive,
     nabla,
     parse_cycles,
+    parse_hypermap,
     parse_json,
     random_corpus,
     random_hypermap,
@@ -72,9 +78,9 @@ from hypermap_codes import (
     triangle_dual,
     validate_surface,
 )
-from hypermap_codes import chain, gf2, perm
+from hypermap_codes import chain, gf2, hypermap, perm
 from slow_paths import from_strings
-from conftest import square_torus
+from conftest import TORUS8, square_torus
 from test_exhaustive_small import all_hypermaps
 
 
@@ -771,3 +777,153 @@ def test_special_darts_match_oracle_on_corpus(torus8, corpus):
             _assert_special_darts_match_oracle(h, rng.sample(range(h.n), rng.randint(0, h.n)))
         for darts in _out_of_range_sets(h):
             _assert_special_darts_match_oracle(h, darts)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader of the hypermap text format against the line parser
+
+def _parsed_text(parse, text):
+    """What a hypermap text parser returns, or its error's type, message, line and column."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def _layout_texts(h, rng):
+    """``format_hypermap``'s texts of ``h`` with no, an empty and a drawn special
+    line, each also with whole-line comments before and between its lines."""
+    special = frozenset(rng.choice(edge) for edge in h.edges)
+    for text in (format_hypermap(h), format_hypermap(h, frozenset()),
+                 format_hypermap(h, special)):
+        yield text
+        yield "# a comment\n" + text.replace("\nsigma:", "\n#\n# alpha: (1 2)\nsigma:")
+
+
+def _assert_layout_read(texts):
+    for text in texts:
+        expected = hypermap._parse_lines(text)
+        with mock.patch.object(hypermap, "_parse_lines", side_effect=AssertionError(text)):
+            assert parse_hypermap(text) == expected
+
+
+_DOCSTRING_EXAMPLE = """# comments start with '#'
+darts: 8
+alpha: (4 3 2 1)(5 7 8 6)
+sigma: (7 1 6 3)(5 2 8 4)
+# the special line is optional
+special: 2 5
+"""
+
+
+def test_layout_reader_reads_the_torus_file_and_the_docstring_example():
+    _assert_layout_read([TORUS8.read_text(), _DOCSTRING_EXAMPLE])
+
+
+def test_layout_reader_matches_line_parser_on_small_sweep():
+    rng = random.Random(27)
+    for h in all_hypermaps(4):
+        _assert_layout_read(_layout_texts(h, rng))
+
+
+def test_layout_reader_matches_line_parser_on_corpus(corpus):
+    rng = random.Random(28)
+    for h in corpus:
+        _assert_layout_read(_layout_texts(h, rng))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 20])
+def test_layout_reader_matches_line_parser_on_square_torus(size):
+    _assert_layout_read(_layout_texts(square_torus(size), random.Random(size)))
+
+
+_TORUS_LINES = ["darts: 8", "alpha: (4 3 2 1)(5 7 8 6)", "sigma: (7 1 6 3)(5 2 8 4)",
+                "special: 2 5"]
+
+
+def _torus_text(*replace, end="\n"):
+    """The torus8 lines with ``replace`` pairs applied to their text, joined by ``end``."""
+    text = end.join(_TORUS_LINES) + end
+    for old, new in zip(replace[::2], replace[1::2]):
+        text = text.replace(old, new, 1)
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    _torus_text(), _torus_text(end="\r\n"), _torus_text().rstrip("\n"),
+    _torus_text("special: 2 5", "special: "), _torus_text("special: 2 5", "special:"),
+    _torus_text("special: 2 5", "special:  2 5"), _torus_text("2 5", "02 0005"),
+    _torus_text("2 5", "2 2"), _torus_text("2 5", "0 5"), _torus_text("2 5", "9 5"),
+    _torus_text("2 5", "2 5 1"), _torus_text("2 5", "\u0662 5"),
+    _torus_text("2 5", "2 " + "0" * 4400 + "5"), _torus_text("2 5", "2 " + "1" * 4400),
+    _torus_text("darts: 8", "darts: 0000008"), _torus_text("darts: 8", "darts: 1000001"),
+    _torus_text("darts: 8", "darts: 00000008"), _torus_text("darts: 8", "darts: 0"),
+    _torus_text("darts: 8", "darts: 9"), _torus_text("darts: 8", "darts: 8 "),
+    _torus_text("(5 7 8 6)", "(5 7 8 6)\x85"), _torus_text(")(5", ")\u2028(5"),
+    _torus_text(")(5", ")\x0c(5"), _torus_text(")(5", ") (5"), _torus_text(")(5", ")\t(5"),
+    _torus_text("(5 7 8 6)", "(5 7 8 6)  "), _torus_text("(4 3", "(04 3"),
+    _torus_text("(4 3", "(4 4"), _torus_text("(4 3", "(9 3"), _torus_text("(4 3", "(4 3("),
+    "# c\x85darts: 3\n" + _torus_text(), "  # indented\n" + _torus_text(),
+    "#\n\n" + _torus_text(), "\ufeff" + _torus_text(), _torus_text("darts:", "Darts:"),
+    _torus_text("alpha:", "alpha :"), _torus_text("sigma: ", "sigma:"),
+    _torus_text("special", "spécial"), _torus_text() + "special: 1 6\n",
+    _torus_text() + "# trailing comment", "darts: 2\nalpha: ()\nsigma: ()\n",
+    "darts: 8\nsigma: ()\nalpha: ()\n", "darts: 3\nalpha: ()\n", "",
+])
+def test_layout_reader_matches_line_parser_on_edge_cases(text):
+    assert _parsed_text(parse_hypermap, text) == _parsed_text(hypermap._parse_lines, text)
+
+
+_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"]
+_PERTURBATIONS = ["crlf", "break", "blank", "space", "pad", "long", "high", "zero", "repeat",
+                  "no newline", "comment", "drop", "swap", "key"]
+
+
+def _perturb(text, darts, kind, rng):
+    """The text of a map on ``darts`` darts with one perturbation of its lines,
+    spacing or numbers."""
+    lines = text.split("\n")
+    line = rng.randrange(len(lines))
+    numbers = [m.span() for m in re.finditer(r"[0-9]+", text)]
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "break":
+        count = 1 + text.count("\n", 0, rng.randint(0, len(text)))
+        return text.replace("\n", rng.choice(_BREAKS), count)
+    if kind == "blank":
+        lines.insert(line, rng.choice(["", " ", "\t"]))
+    elif kind == "comment":
+        lines.insert(line, rng.choice(["# c", "  # c", "#darts: 2", "#"]))
+    elif kind == "space":
+        at = rng.randint(0, len(text))
+        return text[:at] + rng.choice([" ", "  ", "\t", "\u00a0", "\x1c"]) + text[at:]
+    elif kind in ("pad", "long", "high", "zero", "repeat") and numbers:
+        start, end = rng.choice(numbers)
+        label = text[start:end]
+        label = {"pad": "0" * rng.randint(1, 9) + label, "long": rng.choice(["0", "1"]) * 4400
+                 + label, "high": str(darts + rng.randint(1, 3)), "zero": "0",
+                 "repeat": f"{label} {label}"}[kind]
+        return text[:start] + label + text[end:]
+    elif kind == "no newline":
+        return text.rstrip("\n")
+    elif kind == "drop":
+        del lines[line]
+    elif kind == "swap":
+        other = rng.randrange(len(lines))
+        lines[line], lines[other] = lines[other], lines[line]
+    elif kind == "key":
+        lines[line] = lines[line].replace(": ", rng.choice([":", " : ", ":  ", ":\t"]), 1)
+    return "\n".join(lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(_PERTURBATIONS), min_size=1, max_size=3))
+def test_layout_reader_matches_line_parser_on_perturbed_text(darts, seed, kinds):
+    rng = random.Random(seed)
+    h = random_hypermap(darts, seed)
+    special = rng.choice([None, frozenset(rng.choice(edge) for edge in h.edges)])
+    text = format_hypermap(h, special)
+    for kind in kinds:
+        text = _perturb(text, darts, kind, rng)
+    assert _parsed_text(parse_hypermap, text) == _parsed_text(hypermap._parse_lines, text)

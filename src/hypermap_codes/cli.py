@@ -4,14 +4,12 @@ Subcommands: info, dual, tri-dual, contrary, code, reduce, distance,
 verify, random, export.  All user-facing labels are 1-based; every output
 is deterministic for fixed inputs and seeds.
 
-A known command is parsed once.  Its plain argv (FILE first where the
-command takes one, then exact long options, each at most once, with their
-values) is read by :func:`_read_plain` from the command's own Action
-objects; any other argv, or a value that an option's type, choices or
-action refuses, goes to the command's subparser, which reports its own
-option errors.  The top-level parser handles only help, a missing or
-unknown command, and the error messages for leftover arguments and for
-options that do not go together.
+Argv takes one of two routes.  A known command's plain argv (FILE first
+where the command takes one, then exact long options, each at most once,
+with their values) is read by :func:`_read_plain` from the command's own
+Action objects.  Any other argv, or a value that an option's type, choices
+or action refuses, goes to the top-level parser, which reads it and reports
+its errors.
 
 Exit codes: 0 success, 1 output not written (stdout closed or failing),
 2 parse error, 3 validation error, 4 internal invariant breach.
@@ -51,7 +49,7 @@ from .hypermap import (
     random_hypermap,
     triangle_dual,
 )
-from .perm import MAX_DARTS, decimal_value
+from .perm import MAX_DARTS, _plain_labels, decimal_value
 from .reduce import reduce_to_surface, validate_surface
 from .verify import run_verification
 
@@ -283,16 +281,14 @@ def _dart_label(text: str) -> int:
 class _DistinctDarts(argparse.Action):
     """The --special action: reads its raw labels as one list, each dart once.
 
-    A list of non-empty ASCII digit runs, none longer than ``MAX_DARTS``
-    written out, is converted by ``int`` in one C-level pass; any other list
-    goes label by label through :func:`_dart_label`, which names the first
-    label it refuses.  The first repeat is named only when there is one."""
+    A plain list (:func:`~hypermap_codes.perm._plain_labels`) is converted
+    in one pass; any other list goes label by label through
+    :func:`_dart_label`, which names the first label it refuses.  The first
+    repeat is named only when there is one."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if ("".join(values).isascii() and all(map(str.isdigit, values))
-                and max(map(len, values)) <= len(str(MAX_DARTS))):
-            darts = list(map(int, values))
-        else:
+        darts = _plain_labels(values)
+        if darts is None:
             try:
                 darts = [_dart_label(text) for text in values]
             except argparse.ArgumentTypeError as exc:
@@ -402,7 +398,7 @@ _VALUE_COUNTS = {None: range(1, 2), 0: range(1), "+": range(1, sys.maxsize)}
 
 def _read_plain(subparser: argparse.ArgumentParser, argv: list[str],
                 namespace: argparse.Namespace) -> argparse.Namespace | None:
-    """``subparser.parse_known_args(argv, namespace)[0]`` for a plain ``argv``, or None.
+    """The namespace ``subparser`` reads from a plain ``argv`` into ``namespace``, or None.
 
     Plain: FILE first where the command takes one, then exact long options
     of the command, each at most once, each followed by its values up to
@@ -411,8 +407,8 @@ def _read_plain(subparser: argparse.ArgumentParser, argv: list[str],
     required option given.  Each value goes through its action's ``type``
     and ``choices`` and then the action object, as argparse's
     ``_get_values`` sends it.  Any other argv, or a value that a type, a
-    choice or an action refuses, returns None, so that the subparser reads
-    it and reports the error.
+    choice or an action refuses, returns None, so that the top-level parser
+    reads it and reports the error.
     """
     file_action, options = subparser.plain
     start = 0 if file_action is None else 1  # FILE's tokens
@@ -444,21 +440,12 @@ def _read_plain(subparser: argparse.ArgumentParser, argv: list[str],
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)`` in one pass when ``argv[0]`` names a command:
-    :func:`_read_plain` reads a plain rest, else the command's subparser reads
-    it and ``parser`` reports what is left over.  Anything else (no argv,
-    help, an unknown command, a leading ``--``) goes through ``parser``
-    itself."""
-    subparser = parser.commands.get(argv[0]) if argv else None
-    if subparser is None:
-        return parser.parse_args(argv)
-    args = _read_plain(subparser, argv[1:], argparse.Namespace(command=argv[0]))
-    if args is not None:
-        return args
-    args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    """``parser.parse_args(argv)``: :func:`_read_plain` reads a known command's
+    plain argv, and ``parser`` itself reads any other argv."""
+    args = None
+    if argv and argv[0] in parser.commands:
+        args = _read_plain(parser.commands[argv[0]], argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

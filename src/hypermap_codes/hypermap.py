@@ -39,7 +39,6 @@ the file format may carry and which the face and edge codes of
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterator
 
 from .perm import (
@@ -55,6 +54,7 @@ from .perm import (
     parse_cycles,
     random_permutation,
     _orbits,
+    _plain_labels,
     _Record,
 )
 
@@ -190,7 +190,7 @@ def nabla(h: Hypermap) -> Hypermap:
     return contrary(triangle_dual(h))
 
 
-def _random_transitive_pair(n: int, rng: random.Random) -> Hypermap:
+def _random_transitive_pair(n: int, rng) -> Hypermap:
     while True:
         alpha = random_permutation(n, rng)
         sigma = random_permutation(n, rng)
@@ -208,6 +208,7 @@ def random_hypermap(n: int, seed: int) -> Hypermap:
     """
     if n < 1:
         raise ValueError("need at least one dart")
+    import random  # not at start-up: only random maps draw
     return _random_transitive_pair(n, random.Random(seed))
 
 
@@ -215,6 +216,7 @@ def _random_draws(count: int, max_darts: int, seed: int) -> Iterator[Hypermap]:
     """The maps of :func:`random_corpus`, drawn one at a time as they are read."""
     if max_darts < 1:
         raise ValueError("need at least one dart")
+    import random  # not at start-up: only random maps draw
     rng = random.Random(seed)
     return (_random_transitive_pair(rng.randint(1, max_darts), rng) for _ in range(count))
 
@@ -252,118 +254,79 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
     like everything else in memory.  The line picks one dart per edge: it
     is the special set of the face code, which checks it.
 
-    A text in the layout :func:`format_hypermap` writes, as the example
-    above, is read in one pass (:func:`_read_layout`): its lines, as
-    ``str.splitlines`` splits them, are whole-line ``#`` comments and then
-    ``darts: ``, ``alpha: ``, ``sigma: `` and an optional ``special: ``,
-    each key followed by one space.  Any other text (blank lines, spaces
-    around a key or a number, another key order), and any text whose
-    values that pass refuses, goes to the line parser, which reads every
-    text the format allows and is the only producer of :class:`ParseError`.
+    One parser reads every text the format allows: lines as ``str.splitlines``
+    splits them, blank lines and whole-line ``#`` comments skipped, spaces
+    free around keys and values.  A ``special:`` line is read by one ``int``
+    pass with a range and a repeat check, and walked label by label only when
+    that pass refuses it, to name the fault.  Every fault raises
+    :class:`ParseError` with its line and column.
     """
-    layout = _read_layout(text)
-    if layout is None:
-        return _parse_lines(text)
-    alpha, sigma, special = layout
-    return Hypermap(alpha, sigma), special
-
-
-_LAYOUT_KEYS = ("darts: ", "alpha: ", "sigma: ", "special: ")
-
-
-def _read_layout(text: str) -> tuple[Permutation, Permutation, frozenset[int] | None] | None:
-    """The permutations and special darts of a text in :func:`format_hypermap`'s
-    layout, or None when the text is not in it or a value fails a check: the
-    cycles through :func:`~hypermap_codes.perm.parse_cycles`, the special
-    labels by one ``int`` pass with the range and repeat checks."""
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    if not 3 <= len(lines) <= 4 or not all(map(str.startswith, lines, _LAYOUT_KEYS)):
-        return None
-    values = [line[len(key):] for line, key in zip(lines, _LAYOUT_KEYS)]
-    count = values[0]
-    if not (count.isascii() and count.isdigit() and len(count) <= len(str(MAX_DARTS))
-            and 1 <= (n := int(count)) <= MAX_DARTS):
-        return None
-    special = None
-    try:
-        alpha, sigma = parse_cycles(values[1], n), parse_cycles(values[2], n)
-        if len(values) == 4:
-            tokens = values[3].split()
-            if not (values[3].isascii() and all(map(str.isdigit, tokens))):
-                return None
-            labels = set(map(int, tokens))  # int() refuses more than 4300 digits
-            if len(labels) < len(tokens) or labels and not 1 <= min(labels) <= max(labels) <= n:
-                return None
-            special = frozenset(label - 1 for label in labels)
-    except ValueError:
-        return None
-    return alpha, sigma, special
-
-
-def _parse_lines(text: str) -> tuple[Hypermap, frozenset[int] | None]:
-    """The line parser of :func:`parse_hypermap`: reads any text of the format
-    line by line and raises :class:`ParseError` at the first fault."""
-    fields: list[tuple[int, int, str, str]] = []  # (line, value col, key, value)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if ":" not in raw:
+    lines = text.splitlines()
+    fields: list[tuple[int, str, str, str]] = []  # (line number, line, key, value)
+    for lineno, raw in enumerate(lines, start=1):
+        key, colon, value = raw.partition(":")
+        key = key.strip()
+        if key.startswith("#") or not (key or colon):
+            continue  # a comment or a blank line
+        if not colon:
             raise ParseError(lineno, 1, "expected 'key: value'")
-        key, _, value = raw.partition(":")
-        # 1-based column where the stripped value begins
-        value_col = len(key) + 2 + (len(value) - len(value.lstrip()))
-        fields.append((lineno, value_col, key.strip(), value.strip()))
+        fields.append((lineno, raw, key, value.strip()))
 
-    expected = ["darts", "alpha", "sigma"]
-    for (lineno, col, key, _), want in zip(fields, expected):
+    for (lineno, _, key, _), want in zip(fields, ("darts", "alpha", "sigma")):
         if key != want:
             raise ParseError(lineno, 1, f"expected {want!r} line, found {key!r}")
     if len(fields) < 3:
-        raise ParseError(len(text.splitlines()) + 1, 1,
-                         "expected 'darts:', 'alpha:' and 'sigma:' lines")
+        raise ParseError(len(lines) + 1, 1, "expected 'darts:', 'alpha:' and 'sigma:' lines")
     if len(fields) > 4:
-        lineno, _, key, _ = fields[4]
-        raise ParseError(lineno, 1, f"unexpected extra line {key!r}")
+        raise ParseError(fields[4][0], 1, f"unexpected extra line {fields[4][2]!r}")
     if len(fields) == 4 and fields[3][2] != "special":
         raise ParseError(fields[3][0], 1, f"expected 'special' line, found {fields[3][2]!r}")
 
-    lineno, col, _, value = fields[0]
+    lineno, raw, _, value = fields[0]
     if not (value.isascii() and value.isdigit()):
-        raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
+        raise ParseError(lineno, _value_col(raw),
+                         f"dart count must be a positive integer, found {value!r}")
     # the length check runs first: int() refuses more than 4300 digits
     if len(value.lstrip("0")) > len(str(MAX_DARTS)) or (n := decimal_value(value)) > MAX_DARTS:
-        raise ParseError(lineno, col, f"dart count exceeds the limit of {MAX_DARTS}")
+        raise ParseError(lineno, _value_col(raw), f"dart count exceeds the limit of {MAX_DARTS}")
     if n < 1:
-        raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
+        raise ParseError(lineno, _value_col(raw),
+                         f"dart count must be a positive integer, found {value!r}")
 
     perms = []
-    for lineno, col, key, value in fields[1:3]:
+    for lineno, raw, key, value in fields[1:3]:
         try:
             perms.append(parse_cycles(value, n))
         except ValueError as exc:
-            offset = getattr(exc, "col", 1)
-            raise ParseError(lineno, col + offset - 1, f"bad {key} cycles: {exc}") from exc
+            col = _value_col(raw) + getattr(exc, "col", 1) - 1
+            raise ParseError(lineno, col, f"bad {key} cycles: {exc}") from exc
 
     special: frozenset[int] | None = None
     if len(fields) == 4:
-        lineno, col, _, value = fields[3]
-        labels: set[int] = set()
-        offset = 0
-        for token in value.split():
-            offset = value.index(token, offset)
-            if not (token.isascii() and token.isdigit()) \
-                    or len(token.lstrip("0")) > len(str(n)) or not 1 <= decimal_value(token) <= n:
-                raise ParseError(lineno, col + offset,
-                                 f"special dart {token!r} outside 1..{n}")
-            label = decimal_value(token) - 1
-            if label in labels:
-                raise ParseError(lineno, col + offset, f"special dart {token} appears twice")
-            labels.add(label)
-            offset += len(token)
-        special = frozenset(labels)
-
+        lineno, raw, _, value = fields[3]
+        labels = _plain_labels(tokens := value.split())
+        special = frozenset(map((-1).__add__, labels or ()))  # 0-based
+        if (labels is None or len(special) < len(labels)
+                or labels and not 1 <= min(labels) <= max(labels) <= n):
+            darts, offset = set(), 0  # refused: walk it label by label to name its fault
+            for token in tokens:
+                offset = value.index(token, offset)
+                significant = token.lstrip("0")  # checked first: int() refuses 4300 digits
+                dart = (decimal_value(token) - 1 if token.isascii() and token.isdigit()
+                        and len(significant) <= len(str(n)) else -1)
+                if not 0 <= dart < n or dart in darts:
+                    raise ParseError(lineno, _value_col(raw) + offset,
+                                     f"special dart {token} appears twice" if 0 <= dart < n
+                                     else f"special dart {token!r} outside 1..{n}")
+                darts.add(dart)
+                offset += len(token)
+            special = frozenset(darts)
     return Hypermap(perms[0], perms[1]), special
+
+
+def _value_col(raw: str) -> int:
+    """The 1-based column where the value of the ``key: value`` line ``raw`` begins."""
+    return len(raw) - len(raw.partition(":")[2].lstrip()) + 1
 
 
 def format_hypermap(h: Hypermap, special=None) -> str:

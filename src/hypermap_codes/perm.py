@@ -28,7 +28,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import random
 import re
 from itertools import zip_longest
 from operator import attrgetter
@@ -228,13 +227,22 @@ def is_transitive(p: Permutation, q: Permutation) -> bool:
     return len(_reach(p.images, q.images, 0, [False] * p.degree)) == p.degree
 
 
-def random_permutation(n: int, rng: random.Random) -> Permutation:
-    """Uniformly random permutation drawn from ``rng``."""
+def random_permutation(n: int, rng) -> Permutation:
+    """Uniformly random permutation drawn from ``rng``, a ``random.Random``."""
     if n < 1:
         raise ValueError("permutation degree must be at least 1")
     images = list(range(n))
     rng.shuffle(images)
     return _unchecked(tuple(images))
+
+
+def _plain_labels(tokens: list[str]) -> list[int] | None:
+    """The values of ``tokens`` when each is a run of ASCII digits no longer than
+    ``MAX_DARTS`` written out, read by ``int`` in one pass; otherwise None."""
+    if ("".join(tokens).isascii() and all(map(str.isdigit, tokens))
+            and max(map(len, tokens), default=0) <= len(str(MAX_DARTS))):
+        return list(map(int, tokens))
+    return None
 
 
 def decimal_value(digits: str) -> int:

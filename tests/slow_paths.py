@@ -49,8 +49,12 @@ bit-packed matrix and its row parser as ``gf2`` held them, and ``hx``,
 and complexes once had.  The CLI's ``--special`` parse is kept as it was
 before the flag read its labels as one list: argparse converting each
 label through ``dart_label``, then ``DistinctDarts`` naming the first
-repeat (``per_label_parser``).  The fast paths must return exactly what
-these do.
+repeat (``per_label_parser``).  The hypermap text parser is kept as the
+line parser it was when a second reader took the files ``format_hypermap``
+writes: every field's column worked out as its line is read, and the
+``special:`` line read label by label, its cycles through the character
+walker ``parse_cycles`` below (``parse_lines``).  The fast paths
+must return exactly what these do.
 """
 
 import argparse
@@ -65,6 +69,7 @@ from hypermap_codes import (
     CheckResult,
     CycleParseError,
     Hypermap,
+    ParseError,
     Permutation,
     QuotientCode,
     SpecialDartError,
@@ -721,6 +726,75 @@ def parse_cycles(text, degree):
         for i, a in enumerate(entries):
             images[a] = entries[(i + 1) % len(entries)]
     return Permutation(tuple(images))
+
+
+# ---------------------------------------------------------------------------
+# the hypermap text parser, one line and one special label at a time
+
+def parse_lines(text: str) -> tuple[Hypermap, frozenset[int] | None]:
+    """The line parser of :func:`parse_hypermap`: reads any text of the format
+    line by line and raises :class:`ParseError` at the first fault."""
+    fields: list[tuple[int, int, str, str]] = []  # (line, value col, key, value)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if ":" not in raw:
+            raise ParseError(lineno, 1, "expected 'key: value'")
+        key, _, value = raw.partition(":")
+        # 1-based column where the stripped value begins
+        value_col = len(key) + 2 + (len(value) - len(value.lstrip()))
+        fields.append((lineno, value_col, key.strip(), value.strip()))
+
+    expected = ["darts", "alpha", "sigma"]
+    for (lineno, col, key, _), want in zip(fields, expected):
+        if key != want:
+            raise ParseError(lineno, 1, f"expected {want!r} line, found {key!r}")
+    if len(fields) < 3:
+        raise ParseError(len(text.splitlines()) + 1, 1,
+                         "expected 'darts:', 'alpha:' and 'sigma:' lines")
+    if len(fields) > 4:
+        lineno, _, key, _ = fields[4]
+        raise ParseError(lineno, 1, f"unexpected extra line {key!r}")
+    if len(fields) == 4 and fields[3][2] != "special":
+        raise ParseError(fields[3][0], 1, f"expected 'special' line, found {fields[3][2]!r}")
+
+    lineno, col, _, value = fields[0]
+    if not (value.isascii() and value.isdigit()):
+        raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
+    # the length check runs first: int() refuses more than 4300 digits
+    if len(value.lstrip("0")) > len(str(MAX_DARTS)) or (n := decimal_value(value)) > MAX_DARTS:
+        raise ParseError(lineno, col, f"dart count exceeds the limit of {MAX_DARTS}")
+    if n < 1:
+        raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
+
+    perms = []
+    for lineno, col, key, value in fields[1:3]:
+        try:
+            perms.append(parse_cycles(value, n))
+        except ValueError as exc:
+            offset = getattr(exc, "col", 1)
+            raise ParseError(lineno, col + offset - 1, f"bad {key} cycles: {exc}") from exc
+
+    special: frozenset[int] | None = None
+    if len(fields) == 4:
+        lineno, col, _, value = fields[3]
+        labels: set[int] = set()
+        offset = 0
+        for token in value.split():
+            offset = value.index(token, offset)
+            if not (token.isascii() and token.isdigit()) \
+                    or len(token.lstrip("0")) > len(str(n)) or not 1 <= decimal_value(token) <= n:
+                raise ParseError(lineno, col + offset,
+                                 f"special dart {token!r} outside 1..{n}")
+            label = decimal_value(token) - 1
+            if label in labels:
+                raise ParseError(lineno, col + offset, f"special dart {token} appears twice")
+            labels.add(label)
+            offset += len(token)
+        special = frozenset(labels)
+
+    return Hypermap(perms[0], perms[1]), special
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ from hypermap_codes import (
     reduce_to_surface,
     run_verification,
 )
-from hypermap_codes import chain, cli, gf2, hypermap, verify
+from hypermap_codes import chain, cli, gf2, hypermap, perm, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
-from slow_paths import as_partition, from_strings, incidence21, per_label_parser, rank
+from slow_paths import (as_partition, from_strings, incidence21, parse_lines, per_label_parser,
+                        rank)
 
 TORUS_TEXT = TORUS8.read_text()
 
@@ -696,7 +697,7 @@ ROUTE_ARGVS = [
     ["distance", _F, "--kind", "face"], ["distance", _F, "--kind", "full"],
     ["export", _F, "--format", "dot"], ["export", _F, "--format", "json", "--what", "complex"],
     ["distance", _F, "--kind", "edge", "--allow-large", "--budget", "3"],
-    # forms only the subparser reads, next to the plain forms they spell differently
+    # forms only argparse reads, next to the plain forms they spell differently
     ["code", "--kind", "face", _F], ["reduce", "--special", "1", "6", _F],
     ["code", _F, "--kind=face"], ["code", _F, "--kin", "face", "--special", "1", "6"],
     ["distance", _F, "--kind", "face", "--allow-large", "x"],
@@ -725,7 +726,7 @@ def _parsed(capsys, parse, argv):
 
 def _plain_or_none(parser, argv):
     """The plain reader's namespace for ``argv`` as a dict, or None when it leaves
-    ``argv`` to the subparser; it never prints."""
+    ``argv`` to the top-level parser; it never prints."""
     subparser = parser.commands[argv[0]]
     namespace = cli._read_plain(subparser, argv[1:], argparse.Namespace(command=argv[0]))
     return None if namespace is None else vars(namespace)
@@ -862,21 +863,28 @@ def test_plain_reader_matches_the_subparser_on_drawn_argv(argv):
     assert routes[0] == routes[1]
 
 
-def test_a_known_command_never_reaches_the_top_level_parse(torus_file, capsys, monkeypatch):
+def test_argv_the_plain_reader_refuses_goes_to_the_top_level_parser(torus_file, capsys,
+                                                                     monkeypatch):
+    """Two routes: the plain reader, or else ``parser.parse_args`` on the whole argv."""
     parser = cli._shared_parser()
+    parse_args = parser.parse_args
+    calls = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser parsed a known command")
+    def counting(argv):
+        calls.append(list(argv))
+        return parse_args(argv)
 
-    monkeypatch.setattr(parser, "parse_args", refuse)
-    monkeypatch.setattr(parser, "parse_known_args", refuse)
-    known = [[arg.replace(_F, torus_file) for arg in argv] for argv in ROUTE_ARGVS
-             if argv and argv[0] in parser.commands]
-    assert len(known) > 40
-    for argv in known:
-        assert _outcome(capsys, argv)[0] in (0, 2, 3), argv
-    with pytest.raises(AssertionError, match="top-level parser"):
-        main(["nope"])
+    monkeypatch.setattr(parser, "parse_args", counting)
+    routes = {True: 0, False: 0}
+    for argv in ROUTE_ARGVS:
+        argv = [arg.replace(_F, torus_file) for arg in argv]
+        plain = bool(argv) and argv[0] in parser.commands \
+            and _plain_or_none(parser, argv) is not None
+        routes[plain] += 1
+        calls.clear()
+        _parsed(capsys, lambda a: cli._parse_args(parser, a), argv)
+        assert calls == ([] if plain else [argv]), argv
+    assert min(routes.values()) > 20, routes
 
 
 def _one_per(orbits, rng):
@@ -886,7 +894,8 @@ def _one_per(orbits, rng):
 def test_workload_commands_take_the_one_pass_readers(torus8, tmp_path, capsys, monkeypatch):
     """Every command form of the benchmark's workloads, on torus8, a map written
     with a special line and a lattice written without one, runs with argparse's
-    parsing and the line parser of the hypermap format refused."""
+    parsing and every label-by-label walk refused: each label list, on the
+    command line and in the file, is read by one ``int`` pass."""
     rng = random.Random(27)
     drawn = random_corpus(1, 12, 27)[0]
     drawn_file = tmp_path / "drawn.hm"
@@ -914,13 +923,21 @@ def test_workload_commands_take_the_one_pass_readers(torus8, tmp_path, capsys, m
               for kind in ("face", "edge", "full")]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("argparse or the line parser read a plain input")
+        raise AssertionError("argparse or a label-by-label walk read a plain input")
+
+    def one_pass(tokens):
+        labels = perm._plain_labels(tokens)
+        assert labels is not None, tokens
+        return labels
 
     parser = cli._shared_parser()
     for p in (parser, *parser.commands.values()):
         monkeypatch.setattr(p, "parse_known_args", refuse)
     monkeypatch.setattr(parser, "parse_args", refuse)
-    monkeypatch.setattr(hypermap, "_parse_lines", refuse)
+    monkeypatch.setattr(perm, "_raise_first_error", refuse)
+    monkeypatch.setattr(cli, "_dart_label", refuse)
+    for module in (cli, hypermap):
+        monkeypatch.setattr(module, "_plain_labels", one_pass)
     for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
@@ -1402,7 +1419,8 @@ def test_special_flag_is_as_strict_as_the_file(command, darts, message, torus_fi
     assert f"argument --special: {message}" in err
 
 
-# token lists for --special, each read as one list and label by label
+# token lists for --special and a file's special line, each read as one list
+# (perm._plain_labels) and label by label
 SPECIAL_TOKENS = {
     "empty": [""], "empty between labels": ["2", "", "5"], "inner space": ["1 2"],
     "arabic-indic digit": ["٢"], "superscript two": ["²"], "plus sign": ["+2"],
@@ -1410,7 +1428,32 @@ SPECIAL_TOKENS = {
     "past the digit limit": ["10000000"], "above MAX_DARTS": ["1000001"],
     "4400 digits": ["1" * 4400], "valid": ["2", "5"], "valid padded": ["0001", "6"],
     "repeat": ["2", "5", "2"], "outside the map": ["9", "5"], "one short": ["2"],
+    "no labels": [], "MAX_DARTS": ["1000000"], "zero": ["0", "5"],
+    "padded to the digit limit": ["0000002", "5"],
+    "padded past the digit limit": ["00000002", "5"],
+    "repeat padded past the digit limit": ["5", "00000005"],
+    "zero padded past the digit limit": ["00000000"], "trailing non-digit": ["2", "5x"],
 }
+
+
+@pytest.mark.parametrize("tokens", SPECIAL_TOKENS.values(), ids=SPECIAL_TOKENS.keys())
+def test_plain_labels_take_ascii_digit_runs_up_to_the_width_of_max_darts(tokens):
+    plain = all(t.isascii() and t.isdigit() and len(t) <= len(str(MAX_DARTS)) for t in tokens)
+    assert perm._plain_labels(tokens) == (list(map(int, tokens)) if plain else None)
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except hypermap.ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@pytest.mark.parametrize("tokens", SPECIAL_TOKENS.values(), ids=SPECIAL_TOKENS.keys())
+def test_special_line_matches_the_line_oracle(tokens):
+    text = TORUS_TEXT.replace("special: 2 5", "special: " + " ".join(tokens))
+    assert text != TORUS_TEXT or tokens == ["2", "5"]
+    assert _parsed_or_error(parse_hypermap, text) == _parsed_or_error(parse_lines, text)
 
 
 @pytest.mark.parametrize("darts", SPECIAL_TOKENS.values(), ids=SPECIAL_TOKENS.keys())
@@ -1455,7 +1498,7 @@ def test_special_list_calls_the_label_reader_only_when_it_refuses(torus_file, ca
     assert calls == []
     with pytest.raises(SystemExit):
         main(["code", torus_file, "--kind", "face", "--special", "2", "x", "5", "y"])
-    assert calls == ["2", "x"] * 2  # the plain reader, then the subparser, each to the refusal
+    assert calls == ["2", "x"] * 2  # the plain reader, then argparse, each to the refusal
     assert "special dart 'x' is not a decimal label" in capsys.readouterr().err
 
 

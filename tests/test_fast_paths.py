@@ -24,14 +24,14 @@ dual, triangle dual, contrary and nabla, which skip the transitivity search
 and walk their orbits on first read, are compared field by field with a
 validating build of the same pair on every small map, the corpus and
 square-lattice tori, and the permutations that ``perm`` makes without
-validation are drawn and validated.  The one-pass reader of the hypermap
-text format must return what the line parser returns, without calling it,
-on the texts ``format_hypermap`` writes of every small map, the corpus and
-square-lattice tori, and return it or raise its exact error on drawn
-perturbations of them.  The special-set check of ``face_code`` and ``edge_code``,
-which counts hits through the dart -> orbit table, must raise the
-oracle's exact message on every subset
-of every small map, on the corpus and on out-of-range sets.
+validation are drawn and validated.  The hypermap text parser must return
+what the line-by-line oracle returns on the texts ``format_hypermap``
+writes of every small map, the corpus and square-lattice tori, and return
+it or raise its exact error on edge cases and drawn perturbations of them.
+The special-set check of ``face_code`` and ``edge_code``, which counts
+hits through the dart -> orbit table, must raise the oracle's exact
+message on every subset of every small map, on the corpus and on
+out-of-range sets.
 """
 
 import itertools
@@ -78,7 +78,7 @@ from hypermap_codes import (
     triangle_dual,
     validate_surface,
 )
-from hypermap_codes import chain, gf2, hypermap, perm
+from hypermap_codes import chain, gf2, perm
 from slow_paths import from_strings
 from conftest import TORUS8, square_torus
 from test_exhaustive_small import all_hypermaps
@@ -780,7 +780,7 @@ def test_special_darts_match_oracle_on_corpus(torus8, corpus):
 
 
 # ---------------------------------------------------------------------------
-# the one-pass reader of the hypermap text format against the line parser
+# the hypermap text parser against the line-by-line oracle
 
 def _parsed_text(parse, text):
     """What a hypermap text parser returns, or its error's type, message, line and column."""
@@ -802,9 +802,7 @@ def _layout_texts(h, rng):
 
 def _assert_layout_read(texts):
     for text in texts:
-        expected = hypermap._parse_lines(text)
-        with mock.patch.object(hypermap, "_parse_lines", side_effect=AssertionError(text)):
-            assert parse_hypermap(text) == expected
+        assert parse_hypermap(text) == slow_paths.parse_lines(text), text
 
 
 _DOCSTRING_EXAMPLE = """# comments start with '#'
@@ -869,9 +867,10 @@ def _torus_text(*replace, end="\n"):
     _torus_text("special", "spécial"), _torus_text() + "special: 1 6\n",
     _torus_text() + "# trailing comment", "darts: 2\nalpha: ()\nsigma: ()\n",
     "darts: 8\nsigma: ()\nalpha: ()\n", "darts: 3\nalpha: ()\n", "",
+    _torus_text("darts: 8", ": 8"), " :\n" + _torus_text(), _torus_text() + ":",
 ])
 def test_layout_reader_matches_line_parser_on_edge_cases(text):
-    assert _parsed_text(parse_hypermap, text) == _parsed_text(hypermap._parse_lines, text)
+    assert _parsed_text(parse_hypermap, text) == _parsed_text(slow_paths.parse_lines, text)
 
 
 _BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -926,4 +925,4 @@ def test_layout_reader_matches_line_parser_on_perturbed_text(darts, seed, kinds)
     text = format_hypermap(h, special)
     for kind in kinds:
         text = _perturb(text, darts, kind, rng)
-    assert _parsed_text(parse_hypermap, text) == _parsed_text(hypermap._parse_lines, text)
+    assert _parsed_text(parse_hypermap, text) == _parsed_text(slow_paths.parse_lines, text)

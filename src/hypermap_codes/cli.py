@@ -49,7 +49,7 @@ from .hypermap import (
     random_hypermap,
     triangle_dual,
 )
-from .perm import MAX_DARTS, _plain_labels, decimal_value
+from .perm import MAX_DARTS, _read_labels
 from .reduce import reduce_to_surface, validate_surface
 from .verify import run_verification
 
@@ -266,39 +266,17 @@ def _int_in_range(low: int | None = None, high: int | None = None) -> Callable[[
     return parse
 
 
-def _dart_label(text: str) -> int:
-    """One --special label, read by :class:`_DistinctDarts` when its list is not plain:
-    like a file's special line, the flag takes ASCII decimal digits only."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"special dart {text!r} is not a decimal label")
-    significant = len(text.lstrip("0"))
-    if significant > len(str(MAX_DARTS)):  # checked before int(), which refuses 4300 digits
-        raise argparse.ArgumentTypeError(
-            f"special dart of {significant} digits exceeds the limit of {MAX_DARTS} darts")
-    return decimal_value(text)
-
-
 class _DistinctDarts(argparse.Action):
-    """The --special action: reads its raw labels as one list, each dart once.
-
-    A plain list (:func:`~hypermap_codes.perm._plain_labels`) is converted
-    in one pass; any other list goes label by label through
-    :func:`_dart_label`, which names the first label it refuses.  The first
-    repeat is named only when there is one."""
+    """The --special action: reads its labels as one list by the rule of a file's
+    special line (:func:`~hypermap_codes.perm._read_labels`), each in
+    1..MAX_DARTS and each once.  Whether each is a dart of the map, and one
+    per edge or face, is checked when the code is built."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        darts = _plain_labels(values)
-        if darts is None:
-            try:
-                darts = [_dart_label(text) for text in values]
-            except argparse.ArgumentTypeError as exc:
-                raise argparse.ArgumentError(self, str(exc)) from None
-        if len(set(darts)) < len(darts):
-            seen: set[int] = set()
-            for dart in darts:
-                if dart in seen:
-                    raise argparse.ArgumentError(self, f"special dart {dart} appears twice")
-                seen.add(dart)
+        try:
+            darts = _read_labels(values, MAX_DARTS)
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, f"special dart {exc}") from None
         setattr(namespace, self.dest, darts)
 
 

@@ -39,6 +39,7 @@ the file format may carry and which the face and edge codes of
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 
 from .perm import (
@@ -53,8 +54,9 @@ from .perm import (
     is_transitive,
     parse_cycles,
     random_permutation,
+    _LabelError,
     _orbits,
-    _plain_labels,
+    _read_labels,
     _Record,
 )
 
@@ -256,10 +258,11 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
 
     One parser reads every text the format allows: lines as ``str.splitlines``
     splits them, blank lines and whole-line ``#`` comments skipped, spaces
-    free around keys and values.  A ``special:`` line is read by one ``int``
-    pass with a range and a repeat check, and walked label by label only when
-    that pass refuses it, to name the fault.  Every fault raises
-    :class:`ParseError` with its line and column.
+    free around keys and values.  A ``special:`` line follows the one label
+    rule of :func:`~hypermap_codes.perm._read_labels`, with the range 1..n: one
+    ``int`` pass reads it, and a walk label by label names the fault of a line
+    that pass refuses.  Every fault raises :class:`ParseError` with its line
+    and column.
     """
     lines = text.splitlines()
     fields: list[tuple[int, str, str, str]] = []  # (line number, line, key, value)
@@ -304,23 +307,11 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
     special: frozenset[int] | None = None
     if len(fields) == 4:
         lineno, raw, _, value = fields[3]
-        labels = _plain_labels(tokens := value.split())
-        special = frozenset(map((-1).__add__, labels or ()))  # 0-based
-        if (labels is None or len(special) < len(labels)
-                or labels and not 1 <= min(labels) <= max(labels) <= n):
-            darts, offset = set(), 0  # refused: walk it label by label to name its fault
-            for token in tokens:
-                offset = value.index(token, offset)
-                significant = token.lstrip("0")  # checked first: int() refuses 4300 digits
-                dart = (decimal_value(token) - 1 if token.isascii() and token.isdigit()
-                        and len(significant) <= len(str(n)) else -1)
-                if not 0 <= dart < n or dart in darts:
-                    raise ParseError(lineno, _value_col(raw) + offset,
-                                     f"special dart {token} appears twice" if 0 <= dart < n
-                                     else f"special dart {token!r} outside 1..{n}")
-                darts.add(dart)
-                offset += len(token)
-            special = frozenset(darts)
+        try:
+            special = frozenset(map((-1).__add__, _read_labels(value.split(), n)))  # 0-based
+        except _LabelError as exc:  # the column of the token at fault: its start in value
+            offset = [token.start() for token in re.finditer(r"\S+", value)][exc.index]
+            raise ParseError(lineno, _value_col(raw) + offset, f"special dart {exc}") from None
     return Hypermap(perms[0], perms[1]), special
 
 

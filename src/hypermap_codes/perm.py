@@ -236,15 +236,6 @@ def random_permutation(n: int, rng) -> Permutation:
     return _unchecked(tuple(images))
 
 
-def _plain_labels(tokens: list[str]) -> list[int] | None:
-    """The values of ``tokens`` when each is a run of ASCII digits no longer than
-    ``MAX_DARTS`` written out, read by ``int`` in one pass; otherwise None."""
-    if ("".join(tokens).isascii() and all(map(str.isdigit, tokens))
-            and max(map(len, tokens), default=0) <= len(str(MAX_DARTS))):
-        return list(map(int, tokens))
-    return None
-
-
 def decimal_value(digits: str) -> int:
     """ASCII decimal digits read past their zero padding, which ``int()`` counts to its limit."""
     return int(digits.lstrip("0") or "0")
@@ -256,6 +247,50 @@ class CycleParseError(ValueError):
     def __init__(self, message: str, col: int):
         super().__init__(message)
         self.col = col
+
+
+class _LabelError(ValueError):
+    """A refused label list; ``index`` is the position of its first token at fault."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _label(token: str, high: int, seen: set[int]) -> int:
+    """The one label rule: ``token`` is ASCII decimal digits, read by value past
+    their zero padding, its width checked before ``int()`` (which refuses 4300
+    digits), in 1..``high`` and not in ``seen``, which takes it.  A ValueError
+    names the fault."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a decimal label")
+    significant = token.lstrip("0")
+    if len(significant) > len(str(high)):
+        raise ValueError(f"of {len(significant)} digits outside 1..{high}")
+    label = decimal_value(token)
+    if not 1 <= label <= high:
+        raise ValueError(f"{label} outside 1..{high}")
+    if label in seen:
+        raise ValueError(f"{label} appears twice")
+    seen.add(label)
+    return label
+
+
+def _read_labels(tokens: list[str], high: int) -> list[int]:
+    """The values of ``tokens`` under :func:`_label`'s rule: one ``int`` pass
+    reads ASCII digit runs no wider than ``high``, and any list it refuses is
+    walked with :func:`_label`, to its values or to a :class:`_LabelError`."""
+    if ("".join(tokens).isascii() and all(map(str.isdigit, tokens))
+            and max(map(len, tokens), default=0) <= len(str(high))):
+        labels = list(map(int, tokens))
+        if not labels or (0 < min(labels) and max(labels) <= high
+                          and len(set(labels)) == len(labels)):
+            return labels
+    seen: set[int] = set()
+    try:
+        return [_label(token, high, seen) for token in tokens]
+    except ValueError as exc:  # each label before the fault added one value to seen
+        raise _LabelError(str(exc), len(seen)) from None
 
 
 # The cycle grammar (``\s`` is the str.isspace set).  A label run ends at whitespace
@@ -309,8 +344,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 def _raise_first_error(text: str, degree: int) -> "NoReturn":
     """Walk refused cycle text one character at a time and raise its first error."""
-    width = len(str(degree))
-    used = [False] * degree
+    used: set[int] = set()
     pos = 0
     n_chars = len(text)
     while pos < n_chars:
@@ -332,20 +366,10 @@ def _raise_first_error(text: str, degree: int) -> "NoReturn":
             start = pos
             while pos < n_chars and not text[pos].isspace() and text[pos] != ")":
                 pos += 1
-            token = text[start:pos]
-            if not (token.isascii() and token.isdigit()):
-                raise CycleParseError(f"expected a dart label, found {token!r}", start + 1)
-            # checked before int(), which refuses more than 4300 digits
-            if len(token) > width and len(token.lstrip("0")) > width:
-                raise CycleParseError(
-                    f"dart label of {len(token.lstrip('0'))} digits outside 1..{degree}",
-                    start + 1)
-            label = decimal_value(token)
-            if not 1 <= label <= degree:
-                raise CycleParseError(f"dart label {label} outside 1..{degree}", start + 1)
-            if used[label - 1]:
-                raise CycleParseError(f"dart label {label} appears twice", start + 1)
-            used[label - 1] = True
+            try:
+                _label(text[start:pos], degree, used)
+            except ValueError as exc:
+                raise CycleParseError(f"dart label {exc}", start + 1) from None
     raise AssertionError(f"no error found in refused cycle text {text!r}")
 
 

@@ -53,7 +53,12 @@ repeat (``per_label_parser``).  The hypermap text parser is kept as the
 line parser it was when a second reader took the files ``format_hypermap``
 writes: every field's column worked out as its line is read, and the
 ``special:`` line read label by label, its cycles through the character
-walker ``parse_cycles`` below (``parse_lines``).  The fast paths
+walker ``parse_cycles`` below (``parse_lines``).  The three label
+readers (``parse_cycles``, the ``special:`` line of ``parse_lines`` and
+``dart_label``) keep their logic but speak the texts of the library's one
+label rule: ``'x' is not a decimal label``, ``9 outside 1..8``, ``of 11
+digits outside 1..8`` and a repeat named by its value; ``dart_label`` also
+refuses a label outside 1..MAX_DARTS, as the flag does.  The fast paths
 must return exactly what these do.
 """
 
@@ -711,7 +716,7 @@ def parse_cycles(text, degree):
                 pos += 1
             token = text[start:pos]
             if not (token.isascii() and token.isdigit()):
-                raise CycleParseError(f"expected a dart label, found {token!r}", start + 1)
+                raise CycleParseError(f"dart label {token!r} is not a decimal label", start + 1)
             if len(token) > width and len(token.lstrip("0")) > width:
                 raise CycleParseError(
                     f"dart label of {len(token.lstrip('0'))} digits outside 1..{degree}",
@@ -783,13 +788,19 @@ def parse_lines(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         offset = 0
         for token in value.split():
             offset = value.index(token, offset)
-            if not (token.isascii() and token.isdigit()) \
-                    or len(token.lstrip("0")) > len(str(n)) or not 1 <= decimal_value(token) <= n:
+            if not (token.isascii() and token.isdigit()):
                 raise ParseError(lineno, col + offset,
-                                 f"special dart {token!r} outside 1..{n}")
+                                 f"special dart {token!r} is not a decimal label")
+            if len(token.lstrip("0")) > len(str(n)):
+                raise ParseError(lineno, col + offset, f"special dart of "
+                                 f"{len(token.lstrip('0'))} digits outside 1..{n}")
+            if not 1 <= decimal_value(token) <= n:
+                raise ParseError(lineno, col + offset,
+                                 f"special dart {decimal_value(token)} outside 1..{n}")
             label = decimal_value(token) - 1
             if label in labels:
-                raise ParseError(lineno, col + offset, f"special dart {token} appears twice")
+                raise ParseError(lineno, col + offset,
+                                 f"special dart {label + 1} appears twice")
             labels.add(label)
             offset += len(token)
         special = frozenset(labels)
@@ -1013,13 +1024,16 @@ def kernel_label_min_cycle_weight(graph, other, budget):
 
 def dart_label(text):
     """``type=`` of --special: ASCII decimal digits, with no more significant
-    digits than ``MAX_DARTS``."""
+    digits than ``MAX_DARTS``, in 1..MAX_DARTS."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"special dart {text!r} is not a decimal label")
     significant = len(text.lstrip("0"))
     if significant > len(str(MAX_DARTS)):
         raise argparse.ArgumentTypeError(
-            f"special dart of {significant} digits exceeds the limit of {MAX_DARTS} darts")
+            f"special dart of {significant} digits outside 1..{MAX_DARTS}")
+    if not 1 <= decimal_value(text) <= MAX_DARTS:
+        raise argparse.ArgumentTypeError(
+            f"special dart {decimal_value(text)} outside 1..{MAX_DARTS}")
     return decimal_value(text)
 
 

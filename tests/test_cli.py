@@ -925,19 +925,12 @@ def test_workload_commands_take_the_one_pass_readers(torus8, tmp_path, capsys, m
     def refuse(*args, **kwargs):
         raise AssertionError("argparse or a label-by-label walk read a plain input")
 
-    def one_pass(tokens):
-        labels = perm._plain_labels(tokens)
-        assert labels is not None, tokens
-        return labels
-
     parser = cli._shared_parser()
     for p in (parser, *parser.commands.values()):
         monkeypatch.setattr(p, "parse_known_args", refuse)
     monkeypatch.setattr(parser, "parse_args", refuse)
     monkeypatch.setattr(perm, "_raise_first_error", refuse)
-    monkeypatch.setattr(cli, "_dart_label", refuse)
-    for module in (cli, hypermap):
-        monkeypatch.setattr(module, "_plain_labels", one_pass)
+    monkeypatch.setattr(perm, "_label", refuse)  # each walk of a label list
     for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
@@ -1250,9 +1243,8 @@ def test_special_flag_past_the_dart_limit_is_a_usage_error(torus_file, capsys):
         main(["code", torus_file, "--kind", "face", "--special", "1" * 4400])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and "_dart_label" not in err
-    assert ("argument --special: special dart of 4400 digits exceeds the limit of "
-            f"{MAX_DARTS} darts") in err
+    assert out == "" and "_label" not in err
+    assert f"argument --special: special dart of 4400 digits outside 1..{MAX_DARTS}" in err
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -1420,7 +1412,7 @@ def test_special_flag_is_as_strict_as_the_file(command, darts, message, torus_fi
 
 
 # token lists for --special and a file's special line, each read as one list
-# (perm._plain_labels) and label by label
+# (perm._read_labels) and label by label
 SPECIAL_TOKENS = {
     "empty": [""], "empty between labels": ["2", "", "5"], "inner space": ["1 2"],
     "arabic-indic digit": ["٢"], "superscript two": ["²"], "plus sign": ["+2"],
@@ -1435,11 +1427,33 @@ SPECIAL_TOKENS = {
     "zero padded past the digit limit": ["00000000"], "trailing non-digit": ["2", "5x"],
 }
 
+LABEL_TOKENS = st.one_of(
+    st.builds(lambda zeros, value: "0" * zeros + str(value), st.integers(0, 9),
+              st.integers(0, 30) | st.integers(MAX_DARTS - 2, MAX_DARTS + 2)),
+    st.sampled_from(["0", "٢", "²", "+2", "-5", "1_0", "2x", "", "1" * 4400,
+                     "0" * 4400 + "3", *(t for ts in SPECIAL_TOKENS.values() for t in ts)]))
 
-@pytest.mark.parametrize("tokens", SPECIAL_TOKENS.values(), ids=SPECIAL_TOKENS.keys())
-def test_plain_labels_take_ascii_digit_runs_up_to_the_width_of_max_darts(tokens):
-    plain = all(t.isascii() and t.isdigit() and len(t) <= len(str(MAX_DARTS)) for t in tokens)
-    assert perm._plain_labels(tokens) == (list(map(int, tokens)) if plain else None)
+
+def _walked(tokens, high):
+    """The label-by-label walk: each token through ``perm._label``, to the list's
+    values or to the index and the text of its first fault."""
+    seen, values = set(), []
+    for index, token in enumerate(tokens):
+        try:
+            values.append(perm._label(token, high, seen))
+        except ValueError as exc:
+            return index, str(exc)
+    return values
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.lists(LABEL_TOKENS, max_size=6), st.sampled_from([1, 8, 9, 10, 25, MAX_DARTS]))
+def test_read_labels_agrees_with_the_label_walk(tokens, high):
+    try:
+        outcome = perm._read_labels(tokens, high)
+    except perm._LabelError as exc:
+        outcome = exc.index, str(exc)
+    assert outcome == _walked(tokens, high)
 
 
 def _parsed_or_error(parse, text):
@@ -1483,23 +1497,43 @@ def test_special_list_of_every_orbit_minimum_prints_what_no_flag_prints(tmp_path
 
 def test_special_list_calls_the_label_reader_only_when_it_refuses(torus_file, capsys,
                                                                   monkeypatch):
-    original = cli._dart_label
+    original = perm._label
     calls = []
 
-    def counting(text):
-        calls.append(text)
-        return original(text)
+    def counting(token, high, seen):
+        calls.append(token)
+        return original(token, high, seen)
 
-    monkeypatch.setattr(cli, "_dart_label", counting)
+    monkeypatch.setattr(perm, "_label", counting)
     code, out, _ = run_cli(capsys, "code", torus_file, "--kind", "face", "--special", "2", "5")
     assert code == 0 and "special: 2 5" in out
-    with pytest.raises(SystemExit):
-        main(["code", torus_file, "--kind", "face", "--special", "2", "02"])
-    assert calls == []
-    with pytest.raises(SystemExit):
-        main(["code", torus_file, "--kind", "face", "--special", "2", "x", "5", "y"])
-    assert calls == ["2", "x"] * 2  # the plain reader, then argparse, each to the refusal
+    assert calls == []  # the flag's list and the file's line, each read by the one pass
+    for darts in (["2", "02"], ["2", "x", "5", "y"]):
+        calls.clear()
+        with pytest.raises(SystemExit):
+            main(["code", torus_file, "--kind", "face", "--special", *darts])
+        assert calls == darts[:2] * 2  # the plain reader, then argparse, each to the refusal
     assert "special dart 'x' is not a decimal label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tokens", SPECIAL_TOKENS.values(), ids=SPECIAL_TOKENS.keys())
+def test_special_line_and_flag_refuse_alike(tokens, tmp_path, capsys):
+    """The file's ``special:`` line and ``--special`` name a non-decimal token or
+    a repeat in the same words, and refuse the label 0 as a parse error."""
+    path = tmp_path / "special.hm"
+    path.write_text(TORUS_TEXT.replace("special: 2 5", "special: " + " ".join(tokens)))
+    by_file = _outcome(capsys, ["code", str(path), "--kind", "face"])
+    by_flag = _outcome(capsys, ["code", str(TORUS8), "--kind", "face", "--special", *tokens])
+    fault = by_flag[2].partition("special dart ")[2]
+    if fault.endswith(("is not a decimal label\n", "appears twice\n")) \
+            and " ".join(tokens).split() == tokens:  # the file splits no token
+        assert (by_file[0], by_file[2].partition("special dart ")[2]) == (2, fault)
+    if tokens and tokens[0] and not tokens[0].strip("0"):  # the label 0
+        assert (by_file[0], by_flag[0]) == (2, 2)
+        assert "special dart 0 outside 1..8" in by_file[2]
+        assert f"special dart 0 outside 1..{MAX_DARTS}" in by_flag[2]
+    if by_flag[0] == 0:
+        assert by_file == by_flag
 
 
 def test_special_file_line_refuses_the_same_repeat(tmp_path, capsys):
@@ -1510,7 +1544,15 @@ def test_special_file_line_refuses_the_same_repeat(tmp_path, capsys):
     assert "special dart 2 appears twice" in err
 
 
-@pytest.mark.parametrize("dart", ["0", "9", "0009"])
+@pytest.mark.parametrize("dart", ["1000001", "0000000", "01000001"])
+def test_special_flag_outside_max_darts_is_a_usage_error(dart, torus_file, capsys):
+    code, out, err = _outcome(capsys, ["code", torus_file, "--kind", "face",
+                                       "--special", dart, "5"])
+    assert (code, out) == (2, "")
+    assert f"argument --special: special dart {int(dart)} outside 1..{MAX_DARTS}" in err
+
+
+@pytest.mark.parametrize("dart", ["9", "0009"])
 def test_special_flag_out_of_range_still_exits_3(dart, torus_file, capsys):
     code, out, err = run_cli(capsys, "code", torus_file, "--kind", "face",
                              "--special", dart, "5")

@@ -445,7 +445,7 @@ def test_repeated_special_dart_names_its_line_and_column():
     with pytest.raises(ParseError) as err:
         parse_hypermap(text)
     assert (err.value.line, err.value.col, err.value.message) == (
-        4, 15, "special dart 03 appears twice")
+        4, 15, "special dart 3 appears twice")
 
 
 def test_parse_error_reports_column():

@@ -101,15 +101,9 @@ def _code(h: Hypermap, kind: str, special: frozenset[int] | None, qubits: tuple[
     tail_of = [0] * h.n  # tail_of[d] = v(alpha^-1(d)): alpha sends i to d
     for i, d in enumerate(h.alpha.images):
         tail_of[d] = head_of[i]
-    return QuotientCode(
-        kind=kind,
-        special=special,
-        qubit_labels=qubits,
-        ends=check_pairs(qubits, head_of, tail_of, len(h.vertices)),
-        sides=sides,
-        z_labels=_orbit_labels(z_orbits),
-        x_labels=_orbit_labels(h.vertices),
-    )
+    return QuotientCode(kind=kind, special=special, qubit_labels=qubits,
+                        ends=check_pairs(qubits, head_of, tail_of, len(h.vertices)), sides=sides,
+                        z_labels=_orbit_labels(z_orbits), x_labels=_orbit_labels(h.vertices))
 
 
 def _special_set(h: Hypermap, darts: Iterable[int] | None, kind: str) -> frozenset[int]:
@@ -117,24 +111,24 @@ def _special_set(h: Hypermap, darts: Iterable[int] | None, kind: str) -> frozens
     face code, per face for an edge code; the orbit minima when ``darts`` is None.
 
     Raises :class:`SpecialDartError` unless ``darts`` picks exactly one dart
-    of every such orbit, each once.  Hits are counted per orbit through the
-    dart -> orbit table.
+    of every such orbit, each once, each an ``int``.  Hits are counted per
+    orbit through the dart -> orbit table.
     """
     name, orbits, index = ("edge", h.edges, h.edge_index) if kind == FACE \
         else ("face", h.faces, h.face_index)
     if darts is None:
         return frozenset(_orbit_labels(orbits))
-    if isinstance(darts, (set, frozenset)):  # no repeats to look for
-        chosen = frozenset(darts)
-    else:
-        darts = list(darts)  # an iterator is read once
-        chosen = frozenset(darts)
-        if len(chosen) < len(darts):
-            seen: set[int] = set()
-            for dart in darts:
-                if dart in seen:
-                    raise SpecialDartError(f"special dart {dart + 1} appears twice")
-                seen.add(dart)
+    darts = darts if isinstance(darts, (set, frozenset)) else list(darts)  # an iterator, once
+    chosen = frozenset(darts)  # a frozenset is kept as it is
+    if not {int}.issuperset(map(type, chosen)):  # so True, 1.0 and '1' are refused
+        odd = next(dart for dart in chosen if type(dart) is not int)
+        raise SpecialDartError(f"special dart {odd!r} is not an integer")
+    if len(chosen) < len(darts):
+        seen: set[int] = set()
+        for dart in darts:
+            if dart in seen:
+                raise SpecialDartError(f"special dart {dart + 1} appears twice")
+            seen.add(dart)
     n, hits = h.n, [0] * len(orbits)  # special darts per orbit
     for dart in chosen:
         if not 0 <= dart < n:

@@ -7,9 +7,9 @@ is deterministic for fixed inputs and seeds.
 Argv takes one of two routes.  A known command's plain argv (FILE first
 where the command takes one, then exact long options, each at most once,
 with their values) is read by :func:`_read_plain` from the command's own
-Action objects.  Any other argv, or a value that an option's type, choices
-or action refuses, goes to the top-level parser, which reads it and reports
-its errors.
+Action objects, which report a refusal of their own, as argparse does; any
+other argv, or a value that an option's type or choices refuse, goes to the
+top-level parser, which reads it and reports its errors.
 
 Exit codes: 0 success, 1 output not written (stdout closed or failing),
 2 parse error, 3 validation error, 4 internal invariant breach.
@@ -109,15 +109,12 @@ def _usage_error(args) -> str | None:
 
 
 def _build_quotient(h: Hypermap, kind: str, cli_special, file_special) -> QuotientCode:
-    """The code of ``kind``.  Its special darts: the --special flag, else, for a
-    face code, the file's special line (one dart per edge), else the orbit
-    minima.  The code builder validates them."""
+    """The code of ``kind``.  Its special darts, a 0-based set passed on as it
+    is: the --special flag's, else, for a face code, the file's special line
+    (one dart per edge), else the orbit minima.  The code builder validates them."""
     if kind == FULL:
         return full_code(h)
-    if cli_special is not None:
-        special = [x - 1 for x in cli_special]
-    else:
-        special = file_special if kind == FACE else None
+    special = file_special if cli_special is None and kind == FACE else cli_special
     return face_code(h, special) if kind == FACE else edge_code(h, special)
 
 
@@ -269,8 +266,9 @@ def _int_in_range(low: int | None = None, high: int | None = None) -> Callable[[
 class _DistinctDarts(argparse.Action):
     """The --special action: reads its labels as one list by the rule of a file's
     special line (:func:`~hypermap_codes.perm._read_labels`), each in
-    1..MAX_DARTS and each once.  Whether each is a dart of the map, and one
-    per edge or face, is checked when the code is built."""
+    1..MAX_DARTS and each once, to the set of 0-based darts a file's line gives.
+    Whether each is a dart of the map, and one per edge or face, is checked
+    when the code is built."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         try:
@@ -384,9 +382,10 @@ def _read_plain(subparser: argparse.ArgumentParser, argv: list[str],
     value, one or more for ``--special``, none for a flag; and every
     required option given.  Each value goes through its action's ``type``
     and ``choices`` and then the action object, as argparse's
-    ``_get_values`` sends it.  Any other argv, or a value that a type, a
-    choice or an action refuses, returns None, so that the top-level parser
-    reads it and reports the error.
+    ``_get_values`` sends it.  An action's refusal exits through
+    ``subparser.error``, as argparse reports it.  Any other argv, or a value
+    that a type or a choice refuses, returns None: the top-level parser reads
+    it and words the error as its version does.
     """
     file_action, options = subparser.plain
     start = 0 if file_action is None else 1  # FILE's tokens
@@ -412,7 +411,9 @@ def _read_plain(subparser: argparse.ArgumentParser, argv: list[str],
             if action.choices is not None and not all(v in action.choices for v in values):
                 return None
             action(subparser, namespace, values[0] if action.nargs is None else values, option)
-    except (argparse.ArgumentError, argparse.ArgumentTypeError, TypeError, ValueError):
+    except argparse.ArgumentError as exc:  # an action's refusal: only actions raise it
+        subparser.error(str(exc))
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None
     return namespace
 

@@ -67,8 +67,11 @@ def _rows_from_json(doc: dict, key: str) -> tuple[list[str], int]:
 
 
 def export_json(artifact, special: frozenset[int] | None = None) -> str:
-    """Stable JSON rendering of a Hypermap, QuotientCode, or CellComplex."""
+    """Stable JSON rendering of a Hypermap, QuotientCode, or CellComplex; a
+    ``special`` set of darts 0..n-1 goes with a Hypermap only, or raises."""
     import json  # on first use, so that importing the CLI does not load it
+    if special is not None and not isinstance(artifact, Hypermap):
+        raise TypeError(f"cannot export special darts with a {type(artifact).__name__}")
     doc: dict = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "indexing": "1-based"}
     if isinstance(artifact, Hypermap):
         doc["type"] = "hypermap"
@@ -76,7 +79,10 @@ def export_json(artifact, special: frozenset[int] | None = None) -> str:
         doc["alpha"] = format_cycles(artifact.alpha)
         doc["sigma"] = format_cycles(artifact.sigma)
         if special is not None:
-            doc["special"] = sorted(i + 1 for i in special)
+            labels = {i + 1 for i in special if type(i) is int and 0 <= i < artifact.n}
+            if len(labels) != len(special):
+                raise ValueError(f"special {special!r} is not a set of darts 0..{artifact.n - 1}")
+            doc["special"] = sorted(labels)
     elif isinstance(artifact, QuotientCode):
         doc["type"] = "css-code"
         doc["kind"] = artifact.kind

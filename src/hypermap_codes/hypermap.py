@@ -251,18 +251,16 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         special: 2 5
 
     Numbers are ASCII decimal digits, and the dart count is at most
-    :data:`~hypermap_codes.perm.MAX_DARTS`.  Labels in the file are 1-based;
-    the returned special darts (if any) are a plain set of 0-based darts,
-    like everything else in memory.  The line picks one dart per edge: it
-    is the special set of the face code, which checks it.
+    :data:`~hypermap_codes.perm.MAX_DARTS`.  Labels in the file are 1-based.
+    The special darts (if any) are the set of 0-based darts that
+    :func:`~hypermap_codes.perm._read_labels` reads from the line, with the
+    range 1..n, as ``--special`` is read.  The line picks one dart per edge:
+    it is the special set of the face code, which checks it.
 
     One parser reads every text the format allows: lines as ``str.splitlines``
     splits them, blank lines and whole-line ``#`` comments skipped, spaces
-    free around keys and values.  A ``special:`` line follows the one label
-    rule of :func:`~hypermap_codes.perm._read_labels`, with the range 1..n: one
-    ``int`` pass reads it, and a walk label by label names the fault of a line
-    that pass refuses.  Every fault raises :class:`ParseError` with its line
-    and column.
+    free around keys and values.  Every fault raises :class:`ParseError`
+    with its line and column.
     """
     lines = text.splitlines()
     fields: list[tuple[int, str, str, str]] = []  # (line number, line, key, value)
@@ -286,15 +284,12 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         raise ParseError(fields[3][0], 1, f"expected 'special' line, found {fields[3][2]!r}")
 
     lineno, raw, _, value = fields[0]
-    if not (value.isascii() and value.isdigit()):
+    if not (value.isascii() and value.isdigit() and value.strip("0")):
         raise ParseError(lineno, _value_col(raw),
                          f"dart count must be a positive integer, found {value!r}")
     # the length check runs first: int() refuses more than 4300 digits
     if len(value.lstrip("0")) > len(str(MAX_DARTS)) or (n := decimal_value(value)) > MAX_DARTS:
         raise ParseError(lineno, _value_col(raw), f"dart count exceeds the limit of {MAX_DARTS}")
-    if n < 1:
-        raise ParseError(lineno, _value_col(raw),
-                         f"dart count must be a positive integer, found {value!r}")
 
     perms = []
     for lineno, raw, key, value in fields[1:3]:
@@ -308,7 +303,7 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
     if len(fields) == 4:
         lineno, raw, _, value = fields[3]
         try:
-            special = frozenset(map((-1).__add__, _read_labels(value.split(), n)))  # 0-based
+            special = _read_labels(value.split(), n)
         except _LabelError as exc:  # the column of the token at fault: its start in value
             offset = [token.start() for token in re.finditer(r"\S+", value)][exc.index]
             raise ParseError(lineno, _value_col(raw) + offset, f"special dart {exc}") from None

@@ -18,12 +18,15 @@ Conventions used throughout the package:
   assignment over the fields a subclass names in ``__slots__``, and the
   one way to write those fields (``_stores``, ``_fill``).  A slot whose
   name starts with ``_`` is a cache, not a field.
-- Labels are 0-based internally.  The cycle-notation text format
-  (``"(4 3 2 1)(5 7 8 6)"``) is 1-based and is the only place where the
-  off-by-one conversion happens.  ``parse_cycles`` reads it with one
-  grammar scan, then tokenizes the whole text once, with each ``)`` as
-  the sentinel label 0, and checks the one label list; a character
-  walker only names errors.
+- Labels are 0-based in memory and 1-based in text.  Text labels become
+  darts here, by one rule: cycle text in ``parse_cycles`` and a label list
+  (a ``special:`` line, ``--special``) in ``_read_labels``; only JSON is
+  read elsewhere, in ``export``.  Each writer of text (``format_cycles``,
+  the ``special:`` line, CLI output, JSON, error messages) adds the 1 back.
+  ``parse_cycles`` reads ``"(4 3 2 1)(5 7 8 6)"`` with one grammar scan,
+  then tokenizes the whole text once, with each ``)`` as the sentinel
+  label 0, and checks the one label list; a character walker only names
+  errors.
 """
 
 from __future__ import annotations
@@ -276,19 +279,19 @@ def _label(token: str, high: int, seen: set[int]) -> int:
     return label
 
 
-def _read_labels(tokens: list[str], high: int) -> list[int]:
-    """The values of ``tokens`` under :func:`_label`'s rule: one ``int`` pass
-    reads ASCII digit runs no wider than ``high``, and any list it refuses is
-    walked with :func:`_label`, to its values or to a :class:`_LabelError`."""
+def _read_labels(tokens: list[str], high: int) -> frozenset[int]:
+    """The set of 0-based darts of the labels ``tokens`` under :func:`_label`'s
+    rule: one ``int`` pass reads ASCII digit runs no wider than ``high``, and
+    any list it refuses is walked with :func:`_label`, to its darts or to a
+    :class:`_LabelError`."""
     if ("".join(tokens).isascii() and all(map(str.isdigit, tokens))
             and max(map(len, tokens), default=0) <= len(str(high))):
-        labels = list(map(int, tokens))
-        if not labels or (0 < min(labels) and max(labels) <= high
-                          and len(set(labels)) == len(labels)):
-            return labels
+        darts = frozenset(map((-1).__add__, map(int, tokens)))
+        if not darts or (0 <= min(darts) and max(darts) < high and len(darts) == len(tokens)):
+            return darts
     seen: set[int] = set()
     try:
-        return [_label(token, high, seen) for token in tokens]
+        return frozenset([_label(token, high, seen) - 1 for token in tokens])
     except ValueError as exc:  # each label before the fault added one value to seen
         raise _LabelError(str(exc), len(seen)) from None
 

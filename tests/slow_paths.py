@@ -49,9 +49,9 @@ bit-packed matrix and its row parser as ``gf2`` held them, and ``hx``,
 and complexes once had.  The CLI's ``--special`` parse is kept as it was
 before the flag read its labels as one list: argparse converting each
 label through ``dart_label``, then ``DistinctDarts`` naming the first
-repeat (``per_label_parser``).  The hypermap text parser is kept as the
-line parser it was when a second reader took the files ``format_hypermap``
-writes: every field's column worked out as its line is read, and the
+repeat and storing the 0-based dart set (``per_label_parser``).  The
+hypermap text parser is kept as the line parser it was when a second
+reader took the files ``format_hypermap`` writes: every field's column worked out as its line is read, and the
 ``special:`` line read label by label, its cycles through the character
 walker ``parse_cycles`` below (``parse_lines``).  The three label
 readers (``parse_cycles``, the ``special:`` line of ``parse_lines`` and
@@ -1038,13 +1038,15 @@ def dart_label(text):
 
 
 class DistinctDarts(argparse.Action):
+    """Names the first repeated label, else stores the set of 0-based darts."""
+
     def __call__(self, parser, namespace, values, option_string=None):
         seen = set()
         for value in values:
             if value in seen:
                 raise argparse.ArgumentError(self, f"special dart {value} appears twice")
             seen.add(value)
-        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest, frozenset(value - 1 for value in values))
 
 
 def per_label_parser():

@@ -112,6 +112,18 @@ def test_face_code_rejects_bad_special(torus8):
         face_code(torus8, edge_code(torus8).special)  # one dart per face, four in all
 
 
+@pytest.mark.parametrize("darts", [[True, 4], [1.0, 4], ["1", 4], [4, None], {True, 4},
+                                   frozenset({1.0, 4}), (1, "4")],
+                         ids=["True", "float", "str", "None", "set of True", "frozenset of float",
+                              "tuple with a str"])
+@pytest.mark.parametrize("build", [face_code, edge_code])
+def test_quotient_codes_refuse_a_special_dart_that_is_not_an_int(torus8, build, darts):
+    """As ``Permutation`` refuses ``True`` and ``1.0``: a bool is no dart, and a
+    float or a str no longer escapes as a bare TypeError."""
+    with pytest.raises(SpecialDartError, match=r"^special dart .+ is not an integer$"):
+        build(torus8, darts)
+
+
 @pytest.mark.parametrize("build, darts, twice", [(face_code, [1, 4, 1], 2),
                                                   (edge_code, [0, 1, 2, 3, 2], 3)],
                          ids=["face", "edge"])

@@ -384,6 +384,44 @@ def test_parse_json_accepts_the_special_lists_export_writes(torus8):
         assert parse_json(export_json(torus8, special=special)) == torus8
 
 
+@pytest.mark.parametrize("special", [{99}, {8}, {-1}, {True}, {1.0, 4}, {"1"}, [1, 1], [1, 4, 4]],
+                         ids=["99", "n", "-1", "True", "float", "str", "repeat", "repeat of 4"])
+def test_export_json_refuses_a_special_set_that_is_no_set_of_darts(torus8, special):
+    with pytest.raises(ValueError, match=r"is not a set of darts 0\.\.7$"):
+        export_json(torus8, special=special)
+
+
+def test_export_json_takes_special_darts_with_a_hypermap_only(torus8):
+    face = face_code(torus8)
+    for artifact in (face, full_code(torus8), reduce_to_surface(torus8, face)):
+        with pytest.raises(TypeError, match=f"special darts with a {type(artifact).__name__}$"):
+            export_json(artifact, special={3})
+
+
+_JSON_MAPS = random_corpus(40, 8, seed=30)
+_JSON_ARTIFACTS = {
+    "hypermap": lambda h: h, "face": face_code, "edge": edge_code, "full": full_code,
+    "complex": lambda h: reduce_to_surface(h, face_code(h)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_JSON_MAPS), st.sampled_from(sorted(_JSON_ARTIFACTS)),
+       st.none() | st.frozensets(st.integers(-2, 9) | st.sampled_from([True, 1.5, "3"]),
+                                 max_size=5))
+def test_every_document_export_json_writes_parse_json_reads_back(h, what, special):
+    artifact = _JSON_ARTIFACTS[what](h)
+    try:
+        text = export_json(artifact, special=special)
+    except (TypeError, ValueError):  # only a special set that is not the map's darts
+        assert special is not None
+        assert what != "hypermap" or not all(type(d) is int and 0 <= d < h.n for d in special)
+        return
+    assert parse_json(text) == artifact
+    if special is not None:
+        assert json.loads(text)["special"] == sorted(d + 1 for d in special)
+
+
 def test_parse_json_rejects_tampered_k(torus8):
     code = face_code(torus8)
     doc = json.loads(export_json(code))
@@ -710,6 +748,14 @@ ROUTE_ARGVS = [
     ["random", "--darts", "4"], ["random", "--seed", "1", "--darts", "04"],
     ["export", _F, "--what", "code", "--format", "json", "--special", "1", "2", "3", "4",
      "--kind", "edge"],
+    # a list the --special action refuses, alone and before or after another fault
+    ["reduce", _F, "--special", "2", "x", "5", "y"],
+    ["distance", _F, "--kind", "face", "--special", "0", "5"],
+    ["export", _F, "--format", "json", "--what", "complex", "--special", "1000001"],
+    ["distance", _F, "--kind", "face", "--special", "2", "2", "--budget", "x"],
+    ["distance", _F, "--kind", "face", "--budget", "x", "--special", "2", "2"],
+    ["code", _F, "--special", "x", "--kind", "sideways"],
+    ["code", _F, "--kind", "sideways", "--special", "x"], ["code", _F, "--special", "x"],
 ]
 
 
@@ -724,11 +770,17 @@ def _parsed(capsys, parse, argv):
     return result, code, captured.out, captured.err
 
 
-def _plain_or_none(parser, argv):
-    """The plain reader's namespace for ``argv`` as a dict, or None when it leaves
-    ``argv`` to the top-level parser; it never prints."""
+def _plain_read(parser, argv):
+    """The plain reader's namespace for ``argv`` as a dict, None when it leaves
+    ``argv`` to the top-level parser, or, when an action refuses a value, the
+    exit code and what the reader printed, as a tuple; it prints nothing else."""
     subparser = parser.commands[argv[0]]
-    namespace = cli._read_plain(subparser, argv[1:], argparse.Namespace(command=argv[0]))
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        try:
+            namespace = cli._read_plain(subparser, argv[1:], argparse.Namespace(command=argv[0]))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    assert (out.getvalue(), err.getvalue()) == ("", "")
     return None if namespace is None else vars(namespace)
 
 
@@ -749,9 +801,11 @@ def test_one_pass_parse_matches_the_top_level_parser(argv, torus_file, capsys, m
     one_pass = _parsed(capsys, lambda a: cli._parse_args(parser, a), argv)
     assert one_pass == _parsed(capsys, parser.parse_args, argv)
     if argv and argv[0] in parser.commands:
-        plain = _plain_or_none(parser, argv)
+        plain = _plain_read(parser, argv)
         assert capsys.readouterr() == ("", "")
-        if plain is not None:
+        if isinstance(plain, tuple):  # an action's refusal, reported as parse_args reports it
+            assert plain == _parsed(capsys, parser.parse_args, argv)[1:]
+        elif plain is not None:
             assert _subparser_reads(parser, argv) == (plain, [])
     outcome = _outcome(capsys, argv)
     monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
@@ -765,7 +819,7 @@ def test_one_pass_parse_matches_the_top_level_parser(argv, torus_file, capsys, m
 ])
 def test_plain_reader_reads_plain_argv(argv, torus_file):
     argv = [arg.replace(_F, torus_file) for arg in argv]
-    assert _plain_or_none(cli._shared_parser(), argv) is not None
+    assert type(_plain_read(cli._shared_parser(), argv)) is dict
 
 
 @pytest.mark.parametrize("argv", [
@@ -777,9 +831,17 @@ def test_plain_reader_reads_plain_argv(argv, torus_file):
     ["distance", _F, "--kind", "face", "--budget", "-1"], ["code", _F], ["info"],
     ["info", _F, _F], ["verify", "--trials", "2", "x"], ["random", "--seed", "1"],
 ])
-def test_plain_reader_leaves_other_argv_to_the_subparser(argv, torus_file):
+def test_plain_reader_leaves_other_argv_to_the_subparser(argv, torus_file, capsys):
+    """Each argv goes to the subparser, but for the first: the plain reader
+    reports its action's refusal itself, as ``parser.parse_args`` does."""
     argv = [arg.replace(_F, torus_file) for arg in argv]
-    assert _plain_or_none(cli._shared_parser(), argv) is None
+    parser = cli._shared_parser()
+    plain = _plain_read(parser, argv)
+    if argv[-3:] == ["--special", "2", "x"]:
+        assert plain == _parsed(capsys, parser.parse_args, argv)[1:]
+        assert plain[0] == 2 and "special dart 'x' is not a decimal label" in plain[2]
+    else:
+        assert plain is None
 
 
 # drawn argv: each command's options, abbreviations, '=' forms, repeats, '--', help,
@@ -846,11 +908,12 @@ def _plain_drawn_argv(draw):
 @given(_plain_drawn_argv() | _drawn_argv())
 def test_plain_reader_matches_the_subparser_on_drawn_argv(argv):
     parser = cli._shared_parser()
+    plain = _plain_read(parser, argv)
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
-        plain = _plain_or_none(parser, argv)
-        assert (out.getvalue(), err.getvalue()) == ("", "")
         subparser_reads = _subparser_reads(parser, argv)
-    if plain is not None:
+    if isinstance(plain, tuple):  # an action's refusal: the subparser's exit and words
+        assert plain == (subparser_reads, out.getvalue(), err.getvalue())
+    elif plain is not None:
         assert subparser_reads == (plain, [])
     routes = []
     for parse in (lambda a: cli._parse_args(parser, a), parser.parse_args):
@@ -865,7 +928,8 @@ def test_plain_reader_matches_the_subparser_on_drawn_argv(argv):
 
 def test_argv_the_plain_reader_refuses_goes_to_the_top_level_parser(torus_file, capsys,
                                                                      monkeypatch):
-    """Two routes: the plain reader, or else ``parser.parse_args`` on the whole argv."""
+    """Two routes: the plain reader, or else ``parser.parse_args`` on the whole argv.
+    An action's refusal stays on the plain route, with parse_args's exit and words."""
     parser = cli._shared_parser()
     parse_args = parser.parse_args
     calls = []
@@ -876,15 +940,19 @@ def test_argv_the_plain_reader_refuses_goes_to_the_top_level_parser(torus_file, 
 
     monkeypatch.setattr(parser, "parse_args", counting)
     routes = {True: 0, False: 0}
+    refusals = 0
     for argv in ROUTE_ARGVS:
         argv = [arg.replace(_F, torus_file) for arg in argv]
-        plain = bool(argv) and argv[0] in parser.commands \
-            and _plain_or_none(parser, argv) is not None
-        routes[plain] += 1
+        plain = _plain_read(parser, argv) if argv and argv[0] in parser.commands else None
+        routes[plain is not None] += 1
         calls.clear()
-        _parsed(capsys, lambda a: cli._parse_args(parser, a), argv)
-        assert calls == ([] if plain else [argv]), argv
+        outcome = _parsed(capsys, lambda a: cli._parse_args(parser, a), argv)
+        assert calls == ([] if plain is not None else [argv]), argv
+        if isinstance(plain, tuple):
+            refusals += 1
+            assert outcome[1:] == plain == _parsed(capsys, parse_args, argv)[1:], argv
     assert min(routes.values()) > 20, routes
+    assert refusals == 7
 
 
 def _one_per(orbits, rng):
@@ -1435,15 +1503,15 @@ LABEL_TOKENS = st.one_of(
 
 
 def _walked(tokens, high):
-    """The label-by-label walk: each token through ``perm._label``, to the list's
-    values or to the index and the text of its first fault."""
+    """The label-by-label walk: each token through ``perm._label``, to the set of
+    the list's 0-based darts or to the index and the text of its first fault."""
     seen, values = set(), []
     for index, token in enumerate(tokens):
         try:
             values.append(perm._label(token, high, seen))
         except ValueError as exc:
             return index, str(exc)
-    return values
+    return frozenset(value - 1 for value in values)
 
 
 @settings(max_examples=800, deadline=None)
@@ -1481,6 +1549,32 @@ def test_special_list_matches_the_per_label_parser(command, darts, torus_file, c
     assert outcome[0] in (0, 2, 3)
 
 
+def test_special_flag_stores_the_set_the_code_keeps(torus_file, capsys, monkeypatch):
+    """``--special 2 5`` stores the set of 0-based darts that a file's
+    ``special: 2 5`` gives, and the code keeps that very object; without the
+    flag, a face code keeps the file's own set."""
+    namespaces, codes = [], []
+    read, build = cli._parse_args, cli._build_quotient
+
+    def reading(parser, argv):
+        namespaces.append(read(parser, argv))
+        return namespaces[-1]
+
+    def building(*args):
+        codes.append(build(*args))
+        return codes[-1]
+
+    monkeypatch.setattr(cli, "_parse_args", reading)
+    monkeypatch.setattr(cli, "_build_quotient", building)
+    code, out, _ = run_cli(capsys, "code", torus_file, "--kind", "face", "--special", "2", "5")
+    assert code == 0 and "special: 2 5" in out
+    (args,), (built,) = namespaces, codes
+    assert built.special is args.special
+    assert args.special == parse_hypermap(TORUS_TEXT)[1] == frozenset({1, 4})
+    h, file_special = cli.load_hypermap(torus_file)
+    assert build(h, "face", None, file_special).special is file_special
+
+
 def test_special_list_of_every_orbit_minimum_prints_what_no_flag_prints(tmp_path, capsys):
     h = square_torus(20)
     path = _write_map(tmp_path, "square20.hm", h)
@@ -1512,7 +1606,7 @@ def test_special_list_calls_the_label_reader_only_when_it_refuses(torus_file, ca
         calls.clear()
         with pytest.raises(SystemExit):
             main(["code", torus_file, "--kind", "face", "--special", *darts])
-        assert calls == darts[:2] * 2  # the plain reader, then argparse, each to the refusal
+        assert calls == darts[:2]  # the plain reader alone, to the refusal
     assert "special dart 'x' is not a decimal label" in capsys.readouterr().err
 
 

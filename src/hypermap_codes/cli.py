@@ -4,12 +4,12 @@ Subcommands: info, dual, tri-dual, contrary, code, reduce, distance,
 verify, random, export.  All user-facing labels are 1-based; every output
 is deterministic for fixed inputs and seeds.
 
-Argv takes one of two routes.  A known command's plain argv (FILE first
-where the command takes one, then exact long options, each at most once,
-with their values) is read by :func:`_read_plain` from the command's own
-Action objects, which report a refusal of their own, as argparse does; any
-other argv, or a value that an option's type or choices refuse, goes to the
-top-level parser, which reads it and reports its errors.
+Argv takes one of two routes, both read from one table, :data:`COMMANDS`.
+A known command's plain argv (FILE first where the command takes one, then
+exact long options, each at most once, with their values) is read by
+:func:`_read_plain` without argparse; any other argv, or a value that an
+option's type or choices refuse, goes to the top-level argparse parser,
+built from the table on first need, which reads it and reports its errors.
 
 Exit codes: 0 success, 1 output not written (stdout closed or failing),
 2 parse error, 3 validation error, 4 internal invariant breach.
@@ -17,11 +17,12 @@ Exit codes: 0 success, 1 output not written (stdout closed or failing),
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable
+from types import SimpleNamespace
 
 from .chain import (
     EDGE,
@@ -239,8 +240,10 @@ def cmd_export(args) -> int:
 
 
 def _int_in_range(low: int | None = None, high: int | None = None) -> Callable[[str], int]:
-    """An argparse ``type=``: ASCII ``-?[0-9]+`` read past its zero padding,
-    >= ``low`` and <= ``high`` where given."""
+    """An option's type: ASCII ``-?[0-9]+`` read past its zero padding,
+    >= ``low`` and <= ``high`` where given.  A ValueError refuses the text, and
+    argparse's ArgumentTypeError, whose words argparse prints as they are, a
+    value out of range."""
     def parse(text: str) -> int:
         digits = text.removeprefix("-")
         if not (text.isascii() and digits.isdigit()):
@@ -252,10 +255,11 @@ def _int_in_range(low: int | None = None, high: int | None = None) -> Callable[[
         except ValueError:  # int() refuses more than 4300 digits: past any bound on its side
             value = float(sign + "inf")
             shown = f"a {'negative ' if sign else ''}number of {len(significant)} digits"
-        if low is not None and value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {shown}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {shown}")
+        below = low is not None and value < low
+        if below or (high is not None and value > high):
+            from argparse import ArgumentTypeError
+            raise ArgumentTypeError(f"must be at {'least' if below else 'most'} "
+                                    f"{low if below else high}, got {shown}")
         if shown is not value:
             raise ValueError(text)  # unbounded on its side: "invalid int value"
         return value
@@ -263,175 +267,162 @@ def _int_in_range(low: int | None = None, high: int | None = None) -> Callable[[
     return parse
 
 
-class _DistinctDarts(argparse.Action):
-    """The --special action: reads its labels as one list by the rule of a file's
-    special line (:func:`~hypermap_codes.perm._read_labels`), each in
-    1..MAX_DARTS and each once, to the set of 0-based darts a file's line gives.
-    Whether each is a dart of the map, and one per edge or face, is checked
-    when the code is built."""
+# An option of a command: ``read`` is its list of choices or its type, which
+# reads its one value.  nargs 0 marks a flag, which stores True, and nargs "+"
+# the --special list: ``read`` reads its labels as one list by the rule of a
+# file's special line (perm._read_labels), each in 1..MAX_DARTS and each once,
+# to the set of 0-based darts that line gives; a ValueError names its first
+# fault.  Whether each is a dart of the map, and one per edge or face, is
+# checked when the code is built.
+_Option = namedtuple("_Option", "read default required help nargs metavar",
+                     defaults=(None, False, None, None, None))
+_KIND = _Option([FACE, EDGE, FULL], required=True)
+_SPECIAL = _Option(lambda labels: _read_labels(labels, MAX_DARTS), nargs="+", metavar="DART",
+                   help="1-based special darts (overrides the file's choice)")
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        try:
-            darts = _read_labels(values, MAX_DARTS)
-        except ValueError as exc:
-            raise argparse.ArgumentError(self, f"special dart {exc}") from None
-        setattr(namespace, self.dest, darts)
+# command -> (handler, help, whether it takes FILE, its options by flag), each in
+# argparse's order: the one description that _read_plain and build_parser read
+COMMANDS = {
+    "info": (cmd_info, "orbits, Euler characteristic, genus", True, {}),
+    "dual": (lambda args: _cmd_transform(args, dual), "print the dual hypermap", True, {}),
+    "tri-dual": (lambda args: _cmd_transform(args, triangle_dual),
+                 "print the triangle dual", True, {}),
+    "contrary": (lambda args: _cmd_transform(args, contrary),
+                 "print the contrary map", True, {}),
+    "code": (cmd_code, "build a CSS code", True, {"--kind": _KIND, "--special": _SPECIAL}),
+    "reduce": (cmd_reduce, "surface-code cell complex of the face code", True,
+               {"--special": _SPECIAL}),
+    "distance": (cmd_distance, "minimum-distance search", True, {
+        "--kind": _KIND, "--special": _SPECIAL,
+        "--budget": _Option(_int_in_range(0), DEFAULT_DISTANCE_BUDGET,
+                            help="maximum logical-operator weight to search "
+                                 f"(default {DEFAULT_DISTANCE_BUDGET})"),
+        "--allow-large": _Option(None, False, nargs=0,
+                                 help=f"search even with more than {DISTANCE_QUBIT_CAP} qubits")}),
+    "verify": (cmd_verify, "run the identity/equivalence suite on random hypermaps", False, {
+        "--trials": _Option(_int_in_range(1), 500),
+        "--max-darts": _Option(_int_in_range(1, MAX_DARTS), 10),
+        "--seed": _Option(_int_in_range(), 7)}),
+    "random": (cmd_random, "emit a random hypermap file", False, {
+        "--darts": _Option(_int_in_range(1, MAX_DARTS), required=True),
+        "--seed": _Option(_int_in_range(), 0)}),
+    "export": (cmd_export, "DOT or JSON export", True, {
+        "--format": _Option(["dot", "json"], required=True),
+        "--what": _Option(["hypermap", "code", "complex"], "hypermap"),
+        "--kind": _Option(_KIND.read, help="code kind when --what code (default face)"),
+        "--special": _SPECIAL}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of :data:`COMMANDS`.  It reads and words every argv
+    that :func:`_read_plain` leaves, and prints help and usage errors."""
+    import argparse
+
+    class SpecialDarts(argparse.Action):
+        """--special: its labels read as one list, as the plain reader reads them."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            try:
+                setattr(namespace, self.dest, _SPECIAL.read(values))
+            except ValueError as exc:
+                raise argparse.ArgumentError(self, f"special dart {exc}") from None
+
     parser = argparse.ArgumentParser(
         prog="hypermap-codes",
         description="CSS codes from combinatorial hypermaps: construction, "
                     "dualities, surface reduction, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_file(p):
-        return p.add_argument("file", metavar="FILE", help="hypermap text file")
-
-    def add_special(p):
-        return p.add_argument("--special", nargs="+", action=_DistinctDarts,
-                              metavar="DART",
-                              help="1-based special darts (overrides the file's choice)")
-
-    p = sub.add_parser("info", help="orbits, Euler characteristic, genus")
-    _plain_arguments(p, add_file(p))
-    p.set_defaults(func=cmd_info)
-
-    for name, op, blurb in [("dual", dual, "the dual hypermap"),
-                            ("tri-dual", triangle_dual, "the triangle dual"),
-                            ("contrary", contrary, "the contrary map")]:
-        p = sub.add_parser(name, help=f"print {blurb}")
-        _plain_arguments(p, add_file(p))
-        p.set_defaults(func=lambda a, op=op: _cmd_transform(a, op))
-
-    p = sub.add_parser("code", help="build a CSS code")
-    _plain_arguments(p, add_file(p),
-                     p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True),
-                     add_special(p))
-    p.set_defaults(func=cmd_code)
-
-    p = sub.add_parser("reduce", help="surface-code cell complex of the face code")
-    _plain_arguments(p, add_file(p), add_special(p))
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("distance", help="minimum-distance search")
-    _plain_arguments(
-        p, add_file(p),
-        p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True),
-        add_special(p),
-        p.add_argument("--budget", type=_int_in_range(0), default=DEFAULT_DISTANCE_BUDGET,
-                       help="maximum logical-operator weight to search "
-                            f"(default {DEFAULT_DISTANCE_BUDGET})"),
-        p.add_argument("--allow-large", action="store_true",
-                       help=f"search even with more than {DISTANCE_QUBIT_CAP} qubits"))
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("verify", help="run the identity/equivalence suite on random hypermaps")
-    _plain_arguments(p, p.add_argument("--trials", type=_int_in_range(1), default=500),
-                     p.add_argument("--max-darts", type=_int_in_range(1, MAX_DARTS), default=10),
-                     p.add_argument("--seed", type=_int_in_range(), default=7))
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("random", help="emit a random hypermap file")
-    _plain_arguments(p,
-                     p.add_argument("--darts", type=_int_in_range(1, MAX_DARTS), required=True),
-                     p.add_argument("--seed", type=_int_in_range(), default=0))
-    p.set_defaults(func=cmd_random)
-
-    p = sub.add_parser("export", help="DOT or JSON export")
-    _plain_arguments(
-        p, add_file(p),
-        p.add_argument("--format", choices=["dot", "json"], required=True),
-        p.add_argument("--what", choices=["hypermap", "code", "complex"], default="hypermap"),
-        p.add_argument("--kind", choices=[FACE, EDGE, FULL],
-                       help="code kind when --what code (default face)"),
-        add_special(p))
-    p.set_defaults(func=cmd_export)
-
-    parser.commands = sub.choices  # command name -> its subparser, read by _parse_args
+    for name, (handler, text, takes_file, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if takes_file:
+            p.add_argument("file", metavar="FILE", help="hypermap text file")
+        for flag, option in options.items():
+            if option.nargs == 0:
+                p.add_argument(flag, action="store_true", help=option.help)
+            elif option.nargs == "+":
+                p.add_argument(flag, nargs="+", action=SpecialDarts, metavar=option.metavar,
+                               help=option.help)
+            else:  # one value, through its choices or its type
+                kind = "choices" if isinstance(option.read, list) else "type"
+                p.add_argument(flag, default=option.default, required=option.required,
+                               help=option.help, **{kind: option.read})
+        p.set_defaults(func=handler)
     return parser
 
 
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    # Built by the first main() call, not at import, then reused.  It binds the
-    # cmd_* functions once, so rebinding one later does not reach main().
+    # Built by the first argv that needs it, not at import, then reused.
     return build_parser()
 
 
-def _plain_arguments(p: argparse.ArgumentParser, *actions: argparse.Action) -> None:
-    """Keep on ``p`` the Action objects of its arguments that :func:`_read_plain`
-    reads: its FILE action (None for a command without one) and its options
-    by option string."""
-    positional = [action for action in actions if not action.option_strings]
-    p.plain = (positional[0] if positional else None,
-               {option: action for action in actions for option in action.option_strings})
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a known command's plain ``argv``, read from
+    :data:`COMMANDS`, or None.
 
-
-# the value tokens each nargs of a plain option takes
-_VALUE_COUNTS = {None: range(1, 2), 0: range(1), "+": range(1, sys.maxsize)}
-
-
-def _read_plain(subparser: argparse.ArgumentParser, argv: list[str],
-                namespace: argparse.Namespace) -> argparse.Namespace | None:
-    """The namespace ``subparser`` reads from a plain ``argv`` into ``namespace``, or None.
-
-    Plain: FILE first where the command takes one, then exact long options
-    of the command, each at most once, each followed by its values up to
-    the next token that starts with ``-``: one for an option that takes a
-    value, one or more for ``--special``, none for a flag; and every
-    required option given.  Each value goes through its action's ``type``
-    and ``choices`` and then the action object, as argparse's
-    ``_get_values`` sends it.  An action's refusal exits through
-    ``subparser.error``, as argparse reports it.  Any other argv, or a value
-    that a type or a choice refuses, returns None: the top-level parser reads
-    it and words the error as its version does.
+    Plain: the command, then FILE where it takes one, then exact long options
+    of the command, each at most once, each followed by its values up to the
+    next token that starts with ``-``: one for an option with a type or
+    choices, one or more for ``--special``, none for a flag; and every
+    required option given.  The namespace holds what the command's subparser
+    would store.  A list that ``--special``'s reader refuses exits through
+    the subparser, as argparse reports it.  Any other argv, or a value that a
+    type or a choice refuses, returns None: the top-level parser reads it and
+    words the error as its version does.
     """
-    file_action, options = subparser.plain
-    start = 0 if file_action is None else 1  # FILE's tokens
+    entry = COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    handler, _, takes_file, options = entry
     bounds = [i for i, token in enumerate(argv) if token.startswith("-")]
-    if (bounds[0] if bounds else len(argv)) != start:
+    if (bounds[0] if bounds else len(argv)) != 1 + takes_file:
         return None
-    given = {file_action: (None, argv[:1])} if start else {}  # action -> (option, values)
+    given = {}  # flag -> (its option, its values)
     for i, stop in zip(bounds, [*bounds[1:], len(argv)]):
-        action = options.get(argv[i])
-        if (action is None or action in given
-                or stop - i - 1 not in _VALUE_COUNTS.get(action.nargs, ())):
+        option, count = options.get(argv[i]), stop - i - 1
+        if (option is None or argv[i] in given  # one value, none for a flag, 1+ for a list
+                or (count < 1 if option.nargs == "+" else count != (option.nargs is None))):
             return None
-        given[action] = (argv[i], argv[i + 1:stop])
-    if any(action.required and action not in given for action in options.values()):
+        given[argv[i]] = option, argv[i + 1:stop]
+    if any(option.required and flag not in given for flag, option in options.items()):
         return None
-    for action in options.values():  # FILE, always given, stores its own value
-        setattr(namespace, action.dest, action.default)
-    namespace.func = subparser.get_default("func")
-    try:
-        for action, (option, values) in given.items():
-            if action.type is not None:
-                values = list(map(action.type, values))
-            if action.choices is not None and not all(v in action.choices for v in values):
+    values = {flag[2:].replace("-", "_"): option.default for flag, option in options.items()}
+    if takes_file:
+        values["file"] = argv[1]
+    for flag, (option, tokens) in given.items():
+        read = option.read
+        if option.nargs == 0:
+            value = True
+        elif option.nargs == "+":
+            try:
+                value = read(tokens)
+            except ValueError as exc:  # the subparser's usage and words, as argparse reports them
+                (sub,) = [a for a in _shared_parser()._actions if a.dest == "command"]
+                sub.choices[argv[0]].error(f"argument {flag}: special dart {exc}")
+        elif isinstance(read, list):
+            if tokens[0] not in read:
                 return None
-            action(subparser, namespace, values[0] if action.nargs is None else values, option)
-    except argparse.ArgumentError as exc:  # an action's refusal: only actions raise it
-        subparser.error(str(exc))
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return None
-    return namespace
+            value = tokens[0]
+        else:
+            try:
+                value = read(tokens[0])
+            except Exception:  # ValueError or, out of range, ArgumentTypeError: argparse words it
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(command=argv[0], func=handler, **values)
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``: :func:`_read_plain` reads a known command's
-    plain argv, and ``parser`` itself reads any other argv."""
-    args = None
-    if argv and argv[0] in parser.commands:
-        args = _read_plain(parser.commands[argv[0]], argv[1:], argparse.Namespace(command=argv[0]))
-    return parser.parse_args(argv) if args is None else args
+def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """The namespace of ``argv``: :func:`_read_plain` reads a known command's
+    plain argv, and the shared top-level parser any other."""
+    return _read_plain(argv) or _shared_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _shared_parser()
-    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     if (message := _usage_error(args)) is not None:
-        parser.error(message)
+        _shared_parser().error(message)
     path = getattr(args, "file", None)
     try:
         status = args.func(args)

@@ -65,8 +65,14 @@ class DisconnectedError(ValueError):
     """The pair (alpha, sigma) is not transitive; carries the components."""
 
     def __init__(self, components: Cycles):
-        pretty = ", ".join("{" + " ".join(str(i + 1) for i in c) + "}" for c in components)
-        super().__init__(f"hypermap is not connected; dart components: {pretty}")
+        shown, room = [], 64  # labels listed: past them, the message ends with the count
+        for c in components:
+            if len(c) > room:
+                shown.append(f"... ({len(components)} components)")
+                break
+            shown.append("{" + " ".join(str(i + 1) for i in c) + "}")
+            room -= len(c)
+        super().__init__(f"hypermap is not connected; dart components: {', '.join(shown)}")
         self.components = components
 
 

@@ -58,17 +58,21 @@ readers (``parse_cycles``, the ``special:`` line of ``parse_lines`` and
 ``dart_label``) keep their logic but speak the texts of the library's one
 label rule: ``'x' is not a decimal label``, ``9 outside 1..8``, ``of 11
 digits outside 1..8`` and a repeat named by its value; ``dart_label`` also
-refuses a label outside 1..MAX_DARTS, as the flag does.  The fast paths
+refuses a label outside 1..MAX_DARTS, as the flag does.  The CLI's
+argparse parser is kept as it was written by hand, before one table
+described every command (``reference_parser``).  The fast paths
 must return exactly what these do.
 """
 
 import argparse
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from hypermap_codes import (
     EDGE,
     FACE,
+    FULL,
     MAX_DARTS,
     CellComplex,
     CheckResult,
@@ -92,7 +96,19 @@ from hypermap_codes import (
     triangle_dual,
 )
 from hypermap_codes import cli
-from hypermap_codes.perm import _Record, decimal_value
+from hypermap_codes.cli import (
+    DEFAULT_DISTANCE_BUDGET,
+    DISTANCE_QUBIT_CAP,
+    _cmd_transform,
+    cmd_code,
+    cmd_distance,
+    cmd_export,
+    cmd_info,
+    cmd_random,
+    cmd_reduce,
+    cmd_verify,
+)
+from hypermap_codes.perm import _Record, _read_labels, decimal_value
 from hypermap_codes.verify import CheckOutcome, VerificationReport
 
 
@@ -1053,10 +1069,146 @@ def per_label_parser():
     """The CLI's parser with every --special option read label by label:
     ``type=dart_label`` and the ``DistinctDarts`` action."""
     parser = cli.build_parser()
-    specials = [action for subparser in parser.commands.values()
+    specials = [action for subparser in subparsers(parser).values()
                 for action in subparser._actions if action.dest == "special"]
     assert specials, "no --special option to read label by label"
     for action in specials:
         action.type = dart_label
         action.__class__ = DistinctDarts
     return parser
+
+
+# ---------------------------------------------------------------------------
+# the CLI's hand-written parser
+
+def _int_in_range(low: int | None = None, high: int | None = None) -> Callable[[str], int]:
+    """An argparse ``type=``: ASCII ``-?[0-9]+`` read past its zero padding,
+    >= ``low`` and <= ``high`` where given."""
+    def parse(text: str) -> int:
+        digits = text.removeprefix("-")
+        if not (text.isascii() and digits.isdigit()):
+            raise ValueError(text)  # argparse: "invalid int value: '+3'"
+        sign = text[:len(text) - len(digits)]
+        significant = digits.lstrip("0") or "0"
+        try:
+            value = shown = int(sign + significant)
+        except ValueError:  # int() refuses more than 4300 digits: past any bound on its side
+            value = float(sign + "inf")
+            shown = f"a {'negative ' if sign else ''}number of {len(significant)} digits"
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {shown}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {shown}")
+        if shown is not value:
+            raise ValueError(text)  # unbounded on its side: "invalid int value"
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
+class _DistinctDarts(argparse.Action):
+    """The --special action: reads its labels as one list by the rule of a file's
+    special line (:func:`~hypermap_codes.perm._read_labels`), each in
+    1..MAX_DARTS and each once, to the set of 0-based darts a file's line gives.
+    Whether each is a dart of the map, and one per edge or face, is checked
+    when the code is built."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            darts = _read_labels(values, MAX_DARTS)
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, f"special dart {exc}") from None
+        setattr(namespace, self.dest, darts)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's parser as ``cli.build_parser`` built it by hand, before one table
+    described each command: copied verbatim, with its helpers, from that
+    version, but for this name and docstring.  The parser built from
+    ``cli.COMMANDS`` must print and read exactly as this one does."""
+    parser = argparse.ArgumentParser(
+        prog="hypermap-codes",
+        description="CSS codes from combinatorial hypermaps: construction, "
+                    "dualities, surface reduction, and verification.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_file(p):
+        return p.add_argument("file", metavar="FILE", help="hypermap text file")
+
+    def add_special(p):
+        return p.add_argument("--special", nargs="+", action=_DistinctDarts,
+                              metavar="DART",
+                              help="1-based special darts (overrides the file's choice)")
+
+    p = sub.add_parser("info", help="orbits, Euler characteristic, genus")
+    _plain_arguments(p, add_file(p))
+    p.set_defaults(func=cmd_info)
+
+    for name, op, blurb in [("dual", dual, "the dual hypermap"),
+                            ("tri-dual", triangle_dual, "the triangle dual"),
+                            ("contrary", contrary, "the contrary map")]:
+        p = sub.add_parser(name, help=f"print {blurb}")
+        _plain_arguments(p, add_file(p))
+        p.set_defaults(func=lambda a, op=op: _cmd_transform(a, op))
+
+    p = sub.add_parser("code", help="build a CSS code")
+    _plain_arguments(p, add_file(p),
+                     p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True),
+                     add_special(p))
+    p.set_defaults(func=cmd_code)
+
+    p = sub.add_parser("reduce", help="surface-code cell complex of the face code")
+    _plain_arguments(p, add_file(p), add_special(p))
+    p.set_defaults(func=cmd_reduce)
+
+    p = sub.add_parser("distance", help="minimum-distance search")
+    _plain_arguments(
+        p, add_file(p),
+        p.add_argument("--kind", choices=[FACE, EDGE, FULL], required=True),
+        add_special(p),
+        p.add_argument("--budget", type=_int_in_range(0), default=DEFAULT_DISTANCE_BUDGET,
+                       help="maximum logical-operator weight to search "
+                            f"(default {DEFAULT_DISTANCE_BUDGET})"),
+        p.add_argument("--allow-large", action="store_true",
+                       help=f"search even with more than {DISTANCE_QUBIT_CAP} qubits"))
+    p.set_defaults(func=cmd_distance)
+
+    p = sub.add_parser("verify", help="run the identity/equivalence suite on random hypermaps")
+    _plain_arguments(p, p.add_argument("--trials", type=_int_in_range(1), default=500),
+                     p.add_argument("--max-darts", type=_int_in_range(1, MAX_DARTS), default=10),
+                     p.add_argument("--seed", type=_int_in_range(), default=7))
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("random", help="emit a random hypermap file")
+    _plain_arguments(p,
+                     p.add_argument("--darts", type=_int_in_range(1, MAX_DARTS), required=True),
+                     p.add_argument("--seed", type=_int_in_range(), default=0))
+    p.set_defaults(func=cmd_random)
+
+    p = sub.add_parser("export", help="DOT or JSON export")
+    _plain_arguments(
+        p, add_file(p),
+        p.add_argument("--format", choices=["dot", "json"], required=True),
+        p.add_argument("--what", choices=["hypermap", "code", "complex"], default="hypermap"),
+        p.add_argument("--kind", choices=[FACE, EDGE, FULL],
+                       help="code kind when --what code (default face)"),
+        add_special(p))
+    p.set_defaults(func=cmd_export)
+
+    parser.commands = sub.choices  # command name -> its subparser, read by _parse_args
+    return parser
+
+
+def _plain_arguments(p: argparse.ArgumentParser, *actions: argparse.Action) -> None:
+    """Keep on ``p`` the Action objects of its arguments that :func:`_read_plain`
+    reads: its FILE action (None for a command without one) and its options
+    by option string."""
+    positional = [action for action in actions if not action.option_strings]
+    p.plain = (positional[0] if positional else None,
+               {option: action for action in actions for option in action.option_strings})
+
+
+def subparsers(parser):
+    """Command name -> subparser of an argparse parser with subcommands."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices

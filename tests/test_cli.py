@@ -38,7 +38,7 @@ from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
 from slow_paths import (as_partition, from_strings, incidence21, parse_lines, per_label_parser,
-                        rank)
+                        rank, reference_parser, subparsers)
 
 TORUS_TEXT = TORUS8.read_text()
 
@@ -240,6 +240,16 @@ def test_disconnected_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "info", str(bad))
     assert code == 3
     assert "not connected" in err
+
+
+def test_disconnected_error_of_a_million_components_is_bounded(tmp_path, capsys):
+    bad = tmp_path / "million.hm"
+    bad.write_text("darts: 1000000\nalpha: ()\nsigma: ()\n")
+    code, out, err = run_cli(capsys, "info", str(bad))
+    assert (code, out) == (3, "")
+    assert len(err.encode()) < 1024
+    assert err.endswith(", {63}, {64}, ... (1000000 components)\n")
+    assert err.startswith("error: hypermap is not connected; dart components: {1}, {2}, {3}, ")
 
 
 def test_invalid_special_exit_code(torus_file, capsys):
@@ -680,21 +690,22 @@ def test_build_parser_returns_a_fresh_parser():
 
 
 def test_importing_cli_builds_no_parser():
+    """Neither importing the CLI nor running a plain argv through ``main``
+    imports argparse (nor its ``gettext``) or builds a parser."""
     script = (
-        "import argparse\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "def counting(self, *args, **kwargs):\n"
-        "    built.append(1)\n"
-        "    init(self, *args, **kwargs)\n"
-        "argparse.ArgumentParser.__init__ = counting\n"
+        "import sys\n"
         "import hypermap_codes.cli as cli\n"
-        "print(len(built), cli._shared_parser.cache_info().currsize)\n"
+        "loaded = [sorted({'argparse', 'gettext'} & set(sys.modules))]\n"
+        f"for argv in (['info', {str(TORUS8)!r}],\n"
+        f"             ['code', {str(TORUS8)!r}, '--kind', 'face', '--special', '2', '5']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    loaded.append(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+        "print(loaded, cli._shared_parser.cache_info().currsize)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 0\n"
+    assert proc.stdout.splitlines()[-1] == "[[], [], []] 0"
 
 
 # ---------------------------------------------------------------------------
@@ -770,14 +781,14 @@ def _parsed(capsys, parse, argv):
     return result, code, captured.out, captured.err
 
 
-def _plain_read(parser, argv):
+def _plain_read(argv):
     """The plain reader's namespace for ``argv`` as a dict, None when it leaves
-    ``argv`` to the top-level parser, or, when an action refuses a value, the
-    exit code and what the reader printed, as a tuple; it prints nothing else."""
-    subparser = parser.commands[argv[0]]
+    ``argv`` to the top-level parser, or, when ``--special``'s reader refuses
+    its list, the exit code and what the reader printed, as a tuple; it prints
+    nothing else."""
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
         try:
-            namespace = cli._read_plain(subparser, argv[1:], argparse.Namespace(command=argv[0]))
+            namespace = cli._read_plain(argv)
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
     assert (out.getvalue(), err.getvalue()) == ("", "")
@@ -787,7 +798,7 @@ def _plain_read(parser, argv):
 def _subparser_reads(parser, argv):
     """The namespace and leftovers of the subparser of ``argv[0]``, or its exit code."""
     try:
-        namespace, extras = parser.commands[argv[0]].parse_known_args(
+        namespace, extras = subparsers(parser)[argv[0]].parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0]))
     except SystemExit as exc:
         return exc.code
@@ -798,17 +809,17 @@ def _subparser_reads(parser, argv):
 def test_one_pass_parse_matches_the_top_level_parser(argv, torus_file, capsys, monkeypatch):
     argv = [arg.replace(_F, torus_file) for arg in argv]
     parser = cli._shared_parser()
-    one_pass = _parsed(capsys, lambda a: cli._parse_args(parser, a), argv)
+    one_pass = _parsed(capsys, cli._parse_args, argv)
     assert one_pass == _parsed(capsys, parser.parse_args, argv)
-    if argv and argv[0] in parser.commands:
-        plain = _plain_read(parser, argv)
+    if argv and argv[0] in cli.COMMANDS:
+        plain = _plain_read(argv)
         assert capsys.readouterr() == ("", "")
-        if isinstance(plain, tuple):  # an action's refusal, reported as parse_args reports it
+        if isinstance(plain, tuple):  # a refused list, reported as parse_args reports it
             assert plain == _parsed(capsys, parser.parse_args, argv)[1:]
         elif plain is not None:
             assert _subparser_reads(parser, argv) == (plain, [])
     outcome = _outcome(capsys, argv)
-    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: None)  # the top-level parser reads all
     assert outcome == _outcome(capsys, argv)
 
 
@@ -819,7 +830,7 @@ def test_one_pass_parse_matches_the_top_level_parser(argv, torus_file, capsys, m
 ])
 def test_plain_reader_reads_plain_argv(argv, torus_file):
     argv = [arg.replace(_F, torus_file) for arg in argv]
-    assert type(_plain_read(cli._shared_parser(), argv)) is dict
+    assert type(_plain_read(argv)) is dict
 
 
 @pytest.mark.parametrize("argv", [
@@ -832,13 +843,12 @@ def test_plain_reader_reads_plain_argv(argv, torus_file):
     ["info", _F, _F], ["verify", "--trials", "2", "x"], ["random", "--seed", "1"],
 ])
 def test_plain_reader_leaves_other_argv_to_the_subparser(argv, torus_file, capsys):
-    """Each argv goes to the subparser, but for the first: the plain reader
-    reports its action's refusal itself, as ``parser.parse_args`` does."""
+    """Each argv goes to the top-level parser, but for the first: the plain
+    reader reports a refused list itself, as ``parser.parse_args`` does."""
     argv = [arg.replace(_F, torus_file) for arg in argv]
-    parser = cli._shared_parser()
-    plain = _plain_read(parser, argv)
+    plain = _plain_read(argv)
     if argv[-3:] == ["--special", "2", "x"]:
-        assert plain == _parsed(capsys, parser.parse_args, argv)[1:]
+        assert plain == _parsed(capsys, cli._shared_parser().parse_args, argv)[1:]
         assert plain[0] == 2 and "special dart 'x' is not a decimal label" in plain[2]
     else:
         assert plain is None
@@ -869,7 +879,7 @@ _DRAWN_NOISE = ["--kin", "--spec", "--b", "--allow", "--w", "--kind=face", "--bu
 
 @st.composite
 def _drawn_argv(draw):
-    command = draw(st.sampled_from(sorted(cli._shared_parser().commands)))
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
     own = _COMMAND_OPTIONS.get(command, [])
     options = sorted(_DRAWN_VALUES) if not own or draw(st.integers(0, 3)) == 0 else own
     argv = []
@@ -892,7 +902,7 @@ def _drawn_argv(draw):
 def _plain_drawn_argv(draw):
     """FILE, where the command takes it, then the command's own options in a drawn
     order, each once, with values from those each reader accepts."""
-    command = draw(st.sampled_from(sorted(cli._shared_parser().commands)))
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
     argv = [] if command in ("verify", "random") else ["map.hm"]
     for option in draw(st.permutations(_COMMAND_OPTIONS.get(command, []))):
         if option in ("--kind", "--darts", "--format") or draw(st.booleans()):
@@ -908,15 +918,15 @@ def _plain_drawn_argv(draw):
 @given(_plain_drawn_argv() | _drawn_argv())
 def test_plain_reader_matches_the_subparser_on_drawn_argv(argv):
     parser = cli._shared_parser()
-    plain = _plain_read(parser, argv)
+    plain = _plain_read(argv)
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
         subparser_reads = _subparser_reads(parser, argv)
-    if isinstance(plain, tuple):  # an action's refusal: the subparser's exit and words
+    if isinstance(plain, tuple):  # a refused list: the subparser's exit and words
         assert plain == (subparser_reads, out.getvalue(), err.getvalue())
     elif plain is not None:
         assert subparser_reads == (plain, [])
     routes = []
-    for parse in (lambda a: cli._parse_args(parser, a), parser.parse_args):
+    for parse in (cli._parse_args, parser.parse_args):
         with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
             try:
                 result, code = vars(parse(argv)), None
@@ -929,7 +939,7 @@ def test_plain_reader_matches_the_subparser_on_drawn_argv(argv):
 def test_argv_the_plain_reader_refuses_goes_to_the_top_level_parser(torus_file, capsys,
                                                                      monkeypatch):
     """Two routes: the plain reader, or else ``parser.parse_args`` on the whole argv.
-    An action's refusal stays on the plain route, with parse_args's exit and words."""
+    A refused list stays on the plain route, with parse_args's exit and words."""
     parser = cli._shared_parser()
     parse_args = parser.parse_args
     calls = []
@@ -943,16 +953,64 @@ def test_argv_the_plain_reader_refuses_goes_to_the_top_level_parser(torus_file, 
     refusals = 0
     for argv in ROUTE_ARGVS:
         argv = [arg.replace(_F, torus_file) for arg in argv]
-        plain = _plain_read(parser, argv) if argv and argv[0] in parser.commands else None
+        plain = _plain_read(argv) if argv and argv[0] in cli.COMMANDS else None
         routes[plain is not None] += 1
         calls.clear()
-        outcome = _parsed(capsys, lambda a: cli._parse_args(parser, a), argv)
+        outcome = _parsed(capsys, cli._parse_args, argv)
         assert calls == ([] if plain is not None else [argv]), argv
         if isinstance(plain, tuple):
             refusals += 1
             assert outcome[1:] == plain == _parsed(capsys, parse_args, argv)[1:], argv
     assert min(routes.values()) > 20, routes
     assert refusals == 7
+
+
+# the parser built from the table against the parser written by hand
+
+REFERENCE_PARSER = reference_parser()
+
+
+def _read_by(parse, argv):
+    """The namespace ``parse(argv)`` returns as a dict without its handler (None
+    if it exits), the exit code (None if it returns), and what it printed."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        try:
+            namespace, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    if namespace is not None:
+        namespace = {dest: value for dest, value in namespace.items() if dest != "func"}
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+def test_table_parser_prints_what_the_reference_parser_prints():
+    parser = cli.build_parser()
+    assert list(subparsers(parser)) == list(REFERENCE_PARSER.commands) == list(cli.COMMANDS)
+    pairs = [(parser, REFERENCE_PARSER),
+             *((subparsers(parser)[name], REFERENCE_PARSER.commands[name]) for name in cli.COMMANDS)]
+    for table, reference in pairs:
+        assert table.format_help() == reference.format_help(), table.prog
+        assert table.format_usage() == reference.format_usage(), table.prog
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=lambda argv: " ".join(argv) or "no argv")
+def test_table_routes_read_route_argv_as_the_reference_parser(argv, torus_file, capsys,
+                                                              monkeypatch):
+    argv = [arg.replace(_F, torus_file) for arg in argv]
+    assert _read_by(cli._parse_args, argv) == _read_by(REFERENCE_PARSER.parse_args, argv)
+    namespace = _parsed(capsys, cli._parse_args, argv)[0]
+    if namespace is not None:
+        assert namespace["func"] is cli.COMMANDS[namespace["command"]][0]
+    outcome = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+    monkeypatch.setattr(cli, "_shared_parser", lambda: REFERENCE_PARSER)
+    assert _outcome(capsys, argv) == outcome
+
+
+@settings(max_examples=600, deadline=None)
+@given(_plain_drawn_argv() | _drawn_argv())
+def test_table_routes_read_drawn_argv_as_the_reference_parser(argv):
+    assert _read_by(cli._parse_args, argv) == _read_by(REFERENCE_PARSER.parse_args, argv)
 
 
 def _one_per(orbits, rng):
@@ -962,7 +1020,7 @@ def _one_per(orbits, rng):
 def test_workload_commands_take_the_one_pass_readers(torus8, tmp_path, capsys, monkeypatch):
     """Every command form of the benchmark's workloads, on torus8, a map written
     with a special line and a lattice written without one, runs with argparse's
-    parsing and every label-by-label walk refused: each label list, on the
+    parser and every label-by-label walk refused: each label list, on the
     command line and in the file, is read by one ``int`` pass."""
     rng = random.Random(27)
     drawn = random_corpus(1, 12, 27)[0]
@@ -993,10 +1051,8 @@ def test_workload_commands_take_the_one_pass_readers(torus8, tmp_path, capsys, m
     def refuse(*args, **kwargs):
         raise AssertionError("argparse or a label-by-label walk read a plain input")
 
-    parser = cli._shared_parser()
-    for p in (parser, *parser.commands.values()):
-        monkeypatch.setattr(p, "parse_known_args", refuse)
-    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(cli, "_shared_parser", refuse)
+    monkeypatch.setattr(cli, "build_parser", refuse)
     monkeypatch.setattr(perm, "_raise_first_error", refuse)
     monkeypatch.setattr(perm, "_label", refuse)  # each walk of a label list
     for argv in argvs:
@@ -1544,6 +1600,7 @@ def test_special_list_matches_the_per_label_parser(command, darts, torus_file, c
                                                    monkeypatch):
     argv = [arg.replace("{file}", torus_file) for arg in command] + ["--special", *darts]
     outcome = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: None)  # argparse reads every list
     monkeypatch.setattr(cli, "_shared_parser", per_label_parser)
     assert _outcome(capsys, argv) == outcome
     assert outcome[0] in (0, 2, 3)
@@ -1556,8 +1613,8 @@ def test_special_flag_stores_the_set_the_code_keeps(torus_file, capsys, monkeypa
     namespaces, codes = [], []
     read, build = cli._parse_args, cli._build_quotient
 
-    def reading(parser, argv):
-        namespaces.append(read(parser, argv))
+    def reading(argv):
+        namespaces.append(read(argv))
         return namespaces[-1]
 
     def building(*args):

@@ -257,6 +257,23 @@ def test_constructor_still_checks_degrees_and_transitivity(walks):
     assert walks == []
 
 
+def test_disconnected_error_lists_at_most_64_labels():
+    with pytest.raises(DisconnectedError) as caught:
+        Hypermap(identity(100), identity(100))
+    assert caught.value.components == tuple((i,) for i in range(100))
+    listed = ", ".join("{%d}" % (i + 1) for i in range(64))
+    assert str(caught.value) == (
+        f"hypermap is not connected; dart components: {listed}, ... (100 components)")
+    # whole components only: the one that would pass 64 labels is not begun
+    halves = parse_cycles("(" + " ".join(map(str, range(1, 41))) + ")", 80)
+    with pytest.raises(DisconnectedError) as caught:
+        Hypermap(halves, parse_cycles("(" + " ".join(map(str, range(41, 81))) + ")", 80))
+    assert caught.value.components == (tuple(range(40)), tuple(range(40, 80)))
+    first = " ".join(str(i + 1) for i in range(40))
+    assert str(caught.value) == (
+        f"hypermap is not connected; dart components: {{{first}}}, ... (2 components)")
+
+
 def test_concurrent_first_reads_see_the_validated_orbits():
     h = square_torus(8)
     derived = [getattr(validated_dual(h), name) for name in ORBIT_FIELDS]

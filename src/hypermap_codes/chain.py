@@ -35,7 +35,7 @@ from collections.abc import Iterable
 
 from .gf2 import Pairs, check_pairs, commutes, masks, rank
 from .hypermap import Hypermap
-from .perm import _Record
+from .perm import _orbit_list, _quoted, _Record
 
 FACE = "face"
 EDGE = "edge"
@@ -122,7 +122,7 @@ def _special_set(h: Hypermap, darts: Iterable[int] | None, kind: str) -> frozens
     chosen = frozenset(darts)  # a frozenset is kept as it is
     if not {int}.issuperset(map(type, chosen)):  # so True, 1.0 and '1' are refused
         odd = next(dart for dart in chosen if type(dart) is not int)
-        raise SpecialDartError(f"special dart {odd!r} is not an integer")
+        raise SpecialDartError(f"special dart {_quoted(odd)} is not an integer")
     if len(chosen) < len(darts):
         seen: set[int] = set()
         for dart in darts:
@@ -136,10 +136,8 @@ def _special_set(h: Hypermap, darts: Iterable[int] | None, kind: str) -> frozens
         hits[index[dart]] += 1
     bad = [(orbit, count) for orbit, count in zip(orbits, hits) if count != 1]
     if bad:
-        pretty = "; ".join(
-            f"{name} orbit {{{' '.join(str(i + 1) for i in orbit)}}} has {count} special darts"
-            for orbit, count in bad
-        )
+        pretty = _orbit_list(bad, name + " orbit {} has {} special darts", "; ",
+                             f"... ({len(bad)} {name} orbits)")
         raise SpecialDartError(f"not a valid per-{name} special set: {pretty}")
     return chosen
 

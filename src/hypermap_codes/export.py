@@ -5,7 +5,7 @@ from __future__ import annotations
 from .chain import EDGE, FACE, FULL, CommutationError, QuotientCode
 from .gf2 import Pairs, dense_rows, read_rows
 from .hypermap import Hypermap
-from .perm import format_cycles, parse_cycles
+from .perm import _quoted, format_cycles, parse_cycles
 from .reduce import CellComplex
 
 FORMAT_NAME = "hypermap-codes"
@@ -40,7 +40,7 @@ def _field(doc: dict, key: str, *kinds: type):
         raise ValueError(f"missing key {key!r}")
     value = doc[key]
     if type(value) not in kinds:  # so a bool is not taken for an int
-        raise ValueError(f"{key!r} has the wrong type: {value!r}")
+        raise ValueError(f"{key!r} has the wrong type: {_quoted(value)}")
     return value
 
 
@@ -60,7 +60,7 @@ def _rows_from_json(doc: dict, key: str) -> tuple[list[str], int]:
     rows, cols = _field(obj, "rows", list), _field(obj, "cols", int)
     for row in rows:
         if not isinstance(row, str) or len(row) != cols or row.strip("01"):
-            raise ValueError(f"bad matrix row {row!r}")
+            raise ValueError(f"bad matrix row {_quoted(row)}")
     if cols < 0:  # with no rows to refuse
         raise ValueError(f"matrix shape 0 x {cols} is not two integers >= 0")
     return rows, cols

@@ -39,7 +39,6 @@ the file format may carry and which the face and edge codes of
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterator
 
 from .perm import (
@@ -55,7 +54,9 @@ from .perm import (
     parse_cycles,
     random_permutation,
     _LabelError,
+    _orbit_list,
     _orbits,
+    _quoted,
     _read_labels,
     _Record,
 )
@@ -65,14 +66,8 @@ class DisconnectedError(ValueError):
     """The pair (alpha, sigma) is not transitive; carries the components."""
 
     def __init__(self, components: Cycles):
-        shown, room = [], 64  # labels listed: past them, the message ends with the count
-        for c in components:
-            if len(c) > room:
-                shown.append(f"... ({len(components)} components)")
-                break
-            shown.append("{" + " ".join(str(i + 1) for i in c) + "}")
-            room -= len(c)
-        super().__init__(f"hypermap is not connected; dart components: {', '.join(shown)}")
+        listed = _orbit_list(zip(components), "{}", ", ", f"... ({len(components)} components)")
+        super().__init__(f"hypermap is not connected; dart components: {listed}")
         self.components = components
 
 
@@ -281,18 +276,18 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
 
     for (lineno, _, key, _), want in zip(fields, ("darts", "alpha", "sigma")):
         if key != want:
-            raise ParseError(lineno, 1, f"expected {want!r} line, found {key!r}")
+            raise ParseError(lineno, 1, f"expected {want!r} line, found {_quoted(key)}")
     if len(fields) < 3:
         raise ParseError(len(lines) + 1, 1, "expected 'darts:', 'alpha:' and 'sigma:' lines")
     if len(fields) > 4:
-        raise ParseError(fields[4][0], 1, f"unexpected extra line {fields[4][2]!r}")
+        raise ParseError(fields[4][0], 1, f"unexpected extra line {_quoted(fields[4][2])}")
     if len(fields) == 4 and fields[3][2] != "special":
-        raise ParseError(fields[3][0], 1, f"expected 'special' line, found {fields[3][2]!r}")
+        raise ParseError(fields[3][0], 1, f"expected 'special' line, found {_quoted(fields[3][2])}")
 
     lineno, raw, _, value = fields[0]
     if not (value.isascii() and value.isdigit() and value.strip("0")):
         raise ParseError(lineno, _value_col(raw),
-                         f"dart count must be a positive integer, found {value!r}")
+                         f"dart count must be a positive integer, found {_quoted(value)}")
     # the length check runs first: int() refuses more than 4300 digits
     if len(value.lstrip("0")) > len(str(MAX_DARTS)) or (n := decimal_value(value)) > MAX_DARTS:
         raise ParseError(lineno, _value_col(raw), f"dart count exceeds the limit of {MAX_DARTS}")
@@ -311,7 +306,7 @@ def parse_hypermap(text: str) -> tuple[Hypermap, frozenset[int] | None]:
         try:
             special = _read_labels(value.split(), n)
         except _LabelError as exc:  # the column of the token at fault: its start in value
-            offset = [token.start() for token in re.finditer(r"\S+", value)][exc.index]
+            offset = len(value) - len(value.split(None, exc.index)[exc.index])
             raise ParseError(lineno, _value_col(raw) + offset, f"special dart {exc}") from None
     return Hypermap(perms[0], perms[1]), special
 

@@ -29,11 +29,13 @@ boundary matrices are rebuilt from them one entry at a time
 a matrix column by column (``matrix_pairs``), and ranks come from the
 Gauss-Jordan elimination, never from a spanning forest.  The
 cycle-notation parser is kept as the character walker it was before the
-grammar scan, and the surface reduction as the dense
-1-cells x 2-cells count table, with its mod-2 projection, validation and
-``reduce`` row rendering, and the sparse count rows as they were rendered
-before they were streamed: each cut from one all-zero line by string
-slices (``splice_count_lines``); ``reduce_to_surface(h, s)`` and
+grammar scan, and its grammar as the regular expression the library
+matched (``CYCLE_TEXT``) before it checked the text's shape with ``str``
+scans.  The surface reduction is kept as the dense 1-cells x 2-cells
+count table, with its mod-2 projection, validation and ``reduce`` row
+rendering, and the sparse count rows as they were rendered before they
+were streamed: each cut from one all-zero line by string slices
+(``splice_count_lines``); ``reduce_to_surface(h, s)`` and
 ``validate_surface(c, h, s)`` are kept as they were when each built the
 face code of the special set itself.  The distance search is kept twice:
 as the exhaustive search over combinations of kernel-basis vectors,
@@ -58,7 +60,10 @@ readers (``parse_cycles``, the ``special:`` line of ``parse_lines`` and
 ``dart_label``) keep their logic but speak the texts of the library's one
 label rule: ``'x' is not a decimal label``, ``9 outside 1..8``, ``of 11
 digits outside 1..8`` and a repeat named by its value; ``dart_label`` also
-refuses a label outside 1..MAX_DARTS, as the flag does.  The CLI's
+refuses a label outside 1..MAX_DARTS, as the flag does.  They, and the line
+parser's refusals of a key or a dart count, quote a refused string as the
+library does (``quoted``), and the special-set check lists bad orbits as the
+library does, whole up to 64 labels and then their count.  The CLI's
 argparse parser is kept as it was written by hand, before one table
 described every command (``reference_parser``).  The fast paths
 must return exactly what these do.
@@ -66,6 +71,7 @@ must return exactly what these do.
 
 import argparse
 import itertools
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -476,11 +482,15 @@ def special_darts(h, darts, kind):
         if len(hits) != 1:
             bad.append((orbit, len(hits)))
     if bad:
-        pretty = "; ".join(
-            f"{name} orbit {{{' '.join(str(i + 1) for i in orbit)}}} has {hits} special darts"
-            for orbit, hits in bad
-        )
-        raise SpecialDartError(f"not a valid per-{name} special set: {pretty}")
+        listed, room = [], 64  # whole orbits up to 64 labels, then the count of bad orbits
+        for orbit, hits in bad:
+            if len(orbit) > room:
+                listed.append(f"... ({len(bad)} {name} orbits)")
+                break
+            listed.append(
+                f"{name} orbit {{{' '.join(str(i + 1) for i in orbit)}}} has {hits} special darts")
+            room -= len(orbit)
+        raise SpecialDartError(f"not a valid per-{name} special set: {'; '.join(listed)}")
     return chosen
 
 
@@ -698,7 +708,18 @@ def run_verification(trials, max_darts, seed, checks=None):
 
 
 # ---------------------------------------------------------------------------
-# the cycle-notation parser, one character at a time
+# the cycle-notation parser, one character at a time, and its grammar
+
+# The cycle grammar (``\s`` is the str.isspace set).  A label run ends at whitespace
+# or ")", so a failed match backtracks over each character a bounded number of times.
+CYCLE_TEXT = re.compile(r"\s*(?:\(\s*(?:[0-9]+(?:\s+[0-9]+)*\s*)?\)\s*)*")
+
+
+def quoted(text):
+    """A refused string as every refusal quotes it: whole up to 64 characters,
+    else its first 64 and ``...``."""
+    return repr(text) if len(text) <= 64 else repr(text[:64]) + "..."
+
 
 def parse_cycles(text, degree):
     if degree < 1:
@@ -732,7 +753,8 @@ def parse_cycles(text, degree):
                 pos += 1
             token = text[start:pos]
             if not (token.isascii() and token.isdigit()):
-                raise CycleParseError(f"dart label {token!r} is not a decimal label", start + 1)
+                raise CycleParseError(f"dart label {quoted(token)} is not a decimal label",
+                                      start + 1)
             if len(token) > width and len(token.lstrip("0")) > width:
                 raise CycleParseError(
                     f"dart label of {len(token.lstrip('0'))} digits outside 1..{degree}",
@@ -770,24 +792,26 @@ def parse_lines(text: str) -> tuple[Hypermap, frozenset[int] | None]:
     expected = ["darts", "alpha", "sigma"]
     for (lineno, col, key, _), want in zip(fields, expected):
         if key != want:
-            raise ParseError(lineno, 1, f"expected {want!r} line, found {key!r}")
+            raise ParseError(lineno, 1, f"expected {want!r} line, found {quoted(key)}")
     if len(fields) < 3:
         raise ParseError(len(text.splitlines()) + 1, 1,
                          "expected 'darts:', 'alpha:' and 'sigma:' lines")
     if len(fields) > 4:
         lineno, _, key, _ = fields[4]
-        raise ParseError(lineno, 1, f"unexpected extra line {key!r}")
+        raise ParseError(lineno, 1, f"unexpected extra line {quoted(key)}")
     if len(fields) == 4 and fields[3][2] != "special":
-        raise ParseError(fields[3][0], 1, f"expected 'special' line, found {fields[3][2]!r}")
+        raise ParseError(fields[3][0], 1, f"expected 'special' line, found {quoted(fields[3][2])}")
 
     lineno, col, _, value = fields[0]
     if not (value.isascii() and value.isdigit()):
-        raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
+        raise ParseError(lineno, col,
+                         f"dart count must be a positive integer, found {quoted(value)}")
     # the length check runs first: int() refuses more than 4300 digits
     if len(value.lstrip("0")) > len(str(MAX_DARTS)) or (n := decimal_value(value)) > MAX_DARTS:
         raise ParseError(lineno, col, f"dart count exceeds the limit of {MAX_DARTS}")
     if n < 1:
-        raise ParseError(lineno, col, f"dart count must be a positive integer, found {value!r}")
+        raise ParseError(lineno, col,
+                         f"dart count must be a positive integer, found {quoted(value)}")
 
     perms = []
     for lineno, col, key, value in fields[1:3]:
@@ -806,7 +830,7 @@ def parse_lines(text: str) -> tuple[Hypermap, frozenset[int] | None]:
             offset = value.index(token, offset)
             if not (token.isascii() and token.isdigit()):
                 raise ParseError(lineno, col + offset,
-                                 f"special dart {token!r} is not a decimal label")
+                                 f"special dart {quoted(token)} is not a decimal label")
             if len(token.lstrip("0")) > len(str(n)):
                 raise ParseError(lineno, col + offset, f"special dart of "
                                  f"{len(token.lstrip('0'))} digits outside 1..{n}")
@@ -1042,7 +1066,7 @@ def dart_label(text):
     """``type=`` of --special: ASCII decimal digits, with no more significant
     digits than ``MAX_DARTS``, in 1..MAX_DARTS."""
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"special dart {text!r} is not a decimal label")
+        raise argparse.ArgumentTypeError(f"special dart {quoted(text)} is not a decimal label")
     significant = len(text.lstrip("0"))
     if significant > len(str(MAX_DARTS)):
         raise argparse.ArgumentTypeError(

@@ -1,6 +1,7 @@
 import pytest
 
 import slow_paths
+from conftest import square_torus
 from hypermap_codes import (
     Hypermap,
     SpecialDartError,
@@ -112,6 +113,19 @@ def test_face_code_rejects_bad_special(torus8):
         face_code(torus8, edge_code(torus8).special)  # one dart per face, four in all
 
 
+def test_a_bad_special_set_lists_whole_orbits_up_to_64_labels(torus8):
+    with pytest.raises(SpecialDartError) as caught:
+        face_code(torus8, {0, 1})
+    assert str(caught.value) == ("not a valid per-edge special set: edge orbit {1 4 3 2} has "
+                                 "2 special darts; edge orbit {5 7 8 6} has 0 special darts")
+    h = square_torus(6)  # 72 edges of two darts each
+    with pytest.raises(SpecialDartError) as caught:
+        face_code(h, set())
+    listed = "; ".join(f"edge orbit {{{a + 1} {b + 1}}} has 0 special darts"
+                       for a, b in h.edges[:32])
+    assert str(caught.value) == f"not a valid per-edge special set: {listed}; ... (72 edge orbits)"
+
+
 @pytest.mark.parametrize("darts", [[True, 4], [1.0, 4], ["1", 4], [4, None], {True, 4},
                                    frozenset({1.0, 4}), (1, "4")],
                          ids=["True", "float", "str", "None", "set of True", "frozenset of float",
@@ -122,6 +136,12 @@ def test_quotient_codes_refuse_a_special_dart_that_is_not_an_int(torus8, build, 
     float or a str no longer escapes as a bare TypeError."""
     with pytest.raises(SpecialDartError, match=r"^special dart .+ is not an integer$"):
         build(torus8, darts)
+
+
+def test_a_special_dart_that_is_not_an_int_is_quoted_to_64_characters(torus8):
+    with pytest.raises(SpecialDartError) as caught:
+        face_code(torus8, ["7" * 1_000_000, 4])
+    assert str(caught.value) == f"special dart {'7' * 64!r}... is not an integer"
 
 
 @pytest.mark.parametrize("build, darts, twice", [(face_code, [1, 4, 1], 2),

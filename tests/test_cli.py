@@ -129,6 +129,20 @@ def test_tri_dual_and_contrary_run(torus_file, capsys):
         parse_hypermap(out)
 
 
+def test_tri_dual_special_line_is_an_edge_code_set(torus_file, tmp_path, capsys):
+    """The triangle dual keeps the input's one dart per edge, which is one
+    dart per face of the new map: an edge code's set, not a face code's."""
+    code, out, _ = run_cli(capsys, "tri-dual", torus_file)
+    assert (code, out.splitlines()[-1]) == (0, "special: 2 5")
+    path = tmp_path / "tri-dual.hm"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "code", str(path), "--kind", "face")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: not a valid per-edge special set: ")
+    code, out, _ = run_cli(capsys, "code", str(path), "--kind", "edge", "--special", "2", "5")
+    assert (code, out.splitlines()[2]) == (0, "special: 2 5")
+
+
 @pytest.mark.parametrize("command", ["dual", "tri-dual", "contrary"])
 def test_transforms_keep_an_empty_special_line(command, tmp_path, capsys):
     path = tmp_path / "empty_special.hm"
@@ -563,6 +577,61 @@ def test_parse_json_refuses_a_qubit_count_other_than_the_column_count(n):
         parse_json(json.dumps({**_CODE_DOC, "n": n}))
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({**_CODE_DOC, "hx": {"cols": 2, "rows": ["12"]}}, "bad matrix row '12'"),
+    ({**_CODE_DOC, "hz": {"cols": -1, "rows": []}}, "matrix shape 0 x -1 is not two integers >= 0"),
+    ({**_HEADER, "type": "banana"}, "unknown artifact type 'banana'"),
+], ids=["row not of 0s and 1s", "negative cols and no rows", "unknown type"])
+def test_parse_json_names_each_refusal(doc, message):
+    with pytest.raises(ValueError) as caught:
+        parse_json(json.dumps(doc))
+    assert str(caught.value) == message
+
+
+_LONG = "1" + "x" * 2_000_000  # a refusal quotes its first 64 characters
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**_CODE_DOC, "hx": {"cols": 2, "rows": ["11", _LONG]}},
+     f"bad matrix row {_LONG[:64]!r}..."),
+    ({**_CODE_DOC, "hx": {"cols": 2, "rows": [[0, 1] * 1_000_000]}},
+     "bad matrix row " + repr([0, 1] * 11)[:64] + "..."),
+    ({**_CODE_DOC, "n": _LONG}, f"'n' has the wrong type: {_LONG[:64]!r}..."),
+    ({**_CODE_DOC, "qubits": {str(i): i for i in range(100_000)}},
+     "'qubits' has the wrong type: " + repr({str(i): i for i in range(10)})[:64] + "..."),
+], ids=["long row", "long non-string row", "long string value", "long object value"])
+def test_parse_json_quotes_at_most_64_characters_of_a_refused_value(doc, message):
+    with pytest.raises(ValueError) as caught:
+        parse_json(json.dumps(doc))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("darts: 8\nalpha: (1 " + "x" * 2_000_000 + ")\nsigma: ()\n",
+     "2:11: bad alpha cycles: dart label " + repr("x" * 64) + "... is not a decimal label"),
+    ("darts: " + "x" * 2_000_000 + "\nalpha: ()\nsigma: ()\n",
+     "1:8: dart count must be a positive integer, found " + repr("x" * 64) + "..."),
+    ("k" * 2_000_000 + ": 8\nalpha: ()\nsigma: ()\n",
+     "1:1: expected 'darts' line, found " + repr("k" * 64) + "..."),
+], ids=["alpha token", "darts value", "first key"])
+def test_a_refused_file_quotes_at_most_64_characters(tmp_path, capsys, text, message):
+    path = tmp_path / "long.hm"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{message}\n"
+    assert len(err.encode()) < 1024
+
+
+def test_a_refused_special_list_quotes_at_most_64_characters(torus_file, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["code", torus_file, "--kind", "face", "--special", "2", "y" * 100])
+    out, err = capsys.readouterr()
+    assert (caught.value.code, out) == (2, "")
+    assert err.splitlines()[-1] == ("hypermap-codes code: error: argument --special: special dart "
+                                    + repr("y" * 64) + "... is not a decimal label")
+
+
 def test_export_json_cli_round_trip(torus_file, capsys):
     code, out, _ = run_cli(capsys, "export", torus_file, "--format", "json",
                            "--what", "code", "--kind", "face")
@@ -687,6 +756,25 @@ def test_shared_parser_leaks_no_state(torus_file, capsys, monkeypatch):
 
 def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_plain_commands_load_neither_re_nor_enum():
+    """Under ``python -S``, which runs no site-packages code that might load them,
+    importing the CLI and running plain ``info``, ``code``, ``reduce`` and
+    ``distance`` argvs loads neither ``re`` nor ``enum``."""
+    script = (
+        "import sys\n"
+        "import hypermap_codes.cli as cli\n"
+        f"path = {str(TORUS8)!r}\n"
+        "for argv in (['info', path], ['code', path, '--kind', 'face'], ['reduce', path],\n"
+        "             ['distance', path, '--kind', 'face']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'re', 'enum'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_importing_cli_builds_no_parser():
@@ -1782,6 +1870,34 @@ def test_failing_stdout_mid_stream_exits_1_with_a_write_error(argv, lattice16_fi
                               env=_src_env(), timeout=60)
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.fixture(scope="module")
+def lattice64_files(tmp_path_factory):
+    """{4,4}_64 written without a special line and with the line ``special: 1``."""
+    h, folder = square_torus(64), tmp_path_factory.mktemp("lattice64")
+    (folder / "special.hm").write_text(format_hypermap(h, {0}))
+    return _write_map(folder, "square64.hm", h), str(folder / "special.hm")
+
+
+@pytest.mark.parametrize("argv, tail", [
+    (["code", "plain", "--kind", "face", "--special", "1"], "... (8191 edge orbits)"),
+    (["code", "plain", "--kind", "edge", "--special", "1"], "... (4095 face orbits)"),
+    (["reduce", "plain", "--special", "1"], "... (8191 edge orbits)"),
+    (["distance", "plain", "--kind", "face", "--special", "1"], "... (8191 edge orbits)"),
+    (["export", "plain", "--format", "json", "--what", "code", "--special", "1"],
+     "... (8191 edge orbits)"),
+    (["code", "special", "--kind", "face"], "... (8191 edge orbits)"),
+], ids=["code-face", "code-edge", "reduce", "distance", "export", "special-line"])
+def test_a_refused_special_set_lists_at_most_64_labels(argv, tail, lattice64_files, capsys):
+    """Whole bad orbits up to 64 labels, then their count: one special dart
+    leaves all but one edge (or face) of {4,4}_64 without one."""
+    plain, special = lattice64_files
+    code, out, err = run_cli(capsys, argv[0], plain if argv[1] == "plain" else special, *argv[2:])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: not a valid per-") and err.endswith(f"; {tail}\n")
+    assert sum(len(orbit.split()) for orbit in re.findall(r"\{([^}]*)\}", err)) <= 64
+    assert len(err.encode()) < 2048  # 32 two-label edge orbits take 1,379 bytes
 
 
 def test_unreadable_input_is_still_exit_2(tmp_path, capsys):

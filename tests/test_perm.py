@@ -1,7 +1,8 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypermap_codes import (
     CycleParseError,
@@ -16,6 +17,8 @@ from hypermap_codes import (
     parse_cycles,
     random_permutation,
 )
+from hypermap_codes import perm
+import slow_paths
 from slow_paths import as_partition
 
 
@@ -225,3 +228,66 @@ def test_parse_cycles_rejects_non_ascii_digits():
         with pytest.raises(CycleParseError) as err:
             parse_cycles(f"(1 {token})", 20)
         assert err.value.col == 4
+
+
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def test_the_shape_table_drops_exactly_the_str_isspace_characters():
+    """``_SHAPE`` writes the 29 ``str.isspace`` characters out by hand: this pins
+    them, and the ASCII digits it reads as 1, to what ``str`` says."""
+    assert len(_WHITESPACE) == 29
+    assert {chr(c) for c, image in perm._SHAPE.items() if image is None} == set(_WHITESPACE)
+    assert {chr(c): chr(image) for c, image in perm._SHAPE.items() if image is not None} \
+        == {digit: "1" for digit in "0123456789"}
+
+
+def _read(parse, text, degree):
+    """The images ``parse`` reads, or its error's type, message and column."""
+    try:
+        return parse(text, degree).images
+    except CycleParseError as exc:
+        return CycleParseError, str(exc), exc.col
+
+
+_SPACE = st.sampled_from(["\r\n", *_WHITESPACE])
+# a piece of cycle text: as often as not a space of some kind
+_CYCLE_PIECES = st.one_of(
+    st.sampled_from(["(", ")", "1", "2", "3", "9", "0", "12", "٣", "１", "+", "-", "_", "\0"]),
+    _SPACE)
+
+
+@st.composite
+def _near_grammar_texts(draw):
+    """Text of the grammar, spaces of every kind around its labels and cycles,
+    and half the time one more piece put in anywhere."""
+    def spaces(least):
+        return "".join(draw(st.lists(_SPACE, min_size=least, max_size=2)))
+
+    parts = [spaces(0)]
+    for _ in range(draw(st.integers(0, 3))):
+        labels = draw(st.lists(st.sampled_from(["1", "2", "3", "9", "0", "12", "007"]),
+                               max_size=4))
+        parts += ["(", spaces(0), *[label + spaces(1) for label in labels], ")", spaces(0)]
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), draw(_CYCLE_PIECES))
+    return "".join(parts)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(_CYCLE_PIECES, max_size=24).map("".join), _near_grammar_texts()),
+       st.integers(1, 12))
+@example("1 (2)", 4)  # a label before the first cycle
+@example("(1)\n2", 4)  # a label after a cycle
+@example("(1)(", 4)  # a cycle left open
+@example(")(1", 4)  # a close before any open
+@example("((1))", 4)  # nested cycles
+@example("(1 2\x1c3)(\x85)", 4)  # spaces that str.split takes too
+def test_parse_cycles_reads_the_grammar_and_names_the_walkers_first_error(text, degree):
+    """Text the grammar oracle refuses raises the walker's error; text it
+    accepts reads as the walker reads it, to a permutation or a range or
+    repeat error."""
+    read = _read(parse_cycles, text, degree)
+    assert read == _read(slow_paths.parse_cycles, text, degree)
+    if not slow_paths.CYCLE_TEXT.fullmatch(text):
+        assert read[0] is CycleParseError

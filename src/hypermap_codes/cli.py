@@ -61,8 +61,8 @@ EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_DISTANCE_BUDGET = 6
-# Largest qubit count ``distance`` searches without --allow-large.
-DISTANCE_QUBIT_CAP = 28
+# Largest n*k that ``distance`` searches: the search holds a k-bit label per qubit.
+DISTANCE_LABEL_BITS = 2**31
 
 
 class UnreadableInput(Exception):
@@ -161,7 +161,7 @@ def cmd_code(args) -> int:
     print(f"kind: {code.kind}")
     print(f"darts: {h.n}")
     if code.special is not None:
-        print(_special_line(code.special))
+        print(_special_line(h, code.special))
     print("qubits: " + " ".join(str(i + 1) for i in code.qubit_labels))
     print(f"n: {code.n}")
     print(f"k: {k}")
@@ -193,9 +193,9 @@ def cmd_distance(args) -> int:
     h, file_special = load_hypermap(args.file)
     code = _build_quotient(h, args.kind, args.special, file_special)
     # reading k runs the commutation guard, before any output
-    if code.k and code.n > DISTANCE_QUBIT_CAP and not args.allow_large:
-        raise ValueError(f"distance search on {code.n} qubits exceeds the cap of "
-                         f"{DISTANCE_QUBIT_CAP}; pass --allow-large to force it")
+    if code.n * code.k > DISTANCE_LABEL_BITS:
+        raise ValueError(f"distance search on n = {code.n} qubits with k = {code.k} holds "
+                         f"{code.n * code.k} label bits, over the limit of {DISTANCE_LABEL_BITS}")
     result = distance(code, budget=args.budget)
     print(f"kind: {code.kind}")
     print(f"n: {code.n}")
@@ -297,8 +297,7 @@ COMMANDS = {
         "--budget": _Option(_int_in_range(0), DEFAULT_DISTANCE_BUDGET,
                             help="maximum logical-operator weight to search "
                                  f"(default {DEFAULT_DISTANCE_BUDGET})"),
-        "--allow-large": _Option(None, False, nargs=0,
-                                 help=f"search even with more than {DISTANCE_QUBIT_CAP} qubits")}),
+        "--allow-large": _Option(None, False, nargs=0, help="no effect; still accepted")}),
     "verify": (cmd_verify, "run the identity/equivalence suite on random hypermaps", False, {
         "--trials": _Option(_int_in_range(1), 500),
         "--max-darts": _Option(_int_in_range(1, MAX_DARTS), 10),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .chain import EDGE, FACE, FULL, CommutationError, QuotientCode
 from .gf2 import Pairs, dense_rows, read_rows
-from .hypermap import Hypermap
+from .hypermap import Hypermap, _special_labels
 from .perm import _quoted, format_cycles, parse_cycles
 from .reduce import CellComplex
 
@@ -79,10 +79,7 @@ def export_json(artifact, special: frozenset[int] | None = None) -> str:
         doc["alpha"] = format_cycles(artifact.alpha)
         doc["sigma"] = format_cycles(artifact.sigma)
         if special is not None:
-            labels = {i + 1 for i in special if type(i) is int and 0 <= i < artifact.n}
-            if len(labels) != len(special):
-                raise ValueError(f"special {special!r} is not a set of darts 0..{artifact.n - 1}")
-            doc["special"] = sorted(labels)
+            doc["special"] = _special_labels(artifact, special)
     elif isinstance(artifact, QuotientCode):
         doc["type"] = "css-code"
         doc["kind"] = artifact.kind

@@ -40,6 +40,8 @@ the file format may carry and which the face and edge codes of
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cached_property
+from itertools import islice
 
 from .perm import (
     MAX_DARTS,
@@ -53,6 +55,7 @@ from .perm import (
     is_transitive,
     parse_cycles,
     random_permutation,
+    _components,
     _LabelError,
     _orbit_list,
     _orbits,
@@ -63,12 +66,23 @@ from .perm import (
 
 
 class DisconnectedError(ValueError):
-    """The pair (alpha, sigma) is not transitive; carries the components."""
+    """The pair (alpha, sigma) is not transitive.  The message comes from one walk
+    that counts the components and sorts only those it shows; ``components``
+    holds them all, found on first read."""
 
-    def __init__(self, components: Cycles):
-        listed = _orbit_list(zip(components), "{}", ", ", f"... ({len(components)} components)")
+    def __init__(self, alpha: Permutation, sigma: Permutation):
+        walk = _components(alpha, sigma)
+        firsts = list(islice(walk, 65))  # the list shows at most 64, whole ones up to 64 labels
+        count = len(firsts) + sum(1 for _ in walk)
+        listed = _orbit_list(((sorted(c),) for c in firsts), "{}", ", ",
+                             f"... ({count} components)")
         super().__init__(f"hypermap is not connected; dart components: {listed}")
-        self.components = components
+        self._pair = alpha, sigma
+
+    @cached_property
+    def components(self) -> Cycles:
+        """The components, sorted by minimum (:func:`~.perm.connected_components`)."""
+        return connected_components(*self._pair)
 
 
 def _orbit_field(i: int, doc: str) -> property:
@@ -93,7 +107,7 @@ class Hypermap(_Record):
         if alpha.degree != sigma.degree:
             raise ValueError(f"degree mismatch: alpha {alpha.degree}, sigma {sigma.degree}")
         if not is_transitive(alpha, sigma):
-            raise DisconnectedError(connected_components(alpha, sigma))
+            raise DisconnectedError(alpha, sigma)
         _set_alpha(self, alpha)
         _set_sigma(self, sigma)
         _set_families(self, None)
@@ -317,15 +331,25 @@ def _value_col(raw: str) -> int:
 
 
 def format_hypermap(h: Hypermap, special=None) -> str:
-    """Render in the hypermap text format (1-based labels)."""
+    """Render in the hypermap text format (1-based labels); a ``special`` set of
+    darts 0..n-1 adds the ``special:`` line, or raises."""
     lines = [f"darts: {h.n}",
              f"alpha: {format_cycles(h.alpha)}",
              f"sigma: {format_cycles(h.sigma)}"]
     if special is not None:
-        lines.append(_special_line(special))
+        lines.append(_special_line(h, special))
     return "\n".join(lines) + "\n"
 
 
-def _special_line(special) -> str:
-    """The ``special:`` line of a set of darts (1-based, ascending)."""
-    return "special: " + " ".join(str(i + 1) for i in sorted(special))
+def _special_labels(h: Hypermap, special) -> list[int]:
+    """The 1-based labels of ``special``, ascending, as every writer of a special
+    set writes them: a ValueError refuses anything but distinct ``int`` darts 0..n-1."""
+    labels = {i + 1 for i in special if type(i) is int and 0 <= i < h.n}
+    if len(labels) != len(special):
+        raise ValueError(f"special {_quoted(special)} is not a set of darts 0..{h.n - 1}")
+    return sorted(labels)
+
+
+def _special_line(h: Hypermap, special) -> str:
+    """The ``special:`` line of a set of darts of ``h`` (1-based, ascending)."""
+    return "special: " + " ".join(map(str, _special_labels(h, special)))

@@ -31,6 +31,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import zip_longest
 from operator import attrgetter
 
@@ -213,15 +214,20 @@ def _reach(a, b, start: int, seen: list[bool]) -> list[int]:
     return order
 
 
+def _components(p: Permutation, q: Permutation) -> Iterator[list[int]]:
+    """The components of ``p`` and ``q`` in order of their minimum, each walked
+    by :func:`_reach` as it is read, in the order that walk reaches its labels."""
+    seen = [False] * p.degree
+    return (_reach(p.images, q.images, i, seen) for i in range(p.degree) if not seen[i])
+
+
 def connected_components(p: Permutation, q: Permutation) -> Cycles:
     """Orbits of the group generated by ``p`` and ``q``, sorted by minimum.
 
     Two labels are in the same component when some word in p, q (and
     their inverses) maps one to the other.
     """
-    seen = [False] * p.degree
-    return tuple(tuple(sorted(_reach(p.images, q.images, i, seen)))
-                 for i in range(p.degree) if not seen[i])
+    return tuple(tuple(sorted(c)) for c in _components(p, q))
 
 
 def is_transitive(p: Permutation, q: Permutation) -> bool:

@@ -104,7 +104,6 @@ from hypermap_codes import (
 from hypermap_codes import cli
 from hypermap_codes.cli import (
     DEFAULT_DISTANCE_BUDGET,
-    DISTANCE_QUBIT_CAP,
     _cmd_transform,
     cmd_code,
     cmd_distance,
@@ -1148,8 +1147,9 @@ class _DistinctDarts(argparse.Action):
 def reference_parser() -> argparse.ArgumentParser:
     """The CLI's parser as ``cli.build_parser`` built it by hand, before one table
     described each command: copied verbatim, with its helpers, from that
-    version, but for this name and docstring.  The parser built from
-    ``cli.COMMANDS`` must print and read exactly as this one does."""
+    version, but for this name, this docstring and the help of ``--allow-large``,
+    which no longer changes anything.  The parser built from ``cli.COMMANDS``
+    must print and read exactly as this one does."""
     parser = argparse.ArgumentParser(
         prog="hypermap-codes",
         description="CSS codes from combinatorial hypermaps: construction, "
@@ -1193,8 +1193,7 @@ def reference_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=_int_in_range(0), default=DEFAULT_DISTANCE_BUDGET,
                        help="maximum logical-operator weight to search "
                             f"(default {DEFAULT_DISTANCE_BUDGET})"),
-        p.add_argument("--allow-large", action="store_true",
-                       help=f"search even with more than {DISTANCE_QUBIT_CAP} qubits"))
+        p.add_argument("--allow-large", action="store_true", help="no effect; still accepted"))
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="run the identity/equivalence suite on random hypermaps")

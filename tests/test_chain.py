@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import slow_paths
@@ -243,3 +245,14 @@ def test_default_special_sets_are_orbit_minima(torus8, corpus):
         assert edge_code(h) == edge_code(h, face_minima)
         assert face_code(h).special == frozenset(edge_minima)
         assert edge_code(h).special == frozenset(face_minima)
+
+
+def test_n_and_k_do_not_depend_on_the_special_set(corpus):
+    # four drawn sets per kind per map, beside the orbit minima
+    rng = random.Random(14)
+    for h in [*corpus, *map(square_torus, range(3, 9))]:
+        for build, orbits in ((face_code, h.edges), (edge_code, h.faces)):
+            default = build(h)
+            for _ in range(4):
+                code = build(h, {rng.choice(orbit) for orbit in orbits})
+                assert (code.n, code.k) == (default.n, default.k)

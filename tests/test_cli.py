@@ -337,25 +337,56 @@ def _write_map(tmp_path, name, h):
     return str(path)
 
 
-def test_distance_cli_refuses_codes_over_the_qubit_cap(tmp_path, capsys):
+def test_distance_cli_refuses_codes_over_the_label_bit_limit(tmp_path, capsys, monkeypatch):
+    # the search holds a k-bit label per qubit: a random map on 46,360 darts has a
+    # face code of n*k just over 2**31 bits, refused before any output, flag or not
+    h = hypermap.random_hypermap(46360, 0)
+    big = _write_map(tmp_path, "random46360.hm", h)
+    face = face_code(h)
+    assert face.n * face.k > cli.DISTANCE_LABEL_BITS == 2**31
+    for flag in ([], ["--allow-large"]):
+        assert run_cli(capsys, "distance", big, "--kind", "face", *flag) == (3, "", (
+            f"error: distance search on n = {face.n} qubits with k = {face.k} holds "
+            f"{face.n * face.k} label bits, over the limit of 2147483648\n"))
+    # the limit itself is allowed: the {4,4}_5 face code holds 50 * 2 bits
     lattice = _write_map(tmp_path, "square5.hm", square_torus(5))
-    code, out, err = run_cli(capsys, "distance", lattice, "--kind", "face")
-    assert (code, out) == (3, "")
-    assert err == ("error: distance search on 50 qubits exceeds the cap of 28; "
-                   "pass --allow-large to force it\n")
-    code, out, _ = run_cli(capsys, "distance", lattice, "--kind", "face", "--allow-large")
+    monkeypatch.setattr(cli, "DISTANCE_LABEL_BITS", 100)
+    code, out, _ = run_cli(capsys, "distance", lattice, "--kind", "face")
     assert code == 0
     assert "d: 5\n" in out
+    monkeypatch.setattr(cli, "DISTANCE_LABEL_BITS", 99)
+    for flag in ([], ["--allow-large"]):
+        assert run_cli(capsys, "distance", lattice, "--kind", "face", *flag) == (3, "", (
+            "error: distance search on n = 50 qubits with k = 2 holds 100 label bits, "
+            "over the limit of 99\n"))
 
 
-def test_distance_cli_cap_exempts_codes_without_logicals(tmp_path, capsys):
+def test_distance_cli_limit_exempts_codes_without_logicals(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DISTANCE_LABEL_BITS", 0)
     star = _write_map(tmp_path, "star30.hm", plane_star(30))
     code, out, _ = run_cli(capsys, "distance", star, "--kind", "face")
     assert code == 0
     assert "n: 30\nk: 0\n" in out and "status: no-logical-operators\n" in out
-    code, out, err = run_cli(capsys, "distance", star, "--kind", "full")
-    assert (code, out) == (3, "")
-    assert "distance search on 60 qubits exceeds the cap of 28" in err
+    assert run_cli(capsys, "distance", star, "--kind", "full") == (3, "", (
+        "error: distance search on n = 60 qubits with k = 29 holds 1740 label bits, "
+        "over the limit of 0\n"))
+
+
+@pytest.mark.parametrize("size", range(4, 11))
+def test_distance_cli_needs_no_flag_on_the_square_lattice(size, tmp_path, capsys, monkeypatch):
+    # the benchmark's form, with --allow-large, and the same argv without it, on
+    # both routes: the same bytes, and d = L on the face and edge codes, 2 on the full
+    lattice = _write_map(tmp_path, f"square{size}.hm", square_torus(size))
+    for kind, d in (("face", size), ("edge", size), ("full", 2)):
+        argv = ["distance", lattice, "--kind", kind, "--budget", str(size)]
+        flagged = [*argv[:4], "--allow-large", *argv[4:]]
+        outcome = run_cli(capsys, *argv)
+        assert outcome[0] == 0 and outcome[2] == ""
+        assert f"d: {d}\nstatus: exact\n" in outcome[1]
+        assert run_cli(capsys, *flagged) == outcome
+        with monkeypatch.context() as argparse_route:
+            argparse_route.setattr(cli, "_read_plain", lambda argv: None)
+            assert run_cli(capsys, *argv) == run_cli(capsys, *flagged) == outcome
 
 
 # JSON export
@@ -413,6 +444,18 @@ def test_parse_json_accepts_the_special_lists_export_writes(torus8):
 def test_export_json_refuses_a_special_set_that_is_no_set_of_darts(torus8, special):
     with pytest.raises(ValueError, match=r"is not a set of darts 0\.\.7$"):
         export_json(torus8, special=special)
+    with pytest.raises(ValueError, match=r"is not a set of darts 0\.\.7$"):
+        format_hypermap(torus8, special)
+
+
+def test_special_set_writers_quote_at_most_64_characters(torus8):
+    special = set(range(-1, 200000))
+    want = f"special {repr(special)[:64]}... is not a set of darts 0..7"
+    for write in (lambda: export_json(torus8, special=special),
+                  lambda: format_hypermap(torus8, special)):
+        with pytest.raises(ValueError) as caught:
+            write()
+        assert str(caught.value) == want
 
 
 def test_export_json_takes_special_darts_with_a_hypermap_only(torus8):
@@ -444,6 +487,24 @@ def test_every_document_export_json_writes_parse_json_reads_back(h, what, specia
     assert parse_json(text) == artifact
     if special is not None:
         assert json.loads(text)["special"] == sorted(d + 1 for d in special)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_JSON_MAPS),
+       st.frozensets(st.integers(-2, 9) | st.sampled_from([True, False, 1.5, "3"]), max_size=5)
+       | st.lists(st.integers(0, 8), max_size=4))
+def test_both_special_set_writers_refuse_alike_and_read_back(h, special):
+    try:
+        labels = hypermap._special_labels(h, special)
+    except ValueError:
+        for write in (lambda: export_json(h, special=special),
+                      lambda: format_hypermap(h, special)):
+            with pytest.raises(ValueError, match=f"is not a set of darts 0\\.\\.{h.n - 1}$"):
+                write()
+        return
+    assert labels == sorted(d + 1 for d in special)
+    assert parse_hypermap(format_hypermap(h, special)) == (h, frozenset(special))
+    assert json.loads(export_json(h, special=special))["special"] == labels
 
 
 def test_parse_json_rejects_tampered_k(torus8):
@@ -909,6 +970,18 @@ def test_one_pass_parse_matches_the_top_level_parser(argv, torus_file, capsys, m
     outcome = _outcome(capsys, argv)
     monkeypatch.setattr(cli, "_read_plain", lambda argv: None)  # the top-level parser reads all
     assert outcome == _outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [argv for argv in ROUTE_ARGVS if argv[:1] == ["distance"]],
+                         ids=" ".join)
+def test_allow_large_changes_nothing_on_either_route(argv, torus_file, capsys, monkeypatch):
+    argv = [arg.replace(_F, torus_file) for arg in argv]
+    other = ([arg for arg in argv if arg != "--allow-large"] if "--allow-large" in argv
+             else [*argv, "--allow-large"])
+    for route in ("plain", "argparse"):
+        if route == "argparse":
+            monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+        assert _outcome(capsys, argv) == _outcome(capsys, other)
 
 
 @pytest.mark.parametrize("argv", [

@@ -321,13 +321,14 @@ def _recorded_roots(monkeypatch) -> list[list[int]]:
     return searches
 
 
-@pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("size", range(3, 17))
 def test_cycle_search_roots_cover_the_labelled_qubits(size, monkeypatch):
     # one end of each labelled qubit: on the toric code the 2L labelled
     # qubits of a class have 4L-4 ends, all roots when both ends were, and
-    # the cover takes 2L-1.  The edge code reaches 2L+2 at even L >= 8, where
-    # a path of two labelled qubits has its middle node last: both outer
-    # nodes become roots, and the middle one is left with no qubit to cover.
+    # the cover takes 2L-1.  In node order alone the edge code reached 2L+2
+    # at even L >= 8, where a path of two labelled qubits has its middle node
+    # last; taking the nodes with the most labelled qubits first keeps it at
+    # 2L-1 for L = 3..16.
     searches = _recorded_roots(monkeypatch)
     face, edge, _ = _codes(square_torus(size))
     for code in (face, edge):
@@ -338,11 +339,11 @@ def test_cycle_search_roots_cover_the_labelled_qubits(size, monkeypatch):
             searches.clear()
             weights.append(_min_cycle_weight(graph, labels, code.n))
             [roots] = searches
-            assert roots == sorted(set(roots))
+            assert len(roots) == len(set(roots))
             if code is face:
                 assert len(roots) == 2 * size - 1
             else:
-                assert len(roots) <= 2 * size + 2
+                assert len(roots) <= 2 * size
             labelled = [(u, w) for u, edges in enumerate(graph[0]) for j, w in edges if labels[j]]
             assert labelled and all(u in roots or w in roots for u, w in labelled)
         assert min(weights) == size
@@ -369,6 +370,19 @@ def test_square_lattice_distance_beyond_exhaustive_reach(size):
         for budget in (size, None):
             result = distance(code, budget=budget)
             assert result.d == d and result.exact
+
+
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_square_lattice_distance_on_drawn_special_sets(size):
+    # a per-edge set keeps the face code at (L, L); a per-face set keeps the
+    # edge code's dz at L, while its dx may exceed L
+    h = square_torus(size)
+    rng = random.Random(size)
+    for _ in range(12):
+        face = distance(face_code(h, {rng.choice(orbit) for orbit in h.edges}))
+        assert (face.dx, face.dz) == (size, size)
+        edge = distance(edge_code(h, {rng.choice(orbit) for orbit in h.faces}))
+        assert edge.dz == size <= edge.dx
 
 
 class _CountingList(list):

@@ -25,15 +25,16 @@ checks (``ends``) and of its Z checks (``sides``), read from the orbit
 index tables in the check-pair format of :mod:`~hypermap_codes.gf2`.
 :class:`QuotientCode` is the one code record: the quotient complex is
 also the CSS code, with H_X the vertex boundary and H_Z the Z-axis
-boundary, and its logical count ``k`` is taken from the pairs on first
-read.
+boundary, and its logical count ``k`` is taken from the spanning forests
+of its two check graphs on first read, which it keeps for the distance
+search.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .gf2 import Pairs, check_pairs, commutes, masks, rank
+from .gf2 import Pairs, check_pairs, commutes, forest, masks
 from .hypermap import Hypermap
 from .perm import _orbit_list, _quoted, _Record
 
@@ -59,13 +60,17 @@ class QuotientCode(_Record):
     Z axis is the edges (one special dart per face); the full kind keeps
     every dart, has no special set, and gives each its face as ``(f, none)``.
     ``n`` is the qubit count and ``k`` the logical count, n minus the two
-    check ranks, which the first read of ``k`` computes and keeps in the
-    cache ``_k``.  That read first runs the commutation test, a guard
-    against upstream bugs that raises :class:`CommutationError`: it cannot
-    fire for a well-formed quotient complex.
+    check ranks.  The first read of ``k`` takes them as the sizes of two
+    spanning forests (:func:`~.gf2.forest`) of the X and Z check graphs,
+    keeps the count in the cache ``_k`` and the forests, for the distance
+    search, in the cache ``_forests``.  That read first runs the
+    commutation test, a guard against upstream bugs that raises
+    :class:`CommutationError`: it cannot fire for a well-formed quotient
+    complex.
     """
 
-    __slots__ = ("kind", "special", "qubit_labels", "ends", "sides", "z_labels", "x_labels", "_k")
+    __slots__ = ("kind", "special", "qubit_labels", "ends", "sides", "z_labels", "x_labels",
+                 "_k", "_forests")
 
     def __init__(self, kind: str, special: frozenset[int] | None,
                  qubit_labels: tuple[int, ...], ends: Pairs, sides: Pairs,
@@ -82,11 +87,13 @@ class QuotientCode(_Record):
             x_checks, z_checks = len(self.x_labels), len(self.z_labels)
             if not commutes(self.ends, x_checks, masks(self.sides, z_checks)):
                 raise CommutationError("H_X * H_Z^T != 0; quotient complex is broken")
-            _set_k(self, self.n - rank(self.ends, x_checks) - rank(self.sides, z_checks))
+            forests = forest(self.ends, x_checks), forest(self.sides, z_checks)
+            _set_forests(self, forests)
+            _set_k(self, self.n - forests[0].count(1) - forests[1].count(1))
         return self._k
 
 
-_set_k = QuotientCode._stores[-1]
+_set_k, _set_forests = QuotientCode._stores[-2:]
 
 
 def _orbit_labels(orbits) -> tuple[int, ...]:
@@ -184,5 +191,6 @@ def full_code(h: Hypermap) -> QuotientCode:
     No special darts are needed, and the logical count exceeds the face
     code's by |edges| - 1.
     """
-    sides = tuple([(f, len(h.faces)) for f in h.face_index])
+    none = len(h.faces)
+    sides = tuple([(f, none) for f in h.face_index])
     return _code(h, FULL, None, tuple(range(h.n)), sides, h.faces)

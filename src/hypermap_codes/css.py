@@ -6,8 +6,10 @@ nodes are the checks plus one virtual node and whose edges are the
 qubits.  A minimum-weight logical operator is a shortest homologically
 non-trivial cycle of the graph.  :func:`distance` labels the qubits with k bits
 from a tree-cotree decomposition (Eppstein 2003; Erickson & Whittlesey
-2005) and finds the cycle with one breadth-first search from one end of
-each labelled qubit, a vertex cover, deleting each root after its search.
+2005), whose trees are the union-find forests that the read of
+``QuotientCode.k`` keeps, and finds the cycle with one breadth-first
+search from one end of each labelled qubit, a vertex cover, deleting
+each root after its search.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ def _qubit_graph(pairs: Pairs, checks: int) -> _Graph:
 
 
 def _forest(adjacency: list[list[tuple[int, int]]],
-            skip: bytearray) -> tuple[list[int], list[int], list[int]]:
-    """A breadth-first spanning forest over the qubits ``j`` with ``skip[j] == 0``.
+            used: bytearray) -> tuple[list[int], list[int], list[int]]:
+    """A breadth-first spanning forest over the qubits ``j`` with ``used[j] == 0``,
+    each marked in ``used`` as it is taken.
 
     Returns ``(order, via, up)``: the nodes in visiting order, and per node
     the qubit and the node it was reached from, both -1 at a root.
@@ -116,46 +119,43 @@ def _forest(adjacency: list[list[tuple[int, int]]],
             u = order[i]
             i += 1
             for j, w in adjacency[u]:
-                if not seen[w] and not skip[j]:
+                if not seen[w] and not used[j]:
                     seen[w] = 1
+                    used[j] = 1
                     via[w] = j
                     up[w] = u
                     order.append(w)
     return order, via, up
 
 
-def _cotree_labels(graph: _Graph, other: _Graph, n: int) -> list[int]:
-    """Per-qubit logical labels of k bits for the cycles of ``graph``.
+def _cotree_labels(tree: bytearray, other: _Graph, other_pairs: Pairs, n: int) -> list[int]:
+    """Per-qubit logical labels of k bits for the cycles of a graph on ``n`` qubits.
 
-    ``graph`` and ``other`` are :func:`_qubit_graph` of ``check`` and of
-    ``other`` on the same ``n`` qubits.  A spanning forest T of ``graph``
-    is taken first, then a spanning forest C of ``other`` over the qubits
-    outside T; each of the k qubits in neither gets its own bit, which is
+    ``tree`` marks the qubits of a spanning forest T of that graph, such as
+    :func:`~.gf2.forest` of its pairs, and ``other`` is :func:`_qubit_graph`
+    of ``other_pairs``, the other check matrix on the same qubits.  A
+    breadth-first spanning forest C of ``other`` over the qubits outside T
+    is grown; each of the k qubits in neither gets its own bit, which is
     also XORed onto the qubits of the path in C between its ends, by one
     pass over C from the leaves up.  Bit ``i`` of the labels then marks
     the fundamental cycle w_i of C through the ``i``-th left-over qubit,
-    and a cycle of ``graph`` is a logical operator exactly when the XOR
+    and a cycle of the graph is a logical operator exactly when the XOR
     of its labels, its pairings with the w_i, is non-zero: see
     :func:`_min_cycle_weight`.
     """
-    used = bytearray(n)  # the qubits of T, then of T and C
-    for j in _forest(graph[0], used)[1]:
-        if j >= 0:
-            used[j] = 1
+    used = bytearray(tree)  # the qubits of T, then of T and C
     order, via, up = _forest(other[0], used)
-    for j in via:
-        if j >= 0:
-            used[j] = 1
     labels = [0] * n
-    bits = 0
-    for j in range(n):
-        if not used[j]:
-            labels[j] = 1 << bits
-            bits += 1
     below = [0] * len(other[0])  # XOR of the left-over bits at each node, then its subtree
-    for u, edges in enumerate(other[0]):
-        for j, _ in edges:
-            below[u] ^= labels[j]
+    bit = 1
+    j = used.find(0)
+    while j >= 0:  # the left-over qubits; a loop's bit cancels at its one node
+        labels[j] = bit
+        a, b = other_pairs[j]
+        below[a] ^= bit
+        below[b] ^= bit
+        bit <<= 1
+        j = used.find(0, j + 1)
     for x in reversed(order):
         if via[x] >= 0:
             labels[via[x]] = below[x]
@@ -163,11 +163,13 @@ def _cotree_labels(graph: _Graph, other: _Graph, n: int) -> list[int]:
     return labels
 
 
-def _min_cycle_weight(graph: _Graph, labels: list[int], budget: int) -> int | None:
+def _min_cycle_weight(graph: _Graph, pairs: Pairs, labels: list[int],
+                      budget: int) -> int | None:
     """Minimum weight over ker(check) \\ rowspace(other), if <= budget.
 
-    ``graph`` is :func:`_qubit_graph` of ``check`` and ``labels`` is
-    :func:`_cotree_labels` of ``graph`` and the graph of ``other``.  The
+    ``graph`` is :func:`_qubit_graph` of ``pairs``, those of ``check``, and
+    ``labels`` is :func:`_cotree_labels` of any spanning forest T of
+    ``graph`` and the graph of ``other``.  The
     labels are exact: rowspace(check) is the cut space of ``graph``, and
     each tree qubit of T lies in exactly one fundamental cut, so each
     coset of ker(other) / rowspace(check) has exactly one member that is
@@ -192,9 +194,11 @@ def _min_cycle_weight(graph: _Graph, labels: list[int], budget: int) -> int | No
     exact.  A shortest non-trivial cycle meets a root; at the first root
     it meets, it avoids every root deleted before, so it lies in the graph
     that is left, where it is still shortest and its labels still XOR to
-    non-zero, and that root's search meets it.  Candidates from depth
-    ``t`` weigh at least ``2t + 1``, so each search stops once that
-    exceeds ``min(budget, best - 1)``.
+    non-zero, and that root's search meets it.  New candidates from depth
+    ``t`` weigh at least ``2t + 1`` (2 at depth 0: one closed from a node
+    of depth ``t - 1`` was met at that depth), so each search stops once
+    that exceeds ``min(budget, best - 1)``, and at once when a candidate
+    weighs just that.
     """
     adjacency, loops = graph
     if budget < 1:
@@ -208,17 +212,19 @@ def _min_cycle_weight(graph: _Graph, labels: list[int], budget: int) -> int | No
     lab = [0] * nodes
     via = [-1] * nodes
     deleted = budget + 1  # a distance past every limit: no search enters or closes there
-    for root in _roots(adjacency, labels, dist):
+    for root in _roots(adjacency, pairs, labels, dist):
         if limit < 2:  # no cycle of the graph is lighter than 2
             break
         dist[root] = 0
         lab[root] = 0
         via[root] = -1
         frontier = [root]
-        reached = [root]
+        levels = [frontier]  # each reached level, the last one perhaps in part
         depth = 0
         while frontier and 2 * depth + 1 <= limit:
+            floor = 2 * depth + 1 if depth else 2  # the lightest candidate this level
             nxt = []
+            levels.append(nxt)
             for u in frontier:
                 lu = lab[u]
                 pu = via[u]
@@ -235,31 +241,36 @@ def _min_cycle_weight(graph: _Graph, labels: list[int], budget: int) -> int | No
                     elif lw != lab[w] and depth + dw + 1 <= limit:
                         best = depth + dw + 1
                         limit = best - 1
-            reached += nxt
+                        if best == floor:
+                            break
+                if limit < floor:  # this search can meet nothing lighter
+                    break
             frontier = nxt
             depth += 1
-        for u in reached:
-            dist[u] = -1
+        for level in levels:
+            for u in level:
+                dist[u] = -1
         dist[root] = deleted
     return best
 
 
-def _roots(adjacency: list[list[tuple[int, int]]], labels: list[int], dist: list[int]):
+def _roots(adjacency: list[list[tuple[int, int]]], pairs: Pairs, labels: list[int],
+           dist: list[int]):
     """The roots of :func:`_min_cycle_weight`, a greedy vertex cover of the
     labelled qubits taken lazily: each check, most labelled qubits first and
     ties in node order, that has a labelled qubit whose other end is not yet
     deleted (``dist`` -1 there; the caller deletes each root after its search).
+    The counts are read from the ``pairs`` of the labelled qubits alone.
     Every labelled qubit but a loop has a check at one end, so the virtual node,
     whose search spreads widest, is not needed.  In node order the {4,4}_L edge
-    code took 2L+2 roots at even L >= 8; in this order it takes 2L-1."""
+    code took 2L+2 roots at even L >= 8; in this order it takes 2L-1 for d_Z
+    and, with the trees of :func:`~.gf2.forest`, 2L-2 for d_X."""
     checks = len(adjacency) - 1
-    counts = [0] * checks  # labelled qubits at each check
-    for u in range(checks):
-        count = 0
-        for j, _ in adjacency[u]:
-            if labels[j]:
-                count += 1
-        counts[u] = count
+    counts = [0] * (checks + 1)  # labelled qubits at each node, the virtual one last
+    for j in compress(range(len(labels)), labels):
+        a, b = pairs[j]
+        counts[a] += 1
+        counts[b] += 1
     for u in sorted(compress(range(checks), counts), key=counts.__getitem__, reverse=True):
         if any(labels[j] for j, w in adjacency[u] if dist[w] < 0):
             yield u
@@ -272,6 +283,8 @@ def distance(c: QuotientCode, budget: int | None = None) -> DistanceResult:
     d_Z the mirror image, and d their minimum.  Each class minimum is a
     shortest cycle with a non-zero label in the graph of checks and
     qubits (see :func:`_min_cycle_weight`), exact at any qubit count.  The
+    read of ``c.k`` runs the commutation guard and keeps the spanning
+    forests of both check graphs, which are the trees of the labels.  The
     default budget is the qubit count, which makes the result exact; a
     smaller one stops the search early and, when nothing is found,
     certifies only that every logical operator is heavier.  A code with
@@ -283,7 +296,8 @@ def distance(c: QuotientCode, budget: int | None = None) -> DistanceResult:
         raise ValueError(f"distance budget must be >= 0, got {budget}")
     if c.k == 0:
         return DistanceResult(dx=None, dz=None, no_logicals=True, budget=budget)
+    x_tree, z_tree = c._forests  # filled by the read of k
     gx, gz = _qubit_graph(c.ends, len(c.x_labels)), _qubit_graph(c.sides, len(c.z_labels))
-    return DistanceResult(dx=_min_cycle_weight(gz, _cotree_labels(gz, gx, c.n), budget),
-                          dz=_min_cycle_weight(gx, _cotree_labels(gx, gz, c.n), budget),
-                          no_logicals=False, budget=budget)
+    dx = _min_cycle_weight(gz, c.sides, _cotree_labels(z_tree, gx, c.ends, c.n), budget)
+    dz = _min_cycle_weight(gx, c.ends, _cotree_labels(x_tree, gz, c.sides, c.n), budget)
+    return DistanceResult(dx=dx, dz=dz, no_logicals=False, budget=budget)

@@ -10,10 +10,11 @@ correspond one to one, and the pairs read as a graph whose nodes are the
 checks plus one virtual node and whose edges are the qubits.
 
 This module is the one place that treats pairs as a matrix: it builds
-them (:func:`check_pairs`), takes ranks and commutation tests on them
-(:func:`rank`, :func:`commutes`), writes their dense '0'/'1' rows one at
-a time for the CLI and JSON export (:func:`dense_rows`), and reads such
-rows back (:func:`read_rows`).  No dense matrix is ever built.
+them (:func:`check_pairs`), takes their spanning forests, whose sizes
+are the ranks (:func:`forest`), and commutation tests (:func:`commutes`),
+writes their dense '0'/'1' rows one at a time for the CLI and JSON export
+(:func:`dense_rows`), and reads such rows back (:func:`read_rows`).  No
+dense matrix is ever built.
 """
 
 from __future__ import annotations
@@ -49,20 +50,29 @@ def commutes(ends: Pairs, x_checks: int, z_masks: list[int]) -> bool:
     return not any(odd[:x_checks])
 
 
-def rank(pairs: Pairs, checks: int) -> int:
-    """The rank of the check matrix of ``pairs``: by union-find, the edge count of
-    a spanning forest of its graph; each other column sums those on its cycle."""
+def forest(pairs: Pairs, checks: int) -> bytearray:
+    """A spanning forest of the graph of ``pairs`` by union-find, as a mark per
+    qubit: 1 for each qubit it takes.  Their count is the rank of the check
+    matrix, since each other column sums the forest columns on its cycle.
+
+    Any order of the qubits gives a spanning forest of the same size; this
+    one runs from the last qubit back, which leaves the {4,4}_L edge code's
+    distance search 2L-2 roots for d_X where the first-to-last forest needs
+    2L (see :func:`~.css._roots`).
+    """
     parent = list(range(checks + 1))
-    forest = 0
-    for a, b in pairs:
+    taken = bytearray(len(pairs))
+    j = len(pairs)
+    for a, b in reversed(pairs):
+        j -= 1
         while parent[a] != a:  # path halving
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
         if a != b:
             parent[a] = b
-            forest += 1
-    return forest
+            taken[j] = 1
+    return taken
 
 
 def dense_rows(pairs: Pairs, checks: int) -> Iterator[str]:

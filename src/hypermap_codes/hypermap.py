@@ -208,13 +208,13 @@ def nabla(h: Hypermap) -> Hypermap:
 
 
 def _random_transitive_pair(n: int, rng) -> Hypermap:
+    """The first transitive pair of random permutations of degree ``n`` that
+    ``rng`` draws; a rejected draw is tested once and builds no error."""
     while True:
         alpha = random_permutation(n, rng)
         sigma = random_permutation(n, rng)
-        try:
-            return Hypermap(alpha, sigma)
-        except DisconnectedError:
-            pass
+        if is_transitive(alpha, sigma):
+            return _derived(alpha, sigma)
 
 
 def random_hypermap(n: int, seed: int) -> Hypermap:

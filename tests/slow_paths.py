@@ -41,7 +41,11 @@ face code of the special set itself.  The distance search is kept twice:
 as the exhaustive search over combinations of kernel-basis vectors,
 exact for any CSS code, and as the cycle search that labelled each qubit
 by its pairing with a kernel basis of the other check matrix and started
-a breadth-first search at every node.  The matrix product
+a breadth-first search at every node.  Its qubit labels are kept as
+they were taken before the search reused the union-find forests of
+``QuotientCode.k``: a breadth-first tree of the searched graph, then a
+breadth-first cotree of the other, each marked in a pass of its own
+(``bfs_cotree_labels``).  The matrix product
 (``multiply``, a popcount per output entry) and ``is_zero`` live only
 here: the library tests every chain condition on check pairs
 (``gf2.commutes``) and multiplies no matrices.  The library keeps no
@@ -1059,6 +1063,70 @@ def kernel_label_min_cycle_weight(graph, other, budget):
         for u in reached:
             dist[u] = -1
     return best
+
+
+def bfs_forest(adjacency, skip):
+    """A breadth-first spanning forest over the qubits ``j`` with ``skip[j] == 0``.
+
+    Returns ``(order, via, up)``: the nodes in visiting order, and per node
+    the qubit and the node it was reached from, both -1 at a root.
+    """
+    nodes = len(adjacency)
+    via = [-1] * nodes
+    up = [-1] * nodes
+    seen = bytearray(nodes)
+    order = []
+    for root in range(nodes):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            u = order[i]
+            i += 1
+            for j, w in adjacency[u]:
+                if not seen[w] and not skip[j]:
+                    seen[w] = 1
+                    via[w] = j
+                    up[w] = u
+                    order.append(w)
+    return order, via, up
+
+
+def bfs_cotree_labels(graph, other, n):
+    """Per-qubit logical labels of k bits for the cycles of ``graph``.
+
+    ``graph`` and ``other`` are ``css._qubit_graph`` of ``check`` and of
+    ``other`` on the same ``n`` qubits.  A spanning forest T of ``graph``
+    is taken first, then a spanning forest C of ``other`` over the qubits
+    outside T; each of the k qubits in neither gets its own bit, which is
+    also XORed onto the qubits of the path in C between its ends, by one
+    pass over C from the leaves up.
+    """
+    used = bytearray(n)  # the qubits of T, then of T and C
+    for j in bfs_forest(graph[0], used)[1]:
+        if j >= 0:
+            used[j] = 1
+    order, via, up = bfs_forest(other[0], used)
+    for j in via:
+        if j >= 0:
+            used[j] = 1
+    labels = [0] * n
+    bits = 0
+    for j in range(n):
+        if not used[j]:
+            labels[j] = 1 << bits
+            bits += 1
+    below = [0] * len(other[0])  # XOR of the left-over bits at each node, then its subtree
+    for u, edges in enumerate(other[0]):
+        for j, _ in edges:
+            below[u] ^= labels[j]
+    for x in reversed(order):
+        if via[x] >= 0:
+            labels[via[x]] = below[x]
+            below[up[x]] ^= below[x]
+    return labels
 
 
 def dart_label(text):

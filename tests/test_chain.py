@@ -21,6 +21,48 @@ from slow_paths import (
 HZ_ROWS = ["100001", "111010", "010111", "001100"]
 
 
+def _component_count(nodes: int, edges) -> int:
+    """The components of the graph on ``nodes`` nodes with ``edges``, by depth-first search."""
+    adjacent: list[list[int]] = [[] for _ in range(nodes)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen = [False] * nodes
+    count = 0
+    for start in range(nodes):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for w in adjacent[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
+
+
+def test_the_forests_that_k_keeps_span_their_check_graphs(corpus):
+    # each cached forest marks one bit per qubit; its qubits join two
+    # components each (acyclic) and leave as few as the whole graph
+    # (spanning), so their count is the rank of the check matrix
+    for h in [*corpus[:150], square_torus(3), square_torus(6)]:
+        for code in (face_code(h), edge_code(h), full_code(h)):
+            assert code._forests is None
+            code.k
+            x_tree, z_tree = code._forests
+            for pairs, checks, tree, matrix in (
+                    (code.ends, len(code.x_labels), x_tree, slow_paths.hx(code)),
+                    (code.sides, len(code.z_labels), z_tree, slow_paths.hz(code))):
+                assert len(tree) == code.n and set(tree) <= {0, 1}
+                taken = [pair for pair, mark in zip(pairs, tree) if mark]
+                nodes = checks + 1
+                assert _component_count(nodes, taken) == nodes - len(taken) \
+                    == _component_count(nodes, pairs)
+                assert len(taken) == slow_paths.rank(matrix)
+
+
 def quotient_oracle(h: Hypermap, s: frozenset[int]) -> BitMatrix:
     """Face boundary over the non-special basis, by plain linear algebra.
 

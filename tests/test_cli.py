@@ -1373,9 +1373,10 @@ RANK_CALLS = {
 
 
 def _count_ranks(monkeypatch) -> list:
+    """Record each union-find spanning forest, whose size is a check rank."""
     calls = []
-    real = chain.rank
-    monkeypatch.setattr(chain, "rank", lambda *args: calls.append(args) or real(*args))
+    real = chain.forest
+    monkeypatch.setattr(chain, "forest", lambda *args: calls.append(args) or real(*args))
     return calls
 
 
@@ -1400,7 +1401,7 @@ def test_only_the_code_record_takes_ranks():
     modules = [m for name, m in vars(hypermap_codes).items() if type(m) is type(hypermap_codes)]
     assert len(modules) > 5
     assert [m.__name__ for m in modules
-            if m is not gf2 and getattr(m, "rank", None) is gf2.rank] == ["hypermap_codes.chain"]
+            if m is not gf2 and getattr(m, "forest", None) is gf2.forest] == ["hypermap_codes.chain"]
 
 
 def _src_env() -> dict:

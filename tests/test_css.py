@@ -240,6 +240,16 @@ def _graphs(code):
     return _qubit_graph(code.ends, len(code.x_labels)), _qubit_graph(code.sides, len(code.z_labels))
 
 
+def _labelled_classes(code):
+    """Per class, d_X then d_Z: the searched graph, its pairs, and the labels
+    ``distance`` takes from the union-find forests that the read of ``k`` keeps."""
+    assert code.k > 0
+    x_tree, z_tree = code._forests
+    gx, gz = _graphs(code)
+    return ((gz, code.sides, _cotree_labels(z_tree, gx, code.ends, code.n)),
+            (gx, code.ends, _cotree_labels(x_tree, gz, code.sides, code.n)))
+
+
 def _assert_search_matches_oracles(code, budgets=(0, 1, 2), exhaustive_cap=None):
     """``distance`` agrees with the kernel-label search of every node at
     ``budgets`` and n, and with the exhaustive search at those up to
@@ -250,9 +260,9 @@ def _assert_search_matches_oracles(code, budgets=(0, 1, 2), exhaustive_cap=None)
         return
     hx, hz = slow_paths.hx(code), slow_paths.hz(code)
     classes = ((hz, hx, gz, gx), (hx, hz, gx, gz))
-    for _, _, graph, other_graph in classes:
+    for _, _, labels in _labelled_classes(code):
         union = 0
-        for label in _cotree_labels(graph, other_graph, code.n):
+        for label in labels:
             union |= label
         assert union == (1 << code.k) - 1
     for budget in (*budgets, code.n):
@@ -265,6 +275,46 @@ def _assert_search_matches_oracles(code, budgets=(0, 1, 2), exhaustive_cap=None)
                                   for check, other, _, _ in classes), budget
     if code.n <= BRUTE_FORCE_QUBITS:
         assert found == brute_force_code_distance(code)
+
+
+def _assert_labels_match_the_bfs_tree_labels(code):
+    """The labels from the forests of ``k`` and the labels from a
+    breadth-first tree give the same minimum in each class."""
+    if code.k == 0:
+        return
+    gx, gz = _graphs(code)
+    for (graph, pairs, labels), other in zip(_labelled_classes(code), (gx, gz)):
+        old = slow_paths.bfs_cotree_labels(graph, other, code.n)
+        assert _min_cycle_weight(graph, pairs, labels, code.n) == \
+            _min_cycle_weight(graph, pairs, old, code.n), code
+
+
+def test_forest_labels_match_the_bfs_tree_labels_on_corpus(corpus):
+    for h in corpus:
+        for code in _codes(h):
+            _assert_labels_match_the_bfs_tree_labels(code)
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
+def test_forest_labels_match_the_bfs_tree_labels_on_square_lattice(size):
+    for code in _codes(square_torus(size)):
+        _assert_labels_match_the_bfs_tree_labels(code)
+
+
+def test_distance_reuses_the_forests_of_k(monkeypatch):
+    # the read of k builds the two union-find forests; distance then grows
+    # one breadth-first cotree per class and builds no forest of its own
+    from hypermap_codes import chain
+    calls = []
+    for module, name in ((chain, "forest"), (css, "_forest")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    code = face_code(square_torus(6))
+    assert code.k == 2 and calls == ["forest", "forest"]
+    calls.clear()
+    assert distance(code).d == 6
+    assert calls == ["_forest", "_forest"]
 
 
 def test_cycle_search_on_every_small_hypermap():
@@ -311,9 +361,9 @@ def _recorded_roots(monkeypatch) -> list[list[int]]:
     searches: list[list[int]] = []
     roots = css._roots
 
-    def recording(adjacency, labels, dist):
+    def recording(adjacency, pairs, labels, dist):
         searches.append([])
-        for root in roots(adjacency, labels, dist):
+        for root in roots(adjacency, pairs, labels, dist):
             searches[-1].append(root)
             yield root
 
@@ -328,22 +378,21 @@ def test_cycle_search_roots_cover_the_labelled_qubits(size, monkeypatch):
     # the cover takes 2L-1.  In node order alone the edge code reached 2L+2
     # at even L >= 8, where a path of two labelled qubits has its middle node
     # last; taking the nodes with the most labelled qubits first keeps it at
-    # 2L-1 for L = 3..16.
+    # 2L-1 for L = 3..16, and with the union-find trees of k, taken from the
+    # last qubit back, its d_X class needs 2L-2.
     searches = _recorded_roots(monkeypatch)
     face, edge, _ = _codes(square_torus(size))
     for code in (face, edge):
-        gx, gz = _graphs(code)
         weights = []
-        for graph, other in ((gz, gx), (gx, gz)):
-            labels = _cotree_labels(graph, other, code.n)
+        for graph, pairs, labels in _labelled_classes(code):
             searches.clear()
-            weights.append(_min_cycle_weight(graph, labels, code.n))
+            weights.append(_min_cycle_weight(graph, pairs, labels, code.n))
             [roots] = searches
             assert len(roots) == len(set(roots))
             if code is face:
                 assert len(roots) == 2 * size - 1
             else:
-                assert len(roots) <= 2 * size
+                assert len(roots) <= 2 * size - 1
             labelled = [(u, w) for u, edges in enumerate(graph[0]) for j, w in edges if labels[j]]
             assert labelled and all(u in roots or w in roots for u, w in labelled)
         assert min(weights) == size
@@ -401,14 +450,29 @@ def test_cycle_search_stops_at_half_the_best_weight():
     # around its root; without that cut-off every search expands all nodes.
     size = 8
     code = next(_codes(square_torus(size)))
-    graph, other = _graphs(code)
-    labels = _cotree_labels(graph, other, code.n)
+    _, (graph, pairs, labels) = _labelled_classes(code)  # the d_Z class, on the X checks
     adjacency, loops = graph
     counted = [_CountingList(edges) for edges in adjacency]
     _CountingList.iterations = 0
-    assert _min_cycle_weight((counted, loops), labels, code.n) == size
+    assert _min_cycle_weight((counted, loops), pairs, labels, code.n) == size
     radius = size // 2
     assert _CountingList.iterations <= len(counted) * (2 * radius * radius + 2 * radius + 1)
+
+
+def test_cycle_search_stops_at_a_candidate_of_the_level_lower_bound():
+    # From root 1 the level at depth 1 is nodes 0, 2 and the hub 3.  Node 0
+    # closes a labelled triangle of weight 3 = 2 * 1 + 1, the lightest a
+    # new candidate at depth 1 can be, so the search stops before it reads
+    # node 2 or the hub's six leaves; root 2's labelled qubit then ends at
+    # the deleted root 1, so no other search starts.
+    pairs = ((0, 1), (0, 2), (1, 2), (1, 3), *((3, leaf) for leaf in range(4, 10)))
+    labels = [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+    adjacency, loops = _qubit_graph(pairs, 10)
+    assert [w for _, w in adjacency[1]] == [0, 2, 3]
+    hub = adjacency[3] = _CountingList(adjacency[3])
+    _CountingList.iterations = 0
+    assert _min_cycle_weight((adjacency, loops), pairs, labels, len(pairs)) == 3
+    assert len(hub) == 7 and _CountingList.iterations == 0
 
 
 HAMMING_CHECKS = ["1010101", "0110011", "0001111"]

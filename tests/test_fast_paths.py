@@ -98,7 +98,8 @@ def _random_pairs(rng, checks, qubits):
 def test_rank_matches_oracle(checks, qubits, seed):
     # the spanning-forest rank of a graph's check matrix, sparse to dense
     pairs = _random_pairs(random.Random(seed), checks, qubits)
-    assert gf2.rank(pairs, checks) == slow_paths.rank(slow_paths.pair_matrix(pairs, checks))
+    rank = gf2.forest(pairs, checks).count(1)
+    assert rank == slow_paths.rank(slow_paths.pair_matrix(pairs, checks))
 
 
 def test_commutation_matches_oracle():
@@ -282,12 +283,13 @@ def test_random_corpus_orbits_match_oracle():
 
 
 def test_random_corpus_checks_transitivity_once_per_draw(monkeypatch):
-    """Each draw of two permutations is checked once, by the constructor; a
-    rejected draw's error counts its components in one walk and never sorts
-    them out, since nothing reads them."""
+    """Each draw of two permutations is checked once, by one transitivity
+    search; a rejected draw builds no error and sorts out no components,
+    since nothing reads them."""
     from hypermap_codes import hypermap as hm
 
-    calls = {"random_permutation": 0, "is_transitive": 0, "connected_components": 0}
+    calls = {"random_permutation": 0, "is_transitive": 0, "connected_components": 0,
+             "DisconnectedError": 0}
 
     def counted(name):
         original = getattr(hm, name)
@@ -304,7 +306,7 @@ def test_random_corpus_checks_transitivity_once_per_draw(monkeypatch):
     draws = calls["random_permutation"] // 2
     assert draws > len(corpus)
     assert calls["is_transitive"] == draws
-    assert calls["connected_components"] == 0
+    assert calls["connected_components"] == calls["DisconnectedError"] == 0
     assert corpus == random_corpus(200, 6, 3)
 
 

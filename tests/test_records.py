@@ -212,6 +212,7 @@ def _filled_and_empty(torus8, name):
     if name == "QuotientCode":
         filled, empty = face_code(torus8), face_code(torus8)
         assert filled.k == 2 and (filled._k, empty._k) == (2, None)
+        assert filled._forests is not None and empty._forests is None
     else:
         filled, empty = (Hypermap(torus8.alpha, torus8.sigma) for _ in range(2))
         assert len(filled.faces) == 4
@@ -234,10 +235,11 @@ def test_a_filled_cache_is_not_a_field(torus8, name):
 
 def test_a_cache_is_not_a_constructor_argument(records):
     fields, _ = records[QuotientCode]
-    assert QuotientCode._fields == tuple(fields) == QuotientCode.__slots__[:-1]
+    slots = QuotientCode.__slots__
+    assert QuotientCode._fields == tuple(fields) == tuple(s for s in slots if s[0] != "_")
     assert Hypermap._fields == ("alpha", "sigma")
     code = QuotientCode(**fields)
-    assert code._k is None and "_k" not in repr(code)
+    assert code._k is None and code._forests is None and "_k" not in repr(code)
     with pytest.raises(TypeError):
         QuotientCode(**fields, _k=2)
     with pytest.raises(TypeError):

@@ -169,11 +169,11 @@ def _distinct(trials, max_darts, seed):
 def _count_builds(monkeypatch, run, trials, max_darts, seed):
     """(Hypermap builds, of them through the validating constructor, orbit
     walks of drawn maps, orbit walks of derived maps, quotient-code builds)
-    of one run, past those of its corpus."""
+    of one run, past those of its corpus, whose draws are built unchecked."""
     calls = {"init": 0, "derived": 0, "quotient": 0}
-    walked, made = [], []  # the maps themselves, so no id is reused
+    walked, made, drawn = [], [], []  # the maps themselves, so no id is reused
     init, derived, walk = Hypermap.__init__, hypermap._derived, hypermap._walk_orbits
-    quotient = chain._quotient_code
+    draw, quotient = hypermap._random_transitive_pair, chain._quotient_code
 
     def counted(key, fn):
         def wrapper(*args):
@@ -186,20 +186,25 @@ def _count_builds(monkeypatch, run, trials, max_darts, seed):
         made.append(d)
         return d
 
+    def drawn_map(*args):
+        h = draw(*args)
+        drawn.append(h)
+        return h
+
     with monkeypatch.context() as patch:
         patch.setattr(Hypermap, "__init__", counted("init", init))
         patch.setattr(hypermap, "_derived", counted("derived", derived_map))
+        patch.setattr(hypermap, "_random_transitive_pair", drawn_map)
         patch.setattr(hypermap, "_walk_orbits", lambda h: walked.append(h) or walk(h))
         patch.setattr(chain, "_quotient_code", counted("quotient", quotient))
         random_corpus(trials, max_darts, seed)
-        corpus_builds = calls["init"]
-        assert calls["derived"] == calls["quotient"] == len(walked) == 0
+        assert calls["derived"] == len(drawn) == trials
+        assert calls["init"] == calls["quotient"] == len(walked) == 0
         run(trials, max_darts, seed)
-    validated = calls["init"] - 2 * corpus_builds
-    made_ids = set(map(id, made))
-    derived_walks = sum(id(h) in made_ids for h in walked)
-    return (validated + calls["derived"], validated, len(walked) - derived_walks,
-            derived_walks, calls["quotient"])
+    derived_ids = set(map(id, made)) - set(map(id, drawn))
+    derived_walks = sum(id(h) in derived_ids for h in walked)
+    return (calls["init"] + calls["derived"] - len(drawn), calls["init"],
+            len(walked) - derived_walks, derived_walks, calls["quotient"])
 
 
 def test_record_builds_each_derived_object_once_per_map(monkeypatch):

@@ -60,17 +60,16 @@ class QuotientCode(_Record):
     Z axis is the edges (one special dart per face); the full kind keeps
     every dart, has no special set, and gives each its face as ``(f, none)``.
     ``n`` is the qubit count and ``k`` the logical count, n minus the two
-    check ranks.  The first read of ``k`` takes them as the sizes of two
-    spanning forests (:func:`~.gf2.forest`) of the X and Z check graphs,
-    keeps the count in the cache ``_k`` and the forests, for the distance
-    search, in the cache ``_forests``.  That read first runs the
-    commutation test, a guard against upstream bugs that raises
+    check ranks, the sizes of two spanning forests (:func:`~.gf2.forest`)
+    of the X and Z check graphs.  The first read of ``k`` builds them and
+    keeps them, for the distance search too, in the cache ``_forests``,
+    after the commutation test, a guard against upstream bugs that raises
     :class:`CommutationError`: it cannot fire for a well-formed quotient
     complex.
     """
 
     __slots__ = ("kind", "special", "qubit_labels", "ends", "sides", "z_labels", "x_labels",
-                 "_k", "_forests")
+                 "_forests")
 
     def __init__(self, kind: str, special: frozenset[int] | None,
                  qubit_labels: tuple[int, ...], ends: Pairs, sides: Pairs,
@@ -83,17 +82,16 @@ class QuotientCode(_Record):
 
     @property
     def k(self) -> int:
-        if self._k is None:
+        if self._forests is None:
             x_checks, z_checks = len(self.x_labels), len(self.z_labels)
             if not commutes(self.ends, x_checks, masks(self.sides, z_checks)):
                 raise CommutationError("H_X * H_Z^T != 0; quotient complex is broken")
-            forests = forest(self.ends, x_checks), forest(self.sides, z_checks)
-            _set_forests(self, forests)
-            _set_k(self, self.n - forests[0].count(1) - forests[1].count(1))
-        return self._k
+            _set_forests(self, (forest(self.ends, x_checks), forest(self.sides, z_checks)))
+        x, z = self._forests
+        return self.n - x.count(1) - z.count(1)
 
 
-_set_k, _set_forests = QuotientCode._stores[-2:]
+_set_forests = QuotientCode._stores[-1]
 
 
 def _orbit_labels(orbits) -> tuple[int, ...]:

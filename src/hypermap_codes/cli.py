@@ -61,8 +61,6 @@ EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_DISTANCE_BUDGET = 6
-# Largest n*k that ``distance`` searches: the search holds a k-bit label per qubit.
-DISTANCE_LABEL_BITS = 2**31
 
 
 class UnreadableInput(Exception):
@@ -78,10 +76,9 @@ def load_hypermap(path: str) -> tuple[Hypermap, frozenset[int] | None]:
         raise UnreadableInput(exc) from exc
     try:
         text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_start = data.rfind(b"\n", 0, exc.start) + 1
-        raise ParseError(data.count(b"\n", 0, exc.start) + 1, exc.start - line_start + 1,
-                         f"not UTF-8 text ({exc.reason})") from exc
+    except UnicodeDecodeError as exc:  # placed as parse_hypermap places a character there
+        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(len(lines), len(lines[-1]), f"not UTF-8 text ({exc.reason})") from exc
     return parse_hypermap(text)
 
 
@@ -192,11 +189,7 @@ def cmd_reduce(args) -> int:
 def cmd_distance(args) -> int:
     h, file_special = load_hypermap(args.file)
     code = _build_quotient(h, args.kind, args.special, file_special)
-    # reading k runs the commutation guard, before any output
-    if code.n * code.k > DISTANCE_LABEL_BITS:
-        raise ValueError(f"distance search on n = {code.n} qubits with k = {code.k} holds "
-                         f"{code.n * code.k} label bits, over the limit of {DISTANCE_LABEL_BITS}")
-    result = distance(code, budget=args.budget)
+    result = distance(code, budget=args.budget)  # its guards all run before any output
     print(f"kind: {code.kind}")
     print(f"n: {code.n}")
     print(f"k: {code.k}")

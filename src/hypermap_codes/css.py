@@ -17,8 +17,11 @@ from __future__ import annotations
 from itertools import compress
 
 from .chain import EDGE, QuotientCode
-from .gf2 import Pairs
+from .gf2 import Pairs, rows
 from .perm import _Record
+
+# Largest n*k that :func:`distance` searches: it holds a k-bit label per qubit.
+DISTANCE_LABEL_BITS = 2**31
 
 
 class DistanceResult(_Record):
@@ -50,8 +53,8 @@ def stabilizer_strings(c: QuotientCode) -> list[str]:
     Qubit labels are rendered 1-based; X generators are named after
     vertices, Z generators after the faces or edges indexing them.  A
     code with no qubits has no operators to describe.  Each label's text
-    is made once for both Paulis, and a row is joined with its Pauli
-    letter in the separator.
+    is made once for both Paulis and grouped by check (:func:`~.gf2.rows`),
+    and a row is joined with its Pauli letter in the separator.
     """
     if c.n == 0:
         return []
@@ -60,13 +63,9 @@ def stabilizer_strings(c: QuotientCode) -> list[str]:
     z_prefix = "e" if c.kind == EDGE else "f"
     for pauli, prefix, pairs, checks in (("X", "v", c.ends, len(c.x_labels)),
                                          ("Z", z_prefix, c.sides, len(c.z_labels))):
-        support: list[list[str]] = [[] for _ in range(checks + 1)]  # the last: the padding
-        for name, (a, b) in zip(names, pairs):
-            support[a].append(name)
-            support[b].append(name)
         sep = " " + pauli
         out += [f"{pauli}_{prefix}{i} = {pauli + sep.join(row) if row else 'I'}"
-                for i, row in enumerate(support[:checks], 1)]
+                for i, row in enumerate(rows(pairs, checks, names), 1)]
     return out
 
 
@@ -97,16 +96,15 @@ def _qubit_graph(pairs: Pairs, checks: int) -> _Graph:
 
 
 def _forest(adjacency: list[list[tuple[int, int]]],
-            used: bytearray) -> tuple[list[int], list[int], list[int]]:
+            used: bytearray) -> tuple[list[int], list[int]]:
     """A breadth-first spanning forest over the qubits ``j`` with ``used[j] == 0``,
     each marked in ``used`` as it is taken.
 
-    Returns ``(order, via, up)``: the nodes in visiting order, and per node
-    the qubit and the node it was reached from, both -1 at a root.
+    Returns ``(order, via)``: the nodes in visiting order, and per node the
+    qubit it was reached by (from that qubit's other end), -1 at a root.
     """
     nodes = len(adjacency)
     via = [-1] * nodes
-    up = [-1] * nodes
     seen = bytearray(nodes)
     order: list[int] = []
     for root in range(nodes):
@@ -123,13 +121,12 @@ def _forest(adjacency: list[list[tuple[int, int]]],
                     seen[w] = 1
                     used[j] = 1
                     via[w] = j
-                    up[w] = u
                     order.append(w)
-    return order, via, up
+    return order, via
 
 
-def _cotree_labels(tree: bytearray, other: _Graph, other_pairs: Pairs, n: int) -> list[int]:
-    """Per-qubit logical labels of k bits for the cycles of a graph on ``n`` qubits.
+def _cotree_labels(tree: bytearray, other: _Graph, other_pairs: Pairs) -> list[int]:
+    """Per-qubit logical labels of k bits for the cycles of a graph.
 
     ``tree`` marks the qubits of a spanning forest T of that graph, such as
     :func:`~.gf2.forest` of its pairs, and ``other`` is :func:`_qubit_graph`
@@ -137,15 +134,16 @@ def _cotree_labels(tree: bytearray, other: _Graph, other_pairs: Pairs, n: int) -
     breadth-first spanning forest C of ``other`` over the qubits outside T
     is grown; each of the k qubits in neither gets its own bit, which is
     also XORed onto the qubits of the path in C between its ends, by one
-    pass over C from the leaves up.  Bit ``i`` of the labels then marks
+    pass over C from the leaves up (a node ``x``'s parent is ``a ^ b ^ x``
+    over the pair of its qubit in C).  Bit ``i`` of the labels then marks
     the fundamental cycle w_i of C through the ``i``-th left-over qubit,
     and a cycle of the graph is a logical operator exactly when the XOR
     of its labels, its pairings with the w_i, is non-zero: see
     :func:`_min_cycle_weight`.
     """
     used = bytearray(tree)  # the qubits of T, then of T and C
-    order, via, up = _forest(other[0], used)
-    labels = [0] * n
+    order, via = _forest(other[0], used)
+    labels = [0] * len(tree)
     below = [0] * len(other[0])  # XOR of the left-over bits at each node, then its subtree
     bit = 1
     j = used.find(0)
@@ -157,9 +155,10 @@ def _cotree_labels(tree: bytearray, other: _Graph, other_pairs: Pairs, n: int) -
         bit <<= 1
         j = used.find(0, j + 1)
     for x in reversed(order):
-        if via[x] >= 0:
-            labels[via[x]] = below[x]
-            below[up[x]] ^= below[x]
+        if (j := via[x]) >= 0:
+            labels[j] = below[x]
+            a, b = other_pairs[j]
+            below[a ^ b ^ x] ^= below[x]
     return labels
 
 
@@ -288,16 +287,20 @@ def distance(c: QuotientCode, budget: int | None = None) -> DistanceResult:
     default budget is the qubit count, which makes the result exact; a
     smaller one stops the search early and, when nothing is found,
     certifies only that every logical operator is heavier.  A code with
-    k = 0 reports no weights.  Raises ``ValueError`` for a negative budget.
-    The result is a pure function of the inputs.
+    k = 0 reports no weights.  Raises ``ValueError`` for a negative budget,
+    and for k > 0 and ``n*k`` over :data:`DISTANCE_LABEL_BITS`, before any
+    label is built.  The result is a pure function of the inputs.
     """
     budget = c.n if budget is None else budget
     if budget < 0:
         raise ValueError(f"distance budget must be >= 0, got {budget}")
-    if c.k == 0:
+    if (k := c.k) == 0:
         return DistanceResult(dx=None, dz=None, no_logicals=True, budget=budget)
+    if c.n * k > DISTANCE_LABEL_BITS:
+        raise ValueError(f"distance search on n = {c.n} qubits with k = {k} holds "
+                         f"{c.n * k} label bits, over the limit of {DISTANCE_LABEL_BITS}")
     x_tree, z_tree = c._forests  # filled by the read of k
     gx, gz = _qubit_graph(c.ends, len(c.x_labels)), _qubit_graph(c.sides, len(c.z_labels))
-    dx = _min_cycle_weight(gz, c.sides, _cotree_labels(z_tree, gx, c.ends, c.n), budget)
-    dz = _min_cycle_weight(gx, c.ends, _cotree_labels(x_tree, gz, c.sides, c.n), budget)
+    dx = _min_cycle_weight(gz, c.sides, _cotree_labels(z_tree, gx, c.ends), budget)
+    dz = _min_cycle_weight(gx, c.ends, _cotree_labels(x_tree, gz, c.sides), budget)
     return DistanceResult(dx=dx, dz=dz, no_logicals=False, budget=budget)

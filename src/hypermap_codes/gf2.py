@@ -12,14 +12,14 @@ checks plus one virtual node and whose edges are the qubits.
 This module is the one place that treats pairs as a matrix: it builds
 them (:func:`check_pairs`), takes their spanning forests, whose sizes
 are the ranks (:func:`forest`), and commutation tests (:func:`commutes`),
-writes their dense '0'/'1' rows one at a time for the CLI and JSON export
-(:func:`dense_rows`), and reads such rows back (:func:`read_rows`).  No
-dense matrix is ever built.
+groups their qubits by check (:func:`rows`), writes their dense '0'/'1'
+rows one at a time for the CLI and JSON export (:func:`dense_rows`), and
+reads such rows back (:func:`read_rows`).  No dense matrix is ever built.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 Pairs = tuple[tuple[int, int], ...]  # per qubit, see the module docstring
 
@@ -75,17 +75,22 @@ def forest(pairs: Pairs, checks: int) -> bytearray:
     return taken
 
 
+def rows(pairs: Pairs, checks: int, items: Iterable) -> list[list]:
+    """Each check's row of ``pairs``, as the ``items`` of its qubits (one item
+    per qubit, in qubit order), the padding row dropped."""
+    by_check: list[list] = [[] for _ in range(checks + 1)]  # the last: the padding
+    for item, (a, b) in zip(items, pairs):
+        by_check[a].append(item)
+        by_check[b].append(item)
+    return by_check[:checks]
+
+
 def dense_rows(pairs: Pairs, checks: int) -> Iterator[str]:
     """Each row of the checks x qubits matrix of ``pairs`` as a '0'/'1' string,
-    one at a time: the qubits are grouped by check once, and each row is
-    a copy of one all-zero line with a 1 set at each of its qubits."""
-    by_check: list[list[int]] = [[] for _ in range(checks + 1)]  # the last: the padding
-    for j, (a, b) in enumerate(pairs):
-        by_check[a].append(j)
-        by_check[b].append(j)
-    del by_check[checks]
+    one at a time: the qubits are grouped by check once (:func:`rows`), and
+    each row is a copy of one all-zero line with a 1 set at each of its qubits."""
     zeros = b"0" * len(pairs)
-    for qubits in by_check:
+    for qubits in rows(pairs, checks, range(len(pairs))):
         line = bytearray(zeros)
         for j in qubits:
             line[j] = 49  # ord("1")

@@ -6,6 +6,7 @@ import slow_paths
 from conftest import square_torus
 from hypermap_codes import (
     Hypermap,
+    QuotientCode,
     SpecialDartError,
     dual,
     edge_code,
@@ -61,6 +62,24 @@ def test_the_forests_that_k_keeps_span_their_check_graphs(corpus):
                 assert _component_count(nodes, taken) == nodes - len(taken) \
                     == _component_count(nodes, pairs)
                 assert len(taken) == slow_paths.rank(matrix)
+
+
+def test_k_is_read_off_the_forests_on_every_read(torus8, monkeypatch):
+    # the forests are the code's one cache: the first read of k builds them
+    # after the commutation guard, and every read counts their marks
+    from hypermap_codes import chain
+    assert [slot for slot in QuotientCode.__slots__ if slot[0] == "_"] == ["_forests"]
+    calls = []
+    for name in ("commutes", "forest"):
+        real = getattr(chain, name)
+        monkeypatch.setattr(chain, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    code = face_code(torus8)
+    assert code.k == 2 and code.k == 2
+    assert calls == ["commutes", "forest", "forest"]
+    x_tree, _ = code._forests
+    x_tree[x_tree.index(1)] = 0  # one tree qubit fewer: one logical more
+    assert code.k == 3 and calls == ["commutes", "forest", "forest"]
 
 
 def quotient_oracle(h: Hypermap, s: frozenset[int]) -> BitMatrix:

@@ -33,7 +33,7 @@ from hypermap_codes import (
     reduce_to_surface,
     run_verification,
 )
-from hypermap_codes import chain, cli, gf2, hypermap, perm, verify
+from hypermap_codes import chain, cli, css, gf2, hypermap, perm, verify
 from hypermap_codes.cli import main
 
 from conftest import DATA, TORUS8, plane_star, square_torus
@@ -343,18 +343,18 @@ def test_distance_cli_refuses_codes_over_the_label_bit_limit(tmp_path, capsys, m
     h = hypermap.random_hypermap(46360, 0)
     big = _write_map(tmp_path, "random46360.hm", h)
     face = face_code(h)
-    assert face.n * face.k > cli.DISTANCE_LABEL_BITS == 2**31
+    assert face.n * face.k > css.DISTANCE_LABEL_BITS == 2**31
     for flag in ([], ["--allow-large"]):
         assert run_cli(capsys, "distance", big, "--kind", "face", *flag) == (3, "", (
             f"error: distance search on n = {face.n} qubits with k = {face.k} holds "
             f"{face.n * face.k} label bits, over the limit of 2147483648\n"))
     # the limit itself is allowed: the {4,4}_5 face code holds 50 * 2 bits
     lattice = _write_map(tmp_path, "square5.hm", square_torus(5))
-    monkeypatch.setattr(cli, "DISTANCE_LABEL_BITS", 100)
+    monkeypatch.setattr(css, "DISTANCE_LABEL_BITS", 100)
     code, out, _ = run_cli(capsys, "distance", lattice, "--kind", "face")
     assert code == 0
     assert "d: 5\n" in out
-    monkeypatch.setattr(cli, "DISTANCE_LABEL_BITS", 99)
+    monkeypatch.setattr(css, "DISTANCE_LABEL_BITS", 99)
     for flag in ([], ["--allow-large"]):
         assert run_cli(capsys, "distance", lattice, "--kind", "face", *flag) == (3, "", (
             "error: distance search on n = 50 qubits with k = 2 holds 100 label bits, "
@@ -362,7 +362,7 @@ def test_distance_cli_refuses_codes_over_the_label_bit_limit(tmp_path, capsys, m
 
 
 def test_distance_cli_limit_exempts_codes_without_logicals(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "DISTANCE_LABEL_BITS", 0)
+    monkeypatch.setattr(css, "DISTANCE_LABEL_BITS", 0)
     star = _write_map(tmp_path, "star30.hm", plane_star(30))
     code, out, _ = run_cli(capsys, "distance", star, "--kind", "face")
     assert code == 0
@@ -370,6 +370,29 @@ def test_distance_cli_limit_exempts_codes_without_logicals(tmp_path, capsys, mon
     assert run_cli(capsys, "distance", star, "--kind", "full") == (3, "", (
         "error: distance search on n = 60 qubits with k = 29 holds 1740 label bits, "
         "over the limit of 0\n"))
+
+
+def test_distance_library_refuses_with_the_cli_words(tmp_path, capsys, monkeypatch):
+    # the limit lives in css: a library call is refused with the line the CLI
+    # prints after "error: ", before any label is built; k = 0 is never refused
+    monkeypatch.setattr(css, "DISTANCE_LABEL_BITS", 99)
+    built = []
+    real = css._cotree_labels
+    monkeypatch.setattr(css, "_cotree_labels", lambda *args: built.append(1) or real(*args))
+    lattice = square_torus(5)
+    with pytest.raises(ValueError) as refused:
+        distance(face_code(lattice))
+    path = _write_map(tmp_path, "square5.hm", lattice)
+    assert run_cli(capsys, "distance", path, "--kind", "face") == (
+        3, "", f"error: {refused.value}\n")
+    assert str(refused.value) == ("distance search on n = 50 qubits with k = 2 holds "
+                                  "100 label bits, over the limit of 99")
+    assert built == []
+    monkeypatch.setattr(css, "DISTANCE_LABEL_BITS", 0)
+    star = face_code(plane_star(30))
+    assert star.n == 30 and distance(star).no_logicals
+    with pytest.raises(ValueError, match="^distance budget must be >= 0, got -1$"):
+        distance(star, budget=-1)  # the budget is checked first, as before
 
 
 @pytest.mark.parametrize("size", range(4, 11))
@@ -1280,6 +1303,25 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "info", str(path))
     assert code == 2
     assert "utf16.hm:1:1: not UTF-8 text" in err
+
+
+def test_non_utf8_byte_column_counts_characters(tmp_path, capsys):
+    path = tmp_path / "cafe.hm"
+    path.write_bytes("# café ".encode() + b"\xff\n")  # the byte is the 9th, the 8th character
+    assert run_cli(capsys, "info", str(path)) == (
+        2, "", f"error: {path}:1:8: not UTF-8 text (invalid start byte)\n")
+
+
+def test_non_utf8_byte_line_is_counted_as_the_parser_counts_lines(tmp_path, capsys):
+    # lines end in a bare \r, which str.splitlines splits on: an 'x' in the bad
+    # byte's place is refused by the parser at the same line and column
+    path = tmp_path / "cr.hm"
+    path.write_bytes(b"darts: 2\ralpha: (1 2)\rsigma: (1 \xff)\r")
+    assert run_cli(capsys, "info", str(path)) == (
+        2, "", f"error: {path}:3:11: not UTF-8 text (invalid start byte)\n")
+    path.write_bytes(b"darts: 2\ralpha: (1 2)\rsigma: (1 x)\r")
+    code, _, err = run_cli(capsys, "info", str(path))
+    assert code == 2 and err.startswith(f"error: {path}:3:11: bad sigma cycles")
 
 
 def test_non_utf8_byte_position_is_reported(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -246,8 +248,8 @@ def _labelled_classes(code):
     assert code.k > 0
     x_tree, z_tree = code._forests
     gx, gz = _graphs(code)
-    return ((gz, code.sides, _cotree_labels(z_tree, gx, code.ends, code.n)),
-            (gx, code.ends, _cotree_labels(x_tree, gz, code.sides, code.n)))
+    return ((gz, code.sides, _cotree_labels(z_tree, gx, code.ends)),
+            (gx, code.ends, _cotree_labels(x_tree, gz, code.sides)))
 
 
 def _assert_search_matches_oracles(code, budgets=(0, 1, 2), exhaustive_cap=None):
@@ -432,6 +434,32 @@ def test_square_lattice_distance_on_drawn_special_sets(size):
         assert (face.dx, face.dz) == (size, size)
         edge = distance(edge_code(h, {rng.choice(orbit) for orbit in h.faces}))
         assert edge.dz == size <= edge.dx
+
+
+# The conftest corpus maps (by index) whose exact d moves with the special set,
+# over every set of each map that has at most 256, and the range d spans
+MOVING_FACE_D = dict.fromkeys((0, 5, 35, 45, 122, 145, 168, 250, 315, 322, 353, 402), (1, 2))
+MOVING_EDGE_D = dict.fromkeys((23, 56, 87, 122, 158, 176, 231, 322, 353), (1, 2))
+
+
+def test_corpus_maps_whose_distance_moves_with_the_special_set(corpus):
+    # a set at each end of a range is checked by the exhaustive search
+    for build, name, moving in ((face_code, "edges", MOVING_FACE_D),
+                                (edge_code, "faces", MOVING_EDGE_D)):
+        found = {}
+        for i, h in enumerate(corpus):
+            orbits = getattr(h, name)
+            if math.prod(map(len, orbits)) > 256:
+                continue
+            by_d = {}  # d -> the code of the first set that reaches it
+            for special in itertools.product(*orbits):
+                code = build(h, special)
+                by_d.setdefault(distance(code).d, code)
+            if len(by_d) > 1:
+                found[i] = (min(by_d), max(by_d))
+                for d in found[i]:
+                    assert min(brute_force_code_distance(by_d[d])) == d, (name, i)
+        assert found == moving, name
 
 
 class _CountingList(list):

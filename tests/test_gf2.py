@@ -192,6 +192,19 @@ def test_read_rows_inverts_dense_rows():
     assert seen == {"two", "one", "none"}
 
 
+def test_rows_group_items_by_check_in_qubit_order():
+    # check 3 is the padding: qubit "c" is in no check, "b" and "e" in one
+    pairs = ((0, 2), (1, 3), (3, 3), (0, 1), (2, 3))
+    assert gf2.rows(pairs, 3, "abcde") == [["a", "d"], ["b", "d"], ["a", "e"]]
+    assert gf2.rows((), 2, []) == [[], []]
+    rng = random.Random(35)
+    for _ in range(500):
+        checks, qubits = rng.randint(0, 5), rng.randint(0, 9)
+        pairs = _random_pairs(rng, checks, qubits)
+        assert gf2.rows(pairs, checks, range(qubits)) == \
+            [[j for j, pair in enumerate(pairs) if i in pair] for i in range(checks)]
+
+
 def test_rank_matches_gauss_jordan_rank():
     rng = random.Random(24)
     for _ in range(3000):

@@ -211,7 +211,7 @@ def _filled_and_empty(torus8, name):
     """Two equal records, the first with its cache filled and the second empty."""
     if name == "QuotientCode":
         filled, empty = face_code(torus8), face_code(torus8)
-        assert filled.k == 2 and (filled._k, empty._k) == (2, None)
+        assert filled.k == 2
         assert filled._forests is not None and empty._forests is None
     else:
         filled, empty = (Hypermap(torus8.alpha, torus8.sigma) for _ in range(2))
@@ -239,10 +239,10 @@ def test_a_cache_is_not_a_constructor_argument(records):
     assert QuotientCode._fields == tuple(fields) == tuple(s for s in slots if s[0] != "_")
     assert Hypermap._fields == ("alpha", "sigma")
     code = QuotientCode(**fields)
-    assert code._k is None and code._forests is None and "_k" not in repr(code)
+    assert code._forests is None and "_forests" not in repr(code)
     with pytest.raises(TypeError):
-        QuotientCode(**fields, _k=2)
+        QuotientCode(**fields, _forests=(bytearray(), bytearray()))
     with pytest.raises(TypeError):
         QuotientCode(*fields.values(), 2)
     with pytest.raises(AttributeError):
-        code._k = 2
+        code._forests = (bytearray(), bytearray())

@@ -36,7 +36,7 @@ from .chain import (
 )
 from .css import distance, stabilizer_strings
 from .export import export_json, export_walsh_dot
-from .gf2 import dense_rows
+from .gf2 import dense_block, dense_rows
 from .hypermap import (
     Hypermap,
     ParseError,
@@ -119,9 +119,13 @@ def _build_quotient(h: Hypermap, kind: str, cli_special, file_special) -> Quotie
 # ---------------------------------------------------------------------------
 # commands
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write each line as it is produced, so a dense block is never held whole."""
+def _write_matrix(block: str | None, lines: Iterable[str]) -> None:
+    """Write a matrix's text: its one block where it has one, else each line
+    as it is produced, so a matrix over ``gf2.BLOCK_BYTES`` is never held whole."""
     write = sys.stdout.write
+    if block is not None:
+        write(block)
+        return
     for line in lines:
         write(line)
         write("\n")
@@ -163,10 +167,11 @@ def cmd_code(args) -> int:
     print(f"n: {code.n}")
     print(f"k: {k}")
     z_prefix = "e" if code.kind == EDGE else "f"
-    print(f"H_X (rows X_v1..X_v{len(code.x_labels)}):")
-    _write_lines(dense_rows(code.ends, len(code.x_labels)))
-    print(f"H_Z (rows Z_{z_prefix}1..Z_{z_prefix}{len(code.z_labels)}):")
-    _write_lines(dense_rows(code.sides, len(code.z_labels)))
+    x_checks, z_checks = len(code.x_labels), len(code.z_labels)
+    print(f"H_X (rows X_v1..X_v{x_checks}):")
+    _write_matrix(dense_block(code.ends, x_checks), dense_rows(code.ends, x_checks))
+    print(f"H_Z (rows Z_{z_prefix}1..Z_{z_prefix}{z_checks}):")
+    _write_matrix(dense_block(code.sides, z_checks), dense_rows(code.sides, z_checks))
     sys.stdout.write("\n".join(["generators:", *stabilizer_strings(code), ""]))
     return EXIT_OK
 
@@ -179,9 +184,10 @@ def cmd_reduce(args) -> int:
     print("one-cells: " + " ".join(str(i + 1) for i in complex_.one_cells))
     print(f"two-cells: {len(complex_.two_cells)}")
     print("incidence 2->1 counts (rows = 1-cells, cols = 2-cells):")
-    _write_lines(complex_.count_lines(" "))
+    _write_matrix(complex_.count_block(" "), complex_.count_lines(" "))
     print("incidence 1->0 (rows = 0-cells, cols = 1-cells):")
-    _write_lines(dense_rows(complex_.ends, len(complex_.zero_cells)))
+    zero_cells = len(complex_.zero_cells)
+    _write_matrix(dense_block(complex_.ends, zero_cells), dense_rows(complex_.ends, zero_cells))
     print(validate_surface(complex_, code).render())
     return EXIT_OK
 

@@ -14,7 +14,9 @@ them (:func:`check_pairs`), takes their spanning forests, whose sizes
 are the ranks (:func:`forest`), and commutation tests (:func:`commutes`),
 groups their qubits by check (:func:`rows`), writes their dense '0'/'1'
 rows one at a time for the CLI and JSON export (:func:`dense_rows`), and
-reads such rows back (:func:`read_rows`).  No dense matrix is ever built.
+reads such rows back (:func:`read_rows`).  A dense matrix is built only as
+text, and only up to :data:`BLOCK_BYTES`: :func:`dense_block` writes such
+a small matrix in one scatter for the CLI.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 Pairs = tuple[tuple[int, int], ...]  # per qubit, see the module docstring
+
+# The largest matrix text that dense_block and CellComplex.count_block make
+# in one piece; a larger matrix is written a row at a time.
+BLOCK_BYTES = 1 << 20
 
 
 def check_pairs(qubits: Sequence[int], a_of: Sequence[int], b_of: Sequence[int],
@@ -35,14 +41,18 @@ def check_pairs(qubits: Sequence[int], a_of: Sequence[int], b_of: Sequence[int],
 
 
 def masks(pairs: Pairs, checks: int) -> list[int]:
-    """Each qubit's checks in ``pairs`` as one bitmask, the padding bit left out."""
+    """Each qubit's checks in ``pairs`` as one bitmask, the padding bit left out.
+    A mask spans up to ``checks`` bits, so the list takes memory of the order
+    of qubits times checks: the commutation guard's cost on large codes."""
     mask = (1 << checks) - 1
     return [(1 << a ^ 1 << b) & mask for a, b in pairs]
 
 
 def commutes(ends: Pairs, x_checks: int, z_masks: list[int]) -> bool:
     """Whether H_X * H_Z^T = 0, given each qubit's Z checks as a bitmask:
-    no X check meets a Z check an odd number of times."""
+    no X check meets a Z check an odd number of times.  Each X check's
+    parities are one mask as wide as the Z masks, so time and memory grow
+    with checks times Z checks, not linearly (see :func:`masks`)."""
     odd = [0] * (x_checks + 1)  # the last collects the padding
     for (a, b), meets in zip(ends, z_masks):
         odd[a] ^= meets
@@ -95,6 +105,23 @@ def dense_rows(pairs: Pairs, checks: int) -> Iterator[str]:
         for j in qubits:
             line[j] = 49  # ord("1")
         yield line.decode()
+
+
+def dense_block(pairs: Pairs, checks: int) -> str | None:
+    """The rows of :func:`dense_rows` as one text, each ended by a newline, or
+    None when that text is over :data:`BLOCK_BYTES`.  One all-zero row is
+    copied ``checks + 1`` times and a 1 set at each qubit's two checks, the
+    last row taking the padding and being cut off: no grouping by check and
+    no object per row."""
+    width = len(pairs) + 1
+    if checks * width > BLOCK_BYTES:
+        return None
+    block = bytearray(b"0" * len(pairs) + b"\n") * (checks + 1)
+    for j, (a, b) in enumerate(pairs):
+        block[a * width + j] = 49  # ord("1")
+        block[b * width + j] = 49
+    del block[checks * width:]
+    return block.decode()
 
 
 def read_rows(rows: Sequence[str], cols: int, name: str) -> Pairs:

@@ -15,7 +15,8 @@ pairs, and the 1-cell/0-cell incidence as the face code's own ``ends``
 pairs, so the complex is built and checked in time linear in the darts.
 The sparse counts are the complex's one form: ``CellComplex.count_lines``
 yields their dense rows one at a time, so the ``reduce`` command writes
-them without holding the whole table.
+them without holding the whole table, and ``CellComplex.count_block``
+writes a table of at most ``gf2.BLOCK_BYTES`` in one scatter.
 Validation works on the pairs alone: the chain condition is the
 commutation test of :mod:`~hypermap_codes.gf2` fed with each 1-cell's
 odd counts, and the match with the face code compares pairs and masks.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from . import gf2
 from .chain import FACE, QuotientCode
 from .gf2 import Pairs, commutes, masks
 from .hypermap import Hypermap
@@ -71,6 +73,34 @@ class CellComplex(_Record):
                 else:
                     line[at:at + 1] = str(v).encode()
             yield line.decode()
+
+    def count_block(self, sep: str) -> str | None:
+        """The lines of :meth:`count_lines` as one text, each ended by a
+        newline, or None when its all-zero text is over ``gf2.BLOCK_BYTES``.
+        One all-zero line is copied per 1-cell and the counts scattered into
+        the copies.  A wider count such as ``10`` or ``-1`` goes in by one
+        join over the unshifted block at the end, not by a splice each, so
+        that each byte moves once however many counts are wide."""
+        zeros = (sep.join("0" * len(self.two_cells)) + "\n").encode()
+        width, step = len(zeros), len(sep.encode()) + 1
+        if len(self.counts21) * width > gf2.BLOCK_BYTES:
+            return None
+        block = bytearray(zeros) * len(self.counts21)
+        wide, row = [], 0  # wide: the offset and text of each wider count, in order
+        for pairs in self.counts21:
+            for j, v in pairs:
+                if 0 <= v <= 9:
+                    block[row + step * j] = 48 + v  # ord("0") + v
+                else:
+                    wide.append((row + step * j, str(v).encode()))
+            row += width
+        if wide:
+            parts, start = [], 0
+            for at, text in wide:
+                parts += block[start:at], text
+                start = at + 1
+            block = b"".join([*parts, block[start:]])
+        return block.decode()
 
 
 class CheckResult(_Record):

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,18 @@ def corpus() -> list[Hypermap]:
     return random_corpus(CORPUS_SIZE, CORPUS_MAX_DARTS, CORPUS_SEED)
 
 
+# The PSL(2,p) maps (p, (a, s, m)) that tests draw with psl2_hypermap at
+# PSL2_SEED: the Klein quartic, a map whose edges have three darts, and a
+# (2,3,7) map of genus 14.
+PSL2_ROWS = ((7, (2, 3, 7)), (7, (3, 3, 4)), (13, (2, 3, 7)))
+PSL2_SEED = 0
+
+
+@pytest.fixture(scope="session")
+def psl2_maps() -> dict[tuple[int, tuple[int, int, int]], Hypermap]:
+    return {row: psl2_hypermap(*row, PSL2_SEED) for row in PSL2_ROWS}
+
+
 def square_torus(size: int) -> Hypermap:
     """The square-lattice torus {4,4}_L with 4L^2 darts.
 
@@ -47,6 +60,60 @@ def square_torus(size: int) -> Hypermap:
                 alpha[dart(x, y, k)] = far
                 alpha[far] = dart(x, y, k)
     return Hypermap(Permutation(tuple(alpha)), Permutation(tuple(sigma)))
+
+
+def psl2_hypermap(p: int, orders: tuple[int, int, int], seed: int) -> Hypermap:
+    """A regular hypermap on the p(p^2-1)/2 elements of PSL(2,p), p prime.
+
+    Its darts are the group elements, 2x2 matrices of determinant 1 mod p
+    taken up to sign, numbered in breadth-first order from the identity;
+    alpha and sigma are right multiplication by A and S.  With ``orders``
+    (a, s, m), A is drawn of order a and S of order s with A^-1 S, which
+    steps a face (``Hypermap.faces``), of order m, redrawn until A and S
+    generate the whole group.  So every edge has a darts, every vertex s and
+    every face m, and the counts give the genus in closed form.
+    """
+    a, s, m = orders
+    rng = random.Random(seed)
+
+    def norm(x):
+        return min(x, tuple(-v % p for v in x))
+
+    def mul(x, y):
+        return norm(((x[0] * y[0] + x[1] * y[2]) % p, (x[0] * y[1] + x[1] * y[3]) % p,
+                     (x[2] * y[0] + x[3] * y[2]) % p, (x[2] * y[1] + x[3] * y[3]) % p))
+
+    one = (1, 0, 0, 1)
+
+    def order(x):
+        k, y = 1, x
+        while y != one:
+            k, y = k + 1, mul(y, x)
+        return k
+
+    def draw(k):
+        while True:
+            x = tuple(rng.randrange(p) for _ in range(4))
+            if (x[0] * x[3] - x[1] * x[2]) % p == 1 and order(norm(x)) == k:
+                return norm(x)
+
+    size = p * (p * p - 1) // 2
+    while True:
+        alpha_gen = draw(a)
+        inverse = norm((alpha_gen[3], -alpha_gen[1] % p, -alpha_gen[2] % p, alpha_gen[0]))
+        sigma_gen = draw(s)
+        if order(mul(inverse, sigma_gen)) != m:
+            continue
+        index, elements = {one: 0}, [one]
+        for x in elements:  # grows while it is walked: a breadth-first closure
+            for g in (alpha_gen, sigma_gen):
+                if (y := mul(x, g)) not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+        if len(elements) == size:
+            alpha = tuple(index[mul(x, alpha_gen)] for x in elements)
+            sigma = tuple(index[mul(x, sigma_gen)] for x in elements)
+            return Hypermap(Permutation(alpha), Permutation(sigma))
 
 
 def plane_star(edges: int) -> Hypermap:

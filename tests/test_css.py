@@ -16,6 +16,7 @@ from hypermap_codes import (
     euler_characteristic,
     face_code,
     full_code,
+    genus,
     identity,
     parse_json,
     random_hypermap,
@@ -26,7 +27,7 @@ from hypermap_codes.css import _cotree_labels, _min_cycle_weight, _qubit_graph
 
 import slow_paths
 from slow_paths import from_strings
-from conftest import plane_star, square_torus
+from conftest import PSL2_ROWS, plane_star, psl2_hypermap, square_torus
 from test_exhaustive_small import all_hypermaps
 
 HX_ROWS = ["111111", "111111"]
@@ -434,6 +435,53 @@ def test_square_lattice_distance_on_drawn_special_sets(size):
         assert (face.dx, face.dz) == (size, size)
         edge = distance(edge_code(h, {rng.choice(orbit) for orbit in h.faces}))
         assert edge.dz == size <= edge.dx
+
+
+# ---------------------------------------------------------------------------
+# PSL(2,p) maps: regular, of higher genus, and with edges of three darts
+
+PSL2_GENUS = dict(zip(PSL2_ROWS, (3, 8, 14)))
+
+
+def _psl2_id(row):
+    p, orders = row
+    return f"PSL2_{p}-" + "".join(map(str, orders))
+
+
+@pytest.mark.parametrize("row", PSL2_ROWS, ids=_psl2_id)
+def test_psl2_codes_have_the_closed_form_n_k_and_genus(row, psl2_maps):
+    # each orbit has |G| / order darts; a surface code of genus g has k = 2g,
+    # and the full code has |edges| - 1 logical qubits more (verify's gap)
+    h = psl2_maps[row]
+    p, (a, s, m) = row
+    darts = p * (p * p - 1) // 2
+    vertices, edges, faces = darts // s, darts // a, darts // m
+    g = PSL2_GENUS[row]
+    assert (h.n, len(h.vertices), len(h.edges), len(h.faces)) == (darts, vertices, edges, faces)
+    assert genus(h) == g == 1 - (vertices + edges + faces - darts) // 2
+    face, edge, full = _codes(h)
+    assert (face.n, face.k) == (darts - edges, 2 * g)
+    assert (edge.n, edge.k) == (darts - faces, 2 * g)
+    assert (full.n, full.k) == (darts, 2 * g + edges - 1)
+
+
+def test_klein_quartic_face_code_has_distance_4():
+    # every (2,3,7) map on PSL(2,7) is the Klein quartic, whatever the draw
+    for seed in range(4):
+        h = psl2_hypermap(7, (2, 3, 7), seed)
+        assert distance(face_code(h)).d == 4
+
+
+@pytest.mark.parametrize("row", PSL2_ROWS, ids=_psl2_id)
+def test_cycle_search_on_psl2_maps(row, psl2_maps):
+    # d is not pinned past the Klein quartic's face code: several PSL(2,13)
+    # maps of type (2,3,7) exist, and an edge code's d moves with its special set
+    h = psl2_maps[row]
+    rng = random.Random(row[0])
+    per_edge = {rng.choice(orbit) for orbit in h.edges}
+    per_face = {rng.choice(orbit) for orbit in h.faces}
+    for code in (*_codes(h), face_code(h, per_edge), edge_code(h, per_face)):
+        _assert_search_matches_oracles(code, exhaustive_cap=1)
 
 
 # The conftest corpus maps (by index) whose exact d moves with the special set,

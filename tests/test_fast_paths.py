@@ -16,7 +16,11 @@ streamed count rows with the string splice they replaced, on counts read
 from JSON that are wider than one character.  The dense '0'/'1' rows
 written straight from check pairs are compared with the matrix of the
 pairs rendered entry by entry, on random pair tables (no qubits, and
-two, one or no checks per qubit) and on the codes of square-lattice tori.  The code
+two, one or no checks per qubit) and on the codes of square-lattice tori,
+the corpus and PSL(2,p) maps; so are the one-block texts of the rows and
+of the count rows, which ``code`` and ``reduce`` print for a matrix of at
+most ``gf2.BLOCK_BYTES``, and what those commands print with that bound at
+0, so that every matrix takes the row path.  The code
 builders that read the orbit index tables, and the reduction and
 validation that take the caller's face code, are compared with the builds through ``inverse(alpha)`` and ``face_code(h, s)`` on every
 special set of every small map, valid or not, and on the same inputs.  The
@@ -78,7 +82,7 @@ from hypermap_codes import (
     triangle_dual,
     validate_surface,
 )
-from hypermap_codes import chain, gf2, perm
+from hypermap_codes import chain, cli, gf2, perm
 from slow_paths import from_strings
 from conftest import TORUS8, square_torus
 from test_exhaustive_small import all_hypermaps
@@ -125,6 +129,8 @@ def _assert_rows_match_oracle(pairs, checks):
     rows = list(gf2.dense_rows(pairs, checks))
     assert len(rows) == checks
     assert "\n".join(rows) == slow_paths.render(slow_paths.pair_matrix(pairs, checks))
+    # the block renderer writes the same rows, each ended by a newline
+    assert gf2.dense_block(pairs, checks) == "".join(row + "\n" for row in rows)
 
 
 def test_dense_rows_match_oracle_on_small_pairs():
@@ -147,11 +153,61 @@ def test_dense_rows_match_oracle(checks, qubits, seed):
     _assert_rows_match_oracle(_random_pairs(random.Random(seed), checks, qubits), checks)
 
 
-def test_dense_rows_match_oracle_on_codes(torus8):
-    for h in [torus8] + [square_torus(size) for size in range(3, 9)]:
+def test_dense_rows_match_oracle_on_codes(torus8, corpus, psl2_maps):
+    lattices = [square_torus(size) for size in range(3, 9)]
+    for h in [torus8, *lattices, *corpus, *psl2_maps.values()]:
         for q in _quotients(h):
             _assert_rows_match_oracle(q.ends, len(q.x_labels))
             _assert_rows_match_oracle(q.sides, len(q.z_labels))
+
+
+def test_dense_block_is_none_over_the_bound(monkeypatch):
+    rng = random.Random(23)
+    for checks, qubits in ((0, 0), (0, 5), (3, 0), (1, 1), (4, 9)):
+        pairs = _random_pairs(rng, checks, qubits)
+        text = "".join(row + "\n" for row in gf2.dense_rows(pairs, checks))
+        assert len(text) == checks * (qubits + 1)
+        monkeypatch.setattr(gf2, "BLOCK_BYTES", len(text))
+        assert gf2.dense_block(pairs, checks) == text
+        monkeypatch.setattr(gf2, "BLOCK_BYTES", len(text) - 1)
+        assert gf2.dense_block(pairs, checks) is None
+    # a text of 1 MiB is one block, one byte more is written row by row
+    monkeypatch.undo()
+    assert gf2.BLOCK_BYTES == 1 << 20
+    assert gf2.dense_block(((0, 1),) * 1023, 1024) is not None  # 1024 rows of 1024 bytes
+    assert gf2.dense_block(((0, 1),) * 1024, 1024) is None
+
+
+def _cli_outputs(tmp_path, h, capsys):
+    """What ``code`` (each kind) and ``reduce`` print for ``h``."""
+    path = str(tmp_path / "map.hm")
+    with open(path, "w") as fh:
+        fh.write(format_hypermap(h))
+    argvs = [["code", path, "--kind", kind] for kind in ("face", "edge", "full")]
+    outputs = []
+    for argv in [*argvs, ["reduce", path]]:
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    return outputs
+
+
+def test_code_and_reduce_print_the_same_bytes_in_blocks_and_in_rows(
+        tmp_path, capsys, monkeypatch, torus8, corpus, psl2_maps):
+    blocks = []  # per matrix the CLI writes: its block, or None for its rows
+    write_matrix = cli._write_matrix
+    monkeypatch.setattr(cli, "_write_matrix",
+                        lambda block, lines: blocks.append(block) or write_matrix(block, lines))
+    bound, lattices = gf2.BLOCK_BYTES, [square_torus(size) for size in range(3, 9)]
+    for h in [torus8, *lattices, *corpus[:60], *psl2_maps.values()]:
+        expected = _cli_outputs(tmp_path, h, capsys)
+        assert len(blocks) == 8 and None not in blocks  # H_X, H_Z of each code; reduce: 2
+        blocks.clear()
+        # with the bound at 0, every matrix with any text takes the row path
+        monkeypatch.setattr(gf2, "BLOCK_BYTES", 0)
+        assert _cli_outputs(tmp_path, h, capsys) == expected
+        assert len(blocks) == 8 and set(blocks) <= {None, ""}
+        blocks.clear()
+        monkeypatch.setattr(gf2, "BLOCK_BYTES", bound)
 
 
 @settings(max_examples=25, deadline=None)
@@ -501,6 +557,13 @@ def _assert_complex_matches_oracle(h, s):
     d = slow_paths.dense_reduce_to_surface(h, s)
     _assert_same_complex(c, d, h, s)
     assert list(c.count_lines(" ")) == slow_paths.render_count_rows(d)
+    _assert_count_block_matches_lines(c, " ")
+
+
+def _assert_count_block_matches_lines(c, sep):
+    lines = slow_paths.splice_count_lines(c, sep)
+    assert list(c.count_lines(sep)) == lines
+    assert c.count_block(sep) == "".join(line + "\n" for line in lines)
 
 
 def test_cell_complex_matches_oracle_on_small_sweep():
@@ -519,6 +582,27 @@ def test_cell_complex_matches_oracle_on_corpus(torus8, corpus):
 def test_cell_complex_matches_oracle_on_square_torus(size):
     h = square_torus(size)
     _assert_complex_matches_oracle(h, face_code(h).special)
+
+
+def test_cell_complex_matches_oracle_on_psl2_maps(psl2_maps):
+    for h in psl2_maps.values():
+        _assert_complex_matches_oracle(h, face_code(h).special)
+
+
+def test_count_block_is_none_over_the_bound(torus8, monkeypatch):
+    c = reduce_to_surface(torus8, face_code(torus8))
+    doc = json.loads(export_json(c))
+    no_two_cells = parse_json(json.dumps({**doc, "two_cells": [],
+                                          "incidence21": [[] for _ in c.one_cells]}))
+    no_one_cells = parse_json(json.dumps({**doc, "one_cells": [], "incidence21": [],
+                                          "incidence10": {"cols": 0, "rows": ["", ""]}}))
+    for complex_ in (c, no_two_cells, no_one_cells):
+        text = "".join(line + "\n" for line in complex_.count_lines(" "))
+        assert len(text) == len(complex_.one_cells) * max(1, 2 * len(complex_.two_cells))
+        monkeypatch.setattr(gf2, "BLOCK_BYTES", len(text))
+        assert complex_.count_block(" ") == text
+        monkeypatch.setattr(gf2, "BLOCK_BYTES", len(text) - 1)
+        assert complex_.count_block(" ") is None
 
 
 def _corruptions(rows, rng):
@@ -555,6 +639,7 @@ def test_corrupted_counts_read_from_json_match_oracle(torus8, corpus):
             assert not validate_surface(c, face_code(h, s)).passed, name
             if name != "negative":
                 assert list(c.count_lines(" ")) == slow_paths.render_count_rows(bad)
+            _assert_count_block_matches_lines(c, " ")
 
 
 def test_count_lines_match_splice_oracle_on_wide_counts(torus8, corpus):
@@ -572,7 +657,13 @@ def test_count_lines_match_splice_oracle_on_wide_counts(torus8, corpus):
                 row[j] = rng.choice((10, -1, 123, -10, 2, 0))
             wide = parse_json(json.dumps({**doc, "incidence21": rows}))
             for sep in (" ", ",\n      ", " \u00b7 "):
-                assert list(wide.count_lines(sep)) == slow_paths.splice_count_lines(wide, sep)
+                _assert_count_block_matches_lines(wide, sep)
+    # every count wide, in every row: 10 and -1 alternating
+    c = reduce_to_surface(square_torus(6), face_code(square_torus(6)))
+    cols = len(c.two_cells)
+    rows = [[(10, -1)[(i + j) % 2] for j in range(cols)] for i in range(len(c.one_cells))]
+    wide = parse_json(json.dumps({**json.loads(export_json(c)), "incidence21": rows}))
+    _assert_count_block_matches_lines(wide, " ")
 
 
 def _moved_end(matrix, rng):

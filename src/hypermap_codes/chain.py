@@ -74,7 +74,14 @@ class QuotientCode(_Record):
     def __init__(self, kind: str, special: frozenset[int] | None,
                  qubit_labels: tuple[int, ...], ends: Pairs, sides: Pairs,
                  z_labels: tuple[int, ...], x_labels: tuple[int, ...]):
-        self._fill(kind, special, qubit_labels, ends, sides, z_labels, x_labels)
+        _set_kind(self, kind)
+        _set_special(self, special)
+        _set_qubit_labels(self, qubit_labels)
+        _set_ends(self, ends)
+        _set_sides(self, sides)
+        _set_z_labels(self, z_labels)
+        _set_x_labels(self, x_labels)
+        _set_forests(self, None)
 
     @property
     def n(self) -> int:
@@ -91,7 +98,8 @@ class QuotientCode(_Record):
         return self.n - x.count(1) - z.count(1)
 
 
-_set_forests = QuotientCode._stores[-1]
+(_set_kind, _set_special, _set_qubit_labels, _set_ends, _set_sides, _set_z_labels,
+ _set_x_labels, _set_forests) = QuotientCode._stores
 
 
 def _orbit_labels(orbits) -> tuple[int, ...]:
@@ -106,9 +114,9 @@ def _code(h: Hypermap, kind: str, special: frozenset[int] | None, qubits: tuple[
     tail_of = [0] * h.n  # tail_of[d] = v(alpha^-1(d)): alpha sends i to d
     for i, d in enumerate(h.alpha.images):
         tail_of[d] = head_of[i]
-    return QuotientCode(kind=kind, special=special, qubit_labels=qubits,
-                        ends=check_pairs(qubits, head_of, tail_of, len(h.vertices)), sides=sides,
-                        z_labels=_orbit_labels(z_orbits), x_labels=_orbit_labels(h.vertices))
+    ends = check_pairs(qubits, head_of, tail_of, len(h.vertices))
+    return QuotientCode(kind, special, qubits, ends, sides, _orbit_labels(z_orbits),
+                        _orbit_labels(h.vertices))
 
 
 def _special_set(h: Hypermap, darts: Iterable[int] | None, kind: str) -> frozenset[int]:

@@ -34,7 +34,7 @@ from .chain import (
     face_code,
     full_code,
 )
-from .css import distance, stabilizer_strings
+from .css import _qubit_names, _stabilizer_strings, distance
 from .export import export_json, export_walsh_dot
 from .gf2 import dense_block, dense_rows
 from .hypermap import (
@@ -163,7 +163,8 @@ def cmd_code(args) -> int:
     print(f"darts: {h.n}")
     if code.special is not None:
         print(_special_line(h, code.special))
-    print("qubits: " + " ".join(str(i + 1) for i in code.qubit_labels))
+    names = _qubit_names(code)
+    print("qubits: " + " ".join(names))
     print(f"n: {code.n}")
     print(f"k: {k}")
     z_prefix = "e" if code.kind == EDGE else "f"
@@ -172,7 +173,7 @@ def cmd_code(args) -> int:
     _write_matrix(dense_block(code.ends, x_checks), dense_rows(code.ends, x_checks))
     print(f"H_Z (rows Z_{z_prefix}1..Z_{z_prefix}{z_checks}):")
     _write_matrix(dense_block(code.sides, z_checks), dense_rows(code.sides, z_checks))
-    sys.stdout.write("\n".join(["generators:", *stabilizer_strings(code), ""]))
+    sys.stdout.write("\n".join(["generators:", *_stabilizer_strings(code, names), ""]))
     return EXIT_OK
 
 

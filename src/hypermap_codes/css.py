@@ -36,7 +36,10 @@ class DistanceResult(_Record):
     __slots__ = ("dx", "dz", "no_logicals", "budget")
 
     def __init__(self, dx: int | None, dz: int | None, no_logicals: bool, budget: int):
-        self._fill(dx, dz, no_logicals, budget)
+        _set_dx(self, dx)
+        _set_dz(self, dz)
+        _set_no_logicals(self, no_logicals)
+        _set_budget(self, budget)
 
     @property
     def d(self) -> int | None:
@@ -47,18 +50,32 @@ class DistanceResult(_Record):
         return self.no_logicals or self.d is not None
 
 
+_set_dx, _set_dz, _set_no_logicals, _set_budget = DistanceResult._stores
+
+
 def stabilizer_strings(c: QuotientCode) -> list[str]:
     """One generator description per check row, e.g. ``X_v1 = X1 X3``.
 
     Qubit labels are rendered 1-based; X generators are named after
     vertices, Z generators after the faces or edges indexing them.  A
     code with no qubits has no operators to describe.  Each label's text
-    is made once for both Paulis and grouped by check (:func:`~.gf2.rows`),
-    and a row is joined with its Pauli letter in the separator.
+    is made once for both Paulis (:func:`_qubit_names`) and grouped by
+    check (:func:`~.gf2.rows`), and a row is joined with its Pauli letter in
+    the separator.
     """
+    return _stabilizer_strings(c, _qubit_names(c))
+
+
+def _qubit_names(c: QuotientCode) -> list[str]:
+    """Each qubit's 1-based label text, in qubit order: the ``qubits:`` line
+    of ``code`` joins the same list that names the generators' qubits."""
+    return [str(label + 1) for label in c.qubit_labels]
+
+
+def _stabilizer_strings(c: QuotientCode, names: list[str]) -> list[str]:
+    """:func:`stabilizer_strings` with the qubit names ``names`` of ``c``."""
     if c.n == 0:
         return []
-    names = [str(label + 1) for label in c.qubit_labels]
     out = []
     z_prefix = "e" if c.kind == EDGE else "f"
     for pauli, prefix, pairs, checks in (("X", "v", c.ends, len(c.x_labels)),

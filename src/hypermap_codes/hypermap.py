@@ -21,11 +21,21 @@ Three derived hypermaps share the surface:
 The contrary of the triangle dual equals the triangle dual of the dual;
 ``verify`` checks these identities on the canonical dart -> orbit tables.
 
-Every map walks its own orbit families (:func:`_walk_orbits`) on the
-first read of an orbit field, so a map whose orbits are never read is
-never walked.  A derived map is built from its two permutations alone
+Every map fills its orbit families (:func:`_walk_orbits`) on the first
+read of an orbit field, so a map whose orbits are never read is never
+walked.  A derived map is built from its two permutations alone
 (``_derived``): they generate the group of ``h``, so no transitivity
 search runs either.
+
+The dualities permute the roles of a map's three generators.  With
+phi = alpha^-1 sigma, the dual is (alpha^-1, phi) with faces sigma, the
+triangle dual (phi^-1, sigma^-1) with faces alpha^-1, and the contrary
+(sigma, alpha) with faces phi^-1, so each sends the six permutations
+sigma, alpha, phi and their inverses to themselves.  A map and every map
+derived from it therefore share one walk table (``_walks``), made by the
+first derivation, and the family walks each of the six at most once.  A
+map that is only validated, parsed or drawn holds no table, so it walks
+its three permutations without hashing their images.
 
 Orientation reversal has no carrier in this purely combinatorial model:
 the dual constructions above flip the underlying surface orientation, but
@@ -96,12 +106,14 @@ class Hypermap(_Record):
     A record of ``alpha`` and ``sigma``, so equal, hashed and pickled by
     them alone.  The constructor checks the degrees and, by one flat search,
     transitivity.  The cache ``_families`` holds None until the first read of
-    an orbit field, which walks each orbit family once (:func:`_walk_orbits`)
-    for the vertex, edge and face decompositions and their dart -> orbit
-    tables (``*_index``).
+    an orbit field, which fills it (:func:`_walk_orbits`) with the vertex,
+    edge and face decompositions and their dart -> orbit tables
+    (``*_index``).  The cache ``_walks`` holds the walk table this map shares
+    with the maps of its dual family, or None until :func:`dual`,
+    :func:`triangle_dual` or :func:`contrary` first derives a map from it.
     """
 
-    __slots__ = ("alpha", "sigma", "_families")
+    __slots__ = ("alpha", "sigma", "_families", "_walks")
 
     def __init__(self, alpha: Permutation, sigma: Permutation):
         if alpha.degree != sigma.degree:
@@ -111,6 +123,7 @@ class Hypermap(_Record):
         _set_alpha(self, alpha)
         _set_sigma(self, sigma)
         _set_families(self, None)
+        _set_walks(self, None)
 
     vertices = _orbit_field(0, "The orbits of sigma, as canonical cycles.")
     vertex_index = _orbit_field(1, "Each dart's index into ``vertices``.")
@@ -129,33 +142,63 @@ class Hypermap(_Record):
                 f"sigma={format_cycles(self.sigma)!r}, n={self.n})")
 
 
-_set_alpha, _set_sigma, _set_families = Hypermap._stores
+_set_alpha, _set_sigma, _set_families, _set_walks = Hypermap._stores
 
 
 def _walk_orbits(h: Hypermap) -> tuple:
-    """Walk the vertex, edge and face families of the permutations of ``h``,
-    one orbit walk each, and store them in ``h``: (vertices, vertex_index,
-    edges, edge_index, faces, face_index).
+    """The vertex, edge and face families of ``h``, the orbits of sigma, alpha
+    and alpha^-1 sigma, stored in ``h``: (vertices, vertex_index, edges,
+    edge_index, faces, face_index).
 
-    The only producer of orbit families.  Two threads that read a map's
-    orbits first at once both walk it and store equal values.
+    The only producer of orbit families.  A map without a walk table walks
+    its three permutations.  A map with one takes each walk from the table
+    by the image tuple walked, and walks and adds only the ones missing, so
+    a dual family walks each of its at most six permutations once.  A walk
+    depends on its images alone, so a table never changes a family.  Two
+    threads that read a map's orbits first at once both fill it with equal
+    values.
     """
-    alpha, sigma = h.alpha, h.sigma
-    faces = [0] * alpha.degree  # alpha^-1 sigma: alpha(dart) -> sigma(dart)
-    any(map(faces.__setitem__, alpha.images, sigma.images))  # each call returns None
-    families = (*_orbits(sigma.images), *_orbits(alpha.images), *_orbits(faces))
+    alpha, sigma = h.alpha.images, h.sigma.images
+    faces = [0] * len(alpha)  # alpha^-1 sigma: alpha(dart) -> sigma(dart)
+    any(map(faces.__setitem__, alpha, sigma))  # each call returns None
+    walks = h._walks
+    if walks is None:
+        families = (*_orbits(sigma), *_orbits(alpha), *_orbits(faces))
+    else:
+        families = (*_walk(walks, sigma), *_walk(walks, alpha), *_walk(walks, tuple(faces)))
     _set_families(h, families)
     return families
 
 
-def _derived(alpha: Permutation, sigma: Permutation) -> Hypermap:
+def _walk(walks: dict, images: tuple[int, ...]) -> tuple[Cycles, tuple[int, ...]]:
+    """The orbits of ``images`` in the walk table ``walks``, walked and added if missing."""
+    walked = walks.get(images)
+    if walked is None:
+        walked = walks[images] = _orbits(images)
+    return walked
+
+
+def _family_walks(h: Hypermap) -> dict:
+    """The walk table of the dual family of ``h``, made and kept in ``h`` on first
+    need.  Two threads that derive from ``h`` first at once may each make one:
+    their maps walk more, and fill the same families."""
+    walks = h._walks
+    if walks is None:
+        walks = {}
+        _set_walks(h, walks)
+    return walks
+
+
+def _derived(alpha: Permutation, sigma: Permutation, walks: dict | None = None) -> Hypermap:
     """The hypermap (alpha, sigma) of two permutations that generate the group
     of a hypermap, so act transitively.  Trusted: nothing is checked, and the
-    orbits are walked on first read."""
+    orbits are walked on first read, through ``walks``, the walk table of the
+    dual family the map joins, if one is given."""
     h = Hypermap.__new__(Hypermap)
     _set_alpha(h, alpha)
     _set_sigma(h, sigma)
     _set_families(h, None)
+    _set_walks(h, walks)
     return h
 
 
@@ -180,7 +223,7 @@ def dual(h: Hypermap) -> Hypermap:
     its faces the vertices of ``h``.  An involution: dual(dual(h)) == h.
     """
     alpha_inv = inverse(h.alpha)
-    return _derived(alpha_inv, compose(alpha_inv, h.sigma))
+    return _derived(alpha_inv, compose(alpha_inv, h.sigma), _family_walks(h))
 
 
 def triangle_dual(h: Hypermap) -> Hypermap:
@@ -190,12 +233,12 @@ def triangle_dual(h: Hypermap) -> Hypermap:
     its edges the faces of ``h``.  Also an involution.
     """
     sigma_inv = inverse(h.sigma)
-    return _derived(compose(sigma_inv, h.alpha), sigma_inv)
+    return _derived(compose(sigma_inv, h.alpha), sigma_inv, _family_walks(h))
 
 
 def contrary(h: Hypermap) -> Hypermap:
     """Interchange vertices and edges: the hypermap (sigma, alpha)."""
-    return _derived(h.sigma, h.alpha)
+    return _derived(h.sigma, h.alpha, _family_walks(h))
 
 
 def nabla(h: Hypermap) -> Hypermap:

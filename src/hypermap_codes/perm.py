@@ -16,8 +16,8 @@ Conventions used throughout the package:
 - ``_Record`` is the base of the package's immutable records, here and in
   the layers above: equality, hashing, repr, pickling and refused
   assignment over the fields a subclass names in ``__slots__``, and the
-  one way to write those fields (``_stores``, ``_fill``).  A slot whose
-  name starts with ``_`` is a cache, not a field.
+  one way to write those fields (``_stores``).  A slot whose name starts
+  with ``_`` is a cache, not a field.
 - Labels are 0-based in memory and 1-based in text.  Text labels become
   darts here, by one rule: cycle text in ``parse_cycles`` and a label list
   (a ``special:`` line, ``--special``) in ``_read_labels``; only JSON is
@@ -32,7 +32,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import zip_longest
 from operator import attrgetter
 
 Cycles = tuple[tuple[int, ...], ...]
@@ -51,11 +50,13 @@ class _Record:
     and take no part in equality, hashing, repr or pickling.  ``_fields``
     names the fields, and ``_stores`` holds each slot's own setter, in
     ``__slots__`` order, which the refusing ``__setattr__`` does not reach.
-    The subclass ``__init__`` checks its arguments and ends in
-    ``self._fill(...)``.  Records are equal when they are of one class with
-    equal fields, hash over their fields, print as ``Name(field=value, ...)``,
-    pickle through their constructor, and refuse assignment and deletion
-    with ``AttributeError``.
+    The subclass ``__init__`` checks its arguments, then calls each slot's
+    setter, unpacked from ``_stores`` at module level, once: a value for
+    each field and None for each cache, with no loop between the calls.
+    Records are equal when they are of one class with equal fields, hash
+    over their fields, print as ``Name(field=value, ...)``, pickle through
+    their constructor, and refuse assignment and deletion with
+    ``AttributeError``.
     """
 
     __slots__ = ()
@@ -65,11 +66,6 @@ class _Record:
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._values = attrgetter(*cls._fields)  # the fields' tuple; a lone field's bare value
         cls._stores = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def _fill(self, *values) -> None:
-        """Store ``values``, one per field, in ``__slots__`` order, and None in each cache."""
-        for store, value in zip_longest(self._stores, values):  # each __init__ fixes the count
-            store(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -107,7 +103,7 @@ class Permutation(_Record):
             raise ValueError(f"images {_quoted(images)} are not all integers")
         if sorted(images) != list(range(n)):
             raise ValueError(f"images {_quoted(images)} are not a bijection on 0..{n - 1}")
-        self._fill(images)
+        _set_images(self, images)
 
     @property
     def degree(self) -> int:

@@ -53,7 +53,11 @@ class CellComplex(_Record):
     def __init__(self, zero_cells: tuple[int, ...], one_cells: tuple[int, ...],
                  two_cells: tuple[int, ...], counts21: tuple[tuple[tuple[int, int], ...], ...],
                  ends: Pairs):
-        self._fill(zero_cells, one_cells, two_cells, counts21, ends)
+        _set_zero_cells(self, zero_cells)
+        _set_one_cells(self, one_cells)
+        _set_two_cells(self, two_cells)
+        _set_counts21(self, counts21)
+        _set_ends(self, ends)
 
     @property
     def euler_characteristic(self) -> int:
@@ -103,11 +107,19 @@ class CellComplex(_Record):
         return block.decode()
 
 
+_set_zero_cells, _set_one_cells, _set_two_cells, _set_counts21, _set_ends = CellComplex._stores
+
+
 class CheckResult(_Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        self._fill(name, passed, detail)
+        _set_name(self, name)
+        _set_passed(self, passed)
+        _set_detail(self, detail)
+
+
+_set_name, _set_passed, _set_detail = CheckResult._stores
 
 
 class SurfaceReport(_Record):
@@ -116,7 +128,8 @@ class SurfaceReport(_Record):
     __slots__ = ("checks", "euler_characteristic")
 
     def __init__(self, checks: tuple[CheckResult, ...], euler_characteristic: int):
-        self._fill(checks, euler_characteristic)
+        _set_checks(self, checks)
+        _set_euler_characteristic(self, euler_characteristic)
 
     @property
     def passed(self) -> bool:
@@ -130,6 +143,9 @@ class SurfaceReport(_Record):
             lines.append(f"{c.name}: {status}{suffix}")
         lines.append("surface-validation: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
+
+
+_set_checks, _set_euler_characteristic = SurfaceReport._stores
 
 
 def reduce_to_surface(h: Hypermap, code: QuotientCode) -> CellComplex:

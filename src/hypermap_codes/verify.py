@@ -5,11 +5,15 @@ seeded random corpus; a predicate that raises counts as a failure.  A map
 drawn more than once is checked once, and its verdicts count for every
 draw of it.
 
-Each map, drawn or derived, walks its own permutations on the first read
-of an orbit field, so an orbit check states its identity on canonical
-dart -> orbit tables, such as ``x.dual.edge_index == x.h.edge_index``.
-Canonical tables number the orbits by their minimum dart, so two equal
-tables are one partition of the darts.
+Each map, drawn or derived, fills its orbit fields from its own
+permutations on their first read, so an orbit check states its identity
+on canonical dart -> orbit tables, such as
+``x.dual.edge_index == x.h.edge_index``.  Canonical tables number the
+orbits by their minimum dart, so two equal tables are one partition of
+the darts.  The maps a record derives share one walk table with its map,
+so the six maps whose orbits the checks read walk sigma, alpha,
+alpha^-1 sigma and their inverses once each (see
+:mod:`~hypermap_codes.hypermap`).
 """
 
 from __future__ import annotations
@@ -45,7 +49,13 @@ class CheckOutcome(_Record):
     __slots__ = ("name", "failures", "total", "first_failure")
 
     def __init__(self, name: str, failures: int, total: int, first_failure: str = ""):
-        self._fill(name, failures, total, first_failure)
+        _set_name(self, name)
+        _set_failures(self, failures)
+        _set_total(self, total)
+        _set_first_failure(self, first_failure)
+
+
+_set_name, _set_failures, _set_total, _set_first_failure = CheckOutcome._stores
 
 
 class VerificationReport(_Record):
@@ -53,7 +63,10 @@ class VerificationReport(_Record):
 
     def __init__(self, trials: int, max_darts: int, seed: int,
                  checks: tuple[CheckOutcome, ...]):
-        self._fill(trials, max_darts, seed, checks)
+        _set_trials(self, trials)
+        _set_max_darts(self, max_darts)
+        _set_seed(self, seed)
+        _set_checks(self, checks)
 
     @property
     def passed(self) -> bool:
@@ -71,6 +84,9 @@ class VerificationReport(_Record):
         lines.append(f"verification: {verdict} ({len(self.checks)} checks, "
                      f"{self.trials} hypermaps)")
         return "\n".join(lines) + "\n"
+
+
+_set_trials, _set_max_darts, _set_seed, _set_checks = VerificationReport._stores
 
 
 class Derived:

@@ -138,10 +138,15 @@ class BitMatrix(_Record):
                 raise ValueError(f"row {i} mask {row!r} is not an integer")
             if row < 0 or row & ~mask:
                 raise ValueError(f"row {i} has bits outside {cols} columns")
-        self._fill(rows, cols, bits)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_bits(self, bits)
 
     def get(self, i, j):
         return (self.bits[i] >> j) & 1
+
+
+_set_rows, _set_cols, _set_bits = BitMatrix._stores
 
 
 def from_strings(rows, cols=None):

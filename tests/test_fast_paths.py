@@ -405,6 +405,37 @@ def test_derived_maps_match_oracle_on_square_torus(size):
     _assert_derived_maps_match_oracle(square_torus(size))
 
 
+def _assert_family_walks_match_oracle(h):
+    """h and the five derived maps whose orbits ``verify`` reads, walked in
+    its order through the one walk table of their family: each has the
+    families of the same map built and walked alone, and of the oracle."""
+    h = Hypermap(h.alpha, h.sigma)  # a map of its own, with no table yet
+    d = dual(h)
+    family = (d, h, triangle_dual(h), contrary(h), nabla(h), triangle_dual(d))
+    for m in family:
+        assert m._walks is h._walks is not None
+        walked = _orbits_of(m)
+        assert walked == _orbits_of(Hypermap(m.alpha, m.sigma))
+        assert walked == slow_paths.orbit_build(m.alpha, m.sigma)[1]
+    phi = compose(inverse(h.alpha), h.sigma)
+    assert set(h._walks) == {p.images for q in (h.sigma, h.alpha, phi) for p in (q, inverse(q))}
+
+
+def test_family_walks_match_oracle_on_corpus(torus8, corpus):
+    for h in [torus8, *corpus]:
+        _assert_family_walks_match_oracle(h)
+
+
+@pytest.mark.parametrize("size", range(3, 9))
+def test_family_walks_match_oracle_on_square_torus(size):
+    _assert_family_walks_match_oracle(square_torus(size))
+
+
+def test_family_walks_match_oracle_on_psl2_maps(psl2_maps):
+    for h in psl2_maps.values():
+        _assert_family_walks_match_oracle(h)
+
+
 # ---------------------------------------------------------------------------
 # the cycle parser: grammar scan and list checks against the character walker
 

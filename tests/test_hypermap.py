@@ -15,12 +15,14 @@ from hypermap_codes import (
     Permutation,
     SpecialDartError,
     contrary,
+    distance,
     dual,
     edge_code,
     euler_characteristic,
     face_code,
     format_cycles,
     format_hypermap,
+    full_code,
     genus,
     identity,
     is_transitive,
@@ -30,7 +32,9 @@ from hypermap_codes import (
     random_corpus,
     random_hypermap,
     random_permutation,
+    reduce_to_surface,
     triangle_dual,
+    validate_surface,
 )
 from hypermap_codes import cli, hypermap
 from conftest import TORUS8, square_torus
@@ -186,7 +190,8 @@ def test_duals_preserve_euler_characteristic(corpus):
 
 
 # ---------------------------------------------------------------------------
-# every map walks its own orbits, once, on the first read of an orbit field
+# every map fills its orbits once, on the first read of an orbit field, and
+# the maps of one dual family share one walk table
 
 ORBIT_FIELDS = ("vertices", "vertex_index", "edges", "edge_index", "faces", "face_index")
 
@@ -247,6 +252,42 @@ def test_validated_map_is_unwalked_until_its_first_orbit_read(torus8, walks):
         walks.clear()
 
 
+def test_only_a_derivation_gives_a_map_a_walk_table(torus8):
+    parsed, _ = parse_hypermap(TORUS8.read_text())
+    built = [Hypermap(torus8.alpha, torus8.sigma), parsed, random_hypermap(8, seed=3),
+             *hypermap._random_draws(20, 10, 3)]
+    for h in built:
+        assert h._walks is None
+        assert genus(h) >= 0  # reading its orbits makes no table either
+        assert h._walks is None
+    for op in (dual, triangle_dual, contrary):
+        h = Hypermap(torus8.alpha, torus8.sigma)
+        d = op(h)
+        assert d._walks is h._walks == {}  # made, and not yet walked into
+        assert op(d)._walks is h._walks and nabla(d)._walks is h._walks
+        assert len(d.faces) > 0 and len(h.faces) > 0
+        assert 0 < len(h._walks) <= 6
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_code_reduce_and_distance_make_no_walk_table(size, monkeypatch, tmp_path, capsys):
+    h = square_torus(size)
+    for code in (face_code(h), edge_code(h), full_code(h)):
+        assert distance(code, size).d == (2 if code.kind == "full" else size)
+    assert validate_surface(reduce_to_surface(h, face_code(h))).passed
+    assert h._walks is None
+    made = []
+    monkeypatch.setattr(hypermap, "_family_walks", made.append)
+    path = tmp_path / "lattice.hm"
+    path.write_text(format_hypermap(h))
+    for argv in (["code", path, "--kind", "face"], ["code", path, "--kind", "edge"],
+                 ["code", path, "--kind", "full"], ["reduce", path],
+                 ["distance", path, "--kind", "edge", "--budget", str(size)]):
+        assert cli.main([str(arg) for arg in argv]) == 0
+    assert made == []
+    assert capsys.readouterr().err == ""
+
+
 def test_constructor_still_checks_degrees_and_transitivity(walks):
     with pytest.raises(ValueError, match="^degree mismatch: alpha 3, sigma 4$"):
         Hypermap(identity(3), identity(4))
@@ -303,6 +344,38 @@ def test_concurrent_first_reads_see_the_validated_orbits():
     finally:
         sys.setswitchinterval(switch)
     assert len(seen) == 2 * 5 * threads
+
+
+def test_concurrent_first_reads_across_a_family_share_one_walk_table():
+    square = square_torus(8)
+    ops = (dual, lambda h: h, triangle_dual, contrary, nabla, lambda h: triangle_dual(dual(h)))
+    wants = [[getattr(op(square), name) for name in ORBIT_FIELDS] for op in ops]
+    threads, seen = 12, []  # more threads than maps, so two threads often read one map
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            h = Hypermap(square.alpha, square.sigma)
+            family = [op(h) for op in ops]
+            barrier = threading.Barrier(threads)
+
+            def read(i):
+                barrier.wait(timeout=30)
+                seen.append((i, [getattr(family[i], name) for name in ORBIT_FIELDS]))
+
+            workers = [threading.Thread(target=read, args=(i % len(ops),))
+                       for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert all(m._walks is h._walks for m in family)
+            assert len(h._walks) == 5  # six permutations, of which alpha = alpha^-1 on a map
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(seen) == 5 * threads
+    assert all(values == wants[i] for i, values in seen)
 
 
 def test_unread_derived_map_equals_hashes_and_copies_as_a_validated_build(torus8, corpus):

@@ -28,11 +28,12 @@ from hypermap_codes import (
     face_code,
     reduce_to_surface,
 )
+from hypermap_codes.perm import _Record
 from hypermap_codes.verify import CheckOutcome, Derived
 from slow_paths import BitMatrix  # the test oracles' matrix, a record like the package's
 
 
-RECORD_TYPES = [Permutation, BitMatrix, QuotientCode, DistanceResult, CellComplex,
+RECORD_TYPES = [Permutation, Hypermap, BitMatrix, QuotientCode, DistanceResult, CellComplex,
                 CheckResult, SurfaceReport, CheckOutcome, VerificationReport]
 
 
@@ -45,6 +46,7 @@ def records(torus8):
     outcome = ("dual-involution", 1, 5, "Hypermap(...)")
     return {
         Permutation: ({"images": (1, 2, 0)}, {}),
+        Hypermap: ({"alpha": torus8.alpha, "sigma": torus8.sigma}, {}),
         BitMatrix: ({"rows": 2, "cols": 3, "bits": (1, 6)}, {}),
         QuotientCode: ({name: getattr(q, name) for name in (
             "kind", "special", "qubit_labels", "ends", "sides", "z_labels", "x_labels")}, {}),
@@ -62,20 +64,63 @@ def records(torus8):
     }
 
 
+def _assert_built_whole(record, fields):
+    """``record`` reads back every field of ``fields``, holds None in every
+    cache, and pickles to an equal record."""
+    for name in type(record).__slots__:
+        if name.startswith("_"):
+            assert getattr(record, name) is None, name
+        else:
+            assert getattr(record, name) == fields[name], name
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
+
+
 @pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
 def test_construction_by_position_and_keyword(records, cls):
     fields, defaults = records[cls]
-    by_position = cls(*fields.values())
-    by_keyword = cls(**fields)
-    for name, value in fields.items():
-        assert getattr(by_position, name) == value
-        assert getattr(by_keyword, name) == value
+    _assert_built_whole(cls(*fields.values()), fields)
+    _assert_built_whole(cls(**fields), fields)
     required = {name: value for name, value in fields.items() if name not in defaults}
     for made in (cls(*required.values()), cls(**required)):
         for name, value in defaults.items():
             assert getattr(made, name) == value
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
+
+
+def test_every_record_type_is_tested():
+    """``RECORD_TYPES`` holds each ``_Record`` subclass of the package and the oracles."""
+    found, bases = [], [_Record]
+    while bases:
+        for cls in bases.pop().__subclasses__():
+            if cls.__module__.startswith("hypermap_codes.") or cls is BitMatrix:
+                found.append(cls)
+            bases.append(cls)
+    assert sorted(c.__name__ for c in found) == sorted(c.__name__ for c in RECORD_TYPES)
+
+
+def test_a_constructor_that_misses_a_slot_fails_that_test():
+    class MissesAField(_Record):
+        __slots__ = ("left", "right", "_cache")
+
+        def __init__(self, left, right):
+            set_left, _, set_cache = self._stores
+            set_left(self, left)
+            set_cache(self, None)
+
+    class MissesACache(_Record):
+        __slots__ = ("left", "right", "_cache")
+
+        def __init__(self, left, right):
+            set_left, set_right, _ = self._stores
+            set_left(self, left)
+            set_right(self, right)
+
+    fields = {"left": 1, "right": 2}
+    for cls, missed in ((MissesAField, "right"), (MissesACache, "_cache")):
+        with pytest.raises(AttributeError, match=missed):
+            _assert_built_whole(cls(**fields), fields)
 
 
 @pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
@@ -126,7 +171,7 @@ def test_pickle_round_trip(records, cls):
         assert type(copy) is cls and copy == record and hash(copy) == hash(record)
 
 
-@pytest.mark.parametrize("cls", [*RECORD_TYPES, Hypermap], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
 def test_stores_hold_one_setter_per_slot_in_slot_order(cls):
     assert len(cls._stores) == len(cls.__slots__)
     record = cls.__new__(cls)

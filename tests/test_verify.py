@@ -221,6 +221,55 @@ def test_record_builds_each_derived_object_once_per_map(monkeypatch):
     assert tuple(b / 50 for b in builds[:2] + builds[4:]) == (23, 0, 12)
 
 
+def _walks_per_map(monkeypatch, trials, max_darts, seed):
+    """Per distinct map of one run: the map and the image tuples ``hypermap._orbits``
+    walked while its checks ran, in walk order."""
+    walked, per_map = [], []
+    orbits, verdicts = hypermap._orbits, verify._verdicts
+
+    def checked(x):
+        start = len(walked)
+        out = verdicts(x)
+        per_map.append((x.h, walked[start:]))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hypermap, "_orbits", lambda images: walked.append(tuple(images))
+                      or orbits(images))
+        patch.setattr(verify, "_verdicts", checked)
+        assert run_verification(trials, max_darts, seed).passed
+    assert len(per_map) == _distinct(trials, max_darts, seed)
+    return per_map
+
+
+def _six_permutations(h):
+    """The images of sigma, alpha and alpha^-1 sigma and of their inverses."""
+    phi = compose(inverse(h.alpha), h.sigma)
+    return {p.images for q in (h.sigma, h.alpha, phi) for p in (q, inverse(q))}
+
+
+@pytest.mark.parametrize("max_darts", [10, 16])
+def test_a_dual_family_walks_each_of_its_six_permutations_once(max_darts, monkeypatch):
+    # the six maps whose orbits the checks read share one walk table
+    per_map = _walks_per_map(monkeypatch, 500, max_darts, 7)
+    for h, walked in per_map:
+        assert len(walked) == len(set(walked)) <= 6
+        assert set(walked) == _six_permutations(h)
+    # a map whose sigma, alpha or phi is an involution walks fewer
+    assert sum(len(walked) for _, walked in per_map) < 6 * len(per_map)
+    # without the table each of the six walks its three permutations
+    monkeypatch.setattr(hypermap, "_family_walks", lambda h: None)
+    per_map = _walks_per_map(monkeypatch, 500, max_darts, 7)
+    assert all(len(walked) == 18 for _, walked in per_map)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_report_bytes_match_oracle_up_to_16_darts(seed, capsys):
+    expected = slow_paths.run_verification(500, 16, seed).render()
+    assert main(["verify", "--trials", "500", "--max-darts", "16", "--seed", str(seed)]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
 def test_each_distinct_map_is_checked_once(monkeypatch):
     checked = []
     checks = list(verify.VERIFY_CHECKS)

@@ -26,7 +26,8 @@ from collections.abc import Iterable, Iterator, Sequence
 Pairs = tuple[tuple[int, int], ...]  # per qubit, see the module docstring
 
 # The largest matrix text that dense_block and CellComplex.count_block make
-# in one piece; a larger matrix is written a row at a time.
+# in one piece, and the largest piece of text the CLI joins for one write; a
+# larger matrix is made a row at a time.
 BLOCK_BYTES = 1 << 20
 
 

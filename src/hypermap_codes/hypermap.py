@@ -387,9 +387,10 @@ def format_hypermap(h: Hypermap, special=None) -> str:
 def _special_labels(h: Hypermap, special) -> list[int]:
     """The 1-based labels of ``special``, ascending, as every writer of a special
     set writes them: a ValueError refuses anything but distinct ``int`` darts 0..n-1."""
-    labels = {i + 1 for i in special if type(i) is int and 0 <= i < h.n}
+    n = h.n
+    labels = {i + 1 for i in special if type(i) is int and 0 <= i < n}
     if len(labels) != len(special):
-        raise ValueError(f"special {_quoted(special)} is not a set of darts 0..{h.n - 1}")
+        raise ValueError(f"special {_quoted(special)} is not a set of darts 0..{n - 1}")
     return sorted(labels)
 
 

@@ -303,14 +303,19 @@ def _label(token: str, high: int, seen: set[int]) -> int:
 
 def _read_labels(tokens: list[str], high: int) -> frozenset[int]:
     """The set of 0-based darts of the labels ``tokens`` under :func:`_label`'s
-    rule: one ``int`` pass reads ASCII digit runs no wider than ``high``, and
-    any list it refuses is walked with :func:`_label`, to its darts or to a
-    :class:`_LabelError`."""
-    if ("".join(tokens).isascii() and all(map(str.isdigit, tokens))
-            and max(map(len, tokens), default=0) <= len(str(high))):
-        darts = frozenset(map((-1).__add__, map(int, tokens)))
-        if not darts or (0 <= min(darts) and max(darts) < high and len(darts) == len(tokens)):
-            return darts
+    rule: when the joined tokens are ASCII digits, one ``int`` pass reads them,
+    and any list it refuses (an empty token, one over ``int()``'s 4300 digits,
+    a label out of range or repeated) is walked with :func:`_label`, to its
+    darts or to a :class:`_LabelError`."""
+    joined = "".join(tokens)
+    if joined.isascii() and joined.isdigit():
+        try:
+            darts = frozenset(map((-1).__add__, map(int, tokens)))
+        except ValueError:
+            pass
+        else:
+            if 0 <= min(darts) and max(darts) < high and len(darts) == len(tokens):
+                return darts
     seen: set[int] = set()
     try:
         return frozenset([_label(token, high, seen) - 1 for token in tokens])

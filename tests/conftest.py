@@ -1,12 +1,35 @@
 import random
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from hypermap_codes import Hypermap, Permutation, parse_cycles, random_corpus
+from hypermap_codes import Hypermap, Permutation, cli, parse_cycles, random_corpus
 
 DATA = Path(__file__).parent / "data"
 TORUS8 = DATA / "torus8.hm"
+
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.parts: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def cli_writes(argv: list[str]) -> list[str]:
+    """Each write to stdout of the CLI run on ``argv``, which must exit 0."""
+    sink = _Writes()
+    with redirect_stdout(sink):
+        assert cli.main(argv) == 0
+    return sink.parts
+
 
 # Seed shared by every corpus-driven test so failures reproduce exactly.
 CORPUS_SEED = 7

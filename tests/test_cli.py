@@ -36,7 +36,7 @@ from hypermap_codes import (
 from hypermap_codes import chain, cli, css, gf2, hypermap, perm, verify
 from hypermap_codes.cli import main
 
-from conftest import DATA, TORUS8, plane_star, square_torus
+from conftest import DATA, TORUS8, cli_writes, plane_star, square_torus
 from slow_paths import (as_partition, from_strings, incidence21, parse_lines, per_label_parser,
                         rank, reference_parser, subparsers)
 
@@ -1784,6 +1784,42 @@ def test_read_labels_agrees_with_the_label_walk(tokens, high):
     assert outcome == _walked(tokens, high)
 
 
+# label lists each read through a file's special line and through --special;
+# a fault follows a valid label where it can, so that its token index is 1
+READ_CASES = {
+    "padded": ["0002"], "4301 digits, padded": ["2", "0" * 4300 + "5"],
+    "4301 digits": ["2", "1" + "0" * 4300], "empty": ["2", ""], "plus sign": ["+1"],
+    "underscore": ["2", "1_0"], "arabic-indic three": ["\u0663"], "zero": ["2", "0"],
+    "repeat": ["2", "5", "2"], "over the dart count": ["2", "9"],
+}
+
+
+@pytest.mark.parametrize("tokens", READ_CASES.values(), ids=READ_CASES.keys())
+def test_read_labels_matches_the_label_walk_on_both_routes(tokens, torus_file, capsys):
+    """Each list gives the darts that ``perm._label`` gives label by label, or
+    its first fault's words and token index: from a file's special line, whose
+    tokens are its whitespace-split words, each in 1..8, and from --special."""
+    line = "special: " + " ".join(tokens)
+    words = line.split()[1:]
+    try:
+        outcome = parse_hypermap(TORUS_TEXT.replace("special: 2 5", line))[1]
+    except hypermap.ParseError as exc:  # its column back to the index of its token
+        starts = [len(line) - len(line.split(None, i + 1)[i + 1]) + 1 for i in range(len(words))]
+        assert exc.line == TORUS_TEXT.splitlines().index("special: 2 5") + 1
+        outcome = starts.index(exc.col), exc.message.removeprefix("special dart ")
+    assert outcome == _walked(words, 8)
+    try:
+        outcome = cli._SPECIAL.read(tokens)
+    except perm._LabelError as exc:
+        outcome = exc.index, str(exc)
+    assert outcome == _walked(tokens, MAX_DARTS)
+    if isinstance(outcome, tuple):  # the CLI prints the same words, as argparse reports them
+        code, out, err = _outcome(capsys, ["code", torus_file, "--kind", "face",
+                                           "--special", *tokens])
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument --special: special dart {outcome[1]}\n")
+
+
 def _parsed_or_error(parse, text):
     try:
         return parse(text)
@@ -1951,9 +1987,11 @@ def test_failing_stdout_exits_1_with_a_write_error(torus_file):
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
-# dense blocks are written row by row: a stdout that fails mid-stream, after
-# more than a pipe buffer ({4,4}_16 prints over 0.5 MB), exits the same way
-STREAMED = [["code", "--kind", "edge"], ["reduce"]]
+# a stdout that fails mid-stream, after more than a pipe buffer, exits the
+# same way: {4,4}_16 prints over 0.5 MB in pieces and blocks, and info and
+# the DOT export of {4,4}_64 print 625 KB and 1.3 MB in one piece each
+STREAMED = {"code-edge": (16, ["code", "--kind", "edge"]), "reduce": (16, ["reduce"]),
+            "info-64": (64, ["info"]), "dot-64": (64, ["export", "--format", "dot"])}
 
 
 @pytest.fixture(scope="module")
@@ -1961,11 +1999,25 @@ def lattice16_file(tmp_path_factory):
     return _write_map(tmp_path_factory.mktemp("lattice"), "square16.hm", square_torus(16))
 
 
-@pytest.mark.parametrize("argv", STREAMED, ids=["code-edge", "reduce"])
-def test_stdout_closed_mid_stream_exits_1_silently(argv, lattice16_file):
-    proc = subprocess.Popen([sys.executable, "-m", "hypermap_codes", argv[0], lattice16_file,
-                             *argv[1:]], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=_src_env())
+@pytest.fixture(scope="module")
+def streamed_files(lattice16_file, lattice64_files):
+    return {16: lattice16_file, 64: lattice64_files[0]}
+
+
+def _streamed_env(unbuffered: bool) -> dict:
+    """The child's environment, with stdout buffered, or written straight to
+    its file as under ``python -u``, where a short write must not pass unseen."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("size, argv", STREAMED.values(), ids=STREAMED.keys())
+def test_stdout_closed_mid_stream_exits_1_silently(size, argv, unbuffered, streamed_files):
+    proc = subprocess.Popen([sys.executable, "-m", "hypermap_codes", argv[0],
+                             streamed_files[size], *argv[1:]], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_streamed_env(unbuffered))
     try:
         assert proc.stdout.readline()
         proc.stdout.close()  # the reader leaves after the first line
@@ -1978,14 +2030,52 @@ def test_stdout_closed_mid_stream_exits_1_silently(argv, lattice16_file):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
-@pytest.mark.parametrize("argv", STREAMED, ids=["code-edge", "reduce"])
-def test_failing_stdout_mid_stream_exits_1_with_a_write_error(argv, lattice16_file):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("size, argv", STREAMED.values(), ids=STREAMED.keys())
+def test_failing_stdout_mid_stream_exits_1_with_a_write_error(size, argv, unbuffered,
+                                                               streamed_files):
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "hypermap_codes", argv[0], lattice16_file,
-                               *argv[1:]], stdout=full, stderr=subprocess.PIPE, text=True,
-                              env=_src_env(), timeout=60)
+        proc = subprocess.run([sys.executable, "-m", "hypermap_codes", argv[0],
+                               streamed_files[size], *argv[1:]], stdout=full,
+                              stderr=subprocess.PIPE, text=True,
+                              env=_streamed_env(unbuffered), timeout=60)
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+# writes per command on torus8: the report in one piece, and for code and
+# reduce each matrix's block between the text before and after it
+WRITES = {("info",): 1, ("dual",): 1, ("distance", "--kind", "face"): 1,
+          ("code", "--kind", "face"): 5, ("code", "--kind", "edge"): 5,
+          ("code", "--kind", "full"): 5, ("reduce",): 5}
+
+
+@pytest.mark.parametrize("bound", [None, 64, 0], ids=["default", "64", "0"])
+def test_commands_write_each_report_in_few_pieces(bound, torus_file, monkeypatch):
+    """At the default bound each command makes its pinned count of writes; at
+    every bound the bytes are the same, and no write is over the bound unless
+    it is one line or one matrix block."""
+    h, special = parse_hypermap(TORUS_TEXT)
+    codes = [face_code(h, special), edge_code(h), full_code(h)]
+    complex_ = reduce_to_surface(h, codes[0])
+    blocks = {complex_.count_block(" "), gf2.dense_block(complex_.ends, len(complex_.zero_cells))}
+    for q in codes:
+        blocks |= {gf2.dense_block(q.ends, len(q.x_labels)),
+                   gf2.dense_block(q.sides, len(q.z_labels))}
+    argvs = {argv: [argv[0], torus_file, *argv[1:]] for argv in WRITES}
+    reports = {argv: "".join(cli_writes(full)) for argv, full in argvs.items()}
+    if bound is not None:
+        monkeypatch.setattr(gf2, "BLOCK_BYTES", bound)
+    for argv, full in argvs.items():
+        writes = cli_writes(full)
+        assert "".join(writes) == reports[argv]
+        if bound is None:
+            assert len(writes) == WRITES[argv], argv
+        elif bound == 64:  # lines are still joined up to the bound
+            assert len(writes) < reports[argv].count("\n")
+        for part in writes:
+            assert (len(part) <= gf2.BLOCK_BYTES or part.find("\n") == len(part) - 1
+                    or part in blocks)
 
 
 @pytest.fixture(scope="module")

@@ -84,7 +84,7 @@ from hypermap_codes import (
 )
 from hypermap_codes import chain, cli, gf2, perm
 from slow_paths import from_strings
-from conftest import TORUS8, square_torus
+from conftest import TORUS8, cli_writes, square_torus
 from test_exhaustive_small import all_hypermaps
 
 
@@ -178,36 +178,42 @@ def test_dense_block_is_none_over_the_bound(monkeypatch):
     assert gf2.dense_block(((0, 1),) * 1024, 1024) is None
 
 
-def _cli_outputs(tmp_path, h, capsys):
-    """What ``code`` (each kind) and ``reduce`` print for ``h``."""
+def _cli_writes(tmp_path, h):
+    """The writes of ``code`` (each kind) and ``reduce`` on ``h``, a list per command."""
     path = str(tmp_path / "map.hm")
     with open(path, "w") as fh:
         fh.write(format_hypermap(h))
     argvs = [["code", path, "--kind", kind] for kind in ("face", "edge", "full")]
-    outputs = []
-    for argv in [*argvs, ["reduce", path]]:
-        assert cli.main(argv) == 0
-        outputs.append(capsys.readouterr().out)
-    return outputs
+    return [cli_writes(argv) for argv in [*argvs, ["reduce", path]]]
+
+
+def _blocks(h):
+    """The one-block texts of the matrices that ``code`` (each kind) and
+    ``reduce`` print for ``h``, a list per command."""
+    blocks = [[gf2.dense_block(q.ends, len(q.x_labels)), gf2.dense_block(q.sides, len(q.z_labels))]
+              for q in _quotients(h)]
+    complex_ = reduce_to_surface(h, face_code(h))
+    return [*blocks, [complex_.count_block(" "),
+                      gf2.dense_block(complex_.ends, len(complex_.zero_cells))]]
 
 
 def test_code_and_reduce_print_the_same_bytes_in_blocks_and_in_rows(
-        tmp_path, capsys, monkeypatch, torus8, corpus, psl2_maps):
-    blocks = []  # per matrix the CLI writes: its block, or None for its rows
-    write_matrix = cli._write_matrix
-    monkeypatch.setattr(cli, "_write_matrix",
-                        lambda block, lines: blocks.append(block) or write_matrix(block, lines))
+        tmp_path, monkeypatch, torus8, corpus, psl2_maps):
     bound, lattices = gf2.BLOCK_BYTES, [square_torus(size) for size in range(3, 9)]
     for h in [torus8, *lattices, *corpus[:60], *psl2_maps.values()]:
-        expected = _cli_outputs(tmp_path, h, capsys)
-        assert len(blocks) == 8 and None not in blocks  # H_X, H_Z of each code; reduce: 2
-        blocks.clear()
-        # with the bound at 0, every matrix with any text takes the row path
+        expected = _cli_writes(tmp_path, h)
+        for writes, blocks in zip(expected, _blocks(h)):
+            # text, then each matrix as its own block between texts; an empty one adds nothing
+            assert None not in blocks
+            blocks = [block for block in blocks if block]
+            assert writes[1::2] == blocks and len(writes) == 2 * len(blocks) + 1
+        # with the bound at 0, every matrix with any text takes the row path:
+        # each write is one line, and the bytes are the same
         monkeypatch.setattr(gf2, "BLOCK_BYTES", 0)
-        assert _cli_outputs(tmp_path, h, capsys) == expected
-        assert len(blocks) == 8 and set(blocks) <= {None, ""}
-        blocks.clear()
+        in_rows = _cli_writes(tmp_path, h)
         monkeypatch.setattr(gf2, "BLOCK_BYTES", bound)
+        assert list(map("".join, in_rows)) == list(map("".join, expected))
+        assert all(part.find("\n") == len(part) - 1 for writes in in_rows for part in writes)
 
 
 @settings(max_examples=25, deadline=None)
